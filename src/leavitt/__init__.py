@@ -13,6 +13,7 @@ from .intlinalg import (
     FgAbGroup,
     GroupMap,
     IntMatrix,
+    InvariantFactors,
     PresentedGroup,
     SmithData,
     check_exact,
@@ -20,6 +21,7 @@ from .intlinalg import (
     coker_with_coefficients,
     cokernel,
     group_iso,
+    invariant_factors,
     kernel_basis,
     snf,
 )

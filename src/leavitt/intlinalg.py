@@ -1,9 +1,15 @@
 """Exact linear algebra over the integers.
 
-Smith normal form with tracked unimodular transforms is the single engine
-here; kernels, cokernels, solving, lattice membership and exactness checks
-of finitely presented abelian groups are all derived from it.  Everything
-runs on Python ints, so there is no overflow and no floating point anywhere.
+One Smith elimination is the engine here, run in two ways.
+:func:`invariant_factors` runs it on the matrix alone and serves the callers
+that need only the diagonal, the rank or the determinant: group invariants
+(``PresentedGroup.invariants``, ``FgAbGroup.from_parts``),
+:func:`coker_with_coefficients`, the kernel rank of K1 and the shift
+invariants.  :func:`snf` also tracks the unimodular transforms and serves
+the callers that need them: canonical class forms, kernels, lattice
+membership, solving, unimodular inverses and preimage lattices, and through
+them the exactness checks.  Everything runs on Python ints, so there is no
+overflow and no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from functools import lru_cache
 __all__ = [
     "IntMatrix",
     "SmithData",
+    "InvariantFactors",
     "FgAbGroup",
     "PresentedGroup",
     "GroupMap",
@@ -22,6 +29,7 @@ __all__ = [
     "CoeffCokernel",
     "ExactnessReport",
     "snf",
+    "invariant_factors",
     "kernel_basis",
     "cokernel",
     "coker_with_coefficients",
@@ -293,16 +301,35 @@ class SmithData:
 
 
 def _select_pivot(d, t, rows, cols):
+    """Position of the entry with the least (abs value, row, column) key.
+
+    The scan is row-major, so the first unit it meets already has the least
+    key (1, i, j) and ends it.
+    """
     best = None
     for i in range(t, rows):
         di = d[i]
         for j in range(t, cols):
             x = di[j]
             if x != 0:
+                if x == 1 or x == -1:
+                    return (i, j)
                 key = (abs(x), i, j)
                 if best is None or key < best:
                     best = key
     return None if best is None else (best[1], best[2])
+
+
+def _first_indivisible_row(d, t, rows, cols, p):
+    """First row below t holding an entry right of t that p does not divide."""
+    if p == 1 or p == -1:
+        return None
+    for i in range(t + 1, rows):
+        di = d[i]
+        for j in range(t + 1, cols):
+            if di[j] % p != 0:
+                return i
+    return None
 
 
 @lru_cache(maxsize=65536)
@@ -326,9 +353,11 @@ def snf(m: IntMatrix) -> SmithData:
 
     def col_sub(j, src, q):
         for r in d:
-            r[j] -= q * r[src]
+            if r[src]:
+                r[j] -= q * r[src]
         for r in v:
-            r[j] -= q * r[src]
+            if r[src]:
+                r[j] -= q * r[src]
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -377,16 +406,7 @@ def snf(m: IntMatrix) -> SmithData:
                     break
             if restart:
                 continue
-            p = d[t][t]
-            bad = None
-            for i in range(t + 1, rows):
-                di = d[i]
-                for j in range(t + 1, cols):
-                    if di[j] % p != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = _first_indivisible_row(d, t, rows, cols, d[t][t])
             if bad is None:
                 break
             # fold the offending row into row t; the next clearing pass
@@ -402,6 +422,100 @@ def snf(m: IntMatrix) -> SmithData:
         d=IntMatrix(d, cols=cols),
         v=IntMatrix(v, cols=cols),
     )
+
+
+@dataclass(frozen=True)
+class InvariantFactors:
+    """The Smith diagonal of a matrix, without the transforms.
+
+    ``diagonal`` and ``rank`` mean what they mean on :class:`SmithData`.
+    ``sign`` is the product of the signs of the swaps and negations that
+    produced the diagonal, so a square matrix has determinant
+    ``sign * prod(diagonal)``.
+    """
+
+    shape: tuple[int, int]
+    diagonal: tuple[int, ...]
+    sign: int
+
+    @property
+    def rank(self):
+        return sum(1 for x in self.diagonal if x != 0)
+
+    @property
+    def det(self):
+        if self.shape[0] != self.shape[1]:
+            raise ValueError("det needs a square matrix")
+        return self.sign * math.prod(self.diagonal)
+
+
+@lru_cache(maxsize=65536)
+def invariant_factors(m: IntMatrix) -> InvariantFactors:
+    """Smith diagonal and determinant sign of ``m``, with no transforms.
+
+    Runs the elimination of :func:`snf` with the same pivots and the same
+    changes to the matrix, so ``diagonal`` equals ``snf(m).diagonal``.  A
+    finished pivot row and column is dropped, so each step works on the
+    trailing block only.  Results are cached like those of :func:`snf`.
+    """
+    d = [list(r) for r in m.data]
+    diagonal = []
+    sign = 1
+    while d and d[0]:
+        piv = _select_pivot(d, 0, len(d), len(d[0]))
+        if piv is None:
+            break
+        if piv[0]:
+            d[0], d[piv[0]] = d[piv[0]], d[0]
+            sign = -sign
+        if piv[1]:
+            for r in d:
+                r[0], r[piv[1]] = r[piv[1]], r[0]
+            sign = -sign
+        while True:
+            restart = False
+            p = d[0][0]
+            for i in range(1, len(d)):
+                x = d[i][0]
+                if x == 0:
+                    continue
+                q = x // p
+                d[i] = [a - q * b for a, b in zip(d[i], d[0])]
+                if x % p:
+                    d[0], d[i] = d[i], d[0]
+                    sign = -sign
+                    restart = True
+                    break
+            if restart:
+                continue
+            head = d[0]
+            for j in range(1, len(head)):
+                x = head[j]
+                if x == 0:
+                    continue
+                # column 0 is zero below the pivot, so the column operation
+                # of snf changes this one entry
+                head[j] = x % p
+                if head[j]:
+                    for r in d:
+                        r[0], r[j] = r[j], r[0]
+                    sign = -sign
+                    restart = True
+                    break
+            if restart:
+                continue
+            bad = _first_indivisible_row(d, 0, len(d), len(head), p)
+            if bad is None:
+                break
+            d[0] = [a + b for a, b in zip(head, d[bad])]
+        if d[0][0] < 0:
+            sign = -sign
+        diagonal.append(abs(d[0][0]))
+        del d[0]
+        for r in d:
+            del r[0]
+    diagonal += [0] * (min(m.rows, m.cols) - len(diagonal))
+    return InvariantFactors(shape=m.shape, diagonal=tuple(diagonal), sign=sign)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -553,8 +667,7 @@ class FgAbGroup:
                 tors.append(t)
         if not tors:
             return cls(free, ())
-        sd = snf(IntMatrix.diagonal(tors))
-        chain = tuple(x for x in sd.diagonal if x > 1)
+        chain = tuple(x for x in invariant_factors(IntMatrix.diagonal(tors)).diagonal if x > 1)
         return cls(free, chain)
 
     def order(self):
@@ -605,9 +718,9 @@ class PresentedGroup:
         return snf(self.relations)
 
     def invariants(self) -> FgAbGroup:
-        sd = self.smith
-        torsion = [x for x in sd.diagonal if x > 1]
-        free = self.generators - sd.rank
+        inv = invariant_factors(self.relations)
+        torsion = [x for x in inv.diagonal if x > 1]
+        free = self.generators - inv.rank
         return FgAbGroup(free, tuple(torsion))
 
     def canon(self, vec):
@@ -679,13 +792,6 @@ class GroupMap:
 
     def apply(self, vec):
         return self.matrix @ tuple(vec)
-
-    def is_well_defined(self) -> bool:
-        for j in range(self.domain.relations.cols):
-            image = self.matrix @ self.domain.relations.column(j)
-            if not lattice_member(self.codomain.relations, image):
-                return False
-        return True
 
     def compose(self, inner: "GroupMap") -> "GroupMap":
         """self after inner."""
@@ -796,13 +902,12 @@ def _prime_power_root(q):
 class CoeffGroup:
     """Coefficient group for unit-level cokernels.
 
-    kind is one of "finite-cyclic" (with ``order``), "fg" (with ``group``),
-    "divisible", "symbolic" (with ``symbol`` naming the formal group).
+    kind is one of "finite-cyclic" (with ``order``), "divisible", "symbolic"
+    (with ``symbol`` naming the formal group).
     """
 
     kind: str
     order: int | None = None
-    group: FgAbGroup | None = None
     symbol: str = "G"
 
     @classmethod
@@ -832,21 +937,11 @@ class CoeffGroup:
     def symbolic(cls, symbol="G"):
         return cls("symbolic", symbol=symbol)
 
-    @classmethod
-    def fg(cls, group: FgAbGroup):
-        return cls("fg", group=group)
-
     def quotient_by(self, d):
         """Isomorphism class of G/dG when it is finitely generated, else None."""
         d = abs(int(d))
         if self.kind == "finite-cyclic":
             return FgAbGroup.from_parts(0, [math.gcd(d, self.order)] if d else [self.order])
-        if self.kind == "fg":
-            g = self.group
-            if d == 0:
-                return g
-            tors = [math.gcd(d, t) for t in g.torsion] + [d] * g.free_rank
-            return FgAbGroup.from_parts(0, tors)
         if self.kind == "divisible":
             return FgAbGroup(0, ()) if d != 0 else None
         return None
@@ -870,13 +965,6 @@ class CoeffCokernel:
             tors = [math.gcd(d, self.coeff.order) for d in self.quotient_orders]
             tors += [self.coeff.order] * self.free_rank
             return FgAbGroup.from_parts(0, tors)
-        if self.coeff.kind == "fg":
-            out = FgAbGroup(0, ())
-            for d in self.quotient_orders:
-                out = out.direct_sum(self.coeff.quotient_by(d))
-            for _ in range(self.free_rank):
-                out = out.direct_sum(self.coeff.group)
-            return out
         if self.coeff.kind == "divisible":
             # d != 0 kills a divisible group; only free copies remain
             return FgAbGroup(0, ()) if self.free_rank == 0 else None
@@ -884,7 +972,7 @@ class CoeffCokernel:
 
     def symbol(self) -> str:
         name = self.coeff.symbol if self.coeff.kind == "symbolic" else "G"
-        if self.coeff.kind in ("finite-cyclic", "fg"):
+        if self.coeff.kind == "finite-cyclic":
             spec = self.specialize()
             if spec is not None:
                 return str(spec)
@@ -922,7 +1010,7 @@ class CoeffCokernel:
 
 def coker_with_coefficients(m: IntMatrix, coeff: CoeffGroup) -> CoeffCokernel:
     """Cokernel of ``m`` with coefficients: (+) G/d_iG (+) G^(rows - rank)."""
-    sd = snf(m)
-    orders = tuple(d for d in sd.diagonal if d > 1)
-    free = m.rows - sd.rank
+    inv = invariant_factors(m)
+    orders = tuple(d for d in inv.diagonal if d > 1)
+    free = m.rows - inv.rank
     return CoeffCokernel(coeff=coeff, quotient_orders=orders, free_rank=free)

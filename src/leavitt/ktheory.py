@@ -35,6 +35,7 @@ from .intlinalg import (
     PresentedGroup,
     coker_with_coefficients,
     cokernel,
+    invariant_factors,
     inverse_unimodular,
     kernel_basis,
     preimage_lattice,
@@ -145,7 +146,7 @@ def k1(g: Graph, coeff: CoeffGroup) -> KOneBar:
     return KOneBar(
         coeff=coeff,
         coker_part=coker_with_coefficients(km, coeff),
-        kernel_rank=km.cols - snf(km).rank,
+        kernel_rank=km.cols - invariant_factors(km).rank,
         kernel=kernel_basis(km),
     )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph
-from .intlinalg import FgAbGroup, IntMatrix, cokernel
+from .intlinalg import FgAbGroup, IntMatrix, cokernel, invariant_factors
 from .monoid import GradedElement, graded_expand_to_level
 
 __all__ = [
@@ -45,7 +45,7 @@ def bowen_franks(m: IntMatrix) -> FgAbGroup:
 def det_invariant(m: IntMatrix) -> int:
     """Exact determinant of I - A, a shift equivalence invariant with sign."""
     _check_shift_matrix(m)
-    return (IntMatrix.identity(m.rows) - m).det()
+    return invariant_factors(IntMatrix.identity(m.rows) - m).det
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from leavitt.intlinalg import (
     coker_with_coefficients,
     cokernel,
     group_iso,
+    invariant_factors,
     inverse_unimodular,
     kernel_basis,
     lattice_member,
@@ -31,6 +32,35 @@ from leavitt.intlinalg import (
 
 def random_matrix(rng, nr, nc, lo=-9, hi=9):
     return IntMatrix([[rng.randint(lo, hi) for _ in range(nc)] for _ in range(nr)], cols=nc)
+
+
+# Inputs the random sweeps rarely draw: singular squares, and pivots that
+# force row swaps, column swaps, both, a negation, or a gcd fold.
+SWEEP_EXTRAS = [
+    IntMatrix([[0]]),
+    IntMatrix([[0, 0], [0, 0]]),
+    IntMatrix([[2, 4], [1, 2]]),
+    IntMatrix([[1, 2, 3], [2, 4, 6], [0, 5, 7]]),
+    IntMatrix([[4, 6], [1, 0]]),
+    IntMatrix([[4, 1], [6, 8]]),
+    IntMatrix([[4, 6, 8], [6, 9, 4], [8, 4, -1]]),
+    IntMatrix([[-3]]),
+    IntMatrix([[0, -2], [-3, 0]]),
+    IntMatrix([[6, 4, 0], [9, 6, 0], [0, 0, 10]]),
+    IntMatrix([[2, 0], [0, 3], [4, 9]]),
+]
+
+
+def assert_invariant_factors_agree(m):
+    """The transform-free diagonal is the Smith diagonal; det matches Bareiss."""
+    inv = invariant_factors(m)
+    assert inv.diagonal == snf(m).diagonal
+    assert inv.rank == snf(m).rank
+    if m.rows == m.cols:
+        assert inv.det == m.det()
+    else:
+        with pytest.raises(ValueError):
+            inv.det
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +164,20 @@ class TestSmith:
 
     def test_matches_naive_oracle(self):
         rng = random.Random(31)
-        for _ in range(200):
-            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-            m = random_matrix(rng, nr, nc)
+        sweep = [random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(200)]
+        for m in sweep + SWEEP_EXTRAS:
             lib = tuple(sorted(d for d in snf(m).diagonal if d > 1))
             assert lib == H.snf_invariant_factors_naive(m.to_lists())
             assert snf(m).rank == H.naive_rank(m.to_lists())
+            assert_invariant_factors_agree(m)
 
     def test_matches_minor_oracle(self):
         rng = random.Random(37)
-        for _ in range(120):
-            nr, nc = rng.randint(1, 4), rng.randint(1, 4)
-            m = random_matrix(rng, nr, nc, -7, 7)
+        sweep = [random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -7, 7) for _ in range(120)]
+        for m in sweep + SWEEP_EXTRAS:
             lib = tuple(sorted(d for d in snf(m).diagonal if d > 1))
             assert lib == H.snf_invariant_factors_minors(m.to_lists())
+            assert_invariant_factors_agree(m)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -162,6 +192,7 @@ class TestSmith:
         sd = snf(m)
         assert sd.verify(m)
         assert tuple(sorted(d for d in sd.diagonal if d > 1)) == H.snf_invariant_factors_naive(rows)
+        assert_invariant_factors_agree(m)
         if m.rows == m.cols:
             prod = 1
             for d in sd.diagonal:

@@ -36,6 +36,12 @@ class TestInvariants:
         assert det_invariant(IntMatrix([[2]])) == -1
         assert det_invariant(IntMatrix([[3]])) == -2
         assert det_invariant(IntMatrix([[1, 1], [1, 1]])) == -1
+        assert det_invariant(IntMatrix([[1]])) == 0
+        # the Bareiss determinant of I - A is an independent oracle
+        rng = random.Random(53)
+        for _ in range(240):
+            a = random_shift_matrix(rng, rng.randint(1, 6), hi=rng.choice((1, 3)))
+            assert det_invariant(a) == (IntMatrix.identity(a.rows) - a).det()
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
