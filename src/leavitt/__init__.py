@@ -77,7 +77,6 @@ from .ktheory import (
     connecting_delta,
     k0,
     k1,
-    k1bar,
     k_matrix,
     phi,
     psi,

@@ -16,7 +16,7 @@ import sys
 from .filtered import compare_fkbar, fkbar
 from .graphs import Graph, GraphFormatError, parse_graph, parse_matrix
 from .intlinalg import CoeffGroup, FgAbGroup
-from .ktheory import k0, k1, k1bar, six_term_row, vdb_sequence
+from .ktheory import k0, k1, six_term_row, vdb_sequence
 from .lattice import LatticeCapError, enumerate_hsat, locally_closed_all, spectrum
 from .monoid import (
     EqBudget,
@@ -195,7 +195,7 @@ def _cmd_k1(args):
 
 def _cmd_k1bar(args):
     g = _load_graph(args.graph)
-    kb = k1bar(g, _coeff(args.field, reduced=True))
+    kb = k1(g, _coeff(args.field, reduced=True))
     payload = _konebar_json(kb)
     return payload, [f"Kbar1 = {kb.symbol()}"], EXIT_OK
 

@@ -22,21 +22,9 @@ from .intlinalg import (
     IntMatrix,
     PresentedGroup,
     inverse_unimodular,
-    kernel_basis,
     map_invariants,
-    solve_lattice,
 )
-from .ktheory import (
-    KOneBar,
-    KZero,
-    SixTermRow,
-    _inclusion_matrix,
-    _projection_matrix,
-    k0,
-    k1bar,
-    k_matrix,
-    six_term_row,
-)
+from .ktheory import KOneBar, KZero, SixTermRow, k0, k1, six_term_row
 from .lattice import (
     IdealLattice,
     LocallyClosed,
@@ -126,7 +114,7 @@ def fkbar(
                 inner_members=inner.ordered,
                 graph=sub,
                 kzero=k0(sub),
-                konebar=k1bar(sub, coeff),
+                konebar=k1(sub, coeff),
             )
         )
     rows = []
@@ -164,45 +152,8 @@ def fkbar(
 
 
 # ---------------------------------------------------------------------------
-# row skeletons and signatures
+# row signatures
 # ---------------------------------------------------------------------------
-
-
-def _row_skeleton(row: SixTermRow):
-    """The six groups of a row and the five maps between them, in generator
-    coordinates.  Nodes 1-3 are the free kernel parts, nodes 4-6 the K0
-    presentations; all comparison machinery runs on this skeleton."""
-    g1, g2, g3 = row.graphs
-    km1, km2, km3 = k_matrix(g1), k_matrix(g2), k_matrix(g3)
-    kb1, kb2, kb3 = kernel_basis(km1), kernel_basis(km2), kernel_basis(km3)
-
-    tau1 = _kernel_coordinates(kb2, _inclusion_matrix(g1.regulars, g2.regulars) @ kb1)
-    tau2 = _kernel_coordinates(kb3, _projection_matrix(g2.regulars, g3.regulars) @ kb2)
-    delta = row.delta.x_block @ kb3
-    u12 = _inclusion_matrix(g1.vertices, g2.vertices)
-    u23 = _projection_matrix(g2.vertices, g3.vertices)
-
-    nodes = (
-        PresentedGroup(kb1.cols, IntMatrix.zeros(kb1.cols, 0)),
-        PresentedGroup(kb2.cols, IntMatrix.zeros(kb2.cols, 0)),
-        PresentedGroup(kb3.cols, IntMatrix.zeros(kb3.cols, 0)),
-        PresentedGroup(km1.rows, km1),
-        PresentedGroup(km2.rows, km2),
-        PresentedGroup(km3.rows, km3),
-    )
-    maps = (tau1, tau2, delta, u12, u23)
-    return nodes, maps
-
-
-def _kernel_coordinates(target_basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
-    """Coordinates of each vector column in a primitive kernel basis."""
-    cols = []
-    for j in range(vectors.cols):
-        c = solve_lattice(target_basis, vectors.column(j))
-        if c is None:
-            raise AssertionError("vector not generated by the kernel basis")
-        cols.append(c)
-    return IntMatrix.from_columns(cols, rows=target_basis.cols)
 
 
 def _konebar_class(kb: KOneBar):
@@ -224,16 +175,15 @@ def _row_signature(row: SixTermRow):
     """Invariant tuple of a six-term row: group classes and map classes.
 
     Map classes are the kernel/image/cokernel triples of the five maps of
-    the skeleton, so equal signatures mean no Z-level rank or invariant
+    the row skeleton, so equal signatures mean no Z-level rank or invariant
     factor tells the rows apart.
     """
-    nodes, maps = _row_skeleton(row)
     map_sigs = tuple(
-        map_invariants(m, nodes[k].relations, nodes[k + 1].relations)
-        for k, m in enumerate(maps)
+        map_invariants(f.matrix, f.domain.relations, f.codomain.relations)
+        for f in row.maps
     )
     return (
-        tuple(n.invariants() for n in nodes),
+        tuple(n.invariants() for n in row.groups),
         tuple(_konebar_class(kb) for kb in row.k1bars),
         map_sigs,
     )
@@ -384,8 +334,7 @@ def _row_element_check(row_a: SixTermRow, row_b: SixTermRow):
     The chain shape of the diagram lets a forward arc-consistency pass
     decide existence exactly.
     """
-    nodes_a, maps_a = _row_skeleton(row_a)
-    nodes_b, maps_b = _row_skeleton(row_b)
+    nodes_a, nodes_b = row_a.groups, row_b.groups
     reduced_a = [_reduced(n) for n in nodes_a]
     reduced_b = [_reduced(n) for n in nodes_b]
     for ra in reduced_a:
@@ -405,10 +354,10 @@ def _row_element_check(row_a: SixTermRow, row_b: SixTermRow):
         candidate_sets.append(cands)
         complete = complete and full
     red_maps_a = [
-        _reduced_map(m, reduced_a[k], reduced_a[k + 1]) for k, m in enumerate(maps_a)
+        _reduced_map(f.matrix, reduced_a[k], reduced_a[k + 1]) for k, f in enumerate(row_a.maps)
     ]
     red_maps_b = [
-        _reduced_map(m, reduced_b[k], reduced_b[k + 1]) for k, m in enumerate(maps_b)
+        _reduced_map(f.matrix, reduced_b[k], reduced_b[k + 1]) for k, f in enumerate(row_b.maps)
     ]
     viable = list(candidate_sets[0])
     for k in range(5):
@@ -691,8 +640,7 @@ def compare_fkbar(
 
 def _row_element_coverage(row: SixTermRow) -> str:
     """Would the element search over this row cover the full space?"""
-    nodes, _ = _row_skeleton(row)
-    for n in nodes:
+    for n in row.groups:
         red = _reduced(n)
         if any(m == 0 for m in red.moduli):
             return "truncated"

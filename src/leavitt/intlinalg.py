@@ -3,13 +3,14 @@
 One Smith elimination is the engine here, run in two ways.
 :func:`invariant_factors` runs it on the matrix alone and serves the callers
 that need only the diagonal, the rank or the determinant: group invariants
-(``PresentedGroup.invariants``, ``FgAbGroup.from_parts``),
-:func:`coker_with_coefficients`, the kernel rank of K1 and the shift
+(``PresentedGroup.invariants``, ``FgAbGroup.from_parts``) and the shift
 invariants.  :func:`snf` also tracks the unimodular transforms and serves
 the callers that need them: canonical class forms, kernels, lattice
 membership, solving, unimodular inverses and preimage lattices, and through
-them the exactness checks.  Everything runs on Python ints, so there is no
-overflow and no floating point anywhere.
+them :func:`check_exact`, the one exactness checker.
+:func:`coker_with_coefficients` reads its diagonal from :func:`snf` too,
+because K1 needs the kernel of the same matrix.  Everything runs on Python
+ints, so there is no overflow and no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -603,25 +604,22 @@ def map_invariants(matrix: IntMatrix, dom_relations: IntMatrix, cod_relations: I
     return kernel, image, coker
 
 
+def _spans_into(gens: IntMatrix, lattice: IntMatrix) -> bool:
+    """Is every column of ``gens`` in the column span of ``lattice``?"""
+    return all(lattice_member(lattice, gens.column(j)) for j in range(gens.cols))
+
+
 def subgroup_equal(gens_a: IntMatrix, gens_b: IntMatrix, modulo: IntMatrix | None = None) -> bool:
     """Do two sets of columns span the same subgroup, modulo a lattice?
 
     With ``modulo`` given, compares span(a)+span(modulo) with
     span(b)+span(modulo) by mutual membership.
     """
-    if modulo is not None:
-        ext_a = gens_b.hstack(modulo)
-        ext_b = gens_a.hstack(modulo)
-    else:
-        ext_a = gens_b
-        ext_b = gens_a
-    for j in range(gens_a.cols):
-        if not lattice_member(ext_a, gens_a.column(j)):
-            return False
-    for j in range(gens_b.cols):
-        if not lattice_member(ext_b, gens_b.column(j)):
-            return False
-    return True
+    if modulo is None:
+        return _spans_into(gens_a, gens_b) and _spans_into(gens_b, gens_a)
+    return _spans_into(gens_a, gens_b.hstack(modulo)) and _spans_into(
+        gens_b, gens_a.hstack(modulo)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -804,11 +802,6 @@ class GroupMap:
             name=f"{self.name}∘{inner.name}" if self.name or inner.name else "",
         )
 
-    def kernel_generators(self) -> IntMatrix:
-        """Columns generating {x : map(x) = 0 in codomain}, as a lattice in Z^domain."""
-        pre = preimage_lattice(self.matrix, self.codomain.relations)
-        return pre.hstack(self.domain.relations)
-
 
 def check_well_defined(gmap: GroupMap) -> bool:
     """Raise ValueError when a relation is not respected; True otherwise."""
@@ -844,8 +837,9 @@ class ExactnessReport:
 def check_exact(maps) -> ExactnessReport:
     """Exactness of a composable sequence at every interior node.
 
-    For consecutive maps f, g the check is im(f) = ker(g) inside f.codomain,
-    both inclusions tested by lattice membership modulo the relations.
+    For consecutive maps f, g the check is im(f) = ker(g) inside f.codomain.
+    Each inclusion is tested on its own by lattice membership modulo the
+    relations and reported as its own verdict.
     """
     maps = list(maps)
     verdicts = []
@@ -856,17 +850,13 @@ def check_exact(maps) -> ExactnessReport:
         rel = f.codomain.relations
         image = f.matrix
         kernel = preimage_lattice(g.matrix, g.codomain.relations)
-        im_in_ker = True
-        for j in range(image.cols):
-            if not lattice_member(kernel.hstack(rel), image.column(j)):
-                im_in_ker = False
-                break
-        ker_in_im = True
-        for j in range(kernel.cols):
-            if not lattice_member(image.hstack(rel), kernel.column(j)):
-                ker_in_im = False
-                break
-        verdicts.append(NodeVerdict(idx, im_in_ker, ker_in_im))
+        verdicts.append(
+            NodeVerdict(
+                idx,
+                _spans_into(image, kernel.hstack(rel)),
+                _spans_into(kernel, image.hstack(rel)),
+            )
+        )
     return ExactnessReport(tuple(verdicts))
 
 
@@ -1009,8 +999,12 @@ class CoeffCokernel:
 
 
 def coker_with_coefficients(m: IntMatrix, coeff: CoeffGroup) -> CoeffCokernel:
-    """Cokernel of ``m`` with coefficients: (+) G/d_iG (+) G^(rows - rank)."""
-    inv = invariant_factors(m)
-    orders = tuple(d for d in inv.diagonal if d > 1)
-    free = m.rows - inv.rank
+    """Cokernel of ``m`` with coefficients: (+) G/d_iG (+) G^(rows - rank).
+
+    Reads the Smith diagonal from :func:`snf`, whose cached transforms the
+    kernel of the same matrix needs anyway (see ``ktheory.k1``).
+    """
+    sd = snf(m)
+    orders = tuple(d for d in sd.diagonal if d > 1)
+    free = m.rows - sd.rank
     return CoeffCokernel(coeff=coeff, quotient_orders=orders, free_rank=free)

@@ -14,6 +14,7 @@ import itertools
 import math
 import random as _random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import (
     AdjacencyDecomposition,
@@ -33,14 +34,13 @@ from .intlinalg import (
     GroupMap,
     IntMatrix,
     PresentedGroup,
+    check_exact,
     coker_with_coefficients,
     cokernel,
-    invariant_factors,
     inverse_unimodular,
     kernel_basis,
-    preimage_lattice,
     snf,
-    subgroup_equal,
+    solve_lattice,
 )
 from .monoid import GradedElement, EqVerdict, graded_equal, graded_expand_to_level
 
@@ -50,7 +50,6 @@ __all__ = [
     "k0",
     "KOneBar",
     "k1",
-    "k1bar",
     "GradedKZero",
     "phi",
     "psi",
@@ -66,12 +65,16 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=1)
 def k_matrix(g: Graph) -> IntMatrix:
     """Transfer matrix: rows all vertices, columns non-sink vertices.
 
     Entry at (v, w) counts edges from w to v, minus one when v = w.  Its
     cokernel presents K0 on the vertex generators; its integer kernel is the
-    free part of K1.
+    free part of K1.  Back-to-back calls on one graph (K0 and K1 of a table
+    entry or of ``vdb_sequence``) get the same matrix object, so the Smith
+    caches keyed on it hold one key, not two equal ones; one entry keeps no
+    more than the last graph alive.
     """
     a = g.adjacency()
     reg = [g.index(w) for w in g.regulars]
@@ -94,11 +97,6 @@ class KZero:
     def class_of(self, vec):
         return self.group.canon(vec)
 
-    def class_of_graded(self, elem: GradedElement):
-        forgotten = elem.forget_levels()
-        vertices = self.group.labels
-        return self.group.canon(tuple(forgotten.get(v, 0) for v in vertices))
-
 
 def k0(g: Graph) -> KZero:
     return KZero(
@@ -112,14 +110,17 @@ class KOneBar:
     """K1 (or its reduced variant) split as twisted cokernel plus free kernel.
 
     ``coker_part`` is the cokernel of the transfer matrix with coefficients
-    in the unit group; ``kernel_rank`` counts the free summand, with an
-    explicit basis inside the non-sink coordinate space.
+    in the unit group; ``kernel`` is a basis of the free summand inside the
+    non-sink coordinate space, and ``kernel_rank`` counts it.
     """
 
     coeff: CoeffGroup
     coker_part: CoeffCokernel
-    kernel_rank: int
     kernel: IntMatrix
+
+    @property
+    def kernel_rank(self) -> int:
+        return self.kernel.cols
 
     def isomorphism_class(self) -> FgAbGroup | None:
         spec = self.coker_part.specialize()
@@ -141,24 +142,16 @@ class KOneBar:
 
 
 def k1(g: Graph, coeff: CoeffGroup) -> KOneBar:
-    """K1 with the given unit group as coefficients for the cokernel part."""
-    km = k_matrix(g)
-    return KOneBar(
-        coeff=coeff,
-        coker_part=coker_with_coefficients(km, coeff),
-        kernel_rank=km.cols - invariant_factors(km).rank,
-        kernel=kernel_basis(km),
-    )
+    """K1 with the given unit group as coefficients for the cokernel part.
 
-
-def k1bar(g: Graph, coeff: CoeffGroup) -> KOneBar:
-    """Reduced K1: same shape, coefficients in units modulo sign.
-
-    The caller passes the reduced unit group (for a field with q elements,
-    cyclic of order (q-1)/gcd(2,q-1)); symbolic and divisible coefficient
-    groups pass through unchanged.
+    Reduced K1 is the same computation with the reduced unit group passed
+    in (for a field with q elements, cyclic of order (q-1)/gcd(2,q-1)).
+    The kernel and the twisted cokernel share one Smith form of the
+    transfer matrix.
     """
-    return k1(g, coeff)
+    km = k_matrix(g)
+    kernel = kernel_basis(km)
+    return KOneBar(coeff=coeff, coker_part=coker_with_coefficients(km, coeff), kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +159,7 @@ def k1bar(g: Graph, coeff: CoeffGroup) -> KOneBar:
 # ---------------------------------------------------------------------------
 
 
-def phi(g: Graph, a: GradedElement) -> GradedElement:
+def phi(a: GradedElement) -> GradedElement:
     """The colimit shift map: v(i) goes to v(i+1) - v(i), extended linearly."""
     return a.shift(1).sub(a)
 
@@ -187,7 +180,7 @@ class GradedKZero:
     graph: Graph
 
     def phi(self, a: GradedElement) -> GradedElement:
-        return phi(self.graph, a)
+        return phi(a)
 
     def psi(self, vec, level: int = 0) -> GradedElement:
         return psi(self.graph, vec, level=level)
@@ -220,7 +213,7 @@ def psi_diagram_check(g: Graph, trials: int = 100, rng=None, bound: int = 5) -> 
     failures = []
     for _ in range(trials):
         y = tuple(rng.randint(-bound, bound) for _ in g.regulars)
-        left = phi(g, psi_regular(g, y))
+        left = phi(psi_regular(g, y))
         right = psi(g, km @ y)
         verdict = graded_equal(g, left, right)
         if not verdict.is_equal:
@@ -263,7 +256,7 @@ def vdb_sequence(g: Graph, coeff: CoeffGroup) -> VdbReport:
     into_ker = True
     for j in range(kone.kernel.cols):
         x = kone.kernel.column(j)
-        image = phi(g, psi_regular(g, x))
+        image = phi(psi_regular(g, x))
         if not graded_equal(g, image, psi(g, km @ x)).is_equal:
             into_ker = False
         if not graded_equal(g, image, GradedElement.zero()).is_equal:
@@ -271,7 +264,7 @@ def vdb_sequence(g: Graph, coeff: CoeffGroup) -> VdbReport:
     # forgetting levels kills phi: check on every generator
     composes_zero = True
     for v in g.vertices:
-        image = phi(g, GradedElement.of([(v, 0, 1)]))
+        image = phi(GradedElement.of([(v, 0, 1)]))
         forgotten = image.forget_levels()
         vec = tuple(forgotten.get(w, 0) for w in g.vertices)
         if not kzero.group.is_zero_class(vec):
@@ -381,7 +374,7 @@ def snake_rho(g: Graph, members, x) -> tuple:
     if any(v != 0 for v in k_matrix(quo) @ x):
         raise ValueError("vector is not in the kernel of the quotient transfer matrix")
     lifted = GradedElement.from_vertex_vector(quo.regulars, x, level=0)
-    w = phi(g, lifted)
+    w = phi(lifted)
     if w.is_zero():
         return tuple(0 for _ in sub.vertices)
     outside = frozenset(quo.vertices)
@@ -408,16 +401,6 @@ def _inclusion_matrix(sub_items, all_items) -> IntMatrix:
     return IntMatrix(rows, cols=len(sub_items))
 
 
-def _projection_matrix(all_items, sub_items) -> IntMatrix:
-    pos = {v: i for i, v in enumerate(all_items)}
-    rows = []
-    for v in sub_items:
-        row = [0] * len(all_items)
-        row[pos[v]] = 1
-        rows.append(row)
-    return IntMatrix(rows, cols=len(all_items))
-
-
 class _FiniteCoker:
     """Element enumeration for the cokernel of [K | m*I]; always finite."""
 
@@ -442,8 +425,21 @@ class _FiniteCoker:
             yield uinv @ combo
 
 
+def _kernel_coordinates(target_basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
+    """Coordinates of each vector column in a primitive kernel basis."""
+    cols = []
+    for j in range(vectors.cols):
+        c = solve_lattice(target_basis, vectors.column(j))
+        if c is None:
+            raise AssertionError("kernel vector left the kernel under an induced map")
+        cols.append(c)
+    return IntMatrix.from_columns(cols, rows=target_basis.cols)
+
+
 @dataclass(frozen=True)
 class NodeReport:
+    """Exactness at one interior node, one inclusion per Z-level field."""
+
     name: str
     z_image_in_kernel: bool
     z_kernel_in_image: bool
@@ -461,7 +457,9 @@ class SixTermRow:
 
     Groups run K1bar(ideal part) -> K1bar(middle) -> K1bar(quotient part)
     -> K0(ideal part) -> K0(middle) -> K0(quotient part); the verdicts cover
-    the four interior nodes.
+    the four interior nodes.  ``maps`` is the Z-level skeleton of the row:
+    tau1, tau2, delta, u12 and u23 between six label-less groups, the free
+    kernel parts in kernel-basis coordinates and then the K0 presentations.
     """
 
     triple: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
@@ -469,7 +467,13 @@ class SixTermRow:
     k1bars: tuple[KOneBar, KOneBar, KOneBar]
     k0s: tuple[KZero, KZero, KZero]
     delta: ConnectingMap
+    maps: tuple[GroupMap, ...]
     nodes: tuple[NodeReport, ...]
+
+    @property
+    def groups(self) -> tuple[PresentedGroup, ...]:
+        """The six groups of the skeleton, in row order."""
+        return (self.maps[0].domain,) + tuple(f.codomain for f in self.maps)
 
     @property
     def exact(self):
@@ -486,10 +490,11 @@ def six_term_row(
 ) -> SixTermRow:
     """Build and verify the six-term row of a nested hereditary triple.
 
-    Z-level exactness at the four interior nodes is decided by lattice
-    computations; when the coefficient group is finite cyclic and all three
-    twisted cokernels have at most ``order_cap`` elements, the two K1bar
-    nodes are additionally checked element by element.
+    Z-level exactness at the four interior nodes is decided by
+    :func:`check_exact` on the row skeleton; when the coefficient group is
+    finite cyclic and all three twisted cokernels have at most ``order_cap``
+    elements, the two K1bar nodes are additionally checked element by
+    element.
     """
     inner = frozenset(inner)
     middle_set = frozenset(middle)
@@ -506,13 +511,14 @@ def six_term_row(
         raise AssertionError("subquotient bookkeeping broke; identities violated")
 
     km1, km2, km3 = k_matrix(g1), k_matrix(g2), k_matrix(g3)
-    kb1, kb2, kb3 = kernel_basis(km1), kernel_basis(km2), kernel_basis(km3)
+    k1bars = (k1(g1, coeff), k1(g2, coeff), k1(g3, coeff))
+    kb1, kb2, kb3 = (kb.kernel for kb in k1bars)
     delta = connecting_delta(g2, hprime)
 
     ext_reg = _inclusion_matrix(g1.regulars, g2.regulars)
-    proj_reg = _projection_matrix(g2.regulars, g3.regulars)
+    proj_reg = _inclusion_matrix(g3.regulars, g2.regulars).transpose()
     ext_vert = _inclusion_matrix(g1.vertices, g2.vertices)
-    proj_vert = _projection_matrix(g2.vertices, g3.vertices)
+    proj_vert = _inclusion_matrix(g3.vertices, g2.vertices).transpose()
 
     # the squares that make every induced map well defined
     if km2 @ ext_reg != ext_vert @ km1:
@@ -520,53 +526,29 @@ def six_term_row(
     if proj_vert @ km2 != km3 @ proj_reg:
         raise AssertionError("quotient projection does not intertwine transfer matrices")
 
-    # node 2: Z-part at K1bar(middle)
-    tau1_image = ext_reg @ kb1
-    if not (km2 @ tau1_image).is_zero():
-        raise AssertionError("included kernel vectors left the kernel")
-    proj_on_ker = proj_reg @ kb2
-    ker_of_tau2 = kb2 @ kernel_basis(proj_on_ker)
-    node2_z = (
-        subgroup_equal(tau1_image, ker_of_tau2),
-        subgroup_equal(ker_of_tau2, tau1_image),
+    # label-less groups, so equal presentations hash alike across rows
+    groups = tuple(
+        PresentedGroup(kb.cols, IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3)
+    ) + tuple(PresentedGroup(km.rows, km) for km in (km1, km2, km3))
+    matrices = (
+        ("tau1", _kernel_coordinates(kb2, ext_reg @ kb1)),
+        ("tau2", _kernel_coordinates(kb3, proj_reg @ kb2)),
+        ("delta", delta.map.matrix),
+        ("u12", ext_vert),
+        ("u23", proj_vert),
     )
-
-    # node 3: Z-part at K1bar(quotient)
-    tau2_image = proj_reg @ kb2
-    if not (km3 @ tau2_image).is_zero():
-        raise AssertionError("projected kernel vectors left the kernel")
-    delta_on_basis = delta.x_block @ kb3
-    ker_delta = kb3 @ preimage_lattice(delta_on_basis, km1)
-    node3_z = (
-        subgroup_equal(tau2_image, ker_delta),
-        subgroup_equal(ker_delta, tau2_image),
+    maps = tuple(
+        GroupMap(groups[k], groups[k + 1], m, name=name)
+        for k, (name, m) in enumerate(matrices)
     )
-
-    # node 4: K0(ideal part); subgroups live modulo the ideal presentation
-    delta_image = delta.x_block @ kb3
-    ker_u12 = preimage_lattice(ext_vert, km2)
-    node4_z = (
-        subgroup_equal(delta_image, ker_u12, modulo=km1),
-        subgroup_equal(ker_u12, delta_image, modulo=km1),
-    )
-
-    # node 5: K0(middle)
-    u12_image = ext_vert
-    ker_u23 = preimage_lattice(proj_vert, km3)
-    node5_z = (
-        subgroup_equal(u12_image, ker_u23, modulo=km2),
-        subgroup_equal(ker_u23, u12_image, modulo=km2),
-    )
+    z_nodes = check_exact(maps).nodes
 
     coeff2 = coeff3 = None
     if coeff.kind == "finite-cyclic":
-        try:
-            c1 = _FiniteCoker(km1, coeff.order)
-            c2 = _FiniteCoker(km2, coeff.order)
-            c3 = _FiniteCoker(km3, coeff.order)
-        except AssertionError:
-            c1 = c2 = c3 = None
-        if c1 and max(c1.order, c2.order, c3.order) <= order_cap:
+        c1 = _FiniteCoker(km1, coeff.order)
+        c2 = _FiniteCoker(km2, coeff.order)
+        c3 = _FiniteCoker(km3, coeff.order)
+        if max(c1.order, c2.order, c3.order) <= order_cap:
             image = {
                 c2.canon(ext_vert @ rep) for rep in c1.representatives()
             }
@@ -579,12 +561,8 @@ def six_term_row(
             onto = {c3.canon(proj_vert @ rep) for rep in c2.representatives()}
             coeff3 = len(onto) == c3.order
 
-    nodes = (
-        NodeReport("k1bar-middle", node2_z[0], node2_z[1], coeff2),
-        NodeReport("k1bar-quotient", node3_z[0], node3_z[1], coeff3),
-        NodeReport("k0-ideal", node4_z[0], node4_z[1], None),
-        NodeReport("k0-middle", node5_z[0], node5_z[1], None),
-    )
+    names = ("k1bar-middle", "k1bar-quotient", "k0-ideal", "k0-middle")
+    coeff_verdicts = (coeff2, coeff3, None, None)
     return SixTermRow(
         triple=(
             tuple(v for v in g.vertices if v in inner),
@@ -592,8 +570,12 @@ def six_term_row(
             tuple(v for v in g.vertices if v in outer),
         ),
         graphs=(g1, g2, g3),
-        k1bars=(k1bar(g1, coeff), k1bar(g2, coeff), k1bar(g3, coeff)),
+        k1bars=k1bars,
         k0s=(k0(g1), k0(g2), k0(g3)),
         delta=delta,
-        nodes=nodes,
+        maps=maps,
+        nodes=tuple(
+            NodeReport(name, z.image_in_kernel, z.kernel_in_image, c)
+            for name, z, c in zip(names, z_nodes, coeff_verdicts)
+        ),
     )

@@ -10,6 +10,9 @@ independent cross-checks:
   all k-by-k minors), exponential but exact; for small matrices only.
 * ``hsat_subsets_bruteforce`` — filters all 2^V vertex subsets with the
   hereditary/saturated predicates spelled out from their definitions.
+* ``six_term_nodes_oracle`` — exactness of a six-term row at its four
+  interior nodes, decided in ambient coordinates by span comparisons, from
+  matrices built here from the edge lists.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import random
 from itertools import combinations
 
 from leavitt.graphs import Graph
+from leavitt.intlinalg import IntMatrix, kernel_basis, preimage_lattice, subgroup_equal
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +188,69 @@ def hsat_subsets_bruteforce(g: Graph):
             if saturated:
                 found.append(frozenset(s))
     return found
+
+
+# ---------------------------------------------------------------------------
+# six-term row oracle: ambient coordinates, span comparisons
+# ---------------------------------------------------------------------------
+
+
+def _edge_count(g: Graph, src, dst):
+    return sum(1 for e in g.edges if e.src == src and e.dst == dst)
+
+
+def _transfer(g: Graph) -> IntMatrix:
+    """Rows all vertices, columns non-sinks: edges w -> v, minus 1 on v = w."""
+    return IntMatrix(
+        [[_edge_count(g, w, v) - (v == w) for w in g.regulars] for v in g.vertices],
+        cols=len(g.regulars),
+    )
+
+
+def _select(sub_items, all_items) -> IntMatrix:
+    """0/1 matrix placing ``sub_items`` among ``all_items`` (rows all_items)."""
+    return IntMatrix(
+        [[int(v == w) for w in sub_items] for v in all_items], cols=len(sub_items)
+    )
+
+
+def _inside(a: IntMatrix, b: IntMatrix, modulo=None) -> bool:
+    """span(a) within span(b) (+ modulo): adding a to b must not grow the span."""
+    return subgroup_equal(b.hstack(a), b, modulo=modulo)
+
+
+def six_term_nodes_oracle(graphs, delta_scale: int = 1):
+    """(image in kernel, kernel in image) at the four interior nodes of a row.
+
+    ``graphs`` are the ideal part, middle and quotient part of the row.  The
+    free nodes live in ambient non-sink coordinates (kernel-basis columns),
+    the K0 nodes modulo their transfer matrices; the connecting map is read
+    off the edges from quotient non-sinks into the ideal part and multiplied
+    by ``delta_scale`` (1 gives the true row).
+    """
+    g1, g2, g3 = graphs
+    km1, km2, km3 = (_transfer(g) for g in graphs)
+    kb1, kb2, kb3 = (kernel_basis(km) for km in (km1, km2, km3))
+    ext_reg = _select(g1.regulars, g2.regulars)
+    proj_reg = _select(g3.regulars, g2.regulars).transpose()
+    ext_vert = _select(g1.vertices, g2.vertices)
+    proj_vert = _select(g3.vertices, g2.vertices).transpose()
+    x_block = IntMatrix(
+        [[delta_scale * _edge_count(g2, v, w) for v in g3.regulars] for w in g1.vertices],
+        cols=len(g3.regulars),
+    )
+    tau2_image = proj_reg @ kb2
+    delta_image = x_block @ kb3
+    pairs = (
+        (ext_reg @ kb1, kb2 @ kernel_basis(tau2_image), None),
+        (tau2_image, kb3 @ preimage_lattice(delta_image, km1), None),
+        (delta_image, preimage_lattice(ext_vert, km2), km1),
+        (ext_vert, preimage_lattice(proj_vert, km3), km2),
+    )
+    return tuple(
+        (_inside(image, kernel, mod), _inside(kernel, image, mod))
+        for image, kernel, mod in pairs
+    )
 
 
 # ---------------------------------------------------------------------------

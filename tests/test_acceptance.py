@@ -18,7 +18,6 @@ from leavitt.ktheory import (
     connecting_delta,
     k0,
     k1,
-    k1bar,
     psi_diagram_check,
     six_term_row,
     snake_rho,
@@ -66,7 +65,7 @@ def test_criterion_01_single_loop_k1_and_k1bar():
         loop = H.rose(1)
         full = k1(loop, CoeffGroup.units_of_field(5))
         assert full.isomorphism_class() == FgAbGroup.from_parts(1, (4,))
-        reduced = k1bar(loop, CoeffGroup.reduced_units_of_field(5))
+        reduced = k1(loop, CoeffGroup.reduced_units_of_field(5))
         assert reduced.isomorphism_class() == FgAbGroup.from_parts(1, (2,))
 
 

@@ -8,7 +8,7 @@ import helpers as H
 from leavitt.filtered import compare_fkbar, fkbar, transport_from_certificate
 from leavitt.graphs import graph_from_matrix, relabel
 from leavitt.intlinalg import CoeffGroup, FgAbGroup, IntMatrix
-from leavitt.ktheory import k0, k1bar
+from leavitt.ktheory import k0, k1
 from leavitt.lattice import enumerate_hsat
 from leavitt.shifts import shift_equivalent_bounded
 
@@ -45,7 +45,7 @@ class TestTable:
             full = frozenset(range(len(t.topology.primes)))
             [entry] = [e for e in t.entries if e.piece.difference == full]
             assert entry.kzero.group.invariants() == k0(g).group.invariants()
-            expected = k1bar(g, COEFF).isomorphism_class()
+            expected = k1(g, COEFF).isomorphism_class()
             assert entry.konebar.isomorphism_class() == expected
 
     def test_empty_difference_entry_is_trivial(self, corpus):

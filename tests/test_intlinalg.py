@@ -463,6 +463,17 @@ class TestMapsAndExactness:
         assert not rep.exact
         assert rep.nodes[1].image_in_kernel and not rep.nodes[1].kernel_in_image
 
+    def test_image_outside_kernel_is_one_sided(self):
+        # im(double) = 2Z is not killed by the identity, whose kernel 0 is
+        # inside every image
+        zf = _zfree()
+        maps = [
+            GroupMap(zf, zf, IntMatrix([[2]]), name="double"),
+            GroupMap(zf, zf, IntMatrix([[1]]), name="id"),
+        ]
+        [node] = check_exact(maps).nodes
+        assert not node.image_in_kernel and node.kernel_in_image
+
     def test_non_composable_rejected(self):
         zf = _zfree()
         z2 = cokernel(IntMatrix([[2]]))

@@ -6,13 +6,12 @@ import pytest
 
 import helpers as H
 from leavitt.graphs import Graph, relabel
-from leavitt.intlinalg import CoeffGroup, FgAbGroup
+from leavitt.intlinalg import CoeffGroup, FgAbGroup, GroupMap, check_exact, check_well_defined
 from leavitt.ktheory import (
     GradedKZero,
     connecting_delta,
     k0,
     k1,
-    k1bar,
     k_matrix,
     phi,
     psi,
@@ -100,37 +99,37 @@ class TestKOne:
         f5 = CoeffGroup.units_of_field(5)
         f5r = CoeffGroup.reduced_units_of_field(5)
         assert k1(loop, f5).isomorphism_class() == FgAbGroup.from_parts(1, (4,))
-        assert k1bar(loop, f5r).isomorphism_class() == FgAbGroup.from_parts(1, (2,))
+        assert k1(loop, f5r).isomorphism_class() == FgAbGroup.from_parts(1, (2,))
 
     def test_rose_reduced_k1_depends_on_field(self, rose3):
         # petals-minus-one acts on the reduced coefficient group
         f5r = CoeffGroup.reduced_units_of_field(5)  # Z/2
         f7r = CoeffGroup.reduced_units_of_field(7)  # Z/3
-        assert k1bar(rose3, f5r).isomorphism_class() == FgAbGroup.from_parts(0, (2,))
-        assert k1bar(rose3, f7r).isomorphism_class() == FgAbGroup.from_parts(0, ())
+        assert k1(rose3, f5r).isomorphism_class() == FgAbGroup.from_parts(0, (2,))
+        assert k1(rose3, f7r).isomorphism_class() == FgAbGroup.from_parts(0, ())
 
     def test_divisible_coefficients(self, loop):
-        kb = k1bar(loop, CoeffGroup.divisible())
+        kb = k1(loop, CoeffGroup.divisible())
         assert kb.isomorphism_class() is None
         assert kb.kernel_rank == 1
         assert kb.symbol() == "Z ⊕ G"  # the divisible summand survives whole
 
     def test_symbolic_coefficients(self, loop):
-        kb = k1bar(loop, CoeffGroup.symbolic("Gbar"))
+        kb = k1(loop, CoeffGroup.symbolic("Gbar"))
         assert kb.isomorphism_class() is None
         assert kb.symbol() == "Z ⊕ Gbar"
 
     def test_sink_only_graph(self):
         g = Graph(["s"], [])
         f5r = CoeffGroup.reduced_units_of_field(5)
-        assert k1bar(g, f5r).isomorphism_class() == FgAbGroup.from_parts(0, (2,))
+        assert k1(g, f5r).isomorphism_class() == FgAbGroup.from_parts(0, (2,))
         assert k0(g).group.invariants() == FgAbGroup.from_parts(1, ())
 
 
 class TestPsiPhiDiagram:
     def test_hand_golden_on_rose2(self, rose2):
         # K-matrix is [1]; applying the square both ways lands in one class
-        left = phi(rose2, psi(rose2, (1,)))
+        left = phi(psi(rose2, (1,)))
         right = psi(rose2, k_matrix(rose2) @ (1,))
         assert graded_equal(rose2, left, right).is_equal
 
@@ -212,6 +211,33 @@ class TestConnectingMap:
         assert checked >= 50
 
 
+ROW_MAP_NAMES = ("tau1", "tau2", "delta", "u12", "u23")
+
+
+def nested_rows(g, coeff):
+    """The six-term row of every nested triple of g's ideal lattice."""
+    lat = enumerate_hsat(g)
+    els = lat.elements
+    n = len(els)
+    for i in range(n):
+        for j in range(i, n):
+            if not lat.leq(i, j):
+                continue
+            for p in range(j, n):
+                if lat.leq(j, p):
+                    yield six_term_row(g, els[i].members, els[j].members, els[p].members, coeff)
+
+
+def z_verdicts(nodes):
+    return tuple((n.image_in_kernel, n.kernel_in_image) for n in nodes)
+
+
+def with_doubled_delta(row):
+    f = row.maps[2]
+    doubled = GroupMap(f.domain, f.codomain, f.matrix.scale(2), name="2delta")
+    return row.maps[:2] + (doubled,) + row.maps[3:]
+
+
 class TestSixTermRow:
     def test_fan_row_golden(self, fan):
         f5r = CoeffGroup.reduced_units_of_field(5)
@@ -255,20 +281,53 @@ class TestSixTermRow:
             CoeffGroup.reduced_units_of_field(7),
         ):
             for g in corpus[:15]:
-                lat = enumerate_hsat(g)
-                n = len(lat.elements)
-                for i in range(n):
-                    for j in range(i, n):
-                        if not lat.leq(i, j):
-                            continue
-                        for p in range(j, n):
-                            if not lat.leq(j, p):
-                                continue
-                            row = six_term_row(
-                                g,
-                                lat.elements[i].members,
-                                lat.elements[j].members,
-                                lat.elements[p].members,
-                                coeff,
-                            )
-                            assert row.exact, (g, row.triple)
+                for row in nested_rows(g, coeff):
+                    assert row.exact, (g, row.triple)
+
+class TestRowSkeleton:
+    def test_nodes_match_ambient_oracle_on_corpus(self, corpus):
+        coeff = CoeffGroup.reduced_units_of_field(3)
+        rows = doubled = 0
+        for g in corpus:
+            for row in nested_rows(g, coeff):
+                reported = tuple((n.z_image_in_kernel, n.z_kernel_in_image) for n in row.nodes)
+                assert reported == H.six_term_nodes_oracle(row.graphs), (g, row.triple)
+                assert reported == z_verdicts(check_exact(row.maps).nodes)
+                if not row.maps[2].matrix.is_zero():
+                    # a broken row: the one-sided verdicts must still agree
+                    got = z_verdicts(check_exact(with_doubled_delta(row)).nodes)
+                    assert got == H.six_term_nodes_oracle(row.graphs, delta_scale=2), (
+                        g,
+                        row.triple,
+                    )
+                    doubled += 1
+                rows += 1
+        assert rows == 1491
+        assert doubled >= 50
+
+    def test_stored_maps_form_a_chain(self, corpus):
+        coeff = CoeffGroup.reduced_units_of_field(5)
+        for g in corpus[:60]:
+            for row in nested_rows(g, coeff):
+                groups = row.groups
+                assert len(groups) == 6 and all(grp.labels is None for grp in groups)
+                assert tuple(f.name for f in row.maps) == ROW_MAP_NAMES
+                for k, f in enumerate(row.maps):
+                    assert f.domain == groups[k] and f.codomain == groups[k + 1]
+                    assert f.matrix.shape == (f.codomain.generators, f.domain.generators)
+                    assert check_well_defined(f)
+                for grp, kb in zip(groups[:3], row.k1bars):
+                    assert grp.generators == kb.kernel_rank
+                    assert grp.relations.shape == (kb.kernel_rank, 0)
+                for grp, kz, sub in zip(groups[3:], row.k0s, row.graphs):
+                    assert grp.relations == kz.group.relations == k_matrix(sub)
+                assert row.maps[2].matrix == row.delta.map.matrix
+
+    def test_doubled_delta_is_one_sided_on_toeplitz(self):
+        # im(2 delta) = 2Z sits inside ker(u12) = Z but does not fill it
+        row = six_term_row(
+            toeplitz_graph(), set(), {"s"}, {"v", "s"}, CoeffGroup.reduced_units_of_field(5)
+        )
+        got = z_verdicts(check_exact(with_doubled_delta(row)).nodes)
+        assert got == ((True, True), (True, True), (True, False), (True, True))
+        assert got == H.six_term_nodes_oracle(row.graphs, delta_scale=2)
