@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .filtered import compare_fkbar, fkbar
+from .filtered import RowCapError, compare_fkbar, fkbar
 from .graphs import Graph, GraphFormatError, parse_graph, parse_matrix
 from .intlinalg import CoeffGroup, FgAbGroup
 from .ktheory import k0, k1, six_term_row, vdb_sequence
@@ -241,7 +241,13 @@ def _cmd_graded_eq(args):
 def _cmd_fk(args):
     g = _load_graph(args.graph)
     coeff = _coeff(args.field, reduced=True)
-    table = fkbar(g, coeff, lattice_cap=args.lattice_cap, order_cap=args.order_cap)
+    table = fkbar(
+        g,
+        coeff,
+        lattice_cap=args.lattice_cap,
+        order_cap=args.order_cap,
+        row_cap=args.row_cap,
+    )
     payload = {
         "lattice": [list(h.ordered) for h in table.lattice.elements],
         "primes": list(table.topology.primes),
@@ -290,6 +296,7 @@ def _cmd_compare(args):
         lattice_cap=args.lattice_cap,
         order_cap=args.order_cap,
         element_search=not args.no_element_search,
+        row_cap=args.row_cap,
     )
     payload = {
         "consistent": report.consistent,
@@ -420,6 +427,15 @@ def _add_lattice_cap(p):
     p.add_argument("--lattice-cap", type=int, default=4096, help="max lattice elements")
 
 
+def _add_row_cap(p):
+    p.add_argument(
+        "--row-cap",
+        type=int,
+        default=65_536,
+        help="max nested ideal triples, one six-term row each",
+    )
+
+
 def _add_order_cap(p):
     p.add_argument(
         "--order-cap",
@@ -484,6 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field(p)
     _add_lattice_cap(p)
     _add_order_cap(p)
+    _add_row_cap(p)
     p.set_defaults(func=_cmd_fk)
 
     p = sub.add_parser("compare", help="compare two filtered K-theory tables")
@@ -492,6 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field(p)
     _add_lattice_cap(p)
     _add_order_cap(p)
+    _add_row_cap(p)
     p.add_argument(
         "--se-r",
         default=None,
@@ -540,7 +558,7 @@ def main(argv=None) -> int:
     except (GraphFormatError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except LatticeCapError as exc:
+    except (LatticeCapError, RowCapError) as exc:
         print(f"cap exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     if args.json:

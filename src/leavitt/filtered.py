@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, subquotient
+from .graphs import Graph
 from .intlinalg import (
     CoeffGroup,
     IntMatrix,
@@ -24,7 +24,7 @@ from .intlinalg import (
     inverse_unimodular,
     map_invariants,
 )
-from .ktheory import KOneBar, KZero, SixTermRow, k0, k1, six_term_row
+from .ktheory import KOneBar, KZero, SixTermRow, SubquotientStore, six_term_row
 from .lattice import (
     IdealLattice,
     LocallyClosed,
@@ -42,6 +42,7 @@ __all__ = [
     "PieceVerdict",
     "RowVerdict",
     "ComparisonReport",
+    "RowCapError",
     "fkbar",
     "compare_fkbar",
     "transport_from_certificate",
@@ -87,40 +88,68 @@ class FilteredKTable:
         raise KeyError("no entry for that piece")
 
 
+class RowCapError(RuntimeError):
+    """Raised when a table would need more six-term rows than the cap."""
+
+
+def _count_triples(lattice: IdealLattice) -> int:
+    """Nested triples i <= j <= p: the sum over j of (#i <= j) * (#p >= j)."""
+    n = len(lattice.elements)
+    below = [0] * n
+    above = [0] * n
+    for i in range(n):
+        for p in range(i, n):
+            if lattice.leq(i, p):
+                above[i] += 1
+                below[p] += 1
+    return sum(b * a for b, a in zip(below, above))
+
+
 def fkbar(
     g: Graph,
     coeff: CoeffGroup,
     lattice_cap: int = 4096,
     order_cap: int = 10_000,
     include_rows: bool = True,
+    row_cap: int = 65_536,
 ) -> FilteredKTable:
     """Compute the filtered table: an entry per piece, a row per ideal triple.
 
     Each row is verified at construction; ``all_rows_exact`` summarizes the
-    verdicts rather than hiding them.
+    verdicts rather than hiding them.  Every subquotient an entry or a row
+    needs is built once, with its K-groups, and shared.  Raises RowCapError
+    before any row is built when the lattice has more than ``row_cap``
+    nested triples.
     """
     lattice = enumerate_hsat(g, cap=lattice_cap)
+    n = len(lattice.elements)
+    if include_rows:
+        count = _count_triples(lattice)
+        if count > row_cap:
+            raise RowCapError(
+                f"nested triples exceed row cap {row_cap} "
+                f"(the {n}-element lattice has {count})"
+            )
     topo = spectrum(lattice)
     pieces = locally_closed_all(topo)
+    members = [h.members for h in lattice.elements]
+    store = SubquotientStore(g, coeff)
     entries = []
     for piece in pieces:
-        outer = lattice.elements[piece.outer_index]
-        inner = lattice.elements[piece.inner_index]
-        sub = subquotient(g, inner.members, outer.members)
+        pair = store.get(members[piece.inner_index], members[piece.outer_index])
         entries.append(
             TableEntry(
                 piece=piece,
-                outer_members=outer.ordered,
-                inner_members=inner.ordered,
-                graph=sub,
-                kzero=k0(sub),
-                konebar=k1(sub, coeff),
+                outer_members=lattice.elements[piece.outer_index].ordered,
+                inner_members=lattice.elements[piece.inner_index].ordered,
+                graph=pair.graph,
+                kzero=pair.k0,
+                konebar=pair.k1,
             )
         )
     rows = []
     triples = []
     if include_rows:
-        n = len(lattice.elements)
         for i in range(n):
             for j in range(i, n):
                 if not lattice.leq(i, j):
@@ -131,11 +160,12 @@ def fkbar(
                     rows.append(
                         six_term_row(
                             g,
-                            lattice.elements[i].members,
-                            lattice.elements[j].members,
-                            lattice.elements[p].members,
+                            members[i],
+                            members[j],
+                            members[p],
                             coeff,
                             order_cap=order_cap,
+                            store=store,
                         )
                     )
                     triples.append((i, j, p))
@@ -501,8 +531,22 @@ def _match_entries(t1: FilteredKTable, t2: FilteredKTable, iso):
     return verdicts, bad.detail if bad else ""
 
 
-def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool):
+def _signatures(table: FilteredKTable):
+    """Row signature by lattice triple, each computed on first request."""
+    rows = dict(zip(table.row_triples, table.rows))
+    memo = {}
+
+    def signature(trip):
+        if trip not in memo:
+            memo[trip] = _row_signature(rows[trip])
+        return memo[trip]
+
+    return signature
+
+
+def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool, signatures):
     rows2 = {trip: row for trip, row in zip(t2.row_triples, t2.rows)}
+    sig1, sig2 = signatures
     verdicts = []
     element_outcomes = []
     failure = ""
@@ -517,7 +561,7 @@ def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool)
             failure = failure or f"row {other_trip} missing in the second table"
             continue
         problems = []
-        if _row_signature(row) != _row_signature(other):
+        if sig1(trip) != sig2(other_trip):
             problems.append("map invariants differ")
         if not row.exact:
             problems.append("first table row failed exactness")
@@ -546,6 +590,7 @@ def compare_fkbar(
     lattice_cap: int = 4096,
     order_cap: int = 10_000,
     element_search: bool = True,
+    row_cap: int = 65_536,
 ) -> ComparisonReport:
     """Search the lattice isomorphisms for one matching the two tables.
 
@@ -553,10 +598,12 @@ def compare_fkbar(
     candidate; enumeration covers the rest.  For each candidate the checks
     run in order: prime and piece bijections, per-piece group classes,
     per-row map invariants plus exactness, then (for small groups) an
-    element-level search for commuting isomorphism systems.
+    element-level search for commuting isomorphism systems.  Each row's
+    signature is computed at most once, whatever the number of candidates.
     """
-    t1 = fkbar(g1, coeff, lattice_cap=lattice_cap, order_cap=order_cap)
-    t2 = fkbar(g2, coeff, lattice_cap=lattice_cap, order_cap=order_cap)
+    t1 = fkbar(g1, coeff, lattice_cap=lattice_cap, order_cap=order_cap, row_cap=row_cap)
+    t2 = fkbar(g2, coeff, lattice_cap=lattice_cap, order_cap=order_cap, row_cap=row_cap)
+    signatures = (_signatures(t1), _signatures(t2))
 
     candidates = []
     if se_intertwiner is not None:
@@ -590,7 +637,7 @@ def compare_fkbar(
             score = sum(1 for v in piece_verdicts if not v.matched)
         else:
             row_verdicts, row_failure, element_outcomes = _match_rows(
-                t1, t2, iso, run_elements=element_search
+                t1, t2, iso, run_elements=element_search, signatures=signatures
             )
             if element_outcomes and all(e == "passed" for e in element_outcomes):
                 element = "passed"

@@ -81,6 +81,17 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("cap exhausted:")
 
+    def test_row_cap_is_three(self, capsys, files):
+        # the fan's 3-element chain has 16 nested triples
+        code, out, err = run(capsys, ["fk", files["fan"], "--row-cap", "15"])
+        assert (code, out) == (3, "")
+        assert err.startswith("cap exhausted:") and "row cap 15" in err
+        code, out, err = run(capsys, ["compare", files["fan"], files["fan"], "--row-cap", "15"])
+        assert (code, out) == (3, "")
+        assert "row cap 15" in err
+        code, _, _ = run(capsys, ["fk", files["fan"], "--row-cap", "16"])
+        assert code == 0
+
     def test_shifteq_budget_is_three(self, capsys, files):
         code, out, _ = run(
             capsys,

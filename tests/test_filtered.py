@@ -5,10 +5,11 @@ import random
 import pytest
 
 import helpers as H
-from leavitt.filtered import compare_fkbar, fkbar, transport_from_certificate
-from leavitt.graphs import graph_from_matrix, relabel
+import leavitt.filtered as filtered
+from leavitt.filtered import RowCapError, compare_fkbar, fkbar, transport_from_certificate
+from leavitt.graphs import Graph, graph_from_matrix, relabel, subquotient
 from leavitt.intlinalg import CoeffGroup, FgAbGroup, IntMatrix
-from leavitt.ktheory import k0, k1
+from leavitt.ktheory import SubquotientStore, k0, k1, six_term_row
 from leavitt.lattice import enumerate_hsat
 from leavitt.shifts import shift_equivalent_bounded
 
@@ -120,7 +121,95 @@ class TestTable:
             assert inv1 == inv2
 
 
+ROW_FIELDS = ("triple", "graphs", "k0s", "k1bars", "delta", "maps", "nodes")
+
+
+class TestSharedSubquotients:
+    """A table builds each subquotient once; every row and entry must still
+    equal what a standalone computation gives for it."""
+
+    @pytest.mark.parametrize(
+        "coeff",
+        [CoeffGroup.symbolic("Gbar"), COEFF],
+        ids=["symbolic", "field5"],
+    )
+    def test_rows_and_entries_match_fresh_computation(self, corpus, coeff):
+        rows = 0
+        for g in corpus:
+            t = fkbar(g, coeff)
+            for row in t.rows:
+                fresh = six_term_row(g, *row.triple, coeff)
+                for name in ROW_FIELDS:
+                    assert getattr(row, name) == getattr(fresh, name), (g, row.triple, name)
+                assert [k.invariants() for k in row.k0s] == [k.invariants() for k in fresh.k0s]
+                assert [k.symbol() for k in row.k1bars] == [k.symbol() for k in fresh.k1bars]
+                rows += 1
+            for e in t.entries:
+                sub = subquotient(g, e.inner_members, e.outer_members)
+                assert e.graph == sub, (g, e.piece)
+                assert e.kzero == k0(sub), (g, e.piece)
+                assert e.konebar == k1(sub, coeff), (g, e.piece)
+        assert rows == 1491
+
+    def test_store_serves_one_graph_and_coefficient_group(self, fan):
+        store = SubquotientStore(fan, COEFF)
+        members = frozenset(fan.vertices)
+        assert store.get(frozenset(), members) is store.get(frozenset(), members)
+        with pytest.raises(ValueError):
+            six_term_row(fan, set(), {"w1"}, members, CoeffGroup.symbolic(), store=store)
+        with pytest.raises(ValueError):
+            six_term_row(H.rose(2), set(), {"v"}, {"v"}, COEFF, store=store)
+
+
+def disjoint_loops(k):
+    names = [f"x{i}" for i in range(k)]
+    return Graph(names, [(f"l{i}", v, v) for i, v in enumerate(names)])
+
+
+class TestRowCap:
+    def test_cap_counts_nested_triples_before_rows(self, fan):
+        assert len(fkbar(fan, COEFF, row_cap=16).rows) == 16
+        with pytest.raises(RowCapError, match="row cap 15"):
+            fkbar(fan, COEFF, row_cap=15)
+
+    def test_boolean_lattice_has_four_to_the_k_triples(self):
+        g = disjoint_loops(3)
+        assert len(fkbar(g, COEFF, row_cap=64).rows) == 64
+        with pytest.raises(RowCapError):
+            fkbar(g, COEFF, row_cap=63)
+
+    def test_no_rows_no_cap(self, fan):
+        assert fkbar(fan, COEFF, include_rows=False, row_cap=0).entries
+
+    def test_compare_passes_the_cap_on(self, fan):
+        with pytest.raises(RowCapError):
+            compare_fkbar(fan, fan, COEFF, row_cap=15)
+
+
 class TestCompare:
+    def test_row_signatures_computed_once_per_row(self, monkeypatch):
+        g = disjoint_loops(2)
+        t = fkbar(g, COEFF)
+        calls = []
+        original = filtered._row_signature
+
+        def counting(row):
+            calls.append(row.triple)
+            return original(row)
+
+        monkeypatch.setattr(filtered, "_row_signature", counting)
+        signatures = (filtered._signatures(t), filtered._signatures(t))
+        isos = list(filtered.lattice_isomorphisms(t.lattice, t.lattice))
+        assert len(isos) == 2
+        for iso in isos:
+            verdicts, failure, _ = filtered._match_rows(
+                t, t, iso, run_elements=False, signatures=signatures
+            )
+            assert not failure and len(verdicts) == len(t.rows)
+        # once per row of each of the two tables, not once per candidate
+        assert len(calls) == 2 * len(t.rows)
+
+
     def test_rose_pair_obstruction(self, rose2, rose3):
         rep = compare_fkbar(rose2, rose3, COEFF)
         assert not rep.consistent
