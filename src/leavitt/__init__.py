@@ -70,7 +70,6 @@ from .monoid import (
 )
 from .ktheory import (
     ConnectingMap,
-    GradedKZero,
     KOneBar,
     KZero,
     SixTermRow,
@@ -93,14 +92,11 @@ from .filtered import (
     transport_from_certificate,
 )
 from .shifts import (
-    DimensionTriple,
     SeResult,
     ShiftEqCertificate,
     bowen_franks,
     det_invariant,
-    dimension_triple_equal,
     shift_equivalent_bounded,
-    triple_of_graded,
     verify_certificate,
 )
 

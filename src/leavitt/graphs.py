@@ -31,7 +31,6 @@ __all__ = [
     "graph_from_matrix",
     "is_downward_directed",
     "is_irreducible",
-    "is_weakly_connected",
 ]
 
 
@@ -459,21 +458,3 @@ def is_irreducible(g: Graph) -> bool:
         if len(seen) != len(g.vertices):
             return False
     return True
-
-
-def is_weakly_connected(g: Graph) -> bool:
-    if not g.vertices:
-        return True
-    nbrs = {v: set() for v in g.vertices}
-    for e in g.edges:
-        nbrs[e.src].add(e.dst)
-        nbrs[e.dst].add(e.src)
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        cur = stack.pop()
-        for nxt in nbrs[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(g.vertices)

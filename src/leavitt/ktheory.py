@@ -42,7 +42,7 @@ from .intlinalg import (
     snf,
     solve_lattice,
 )
-from .monoid import GradedElement, EqVerdict, graded_equal, graded_expand_to_level
+from .monoid import GradedElement, _LevelForm, graded_equal
 
 __all__ = [
     "k_matrix",
@@ -50,7 +50,6 @@ __all__ = [
     "k0",
     "KOneBar",
     "k1",
-    "GradedKZero",
     "phi",
     "psi",
     "psi_diagram_check",
@@ -173,25 +172,6 @@ def psi(g: Graph, vec, level: int = 0) -> GradedElement:
 
 def psi_regular(g: Graph, vec, level: int = 0) -> GradedElement:
     return GradedElement.from_vertex_vector(g.regulars, tuple(vec), level=level)
-
-
-@dataclass(frozen=True)
-class GradedKZero:
-    """Graded K0 as graded elements modulo expansion, with exact equality."""
-
-    graph: Graph
-
-    def phi(self, a: GradedElement) -> GradedElement:
-        return phi(a)
-
-    def psi(self, vec, level: int = 0) -> GradedElement:
-        return psi(self.graph, vec, level=level)
-
-    def equal(self, a: GradedElement, b: GradedElement) -> EqVerdict:
-        return graded_equal(self.graph, a, b)
-
-    def is_zero(self, a: GradedElement) -> bool:
-        return graded_equal(self.graph, a, GradedElement.zero()).is_equal
 
 
 @dataclass(frozen=True)
@@ -372,9 +352,10 @@ def snake_rho(g: Graph, members, x) -> tuple:
     """Connecting value computed by chasing the colimit diagram directly.
 
     Entirely independent of the adjacency-block formula: lift the kernel
-    vector to the ambient graph, apply the shift map, expand until the
-    result is supported inside the ideal, then forget levels.  Returns the
-    ideal vertex vector (one entry per ideal vertex, declaration order).
+    vector to the ambient graph, apply the shift map, expand one level at a
+    time until the result is supported inside the ideal, then forget levels.
+    Returns the ideal vertex vector (one entry per ideal vertex, declaration
+    order).
     """
     members = frozenset(members)
     if not (is_hereditary(g, members) and is_saturated(g, members)):
@@ -384,18 +365,16 @@ def snake_rho(g: Graph, members, x) -> tuple:
     x = tuple(x)
     if any(v != 0 for v in k_matrix(quo) @ x):
         raise ValueError("vector is not in the kernel of the quotient transfer matrix")
-    lifted = GradedElement.from_vertex_vector(quo.regulars, x, level=0)
-    w = phi(lifted)
+    w = phi(GradedElement.from_vertex_vector(quo.regulars, x, level=0))
     if w.is_zero():
         return tuple(0 for _ in sub.vertices)
-    outside = frozenset(quo.vertices)
-    target = w.min_level()
-    for _ in range(len(quo.regulars) + 2):
-        expanded = graded_expand_to_level(g, w, target)
-        if all(v not in outside for v in expanded.support_vertices()):
-            forgotten = expanded.forget_levels()
-            return tuple(forgotten.get(v, 0) for v in sub.vertices)
-        target -= 1
+    form = _LevelForm(g, w.coeffs, w.min_level())
+    for attempt in range(len(quo.regulars) + 2):
+        if attempt:
+            form.step()
+        terms = tuple(form.terms())
+        if all(v in members for v, _, _ in terms):
+            return tuple(sum(n for u, _, n in terms if u == v) for v in sub.vertices)
     raise AssertionError("shift image failed to fall into the ideal; kernel input invalid")
 
 

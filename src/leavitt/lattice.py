@@ -25,7 +25,6 @@ __all__ = [
     "kernel_of",
     "locally_closed_all",
     "lattice_isomorphisms",
-    "is_lattice_prime",
 ]
 
 
@@ -182,23 +181,6 @@ def graded_primes(lattice: IdealLattice) -> tuple[int, ...]:
         if is_downward_directed(g, complement):
             out.append(i)
     return tuple(out)
-
-
-def is_lattice_prime(lattice: IdealLattice, i: int) -> bool:
-    """Order-theoretic primality: meet(a,b) <= p forces a <= p or b <= p.
-
-    Used as a cross-check against the downward directed characterization.
-    """
-    if i == lattice.top:
-        return False
-    n = len(lattice.elements)
-    for a in range(n):
-        for b in range(a, n):
-            if lattice.leq(lattice.meet(a, b), i) and not (
-                lattice.leq(a, i) or lattice.leq(b, i)
-            ):
-                return False
-    return True
 
 
 @dataclass(frozen=True)

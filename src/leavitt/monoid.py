@@ -32,7 +32,6 @@ __all__ = [
     "order_ideal_membership",
     "quotient_roundtrip",
     "random_graded_element",
-    "random_monoid_element",
     "apply_random_expansions",
 ]
 
@@ -45,8 +44,9 @@ class MonoidElement:
 
     @classmethod
     def of(cls, pairs) -> "MonoidElement":
+        """From a dict or (vertex, count) pairs; repeated vertices add up."""
         acc = {}
-        for v, n in dict(pairs).items():
+        for v, n in pairs.items() if isinstance(pairs, dict) else pairs:
             n = int(n)
             if n < 0:
                 raise ValueError(f"negative coefficient {n} at {v}")
@@ -99,17 +99,10 @@ class GradedElement:
     @classmethod
     def of(cls, triples) -> "GradedElement":
         acc = {}
-        for item in triples:
-            if len(item) == 3:
-                v, lvl, n = item
-            else:
-                (v, lvl), n = item
+        for v, lvl, n in triples:
             key = (str(v), int(lvl))
             acc[key] = acc.get(key, 0) + int(n)
-        cleaned = tuple(
-            (v, lvl, n) for (v, lvl), n in sorted(acc.items()) if n != 0
-        )
-        return cls(cleaned)
+        return cls(tuple((v, lvl, n) for (v, lvl), n in sorted(acc.items()) if n != 0))
 
     @classmethod
     def zero(cls):
@@ -121,12 +114,6 @@ class GradedElement:
 
     def items(self):
         return self.coeffs
-
-    def get(self, v, lvl):
-        for w, l, n in self.coeffs:
-            if (w, l) == (v, lvl):
-                return n
-        return 0
 
     def is_zero(self):
         return not self.coeffs
@@ -142,23 +129,11 @@ class GradedElement:
             raise ValueError("zero element has no support level")
         return min(l for _, l, _ in self.coeffs)
 
-    def max_level(self):
-        if not self.coeffs:
-            raise ValueError("zero element has no support level")
-        return max(l for _, l, _ in self.coeffs)
-
     def add(self, other):
-        acc = {}
-        for v, l, n in self.coeffs + other.coeffs:
-            acc[(v, l)] = acc.get((v, l), 0) + n
-        return GradedElement.of([(v, l, n) for (v, l), n in acc.items()])
-
-    def scale(self, k):
-        k = int(k)
-        return GradedElement.of([(v, l, k * n) for v, l, n in self.coeffs])
+        return GradedElement.of(self.coeffs + other.coeffs)
 
     def sub(self, other):
-        return self.add(other.scale(-1))
+        return GradedElement.of(self.coeffs + _negated(other))
 
     def shift(self, k):
         """The Z-action: move every generator k levels up."""
@@ -187,6 +162,10 @@ class GradedElement:
             parts.append(("- " if n < 0 else "+ ") + term)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+def _negated(a: GradedElement) -> tuple:
+    return tuple((v, l, -n) for v, l, n in a.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +396,67 @@ def ungraded_equal(g: Graph, a: MonoidElement, b: MonoidElement, budget: EqBudge
 # ---------------------------------------------------------------------------
 
 
+class _LevelForm:
+    """A graded element rewritten down to one level: the colimit engine.
+
+    ``regular`` maps regular vertices to their coefficients at ``level``;
+    ``ledger`` maps (sink, level) to a sink coefficient.  Sinks never move,
+    so :meth:`step` pushes only the regular part, one level down along the
+    out-edges, and adds what lands on a sink to the ledger.  Cancelled
+    entries stay as zeros; :meth:`terms` skips them.
+    """
+
+    __slots__ = ("graph", "level", "regular", "ledger")
+
+    def __init__(self, g: Graph, terms, level: int):
+        """Sum n*v(l) over the (v, l, n) ``terms``, rewritten to ``level``.
+
+        Requires level <= every l.
+        """
+        self.graph = g
+        self.regular = {}
+        self.ledger = {}
+        pending = []
+        for v, l, n in terms:
+            if g.is_sink(v):
+                self.ledger[(v, l)] = self.ledger.get((v, l), 0) + n
+            else:
+                pending.append((l, v, n))
+        pending.sort(reverse=True)
+        self.level = pending[0][0] if pending else level
+        for l, v, n in pending:
+            while self.level > l:
+                self.step()
+            self.regular[v] = self.regular.get(v, 0) + n
+        while self.level > level:
+            self.step()
+
+    def step(self):
+        """Rewrite every regular generator one level down."""
+        g, ledger = self.graph, self.ledger
+        self.level -= 1
+        moved = {}
+        for v, n in self.regular.items():
+            if not n:
+                continue
+            for e in g.out_edges(v):
+                if g.is_sink(e.dst):
+                    key = (e.dst, self.level)
+                    ledger[key] = ledger.get(key, 0) + n
+                else:
+                    moved[e.dst] = moved.get(e.dst, 0) + n
+        self.regular = moved
+
+    def terms(self):
+        """The nonzero (vertex, level, coefficient) triples."""
+        for v, n in self.regular.items():
+            if n:
+                yield v, self.level, n
+        for (v, l), n in self.ledger.items():
+            if n:
+                yield v, l, n
+
+
 def graded_expand_to_level(g: Graph, a: GradedElement, level: int) -> GradedElement:
     """Rewrite every regular generator above ``level`` down to it.
 
@@ -429,26 +469,13 @@ def graded_expand_to_level(g: Graph, a: GradedElement, level: int) -> GradedElem
         return a
     if level > a.min_level():
         raise ValueError(f"target level {level} above minimal support level {a.min_level()}")
-    acc = {}
-    for v, l, n in a.coeffs:
-        acc[(v, l)] = acc.get((v, l), 0) + n
-    current = a.max_level()
-    while current > level:
-        for v in list(g.regulars):
-            n = acc.pop((v, current), 0)
-            if n == 0:
-                continue
-            for e in g.out_edges(v):
-                key = (e.dst, current - 1)
-                acc[key] = acc.get(key, 0) + n
-        current -= 1
-    return GradedElement.of([(v, l, n) for (v, l), n in acc.items()])
+    return GradedElement.of(_LevelForm(g, a.coeffs, level).terms())
 
 
 def graded_equal(g: Graph, a: GradedElement, b: GradedElement) -> EqVerdict:
     """Exact decision of graded monoid (and graded group) equality.
 
-    Both sides are expanded to their common minimal level.  Sink
+    The difference is rewritten to the common minimal level.  Sink
     coefficients persist under expansion, so any sink mismatch decides
     NotEqual; the remaining difference is supported on regular vertices and
     dies under further expansion iff it dies within as many steps as there
@@ -458,27 +485,23 @@ def graded_equal(g: Graph, a: GradedElement, b: GradedElement) -> EqVerdict:
     _check_vertices(g, b.support_vertices())
     if a.is_zero() and b.is_zero():
         return EqVerdict("equal", reason="both zero")
-    levels = [x.min_level() for x in (a, b) if not x.is_zero()]
-    level = min(levels)
-    diff = graded_expand_to_level(g, a, level).sub(graded_expand_to_level(g, b, level))
-    sinks = frozenset(g.sinks)
-    steps = len(g.regulars)
-    for step in range(steps + 1):
-        bad = next((t for t in diff.coeffs if t[0] in sinks), None)
+    level = min(x.min_level() for x in (a, b) if not x.is_zero())
+    diff = _LevelForm(g, a.coeffs + _negated(b), level)
+    for step in range(len(g.regulars) + 1):
+        if step:
+            diff.step()
+        bad = min((key for key, n in diff.ledger.items() if n), default=None)
         if bad is not None:
             return EqVerdict(
                 "not-equal",
                 reason=f"sink coefficient differs at {bad[0]}({bad[1]})",
             )
-        if diff.is_zero():
-            return EqVerdict("equal", reason=f"expansions agree at level {level - step}")
-        if step == steps:
-            break
-        diff = graded_expand_to_level(g, diff, level - step - 1)
-    head = diff.coeffs[0]
+        live = [v for v, n in diff.regular.items() if n]
+        if not live:
+            return EqVerdict("equal", reason=f"expansions agree at level {diff.level}")
     return EqVerdict(
         "not-equal",
-        reason=f"regular difference persists, e.g. {head[0]}({head[1]})",
+        reason=f"regular difference persists, e.g. {min(live)}({diff.level})",
     )
 
 
@@ -496,23 +519,12 @@ def order_ideal_membership(g: Graph, a: GradedElement, members) -> bool:
         raise ValueError("ideal membership is a monoid notion; element must be nonnegative")
     if a.is_zero():
         return True
-    expanded = graded_expand_to_level(g, a, a.min_level())
-    return all(v in members for v in expanded.support_vertices())
+    return all(v in members for v, _, _ in _LevelForm(g, a.coeffs, a.min_level()).terms())
 
 
 # ---------------------------------------------------------------------------
 # sampling and the quotient round trip
 # ---------------------------------------------------------------------------
-
-
-def random_monoid_element(g: Graph, rng, max_terms=3, max_coeff=3) -> MonoidElement:
-    if not g.vertices:
-        return MonoidElement.zero()
-    pairs = {}
-    for _ in range(rng.randint(1, max_terms)):
-        v = rng.choice(g.vertices)
-        pairs[v] = pairs.get(v, 0) + rng.randint(1, max_coeff)
-    return MonoidElement.of(pairs)
 
 
 def random_graded_element(g: Graph, rng, max_terms=3, levels=(-2, 2), max_coeff=3, signed=False) -> GradedElement:
@@ -574,8 +586,8 @@ def quotient_roundtrip(g: Graph, members, samples: int = 100, rng=None, rewrite_
     for i in range(samples):
         # down-then-up on the quotient side
         a = random_graded_element(q, rng)
-        lifted = GradedElement.of(a.coeffs)  # same ids, read in g
-        rewritten = apply_random_expansions(g, lifted, rng.randint(0, rewrite_steps), rng)
+        # a is read in g as it stands: the quotient keeps g's vertex ids
+        rewritten = apply_random_expansions(g, a, rng.randint(0, rewrite_steps), rng)
         projected = rewritten.restrict_to(q.vertices)
         verdict = graded_equal(q, projected, a)
         if not verdict.is_equal:
@@ -586,12 +598,7 @@ def quotient_roundtrip(g: Graph, members, samples: int = 100, rng=None, rewrite_
         d = c.restrict_to(q.vertices)
         if c.is_zero():
             continue
-        level = c.min_level()
-        diff = graded_expand_to_level(g, c, level).sub(
-            graded_expand_to_level(g, d, level) if not d.is_zero() else GradedElement.zero()
-        )
-        if not diff.is_nonnegative() or any(
-            v not in members for v in diff.support_vertices()
-        ):
+        diff = _LevelForm(g, c.coeffs + _negated(d), c.min_level())
+        if any(n < 0 or v not in members for v, _, n in diff.terms()):
             failures.append(("up-down", c, d, "difference not inside the removed ideal"))
     return RoundtripReport(samples=samples, failures=tuple(failures), inner_graph=q)

@@ -12,20 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
 from .intlinalg import FgAbGroup, IntMatrix, cokernel, invariant_factors
-from .monoid import GradedElement, graded_expand_to_level
 
 __all__ = [
-    "DimensionTriple",
     "ShiftEqCertificate",
     "SeResult",
     "bowen_franks",
     "det_invariant",
     "verify_certificate",
     "shift_equivalent_bounded",
-    "dimension_triple_equal",
-    "triple_of_graded",
 ]
 
 
@@ -46,84 +41,6 @@ def det_invariant(m: IntMatrix) -> int:
     """Exact determinant of I - A, a shift equivalence invariant with sign."""
     _check_shift_matrix(m)
     return invariant_factors(IntMatrix.identity(m.rows) - m).det
-
-
-# ---------------------------------------------------------------------------
-# dimension triples
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DimensionTriple:
-    """Direct limit of Z^n along A, with positivity and the shift action.
-
-    Elements are pairs (level, vector); (k, x) and (k+1, A x) are the same
-    element.  Equality is decided exactly through the stabilized kernel of
-    A: a difference dies in the limit iff it dies within n applications.
-    """
-
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        _check_shift_matrix(self.matrix)
-
-    def _raise_to(self, elem, level):
-        k, x = elem
-        x = tuple(x)
-        if len(x) != self.matrix.rows:
-            raise ValueError("vector length mismatch")
-        if level < k:
-            raise ValueError("cannot lower a representative level")
-        return self.matrix.pow(level - k) @ x
-
-    def equal(self, a, b) -> bool:
-        m = max(a[0], b[0])
-        u = tuple(p - q for p, q in zip(self._raise_to(a, m), self._raise_to(b, m)))
-        for _ in range(self.matrix.rows + 1):
-            if all(c == 0 for c in u):
-                return True
-            u = self.matrix @ u
-        return False
-
-    def add(self, a, b):
-        m = max(a[0], b[0])
-        return (m, tuple(p + q for p, q in zip(self._raise_to(a, m), self._raise_to(b, m))))
-
-    def shift(self, a):
-        """The canonical automorphism: apply A without moving the level."""
-        k, x = a
-        return (k, self.matrix @ tuple(x))
-
-    def eventually_positive(self, a, bound=None) -> bool:
-        """Does some bounded power of A make the representative nonnegative?"""
-        bound = self.matrix.rows if bound is None else bound
-        _, x = a
-        x = tuple(x)
-        for _ in range(bound + 1):
-            if all(c >= 0 for c in x):
-                return True
-            x = self.matrix @ x
-        return False
-
-
-def dimension_triple_equal(m: IntMatrix, a, b) -> bool:
-    return DimensionTriple(m).equal(a, b)
-
-
-def triple_of_graded(g: Graph, elem: GradedElement):
-    """Translate a graded monoid element of a sink-free graph into the triple.
-
-    Vertex v at level i corresponds to the basis vector of v at triple level
-    -i; expansion matches multiplication by the transposed adjacency matrix.
-    """
-    if g.sinks:
-        raise ValueError("translation requires a sink-free graph")
-    if elem.is_zero():
-        return (0, tuple(0 for _ in g.vertices))
-    level = elem.min_level()
-    flat = graded_expand_to_level(g, elem, level)
-    at_level = {v: n for v, l, n in flat.coeffs if l == level}
-    return (-level, tuple(at_level.get(v, 0) for v in g.vertices))
 
 
 # ---------------------------------------------------------------------------

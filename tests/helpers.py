@@ -13,16 +13,24 @@ independent cross-checks:
 * ``six_term_nodes_oracle`` — exactness of a six-term row at its four
   interior nodes, decided in ambient coordinates by span comparisons, from
   matrices built here from the edge lists.
+* ``DimensionTriple`` — Krieger's dimension group of a matrix as (level,
+  vector) pairs, the oracle for the library's graded colimit engine;
+  ``triple_of_graded`` translates a graded element without calling it.
+* ``is_lattice_prime`` — order-theoretic primality, against the library's
+  downward directed characterization.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 from leavitt.graphs import Graph
 from leavitt.intlinalg import IntMatrix, kernel_basis, preimage_lattice, subgroup_equal
+from leavitt.lattice import IdealLattice
+from leavitt.monoid import GradedElement, MonoidElement
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +259,136 @@ def six_term_nodes_oracle(graphs, delta_scale: int = 1):
         (_inside(image, kernel, mod), _inside(kernel, image, mod))
         for image, kernel, mod in pairs
     )
+
+
+# ---------------------------------------------------------------------------
+# colimit oracle: dimension triples
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DimensionTriple:
+    """Direct limit of Z^n along A, with positivity and the shift action.
+
+    Elements are pairs (level, vector); (k, x) and (k+1, A x) are the same
+    element.  Equality is decided exactly through the stabilized kernel of
+    A: a difference dies in the limit iff it dies within n applications.
+    """
+
+    matrix: IntMatrix
+
+    def __post_init__(self):
+        if self.matrix.rows != self.matrix.cols or not self.matrix.is_nonnegative():
+            raise ValueError("matrix must be square and nonnegative")
+
+    def _raise_to(self, elem, level):
+        k, x = elem
+        x = tuple(x)
+        if len(x) != self.matrix.rows:
+            raise ValueError("vector length mismatch")
+        if level < k:
+            raise ValueError("cannot lower a representative level")
+        return self.matrix.pow(level - k) @ x
+
+    def equal(self, a, b) -> bool:
+        m = max(a[0], b[0])
+        u = tuple(p - q for p, q in zip(self._raise_to(a, m), self._raise_to(b, m)))
+        for _ in range(self.matrix.rows + 1):
+            if all(c == 0 for c in u):
+                return True
+            u = self.matrix @ u
+        return False
+
+    def add(self, a, b):
+        m = max(a[0], b[0])
+        return (m, tuple(p + q for p, q in zip(self._raise_to(a, m), self._raise_to(b, m))))
+
+    def shift(self, a):
+        """The canonical automorphism: apply A without moving the level."""
+        k, x = a
+        return (k, self.matrix @ tuple(x))
+
+    def eventually_positive(self, a, bound=None) -> bool:
+        """Does some bounded power of A make the representative nonnegative?"""
+        bound = self.matrix.rows if bound is None else bound
+        _, x = a
+        x = tuple(x)
+        for _ in range(bound + 1):
+            if all(c >= 0 for c in x):
+                return True
+            x = self.matrix @ x
+        return False
+
+
+def dimension_triple_equal(m: IntMatrix, a, b) -> bool:
+    return DimensionTriple(m).equal(a, b)
+
+
+def triple_of_graded(g: Graph, elem: GradedElement):
+    """Translate a graded element of a sink-free graph into the triple of
+    the transposed adjacency matrix.
+
+    Vertex v at level i is the basis vector of v at triple level -i; the
+    terms are summed with ``DimensionTriple.add``, so no graded expansion
+    of the library is involved.
+    """
+    if g.sinks:
+        raise ValueError("translation requires a sink-free graph")
+    triple = DimensionTriple(g.adjacency().transpose())
+    n = len(g.vertices)
+    total = (0, (0,) * n)
+    for v, lvl, c in elem.items():
+        vec = [0] * n
+        vec[g.index(v)] = c
+        total = triple.add(total, (-lvl, tuple(vec)))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# test-only predicates and samplers
+# ---------------------------------------------------------------------------
+
+
+def is_lattice_prime(lattice: IdealLattice, i: int) -> bool:
+    """Order-theoretic primality: meet(a,b) <= p forces a <= p or b <= p."""
+    if i == lattice.top:
+        return False
+    n = len(lattice.elements)
+    for a in range(n):
+        for b in range(a, n):
+            if lattice.leq(lattice.meet(a, b), i) and not (
+                lattice.leq(a, i) or lattice.leq(b, i)
+            ):
+                return False
+    return True
+
+
+def is_weakly_connected(g: Graph) -> bool:
+    if not g.vertices:
+        return True
+    nbrs = {v: set() for v in g.vertices}
+    for e in g.edges:
+        nbrs[e.src].add(e.dst)
+        nbrs[e.dst].add(e.src)
+    seen = {g.vertices[0]}
+    stack = [g.vertices[0]]
+    while stack:
+        cur = stack.pop()
+        for nxt in nbrs[cur]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == len(g.vertices)
+
+
+def random_monoid_element(g: Graph, rng, max_terms=3, max_coeff=3) -> MonoidElement:
+    if not g.vertices:
+        return MonoidElement.zero()
+    pairs = {}
+    for _ in range(rng.randint(1, max_terms)):
+        v = rng.choice(g.vertices)
+        pairs[v] = pairs.get(v, 0) + rng.randint(1, max_coeff)
+    return MonoidElement.of(pairs)
 
 
 # ---------------------------------------------------------------------------

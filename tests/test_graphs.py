@@ -16,7 +16,6 @@ from leavitt.graphs import (
     is_hereditary,
     is_irreducible,
     is_saturated,
-    is_weakly_connected,
     matrix_to_text,
     parse_graph,
     parse_matrix,
@@ -275,15 +274,15 @@ class TestPredicates:
         assert is_irreducible(cycle)
 
     def test_weakly_connected(self):
-        assert is_weakly_connected(H.fan_graph())
+        assert H.is_weakly_connected(H.fan_graph())
         two = Graph(["a", "b"], [])
-        assert not is_weakly_connected(two)
-        assert is_weakly_connected(Graph([], []))
+        assert not H.is_weakly_connected(two)
+        assert H.is_weakly_connected(Graph([], []))
 
     def test_corpus_is_weakly_connected(self, corpus):
         assert len(corpus) >= 200
         for g in corpus:
-            assert is_weakly_connected(g)
+            assert H.is_weakly_connected(g)
             assert 1 <= g.num_vertices <= 4
             a = g.adjacency()
             assert all(

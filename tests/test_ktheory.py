@@ -8,7 +8,6 @@ import helpers as H
 from leavitt.graphs import Graph, relabel
 from leavitt.intlinalg import CoeffGroup, FgAbGroup, GroupMap, check_exact, check_well_defined
 from leavitt.ktheory import (
-    GradedKZero,
     connecting_delta,
     k0,
     k1,
@@ -21,7 +20,7 @@ from leavitt.ktheory import (
     vdb_sequence,
 )
 from leavitt.lattice import enumerate_hsat
-from leavitt.monoid import graded_equal, parse_graded_element
+from leavitt.monoid import GradedElement, graded_equal, parse_graded_element
 
 
 def toeplitz_graph():
@@ -144,13 +143,12 @@ class TestPsiPhiDiagram:
             assert rep.trials == 15
             assert not rep.failures
 
-    def test_graded_kzero_wrapper(self, rose2):
-        gk = GradedKZero(rose2)
-        assert gk.equal(
-            parse_graded_element("v(0)"), parse_graded_element("2*v(-1)")
+    def test_graded_kzero_equality(self, rose2):
+        assert graded_equal(
+            rose2, parse_graded_element("v(0)"), parse_graded_element("2*v(-1)")
         ).is_equal
-        assert gk.is_zero(parse_graded_element("0"))
-        assert not gk.is_zero(parse_graded_element("v(0)"))
+        assert graded_equal(rose2, parse_graded_element("0"), GradedElement.zero()).is_equal
+        assert not graded_equal(rose2, parse_graded_element("v(0)"), GradedElement.zero()).is_equal
 
 
 class TestVdbSequence:

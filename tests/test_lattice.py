@@ -9,7 +9,6 @@ from leavitt.lattice import (
     enumerate_hsat,
     graded_primes,
     hsat_closure,
-    is_lattice_prime,
     kernel_of,
     lattice_isomorphisms,
     locally_closed_all,
@@ -131,7 +130,7 @@ class TestPrimes:
             lat = enumerate_hsat(g)
             primes = set(graded_primes(lat))
             for i in range(len(lat.elements)):
-                assert (i in primes) == is_lattice_prime(lat, i)
+                assert (i in primes) == H.is_lattice_prime(lat, i)
 
 
 class TestSpectrum:

@@ -1,4 +1,5 @@
-"""Shift equivalence, Bowen-Franks invariants, dimension triples."""
+"""Shift equivalence, Bowen-Franks invariants; the dimension-triple oracle
+against the graded colimit engine."""
 
 import random
 
@@ -8,15 +9,13 @@ import helpers as H
 from leavitt.graphs import Graph, graph_from_matrix
 from leavitt.intlinalg import FgAbGroup, IntMatrix
 from leavitt.ktheory import k0
-from leavitt.monoid import graded_equal, random_graded_element
+from helpers import DimensionTriple, dimension_triple_equal, triple_of_graded
+from leavitt.monoid import apply_random_expansions, graded_equal, random_graded_element
 from leavitt.shifts import (
-    DimensionTriple,
     ShiftEqCertificate,
     bowen_franks,
     det_invariant,
-    dimension_triple_equal,
     shift_equivalent_bounded,
-    triple_of_graded,
     verify_certificate,
 )
 
@@ -224,3 +223,27 @@ class TestGradedBridge:
             assert dimension_triple_equal(g.adjacency().transpose(), ta, tb) == verdict.is_equal
             agree += 1
         assert agree >= 30
+
+    def test_equal_and_signed_pairs_match_triple_equality(self, corpus):
+        # random pairs are almost never equal; expansions of one element
+        # are, and a signed part added to both sides keeps them so
+        rng = random.Random(37)
+        verdicts = {"equal": 0, "not-equal": 0}
+        for g in corpus:
+            if g.sinks or not g.vertices:
+                continue
+            m = g.adjacency().transpose()
+            for _ in range(4):
+                a = random_graded_element(g, rng)
+                b = apply_random_expansions(g, a, rng.randint(0, 5), rng)
+                s = random_graded_element(g, rng, signed=True)
+                if rng.random() < 0.5:
+                    b = b.add(s)
+                    a = a.add(s if rng.random() < 0.5 else random_graded_element(g, rng, signed=True))
+                verdict = graded_equal(g, a, b)
+                assert verdict.kind in verdicts
+                assert dimension_triple_equal(
+                    m, triple_of_graded(g, a), triple_of_graded(g, b)
+                ) == verdict.is_equal, (g, a, b, verdict)
+                verdicts[verdict.kind] += 1
+        assert verdicts["equal"] >= 250 and verdicts["not-equal"] >= 50
