@@ -6,10 +6,10 @@ import random
 import pytest
 
 import helpers as H
+from helpers import DimensionTriple, dimension_triple_equal, triple_of_graded
 from leavitt.graphs import Graph, graph_from_matrix
 from leavitt.intlinalg import FgAbGroup, IntMatrix
 from leavitt.ktheory import k0
-from helpers import DimensionTriple, dimension_triple_equal, triple_of_graded
 from leavitt.monoid import apply_random_expansions, graded_equal, random_graded_element
 from leavitt.shifts import (
     ShiftEqCertificate,
