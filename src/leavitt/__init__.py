@@ -26,11 +26,9 @@ from .intlinalg import (
     snf,
 )
 from .graphs import (
-    AdjacencyDecomposition,
     Edge,
     Graph,
     GraphFormatError,
-    adjacency,
     covering_window,
     graph_from_matrix,
     is_downward_directed,

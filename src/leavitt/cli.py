@@ -136,11 +136,11 @@ def _cmd_hsat(args):
     g = _load_graph(args.graph)
     lattice = enumerate_hsat(g, cap=args.lattice_cap)
     payload = {
-        "count": len(lattice.elements),
-        "elements": [list(h.ordered) for h in lattice.elements],
+        "count": len(lattice),
+        "elements": [list(lattice.members(i)) for i in range(len(lattice))],
     }
-    lines = [f"{len(lattice.elements)} hereditary saturated sets"]
-    lines += [f"  [{i}] {{{','.join(h.ordered)}}}" for i, h in enumerate(lattice.elements)]
+    lines = [f"{len(lattice)} hereditary saturated sets"]
+    lines += [f"  [{i}] {{{','.join(lattice.members(i))}}}" for i in range(len(lattice))]
     return payload, lines, EXIT_OK
 
 
@@ -150,14 +150,14 @@ def _cmd_spec(args):
     topo = spectrum(lattice)
     pieces = locally_closed_all(topo)
     payload = {
-        "elements": [list(h.ordered) for h in lattice.elements],
+        "elements": [list(lattice.members(i)) for i in range(len(lattice))],
         "primes": list(topo.primes),
-        "prime_members": [list(lattice.elements[p].ordered) for p in topo.primes],
+        "prime_members": [list(lattice.members(p)) for p in topo.primes],
         "opens": [sorted(o) for o in topo.opens],
         "pieces": [
             {
-                "outer": list(lattice.elements[pc.outer_index].ordered),
-                "inner": list(lattice.elements[pc.inner_index].ordered),
+                "outer": list(lattice.members(pc.outer_index)),
+                "inner": list(lattice.members(pc.inner_index)),
                 "difference": sorted(pc.difference),
             }
             for pc in pieces
@@ -165,10 +165,10 @@ def _cmd_spec(args):
     }
     lines = [f"{len(topo.primes)} graded primes, {len(pieces)} locally closed pieces"]
     for pos, p in enumerate(topo.primes):
-        lines.append(f"  prime {pos}: {{{','.join(lattice.elements[p].ordered)}}}")
+        lines.append(f"  prime {pos}: {{{','.join(lattice.members(p))}}}")
     for pc in pieces:
-        outer = ",".join(lattice.elements[pc.outer_index].ordered)
-        inner = ",".join(lattice.elements[pc.inner_index].ordered)
+        outer = ",".join(lattice.members(pc.outer_index))
+        inner = ",".join(lattice.members(pc.inner_index))
         lines.append(
             f"  piece primes={sorted(pc.difference)} outer={{{outer}}} inner={{{inner}}}"
         )
@@ -249,7 +249,7 @@ def _cmd_fk(args):
         row_cap=args.row_cap,
     )
     payload = {
-        "lattice": [list(h.ordered) for h in table.lattice.elements],
+        "lattice": [list(table.lattice.members(i)) for i in range(len(table.lattice))],
         "primes": list(table.topology.primes),
         "pieces": [
             {
@@ -268,7 +268,7 @@ def _cmd_fk(args):
         "all_rows_exact": table.all_rows_exact,
     }
     lines = [
-        f"filtered K-theory over a {len(table.lattice.elements)}-element lattice, "
+        f"filtered K-theory over a {len(table.lattice)}-element lattice, "
         f"{len(table.pieces)} pieces, {len(table.rows)} rows "
         f"({'all exact' if table.all_rows_exact else 'EXACTNESS FAILURE'})"
     ]

@@ -94,7 +94,7 @@ class RowCapError(RuntimeError):
 
 def _count_triples(lattice: IdealLattice) -> int:
     """Nested triples i <= j <= p: the sum over j of (#i <= j) * (#p >= j)."""
-    n = len(lattice.elements)
+    n = len(lattice)
     below = [0] * n
     above = [0] * n
     for i in range(n):
@@ -122,7 +122,7 @@ def fkbar(
     nested triples.
     """
     lattice = enumerate_hsat(g, cap=lattice_cap)
-    n = len(lattice.elements)
+    n = len(lattice)
     if include_rows:
         count = _count_triples(lattice)
         if count > row_cap:
@@ -132,7 +132,7 @@ def fkbar(
             )
     topo = spectrum(lattice)
     pieces = locally_closed_all(topo)
-    members = [h.members for h in lattice.elements]
+    members = [frozenset(lattice.members(i)) for i in range(n)]
     store = SubquotientStore(g, coeff)
     entries = []
     for piece in pieces:
@@ -140,8 +140,8 @@ def fkbar(
         entries.append(
             TableEntry(
                 piece=piece,
-                outer_members=lattice.elements[piece.outer_index].ordered,
-                inner_members=lattice.elements[piece.inner_index].ordered,
+                outer_members=lattice.members(piece.outer_index),
+                inner_members=lattice.members(piece.inner_index),
                 graph=pair.graph,
                 kzero=pair.k0,
                 konebar=pair.k1,
@@ -421,22 +421,21 @@ def transport_from_certificate(
     """
     if r_matrix.shape != (g1.num_vertices, g2.num_vertices):
         return None
+    n = len(lattice1)
     images = []
-    for h in lattice1.elements:
+    for i in range(n):
         hit = [
             g2.vertices[j]
             for j in range(g2.num_vertices)
-            if any(r_matrix[g1.index(v), j] != 0 for v in h.ordered)
+            if any(r_matrix[g1.index(v), j] != 0 for v in lattice1.members(i))
         ]
-        closed = hsat_closure(g2, hit).members
         try:
-            images.append(lattice2.index_of(closed))
+            images.append(lattice2.index_of(hsat_closure(g2, hit)))
         except KeyError:
             return None
-    if sorted(images) != list(range(len(lattice2.elements))):
+    if sorted(images) != list(range(len(lattice2))):
         return None
     mapping = tuple(images)
-    n = len(lattice1.elements)
     for i in range(n):
         for j in range(n):
             if lattice1.leq(i, j) != lattice2.leq(mapping[i], mapping[j]):

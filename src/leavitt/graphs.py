@@ -7,7 +7,6 @@ reports all follow the order in which vertices were declared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .intlinalg import IntMatrix
@@ -15,18 +14,15 @@ from .intlinalg import IntMatrix
 __all__ = [
     "Edge",
     "Graph",
-    "AdjacencyDecomposition",
     "GraphFormatError",
     "parse_graph",
     "graph_to_text",
     "parse_matrix",
     "matrix_to_text",
-    "adjacency",
     "covering_window",
     "restriction",
     "quotient",
     "subquotient",
-    "reorder_h_first",
     "relabel",
     "graph_from_matrix",
     "is_downward_directed",
@@ -240,43 +236,6 @@ def matrix_to_text(m: IntMatrix) -> str:
 
 
 # ---------------------------------------------------------------------------
-# adjacency decomposition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdjacencyDecomposition:
-    """Adjacency blocks after sorting vertices into regulars then sinks.
-
-    ``b`` counts edges between regular vertices, ``c`` from regulars into
-    sinks.  Rows of the full adjacency at sink positions are zero, which is
-    asserted at construction time.
-    """
-
-    regulars: tuple[str, ...]
-    sinks: tuple[str, ...]
-    b: IntMatrix
-    c: IntMatrix
-    permutation: tuple[int, ...]  # reordered position -> declaration index
-
-
-def adjacency(g: Graph) -> AdjacencyDecomposition:
-    a = g.adjacency()
-    reg_idx = [g.index(v) for v in g.regulars]
-    sink_idx = [g.index(v) for v in g.sinks]
-    for i in sink_idx:
-        if any(a[i, j] != 0 for j in range(a.cols)):
-            raise AssertionError(f"sink {g.vertices[i]} has outgoing edges")
-    return AdjacencyDecomposition(
-        regulars=g.regulars,
-        sinks=g.sinks,
-        b=a.take_rows(reg_idx).take_columns(reg_idx),
-        c=a.take_rows(reg_idx).take_columns(sink_idx),
-        permutation=tuple(reg_idx + sink_idx),
-    )
-
-
-# ---------------------------------------------------------------------------
 # derived graphs
 # ---------------------------------------------------------------------------
 
@@ -365,20 +324,6 @@ def subquotient(g: Graph, inner, outer) -> Graph:
     vertices = [v for v in g.vertices if v in outer and v not in inner]
     edges = [e for e in g.edges if e.src in outer and e.dst not in inner]
     return Graph(vertices, edges)
-
-
-def reorder_h_first(g: Graph, members):
-    """Same graph with the given vertices declared first.
-
-    Returns (graph, permutation) where permutation[i] is the declaration
-    index in ``g`` of the i-th vertex of the result.  Edge order is kept.
-    """
-    members = _require_subset(g, members)
-    first = [v for v in g.vertices if v in members]
-    rest = [v for v in g.vertices if v not in members]
-    vertices = first + rest
-    perm = tuple(g.index(v) for v in vertices)
-    return Graph(vertices, g.edges), perm
 
 
 def relabel(g: Graph, vertex_map, edge_map=None) -> Graph:

@@ -17,13 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import (
-    AdjacencyDecomposition,
     Graph,
-    adjacency,
     is_hereditary,
     is_saturated,
     quotient,
-    reorder_h_first,
     restriction,
     subquotient,
 )
@@ -87,10 +84,9 @@ def k_matrix(g: Graph) -> IntMatrix:
 
 @dataclass(frozen=True)
 class KZero:
-    """K0 presented on vertex generators, with the adjacency witness."""
+    """K0 presented on vertex generators."""
 
     group: PresentedGroup
-    decomposition: AdjacencyDecomposition
 
     def invariants(self) -> FgAbGroup:
         return self.group.invariants()
@@ -100,10 +96,7 @@ class KZero:
 
 
 def k0(g: Graph) -> KZero:
-    return KZero(
-        group=cokernel(k_matrix(g), labels=g.vertices),
-        decomposition=adjacency(g),
-    )
+    return KZero(group=cokernel(k_matrix(g), labels=g.vertices))
 
 
 @dataclass(frozen=True)
@@ -275,8 +268,7 @@ class ConnectingMap:
 
     ``x_block`` has one row per ideal vertex and one column per non-sink
     quotient vertex; applied to a kernel vector it lands in the ideal's K0
-    presentation.  ``permutation`` witnesses the ideal-first vertex order
-    used to read the block off the adjacency matrix.
+    presentation.
     """
 
     graph: Graph
@@ -286,7 +278,6 @@ class ConnectingMap:
     kernel: IntMatrix
     x_block: IntMatrix
     map: GroupMap
-    permutation: tuple[int, ...]
 
     def apply(self, x):
         """Value on a kernel vector of the quotient transfer matrix."""
@@ -320,7 +311,6 @@ def connecting_delta(g: Graph, members, parts=None) -> ConnectingMap:
         ideal, rest = parts
         sub, quo = ideal.graph, rest.graph
         kb, codomain = rest.k1.kernel, ideal.k0.group
-    _, perm = reorder_h_first(g, members)
     a = g.adjacency()
     # one row per ideal vertex, one column per quotient non-sink: edge counts
     x_block = IntMatrix(
@@ -344,7 +334,6 @@ def connecting_delta(g: Graph, members, parts=None) -> ConnectingMap:
         kernel=kb,
         x_block=x_block,
         map=gmap,
-        permutation=perm,
     )
 
 

@@ -8,12 +8,12 @@ whose locally closed pieces index the filtered K-theory table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
-from .graphs import Graph, is_hereditary, is_saturated, is_downward_directed
+from .graphs import Graph, is_downward_directed
 
 __all__ = [
-    "HsatSet",
     "IdealLattice",
     "SpectrumTopology",
     "LocallyClosed",
@@ -32,155 +32,152 @@ class LatticeCapError(RuntimeError):
     """Raised when lattice enumeration exceeds the configured cap."""
 
 
-@dataclass(frozen=True)
-class HsatSet:
-    """A hereditary saturated vertex set, ordered by graph declaration."""
-
-    ordered: tuple[str, ...]
-
-    @property
-    def members(self) -> frozenset:
-        return frozenset(self.ordered)
-
-    def __contains__(self, v):
-        return v in self.members
-
-    def __len__(self):
-        return len(self.ordered)
-
-    def subset_of(self, other: "HsatSet") -> bool:
-        return self.members <= other.members
-
-    def __str__(self):
-        return "{" + ",".join(self.ordered) + "}"
+# A vertex set is stored here as an int mask over declaration order: bit k
+# is set when the k-th declared vertex belongs to it.  Other modules see
+# vertex tuples in declaration order only.
 
 
-def _ordered(g: Graph, members) -> tuple:
-    members = frozenset(members)
-    return tuple(v for v in g.vertices if v in members)
+def _mask(g: Graph, vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << g.index(v)
+    return mask
 
 
-def hsat_closure(g: Graph, seed) -> HsatSet:
+def _vertices(g: Graph, mask: int) -> tuple:
+    return tuple(v for k, v in enumerate(g.vertices) if mask >> k & 1)
+
+
+def _mask_closure(g: Graph):
+    """The closure of ``g`` on masks: seed mask to hereditary saturated mask.
+
+    Hereditary closure ORs the reach masks of the seed's vertices.  Then
+    saturation adds every regular vertex whose target mask lies inside until
+    nothing changes; an added vertex has all its targets inside already, so
+    the set stays hereditary.
+    """
+    reach = [_mask(g, g.reachable_from(v)) for v in g.vertices]
+    targets = [(_mask(g, (v,)), _mask(g, (e.dst for e in g.out_edges(v)))) for v in g.regulars]
+
+    def close(seed: int) -> int:
+        mask = 0
+        while seed:
+            low = seed & -seed
+            mask |= reach[low.bit_length() - 1]
+            seed ^= low
+        added = True
+        while added:
+            added = False
+            for v, out in targets:
+                if not mask & v and not out & ~mask:
+                    mask |= v
+                    added = True
+        return mask
+
+    return close
+
+
+def hsat_closure(g: Graph, seed) -> tuple[str, ...]:
     """Smallest hereditary saturated set containing the seed vertices.
 
-    Alternates reachability closure with saturation until the set is stable.
-    Idempotent, extensive and monotone in the seed.
+    Returns its vertices in declaration order.  Idempotent, extensive and
+    monotone in the seed.
     """
-    current = set()
-    for v in seed:
-        g.index(v)
-        current.add(v)
-    # hereditary part: everything reachable from the seed
-    closed = set()
-    for v in current:
-        closed |= g.reachable_from(v)
-    current = closed
-    while True:
-        added = False
-        for v in g.regulars:
-            if v not in current and all(e.dst in current for e in g.out_edges(v)):
-                current.add(v)
-                added = True
-        if not added:
-            break
-        # saturation can pull in vertices with new reachability only via
-        # their own successors, which are already inside; no hereditary pass
-        # is needed, but one cheap recheck keeps the invariant obvious
-        for v in tuple(current):
-            current |= g.reachable_from(v)
-    return HsatSet(_ordered(g, current))
+    return _vertices(g, _mask_closure(g)(_mask(g, seed)))
 
 
 @dataclass(frozen=True)
 class IdealLattice:
     """All hereditary saturated sets of a graph, canonically ordered.
 
-    Elements are sorted by size, then by the tuple of vertex declaration
-    indices, so element indices are reproducible run to run.
+    Elements are vertex masks sorted by size, then by the tuple of vertex
+    declaration indices, so element indices are reproducible run to run.
+    ``members(i)`` gives element i's vertices in declaration order.
     """
 
     graph: Graph
-    elements: tuple[HsatSet, ...]
+    elements: tuple[int, ...]
+    _close: Callable[[int], int] = field(repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.elements)})
 
     def __len__(self):
         return len(self.elements)
 
-    def index_of(self, members) -> int:
-        target = frozenset(members)
-        for i, h in enumerate(self.elements):
-            if h.members == target:
-                return i
-        raise KeyError(f"not a lattice element: {sorted(target)!r}")
+    def members(self, i: int) -> tuple[str, ...]:
+        return _vertices(self.graph, self.elements[i])
+
+    def index_of(self, vertices) -> int:
+        vertices = frozenset(vertices)
+        try:
+            return self._index[_mask(self.graph, vertices)]
+        except KeyError:
+            raise KeyError(f"not a lattice element: {sorted(vertices)!r}") from None
 
     def leq(self, i: int, j: int) -> bool:
-        return self.elements[i].members <= self.elements[j].members
+        return not self.elements[i] & ~self.elements[j]
 
     def meet(self, i: int, j: int) -> int:
-        return self.index_of(self.elements[i].members & self.elements[j].members)
+        return self._index[self.elements[i] & self.elements[j]]
 
     def join(self, i: int, j: int) -> int:
-        union = self.elements[i].members | self.elements[j].members
-        return self.index_of(hsat_closure(self.graph, union).members)
+        return self._index[self._close(self.elements[i] | self.elements[j])]
 
     @property
     def bottom(self) -> int:
-        return self.index_of(frozenset())
+        return self._index[0]
 
     @property
     def top(self) -> int:
-        return self.index_of(frozenset(self.graph.vertices))
+        return self._index[(1 << self.graph.num_vertices) - 1]
 
 
 def enumerate_hsat(g: Graph, cap: int = 4096) -> IdealLattice:
     """Enumerate every hereditary saturated set.
 
-    Every such set is the join of the closures of its singletons, so closing
-    the singleton closures under join reaches all of them without touching
-    the 2^V search space.  Raises LatticeCapError beyond ``cap`` elements.
+    Every such set is the join of the closures of its vertices, so joining
+    each new set with the at most V singleton closures, starting from the
+    empty set, reaches all of them without touching the 2^V search space.
+    Raises LatticeCapError beyond ``cap`` elements.
     """
-    seeds = [hsat_closure(g, ()).members]
-    for v in g.vertices:
-        seeds.append(hsat_closure(g, (v,)).members)
-    found = []
-    for s in seeds:
-        if s not in found:
-            found.append(s)
-    frontier = list(found)
+    close = _mask_closure(g)
+    singles = sorted({close(1 << k) for k in range(g.num_vertices)})
+    found = {0}  # no regular vertex has all its targets in the empty set
+    frontier = [0]
     while frontier:
         nxt = []
         for a in frontier:
-            for b in found:
-                union = a | b
-                if union == a or union == b:
+            for s in singles:
+                if not s & ~a:
                     continue
-                joined = hsat_closure(g, union).members
-                if joined not in found and joined not in nxt:
+                joined = close(a | s)
+                if joined not in found:
+                    found.add(joined)
                     nxt.append(joined)
-        found.extend(nxt)
-        if len(found) > cap:
-            raise LatticeCapError(
-                f"ideal lattice exceeds cap {cap} (graph has {g.num_vertices} vertices)"
-            )
+                    if len(found) > cap:
+                        raise LatticeCapError(
+                            f"ideal lattice exceeds cap {cap} "
+                            f"(graph has {g.num_vertices} vertices)"
+                        )
         frontier = nxt
-    ordered = sorted(
-        (HsatSet(_ordered(g, s)) for s in found),
-        key=lambda h: (len(h.ordered), tuple(g.index(v) for v in h.ordered)),
+    elements = sorted(
+        found,
+        key=lambda m: (m.bit_count(), [k for k in range(g.num_vertices) if m >> k & 1]),
     )
-    return IdealLattice(graph=g, elements=tuple(ordered))
+    return IdealLattice(graph=g, elements=tuple(elements), _close=close)
 
 
 def graded_primes(lattice: IdealLattice) -> tuple[int, ...]:
     """Indices of the prime elements: proper, with downward directed complement."""
     g = lattice.graph
-    full = frozenset(g.vertices)
-    out = []
-    for i, h in enumerate(lattice.elements):
-        if h.members == full:
-            continue
-        complement = [v for v in g.vertices if v not in h.members]
-        if is_downward_directed(g, complement):
-            out.append(i)
-    return tuple(out)
+    full = (1 << g.num_vertices) - 1
+    return tuple(
+        i
+        for i, h in enumerate(lattice.elements)
+        if h != full and is_downward_directed(g, _vertices(g, full & ~h))
+    )
 
 
 @dataclass(frozen=True)
@@ -189,42 +186,42 @@ class SpectrumTopology:
 
     ``primes`` are lattice indices; ``opens[i]`` is the open set attached to
     lattice element i, stored as a frozenset of positions into ``primes``.
+    Distinct elements have distinct opens, since each element is the meet
+    of the primes above it.
     """
 
     lattice: IdealLattice
     primes: tuple[int, ...]
     opens: tuple[frozenset, ...]
+    _element: dict = field(init=False, repr=False, compare=False)
 
-    def open_of(self, element_index: int) -> frozenset:
-        return self.opens[element_index]
+    def __post_init__(self):
+        object.__setattr__(self, "_element", {o: i for i, o in enumerate(self.opens)})
 
     def element_of_open(self, open_set: frozenset) -> int:
-        for i, o in enumerate(self.opens):
-            if o == open_set:
-                return i
-        raise KeyError(f"not an open set: {sorted(open_set)!r}")
+        try:
+            return self._element[open_set]
+        except KeyError:
+            raise KeyError(f"not an open set: {sorted(open_set)!r}") from None
 
 
 def spectrum(lattice: IdealLattice) -> SpectrumTopology:
     primes = graded_primes(lattice)
-    opens = []
-    for h in lattice.elements:
-        ps = frozenset(
-            pos
-            for pos, p in enumerate(primes)
-            if not h.members <= lattice.elements[p].members
-        )
-        opens.append(ps)
-    return SpectrumTopology(lattice=lattice, primes=primes, opens=tuple(opens))
+    prime_masks = [lattice.elements[p] for p in primes]
+    opens = tuple(
+        frozenset(pos for pos, p in enumerate(prime_masks) if h & ~p)
+        for h in lattice.elements
+    )
+    return SpectrumTopology(lattice=lattice, primes=primes, opens=opens)
 
 
 def kernel_of(topology: SpectrumTopology, prime_positions) -> frozenset:
     """Intersection of the named primes; the full vertex set when none are named."""
     lattice = topology.lattice
-    members = frozenset(lattice.graph.vertices)
+    mask = (1 << lattice.graph.num_vertices) - 1
     for pos in prime_positions:
-        members &= lattice.elements[topology.primes[pos]].members
-    return members
+        mask &= lattice.elements[topology.primes[pos]]
+    return frozenset(_vertices(lattice.graph, mask))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ import helpers as H
 from leavitt.graphs import (
     Graph,
     GraphFormatError,
-    adjacency,
     covering_window,
     graph_from_matrix,
     graph_to_text,
@@ -21,7 +20,6 @@ from leavitt.graphs import (
     parse_matrix,
     quotient,
     relabel,
-    reorder_h_first,
     restriction,
     subquotient,
 )
@@ -115,29 +113,6 @@ class TestTextFormats:
             parse_matrix("1 x\n")
 
 
-class TestAdjacencyDecomposition:
-    def test_blocks(self):
-        fan = H.fan_graph()
-        dec = adjacency(fan)
-        assert dec.regulars == ("v",)
-        assert dec.sinks == ("w1", "w2")
-        assert dec.b.to_lists() == [[0]]
-        assert dec.c.to_lists() == [[1, 1]]
-        assert dec.permutation == (0, 1, 2)
-
-    def test_permutation_recovers_adjacency(self, corpus):
-        for g in corpus[:60]:
-            dec = adjacency(g)
-            a = g.adjacency()
-            perm = dec.permutation
-            nreg = len(dec.regulars)
-            for i in range(nreg):
-                for j in range(nreg):
-                    assert dec.b[i, j] == a[perm[i], perm[j]]
-                for j in range(len(dec.sinks)):
-                    assert dec.c[i, j] == a[perm[i], perm[nreg + j]]
-
-
 class TestCoveringWindow:
     def test_structure(self):
         g = H.rose(2)
@@ -183,14 +158,15 @@ class TestDerivedGraphs:
 
         for g in corpus[:40]:
             lat = enumerate_hsat(g)
-            bottom = lat.elements[0].members
-            top = lat.elements[-1].members
+            bottom = lat.members(0)
+            top = lat.members(len(lat) - 1)
             assert subquotient(g, frozenset(), top) == g
-            for h in lat.elements:
-                assert subquotient(g, h.members, h.members).num_vertices == 0
+            for i in range(len(lat)):
+                h = lat.members(i)
+                assert subquotient(g, h, h).num_vertices == 0
                 # agreement with quotient-of-restriction
-                sq = subquotient(g, bottom, h.members)
-                assert sq == restriction(g, h.members)
+                sq = subquotient(g, bottom, h)
+                assert sq == restriction(g, h)
 
     def test_subquotient_equals_quotient_of_restriction(self, corpus):
         from leavitt import enumerate_hsat
@@ -202,8 +178,8 @@ class TestDerivedGraphs:
                 for j in range(i, n):
                     if not lat.leq(i, j):
                         continue
-                    inner = lat.elements[i].members
-                    outer = lat.elements[j].members
+                    inner = lat.members(i)
+                    outer = lat.members(j)
                     sq = subquotient(g, inner, outer)
                     qr = quotient(restriction(g, outer), inner)
                     assert sq == qr
@@ -211,12 +187,6 @@ class TestDerivedGraphs:
     def test_subquotient_rejects_non_nested(self, fan):
         with pytest.raises(ValueError):
             subquotient(fan, {"w1"}, {"w2"})
-
-    def test_reorder_h_first(self, fan):
-        g2, perm = reorder_h_first(fan, {"w2"})
-        assert g2.vertices == ("w2", "v", "w1")
-        assert perm == (2, 0, 1)
-        assert [g2.vertices[i] for i in range(3)] == [fan.vertices[perm[i]] for i in range(3)]
 
     def test_relabel_bijection_enforced(self, fan):
         with pytest.raises(ValueError):

@@ -194,8 +194,8 @@ class TestConnectingMap:
         checked = 0
         for g in corpus[:50]:
             lat = enumerate_hsat(g)
-            for h in lat.elements:
-                members = frozenset(h.members)
+            for i in range(len(lat)):
+                members = frozenset(lat.members(i))
                 if not members or members == frozenset(g.vertices):
                     continue
                 cd = connecting_delta(g, members)
@@ -215,15 +215,14 @@ ROW_MAP_NAMES = ("tau1", "tau2", "delta", "u12", "u23")
 def nested_rows(g, coeff):
     """The six-term row of every nested triple of g's ideal lattice."""
     lat = enumerate_hsat(g)
-    els = lat.elements
-    n = len(els)
+    n = len(lat)
     for i in range(n):
         for j in range(i, n):
             if not lat.leq(i, j):
                 continue
             for p in range(j, n):
                 if lat.leq(j, p):
-                    yield six_term_row(g, els[i].members, els[j].members, els[p].members, coeff)
+                    yield six_term_row(g, lat.members(i), lat.members(j), lat.members(p), coeff)
 
 
 def z_verdicts(nodes):

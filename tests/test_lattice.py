@@ -1,5 +1,7 @@
 """Hereditary-saturated lattices, graded primes, spectrum topology."""
 
+import random
+
 import pytest
 
 import helpers as H
@@ -26,10 +28,10 @@ class TestClosure:
                 continue
             seed = frozenset(rng.sample(g.vertices, rng.randint(1, g.num_vertices)))
             c = hsat_closure(g, seed)
-            members = frozenset(c.members)
+            members = frozenset(c)
             assert seed <= members  # extensive
-            assert frozenset(hsat_closure(g, members).members) == members  # idempotent
-            bigger = frozenset(hsat_closure(g, seed | {g.vertices[0]}).members)
+            assert frozenset(hsat_closure(g, members)) == members  # idempotent
+            bigger = frozenset(hsat_closure(g, seed | {g.vertices[0]}))
             assert members <= bigger or not seed <= (seed | {g.vertices[0]})  # monotone
 
     def test_closure_is_hereditary_saturated(self, corpus):
@@ -37,20 +39,20 @@ class TestClosure:
 
         for g in corpus[:60]:
             for v in g.vertices:
-                c = frozenset(hsat_closure(g, {v}).members)
+                c = frozenset(hsat_closure(g, {v}))
                 assert is_hereditary(g, c) and is_saturated(g, c)
 
     def test_fan_closures(self, fan):
-        assert frozenset(hsat_closure(fan, {"w1"}).members) == {"w1"}
-        assert frozenset(hsat_closure(fan, {"v"}).members) == {"v", "w1", "w2"}
-        assert frozenset(hsat_closure(fan, {"w1", "w2"}).members) == {"v", "w1", "w2"}
+        assert frozenset(hsat_closure(fan, {"w1"})) == {"w1"}
+        assert frozenset(hsat_closure(fan, {"v"})) == {"v", "w1", "w2"}
+        assert frozenset(hsat_closure(fan, {"w1", "w2"})) == {"v", "w1", "w2"}
 
 
 class TestEnumeration:
     def test_matches_bruteforce_oracle(self, corpus):
         for g in corpus:
             lat = enumerate_hsat(g)
-            got = {frozenset(h.members) for h in lat.elements}
+            got = {frozenset(lat.members(i)) for i in range(len(lat))}
             expected = set(H.hsat_subsets_bruteforce(g))
             assert got == expected
             assert len(lat.elements) == len(got)
@@ -59,22 +61,22 @@ class TestEnumeration:
         for g in corpus[:60]:
             lat = enumerate_hsat(g)
             keys = [
-                (len(h.members), tuple(sorted(g.index(v) for v in h.members)))
-                for h in lat.elements
+                (len(h), tuple(sorted(g.index(v) for v in h)))
+                for h in map(lat.members, range(len(lat)))
             ]
             assert keys == sorted(keys)
 
     def test_bottom_and_top(self, corpus):
         for g in corpus[:60]:
             lat = enumerate_hsat(g)
-            assert frozenset(lat.elements[lat.bottom].members) == frozenset()
-            assert frozenset(lat.elements[lat.top].members) == frozenset(g.vertices)
+            assert frozenset(lat.members(lat.bottom)) == frozenset()
+            assert frozenset(lat.members(lat.top)) == frozenset(g.vertices)
 
     def test_leq_matches_subset(self, corpus):
         for g in corpus[:40]:
             lat = enumerate_hsat(g)
             n = len(lat.elements)
-            sets = [frozenset(h.members) for h in lat.elements]
+            sets = [frozenset(lat.members(i)) for i in range(n)]
             for i in range(n):
                 for j in range(n):
                     assert lat.leq(i, j) == (sets[i] <= sets[j])
@@ -83,11 +85,11 @@ class TestEnumeration:
         for g in corpus[:40]:
             lat = enumerate_hsat(g)
             n = len(lat.elements)
-            sets = [frozenset(h.members) for h in lat.elements]
+            sets = [frozenset(lat.members(i)) for i in range(n)]
             for i in range(n):
                 for j in range(n):
                     assert sets[lat.meet(i, j)] == sets[i] & sets[j]
-                    expected_join = frozenset(hsat_closure(g, sets[i] | sets[j]).members)
+                    expected_join = frozenset(hsat_closure(g, sets[i] | sets[j]))
                     assert sets[lat.join(i, j)] == expected_join
 
     def test_cap_enforced(self, fan):
@@ -100,12 +102,70 @@ class TestEnumeration:
         assert lat.bottom == lat.top == 0
 
 
+def _disjoint_loops(k):
+    return Graph([f"v{i}" for i in range(k)], [(f"e{i}", f"v{i}", f"v{i}") for i in range(k)])
+
+
+def _random_graph(rng, n):
+    """n vertices, each with 0-3 out-edges to random targets (loops allowed)."""
+    names = [f"v{i}" for i in range(n)]
+    edges = []
+    for v in names:
+        for _ in range(rng.choice((0, 1, 1, 1, 2, 3))):
+            edges.append((f"e{len(edges)}", v, rng.choice(names)))
+    return Graph(names, edges)
+
+
+class TestBeyondCorpus:
+    def test_random_graphs_match_oracles(self):
+        # the corpus stops at 4 vertices; these have 5-10
+        rng = random.Random(808)
+        largest = 0
+        for _ in range(300):
+            g = _random_graph(rng, rng.randint(5, 10))
+            lat = enumerate_hsat(g)
+            got = [frozenset(lat.members(i)) for i in range(len(lat))]
+            assert set(got) == set(H.hsat_subsets_bruteforce(g))
+            assert len(got) == len(set(got))
+            primes = set(graded_primes(lat))
+            for i in range(len(lat)):
+                assert (i in primes) == H.is_lattice_prime(lat, i)
+            assert len(set(spectrum(lat).opens)) == len(lat)
+            largest = max(largest, len(lat))
+        assert largest >= 32
+
+    @pytest.mark.parametrize("k", [10, 12])
+    def test_disjoint_loops_give_boolean_lattice(self, k):
+        lat = enumerate_hsat(_disjoint_loops(k))
+        assert len(lat) == 2**k
+        assert lat.members(lat.top) == tuple(f"v{i}" for i in range(k))
+
+    def test_thirteen_loops_exceed_default_cap(self):
+        with pytest.raises(LatticeCapError, match="exceeds cap 4096"):
+            enumerate_hsat(_disjoint_loops(13))
+
+    def test_members_follow_declaration_order(self):
+        g = Graph(["b", "a", "c"], [("x", "c", "b"), ("y", "c", "a")])
+        lat = enumerate_hsat(g)
+        assert lat.members(lat.top) == ("b", "a", "c")
+        assert hsat_closure(g, {"c"}) == ("b", "a", "c")
+        assert lat.index_of(["a", "c", "b"]) == lat.top
+
+    def test_index_of_rejects_non_elements(self, fan):
+        lat = enumerate_hsat(fan)
+        assert lat.members(lat.index_of({"w2"})) == ("w2",)
+        for bad in ({"v"}, {"w1", "w2"}, {"nowhere"}):
+            # not hereditary, not saturated, not a vertex
+            with pytest.raises(KeyError):
+                lat.index_of(bad)
+
+
 class TestPrimes:
     def test_fan_has_two_primes(self, fan):
         lat = enumerate_hsat(fan)
         primes = graded_primes(lat)
         assert len(primes) == 2
-        prime_sets = {frozenset(lat.elements[p].members) for p in primes}
+        prime_sets = {frozenset(lat.members(p)) for p in primes}
         assert prime_sets == {frozenset({"w1"}), frozenset({"w2"})}
 
     def test_rose_prime_is_bottom(self, rose2):
@@ -118,9 +178,9 @@ class TestPrimes:
             full = frozenset(g.vertices)
             expected = tuple(
                 i
-                for i, h in enumerate(lat.elements)
-                if frozenset(h.members) != full
-                and is_downward_directed(g, full - frozenset(h.members))
+                for i in range(len(lat))
+                if frozenset(lat.members(i)) != full
+                and is_downward_directed(g, full - frozenset(lat.members(i)))
             )
             assert graded_primes(lat) == expected
 
@@ -163,9 +223,9 @@ class TestSpectrum:
             lat = enumerate_hsat(g)
             topo = spectrum(lat)
             all_primes = frozenset(range(len(topo.primes)))
-            for i, h in enumerate(lat.elements):
+            for i in range(len(lat)):
                 containing = all_primes - topo.opens[i]
-                assert kernel_of(topo, containing) == frozenset(h.members)
+                assert kernel_of(topo, containing) == frozenset(lat.members(i))
 
     def test_kernel_of_no_primes_is_everything(self, fan):
         lat = enumerate_hsat(fan)
@@ -207,7 +267,7 @@ class TestLocallyClosed:
                     if p.difference <= topo.opens[i]
                     and (topo.opens[i] - p.difference) in topo.opens
                 ]
-                best = min(candidates, key=lambda i: (len(lat.elements[i].members), i))
+                best = min(candidates, key=lambda i: (len(lat.members(i)), i))
                 assert p.outer_index == best
 
     def test_empty_difference_piece_present(self, corpus):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import helpers as H
+from leavitt.graphs import Graph
 from leavitt.monoid import (
     EqBudget,
     GradedElement,
@@ -221,6 +222,28 @@ class TestGradedEquality:
             b = apply_random_expansions(g, a, rng.randint(1, 4), rng)
             assert graded_equal(g, a, b).is_equal
 
+    def test_expansions_keep_the_seeded_choices(self, corpus):
+        # one rewrite at a time on sorted elements, the way the dict-based
+        # rewrite must reproduce: same rng state, same candidates, same result
+        def one_at_a_time(g, a, steps, rng):
+            current = a
+            for _ in range(steps):
+                candidates = [(v, l) for v, l, n in current.coeffs if n > 0 and not g.is_sink(v)]
+                if not candidates:
+                    break
+                v, l = rng.choice(candidates)
+                delta = [(v, l, -1)] + [(e.dst, l - 1, 1) for e in g.out_edges(v)]
+                current = current.add(GradedElement.of(delta))
+            return current
+
+        rng = random.Random(44)
+        for g in corpus:
+            a = random_graded_element(g, rng, signed=True)
+            steps = rng.randint(0, 8)
+            seed = rng.randrange(2**30)
+            got = apply_random_expansions(g, a, steps, random.Random(seed))
+            assert got == one_at_a_time(g, a, steps, random.Random(seed))
+
     def test_sink_level_mismatch_detected(self, fan):
         # a sink occurrence is frozen at its level, so it separates classes
         assert graded_equal(fan, parse_graded_element("w1(0)"), parse_graded_element("w1(-1)")).is_not_equal
@@ -239,8 +262,8 @@ class TestOrderIdeal:
         rng = random.Random(47)
         for g in corpus[:30]:
             lat = enumerate_hsat(g)
-            for h in lat.elements:
-                members = frozenset(h.members)
+            for i in range(len(lat)):
+                members = frozenset(lat.members(i))
                 if not members:
                     continue
                 sub = [v for v in g.vertices if v in members]
@@ -253,6 +276,19 @@ class TestQuotientRoundtrip:
         rep = quotient_roundtrip(fan, {"w1"}, samples=30, rng=random.Random(3))
         assert rep.passed and not rep.failures
 
+    def test_broken_quotient_fails_up_down(self, monkeypatch):
+        # v -> v, v -> w, w -> w; H = {w}.  The real quotient drops edge b;
+        # a broken one keeps it as a second loop at v, so v(0) = 2*v(-1)
+        # there, while the image of v(0) = v(-1) + w(-1) in g is v(-1).
+        import leavitt.monoid as monoid
+
+        g = Graph(["v", "w"], [("a", "v", "v"), ("b", "v", "w"), ("c", "w", "w")])
+        broken = Graph(["v"], [("a", "v", "v"), ("b", "v", "v")])
+        assert quotient_roundtrip(g, {"w"}, samples=100, rng=random.Random(5)).passed
+        monkeypatch.setattr(monoid, "quotient", lambda *_: broken)
+        rep = quotient_roundtrip(g, {"w"}, samples=100, rng=random.Random(5))
+        assert any(kind == "up-down" for kind, *_ in rep.failures)
+
     def test_corpus_sample(self, corpus):
         from leavitt.lattice import enumerate_hsat
 
@@ -260,8 +296,8 @@ class TestQuotientRoundtrip:
         pairs = 0
         for g in corpus[:25]:
             lat = enumerate_hsat(g)
-            for h in lat.elements:
-                members = frozenset(h.members)
+            for i in range(len(lat)):
+                members = frozenset(lat.members(i))
                 if not members or members == frozenset(g.vertices):
                     continue
                 rep = quotient_roundtrip(g, members, samples=15, rng=rng)
