@@ -245,7 +245,6 @@ def _cmd_fk(args):
         g,
         coeff,
         lattice_cap=args.lattice_cap,
-        order_cap=args.order_cap,
         row_cap=args.row_cap,
     )
     payload = {
@@ -294,7 +293,6 @@ def _cmd_compare(args):
         coeff,
         se_intertwiner=intertwiner,
         lattice_cap=args.lattice_cap,
-        order_cap=args.order_cap,
         element_search=not args.no_element_search,
         row_cap=args.row_cap,
     )
@@ -394,7 +392,7 @@ def _cmd_sixterm(args):
     outer = (
         tuple(g.vertices) if args.outer == "*" else _split_vertices(args.outer)
     )
-    row = six_term_row(g, inner, middle, outer, coeff, order_cap=args.order_cap)
+    row = six_term_row(g, inner, middle, outer, coeff)
     payload = _row_json(row)
     lines = [
         "Kbar1: " + " -> ".join(kb.symbol() for kb in row.k1bars),
@@ -433,15 +431,6 @@ def _add_row_cap(p):
         type=int,
         default=65_536,
         help="max nested ideal triples, one six-term row each",
-    )
-
-
-def _add_order_cap(p):
-    p.add_argument(
-        "--order-cap",
-        type=int,
-        default=10_000,
-        help="largest finite group order enumerated element by element",
     )
 
 
@@ -499,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     _add_field(p)
     _add_lattice_cap(p)
-    _add_order_cap(p)
     _add_row_cap(p)
     p.set_defaults(func=_cmd_fk)
 
@@ -508,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph_b")
     _add_field(p)
     _add_lattice_cap(p)
-    _add_order_cap(p)
     _add_row_cap(p)
     p.add_argument(
         "--se-r",
@@ -544,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--middle", required=True, help="comma separated vertices")
     p.add_argument("--outer", default="*", help="comma separated vertices, or * for all")
     _add_field(p)
-    _add_order_cap(p)
     p.set_defaults(func=_cmd_sixterm)
 
     return parser

@@ -109,7 +109,6 @@ def fkbar(
     g: Graph,
     coeff: CoeffGroup,
     lattice_cap: int = 4096,
-    order_cap: int = 10_000,
     include_rows: bool = True,
     row_cap: int = 65_536,
 ) -> FilteredKTable:
@@ -164,7 +163,6 @@ def fkbar(
                             members[j],
                             members[p],
                             coeff,
-                            order_cap=order_cap,
                             store=store,
                         )
                     )
@@ -587,7 +585,6 @@ def compare_fkbar(
     coeff: CoeffGroup,
     se_intertwiner: IntMatrix | None = None,
     lattice_cap: int = 4096,
-    order_cap: int = 10_000,
     element_search: bool = True,
     row_cap: int = 65_536,
 ) -> ComparisonReport:
@@ -600,8 +597,8 @@ def compare_fkbar(
     element-level search for commuting isomorphism systems.  Each row's
     signature is computed at most once, whatever the number of candidates.
     """
-    t1 = fkbar(g1, coeff, lattice_cap=lattice_cap, order_cap=order_cap, row_cap=row_cap)
-    t2 = fkbar(g2, coeff, lattice_cap=lattice_cap, order_cap=order_cap, row_cap=row_cap)
+    t1 = fkbar(g1, coeff, lattice_cap=lattice_cap, row_cap=row_cap)
+    t2 = fkbar(g2, coeff, lattice_cap=lattice_cap, row_cap=row_cap)
     signatures = (_signatures(t1), _signatures(t2))
 
     candidates = []

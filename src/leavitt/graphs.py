@@ -369,14 +369,10 @@ def is_downward_directed(g: Graph, subset=None) -> bool:
     complement of a hereditary set, paths between members automatically stay
     inside the subset.
     """
-    members = tuple(g.vertices) if subset is None else tuple(
-        v for v in g.vertices if v in frozenset(subset)
-    )
-    if subset is not None:
-        _require_subset(g, subset)
+    member_set = frozenset(g.vertices) if subset is None else _require_subset(g, subset)
+    members = tuple(v for v in g.vertices if v in member_set)
     if len(members) <= 1:
         return True
-    member_set = frozenset(members)
     for i, u in enumerate(members):
         ru = g.reachable_from(u) & member_set
         for v in members[i + 1:]:

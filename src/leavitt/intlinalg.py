@@ -3,11 +3,12 @@
 One Smith elimination is the engine here, run in two ways.
 :func:`invariant_factors` runs it on the matrix alone and serves the callers
 that need only the diagonal, the rank or the determinant: group invariants
-(``PresentedGroup.invariants``, ``FgAbGroup.from_parts``) and the shift
-invariants.  :func:`snf` also tracks the unimodular transforms and serves
-the callers that need them: canonical class forms, kernels, lattice
-membership, solving, unimodular inverses and preimage lattices, and through
-them :func:`check_exact`, the one exactness checker.
+(``PresentedGroup.invariants``, ``FgAbGroup.from_parts``), the shift
+invariants, and the subgroup inclusion tests of :func:`subgroup_equal` and
+of :func:`check_exact`, the one exactness checker.  :func:`snf` also tracks
+the unimodular transforms and serves the callers that need them: canonical
+class forms, kernels (and so the kernels :func:`check_exact` compares),
+lattice membership, solving, unimodular inverses and preimage lattices.
 :func:`coker_with_coefficients` reads its diagonal from :func:`snf` too,
 because K1 needs the kernel of the same matrix.  Everything runs on Python
 ints, so there is no overflow and no floating point anywhere.
@@ -268,19 +269,19 @@ class SmithData:
     """Factorization d = u @ m @ v with u, v unimodular and d in Smith form.
 
     ``d`` is diagonal with nonnegative entries forming a divisibility chain;
-    zero diagonal entries come last.  The same pivot rule (smallest absolute
-    value, then lowest row and column index) makes u and v reproducible, so
-    they can be frozen in golden tests.
+    zero diagonal entries come last.  Only its ``diagonal`` is stored, so a
+    cached factorization keeps two matrices, not three.  The same pivot rule
+    (smallest absolute value, then lowest row and column index) makes u and
+    v reproducible, so they can be frozen in golden tests.
     """
 
     u: IntMatrix
-    d: IntMatrix
+    diagonal: tuple[int, ...]
     v: IntMatrix
 
     @property
-    def diagonal(self):
-        n = min(self.d.rows, self.d.cols)
-        return tuple(self.d[i, i] for i in range(n))
+    def d(self) -> IntMatrix:
+        return IntMatrix.diagonal(self.diagonal, rows=self.u.rows, cols=self.v.cols)
 
     @property
     def rank(self):
@@ -420,7 +421,7 @@ def snf(m: IntMatrix) -> SmithData:
         t += 1
     return SmithData(
         u=IntMatrix(u, cols=rows),
-        d=IntMatrix(d, cols=cols),
+        diagonal=tuple(d[i][i] for i in range(limit)),
         v=IntMatrix(v, cols=cols),
     )
 
@@ -605,15 +606,23 @@ def map_invariants(matrix: IntMatrix, dom_relations: IntMatrix, cod_relations: I
 
 
 def _spans_into(gens: IntMatrix, lattice: IntMatrix) -> bool:
-    """Is every column of ``gens`` in the column span of ``lattice``?"""
-    return all(lattice_member(lattice, gens.column(j)) for j in range(gens.cols))
+    """Is every column of ``gens`` in the column span of ``lattice``?
+
+    L lies in L + span(gens), and both lie in the saturation of the larger,
+    where a lattice of full rank has index the product of its nonzero
+    invariant factors.  So the two are equal exactly when rank and that
+    product agree; no transform and no per-column membership test is needed.
+    """
+    before = [x for x in invariant_factors(lattice).diagonal if x]
+    after = [x for x in invariant_factors(lattice.hstack(gens)).diagonal if x]
+    return len(before) == len(after) and math.prod(before) == math.prod(after)
 
 
 def subgroup_equal(gens_a: IntMatrix, gens_b: IntMatrix, modulo: IntMatrix | None = None) -> bool:
     """Do two sets of columns span the same subgroup, modulo a lattice?
 
     With ``modulo`` given, compares span(a)+span(modulo) with
-    span(b)+span(modulo) by mutual membership.
+    span(b)+span(modulo) by mutual inclusion.
     """
     if modulo is None:
         return _spans_into(gens_a, gens_b) and _spans_into(gens_b, gens_a)
@@ -838,8 +847,8 @@ def check_exact(maps) -> ExactnessReport:
     """Exactness of a composable sequence at every interior node.
 
     For consecutive maps f, g the check is im(f) = ker(g) inside f.codomain.
-    Each inclusion is tested on its own by lattice membership modulo the
-    relations and reported as its own verdict.
+    Each inclusion is tested on its own modulo the relations, by comparing
+    invariant factors (see ``_spans_into``), and reported as its own verdict.
     """
     maps = list(maps)
     verdicts = []

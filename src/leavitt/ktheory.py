@@ -10,8 +10,6 @@ computed exactly and their six-term rows are verified, not assumed.
 
 from __future__ import annotations
 
-import itertools
-import math
 import random as _random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,9 +32,7 @@ from .intlinalg import (
     check_exact,
     coker_with_coefficients,
     cokernel,
-    inverse_unimodular,
     kernel_basis,
-    snf,
     solve_lattice,
 )
 from .monoid import GradedElement, _LevelForm, graded_equal
@@ -380,52 +376,19 @@ def _inclusion_matrix(sub_items, all_items) -> IntMatrix:
     return IntMatrix(rows, cols=len(sub_items))
 
 
-class _FiniteCoker:
-    """Element enumeration for the cokernel of [K | m*I]; always finite."""
-
-    def __init__(self, km: IntMatrix, order: int):
-        n = km.rows
-        stacked = km.hstack(IntMatrix.identity(n).scale(order))
-        sd = snf(stacked)
-        self.n = n
-        self.diag = [sd.d[i, i] for i in range(n)]
-        if any(d == 0 for d in self.diag):
-            raise AssertionError("cokernel with finite coefficients must be finite")
-        self.u = sd.u
-        self.order = math.prod(self.diag)
-
-    def canon(self, vec):
-        y = self.u @ tuple(vec)
-        return tuple(yi % d for yi, d in zip(y, self.diag))
-
-    def representatives(self):
-        uinv = inverse_unimodular(self.u)
-        for combo in itertools.product(*(range(d) for d in self.diag)):
-            yield uinv @ combo
-
-
 class SubquotientK:
     """The subquotient graph of one pair inner <= outer, with its K-groups.
 
-    Holds the graph, its transfer matrix, K0 and K1 with the given
-    coefficients; for finite cyclic coefficients the element enumeration of
-    the twisted cokernel is built on first use.
+    Holds the graph, its transfer matrix, K0 and K1 with the given coefficients.
     """
 
-    __slots__ = ("graph", "km", "k0", "k1", "_coeff", "_finite")
+    __slots__ = ("graph", "km", "k0", "k1")
 
     def __init__(self, graph: Graph, coeff: CoeffGroup):
         self.graph = graph
         self.km = k_matrix(graph)
         self.k0 = k0(graph)
         self.k1 = k1(graph, coeff)
-        self._coeff = coeff
-        self._finite = None
-
-    def finite_coker(self) -> _FiniteCoker:
-        if self._finite is None:
-            self._finite = _FiniteCoker(self.km, self._coeff.order)
-        return self._finite
 
 
 class SubquotientStore:
@@ -468,7 +431,7 @@ class NodeReport:
     name: str
     z_image_in_kernel: bool
     z_kernel_in_image: bool
-    coeff_exact: bool | None  # None when not checked at element level
+    coeff_exact: bool | None  # None at K0 nodes and for coefficients not finite cyclic
 
     @property
     def exact(self):
@@ -511,16 +474,17 @@ def six_term_row(
     middle,
     outer,
     coeff: CoeffGroup,
-    order_cap: int = 10_000,
     store: SubquotientStore | None = None,
 ) -> SixTermRow:
     """Build and verify the six-term row of a nested hereditary triple.
 
     Z-level exactness at the four interior nodes is decided by
-    :func:`check_exact` on the row skeleton; when the coefficient group is
-    finite cyclic and all three twisted cokernels have at most ``order_cap``
-    elements, the two K1bar nodes are additionally checked element by
-    element.  The three subquotients and their K-groups come from ``store``
+    :func:`check_exact` on the row skeleton.  When the coefficient group is
+    finite cyclic, of order m, the two K1bar nodes are also decided at the
+    coefficient level, by :func:`check_exact` on the twisted cokernels
+    coker(K) ⊗ Z/m = coker([K | mI]) of the three subquotients: exactness
+    at the middle one and surjectivity onto the quotient one.  The three
+    subquotients and their K-groups come from ``store``
     (a fresh one when None); the middle ideal's restriction and quotient are
     computed here for every row and checked against them.
     """
@@ -579,19 +543,21 @@ def six_term_row(
 
     coeff2 = coeff3 = None
     if coeff.kind == "finite-cyclic":
-        c1, c2, c3 = (pair.finite_coker() for pair in (pair1, pair2, pair3))
-        if max(c1.order, c2.order, c3.order) <= order_cap:
-            image = {
-                c2.canon(ext_vert @ rep) for rep in c1.representatives()
-            }
-            kernel = {
-                c2.canon(rep)
-                for rep in c2.representatives()
-                if all(x == 0 for x in c3.canon(proj_vert @ rep))
-            }
-            coeff2 = image == kernel
-            onto = {c3.canon(proj_vert @ rep) for rep in c2.representatives()}
-            coeff3 = len(onto) == c3.order
+        c1, c2, c3 = (
+            PresentedGroup(km.rows, km.hstack(IntMatrix.identity(km.rows).scale(coeff.order)))
+            for km in (km1, km2, km3)
+        )
+        trivial = PresentedGroup(0, IntMatrix.zeros(0, 0))
+        middle_node, quotient_node = check_exact(
+            (
+                GroupMap(c1, c2, ext_vert, name="u12"),
+                GroupMap(c2, c3, proj_vert, name="u23"),
+                GroupMap(c3, trivial, IntMatrix.zeros(0, c3.generators)),
+            )
+        ).nodes
+        coeff2 = middle_node.exact
+        # the kernel of the zero map is all of c3: this inclusion is onto-ness
+        coeff3 = quotient_node.kernel_in_image
 
     names = ("k1bar-middle", "k1bar-quotient", "k0-ideal", "k0-middle")
     coeff_verdicts = (coeff2, coeff3, None, None)

@@ -140,8 +140,9 @@ class GradedElement:
         return GradedElement.of([(v, l + int(k), n) for v, l, n in self.coeffs])
 
     def restrict_to(self, vertices):
+        # the terms are already merged, sorted and nonzero: filtering keeps that
         keep = frozenset(vertices)
-        return GradedElement.of([(v, l, n) for v, l, n in self.coeffs if v in keep])
+        return GradedElement(tuple(t for t in self.coeffs if t[0] in keep))
 
     def forget_levels(self) -> dict:
         acc = {}

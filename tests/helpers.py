@@ -13,6 +13,9 @@ independent cross-checks:
 * ``six_term_nodes_oracle`` — exactness of a six-term row at its four
   interior nodes, decided in ambient coordinates by span comparisons, from
   matrices built here from the edge lists.
+* ``twisted_nodes_oracle`` — the two K̄₁ nodes of a six-term row at the
+  coefficient level, decided by listing every element of the finite
+  twisted groups and comparing sets.
 * ``DimensionTriple`` — Krieger's dimension group of a matrix as (level,
   vector) pairs, the oracle for the library's graded colimit engine;
   ``triple_of_graded`` translates a graded element without calling it.
@@ -25,10 +28,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from leavitt.graphs import Graph
-from leavitt.intlinalg import IntMatrix, kernel_basis, preimage_lattice, subgroup_equal
+from leavitt.intlinalg import (
+    IntMatrix,
+    inverse_unimodular,
+    kernel_basis,
+    preimage_lattice,
+    snf,
+    subgroup_equal,
+)
 from leavitt.lattice import IdealLattice
 from leavitt.monoid import GradedElement, MonoidElement
 
@@ -259,6 +269,50 @@ def six_term_nodes_oracle(graphs, delta_scale: int = 1):
         (_inside(image, kernel, mod), _inside(kernel, image, mod))
         for image, kernel, mod in pairs
     )
+
+
+class _FiniteCoker:
+    """Element enumeration for the cokernel of [K | m*I]; always finite."""
+
+    def __init__(self, km: IntMatrix, order: int):
+        n = km.rows
+        sd = snf(km.hstack(IntMatrix.identity(n).scale(order)))
+        self.diag = sd.diagonal[:n]
+        assert all(self.diag), "cokernel with finite coefficients must be finite"
+        self.u = sd.u
+        self.order = math.prod(self.diag)
+
+    def canon(self, vec):
+        y = self.u @ tuple(vec)
+        return tuple(yi % d for yi, d in zip(y, self.diag))
+
+    def representatives(self):
+        uinv = inverse_unimodular(self.u)
+        for combo in product(*(range(d) for d in self.diag)):
+            yield uinv @ combo
+
+
+def twisted_nodes_oracle(graphs, order: int, u12_scale: int = 1):
+    """(exact at K̄₁ middle, onto at K̄₁ quotient) with coefficients Z/order.
+
+    ``graphs`` are the ideal part, middle and quotient part of the row.  Each
+    twisted group coker(K) ⊗ Z/order = coker([K | order*I]) is listed element
+    by element, and image, kernel and onto-ness are compared as sets; the
+    inclusion into the middle is multiplied by ``u12_scale`` (1 gives the
+    true row).  The cost is the group order: small graphs only.
+    """
+    g1, g2, g3 = graphs
+    c1, c2, c3 = (_FiniteCoker(_transfer(g), order) for g in graphs)
+    ext_vert = _select(g1.vertices, g2.vertices).scale(u12_scale)
+    proj_vert = _select(g3.vertices, g2.vertices).transpose()
+    image = {c2.canon(ext_vert @ rep) for rep in c1.representatives()}
+    kernel = {
+        c2.canon(rep)
+        for rep in c2.representatives()
+        if not any(c3.canon(proj_vert @ rep))
+    }
+    onto = {c3.canon(proj_vert @ rep) for rep in c2.representatives()}
+    return image == kernel, len(onto) == c3.order
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ def files(tmp_path_factory):
         "rose3": write("rose3.graph", graph_to_text(H.rose(3))),
         "loop": write("loop.graph", graph_to_text(H.rose(1))),
         "fan": write("fan.graph", graph_to_text(H.fan_graph())),
+        "loops5": write(
+            "loops5.graph", graph_to_text(graph_from_matrix(IntMatrix.identity(5)))
+        ),
         "ones": write(
             "ones.graph", graph_to_text(graph_from_matrix(IntMatrix([[1, 1], [1, 1]])))
         ),
@@ -219,6 +222,16 @@ class TestJson:
         assert len(payload["rows"]) == 16
         full = [p for p in payload["pieces"] if p["difference"] == [0, 1]]
         assert full[0]["k0"]["symbol"] == "Z^2"
+
+    def test_sixterm_decides_large_twisted_groups(self, capsys, files):
+        # field 17: reduced units Z/8, so the middle twisted group has 8^5 elements
+        code, out, _ = run(
+            capsys,
+            ["--json", "sixterm", files["loops5"], "--middle", "v0,v1", "--field", "17"],
+        )
+        assert code == 0
+        nodes = {n["name"]: n["coeff_exact"] for n in json.loads(out)["nodes"]}
+        assert nodes["k1bar-middle"] is True and nodes["k1bar-quotient"] is True
 
     def test_byte_determinism(self, capsys, files):
         outputs = []

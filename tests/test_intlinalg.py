@@ -28,6 +28,7 @@ from leavitt.intlinalg import (
     solve_lattice,
     subgroup_equal,
 )
+from leavitt.intlinalg import _spans_into
 
 
 def random_matrix(rng, nr, nc, lo=-9, hi=9):
@@ -273,6 +274,48 @@ class TestKernelsAndLattices:
                 assert y is None
                 seen_none += 1
         assert seen_none > 30
+
+    def test_spans_into_matches_columnwise_membership(self):
+        def columnwise(gens, lat):
+            return all(lattice_member(lat, gens.column(j)) for j in range(gens.cols))
+
+        rng = random.Random(71)
+        cases = [
+            (IntMatrix([[1]]), IntMatrix([[2]]), False),  # Z is not inside 2Z
+            (IntMatrix([[2]]), IntMatrix([[1]]), True),
+            (IntMatrix([[6]]), IntMatrix([[2]]), True),
+            # equal invariant factors (1, 6), different lattices
+            (IntMatrix.diagonal([1, 6]), IntMatrix.diagonal([2, 3]), False),
+            (IntMatrix.diagonal([2, 3]), IntMatrix.diagonal([1, 6]), False),
+            (IntMatrix([[6], [6]]), IntMatrix.diagonal([2, 3]), True),
+            (IntMatrix([[1], [0]]), IntMatrix([[2], [0]]), False),
+            (IntMatrix([[0], [1]]), IntMatrix([[2], [0]]), False),
+            (IntMatrix.zeros(0, 2), IntMatrix.zeros(0, 1), True),
+            (IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 0), True),
+            (IntMatrix([[1], [1]]), IntMatrix.zeros(2, 0), False),
+        ]
+        for _ in range(400):
+            nr = rng.randint(0, 4)
+            rank = rng.randint(0, nr)
+            # rank-deficient lattices, often scaled so they are not saturated
+            lat = random_matrix(rng, nr, rank, -3, 3) @ random_matrix(
+                rng, rank, rng.randint(0, 4), -2, 2
+            )
+            lat = lat.scale(rng.choice((1, 1, 2, 3)))
+            k = rng.randint(0, 3)
+            if rng.random() < 0.5:
+                gens = lat @ random_matrix(rng, lat.cols, k, -2, 2)
+            else:
+                gens = random_matrix(rng, nr, k, -3, 3)
+            cases.append((gens, lat, None))
+        outcomes = set()
+        for gens, lat, expected in cases:
+            got = _spans_into(gens, lat)
+            assert got == columnwise(gens, lat), (gens, lat)
+            if expected is not None:
+                assert got is expected, (gens, lat)
+            outcomes.add((got, gens.rows == 0 or gens.cols == 0 or lat.cols == 0))
+        assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
 
     def test_preimage_lattice_soundness_and_completeness(self):
         rng = random.Random(61)

@@ -6,7 +6,15 @@ import pytest
 
 import helpers as H
 from leavitt.graphs import Graph, relabel
-from leavitt.intlinalg import CoeffGroup, FgAbGroup, GroupMap, check_exact, check_well_defined
+from leavitt.intlinalg import (
+    CoeffGroup,
+    FgAbGroup,
+    GroupMap,
+    IntMatrix,
+    PresentedGroup,
+    check_exact,
+    check_well_defined,
+)
 from leavitt.ktheory import (
     connecting_delta,
     k0,
@@ -328,3 +336,53 @@ class TestRowSkeleton:
         got = z_verdicts(check_exact(with_doubled_delta(row)).nodes)
         assert got == ((True, True), (True, True), (True, False), (True, True))
         assert got == H.six_term_nodes_oracle(row.graphs, delta_scale=2)
+
+
+def twisted_chain(row, order, u12_scale=1, u23_scale=1):
+    """u12 and u23 between the twisted groups coker([K | order*I]) of a row,
+    then the zero map to the trivial group: the chain six_term_row checks."""
+    c1, c2, c3 = (
+        PresentedGroup(km.rows, km.hstack(IntMatrix.identity(km.rows).scale(order)))
+        for km in (grp.relations for grp in row.groups[3:])
+    )
+    u12, u23 = row.maps[3].matrix.scale(u12_scale), row.maps[4].matrix.scale(u23_scale)
+    return (
+        GroupMap(c1, c2, u12),
+        GroupMap(c2, c3, u23),
+        GroupMap(c3, PresentedGroup(0, IntMatrix.zeros(0, 0)), IntMatrix.zeros(0, c3.generators)),
+    )
+
+
+class TestCoefficientNodes:
+    def test_match_enumeration_oracle_on_corpus(self, corpus):
+        # reduced unit groups Z/1, Z/2, Z/3 and Z/4
+        for q in (3, 5, 7, 9):
+            coeff = CoeffGroup.reduced_units_of_field(q)
+            rows = 0
+            for g in corpus:
+                for row in nested_rows(g, coeff):
+                    got = tuple(n.coeff_exact for n in row.nodes)
+                    expected = H.twisted_nodes_oracle(row.graphs, coeff.order)
+                    assert got == expected + (None, None), (q, g, row.triple)
+                    rows += 1
+            assert rows == 1491
+
+    def test_not_checked_without_finite_coefficients(self, fan):
+        for coeff in (CoeffGroup.symbolic(), CoeffGroup.divisible()):
+            row = six_term_row(fan, set(), {"w1"}, set(fan.vertices), coeff)
+            assert all(n.coeff_exact is None for n in row.nodes)
+
+    def test_zero_maps_leave_kernels_uncovered(self):
+        # two loops, ideal {a}: ker(u23) = Z/2 ⊕ 0 inside (Z/2)^2, and a zero
+        # u12 has image 0, so only the kernel-in-image inclusion fails
+        g = Graph(["a", "b"], [("x", "a", "a"), ("y", "b", "b")])
+        row = six_term_row(g, set(), {"a"}, {"a", "b"}, CoeffGroup.reduced_units_of_field(5))
+        assert [n.coeff_exact for n in row.nodes[:2]] == [True, True]
+        middle, quotient = check_exact(twisted_chain(row, 2, u12_scale=0)).nodes
+        assert middle.image_in_kernel and not middle.kernel_in_image
+        assert quotient.exact
+        assert H.twisted_nodes_oracle(row.graphs, 2, u12_scale=0) == (False, True)
+        # a zero u23 is not onto: the quotient node reads that as kernel_in_image
+        _, quotient = check_exact(twisted_chain(row, 2, u23_scale=0)).nodes
+        assert quotient.image_in_kernel and not quotient.kernel_in_image
+        assert check_exact(twisted_chain(row, 2)).exact

@@ -1,8 +1,10 @@
-"""The library imports nothing outside the standard library.
+"""The library imports nothing outside the standard library, and nothing unused.
 
 Every ``src/leavitt/*.py`` is parsed with ``ast`` (nothing is imported), and
 the top-level name of each absolute import must be a standard-library module
-or ``leavitt`` itself.  Relative imports stay inside the package.
+or ``leavitt`` itself.  Relative imports stay inside the package.  Every name
+a module imports must be read somewhere in it; ``__init__.py`` is left out,
+because its imports are the package's re-exports.
 """
 
 import ast
@@ -37,3 +39,29 @@ def test_imports_are_stdlib_or_leavitt(path):
         if name.split(".")[0] not in sys.stdlib_module_names and name.split(".")[0] != "leavitt"
     ]
     assert not foreign, foreign
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return sorted(
+        f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_import_is_used(path):
+    unused = unused_imports(path)
+    assert not unused, unused
