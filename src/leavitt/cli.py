@@ -2,9 +2,11 @@
 
 One verb per invariant.  Reports go to stdout as human-readable text, or as
 deterministic JSON with --json (keys sorted, so identical inputs give byte
-identical output).  Exit codes separate the four outcomes: 0 success, 1 a
+identical output).  Exit codes separate the five outcomes: 0 success, 1 a
 mathematical obstruction (still a successful computation), 2 input error,
-3 a budget or cap was exhausted before a verdict.
+3 a budget or cap was exhausted before a verdict, 4 an internal check
+failed (a bug in this package, reported as ``internal error: ...`` on
+stderr).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .filtered import RowCapError, compare_fkbar, fkbar
 from .graphs import Graph, GraphFormatError, parse_graph, parse_matrix
@@ -33,6 +36,7 @@ EXIT_OK = 0
 EXIT_OBSTRUCTION = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -536,9 +540,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call in this process shares.
+
+    Parsing keeps no state in the parser (each call gets a fresh namespace
+    and no default is mutable), so building it once is safe.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, lines, code = args.func(args)
     except (GraphFormatError, ValueError, OSError, KeyError) as exc:
@@ -547,6 +560,9 @@ def main(argv=None) -> int:
     except (LatticeCapError, RowCapError) as exc:
         print(f"cap exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except AssertionError as exc:
+        print(f"internal error: {exc or 'assertion failed'}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:

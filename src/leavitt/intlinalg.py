@@ -3,12 +3,12 @@
 One Smith elimination is the engine here, run in two ways.
 :func:`invariant_factors` runs it on the matrix alone and serves the callers
 that need only the diagonal, the rank or the determinant: group invariants
-(``PresentedGroup.invariants``, ``FgAbGroup.from_parts``), the shift
-invariants, and the subgroup inclusion tests of :func:`subgroup_equal` and
-of :func:`check_exact`, the one exactness checker.  :func:`snf` also tracks
-the unimodular transforms and serves the callers that need them: canonical
-class forms, kernels (and so the kernels :func:`check_exact` compares),
-lattice membership, solving, unimodular inverses and preimage lattices.
+(``PresentedGroup.invariants``), the shift invariants, and the subgroup
+inclusion tests of :func:`subgroup_equal` and of :func:`check_exact`, the
+one exactness checker.  :func:`snf` also tracks the unimodular transforms
+and serves the callers that need them: canonical class forms, kernels (and
+so the kernels :func:`check_exact` compares), lattice membership, solving,
+unimodular inverses and preimage lattices.
 :func:`coker_with_coefficients` reads its diagonal from :func:`snf` too,
 because K1 needs the kernel of the same matrix.  Everything runs on Python
 ints, so there is no overflow and no floating point anywhere.
@@ -78,6 +78,19 @@ class IntMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", rows)
 
+    @classmethod
+    def _trusted(cls, rows, cols):
+        """Wrap a tuple of int row tuples, each ``cols`` long, unchecked.
+
+        Only for rows this class has just built from entries of existing
+        matrices; public construction goes through the checks above.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", rows)
+        return m
+
     def __setattr__(self, *_):
         raise AttributeError("IntMatrix is immutable")
 
@@ -130,11 +143,13 @@ class IntMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def take_rows(self, indices):
-        return IntMatrix(tuple(self.data[i] for i in indices), cols=self.cols)
+        return IntMatrix._trusted(tuple(self.data[i] for i in indices), self.cols)
 
     def take_columns(self, indices):
         indices = list(indices)
-        return IntMatrix(tuple(tuple(r[j] for j in indices) for r in self.data), cols=len(indices))
+        return IntMatrix._trusted(
+            tuple(tuple(r[j] for j in indices) for r in self.data), len(indices)
+        )
 
     def to_lists(self):
         return [list(r) for r in self.data]
@@ -146,55 +161,57 @@ class IntMatrix:
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
             od = other.data
-            return IntMatrix(
+            return IntMatrix._trusted(
                 tuple(
                     tuple(sum(a * od[k][j] for k, a in enumerate(row)) for j in range(other.cols))
                     for row in self.data
                 ),
-                cols=other.cols,
+                other.cols,
             )
-        # vector: tuple/list of length cols
+        # vector: tuple/list of length cols; most vectors here are sparse,
+        # so only their nonzero entries are multiplied
         vec = tuple(other)
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * vec[k] for k, a in enumerate(row)) for row in self.data)
+        nonzero = [(k, x) for k, x in enumerate(vec) if x]
+        return tuple(sum(row[k] * x for k, x in nonzero) for row in self.data)
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return IntMatrix(
+        return IntMatrix._trusted(
             tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)),
-            cols=self.cols,
+            self.cols,
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return IntMatrix(tuple(tuple(-a for a in r) for r in self.data), cols=self.cols)
+        return IntMatrix._trusted(tuple(tuple(-a for a in r) for r in self.data), self.cols)
 
     def scale(self, k):
         k = int(k)
-        return IntMatrix(tuple(tuple(k * a for a in r) for r in self.data), cols=self.cols)
+        return IntMatrix._trusted(tuple(tuple(k * a for a in r) for r in self.data), self.cols)
 
     def transpose(self):
-        return IntMatrix(
+        return IntMatrix._trusted(
             tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)),
-            cols=self.rows,
+            self.rows,
         )
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return IntMatrix(
+        return IntMatrix._trusted(
             tuple(r1 + r2 for r1, r2 in zip(self.data, other.data)),
-            cols=self.cols + other.cols,
+            self.cols + other.cols,
         )
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("column count mismatch")
-        return IntMatrix(self.data + other.data, cols=self.cols)
+        return IntMatrix._trusted(self.data + other.data, self.cols)
 
     def pow(self, k):
         """Exact k-th power of a square matrix, k >= 0."""
@@ -672,10 +689,12 @@ class FgAbGroup:
                 free += 1
             elif t > 1:
                 tors.append(t)
-        if not tors:
-            return cls(free, ())
-        chain = tuple(x for x in invariant_factors(IntMatrix.diagonal(tors)).diagonal if x > 1)
-        return cls(free, chain)
+        # Z/a + Z/b = Z/gcd + Z/lcm; after pass i, tors[i] divides every later order
+        for i in range(len(tors)):
+            for j in range(i + 1, len(tors)):
+                a, b = tors[i], tors[j]
+                tors[i], tors[j] = math.gcd(a, b), math.lcm(a, b)
+        return cls(free, tuple(t for t in tors if t > 1))
 
     def order(self):
         """Group order, or None when infinite."""

@@ -198,12 +198,15 @@ class VdbReport:
 
     Two facts are verified: every kernel basis vector of the transfer matrix
     (the free part of K1) maps under psi to an element that phi sends to
-    zero in graded K0, decided by exact graded equality; and phi followed by
-    forgetting levels is zero on every vertex generator.  The rest is
-    identification, not computation: ``ker_phi`` is the free group on that
-    kernel basis and ``coker_phi`` is K0, as the exactness of the sequence
-    says they are, and ``lift_witnesses`` name the level-0 lift of each
-    vertex generator.
+    zero in graded K0, decided by exact graded equality; and forgetting
+    levels is a well-defined map from graded K0 to K0, so that phi followed
+    by it is zero.  On generators v(i) the composite is zero by definition;
+    what needs checking is that each graded relation v(0) - sum r(e)(-1),
+    over the edges e leaving a regular vertex v, forgets to a zero class of
+    the K0 presentation.  The rest is identification, not computation:
+    ``ker_phi`` is the free group on that kernel basis and ``coker_phi`` is
+    K0, as the exactness of the sequence says they are, and
+    ``lift_witnesses`` name the level-0 lift of each vertex generator.
     """
 
     k1: KOneBar
@@ -233,11 +236,12 @@ def vdb_sequence(g: Graph, coeff: CoeffGroup) -> VdbReport:
         image = phi(psi_regular(g, x))
         if not graded_equal(g, image, GradedElement.zero()).is_equal:
             into_ker = False
-    # forgetting levels kills phi: check on every generator
+    # forgetting levels respects every graded relation, one level down as in
+    # the level form's rewriting step
     composes_zero = True
-    for v in g.vertices:
-        image = phi(GradedElement.of([(v, 0, 1)]))
-        forgotten = image.forget_levels()
+    for v in g.regulars:
+        relation = GradedElement.of([(v, 0, 1)] + [(e.dst, -1, -1) for e in g.out_edges(v)])
+        forgotten = relation.forget_levels()
         vec = tuple(forgotten.get(w, 0) for w in g.vertices)
         if not kzero.group.is_zero_class(vec):
             composes_zero = False

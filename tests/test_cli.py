@@ -11,6 +11,7 @@ import pytest
 
 import helpers as H
 import leavitt
+from leavitt import cli
 from leavitt.cli import main
 from leavitt.graphs import graph_from_matrix, graph_to_text
 from leavitt.intlinalg import IntMatrix
@@ -102,6 +103,46 @@ class TestExitCodes:
         )
         assert code == 3
         assert out.startswith("unknown:")
+
+    def test_internal_error_is_four(self, capsys, files, monkeypatch):
+        def broken(g, coeff):
+            raise AssertionError("kernel basis vector is not in the kernel")
+
+        # the name the CLI resolves when it runs vdb
+        monkeypatch.setattr(cli, "vdb_sequence", broken)
+        code, out, err = run(capsys, ["vdb", files["loop"]])
+        assert (code, out) == (4, "")
+        assert err == "internal error: kernel basis vector is not in the kernel\n"
+        assert "Traceback" not in err
+
+
+class TestParserReuse:
+    def test_build_parser_builds_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "capped, plain",
+        [
+            (["fk", "fan", "--row-cap", "1"], ["fk", "fan"]),
+            (
+                ["monoid-eq", "rose2", "v", "2*v", "--budget-states", "1"],
+                ["monoid-eq", "rose2", "v", "2*v"],
+            ),
+        ],
+    )
+    def test_calls_share_no_state(self, capsys, files, capped, plain):
+        capped = ["--json"] + [files.get(a, a) for a in capped]
+        plain = ["--json"] + [files.get(a, a) for a in plain]
+        assert run(capsys, capped)[0] == 3
+        code, out, err = run(capsys, plain)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "leavitt.cli", *plain],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert (code, err) == (0, "")
+        assert (fresh.returncode, fresh.stdout) == (0, out)
 
 
 class TestHumanOutput:

@@ -128,6 +128,54 @@ class TestIntMatrix:
         assert m.to_lists() == [[1, 3], [2, 4]]
         assert IntMatrix.from_columns([], rows=2).shape == (2, 0)
 
+    def test_matvec_matches_dense_reference(self):
+        rng = random.Random(23)
+        for _ in range(400):
+            nr, nc = rng.randint(0, 6), rng.randint(0, 6)
+            m = random_matrix(rng, nr, nc)
+            kind = rng.randrange(4)
+            if kind == 0 or nc == 0:
+                vec = [0] * nc
+            elif kind == 1:
+                vec = [0] * nc
+                vec[rng.randrange(nc)] = rng.choice([-7, -1, 1, 5])
+            else:
+                vec = [rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(nc)]
+            dense = tuple(sum(m[i, k] * vec[k] for k in range(nc)) for i in range(nr))
+            assert m @ vec == dense
+            assert m @ tuple(vec) == dense
+        assert IntMatrix([[], []], cols=0) @ () == (0, 0)
+        with pytest.raises(ValueError):
+            IntMatrix([[1, 2]]) @ (1,)
+        with pytest.raises(ValueError):
+            IntMatrix([[], []], cols=0) @ (0,)
+
+    def test_internal_results_equal_checked_construction(self):
+        rng = random.Random(29)
+        for _ in range(150):
+            nr, nc = rng.randint(0, 4), rng.randint(0, 4)
+            a = random_matrix(rng, nr, nc)
+            b = random_matrix(rng, nr, nc)
+            c = random_matrix(rng, nc, rng.randint(0, 4))
+            rows = [i for i in range(nr) if rng.random() < 0.5]
+            cols = [j for j in range(nc) if rng.random() < 0.5]
+            results = [
+                (a @ c, (nr, c.cols)),
+                (a + b, (nr, nc)),
+                (a - b, (nr, nc)),
+                (-a, (nr, nc)),
+                (a.scale(rng.randint(-3, 3)), (nr, nc)),
+                (a.transpose(), (nc, nr)),
+                (a.hstack(b), (nr, 2 * nc)),
+                (a.vstack(b), (2 * nr, nc)),
+                (a.take_rows(rows), (len(rows), nc)),
+                (a.take_columns(cols), (nr, len(cols))),
+            ]
+            for r, shape in results:
+                checked = IntMatrix(r.data, cols=r.cols)
+                assert r == checked and hash(r) == hash(checked)
+                assert r.shape == checked.shape == shape
+
 
 # ---------------------------------------------------------------------------
 # Smith normal form
@@ -375,6 +423,24 @@ class TestGroups:
         assert str(FgAbGroup.from_parts(1, (4, 2))) == "Z ⊕ Z/2 ⊕ Z/4"
         assert str(FgAbGroup.from_parts(0, ())) == "0"
         assert str(FgAbGroup.from_parts(2, ())) == "Z^2"
+
+    def test_from_parts_matches_smith_oracle(self):
+        def via_smith(free_rank, torsion):
+            tors = [abs(t) for t in torsion if abs(t) > 1]
+            free = free_rank + sum(1 for t in torsion if t == 0)
+            if not tors:
+                return FgAbGroup(free, ())
+            diag = invariant_factors(IntMatrix.diagonal(tors)).diagonal
+            return FgAbGroup(free, tuple(x for x in diag if x > 1))
+
+        rng = random.Random(31)
+        pool = [0, 1, -1, 2, -2, 3, 4, -4, 5, 6, 8, 9, 12, 25, 27, 35, 49, 60, 64, 97, 210]
+        cases = [(0, ()), (1, (0, 1, -1)), (0, (4, 4, 2, 2)), (0, (3, 5, 7)), (2, (-6, 10, 15))]
+        for _ in range(300):
+            torsion = tuple(rng.choice(pool) for _ in range(rng.randint(0, 6)))
+            cases.append((rng.randint(0, 2), torsion))
+        for free_rank, torsion in cases:
+            assert FgAbGroup.from_parts(free_rank, torsion) == via_smith(free_rank, torsion)
 
     def test_order(self):
         assert FgAbGroup.from_parts(0, (2, 3)).order() == 6

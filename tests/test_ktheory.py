@@ -5,6 +5,7 @@ import random
 import pytest
 
 import helpers as H
+from leavitt import ktheory
 from leavitt.graphs import Graph, relabel
 from leavitt.intlinalg import (
     CoeffGroup,
@@ -14,8 +15,10 @@ from leavitt.intlinalg import (
     PresentedGroup,
     check_exact,
     check_well_defined,
+    cokernel,
 )
 from leavitt.ktheory import (
+    KZero,
     connecting_delta,
     k0,
     k1,
@@ -167,6 +170,18 @@ class TestVdbSequence:
             assert rep.consistent
             assert rep.phi_composes_to_zero
             assert rep.kernel_maps_into_ker_phi
+
+    def test_wrong_k0_presentation_breaks_phi_check(self, rose2, monkeypatch):
+        # K0 presented as the free group on the vertices: v(0) - 2*v(-1)
+        # forgets to -v, which is not zero there
+        def free_k0(g):
+            return KZero(group=cokernel(IntMatrix.zeros(len(g.vertices), 0), labels=g.vertices))
+
+        assert vdb_sequence(rose2, CoeffGroup.units_of_field(5)).phi_composes_to_zero
+        monkeypatch.setattr(ktheory, "k0", free_k0)
+        rep = vdb_sequence(rose2, CoeffGroup.units_of_field(5))
+        assert not rep.phi_composes_to_zero
+        assert not rep.consistent
 
     def test_loop_witnesses(self, loop):
         rep = vdb_sequence(loop, CoeffGroup.reduced_units_of_field(5))
