@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .graphs import Graph
@@ -105,6 +105,53 @@ def _count_triples(lattice: IdealLattice) -> int:
     return sum(b * a for b, a in zip(below, above))
 
 
+def _checked_lattice(g: Graph, lattice_cap: int, row_cap: int | None) -> IdealLattice:
+    """The ideal lattice of g; RowCapError past ``row_cap`` nested triples.
+
+    ``row_cap`` None skips the count, for a table built without rows.
+    """
+    lattice = enumerate_hsat(g, cap=lattice_cap)
+    if row_cap is not None:
+        count = _count_triples(lattice)
+        if count > row_cap:
+            raise RowCapError(
+                f"nested triples exceed row cap {row_cap} "
+                f"(the {len(lattice)}-element lattice has {count})"
+            )
+    return lattice
+
+
+def _entry_table(lattice: IdealLattice, store: SubquotientStore) -> FilteredKTable:
+    """The table of the store's graph: an entry per locally closed piece, no rows."""
+    topo = spectrum(lattice)
+    pieces = locally_closed_all(topo)
+    entries = []
+    for piece in pieces:
+        outer = lattice.members(piece.outer_index)
+        inner = lattice.members(piece.inner_index)
+        pair = store.get(frozenset(inner), frozenset(outer))
+        entries.append(
+            TableEntry(
+                piece=piece,
+                outer_members=outer,
+                inner_members=inner,
+                graph=pair.graph,
+                kzero=pair.k0,
+                konebar=pair.k1,
+            )
+        )
+    return FilteredKTable(
+        graph=store.graph,
+        coeff=store.coeff,
+        lattice=lattice,
+        topology=topo,
+        pieces=pieces,
+        entries=tuple(entries),
+        rows=(),
+        row_triples=(),
+    )
+
+
 def fkbar(
     g: Graph,
     coeff: CoeffGroup,
@@ -116,67 +163,72 @@ def fkbar(
 
     Each row is verified at construction; ``all_rows_exact`` summarizes the
     verdicts rather than hiding them.  Every subquotient an entry or a row
-    needs is built once, with its K-groups, and shared.  Raises RowCapError
+    needs is built once, with its K-groups, and shared, and so is the
+    exactness verdict of each distinct row skeleton.  Raises RowCapError
     before any row is built when the lattice has more than ``row_cap``
     nested triples.
     """
-    lattice = enumerate_hsat(g, cap=lattice_cap)
-    n = len(lattice)
-    if include_rows:
-        count = _count_triples(lattice)
-        if count > row_cap:
-            raise RowCapError(
-                f"nested triples exceed row cap {row_cap} "
-                f"(the {n}-element lattice has {count})"
-            )
-    topo = spectrum(lattice)
-    pieces = locally_closed_all(topo)
-    members = [frozenset(lattice.members(i)) for i in range(n)]
+    lattice = _checked_lattice(g, lattice_cap, row_cap if include_rows else None)
     store = SubquotientStore(g, coeff)
-    entries = []
-    for piece in pieces:
-        pair = store.get(members[piece.inner_index], members[piece.outer_index])
-        entries.append(
-            TableEntry(
-                piece=piece,
-                outer_members=lattice.members(piece.outer_index),
-                inner_members=lattice.members(piece.inner_index),
-                graph=pair.graph,
-                kzero=pair.k0,
-                konebar=pair.k1,
-            )
-        )
-    rows = []
-    triples = []
-    if include_rows:
-        for i in range(n):
-            for j in range(i, n):
-                if not lattice.leq(i, j):
-                    continue
-                for p in range(j, n):
-                    if not lattice.leq(j, p):
-                        continue
-                    rows.append(
-                        six_term_row(
-                            g,
-                            members[i],
-                            members[j],
-                            members[p],
-                            coeff,
-                            store=store,
-                        )
-                    )
-                    triples.append((i, j, p))
-    return FilteredKTable(
-        graph=g,
-        coeff=coeff,
-        lattice=lattice,
-        topology=topo,
-        pieces=pieces,
-        entries=tuple(entries),
-        rows=tuple(rows),
-        row_triples=tuple(triples),
+    table = _entry_table(lattice, store)
+    if not include_rows:
+        return table
+    source = _RowSource(table, store)
+    return replace(
+        table,
+        rows=tuple(source.row(trip) for trip in source.triples),
+        row_triples=source.triples,
     )
+
+
+def _is_row_triple(lattice: IdealLattice, trip) -> bool:
+    """Does a table hold a row for this triple?  Indices rise along the order."""
+    i, j, p = trip
+    return i <= j <= p and lattice.leq(i, j) and lattice.leq(j, p)
+
+
+class _RowSource:
+    """The rows of one table by lattice triple, each built and signed once.
+
+    A row is built through the table's subquotient ``store`` on first
+    request, with every check of :func:`six_term_row`.  ``skeleton_classes``
+    keeps the signature part of each label-less row skeleton, and two
+    sources may share it.
+    """
+
+    def __init__(self, table: FilteredKTable, store: SubquotientStore, skeleton_classes=None):
+        lattice = table.lattice
+        n = len(lattice)
+        self.table = table
+        self.store = store
+        self.triples = tuple(
+            (i, j, p)
+            for i in range(n)
+            for j in range(i, n)
+            if lattice.leq(i, j)
+            for p in range(j, n)
+            if lattice.leq(j, p)
+        )
+        self._members = [frozenset(lattice.members(i)) for i in range(n)]
+        self._rows = {}
+        self._signatures = {}
+        self._skeleton_classes = {} if skeleton_classes is None else skeleton_classes
+
+    def row(self, trip) -> SixTermRow | None:
+        """The row of a nested triple; None when the table has no such row."""
+        row = self._rows.get(trip)
+        if row is None and _is_row_triple(self.table.lattice, trip):
+            i, j, p = (self._members[k] for k in trip)
+            row = self._rows[trip] = six_term_row(
+                self.table.graph, i, j, p, self.table.coeff, store=self.store
+            )
+        return row
+
+    def signature(self, trip):
+        sig = self._signatures.get(trip)
+        if sig is None:
+            sig = self._signatures[trip] = _row_signature(self.row(trip), self._skeleton_classes)
+        return sig
 
 
 # ---------------------------------------------------------------------------
@@ -199,22 +251,26 @@ def _konebar_class(kb: KOneBar):
     return (kb.kernel_rank, twisted)
 
 
-def _row_signature(row: SixTermRow):
+def _row_signature(row: SixTermRow, skeleton_classes: dict):
     """Invariant tuple of a six-term row: group classes and map classes.
 
     Map classes are the kernel/image/cokernel triples of the five maps of
     the row skeleton, so equal signatures mean no Z-level rank or invariant
-    factor tells the rows apart.
+    factor tells the rows apart.  Skeletons are label-less and recur across
+    rows, so ``skeleton_classes`` keeps the group and map classes of each,
+    computed once.
     """
-    map_sigs = tuple(
-        map_invariants(f.matrix, f.domain.relations, f.codomain.relations)
-        for f in row.maps
-    )
-    return (
-        tuple(n.invariants() for n in row.groups),
-        tuple(_konebar_class(kb) for kb in row.k1bars),
-        map_sigs,
-    )
+    skeleton = skeleton_classes.get(row.maps)
+    if skeleton is None:
+        skeleton = skeleton_classes[row.maps] = (
+            tuple(n.invariants() for n in row.groups),
+            tuple(
+                map_invariants(f.matrix, f.domain.relations, f.codomain.relations)
+                for f in row.maps
+            ),
+        )
+    groups, maps = skeleton
+    return (groups, tuple(_konebar_class(kb) for kb in row.k1bars), maps)
 
 
 # ---------------------------------------------------------------------------
@@ -528,29 +584,15 @@ def _match_entries(t1: FilteredKTable, t2: FilteredKTable, iso):
     return verdicts, bad.detail if bad else ""
 
 
-def _signatures(table: FilteredKTable):
-    """Row signature by lattice triple, each computed on first request."""
-    rows = dict(zip(table.row_triples, table.rows))
-    memo = {}
-
-    def signature(trip):
-        if trip not in memo:
-            memo[trip] = _row_signature(rows[trip])
-        return memo[trip]
-
-    return signature
-
-
-def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool, signatures):
-    rows2 = {trip: row for trip, row in zip(t2.row_triples, t2.rows)}
-    sig1, sig2 = signatures
+def _match_rows(rows1: _RowSource, rows2: _RowSource, iso, run_elements: bool):
     verdicts = []
     element_outcomes = []
     failure = ""
-    for trip, row in zip(t1.row_triples, t1.rows):
+    for trip in rows1.triples:
+        row = rows1.row(trip)
         # an order isomorphism maps a nested triple to a nested triple
         other_trip = (iso[trip[0]], iso[trip[1]], iso[trip[2]])
-        other = rows2.get(other_trip)
+        other = rows2.row(other_trip)
         if other is None:
             verdicts.append(
                 RowVerdict(triple=trip, matched=False, detail="row missing in second table")
@@ -558,7 +600,7 @@ def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool,
             failure = failure or f"row {other_trip} missing in the second table"
             continue
         problems = []
-        if sig1(trip) != sig2(other_trip):
+        if rows1.signature(trip) != rows2.signature(other_trip):
             problems.append("map invariants differ")
         if not row.exact:
             problems.append("first table row failed exactness")
@@ -594,12 +636,20 @@ def compare_fkbar(
     candidate; enumeration covers the rest.  For each candidate the checks
     run in order: prime and piece bijections, per-piece group classes,
     per-row map invariants plus exactness, then (for small groups) an
-    element-level search for commuting isomorphism systems.  Each row's
-    signature is computed at most once, whatever the number of candidates.
+    element-level search for commuting isomorphism systems.  Both lattices
+    are checked against ``lattice_cap`` and ``row_cap`` and both tables'
+    entries are built before any candidate is tried.  A row is built, with
+    every check of :func:`six_term_row`, only when a candidate matches
+    every entry; each row and its signature are computed at most once,
+    whatever the number of candidates.
     """
-    t1 = fkbar(g1, coeff, lattice_cap=lattice_cap, row_cap=row_cap)
-    t2 = fkbar(g2, coeff, lattice_cap=lattice_cap, row_cap=row_cap)
-    signatures = (_signatures(t1), _signatures(t2))
+    lattice1 = _checked_lattice(g1, lattice_cap, row_cap)
+    lattice2 = _checked_lattice(g2, lattice_cap, row_cap)
+    store1, store2 = SubquotientStore(g1, coeff), SubquotientStore(g2, coeff)
+    t1, t2 = _entry_table(lattice1, store1), _entry_table(lattice2, store2)
+    skeleton_classes = {}
+    rows1 = _RowSource(t1, store1, skeleton_classes)
+    rows2 = _RowSource(t2, store2, skeleton_classes)
 
     candidates = []
     if se_intertwiner is not None:
@@ -633,7 +683,7 @@ def compare_fkbar(
             score = sum(1 for v in piece_verdicts if not v.matched)
         else:
             row_verdicts, row_failure, element_outcomes = _match_rows(
-                t1, t2, iso, run_elements=element_search, signatures=signatures
+                rows1, rows2, iso, run_elements=element_search
             )
             if element_outcomes and all(e == "passed" for e in element_outcomes):
                 element = "passed"
@@ -649,7 +699,8 @@ def compare_fkbar(
                     certification = (
                         "exhaustive"
                         if all(
-                            _row_element_coverage(row) == "full" for row in t1.rows
+                            _row_element_coverage(rows1.row(trip)) == "full"
+                            for trip in rows1.triples
                         )
                         else "bounded"
                     )

@@ -61,7 +61,7 @@ class IntMatrix:
         Required when ``data`` has no rows, to pin down the column count.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_hash")
 
     def __init__(self, data, cols=None):
         rows = tuple(tuple(int(x) for x in row) for row in data)
@@ -82,8 +82,9 @@ class IntMatrix:
     def _trusted(cls, rows, cols):
         """Wrap a tuple of int row tuples, each ``cols`` long, unchecked.
 
-        Only for rows this class has just built from entries of existing
-        matrices; public construction goes through the checks above.
+        Only for rows this module has just built, from entries of existing
+        matrices or from literal zeros and ones; public construction goes
+        through the checks above.
         """
         m = object.__new__(cls)
         object.__setattr__(m, "rows", len(rows))
@@ -98,11 +99,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), cols=n)
+        return cls._trusted(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(tuple((0,) * cols for _ in range(rows)), cols=cols)
+        return cls._trusted(((0,) * cols,) * rows, cols)
 
     @classmethod
     def diagonal(cls, entries, rows=None, cols=None):
@@ -150,6 +151,34 @@ class IntMatrix:
         return IntMatrix._trusted(
             tuple(tuple(r[j] for j in indices) for r in self.data), len(indices)
         )
+
+    def scatter_rows(self, indices, rows):
+        """The ``rows``-row matrix with row k of self at row ``indices[k]``.
+
+        Every other row is zero.  With distinct indices this is the product
+        of the 0/1 matrix placing them among ``range(rows)`` with self, and
+        ``take_rows(indices)`` undoes it.
+        """
+        indices = list(indices)
+        if len(indices) != self.rows:
+            raise ValueError("one index per row needed")
+        out = [(0,) * self.cols] * rows
+        for i, r in zip(indices, self.data):
+            out[i] = r
+        return IntMatrix._trusted(tuple(out), self.cols)
+
+    def scatter_columns(self, indices, cols):
+        """The ``cols``-column matrix with column k of self at ``indices[k]``."""
+        indices = list(indices)
+        if len(indices) != self.cols:
+            raise ValueError("one index per column needed")
+        out = []
+        for r in self.data:
+            row = [0] * cols
+            for j, x in zip(indices, r):
+                row[j] = x
+            out.append(tuple(row))
+        return IntMatrix._trusted(tuple(out), cols)
 
     def to_lists(self):
         return [list(r) for r in self.data]
@@ -275,7 +304,13 @@ class IntMatrix:
         )
 
     def __hash__(self):
-        return hash((self.cols, self.data))
+        # matrices key the Smith caches and the row memos again and again
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.cols, self.data))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]!r}, cols={self.cols})"
@@ -437,9 +472,9 @@ def snf(m: IntMatrix) -> SmithData:
             u[t] = [-a for a in u[t]]
         t += 1
     return SmithData(
-        u=IntMatrix(u, cols=rows),
+        u=IntMatrix._trusted(tuple(map(tuple, u)), rows),
         diagonal=tuple(d[i][i] for i in range(limit)),
-        v=IntMatrix(v, cols=cols),
+        v=IntMatrix._trusted(tuple(map(tuple, v)), cols),
     )
 
 

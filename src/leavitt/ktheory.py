@@ -70,11 +70,11 @@ def k_matrix(g: Graph) -> IntMatrix:
     object, so the Smith caches keyed on it hold one key, not two equal
     ones; one entry keeps no more than the last graph alive.
     """
-    a = g.adjacency()
+    a = g.adjacency().data
     reg = [g.index(w) for w in g.regulars]
-    rows = []
-    for i, _ in enumerate(g.vertices):
-        rows.append(tuple(a[j, i] - (1 if j == i else 0) for j in reg))
+    rows = [[a[j][i] for j in reg] for i in range(len(a))]
+    for jj, j in enumerate(reg):
+        rows[j][jj] -= 1
     return IntMatrix(rows, cols=len(reg))
 
 
@@ -372,14 +372,6 @@ def snake_rho(g: Graph, members, x) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _inclusion_matrix(sub_items, all_items) -> IntMatrix:
-    pos = {v: i for i, v in enumerate(all_items)}
-    rows = [[0] * len(sub_items) for _ in all_items]
-    for j, v in enumerate(sub_items):
-        rows[pos[v]][j] = 1
-    return IntMatrix(rows, cols=len(sub_items))
-
-
 class SubquotientK:
     """The subquotient graph of one pair inner <= outer, with its K-groups.
 
@@ -400,13 +392,18 @@ class SubquotientStore:
 
     Keys are (inner, outer) pairs of frozensets; a filtered table keeps one
     store for all its entries and rows, a lone six-term row a store of its
-    own.
+    own.  The store also keeps, for as long as it lives, the row work that
+    depends only on label-less values and so repeats across the rows of a
+    table: each distinct row skeleton with its node verdicts, which rows
+    with equal skeletons share, and the kernel coordinates of tau1 and tau2.
     """
 
     def __init__(self, g: Graph, coeff: CoeffGroup):
         self.graph = g
         self.coeff = coeff
         self._pairs = {}
+        self._coordinates = {}
+        self._skeletons = {}
 
     def get(self, inner: frozenset, outer: frozenset) -> SubquotientK:
         key = (inner, outer)
@@ -415,6 +412,20 @@ class SubquotientStore:
             pair = SubquotientK(subquotient(self.graph, inner, outer), self.coeff)
             self._pairs[key] = pair
         return pair
+
+    def _kernel_coordinates(self, basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
+        key = (basis, vectors)
+        coords = self._coordinates.get(key)
+        if coords is None:
+            coords = self._coordinates[key] = _kernel_coordinates(basis, vectors)
+        return coords
+
+    def _skeleton(self, maps: tuple[GroupMap, ...]):
+        """The first skeleton equal to ``maps``, and its node verdicts."""
+        skeleton = self._skeletons.get(maps)
+        if skeleton is None:
+            skeleton = self._skeletons[maps] = (maps, _skeleton_nodes(maps, self.coeff))
+        return skeleton
 
 
 def _kernel_coordinates(target_basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
@@ -441,6 +452,41 @@ class NodeReport:
     def exact(self):
         coeff_ok = self.coeff_exact is None or self.coeff_exact
         return self.z_image_in_kernel and self.z_kernel_in_image and coeff_ok
+
+
+def _skeleton_nodes(maps, coeff: CoeffGroup) -> tuple[NodeReport, ...]:
+    """Verdicts at the four interior nodes of a row skeleton.
+
+    The Z-level fields come from :func:`check_exact` on the five maps.  For
+    finite cyclic coefficients Z/m, the two K1bar nodes are also decided on
+    the twisted cokernels coker(K) ⊗ Z/m = coker([K | mI]) of the three K0
+    presentations: exactness at the middle one under u12 and u23, and
+    onto-ness of u23.
+    """
+    z_nodes = check_exact(maps).nodes
+    coeff2 = coeff3 = None
+    if coeff.kind == "finite-cyclic":
+        u12, u23 = maps[3], maps[4]
+        c1, c2, c3 = (
+            PresentedGroup(km.rows, km.hstack(IntMatrix.identity(km.rows).scale(coeff.order)))
+            for km in (u12.domain.relations, u12.codomain.relations, u23.codomain.relations)
+        )
+        trivial = PresentedGroup(0, IntMatrix.zeros(0, 0))
+        middle_node, quotient_node = check_exact(
+            (
+                GroupMap(c1, c2, u12.matrix, name="u12"),
+                GroupMap(c2, c3, u23.matrix, name="u23"),
+                GroupMap(c3, trivial, IntMatrix.zeros(0, c3.generators)),
+            )
+        ).nodes
+        coeff2 = middle_node.exact
+        # the kernel of the zero map is all of c3: this inclusion is onto-ness
+        coeff3 = quotient_node.kernel_in_image
+    names = ("k1bar-middle", "k1bar-quotient", "k0-ideal", "k0-middle")
+    return tuple(
+        NodeReport(name, z.image_in_kernel, z.kernel_in_image, c)
+        for name, z, c in zip(names, z_nodes, (coeff2, coeff3, None, None))
+    )
 
 
 @dataclass(frozen=True)
@@ -482,15 +528,16 @@ def six_term_row(
 ) -> SixTermRow:
     """Build and verify the six-term row of a nested hereditary triple.
 
-    Z-level exactness at the four interior nodes is decided by
-    :func:`check_exact` on the row skeleton.  When the coefficient group is
-    finite cyclic, of order m, the two K1bar nodes are also decided at the
-    coefficient level, by :func:`check_exact` on the twisted cokernels
-    coker(K) ⊗ Z/m = coker([K | mI]) of the three subquotients: exactness
-    at the middle one and surjectivity onto the quotient one.  The three
-    subquotients and their K-groups come from ``store``
-    (a fresh one when None); the middle ideal's restriction and quotient are
-    computed here for every row and checked against them.
+    Exactness at the four interior nodes is decided on the row skeleton by
+    :func:`_skeleton_nodes`: at the Z level, and for finite cyclic
+    coefficients also at the two K1bar nodes on the twisted cokernels.  The
+    three subquotients and their K-groups come from ``store`` (a fresh one
+    when None), which decides each distinct skeleton once.  Every row still
+    computes the middle ideal's restriction and quotient and checks them
+    against the store, and checks the two squares that make the induced
+    maps well defined.  Inclusions and projections act by selecting and
+    scattering rows and columns at the positions of the smaller graphs'
+    vertices in the middle subquotient.
     """
     inner = frozenset(inner)
     middle_set = frozenset(middle)
@@ -517,54 +564,37 @@ def six_term_row(
     kb1, kb2, kb3 = (kb.kernel for kb in k1bars)
     delta = connecting_delta(g2, hprime, parts=(pair1, pair3))
 
-    ext_reg = _inclusion_matrix(g1.regulars, g2.regulars)
-    proj_reg = _inclusion_matrix(g3.regulars, g2.regulars).transpose()
-    ext_vert = _inclusion_matrix(g1.vertices, g2.vertices)
-    proj_vert = _inclusion_matrix(g3.vertices, g2.vertices).transpose()
+    reg_pos = {v: i for i, v in enumerate(g2.regulars)}
+    reg1 = [reg_pos[v] for v in g1.regulars]
+    reg3 = [reg_pos[v] for v in g3.regulars]
+    vert1 = [g2.index(v) for v in g1.vertices]
+    vert3 = [g2.index(v) for v in g3.vertices]
+    n2, r2 = len(g2.vertices), len(g2.regulars)
 
     # the squares that make every induced map well defined
-    if km2 @ ext_reg != ext_vert @ km1:
+    if km2.take_columns(reg1) != km1.scatter_rows(vert1, n2):
         raise AssertionError("ideal inclusion does not intertwine transfer matrices")
-    if proj_vert @ km2 != km3 @ proj_reg:
+    if km2.take_rows(vert3) != km3.scatter_columns(reg3, r2):
         raise AssertionError("quotient projection does not intertwine transfer matrices")
 
+    eye = IntMatrix.identity(n2)
     # label-less groups, so equal presentations hash alike across rows
     groups = tuple(
         PresentedGroup(kb.cols, IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3)
     ) + tuple(PresentedGroup(km.rows, km) for km in (km1, km2, km3))
     matrices = (
-        ("tau1", _kernel_coordinates(kb2, ext_reg @ kb1)),
-        ("tau2", _kernel_coordinates(kb3, proj_reg @ kb2)),
+        ("tau1", store._kernel_coordinates(kb2, kb1.scatter_rows(reg1, r2))),
+        ("tau2", store._kernel_coordinates(kb3, kb2.take_rows(reg3))),
         ("delta", delta.map.matrix),
-        ("u12", ext_vert),
-        ("u23", proj_vert),
+        ("u12", eye.take_columns(vert1)),
+        ("u23", eye.take_rows(vert3)),
     )
-    maps = tuple(
-        GroupMap(groups[k], groups[k + 1], m, name=name)
-        for k, (name, m) in enumerate(matrices)
-    )
-    z_nodes = check_exact(maps).nodes
-
-    coeff2 = coeff3 = None
-    if coeff.kind == "finite-cyclic":
-        c1, c2, c3 = (
-            PresentedGroup(km.rows, km.hstack(IntMatrix.identity(km.rows).scale(coeff.order)))
-            for km in (km1, km2, km3)
+    maps, nodes = store._skeleton(
+        tuple(
+            GroupMap(groups[k], groups[k + 1], m, name=name)
+            for k, (name, m) in enumerate(matrices)
         )
-        trivial = PresentedGroup(0, IntMatrix.zeros(0, 0))
-        middle_node, quotient_node = check_exact(
-            (
-                GroupMap(c1, c2, ext_vert, name="u12"),
-                GroupMap(c2, c3, proj_vert, name="u23"),
-                GroupMap(c3, trivial, IntMatrix.zeros(0, c3.generators)),
-            )
-        ).nodes
-        coeff2 = middle_node.exact
-        # the kernel of the zero map is all of c3: this inclusion is onto-ness
-        coeff3 = quotient_node.kernel_in_image
-
-    names = ("k1bar-middle", "k1bar-quotient", "k0-ideal", "k0-middle")
-    coeff_verdicts = (coeff2, coeff3, None, None)
+    )
     return SixTermRow(
         triple=(
             tuple(v for v in g.vertices if v in inner),
@@ -576,8 +606,5 @@ def six_term_row(
         k0s=(pair1.k0, pair2.k0, pair3.k0),
         delta=delta,
         maps=maps,
-        nodes=tuple(
-            NodeReport(name, z.image_in_kernel, z.kernel_in_image, c)
-            for name, z, c in zip(names, z_nodes, coeff_verdicts)
-        ),
+        nodes=nodes,
     )

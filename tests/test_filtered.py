@@ -189,26 +189,44 @@ class TestRowCap:
 class TestCompare:
     def test_row_signatures_computed_once_per_row(self, monkeypatch):
         g = disjoint_loops(2)
-        t = fkbar(g, COEFF)
+        t = fkbar(g, COEFF, include_rows=False)
         calls = []
         original = filtered._row_signature
 
-        def counting(row):
+        def counting(row, skeleton_classes):
             calls.append(row.triple)
-            return original(row)
+            return original(row, skeleton_classes)
 
         monkeypatch.setattr(filtered, "_row_signature", counting)
-        signatures = (filtered._signatures(t), filtered._signatures(t))
+        sources = (
+            filtered._RowSource(t, SubquotientStore(g, COEFF)),
+            filtered._RowSource(t, SubquotientStore(g, COEFF)),
+        )
+        rows = len(sources[0].triples)
         isos = list(filtered.lattice_isomorphisms(t.lattice, t.lattice))
-        assert len(isos) == 2
+        assert len(isos) == 2 and rows == 16
         for iso in isos:
-            verdicts, failure, _ = filtered._match_rows(
-                t, t, iso, run_elements=False, signatures=signatures
-            )
-            assert not failure and len(verdicts) == len(t.rows)
+            verdicts, failure, _ = filtered._match_rows(*sources, iso, run_elements=False)
+            assert not failure and len(verdicts) == rows
         # once per row of each of the two tables, not once per candidate
-        assert len(calls) == 2 * len(t.rows)
+        assert len(calls) == 2 * rows
 
+
+    def test_map_invariants_once_per_skeleton(self, monkeypatch):
+        g = disjoint_loops(3)
+        skeletons = {row.maps for row in fkbar(g, COEFF).rows}
+        calls = []
+        original = filtered.map_invariants
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(filtered, "map_invariants", counting)
+        assert compare_fkbar(g, g, COEFF, element_search=False).consistent
+        # both tables share one memo: five maps per distinct skeleton of 64 rows
+        assert len(skeletons) == 15
+        assert len(calls) == 5 * len(skeletons)
 
     def test_rose_pair_obstruction(self, rose2, rose3):
         rep = compare_fkbar(rose2, rose3, COEFF)
@@ -272,6 +290,49 @@ class TestCompare:
         assert compare_fkbar(rose2, rose3, COEFF) == compare_fkbar(rose2, rose3, COEFF)
         g2 = ones_graph()
         assert compare_fkbar(rose2, g2, COEFF) == compare_fkbar(rose2, g2, COEFF)
+
+
+def count_rows(monkeypatch):
+    built = []
+    original = filtered.six_term_row
+
+    def counting(*args, **kwargs):
+        built.append(args[1:4])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(filtered, "six_term_row", counting)
+    return built
+
+
+class TestRowsOnDemand:
+    """compare builds rows only for a candidate that matches every entry."""
+
+    def test_k0_differing_pair_builds_no_rows(self, rose2, rose3, monkeypatch):
+        built = count_rows(monkeypatch)
+        rep = compare_fkbar(rose2, rose3, COEFF)
+        assert built == []
+        assert not rep.consistent
+        assert rep.obstruction == "K0 0 vs Z/2; K1bar twisted part 0 vs Z/2"
+        assert rep.lattice_iso is None and rep.map_matches == ()
+        assert [(v.difference, v.matched, v.detail) for v in rep.group_matches] == [
+            ((), True, "entry classes agree"),
+            ((0,), False, "K0 0 vs Z/2; K1bar twisted part 0 vs Z/2"),
+        ]
+        assert (rep.certification, rep.element_check) == ("structural", "skipped")
+
+    def test_k0_differing_pair_still_meets_the_row_cap(self, rose2, rose3, monkeypatch):
+        built = count_rows(monkeypatch)
+        assert len(fkbar(rose2, COEFF).rows) == len(fkbar(rose3, COEFF).rows) == 4
+        built.clear()
+        with pytest.raises(RowCapError, match="row cap 3"):
+            compare_fkbar(rose2, rose3, COEFF, row_cap=3)
+        assert built == []
+
+    def test_matching_pair_builds_every_row_once(self, rose2, monkeypatch):
+        built = count_rows(monkeypatch)
+        rep = compare_fkbar(rose2, ones_graph(), COEFF)
+        assert rep.consistent and len(rep.map_matches) == 4
+        assert len(built) == 8
 
 
 class TestTransport:

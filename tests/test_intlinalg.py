@@ -170,11 +170,38 @@ class TestIntMatrix:
                 (a.vstack(b), (2 * nr, nc)),
                 (a.take_rows(rows), (len(rows), nc)),
                 (a.take_columns(cols), (nr, len(cols))),
+                (a.take_rows(rows).scatter_rows(rows, nr), (nr, nc)),
+                (a.take_columns(cols).scatter_columns(cols, nc), (nr, nc)),
+                (IntMatrix.zeros(nr, nc), (nr, nc)),
+                (IntMatrix.identity(nr), (nr, nr)),
             ]
+            sd = snf(a)
+            assert sd.verify(a)
+            results += [(sd.u, (nr, nr)), (sd.v, (nc, nc))]
             for r, shape in results:
                 checked = IntMatrix(r.data, cols=r.cols)
                 assert r == checked and hash(r) == hash(checked)
                 assert r.shape == checked.shape == shape
+
+    def test_select_and_scatter_match_dense_products(self):
+        # the 0/1 matrix placing k of n items is the oracle for index selection
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(0, 6)
+            positions = rng.sample(range(n), rng.randint(0, n))
+            items = [f"v{i}" for i in range(n)]
+            place = H._select([items[i] for i in positions], items)
+            k, c = len(positions), rng.randint(0, 4)
+            small, big = random_matrix(rng, k, c), random_matrix(rng, n, c)
+            assert small.scatter_rows(positions, n) == place @ small
+            assert big.take_rows(positions) == place.transpose() @ big
+            small, big = random_matrix(rng, c, k), random_matrix(rng, c, n)
+            assert small.scatter_columns(positions, n) == small @ place.transpose()
+            assert big.take_columns(positions) == big @ place
+        with pytest.raises(ValueError):
+            IntMatrix.identity(2).scatter_rows([0], 3)
+        with pytest.raises(ValueError):
+            IntMatrix.identity(2).scatter_columns([0, 1, 2], 3)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from leavitt.intlinalg import (
 )
 from leavitt.ktheory import (
     KZero,
+    SubquotientStore,
     connecting_delta,
     k0,
     k1,
@@ -51,6 +52,10 @@ class TestKMatrix:
             km = k_matrix(g)
             assert km.rows == g.num_vertices
             assert km.cols == len(g.regulars)
+
+    def test_matches_edge_count_oracle_on_corpus(self, corpus):
+        for g in corpus:
+            assert k_matrix(g) == H._transfer(g), g
 
     def test_definition(self, corpus):
         # entry (v, w) counts edges w -> v, minus 1 on the diagonal
@@ -235,7 +240,7 @@ class TestConnectingMap:
 ROW_MAP_NAMES = ("tau1", "tau2", "delta", "u12", "u23")
 
 
-def nested_rows(g, coeff):
+def nested_rows(g, coeff, store=None):
     """The six-term row of every nested triple of g's ideal lattice."""
     lat = enumerate_hsat(g)
     n = len(lat)
@@ -245,7 +250,9 @@ def nested_rows(g, coeff):
                 continue
             for p in range(j, n):
                 if lat.leq(j, p):
-                    yield six_term_row(g, lat.members(i), lat.members(j), lat.members(p), coeff)
+                    yield six_term_row(
+                        g, lat.members(i), lat.members(j), lat.members(p), coeff, store=store
+                    )
 
 
 def z_verdicts(nodes):
@@ -343,6 +350,22 @@ class TestRowSkeleton:
                     assert grp.relations == kz.group.relations == k_matrix(sub)
                 assert row.maps[2].matrix == row.delta.map.matrix
 
+    def test_corrupted_store_pair_breaks_a_square(self):
+        # two loops, ideal {a}: a store pair holding the transfer matrix of
+        # another graph on the same vertices fails one intertwining square
+        g = Graph(["a", "b"], [("x", "a", "a"), ("y", "b", "b")])
+        two_loops = k_matrix(Graph(["a"], [("x", "a", "a"), ("x2", "a", "a")]))
+        coeff = CoeffGroup.reduced_units_of_field(5)
+        for key, square in (
+            ((frozenset(), frozenset({"a"})), "ideal inclusion"),
+            ((frozenset({"a"}), frozenset({"a", "b"})), "quotient projection"),
+        ):
+            store = SubquotientStore(g, coeff)
+            six_term_row(g, set(), {"a"}, {"a", "b"}, coeff, store=store)
+            store.get(*key).km = two_loops
+            with pytest.raises(AssertionError, match=f"{square} does not intertwine transfer"):
+                six_term_row(g, set(), {"a"}, {"a", "b"}, coeff, store=store)
+
     def test_doubled_delta_is_one_sided_on_toeplitz(self):
         # im(2 delta) = 2Z sits inside ker(u12) = Z but does not fill it
         row = six_term_row(
@@ -353,19 +376,80 @@ class TestRowSkeleton:
         assert got == H.six_term_nodes_oracle(row.graphs, delta_scale=2)
 
 
-def twisted_chain(row, order, u12_scale=1, u23_scale=1):
-    """u12 and u23 between the twisted groups coker([K | order*I]) of a row,
-    then the zero map to the trivial group: the chain six_term_row checks."""
+def twisted_chain(maps, order, u12_scale=1, u23_scale=1):
+    """u12 and u23 between the twisted groups coker([K | order*I]) of a row
+    skeleton, then the zero map to the trivial group: the chain six_term_row
+    checks."""
     c1, c2, c3 = (
         PresentedGroup(km.rows, km.hstack(IntMatrix.identity(km.rows).scale(order)))
-        for km in (grp.relations for grp in row.groups[3:])
+        for km in (maps[3].domain.relations, maps[4].domain.relations, maps[4].codomain.relations)
     )
-    u12, u23 = row.maps[3].matrix.scale(u12_scale), row.maps[4].matrix.scale(u23_scale)
+    u12, u23 = maps[3].matrix.scale(u12_scale), maps[4].matrix.scale(u23_scale)
     return (
         GroupMap(c1, c2, u12),
         GroupMap(c2, c3, u23),
         GroupMap(c3, PresentedGroup(0, IntMatrix.zeros(0, 0)), IntMatrix.zeros(0, c3.generators)),
     )
+
+
+def fresh_verdicts(maps, coeff):
+    """Node verdicts of a skeleton from check_exact, with no store."""
+    z = z_verdicts(check_exact(maps).nodes)
+    twisted = (None, None)
+    if coeff.kind == "finite-cyclic":
+        middle, quotient = check_exact(twisted_chain(maps, coeff.order)).nodes
+        twisted = (middle.exact, quotient.kernel_in_image)
+    return z, twisted + (None, None)
+
+
+def store_verdicts(nodes):
+    z = tuple((n.z_image_in_kernel, n.z_kernel_in_image) for n in nodes)
+    return z, tuple(n.coeff_exact for n in nodes)
+
+
+def with_zero_u12(row):
+    f = row.maps[3]
+    zero = GroupMap(f.domain, f.codomain, f.matrix.scale(0), name="u12")
+    return row.maps[:3] + (zero,) + row.maps[4:]
+
+
+class TestSkeletonMemo:
+    """A store decides each distinct skeleton once; every row must still
+    carry the verdicts of a fresh check of its own maps."""
+
+    @pytest.mark.parametrize(
+        "coeff", [CoeffGroup.symbolic(), CoeffGroup.finite_cyclic(5)], ids=["symbolic", "z5"]
+    )
+    def test_nodes_equal_fresh_check_exact(self, corpus, coeff):
+        rows = shared = broken = 0
+        for g in corpus:
+            if g.num_vertices > 6:
+                continue
+            store = SubquotientStore(g, coeff)
+            skeletons = set()
+            for row in nested_rows(g, coeff, store=store):
+                assert store_verdicts(row.nodes) == fresh_verdicts(row.maps, coeff), (g, row.triple)
+                shared += row.maps in skeletons
+                skeletons.add(row.maps)
+                rows += 1
+                # skeletons that differ from a real one in a single map must
+                # not be served its verdicts
+                for maps in (with_doubled_delta(row), with_zero_u12(row)):
+                    got = store_verdicts(store._skeleton(maps)[1])
+                    expected = fresh_verdicts(maps, coeff)
+                    assert got == expected, (g, row.triple, maps[2].name, maps[3].matrix)
+                    broken += got != store_verdicts(row.nodes)
+        assert rows == 1491 and shared >= 300 and broken >= 100
+
+    def test_kernel_coordinates_are_shared(self):
+        g = Graph([f"x{i}" for i in range(3)], [(f"l{i}", f"x{i}", f"x{i}") for i in range(3)])
+        store = SubquotientStore(g, CoeffGroup.symbolic())
+        rows = list(nested_rows(g, CoeffGroup.symbolic(), store=store))
+        assert len(rows) == 64
+        for row in rows:
+            fresh = six_term_row(g, *row.triple, CoeffGroup.symbolic())
+            assert row.maps == fresh.maps and row.nodes == fresh.nodes
+        assert len(store._coordinates) < 2 * len(rows)
 
 
 class TestCoefficientNodes:
@@ -393,11 +477,11 @@ class TestCoefficientNodes:
         g = Graph(["a", "b"], [("x", "a", "a"), ("y", "b", "b")])
         row = six_term_row(g, set(), {"a"}, {"a", "b"}, CoeffGroup.reduced_units_of_field(5))
         assert [n.coeff_exact for n in row.nodes[:2]] == [True, True]
-        middle, quotient = check_exact(twisted_chain(row, 2, u12_scale=0)).nodes
+        middle, quotient = check_exact(twisted_chain(row.maps, 2, u12_scale=0)).nodes
         assert middle.image_in_kernel and not middle.kernel_in_image
         assert quotient.exact
         assert H.twisted_nodes_oracle(row.graphs, 2, u12_scale=0) == (False, True)
         # a zero u23 is not onto: the quotient node reads that as kernel_in_image
-        _, quotient = check_exact(twisted_chain(row, 2, u23_scale=0)).nodes
+        _, quotient = check_exact(twisted_chain(row.maps, 2, u23_scale=0)).nodes
         assert quotient.image_in_kernel and not quotient.kernel_in_image
-        assert check_exact(twisted_chain(row, 2)).exact
+        assert check_exact(twisted_chain(row.maps, 2)).exact

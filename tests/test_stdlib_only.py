@@ -4,7 +4,9 @@ Every ``src/leavitt/*.py`` is parsed with ``ast`` (nothing is imported), and
 the top-level name of each absolute import must be a standard-library module
 or ``leavitt`` itself.  Relative imports stay inside the package.  Every name
 a module imports must be read somewhere in it; ``__init__.py`` is left out,
-because its imports are the package's re-exports.
+because its imports are the package's re-exports.  Every private top-level
+function or class (a name starting with ``_``) must be referenced somewhere
+in its own module, so a helper a refactor orphans does not stay behind.
 """
 
 import ast
@@ -65,3 +67,20 @@ def unused_imports(path):
 def test_every_import_is_used(path):
     unused = unused_imports(path)
     assert not unused, unused
+
+
+def unreferenced_private_helpers(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    helpers = {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line}: {name}" for name, line in helpers.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_helper_is_referenced(path):
+    unreferenced = unreferenced_private_helpers(path)
+    assert not unreferenced, unreferenced
