@@ -20,7 +20,6 @@ from .intlinalg import (
     check_well_defined,
     coker_with_coefficients,
     cokernel,
-    group_iso,
     invariant_factors,
     kernel_basis,
     snf,

@@ -1,14 +1,16 @@
 """Exact linear algebra over the integers.
 
-One Smith elimination is the engine here, run in two ways.
-:func:`invariant_factors` runs it on the matrix alone and serves the callers
-that need only the diagonal, the rank or the determinant: group invariants
-(``PresentedGroup.invariants``), the shift invariants, and the subgroup
-inclusion tests of :func:`subgroup_equal` and of :func:`check_exact`, the
-one exactness checker.  :func:`snf` also tracks the unimodular transforms
-and serves the callers that need them: canonical class forms, kernels (and
-so the kernels :func:`check_exact` compares), lattice membership, solving,
-unimodular inverses and preimage lattices.
+One Smith elimination is the engine here: ``_smith`` pivots on the least
+entry of the trailing block and, when asked, carries the unimodular
+transforms along.  :func:`invariant_factors` runs it without transforms and
+serves the callers that need only the diagonal, the rank or the determinant:
+group invariants (``PresentedGroup.invariants``), the shift invariants, and
+the subgroup inclusion tests of :func:`subgroup_equal` and of
+:func:`check_exact`, the one exactness checker.  :func:`snf` runs it with
+transforms and serves the callers that need them: canonical class forms,
+kernels (and so the kernels :func:`check_exact` compares), lattice
+membership, solving, unimodular inverses and preimage lattices.  Both cache
+their results, and their diagonals agree because the elimination is one.
 :func:`coker_with_coefficients` reads its diagonal from :func:`snf` too,
 because K1 needs the kernel of the same matrix.  Everything runs on Python
 ints, so there is no overflow and no floating point anywhere.
@@ -35,7 +37,6 @@ __all__ = [
     "kernel_basis",
     "cokernel",
     "coker_with_coefficients",
-    "group_iso",
     "check_well_defined",
     "check_exact",
     "lattice_member",
@@ -354,17 +355,15 @@ class SmithData:
         return all(x >= 0 for x in diag)
 
 
-def _select_pivot(d, t, rows, cols):
+def _select_pivot(d):
     """Position of the entry with the least (abs value, row, column) key.
 
     The scan is row-major, so the first unit it meets already has the least
     key (1, i, j) and ends it.
     """
     best = None
-    for i in range(t, rows):
-        di = d[i]
-        for j in range(t, cols):
-            x = di[j]
+    for i, di in enumerate(d):
+        for j, x in enumerate(di):
             if x != 0:
                 if x == 1 or x == -1:
                     return (i, j)
@@ -374,107 +373,136 @@ def _select_pivot(d, t, rows, cols):
     return None if best is None else (best[1], best[2])
 
 
-def _first_indivisible_row(d, t, rows, cols, p):
-    """First row below t holding an entry right of t that p does not divide."""
+def _first_indivisible_row(d, p):
+    """First row below row 0 holding an entry right of column 0 that p does not divide."""
     if p == 1 or p == -1:
         return None
-    for i in range(t + 1, rows):
+    for i in range(1, len(d)):
         di = d[i]
-        for j in range(t + 1, cols):
+        for j in range(1, len(di)):
             if di[j] % p != 0:
                 return i
     return None
+
+
+def _smith(m: IntMatrix, transforms: bool):
+    """The one Smith elimination: ``(u, diagonal, v, sign)``.
+
+    Each step pivots on the least entry of the trailing block (see
+    ``_select_pivot``), clears its column by row operations and its row by
+    column operations, promoting any remainder to the pivot, and folds in
+    the first row that the pivot does not divide until none is left.  The
+    finished pivot row and column are then dropped, so the next step works
+    on the trailing block only.  With ``transforms`` the rows of u follow
+    every row operation and the columns of v every column operation, block
+    index i being global index t + i; otherwise u and v are None.  ``sign``
+    is the product of the signs of the swaps and negations.
+    """
+    rows, cols = m.rows, m.cols
+    d = [list(r) for r in m.data]
+    u = v = None
+    if transforms:
+        u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+        v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    diagonal = []
+    sign = 1
+    t = 0
+    while d and d[0]:
+        piv = _select_pivot(d)
+        if piv is None:
+            break
+        i, j = piv
+        if i:
+            d[0], d[i] = d[i], d[0]
+            if transforms:
+                u[t], u[t + i] = u[t + i], u[t]
+            sign = -sign
+        if j:
+            for r in d:
+                r[0], r[j] = r[j], r[0]
+            if transforms:
+                for r in v:
+                    r[t], r[t + j] = r[t + j], r[t]
+            sign = -sign
+        while True:
+            restart = False
+            p = d[0][0]
+            for i in range(1, len(d)):
+                x = d[i][0]
+                if x == 0:
+                    continue
+                q = x // p
+                d[i] = [a - q * b for a, b in zip(d[i], d[0])]
+                if transforms:
+                    u[t + i] = [a - q * b for a, b in zip(u[t + i], u[t])]
+                if x % p:
+                    # the remainder is smaller than the pivot: promote it
+                    d[0], d[i] = d[i], d[0]
+                    if transforms:
+                        u[t], u[t + i] = u[t + i], u[t]
+                    sign = -sign
+                    restart = True
+                    break
+            if restart:
+                continue
+            head = d[0]
+            for j in range(1, len(head)):
+                x = head[j]
+                if x == 0:
+                    continue
+                # column 0 is zero below the pivot, so subtracting x // p
+                # times column 0 changes this one entry of the block
+                head[j] = x % p
+                if transforms:
+                    q = x // p
+                    for r in v:
+                        if r[t]:
+                            r[t + j] -= q * r[t]
+                if head[j]:
+                    for r in d:
+                        r[0], r[j] = r[j], r[0]
+                    if transforms:
+                        for r in v:
+                            r[t], r[t + j] = r[t + j], r[t]
+                    sign = -sign
+                    restart = True
+                    break
+            if restart:
+                continue
+            bad = _first_indivisible_row(d, p)
+            if bad is None:
+                break
+            # fold the offending row into row 0; the next clearing pass
+            # shrinks the pivot toward the gcd
+            d[0] = [a + b for a, b in zip(head, d[bad])]
+            if transforms:
+                u[t] = [a + b for a, b in zip(u[t], u[t + bad])]
+        # the last pass changed no entry of row or column 0, so p = d[0][0]
+        if p < 0:
+            sign = -sign
+            if transforms:
+                u[t] = [-a for a in u[t]]
+        diagonal.append(abs(p))
+        del d[0]
+        for r in d:
+            del r[0]
+        t += 1
+    diagonal += [0] * (min(rows, cols) - len(diagonal))
+    return u, tuple(diagonal), v, sign
 
 
 @lru_cache(maxsize=65536)
 def snf(m: IntMatrix) -> SmithData:
     """Smith normal form with transforms, deterministically pivoted.
 
-    Returns
-    -------
-    SmithData
-        With ``u @ m @ v == d``.  Results are cached; matrices are immutable
-        so sharing is safe.
+    Returns :class:`SmithData` with ``u @ m @ v == d``.  Results are cached;
+    matrices are immutable so sharing is safe.
     """
-    rows, cols = m.rows, m.cols
-    d = [list(r) for r in m.data]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def row_sub(i, src, q):
-        d[i] = [a - q * b for a, b in zip(d[i], d[src])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[src])]
-
-    def col_sub(j, src, q):
-        for r in d:
-            if r[src]:
-                r[j] -= q * r[src]
-        for r in v:
-            if r[src]:
-                r[j] -= q * r[src]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        piv = _select_pivot(d, t, rows, cols)
-        if piv is None:
-            break
-        if piv[0] != t:
-            swap_rows(piv[0], t)
-        if piv[1] != t:
-            swap_cols(piv[1], t)
-        while True:
-            restart = False
-            for i in range(t + 1, rows):
-                if d[i][t] == 0:
-                    continue
-                q = d[i][t] // d[t][t]
-                exact = d[i][t] % d[t][t] == 0
-                row_sub(i, t, q)
-                if not exact:
-                    # remainder is strictly smaller than the pivot: promote it
-                    swap_rows(i, t)
-                    restart = True
-                    break
-            if restart:
-                continue
-            for j in range(t + 1, cols):
-                if d[t][j] == 0:
-                    continue
-                q = d[t][j] // d[t][t]
-                exact = d[t][j] % d[t][t] == 0
-                col_sub(j, t, q)
-                if not exact:
-                    swap_cols(j, t)
-                    restart = True
-                    break
-            if restart:
-                continue
-            bad = _first_indivisible_row(d, t, rows, cols, d[t][t])
-            if bad is None:
-                break
-            # fold the offending row into row t; the next clearing pass
-            # shrinks the pivot toward the gcd
-            d[t] = [a + b for a, b in zip(d[t], d[bad])]
-            u[t] = [a + b for a, b in zip(u[t], u[bad])]
-        if d[t][t] < 0:
-            d[t] = [-a for a in d[t]]
-            u[t] = [-a for a in u[t]]
-        t += 1
+    u, diagonal, v, _ = _smith(m, transforms=True)
     return SmithData(
-        u=IntMatrix._trusted(tuple(map(tuple, u)), rows),
-        diagonal=tuple(d[i][i] for i in range(limit)),
-        v=IntMatrix._trusted(tuple(map(tuple, v)), cols),
+        u=IntMatrix._trusted(tuple(map(tuple, u)), m.rows),
+        diagonal=diagonal,
+        v=IntMatrix._trusted(tuple(map(tuple, v)), m.cols),
     )
 
 
@@ -507,69 +535,12 @@ class InvariantFactors:
 def invariant_factors(m: IntMatrix) -> InvariantFactors:
     """Smith diagonal and determinant sign of ``m``, with no transforms.
 
-    Runs the elimination of :func:`snf` with the same pivots and the same
-    changes to the matrix, so ``diagonal`` equals ``snf(m).diagonal``.  A
-    finished pivot row and column is dropped, so each step works on the
-    trailing block only.  Results are cached like those of :func:`snf`.
+    The elimination of :func:`snf` without its u and v, so ``diagonal``
+    equals ``snf(m).diagonal``.  Results are cached like those of
+    :func:`snf`.
     """
-    d = [list(r) for r in m.data]
-    diagonal = []
-    sign = 1
-    while d and d[0]:
-        piv = _select_pivot(d, 0, len(d), len(d[0]))
-        if piv is None:
-            break
-        if piv[0]:
-            d[0], d[piv[0]] = d[piv[0]], d[0]
-            sign = -sign
-        if piv[1]:
-            for r in d:
-                r[0], r[piv[1]] = r[piv[1]], r[0]
-            sign = -sign
-        while True:
-            restart = False
-            p = d[0][0]
-            for i in range(1, len(d)):
-                x = d[i][0]
-                if x == 0:
-                    continue
-                q = x // p
-                d[i] = [a - q * b for a, b in zip(d[i], d[0])]
-                if x % p:
-                    d[0], d[i] = d[i], d[0]
-                    sign = -sign
-                    restart = True
-                    break
-            if restart:
-                continue
-            head = d[0]
-            for j in range(1, len(head)):
-                x = head[j]
-                if x == 0:
-                    continue
-                # column 0 is zero below the pivot, so the column operation
-                # of snf changes this one entry
-                head[j] = x % p
-                if head[j]:
-                    for r in d:
-                        r[0], r[j] = r[j], r[0]
-                    sign = -sign
-                    restart = True
-                    break
-            if restart:
-                continue
-            bad = _first_indivisible_row(d, 0, len(d), len(head), p)
-            if bad is None:
-                break
-            d[0] = [a + b for a, b in zip(head, d[bad])]
-        if d[0][0] < 0:
-            sign = -sign
-        diagonal.append(abs(d[0][0]))
-        del d[0]
-        for r in d:
-            del r[0]
-    diagonal += [0] * (min(m.rows, m.cols) - len(diagonal))
-    return InvariantFactors(shape=m.shape, diagonal=tuple(diagonal), sign=sign)
+    _, diagonal, _, sign = _smith(m, transforms=False)
+    return InvariantFactors(shape=m.shape, diagonal=diagonal, sign=sign)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -811,19 +782,6 @@ class PresentedGroup:
 def cokernel(m: IntMatrix, labels=None) -> PresentedGroup:
     """Cokernel of ``m`` acting on column vectors: Z^rows / column span."""
     return PresentedGroup(m.rows, m, labels=tuple(labels) if labels is not None else None)
-
-
-def group_iso(a, b) -> bool:
-    """Isomorphism test for FgAbGroup or PresentedGroup values."""
-
-    def normalize(g):
-        if isinstance(g, PresentedGroup):
-            return g.invariants()
-        if isinstance(g, FgAbGroup):
-            return g
-        raise TypeError(f"not a group: {g!r}")
-
-    return normalize(a) == normalize(b)
 
 
 # ---------------------------------------------------------------------------

@@ -311,14 +311,12 @@ def connecting_delta(g: Graph, members, parts=None) -> ConnectingMap:
         ideal, rest = parts
         sub, quo = ideal.graph, rest.graph
         kb, codomain = rest.k1.kernel, ideal.k0.group
-    a = g.adjacency()
     # one row per ideal vertex, one column per quotient non-sink: edge counts
-    x_block = IntMatrix(
-        tuple(
-            tuple(a[g.index(v), g.index(w)] for v in quo.regulars)
-            for w in sub.vertices
-        ),
-        cols=len(quo.regulars),
+    x_block = (
+        g.adjacency()
+        .take_rows(g.index(v) for v in quo.regulars)
+        .take_columns(g.index(w) for w in sub.vertices)
+        .transpose()
     )
     domain = PresentedGroup(
         generators=kb.cols,

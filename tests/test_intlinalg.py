@@ -17,7 +17,6 @@ from leavitt.intlinalg import (
     check_well_defined,
     coker_with_coefficients,
     cokernel,
-    group_iso,
     invariant_factors,
     inverse_unimodular,
     kernel_basis,
@@ -221,6 +220,54 @@ class TestSmith:
         # the diagonal keeps explicit zeros for rank-deficient matrices
         assert snf(IntMatrix([[0, 0], [0, 0]])).diagonal == (0, 0)
         assert snf(IntMatrix([[0, 0], [0, 0]])).rank == 0
+
+    # (m, u, diagonal, v, sign): transforms of snf and the sign of
+    # invariant_factors, frozen.  The comments name the steps each input
+    # forces; the last two are a 0-row and a 0-column shape.
+    GOLDEN = [
+        # row swap
+        (IntMatrix([[2, 4], [1, 2]]), [[0, 1], [1, -2]], (1, 0), [[1, -2], [0, 1]], -1),
+        # column swap, negation
+        (IntMatrix([[4, 1], [6, 8]]), [[1, 0], [8, -1]], (1, 26), [[0, 1], [1, -4]], 1),
+        # row and column swaps, a promoted row remainder, negation
+        (
+            IntMatrix([[4, 6, 8], [6, 9, 4], [8, 4, -1]]),
+            [[0, 0, -1], [2, -3, 4], [25, -38, 48]],
+            (1, 1, 256),
+            [[0, 0, 1], [0, 1, -22], [1, 4, -80]],
+            -1,
+        ),
+        # column swap, a promoted column remainder, gcd fold, negation
+        (IntMatrix([[0, -2], [-3, 0]]), [[-1, -1], [-3, -2]], (1, 6), [[1, -2], [-1, 3]], -1),
+        # promoted row and column remainders, zero tail
+        (
+            IntMatrix([[6, 4, 0], [9, 6, 0], [0, 0, 10]]),
+            [[-1, 1, 0], [0, 0, 1], [3, -2, 0]],
+            (1, 10, 0),
+            [[1, 0, -2], [-1, 0, 3], [0, 1, 0]],
+            -1,
+        ),
+        # gcd fold on a tall matrix
+        (
+            IntMatrix([[2, 0], [0, 3], [4, 9]]),
+            [[1, 1, 0], [3, 2, 0], [-2, -3, 1]],
+            (1, 6),
+            [[-1, 3], [1, -2]],
+            1,
+        ),
+        (IntMatrix([], cols=3), [], (), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1),
+        (IntMatrix([[], []], cols=0), [[1, 0], [0, 1]], (), [], 1),
+    ]
+
+    def test_golden_transforms(self):
+        for m, u, diagonal, v, sign in self.GOLDEN:
+            assert m.rows == 0 or m.cols == 0 or m in SWEEP_EXTRAS
+            sd = snf(m)
+            assert (sd.u.to_lists(), sd.diagonal, sd.v.to_lists()) == (u, diagonal, v)
+            assert sd.u.shape == (m.rows, m.rows) and sd.v.shape == (m.cols, m.cols)
+            assert sd.verify(m)
+            inv = invariant_factors(m)
+            assert (inv.diagonal, inv.sign) == (diagonal, sign)
 
     def test_transforms_are_unimodular_and_verify(self):
         rng = random.Random(23)
@@ -512,10 +559,6 @@ class TestGroups:
             y = tuple(a + b for a, b in zip(x, shift))
             assert pg.class_equal(x, y)
             assert pg.canon(x) == pg.canon(y)
-
-    def test_group_iso(self):
-        assert group_iso(FgAbGroup.from_parts(0, (2, 3)), FgAbGroup.from_parts(0, (6,)))
-        assert not group_iso(FgAbGroup.from_parts(0, (4,)), FgAbGroup.from_parts(0, (2, 2)))
 
     def test_subgroup_equal(self):
         a = IntMatrix([[2, 0], [0, 3]], cols=2)
