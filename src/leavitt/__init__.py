@@ -47,7 +47,6 @@ from .lattice import (
     enumerate_hsat,
     graded_primes,
     hsat_closure,
-    kernel_of,
     lattice_isomorphisms,
     locally_closed_all,
     spectrum,

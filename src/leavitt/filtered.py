@@ -3,7 +3,7 @@
 The table attaches to each canonical locally closed piece of the prime
 spectrum the K0/K1bar pair of its subquotient graph, and to each nested
 triple of ideals its verified six-term row.  Comparing two tables means
-searching the finitely many lattice isomorphisms for one matching every
+drawing lattice isomorphisms from the prime posets until one matches every
 entry class and every row signature; a match is a necessary condition for
 the tables to be isomorphic as diagrams, never a proof, and the report
 says so explicitly.
@@ -27,11 +27,13 @@ from .intlinalg import (
 from .ktheory import KOneBar, KZero, SixTermRow, SubquotientStore, six_term_row
 from .lattice import (
     IdealLattice,
+    LatticeCapError,
     LocallyClosed,
     SpectrumTopology,
+    _iter_isomorphisms,
+    _signatures,
     enumerate_hsat,
     hsat_closure,
-    lattice_isomorphisms,
     locally_closed_all,
     spectrum,
 )
@@ -47,6 +49,8 @@ __all__ = [
     "compare_fkbar",
     "transport_from_certificate",
 ]
+
+_CANDIDATE_CAP = 10_000  # lattice isomorphisms tried without a match
 
 NECESSARY_ONLY_NOTE = (
     "a consistent report is a necessary condition for isomorphic filtered "
@@ -92,38 +96,26 @@ class RowCapError(RuntimeError):
     """Raised when a table would need more six-term rows than the cap."""
 
 
-def _count_triples(lattice: IdealLattice) -> int:
-    """Nested triples i <= j <= p: the sum over j of (#i <= j) * (#p >= j)."""
-    n = len(lattice)
-    below = [0] * n
-    above = [0] * n
-    for i in range(n):
-        for p in range(i, n):
-            if lattice.leq(i, p):
-                above[i] += 1
-                below[p] += 1
-    return sum(b * a for b, a in zip(below, above))
-
-
-def _checked_lattice(g: Graph, lattice_cap: int, row_cap: int | None) -> IdealLattice:
-    """The ideal lattice of g; RowCapError past ``row_cap`` nested triples.
+def _checked_spectrum(g: Graph, lattice_cap: int, row_cap: int | None) -> SpectrumTopology:
+    """The spectrum of g's ideal lattice; RowCapError past ``row_cap`` nested
+    triples i <= j <= p, counted at each j as (#i <= j) * (#p >= j).
 
     ``row_cap`` None skips the count, for a table built without rows.
     """
-    lattice = enumerate_hsat(g, cap=lattice_cap)
+    topology = spectrum(enumerate_hsat(g, cap=lattice_cap))
     if row_cap is not None:
-        count = _count_triples(lattice)
+        count = sum(down * up for down, up in _signatures(topology))
         if count > row_cap:
             raise RowCapError(
                 f"nested triples exceed row cap {row_cap} "
-                f"(the {len(lattice)}-element lattice has {count})"
+                f"(the {len(topology.lattice)}-element lattice has {count})"
             )
-    return lattice
+    return topology
 
 
-def _entry_table(lattice: IdealLattice, store: SubquotientStore) -> FilteredKTable:
+def _entry_table(topo: SpectrumTopology, store: SubquotientStore) -> FilteredKTable:
     """The table of the store's graph: an entry per locally closed piece, no rows."""
-    topo = spectrum(lattice)
+    lattice = topo.lattice
     pieces = locally_closed_all(topo)
     entries = []
     for piece in pieces:
@@ -168,9 +160,9 @@ def fkbar(
     before any row is built when the lattice has more than ``row_cap``
     nested triples.
     """
-    lattice = _checked_lattice(g, lattice_cap, row_cap if include_rows else None)
+    topology = _checked_spectrum(g, lattice_cap, row_cap if include_rows else None)
     store = SubquotientStore(g, coeff)
-    table = _entry_table(lattice, store)
+    table = _entry_table(topology, store)
     if not include_rows:
         return table
     source = _RowSource(table, store)
@@ -534,29 +526,29 @@ class ComparisonReport:
     note: str = NECESSARY_ONLY_NOTE
 
 
-def _match_entries(t1: FilteredKTable, t2: FilteredKTable, iso):
-    """Pair the canonical pieces through the prime bijection; verdict per piece."""
+def _match_entries(t1: FilteredKTable, t2: FilteredKTable, iso, entries2: dict):
+    """Pair the pieces through the prime bijection and ``entries2`` (the second
+    table's entries by difference); verdict per piece."""
     prime_pos2 = {p: idx for idx, p in enumerate(t2.topology.primes)}
     mapped = {iso[p] for p in t1.topology.primes}
     if mapped != set(t2.topology.primes):
         return None, "lattice isomorphism does not preserve the prime set"
     prime_bij = {idx: prime_pos2[iso[p]] for idx, p in enumerate(t1.topology.primes)}
     verdicts = []
-    pairing = {}
-    for piece in t1.pieces:
-        want = frozenset(prime_bij[x] for x in piece.difference)
-        other = next((q for q in t2.pieces if q.difference == want), None)
-        if other is None:
+    paired = 0
+    for e1 in t1.entries:
+        difference = e1.piece.difference
+        e2 = entries2.get(frozenset(prime_bij[x] for x in difference))
+        if e2 is None:
             verdicts.append(
                 PieceVerdict(
-                    difference=tuple(sorted(piece.difference)),
+                    difference=tuple(sorted(difference)),
                     matched=False,
                     detail="no matching piece in the second table",
                 )
             )
             continue
-        pairing[piece] = other
-        e1, e2 = t1.entry_for(piece), t2.entry_for(other)
+        paired += 1
         problems = []
         if e1.kzero.invariants() != e2.kzero.invariants():
             problems.append(
@@ -573,12 +565,12 @@ def _match_entries(t1: FilteredKTable, t2: FilteredKTable, iso):
             )
         verdicts.append(
             PieceVerdict(
-                difference=tuple(sorted(piece.difference)),
+                difference=tuple(sorted(difference)),
                 matched=not problems,
                 detail="; ".join(problems) if problems else "entry classes agree",
             )
         )
-    if len(pairing) != len(t1.pieces) or len(t1.pieces) != len(t2.pieces):
+    if paired != len(t1.pieces) or len(t1.pieces) != len(t2.pieces):
         return verdicts, "piece bijection failed"
     bad = next((v for v in verdicts if not v.matched), None)
     return verdicts, bad.detail if bad else ""
@@ -633,7 +625,8 @@ def compare_fkbar(
     """Search the lattice isomorphisms for one matching the two tables.
 
     A shift-equivalence intertwiner, when supplied, proposes the first
-    candidate; enumeration covers the rest.  For each candidate the checks
+    candidate; the rest are drawn lazily, and LatticeCapError is raised
+    after ``_CANDIDATE_CAP`` failed candidates.  For each candidate the checks
     run in order: prime and piece bijections, per-piece group classes,
     per-row map invariants plus exactness, then (for small groups) an
     element-level search for commuting isomorphism systems.  Both lattices
@@ -643,38 +636,30 @@ def compare_fkbar(
     every entry; each row and its signature are computed at most once,
     whatever the number of candidates.
     """
-    lattice1 = _checked_lattice(g1, lattice_cap, row_cap)
-    lattice2 = _checked_lattice(g2, lattice_cap, row_cap)
+    topology1 = _checked_spectrum(g1, lattice_cap, row_cap)
+    topology2 = _checked_spectrum(g2, lattice_cap, row_cap)
     store1, store2 = SubquotientStore(g1, coeff), SubquotientStore(g2, coeff)
-    t1, t2 = _entry_table(lattice1, store1), _entry_table(lattice2, store2)
+    t1, t2 = _entry_table(topology1, store1), _entry_table(topology2, store2)
     skeleton_classes = {}
     rows1 = _RowSource(t1, store1, skeleton_classes)
     rows2 = _RowSource(t2, store2, skeleton_classes)
 
-    candidates = []
+    candidates = _iter_isomorphisms(t1.topology, t2.topology)
     if se_intertwiner is not None:
         transported = transport_from_certificate(
             g1, g2, t1.lattice, t2.lattice, se_intertwiner
         )
         if transported is not None:
-            candidates.append(transported)
-    for iso in lattice_isomorphisms(t1.lattice, t2.lattice):
-        if iso not in candidates:
-            candidates.append(iso)
-    if not candidates:
-        return ComparisonReport(
-            consistent=False,
-            obstruction="ideal lattices admit no order isomorphism",
-            lattice_iso=None,
-            group_matches=(),
-            map_matches=(),
-            certification="structural",
-            element_check="skipped",
-        )
+            candidates = itertools.chain(
+                (transported,), (iso for iso in candidates if iso != transported)
+            )
 
-    best = None  # (mismatch_count, verdict bundle) of the closest failure
-    for iso in candidates:
-        piece_verdicts, piece_failure = _match_entries(t1, t2, iso)
+    entries2 = {e.piece.difference: e for e in t2.entries}
+    # (mismatch count, verdict bundle) of the closest failure; with no
+    # candidate at all, the report says the lattices are not isomorphic
+    best = (math.inf, (None, (), (), "ideal lattices admit no order isomorphism", "skipped"))
+    for tried, iso in enumerate(candidates, 1):
+        piece_verdicts, piece_failure = _match_entries(t1, t2, iso, entries2)
         if piece_verdicts is None:
             bundle = (iso, (), (), piece_failure, "skipped")
             score = math.inf
@@ -717,8 +702,12 @@ def compare_fkbar(
                 )
             bundle = (iso, tuple(piece_verdicts), tuple(row_verdicts), row_failure, element)
             score = sum(1 for v in row_verdicts if not v.matched)
-        if best is None or score < best[0]:
+        if tried == 1 or score < best[0]:
             best = (score, bundle)
+        if tried > _CANDIDATE_CAP:
+            raise LatticeCapError(
+                f"more than {_CANDIDATE_CAP} lattice isomorphisms tried without a match"
+            )
 
     iso, pieces, rows, failure, element = best[1]
     return ComparisonReport(

@@ -4,10 +4,15 @@ A vertex set is hereditary when edges never leave it and saturated when a
 regular vertex whose targets all lie inside must itself lie inside.  These
 sets, ordered by inclusion, form a lattice; its "primes" carry a topology
 whose locally closed pieces index the filtered K-theory table.
+
+The lattice (of graded ideals) is distributive, so by Birkhoff it is the
+lattice of down-sets of its at most V primes ordered by inclusion, the opens;
+pieces and lattice isomorphisms are computed on that prime poset.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -22,7 +27,6 @@ __all__ = [
     "enumerate_hsat",
     "graded_primes",
     "spectrum",
-    "kernel_of",
     "locally_closed_all",
     "lattice_isomorphisms",
 ]
@@ -215,114 +219,117 @@ def spectrum(lattice: IdealLattice) -> SpectrumTopology:
     return SpectrumTopology(lattice=lattice, primes=primes, opens=opens)
 
 
-def kernel_of(topology: SpectrumTopology, prime_positions) -> frozenset:
-    """Intersection of the named primes; the full vertex set when none are named."""
-    lattice = topology.lattice
-    mask = (1 << lattice.graph.num_vertices) - 1
-    for pos in prime_positions:
-        mask &= lattice.elements[topology.primes[pos]]
-    return frozenset(_vertices(lattice.graph, mask))
-
-
 @dataclass(frozen=True)
 class LocallyClosed:
-    """Canonical open pair (inner <= outer) with difference a fixed prime set.
-
-    ``outer_index`` and ``inner_index`` are lattice element indices; the
-    difference open(outer) minus open(inner) is what the pair is canonical
-    for: the outer open is the smallest open from which the difference can
-    be cut, and the inner open is then forced.
-    """
+    """Canonical open pair (inner <= outer, lattice indices) cutting out the
+    prime set ``difference``: the outer open is the smallest open from which
+    the difference can be cut, and the inner open is then forced."""
 
     outer_index: int
     inner_index: int
     difference: frozenset
 
 
+def _open_masks(topology: SpectrumTopology) -> list[int]:
+    """Each element's open as a mask over prime positions.  Positions follow
+    lattice indices, which extend inclusion, so an open's top bit is maximal."""
+    return [sum(1 << pos for pos in o) for o in topology.opens]
+
+
 def locally_closed_all(topology: SpectrumTopology) -> tuple[LocallyClosed, ...]:
     """One canonical locally closed pair per distinct difference of opens.
 
-    The open sets are closed under intersection, so among opens U admitting
-    an open V with U minus V equal to the difference D there is a unique
-    smallest one; V is recovered as U minus D, which is again open.
+    The differences are the convex sets D of primes; the smallest open
+    cutting D out is its down-closure U, with inner open U minus D.  These
+    pairs are each open U with each open inside U minus its maximal primes.
     """
-    lat = topology.lattice
-    n = len(lat.elements)
-    differences = {}
-    for i in range(n):
-        for j in range(n):
-            if topology.opens[j] <= topology.opens[i]:
-                differences.setdefault(topology.opens[i] - topology.opens[j], None)
+    opens = _open_masks(topology)
+    index = {o: i for i, o in enumerate(opens)}
+    inside = {0: [0]}  # open -> the opens inside it
+
+    def opens_inside(s):
+        known = s
+        while known not in inside:  # drop top primes down to a known open
+            known ^= 1 << (known.bit_length() - 1)
+        for p in range(known.bit_length(), s.bit_length()):  # and add them back
+            if s >> p & 1:
+                rest, known = inside[known], known | 1 << p
+                inside[known] = rest + [v | 1 << p for v in rest if v | 1 << p in index]
+        return inside[s]
+
+    m = len(topology.primes)
     out = []
-    for diff in differences:
-        candidates = []
-        for i in range(n):
-            u = topology.opens[i]
-            if not diff <= u:
-                continue
-            rest = u - diff
-            try:
-                j = topology.element_of_open(rest)
-            except KeyError:
-                continue
-            candidates.append((len(u), i, j))
-        if not candidates:
-            continue
-        _, outer, inner = min(candidates)
-        out.append(LocallyClosed(outer_index=outer, inner_index=inner, difference=diff))
+    for i, u in enumerate(opens):
+        # p is maximal in u exactly when u without p is still an open
+        maximal = sum(1 << p for p in range(m) if u >> p & 1 and u ^ (1 << p) in index)
+        for v in opens_inside(u ^ maximal):
+            diff = frozenset(p for p in range(m) if (u ^ v) >> p & 1)
+            out.append(LocallyClosed(outer_index=i, inner_index=index[v], difference=diff))
     out.sort(key=lambda lc: (len(lc.difference), tuple(sorted(lc.difference))))
     return tuple(out)
 
 
-def _order_signature(leq, n, i):
-    down = sum(1 for a in range(n) if leq[a][i])
-    up = sum(1 for a in range(n) if leq[i][a])
-    return (down, up)
+def _signatures(topology: SpectrumTopology) -> list[tuple[int, int]]:
+    """(elements below, elements above) each element, inclusive: zeta
+    transforms over the prime positions, upward for below, downward for above."""
+    opens = _open_masks(topology)
+    m = len(topology.primes)
+    down, up = dict.fromkeys(opens, 1), dict.fromkeys(opens, 1)
+    for p in range(m):
+        q = m - 1 - p
+        for o in opens:
+            if o >> p & 1 and o ^ (1 << p) in down:
+                down[o] += down[o ^ (1 << p)]
+            if not o >> q & 1 and o | (1 << q) in up:
+                up[o] += up[o | (1 << q)]
+    return [(down[o], up[o]) for o in opens]
+
+
+def _iter_isomorphisms(topo1: SpectrumTopology, topo2: SpectrumTopology):
+    """Lazily yield the lattice isomorphisms as index tuples: the poset
+    isomorphisms s of the primes, lifted to i -> the element with open s(open i).
+
+    Per prime, a mask holds the primes it may still map to.  Element images
+    are fixed rarest signature first, then by index, each image j in rising
+    order cutting the masks to s(open i) = open j; s is lifted once it is a
+    bijection sending every open to an open.  So the isomorphisms come in
+    lexicographic order of their images along that element order.
+    """
+    opens1, opens2 = _open_masks(topo1), _open_masks(topo2)
+    sig1, sig2 = _signatures(topo1), _signatures(topo2)
+    n, m = len(opens1), len(topo1.primes)
+    if n != len(opens2) or m != len(topo2.primes) or sorted(sig1) != sorted(sig2):
+        return
+    index2 = {o: j for j, o in enumerate(opens2)}
+    by_sig = {}
+    for j, sig in enumerate(sig2):
+        by_sig.setdefault(sig, []).append(j)
+    order = sorted(range(n), key=lambda i: (len(by_sig[sig1[i]]), i))
+
+    def children(cand, i):  # the masks once element i has an image too
+        for j in by_sig[sig1[i]]:
+            t = opens2[j]
+            out = [c & (t if opens1[i] >> p & 1 else ~t) for p, c in enumerate(cand)]
+            if all(out):
+                yield out
+
+    stack = [iter(([(1 << m) - 1] * m,))]  # depth-first, one level per element
+    while stack:
+        cand = next(stack[-1], None)
+        if cand is None:
+            stack.pop()
+        elif all(not c & (c - 1) for c in cand):
+            lifted = [index2.get(sum(c for p, c in enumerate(cand) if o >> p & 1)) for o in opens1]
+            if len(set(cand)) == m and None not in lifted:
+                yield tuple(lifted)
+        elif len(stack) <= n:
+            stack.append(children(cand, order[len(stack) - 1]))
 
 
 def lattice_isomorphisms(l1: IdealLattice, l2: IdealLattice, limit: int = 10000):
-    """All order isomorphisms l1 -> l2 as tuples of l2 indices.
-
-    Purely order theoretic: member names play no role.  Raises
-    LatticeCapError if more than ``limit`` isomorphisms exist.
-    """
-    n = len(l1.elements)
-    if n != len(l2.elements):
-        return []
-    leq1 = [[l1.leq(i, j) for j in range(n)] for i in range(n)]
-    leq2 = [[l2.leq(i, j) for j in range(n)] for i in range(n)]
-    sig1 = [_order_signature(leq1, n, i) for i in range(n)]
-    sig2 = [_order_signature(leq2, n, i) for i in range(n)]
-    if sorted(sig1) != sorted(sig2):
-        return []
-    # assign most-constrained elements first
-    order = sorted(range(n), key=lambda i: (sig2.count(sig1[i]), i))
-    results = []
-    assignment = [-1] * n
-    used = [False] * n
-
-    def extend(pos):
-        if len(results) > limit:
-            raise LatticeCapError(f"more than {limit} lattice isomorphisms")
-        if pos == n:
-            results.append(tuple(assignment))
-            return
-        i = order[pos]
-        for j in range(n):
-            if used[j] or sig1[i] != sig2[j]:
-                continue
-            ok = True
-            for prev_pos in range(pos):
-                k = order[prev_pos]
-                if leq1[i][k] != leq2[j][assignment[k]] or leq1[k][i] != leq2[assignment[k]][j]:
-                    ok = False
-                    break
-            if ok:
-                assignment[i] = j
-                used[j] = True
-                extend(pos + 1)
-                used[j] = False
-                assignment[i] = -1
-
-    extend(0)
-    return results
+    """All order isomorphisms l1 -> l2 as tuples of l2 indices (member names
+    play no role); LatticeCapError if more than ``limit`` of them exist."""
+    isos = list(itertools.islice(_iter_isomorphisms(spectrum(l1), spectrum(l2)), limit + 1))
+    if len(isos) > limit:
+        raise LatticeCapError(f"more than {limit} lattice isomorphisms")
+    return isos

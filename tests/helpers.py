@@ -21,6 +21,12 @@ independent cross-checks:
   ``triple_of_graded`` translates a graded element without calling it.
 * ``is_lattice_prime`` — order-theoretic primality, against the library's
   downward directed characterization.
+* ``locally_closed_oracle`` and ``lattice_isomorphisms_oracle`` — the
+  whole-lattice algorithms the library replaced by prime-poset ones: every
+  pair of opens for the pieces, and a backtracking search over all elements
+  with n×n order tables for the isomorphisms, in the same output order.
+* ``kernel_of`` — the intersection of named primes, which recovers each
+  lattice element from the primes containing it.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from leavitt.intlinalg import (
     snf,
     subgroup_equal,
 )
-from leavitt.lattice import IdealLattice
+from leavitt.lattice import IdealLattice, LocallyClosed, SpectrumTopology
 from leavitt.monoid import GradedElement, MonoidElement
 
 
@@ -396,6 +402,96 @@ def triple_of_graded(g: Graph, elem: GradedElement):
         vec[g.index(v)] = c
         total = triple.add(total, (-lvl, tuple(vec)))
     return total
+
+
+# ---------------------------------------------------------------------------
+# lattice oracles: whole-lattice pieces and isomorphisms
+# ---------------------------------------------------------------------------
+
+
+def kernel_of(topology: SpectrumTopology, prime_positions) -> frozenset:
+    """Intersection of the named primes; the full vertex set when none are named."""
+    lattice = topology.lattice
+    members = frozenset(lattice.graph.vertices)
+    for pos in prime_positions:
+        members &= frozenset(lattice.members(topology.primes[pos]))
+    return members
+
+
+def locally_closed_oracle(topology: SpectrumTopology) -> tuple[LocallyClosed, ...]:
+    """One pair per distinct difference of opens, from every pair of opens.
+
+    For each difference the outer element is the one with the smallest open
+    (then the smallest index) from which the difference can be cut.
+    """
+    opens = topology.opens
+    n = len(opens)
+    differences = {opens[i] - opens[j] for i in range(n) for j in range(n) if opens[j] <= opens[i]}
+    out = []
+    for diff in differences:
+        candidates = [
+            (len(u), i, topology.element_of_open(u - diff))
+            for i, u in enumerate(opens)
+            if diff <= u and (u - diff) in opens
+        ]
+        _, outer, inner = min(candidates)
+        out.append(LocallyClosed(outer_index=outer, inner_index=inner, difference=diff))
+    out.sort(key=lambda lc: (len(lc.difference), tuple(sorted(lc.difference))))
+    return tuple(out)
+
+
+def lattice_isomorphisms_oracle(l1: IdealLattice, l2: IdealLattice):
+    """Every order isomorphism l1 -> l2, by backtracking over all elements.
+
+    Elements are assigned rarest (down, up) signature first, then by index,
+    each image tried in increasing order and checked against every earlier
+    assignment in both directions, so the list is in lexicographic order of
+    the images along that element order.
+    """
+    n = len(l1.elements)
+    if n != len(l2.elements):
+        return []
+    leq1 = [[l1.leq(i, j) for j in range(n)] for i in range(n)]
+    leq2 = [[l2.leq(i, j) for j in range(n)] for i in range(n)]
+
+    def signature(leq, i):
+        return (sum(leq[a][i] for a in range(n)), sum(leq[i][a] for a in range(n)))
+
+    sig1 = [signature(leq1, i) for i in range(n)]
+    sig2 = [signature(leq2, i) for i in range(n)]
+    if sorted(sig1) != sorted(sig2):
+        return []
+    order = sorted(range(n), key=lambda i: (sig2.count(sig1[i]), i))
+    results = []
+    assignment = [-1] * n
+
+    def extend(pos):
+        if pos == n:
+            results.append(tuple(assignment))
+            return
+        i = order[pos]
+        for j in range(n):
+            if sig1[i] != sig2[j] or j in assignment:
+                continue
+            if all(
+                leq1[i][k] == leq2[j][assignment[k]] and leq1[k][i] == leq2[assignment[k]][j]
+                for k in order[:pos]
+            ):
+                assignment[i] = j
+                extend(pos + 1)
+                assignment[i] = -1
+
+    extend(0)
+    return results
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    """The graphs side by side, the k-th one's names prefixed with ``c<k>``."""
+    vertices, edges = [], []
+    for k, g in enumerate(graphs):
+        vertices += [f"c{k}{v}" for v in g.vertices]
+        edges += [(f"c{k}{e.name}", f"c{k}{e.src}", f"c{k}{e.dst}") for e in g.edges]
+    return Graph(vertices, edges)
 
 
 # ---------------------------------------------------------------------------

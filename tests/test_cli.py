@@ -96,6 +96,18 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["fk", files["fan"], "--row-cap", "16"])
         assert code == 0
 
+    def test_candidate_cap_is_three(self, capsys, files, tmp_path, monkeypatch):
+        # five loops against five with one doubled: 120 lattice
+        # isomorphisms, none matching, past a cap of 100
+        rows = IntMatrix.identity(5).to_lists()
+        rows[0][0] = 2
+        doubled = tmp_path / "doubled.graph"
+        doubled.write_text(graph_to_text(graph_from_matrix(IntMatrix(rows))), encoding="utf-8")
+        monkeypatch.setattr(leavitt.filtered, "_CANDIDATE_CAP", 100)
+        code, out, err = run(capsys, ["compare", files["loops5"], str(doubled)])
+        assert (code, out) == (3, "")
+        assert err.startswith("cap exhausted:") and "more than 100 lattice isomorphisms" in err
+
     def test_shifteq_budget_is_three(self, capsys, files):
         code, out, _ = run(
             capsys,

@@ -10,7 +10,7 @@ from leavitt.filtered import RowCapError, compare_fkbar, fkbar, transport_from_c
 from leavitt.graphs import Graph, graph_from_matrix, relabel, subquotient
 from leavitt.intlinalg import CoeffGroup, FgAbGroup, IntMatrix
 from leavitt.ktheory import SubquotientStore, k0, k1, six_term_row
-from leavitt.lattice import enumerate_hsat
+from leavitt.lattice import LatticeCapError, enumerate_hsat
 from leavitt.shifts import shift_equivalent_bounded
 
 
@@ -203,7 +203,7 @@ class TestCompare:
             filtered._RowSource(t, SubquotientStore(g, COEFF)),
         )
         rows = len(sources[0].triples)
-        isos = list(filtered.lattice_isomorphisms(t.lattice, t.lattice))
+        isos = list(filtered._iter_isomorphisms(t.topology, t.topology))
         assert len(isos) == 2 and rows == 16
         for iso in isos:
             verdicts, failure, _ = filtered._match_rows(*sources, iso, run_elements=False)
@@ -248,6 +248,35 @@ class TestCompare:
         rep = compare_fkbar(rose3, H.rose(5), COEFF)
         assert not rep.consistent
         assert "Z/2 vs Z/4" in rep.obstruction
+
+    def test_self_compare_draws_one_candidate(self, monkeypatch):
+        drawn = []
+        original = filtered._iter_isomorphisms
+
+        def counting(topo1, topo2):
+            for iso in original(topo1, topo2):
+                drawn.append(iso)
+                yield iso
+
+        monkeypatch.setattr(filtered, "_iter_isomorphisms", counting)
+        g = disjoint_loops(4)
+        rep = compare_fkbar(g, g, COEFF, element_search=False)
+        # 24 lattice automorphisms, but the first (the identity) matches
+        assert rep.consistent and drawn == [tuple(range(16))]
+
+    def test_candidate_cap_counts_failed_candidates(self, monkeypatch):
+        g = disjoint_loops(3)
+        doubled = Graph(g.vertices, g.edges + (("extra", "x0", "x0"),))
+        # all 6 automorphisms of the cube fail the K0 of the doubled loop
+        assert not compare_fkbar(g, doubled, COEFF).consistent
+        monkeypatch.setattr(filtered, "_CANDIDATE_CAP", 6)
+        assert not compare_fkbar(g, doubled, COEFF).consistent
+        monkeypatch.setattr(filtered, "_CANDIDATE_CAP", 5)
+        with pytest.raises(LatticeCapError, match="more than 5 lattice isomorphisms tried"):
+            compare_fkbar(g, doubled, COEFF)
+        # a match ends the search before the cap is reached
+        monkeypatch.setattr(filtered, "_CANDIDATE_CAP", 0)
+        assert compare_fkbar(g, g, COEFF).consistent
 
     def test_lattice_shape_mismatch(self, fan, rose2):
         rep = compare_fkbar(fan, rose2, COEFF)

@@ -366,6 +366,19 @@ class TestRowSkeleton:
             with pytest.raises(AssertionError, match=f"{square} does not intertwine transfer"):
                 six_term_row(g, set(), {"a"}, {"a", "b"}, coeff, store=store)
 
+    def test_relabelled_store_graph_breaks_bookkeeping(self):
+        # a store pair whose graph has other vertex names than the middle
+        # ideal's restriction or quotient in the middle subquotient
+        g = Graph(["a", "b"], [("x", "a", "a"), ("y", "b", "b")])
+        coeff = CoeffGroup.reduced_units_of_field(5)
+        for key in ((frozenset(), frozenset({"a"})), (frozenset({"a"}), frozenset({"a", "b"}))):
+            store = SubquotientStore(g, coeff)
+            six_term_row(g, set(), {"a"}, {"a", "b"}, coeff, store=store)
+            pair = store.get(*key)
+            pair.graph = relabel(pair.graph, {v: v + "2" for v in pair.graph.vertices})
+            with pytest.raises(AssertionError, match="subquotient bookkeeping broke"):
+                six_term_row(g, set(), {"a"}, {"a", "b"}, coeff, store=store)
+
     def test_doubled_delta_is_one_sided_on_toeplitz(self):
         # im(2 delta) = 2Z sits inside ker(u12) = Z but does not fill it
         row = six_term_row(

@@ -5,13 +5,13 @@ import random
 import pytest
 
 import helpers as H
-from leavitt.graphs import Graph, is_downward_directed
+from leavitt import lattice
+from leavitt.graphs import Graph, is_downward_directed, relabel
 from leavitt.lattice import (
     LatticeCapError,
     enumerate_hsat,
     graded_primes,
     hsat_closure,
-    kernel_of,
     lattice_isomorphisms,
     locally_closed_all,
     spectrum,
@@ -225,12 +225,12 @@ class TestSpectrum:
             all_primes = frozenset(range(len(topo.primes)))
             for i in range(len(lat)):
                 containing = all_primes - topo.opens[i]
-                assert kernel_of(topo, containing) == frozenset(lat.members(i))
+                assert H.kernel_of(topo, containing) == frozenset(lat.members(i))
 
     def test_kernel_of_no_primes_is_everything(self, fan):
         lat = enumerate_hsat(fan)
         topo = spectrum(lat)
-        assert kernel_of(topo, frozenset()) == frozenset(fan.vertices)
+        assert H.kernel_of(topo, frozenset()) == frozenset(fan.vertices)
 
 
 class TestLocallyClosed:
@@ -308,3 +308,104 @@ class TestLatticeIsomorphisms:
         lat = enumerate_hsat(fan)
         isos = lattice_isomorphisms(lat, lat)
         assert len(isos) == 2  # identity and the swap of the two middle ideals
+
+
+def _symmetric_family(corpus):
+    """The corpus plus seeded disjoint unions of corpus graphs, whose
+    lattices are products with many automorphisms."""
+    rng = random.Random(7)
+    graphs = list(corpus)
+    for _ in range(120):
+        a, b = rng.choice(corpus[:120]), rng.choice(corpus[:120])
+        graphs.append(H.disjoint_union(a, a if rng.random() < 0.5 else b))
+    for _ in range(30):
+        a = rng.choice(corpus[:60])
+        graphs.append(H.disjoint_union(a, a, rng.choice(corpus[:60])))
+    return graphs
+
+
+class TestBirkhoffDual:
+    """The lattice is the lattice of down-sets of its primes, and the
+    prime-poset algorithms agree with the whole-lattice oracles."""
+
+    def test_distributive_on_every_triple(self, corpus):
+        for g in corpus:
+            lat = enumerate_hsat(g)
+            n = len(lat)
+            for a in range(n):
+                for b in range(n):
+                    for c in range(n):
+                        assert lat.meet(a, lat.join(b, c)) == lat.join(
+                            lat.meet(a, b), lat.meet(a, c)
+                        )
+
+    def test_opens_are_the_down_sets_of_the_prime_poset(self, corpus):
+        for g in corpus:
+            lat = enumerate_hsat(g)
+            topo = spectrum(lat)
+            members = [frozenset(lat.members(p)) for p in topo.primes]
+            m = len(members)
+            down_sets = {
+                frozenset(q for q in range(m) if mask >> q & 1)
+                for mask in range(1 << m)
+                if all(
+                    mask >> q & 1
+                    for p in range(m)
+                    if mask >> p & 1
+                    for q in range(m)
+                    if members[q] <= members[p]
+                )
+            }
+            assert set(topo.opens) == down_sets
+            assert len(topo.opens) == len(down_sets)
+
+    def test_signatures_count_opens_inside_and_containing(self, corpus):
+        for g in _symmetric_family(corpus)[::3]:
+            topo = spectrum(enumerate_hsat(g))
+            opens = lattice._open_masks(topo)
+            expected = [
+                (sum(not v & ~u for v in opens), sum(not u & ~v for v in opens)) for u in opens
+            ]
+            assert lattice._signatures(topo) == expected
+
+    def test_pieces_match_the_pairwise_oracle(self, corpus):
+        for g in _symmetric_family(corpus):
+            topo = spectrum(enumerate_hsat(g))
+            assert locally_closed_all(topo) == H.locally_closed_oracle(topo)
+
+    def test_isomorphisms_match_the_whole_lattice_oracle_in_order(self, corpus):
+        graphs = _symmetric_family(corpus)
+        multiple = 0
+        for k, g in enumerate(graphs):
+            lat = enumerate_hsat(g)
+            copy = relabel(g, {v: f"r{v}" for v in g.vertices})
+            others = (lat, enumerate_hsat(copy), enumerate_hsat(graphs[k - 1]))
+            for other in others:
+                isos = lattice_isomorphisms(lat, other)
+                assert isos == H.lattice_isomorphisms_oracle(lat, other), g
+            multiple += len(lattice_isomorphisms(lat, lat)) > 1
+        assert multiple >= 100
+
+    def test_empty_graph(self):
+        lat = enumerate_hsat(Graph([], []))
+        topo = spectrum(lat)
+        assert topo.primes == () and topo.opens == (frozenset(),)
+        assert locally_closed_all(topo) == H.locally_closed_oracle(topo)
+        assert [p.difference for p in locally_closed_all(topo)] == [frozenset()]
+        assert lattice_isomorphisms(lat, lat) == [(0,)]
+
+    @pytest.mark.parametrize("edges", [[], [("e", "v", "v")]])
+    def test_one_vertex_graph(self, edges):
+        lat = enumerate_hsat(Graph(["v"], edges))
+        topo = spectrum(lat)
+        assert len(lat) == 2 and len(topo.primes) == 1
+        pieces = locally_closed_all(topo)
+        assert pieces == H.locally_closed_oracle(topo)
+        assert [p.difference for p in pieces] == [frozenset(), frozenset({0})]
+        assert lattice_isomorphisms(lat, lat) == [(0, 1)]
+
+    def test_isomorphism_limit_still_raises(self):
+        lat = enumerate_hsat(_disjoint_loops(4))
+        assert len(lattice_isomorphisms(lat, lat, limit=24)) == 24
+        with pytest.raises(LatticeCapError, match="more than 23 lattice isomorphisms"):
+            lattice_isomorphisms(lat, lat, limit=23)
