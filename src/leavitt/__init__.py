@@ -1,6 +1,6 @@
 """Exact invariants of finite directed graphs and their Leavitt path algebras.
 
-Subpackages cover graph surgery (restriction, quotient, covering windows),
+Subpackages cover graph surgery (restriction, quotient, subquotient),
 the hereditary saturated ideal lattice and its prime spectrum, graph monoids
 with graded rewriting, K-theoretic invariants with their connecting maps,
 filtered K-theory tables, and bounded shift equivalence for nonnegative
@@ -17,7 +17,6 @@ from .intlinalg import (
     PresentedGroup,
     SmithData,
     check_exact,
-    check_well_defined,
     coker_with_coefficients,
     cokernel,
     invariant_factors,
@@ -28,10 +27,8 @@ from .graphs import (
     Edge,
     Graph,
     GraphFormatError,
-    covering_window,
     graph_from_matrix,
     is_downward_directed,
-    is_irreducible,
     parse_graph,
     parse_matrix,
     quotient,
@@ -61,7 +58,6 @@ from .monoid import (
     order_ideal_membership,
     parse_graded_element,
     parse_monoid_element,
-    quotient_roundtrip,
     ungraded_equal,
 )
 from .ktheory import (
@@ -75,7 +71,6 @@ from .ktheory import (
     k_matrix,
     phi,
     psi,
-    psi_diagram_check,
     six_term_row,
     snake_rho,
     vdb_sequence,

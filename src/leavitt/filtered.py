@@ -96,20 +96,16 @@ class RowCapError(RuntimeError):
     """Raised when a table would need more six-term rows than the cap."""
 
 
-def _checked_spectrum(g: Graph, lattice_cap: int, row_cap: int | None) -> SpectrumTopology:
+def _checked_spectrum(g: Graph, lattice_cap: int, row_cap: int) -> SpectrumTopology:
     """The spectrum of g's ideal lattice; RowCapError past ``row_cap`` nested
-    triples i <= j <= p, counted at each j as (#i <= j) * (#p >= j).
-
-    ``row_cap`` None skips the count, for a table built without rows.
-    """
+    triples i <= j <= p, counted at each j as (#i <= j) * (#p >= j)."""
     topology = spectrum(enumerate_hsat(g, cap=lattice_cap))
-    if row_cap is not None:
-        count = sum(down * up for down, up in _signatures(topology))
-        if count > row_cap:
-            raise RowCapError(
-                f"nested triples exceed row cap {row_cap} "
-                f"(the {len(topology.lattice)}-element lattice has {count})"
-            )
+    count = sum(down * up for down, up in _signatures(topology))
+    if count > row_cap:
+        raise RowCapError(
+            f"nested triples exceed row cap {row_cap} "
+            f"(the {len(topology.lattice)}-element lattice has {count})"
+        )
     return topology
 
 
@@ -148,7 +144,6 @@ def fkbar(
     g: Graph,
     coeff: CoeffGroup,
     lattice_cap: int = 4096,
-    include_rows: bool = True,
     row_cap: int = 65_536,
 ) -> FilteredKTable:
     """Compute the filtered table: an entry per piece, a row per ideal triple.
@@ -160,11 +155,9 @@ def fkbar(
     before any row is built when the lattice has more than ``row_cap``
     nested triples.
     """
-    topology = _checked_spectrum(g, lattice_cap, row_cap if include_rows else None)
+    topology = _checked_spectrum(g, lattice_cap, row_cap)
     store = SubquotientStore(g, coeff)
     table = _entry_table(topology, store)
-    if not include_rows:
-        return table
     source = _RowSource(table, store)
     return replace(
         table,
@@ -229,18 +222,8 @@ class _RowSource:
 
 
 def _konebar_class(kb: KOneBar):
-    """Hashable class of the twisted part plus kernel rank.
-
-    Uses the specialization when the coefficients admit one, mirroring
-    CoeffCokernel.same_class, so equal classes give equal keys.
-    """
-    spec = kb.coker_part.specialize()
-    twisted = spec if spec is not None else (
-        "raw",
-        kb.coker_part.quotient_orders,
-        kb.coker_part.free_rank,
-    )
-    return (kb.kernel_rank, twisted)
+    """Hashable class of a K1bar: kernel rank and twisted class key."""
+    return (kb.kernel_rank, kb.coker_part.class_key())
 
 
 def _row_signature(row: SixTermRow, skeleton_classes: dict):
@@ -405,10 +388,12 @@ def _squares_commute(alpha_next, f_red, f_other_red, alpha_prev, cod: _Reduced):
 def _row_element_check(row_a: SixTermRow, row_b: SixTermRow):
     """Search for a commuting system of node isomorphisms between two rows.
 
-    Returns "passed", "refuted" (full coverage, no system exists), or
-    "skipped" / "inconclusive" when caps or entry bounds got in the way.
-    The chain shape of the diagram lets a forward arc-consistency pass
-    decide existence exactly.
+    Returns (outcome, complete).  The outcome is "passed", "refuted" (full
+    coverage, no system exists), or "skipped" / "inconclusive" when caps or
+    entry bounds got in the way.  ``complete`` says that no node has a free
+    coordinate, so the candidates listed cover every isomorphism.  The chain
+    shape of the diagram lets a forward arc-consistency pass decide
+    existence exactly.
     """
     nodes_a, nodes_b = row_a.groups, row_b.groups
     reduced_a = [_reduced(n) for n in nodes_a]
@@ -417,16 +402,16 @@ def _row_element_check(row_a: SixTermRow, row_b: SixTermRow):
         torsion = math.prod(m for m in ra.moduli if m) if ra.moduli else 1
         free = sum(1 for m in ra.moduli if m == 0)
         if torsion > _TORSION_ORDER_CAP or free > _FREE_RANK_CAP:
-            return "skipped"
+            return "skipped", False
     candidate_sets = []
     complete = True
     for na, nb in zip(nodes_a, nodes_b):
         found = _iso_candidates(na, nb)
         if found is None:
-            return "skipped"
+            return "skipped", False
         cands, full = found
         if not cands:
-            return "refuted" if full else "inconclusive"
+            return ("refuted" if full else "inconclusive"), full
         candidate_sets.append(cands)
         complete = complete and full
     red_maps_a = [
@@ -445,9 +430,9 @@ def _row_element_check(row_a: SixTermRow, row_b: SixTermRow):
             ):
                 nxt.append(beta)
         if not nxt:
-            return "refuted" if complete else "inconclusive"
+            return ("refuted" if complete else "inconclusive"), complete
         viable = nxt
-    return "passed"
+    return "passed", complete
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +511,19 @@ class ComparisonReport:
     note: str = NECESSARY_ONLY_NOTE
 
 
-def _match_entries(t1: FilteredKTable, t2: FilteredKTable, iso, entries2: dict):
-    """Pair the pieces through the prime bijection and ``entries2`` (the second
-    table's entries by difference); verdict per piece."""
+def _entry_classes(t: FilteredKTable):
+    """(entry, class) per entry of a table, in entry order; the class is the
+    K0 invariants followed by the K1bar class."""
+    return [(e, (e.kzero.invariants(),) + _konebar_class(e.konebar)) for e in t.entries]
+
+
+def _match_entries(t1: FilteredKTable, t2: FilteredKTable, iso, classes1: list, classes2: dict):
+    """Pair the pieces through the prime bijection; verdict per piece.
+
+    ``classes1`` is :func:`_entry_classes` of the first table and
+    ``classes2`` that of the second by piece difference, each computed once
+    per table and compared here per candidate.
+    """
     prime_pos2 = {p: idx for idx, p in enumerate(t2.topology.primes)}
     mapped = {iso[p] for p in t1.topology.primes}
     if mapped != set(t2.topology.primes):
@@ -536,9 +531,9 @@ def _match_entries(t1: FilteredKTable, t2: FilteredKTable, iso, entries2: dict):
     prime_bij = {idx: prime_pos2[iso[p]] for idx, p in enumerate(t1.topology.primes)}
     verdicts = []
     paired = 0
-    for e1 in t1.entries:
+    for e1, c1 in classes1:
         difference = e1.piece.difference
-        e2 = entries2.get(frozenset(prime_bij[x] for x in difference))
+        e2, c2 = classes2.get(frozenset(prime_bij[x] for x in difference), (None, None))
         if e2 is None:
             verdicts.append(
                 PieceVerdict(
@@ -550,19 +545,17 @@ def _match_entries(t1: FilteredKTable, t2: FilteredKTable, iso, entries2: dict):
             continue
         paired += 1
         problems = []
-        if e1.kzero.invariants() != e2.kzero.invariants():
-            problems.append(
-                f"K0 {e1.kzero.invariants()} vs {e2.kzero.invariants()}"
-            )
-        if e1.konebar.kernel_rank != e2.konebar.kernel_rank:
-            problems.append(
-                f"K1bar free rank {e1.konebar.kernel_rank} vs {e2.konebar.kernel_rank}"
-            )
-        if not e1.konebar.coker_part.same_class(e2.konebar.coker_part):
-            problems.append(
-                f"K1bar twisted part {e1.konebar.coker_part.symbol()} "
-                f"vs {e2.konebar.coker_part.symbol()}"
-            )
+        if c1 != c2:
+            (k0_1, rank1, twisted1), (k0_2, rank2, twisted2) = c1, c2
+            if k0_1 != k0_2:
+                problems.append(f"K0 {k0_1} vs {k0_2}")
+            if rank1 != rank2:
+                problems.append(f"K1bar free rank {rank1} vs {rank2}")
+            if twisted1 != twisted2:
+                problems.append(
+                    f"K1bar twisted part {e1.konebar.coker_part.symbol()} "
+                    f"vs {e2.konebar.coker_part.symbol()}"
+                )
         verdicts.append(
             PieceVerdict(
                 difference=tuple(sorted(difference)),
@@ -600,8 +593,8 @@ def _match_rows(rows1: _RowSource, rows2: _RowSource, iso, run_elements: bool):
             problems.append("second table row failed exactness")
         element = None
         if not problems and run_elements:
-            element = _row_element_check(row, other)
-            element_outcomes.append(element)
+            element, complete = _row_element_check(row, other)
+            element_outcomes.append((element, complete))
             if element == "refuted":
                 problems.append("no commuting system of isomorphisms exists")
         detail = "; ".join(problems) if problems else "row matches"
@@ -654,12 +647,13 @@ def compare_fkbar(
                 (transported,), (iso for iso in candidates if iso != transported)
             )
 
-    entries2 = {e.piece.difference: e for e in t2.entries}
+    classes1 = _entry_classes(t1)
+    classes2 = {e.piece.difference: (e, c) for e, c in _entry_classes(t2)}
     # (mismatch count, verdict bundle) of the closest failure; with no
     # candidate at all, the report says the lattices are not isomorphic
     best = (math.inf, (None, (), (), "ideal lattices admit no order isomorphism", "skipped"))
     for tried, iso in enumerate(candidates, 1):
-        piece_verdicts, piece_failure = _match_entries(t1, t2, iso, entries2)
+        piece_verdicts, piece_failure = _match_entries(t1, t2, iso, classes1, classes2)
         if piece_verdicts is None:
             bundle = (iso, (), (), piece_failure, "skipped")
             score = math.inf
@@ -670,26 +664,21 @@ def compare_fkbar(
             row_verdicts, row_failure, element_outcomes = _match_rows(
                 rows1, rows2, iso, run_elements=element_search
             )
-            if element_outcomes and all(e == "passed" for e in element_outcomes):
+            outcomes = [e for e, _ in element_outcomes]
+            if outcomes and all(e == "passed" for e in outcomes):
                 element = "passed"
-            elif any(e == "refuted" for e in element_outcomes):
+            elif "refuted" in outcomes:
                 element = "refuted"
-            elif element_outcomes:
+            elif outcomes:
                 element = "inconclusive"
             else:
                 element = "skipped"
             if not row_failure:
-                certification = "structural"
-                if element_search and element == "passed":
-                    certification = (
-                        "exhaustive"
-                        if all(
-                            _row_element_coverage(rows1.row(trip)) == "full"
-                            for trip in rows1.triples
-                        )
-                        else "bounded"
-                    )
-                elif element_search and element != "skipped":
+                if element == "skipped":
+                    certification = "structural"
+                elif element == "passed" and all(c for _, c in element_outcomes):
+                    certification = "exhaustive"
+                else:
                     certification = "bounded"
                 return ComparisonReport(
                     consistent=True,
@@ -719,17 +708,3 @@ def compare_fkbar(
         certification="structural",
         element_check=element,
     )
-
-
-def _row_element_coverage(row: SixTermRow) -> str:
-    """Would the element search over this row cover the full space?"""
-    for n in row.groups:
-        red = _reduced(n)
-        if any(m == 0 for m in red.moduli):
-            return "truncated"
-        torsion = math.prod(m for m in red.moduli if m) if red.moduli else 1
-        if torsion > _TORSION_ORDER_CAP:
-            return "skipped"
-        if _candidate_count(red, red) > _NODE_CANDIDATE_CAP:
-            return "skipped"
-    return "full"

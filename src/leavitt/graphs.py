@@ -19,14 +19,12 @@ __all__ = [
     "graph_to_text",
     "parse_matrix",
     "matrix_to_text",
-    "covering_window",
     "restriction",
     "quotient",
     "subquotient",
     "relabel",
     "graph_from_matrix",
     "is_downward_directed",
-    "is_irreducible",
 ]
 
 
@@ -240,24 +238,6 @@ def matrix_to_text(m: IntMatrix) -> str:
 # ---------------------------------------------------------------------------
 
 
-def covering_window(g: Graph, lo: int, hi: int) -> Graph:
-    """Finite window of the Z-covering.
-
-    Vertex (v,k) exists for lo <= k <= hi; edge (e,k) runs from (s(e),k) to
-    (r(e),k-1), so it exists for lo < k <= hi.  The result is acyclic by
-    construction since every edge strictly drops the level.
-    """
-    if lo > hi:
-        raise ValueError("empty window")
-    vertices = [f"({v},{k})" for k in range(hi, lo - 1, -1) for v in g.vertices]
-    edges = [
-        (f"({e.name},{k})", f"({e.src},{k})", f"({e.dst},{k - 1})")
-        for k in range(hi, lo, -1)
-        for e in g.edges
-    ]
-    return Graph(vertices, edges)
-
-
 def _require_subset(g, members, what="subset"):
     members = frozenset(members)
     for v in members:
@@ -378,24 +358,4 @@ def is_downward_directed(g: Graph, subset=None) -> bool:
         for v in members[i + 1:]:
             if not (ru & g.reachable_from(v)):
                 return False
-    return True
-
-
-def is_irreducible(g: Graph) -> bool:
-    """Does every vertex reach every vertex by a path of length >= 1?"""
-    if not g.vertices:
-        return False
-    for v in g.vertices:
-        # length >= 1: start from out-neighbors, not from v itself
-        seen = set()
-        stack = [e.dst for e in g.out_edges(v)]
-        seen.update(stack)
-        while stack:
-            cur = stack.pop()
-            for e in g.out_edges(cur):
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    stack.append(e.dst)
-        if len(seen) != len(g.vertices):
-            return False
     return True

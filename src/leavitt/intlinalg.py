@@ -37,9 +37,7 @@ __all__ = [
     "kernel_basis",
     "cokernel",
     "coker_with_coefficients",
-    "check_well_defined",
     "check_exact",
-    "lattice_member",
     "solve_lattice",
     "inverse_unimodular",
     "preimage_lattice",
@@ -140,9 +138,6 @@ class IntMatrix:
 
     def column(self, j):
         return tuple(r[j] for r in self.data)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
 
     def take_rows(self, indices):
         return IntMatrix._trusted(tuple(self.data[i] for i in indices), self.cols)
@@ -555,21 +550,6 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return sd.v.take_columns(range(k, m.cols))
 
 
-def lattice_member(m: IntMatrix, vec) -> bool:
-    """Is ``vec`` an integer combination of the columns of ``m``?"""
-    sd = snf(m)
-    y = sd.u @ tuple(vec)
-    diag = sd.diagonal
-    for i, yi in enumerate(y):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if yi != 0:
-                return False
-        elif yi % di != 0:
-            return False
-    return True
-
-
 def solve_lattice(m: IntMatrix, vec):
     """One integer solution x of m @ x = vec, or None if there is none."""
     sd = snf(m)
@@ -824,17 +804,6 @@ class GroupMap:
         )
 
 
-def check_well_defined(gmap: GroupMap) -> bool:
-    """Raise ValueError when a relation is not respected; True otherwise."""
-    for j in range(gmap.domain.relations.cols):
-        image = gmap.matrix @ gmap.domain.relations.column(j)
-        if not lattice_member(gmap.codomain.relations, image):
-            raise ValueError(
-                f"map {gmap.name or '<anonymous>'} does not kill domain relation {j}"
-            )
-    return True
-
-
 @dataclass(frozen=True)
 class NodeVerdict:
     index: int
@@ -998,17 +967,15 @@ class CoeffCokernel:
             parts.append(f"{name}^{self.free_rank}")
         return " ⊕ ".join(parts) if parts else "0"
 
+    def class_key(self):
+        """Hashable class of the induced group: the specialization when the
+        coefficients admit one, else the quotient orders and free rank."""
+        spec = self.specialize()
+        return (self.coeff, spec if spec is not None else (self.quotient_orders, self.free_rank))
+
     def same_class(self, other: "CoeffCokernel") -> bool:
         """Structural equality of the induced groups (exact when specializable)."""
-        if self.coeff != other.coeff:
-            return False
-        mine, theirs = self.specialize(), other.specialize()
-        if mine is not None and theirs is not None:
-            return mine == theirs
-        return (
-            self.quotient_orders == other.quotient_orders
-            and self.free_rank == other.free_rank
-        )
+        return self.class_key() == other.class_key()
 
     def is_trivial(self):
         if self.free_rank:

@@ -10,7 +10,6 @@ computed exactly and their six-term rows are verified, not assumed.
 
 from __future__ import annotations
 
-import random as _random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,8 +44,6 @@ __all__ = [
     "k1",
     "phi",
     "psi",
-    "psi_diagram_check",
-    "DiagramReport",
     "VdbReport",
     "vdb_sequence",
     "ConnectingMap",
@@ -161,35 +158,6 @@ def psi(g: Graph, vec, level: int = 0) -> GradedElement:
 
 def psi_regular(g: Graph, vec, level: int = 0) -> GradedElement:
     return GradedElement.from_vertex_vector(g.regulars, tuple(vec), level=level)
-
-
-@dataclass(frozen=True)
-class DiagramReport:
-    trials: int
-    failures: tuple
-
-    @property
-    def passed(self):
-        return not self.failures
-
-
-def psi_diagram_check(g: Graph, trials: int = 100, rng=None, bound: int = 5) -> DiagramReport:
-    """Sample the commuting square relating K and the colimit shift.
-
-    For random integer vectors y over the non-sink vertices, the image
-    psi(K y) must be graded-equal to phi(psi(y)).
-    """
-    rng = rng or _random.Random(0)
-    km = k_matrix(g)
-    failures = []
-    for _ in range(trials):
-        y = tuple(rng.randint(-bound, bound) for _ in g.regulars)
-        left = phi(psi_regular(g, y))
-        right = psi(g, km @ y)
-        verdict = graded_equal(g, left, right)
-        if not verdict.is_equal:
-            failures.append((y, verdict.reason))
-    return DiagramReport(trials=trials, failures=tuple(failures))
 
 
 @dataclass(frozen=True)

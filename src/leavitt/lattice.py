@@ -197,16 +197,6 @@ class SpectrumTopology:
     lattice: IdealLattice
     primes: tuple[int, ...]
     opens: tuple[frozenset, ...]
-    _element: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_element", {o: i for i, o in enumerate(self.opens)})
-
-    def element_of_open(self, open_set: frozenset) -> int:
-        try:
-            return self._element[open_set]
-        except KeyError:
-            raise KeyError(f"not an open set: {sorted(open_set)!r}") from None
 
 
 def spectrum(lattice: IdealLattice) -> SpectrumTopology:

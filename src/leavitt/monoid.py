@@ -10,11 +10,10 @@ Unknown rather than guessing.
 
 from __future__ import annotations
 
-import random as _random
 import re
 from dataclasses import dataclass
 
-from .graphs import Graph, is_hereditary, is_saturated, quotient
+from .graphs import Graph, is_hereditary, is_saturated
 from .intlinalg import cokernel
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "GradedElement",
     "EqVerdict",
     "EqBudget",
-    "RoundtripReport",
     "parse_monoid_element",
     "parse_graded_element",
     "successors_one_step",
@@ -30,9 +28,6 @@ __all__ = [
     "graded_expand_to_level",
     "graded_equal",
     "order_ideal_membership",
-    "quotient_roundtrip",
-    "random_graded_element",
-    "apply_random_expansions",
 ]
 
 
@@ -520,84 +515,3 @@ def order_ideal_membership(g: Graph, a: GradedElement, members) -> bool:
         return True
     return all(v in members for v, _, _ in _LevelForm(g, a.coeffs, a.min_level()).terms())
 
-
-# ---------------------------------------------------------------------------
-# sampling and the quotient round trip
-# ---------------------------------------------------------------------------
-
-
-def random_graded_element(g: Graph, rng, max_terms=3, levels=(-2, 2), max_coeff=3, signed=False) -> GradedElement:
-    if not g.vertices:
-        return GradedElement.zero()
-    triples = []
-    for _ in range(rng.randint(1, max_terms)):
-        v = rng.choice(g.vertices)
-        lvl = rng.randint(levels[0], levels[1])
-        n = rng.randint(1, max_coeff)
-        if signed and rng.random() < 0.5:
-            n = -n
-        triples.append((v, lvl, n))
-    return GradedElement.of(triples)
-
-
-def apply_random_expansions(g: Graph, a: GradedElement, steps: int, rng) -> GradedElement:
-    """Rewrite random single copies of regular generators, keeping the class."""
-    acc = {(v, l): n for v, l, n in a.coeffs}
-    for _ in range(steps):
-        # sorted, as in the element's own order, so a seeded rng picks alike
-        candidates = sorted(
-            key for key, n in acc.items() if n > 0 and not g.is_sink(key[0])
-        )
-        if not candidates:
-            break
-        v, l = rng.choice(candidates)
-        acc[(v, l)] -= 1
-        for e in g.out_edges(v):
-            acc[(e.dst, l - 1)] = acc.get((e.dst, l - 1), 0) + 1
-    return GradedElement.of((v, l, n) for (v, l), n in acc.items())
-
-
-@dataclass(frozen=True)
-class RoundtripReport:
-    samples: int
-    failures: tuple
-    inner_graph: Graph
-
-    @property
-    def passed(self):
-        return not self.failures
-
-
-def quotient_roundtrip(g: Graph, members, samples: int = 100, rng=None, rewrite_steps: int = 4) -> RoundtripReport:
-    """Check both composites of the quotient-monoid isomorphism on samples.
-
-    Down-then-up: a graded element of the quotient graph is lifted to the
-    ambient graph, rewritten randomly there, projected back by dropping the
-    removed vertices, and must stay graded-equal to the original.
-    Up-then-down: an ambient element is rewritten randomly in the ambient
-    graph, and the projections of the element and of its rewrite must be
-    graded-equal in the quotient, so projection is well defined on classes.
-    """
-    rng = rng or _random.Random(0)
-    members = frozenset(members)
-    if not (is_hereditary(g, members) and is_saturated(g, members)):
-        raise ValueError("quotient needs a hereditary saturated set")
-    q = quotient(g, members)
-    failures = []
-    for i in range(samples):
-        # down-then-up on the quotient side
-        a = random_graded_element(q, rng)
-        # a is read in g as it stands: the quotient keeps g's vertex ids
-        rewritten = apply_random_expansions(g, a, rng.randint(0, rewrite_steps), rng)
-        projected = rewritten.restrict_to(q.vertices)
-        verdict = graded_equal(q, projected, a)
-        if not verdict.is_equal:
-            failures.append(("down-up", a, rewritten, verdict.reason))
-            continue
-        # up-then-down on the ambient side
-        c = random_graded_element(g, rng)
-        rewritten = apply_random_expansions(g, c, rng.randint(0, rewrite_steps), rng)
-        verdict = graded_equal(q, c.restrict_to(q.vertices), rewritten.restrict_to(q.vertices))
-        if not verdict.is_equal:
-            failures.append(("up-down", c, rewritten, verdict.reason))
-    return RoundtripReport(samples=samples, failures=tuple(failures), inner_graph=q)

@@ -163,20 +163,20 @@ def _bounded_solutions(num_vars, constraints, upper, counter, cap):
     yield from descend(0)
 
 
-def _intertwiner_constraints(a, b, na, nb):
-    """A R = R B as constraints on vec(R), row-major R of shape na x nb."""
+def _constraints(target: IntMatrix, x_cols: int, left=None, right=None):
+    """left X + X right = target as constraints on vec(X), row-major X with
+    ``x_cols`` columns; either term may be absent."""
     out = []
-    for i in range(na):
-        for j in range(nb):
+    for i in range(target.rows):
+        for j in range(target.cols):
             coeffs = {}
-            for k in range(na):
-                if a[i, k]:
-                    coeffs[k * nb + j] = coeffs.get(k * nb + j, 0) + a[i, k]
-            for k in range(nb):
-                if b[k, j]:
-                    coeffs[i * nb + k] = coeffs.get(i * nb + k, 0) - b[k, j]
-            coeffs = {v: c for v, c in coeffs.items() if c}
-            out.append((coeffs, 0))
+            for k, c in enumerate(left.row(i) if left is not None else ()):
+                if c:
+                    coeffs[k * x_cols + j] = coeffs.get(k * x_cols + j, 0) + c
+            for k, c in enumerate(right.column(j) if right is not None else ()):
+                if c:
+                    coeffs[i * x_cols + k] = coeffs.get(i * x_cols + k, 0) + c
+            out.append(({v: c for v, c in coeffs.items() if c}, target[i, j]))
     return out
 
 
@@ -210,49 +210,26 @@ def shift_equivalent_bounded(
     counter = [0]
     capped = False
     r_candidates = []
+    ar_rb = _constraints(IntMatrix.zeros(na, nb), nb, left=a, right=-b)  # A R = R B
     try:
-        for flat in _bounded_solutions(
-            na * nb, _intertwiner_constraints(a, b, na, nb), max_entry, counter, node_cap
-        ):
+        for flat in _bounded_solutions(na * nb, ar_rb, max_entry, counter, node_cap):
             r_candidates.append(
                 IntMatrix([flat[i * nb:(i + 1) * nb] for i in range(na)], cols=nb)
             )
     except _NodeCapHit:
         capped = True
 
+    sa_bs = _constraints(IntMatrix.zeros(nb, na), na, left=-b, right=a)  # S A = B S, every lag
     for lag in range(1, max_lag + 1):
         a_pow = a.pow(lag)
         b_pow = b.pow(lag)
         for r in r_candidates:
-            constraints = []
-            # S A = B S on vec(S), S of shape nb x na
-            for i in range(nb):
-                for j in range(na):
-                    coeffs = {}
-                    for k in range(nb):
-                        if b[i, k]:
-                            coeffs[k * na + j] = coeffs.get(k * na + j, 0) - b[i, k]
-                    for k in range(na):
-                        if a[k, j]:
-                            coeffs[i * na + k] = coeffs.get(i * na + k, 0) + a[k, j]
-                    coeffs = {v: c for v, c in coeffs.items() if c}
-                    constraints.append((coeffs, 0))
-            # R S = A^lag
-            for i in range(na):
-                for j in range(na):
-                    coeffs = {}
-                    for k in range(nb):
-                        if r[i, k]:
-                            coeffs[k * na + j] = coeffs.get(k * na + j, 0) + r[i, k]
-                    constraints.append((coeffs, a_pow[i, j]))
-            # S R = B^lag
-            for i in range(nb):
-                for j in range(nb):
-                    coeffs = {}
-                    for k in range(na):
-                        if r[k, j]:
-                            coeffs[i * na + k] = coeffs.get(i * na + k, 0) + r[k, j]
-                    constraints.append((coeffs, b_pow[i, j]))
+            # R S = A^lag and S R = B^lag
+            constraints = (
+                sa_bs
+                + _constraints(a_pow, na, left=r)
+                + _constraints(b_pow, na, right=r)
+            )
             try:
                 for flat in _bounded_solutions(nb * na, constraints, max_entry, counter, node_cap):
                     s = IntMatrix([flat[i * na:(i + 1) * na] for i in range(nb)], cols=na)

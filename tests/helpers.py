@@ -27,6 +27,16 @@ independent cross-checks:
   with n×n order tables for the isomorphisms, in the same output order.
 * ``kernel_of`` — the intersection of named primes, which recovers each
   lattice element from the primes containing it.
+* ``lattice_member`` — membership in a column lattice read off the Smith
+  transforms, the reference for ``solve_lattice`` and ``_spans_into``;
+  ``check_well_defined`` applies it to every domain relation of a map.
+
+The sampling harnesses below the oracles drive the library's exact engines
+on random inputs: ``random_graded_element`` and ``apply_random_expansions``
+feed ``graded_equal``, ``quotient_roundtrip`` checks both composites of the
+quotient-monoid isomorphism, ``psi_diagram_check`` the square relating K and
+the colimit shift, and ``covering_window`` and ``is_irreducible`` build and
+test graphs for them.
 """
 
 from __future__ import annotations
@@ -36,8 +46,9 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from leavitt.graphs import Graph
+from leavitt.graphs import Graph, is_hereditary, is_saturated, quotient
 from leavitt.intlinalg import (
+    GroupMap,
     IntMatrix,
     inverse_unimodular,
     kernel_basis,
@@ -45,8 +56,9 @@ from leavitt.intlinalg import (
     snf,
     subgroup_equal,
 )
+from leavitt.ktheory import k_matrix, phi, psi, psi_regular
 from leavitt.lattice import IdealLattice, LocallyClosed, SpectrumTopology
-from leavitt.monoid import GradedElement, MonoidElement
+from leavitt.monoid import GradedElement, MonoidElement, graded_equal
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +438,12 @@ def locally_closed_oracle(topology: SpectrumTopology) -> tuple[LocallyClosed, ..
     """
     opens = topology.opens
     n = len(opens)
+    element = {o: i for i, o in enumerate(opens)}
     differences = {opens[i] - opens[j] for i in range(n) for j in range(n) if opens[j] <= opens[i]}
     out = []
     for diff in differences:
         candidates = [
-            (len(u), i, topology.element_of_open(u - diff))
+            (len(u), i, element[u - diff])
             for i, u in enumerate(opens)
             if diff <= u and (u - diff) in opens
         ]
@@ -495,7 +508,38 @@ def disjoint_union(*graphs: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# test-only predicates and samplers
+# lattice membership and well-defined maps
+# ---------------------------------------------------------------------------
+
+
+def lattice_member(m: IntMatrix, vec) -> bool:
+    """Is ``vec`` an integer combination of the columns of ``m``?"""
+    sd = snf(m)
+    y = sd.u @ tuple(vec)
+    diag = sd.diagonal
+    for i, yi in enumerate(y):
+        di = diag[i] if i < len(diag) else 0
+        if di == 0:
+            if yi != 0:
+                return False
+        elif yi % di != 0:
+            return False
+    return True
+
+
+def check_well_defined(gmap: GroupMap) -> bool:
+    """Raise ValueError when a relation is not respected; True otherwise."""
+    for j in range(gmap.domain.relations.cols):
+        image = gmap.matrix @ gmap.domain.relations.column(j)
+        if not lattice_member(gmap.codomain.relations, image):
+            raise ValueError(
+                f"map {gmap.name or '<anonymous>'} does not kill domain relation {j}"
+            )
+    return True
+
+
+# ---------------------------------------------------------------------------
+# test-only predicates, samplers and sampling harnesses
 # ---------------------------------------------------------------------------
 
 
@@ -539,6 +583,150 @@ def random_monoid_element(g: Graph, rng, max_terms=3, max_coeff=3) -> MonoidElem
         v = rng.choice(g.vertices)
         pairs[v] = pairs.get(v, 0) + rng.randint(1, max_coeff)
     return MonoidElement.of(pairs)
+
+
+def is_irreducible(g: Graph) -> bool:
+    """Does every vertex reach every vertex by a path of length >= 1?"""
+    if not g.vertices:
+        return False
+    for v in g.vertices:
+        # length >= 1: start from out-neighbors, not from v itself
+        seen = set()
+        stack = [e.dst for e in g.out_edges(v)]
+        seen.update(stack)
+        while stack:
+            cur = stack.pop()
+            for e in g.out_edges(cur):
+                if e.dst not in seen:
+                    seen.add(e.dst)
+                    stack.append(e.dst)
+        if len(seen) != len(g.vertices):
+            return False
+    return True
+
+
+def covering_window(g: Graph, lo: int, hi: int) -> Graph:
+    """Finite window of the Z-covering.
+
+    Vertex (v,k) exists for lo <= k <= hi; edge (e,k) runs from (s(e),k) to
+    (r(e),k-1), so it exists for lo < k <= hi.  The result is acyclic by
+    construction since every edge strictly drops the level.
+    """
+    if lo > hi:
+        raise ValueError("empty window")
+    vertices = [f"({v},{k})" for k in range(hi, lo - 1, -1) for v in g.vertices]
+    edges = [
+        (f"({e.name},{k})", f"({e.src},{k})", f"({e.dst},{k - 1})")
+        for k in range(hi, lo, -1)
+        for e in g.edges
+    ]
+    return Graph(vertices, edges)
+
+
+def random_graded_element(g: Graph, rng, max_terms=3, levels=(-2, 2), max_coeff=3, signed=False) -> GradedElement:
+    if not g.vertices:
+        return GradedElement.zero()
+    triples = []
+    for _ in range(rng.randint(1, max_terms)):
+        v = rng.choice(g.vertices)
+        lvl = rng.randint(levels[0], levels[1])
+        n = rng.randint(1, max_coeff)
+        if signed and rng.random() < 0.5:
+            n = -n
+        triples.append((v, lvl, n))
+    return GradedElement.of(triples)
+
+
+def apply_random_expansions(g: Graph, a: GradedElement, steps: int, rng) -> GradedElement:
+    """Rewrite random single copies of regular generators, keeping the class."""
+    acc = {(v, l): n for v, l, n in a.coeffs}
+    for _ in range(steps):
+        # sorted, as in the element's own order, so a seeded rng picks alike
+        candidates = sorted(
+            key for key, n in acc.items() if n > 0 and not g.is_sink(key[0])
+        )
+        if not candidates:
+            break
+        v, l = rng.choice(candidates)
+        acc[(v, l)] -= 1
+        for e in g.out_edges(v):
+            acc[(e.dst, l - 1)] = acc.get((e.dst, l - 1), 0) + 1
+    return GradedElement.of((v, l, n) for (v, l), n in acc.items())
+
+
+@dataclass(frozen=True)
+class RoundtripReport:
+    samples: int
+    failures: tuple
+    inner_graph: Graph
+
+    @property
+    def passed(self):
+        return not self.failures
+
+
+def quotient_roundtrip(g: Graph, members, samples: int = 100, rng=None, rewrite_steps: int = 4) -> RoundtripReport:
+    """Check both composites of the quotient-monoid isomorphism on samples.
+
+    Down-then-up: a graded element of the quotient graph is lifted to the
+    ambient graph, rewritten randomly there, projected back by dropping the
+    removed vertices, and must stay graded-equal to the original.
+    Up-then-down: an ambient element is rewritten randomly in the ambient
+    graph, and the projections of the element and of its rewrite must be
+    graded-equal in the quotient, so projection is well defined on classes.
+    """
+    rng = rng or random.Random(0)
+    members = frozenset(members)
+    if not (is_hereditary(g, members) and is_saturated(g, members)):
+        raise ValueError("quotient needs a hereditary saturated set")
+    q = quotient(g, members)
+    failures = []
+    for i in range(samples):
+        # down-then-up on the quotient side
+        a = random_graded_element(q, rng)
+        # a is read in g as it stands: the quotient keeps g's vertex ids
+        rewritten = apply_random_expansions(g, a, rng.randint(0, rewrite_steps), rng)
+        projected = rewritten.restrict_to(q.vertices)
+        verdict = graded_equal(q, projected, a)
+        if not verdict.is_equal:
+            failures.append(("down-up", a, rewritten, verdict.reason))
+            continue
+        # up-then-down on the ambient side
+        c = random_graded_element(g, rng)
+        rewritten = apply_random_expansions(g, c, rng.randint(0, rewrite_steps), rng)
+        verdict = graded_equal(q, c.restrict_to(q.vertices), rewritten.restrict_to(q.vertices))
+        if not verdict.is_equal:
+            failures.append(("up-down", c, rewritten, verdict.reason))
+    return RoundtripReport(samples=samples, failures=tuple(failures), inner_graph=q)
+
+
+@dataclass(frozen=True)
+class DiagramReport:
+    trials: int
+    failures: tuple
+
+    @property
+    def passed(self):
+        return not self.failures
+
+
+def psi_diagram_check(g: Graph, trials: int = 100, rng=None, bound: int = 5) -> DiagramReport:
+    """Sample the commuting square relating K and the colimit shift.
+
+    For random integer vectors y over the non-sink vertices, the image
+    psi(K y) must be graded-equal to phi(psi(y)).
+    """
+    rng = rng or random.Random(0)
+    km = k_matrix(g)
+    failures = []
+    for _ in range(trials):
+        y = tuple(rng.randint(-bound, bound) for _ in g.regulars)
+        left = phi(psi_regular(g, y))
+        right = psi(g, km @ y)
+        verdict = graded_equal(g, left, right)
+        if not verdict.is_equal:
+            failures.append((y, verdict.reason))
+    return DiagramReport(trials=trials, failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------

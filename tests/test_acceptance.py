@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 
 import helpers as H
+from helpers import psi_diagram_check, quotient_roundtrip
 from leavitt.filtered import compare_fkbar
 from leavitt.graphs import graph_from_matrix, relabel
 from leavitt.intlinalg import CoeffGroup, FgAbGroup, IntMatrix
@@ -18,7 +19,6 @@ from leavitt.ktheory import (
     connecting_delta,
     k0,
     k1,
-    psi_diagram_check,
     six_term_row,
     snake_rho,
 )
@@ -27,7 +27,6 @@ from leavitt.monoid import (
     EqBudget,
     parse_graded_element,
     graded_equal,
-    quotient_roundtrip,
     ungraded_equal,
 )
 from leavitt.shifts import (

@@ -1,5 +1,6 @@
 """Filtered K-theory tables and graph-to-graph comparison."""
 
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,7 @@ import leavitt.filtered as filtered
 from leavitt.filtered import RowCapError, compare_fkbar, fkbar, transport_from_certificate
 from leavitt.graphs import Graph, graph_from_matrix, relabel, subquotient
 from leavitt.intlinalg import CoeffGroup, FgAbGroup, IntMatrix
-from leavitt.ktheory import SubquotientStore, k0, k1, six_term_row
+from leavitt.ktheory import KZero, SubquotientStore, k0, k1, six_term_row
 from leavitt.lattice import LatticeCapError, enumerate_hsat
 from leavitt.shifts import shift_equivalent_bounded
 
@@ -42,7 +43,7 @@ class TestTable:
 
     def test_full_spectrum_entry_is_global_invariant(self, corpus):
         for g in corpus[:40]:
-            t = fkbar(g, COEFF, include_rows=False)
+            t = fkbar(g, COEFF)
             full = frozenset(range(len(t.topology.primes)))
             [entry] = [e for e in t.entries if e.piece.difference == full]
             assert entry.kzero.group.invariants() == k0(g).group.invariants()
@@ -51,7 +52,7 @@ class TestTable:
 
     def test_empty_difference_entry_is_trivial(self, corpus):
         for g in corpus[:40]:
-            t = fkbar(g, COEFF, include_rows=False)
+            t = fkbar(g, COEFF)
             [entry] = [e for e in t.entries if not e.piece.difference]
             assert entry.kzero.group.invariants() == FgAbGroup.from_parts(0, ())
             assert entry.graph.num_vertices == 0
@@ -98,18 +99,14 @@ class TestTable:
         for g in corpus[:25]:
             assert fkbar(g, COEFF).all_rows_exact
 
-    def test_include_rows_false(self, fan):
-        t = fkbar(fan, COEFF, include_rows=False)
-        assert not t.rows and t.all_rows_exact
-
     def test_relabel_gives_same_entry_invariants(self, corpus):
         rng = random.Random(37)
         for g in corpus[:20]:
             names = list(g.vertices)
             rng.shuffle(names)
             g2 = relabel(g, {v: f"u{i}_{n}" for i, (v, n) in enumerate(zip(g.vertices, names))})
-            t1 = fkbar(g, COEFF, include_rows=False)
-            t2 = fkbar(g2, COEFF, include_rows=False)
+            t1 = fkbar(g, COEFF)
+            t2 = fkbar(g2, COEFF)
             inv1 = sorted(
                 (len(e.piece.difference), str(e.kzero.group.invariants()), e.konebar.symbol())
                 for e in t1.entries
@@ -178,9 +175,6 @@ class TestRowCap:
         with pytest.raises(RowCapError):
             fkbar(g, COEFF, row_cap=63)
 
-    def test_no_rows_no_cap(self, fan):
-        assert fkbar(fan, COEFF, include_rows=False, row_cap=0).entries
-
     def test_compare_passes_the_cap_on(self, fan):
         with pytest.raises(RowCapError):
             compare_fkbar(fan, fan, COEFF, row_cap=15)
@@ -189,7 +183,7 @@ class TestRowCap:
 class TestCompare:
     def test_row_signatures_computed_once_per_row(self, monkeypatch):
         g = disjoint_loops(2)
-        t = fkbar(g, COEFF, include_rows=False)
+        t = fkbar(g, COEFF)
         calls = []
         original = filtered._row_signature
 
@@ -227,6 +221,32 @@ class TestCompare:
         # both tables share one memo: five maps per distinct skeleton of 64 rows
         assert len(skeletons) == 15
         assert len(calls) == 5 * len(skeletons)
+
+    def test_entry_classes_once_per_table(self, monkeypatch):
+        g = disjoint_loops(3)
+        doubled = Graph(g.vertices, g.edges + (("extra", "x0", "x0"),))
+        entries = len(fkbar(g, COEFF).entries) + len(fkbar(doubled, COEFF).entries)
+        calls = []
+        invariants = KZero.invariants
+
+        def counting(self):
+            calls.append(self)
+            return invariants(self)
+
+        monkeypatch.setattr(KZero, "invariants", counting)
+        candidates = filtered._iter_isomorphisms
+        reports = []
+        for limit in (1, 6):  # every one of the 6 cube automorphisms fails
+            monkeypatch.setattr(
+                filtered,
+                "_iter_isomorphisms",
+                lambda t1, t2, limit=limit: itertools.islice(candidates(t1, t2), limit),
+            )
+            calls.clear()
+            reports.append(compare_fkbar(g, doubled, COEFF))
+            # one call per entry of each table, however many candidates fail
+            assert len(calls) == entries == 16
+        assert not reports[0].consistent and reports[0] == reports[1]
 
     def test_rose_pair_obstruction(self, rose2, rose3):
         rep = compare_fkbar(rose2, rose3, COEFF)

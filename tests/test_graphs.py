@@ -5,15 +5,14 @@ import random
 import pytest
 
 import helpers as H
+from helpers import covering_window, is_irreducible
 from leavitt.graphs import (
     Graph,
     GraphFormatError,
-    covering_window,
     graph_from_matrix,
     graph_to_text,
     is_downward_directed,
     is_hereditary,
-    is_irreducible,
     is_saturated,
     matrix_to_text,
     parse_graph,

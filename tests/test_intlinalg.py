@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers as H
+from helpers import check_well_defined, lattice_member
 from leavitt.intlinalg import (
     CoeffGroup,
     FgAbGroup,
@@ -14,13 +15,11 @@ from leavitt.intlinalg import (
     IntMatrix,
     PresentedGroup,
     check_exact,
-    check_well_defined,
     coker_with_coefficients,
     cokernel,
     invariant_factors,
     inverse_unimodular,
     kernel_basis,
-    lattice_member,
     map_invariants,
     preimage_lattice,
     snf,

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import helpers as H
+from helpers import check_well_defined, psi_diagram_check
 from leavitt import ktheory
 from leavitt.graphs import Graph, relabel
 from leavitt.intlinalg import (
@@ -14,7 +15,6 @@ from leavitt.intlinalg import (
     IntMatrix,
     PresentedGroup,
     check_exact,
-    check_well_defined,
     cokernel,
 )
 from leavitt.ktheory import (
@@ -26,7 +26,6 @@ from leavitt.ktheory import (
     k_matrix,
     phi,
     psi,
-    psi_diagram_check,
     six_term_row,
     snake_rho,
     vdb_sequence,

@@ -42,3 +42,62 @@ def test_root_reexports_are_in_all(name):
     module = importlib.import_module(f"leavitt.{name}")
     unlisted = [n for n in root_imports().get(name, []) if n not in module.__all__]
     assert not unlisted, unlisted
+
+
+# Public names that nothing else in src/ uses, and why each stays public.
+UNREFERENCED_OK = {
+    # wrapped by the benchmark tracer, so it must stay importable by name
+    "subgroup_equal",
+    "lattice_isomorphisms",
+    "graded_expand_to_level",
+    # graph text formats and constructors, for writing inputs
+    "graph_to_text",
+    "matrix_to_text",
+    "relabel",
+    "graph_from_matrix",
+    # the paper's maps and the exact engines that cross-check the verbs
+    "psi",
+    "snake_rho",
+    "order_ideal_membership",
+}
+
+
+def _references(trees, name, own_definition):
+    """Modules whose code loads ``name`` (as a name or an attribute), outside
+    the subtree of its own definition."""
+    skip = {id(node) for node in ast.walk(own_definition)} if own_definition else set()
+    return [
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if id(node) not in skip
+        and (
+            (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+        )
+    ]
+
+
+def test_every_public_name_is_used_in_src():
+    """A name in some ``__all__`` that no code in ``src/`` reaches (imports
+    and ``__all__`` strings do not count) is a test-only helper; it belongs
+    in ``tests/helpers.py`` unless ``UNREFERENCED_OK`` says why not."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    unused = []
+    for name in MODULES:
+        tree = trees[name]
+        for public in importlib.import_module(f"leavitt.{name}").__all__:
+            own = next(
+                (
+                    node
+                    for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == public
+                ),
+                None,
+            )
+            if not _references(trees, public, own) and public not in UNREFERENCED_OK:
+                unused.append(f"{name}.{public}")
+    assert not unused, unused
+    assert all(
+        _references(trees, public, None) == [] for public in UNREFERENCED_OK
+    ), "an exception is now used in src/; drop it from UNREFERENCED_OK"

@@ -6,11 +6,17 @@ import random
 import pytest
 
 import helpers as H
-from helpers import DimensionTriple, dimension_triple_equal, triple_of_graded
+from helpers import (
+    DimensionTriple,
+    apply_random_expansions,
+    dimension_triple_equal,
+    random_graded_element,
+    triple_of_graded,
+)
 from leavitt.graphs import Graph, graph_from_matrix
 from leavitt.intlinalg import FgAbGroup, IntMatrix
 from leavitt.ktheory import k0
-from leavitt.monoid import apply_random_expansions, graded_equal, random_graded_element
+from leavitt.monoid import graded_equal
 from leavitt.shifts import (
     ShiftEqCertificate,
     bowen_franks,
