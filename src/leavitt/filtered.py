@@ -221,11 +221,6 @@ class _RowSource:
 # ---------------------------------------------------------------------------
 
 
-def _konebar_class(kb: KOneBar):
-    """Hashable class of a K1bar: kernel rank and twisted class key."""
-    return (kb.kernel_rank, kb.coker_part.class_key())
-
-
 def _row_signature(row: SixTermRow, skeleton_classes: dict):
     """Invariant tuple of a six-term row: group classes and map classes.
 
@@ -245,7 +240,8 @@ def _row_signature(row: SixTermRow, skeleton_classes: dict):
             ),
         )
     groups, maps = skeleton
-    return (groups, tuple(_konebar_class(kb) for kb in row.k1bars), maps)
+    k1bars = tuple((kb.kernel_rank, kb.coker_part.class_key()) for kb in row.k1bars)
+    return (groups, k1bars, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +284,6 @@ class _Reduced:
         for value, i in zip(red, self.keep):
             full[i] = value
         return self._uinv @ tuple(full)
-
-    def normalize(self, red):
-        return tuple(
-            v % m if m else v for v, m in zip(red, self.moduli)
-        )
 
 
 @lru_cache(maxsize=4096)
@@ -511,10 +502,22 @@ class ComparisonReport:
     note: str = NECESSARY_ONLY_NOTE
 
 
+_ENTRY_FACETS = ("K0", "K1bar free rank", "K1bar twisted part")
+
+
 def _entry_classes(t: FilteredKTable):
-    """(entry, class) per entry of a table, in entry order; the class is the
-    K0 invariants followed by the K1bar class."""
-    return [(e, (e.kzero.invariants(),) + _konebar_class(e.konebar)) for e in t.entries]
+    """(entry, class, names) per entry of a table, in entry order.
+
+    The class holds, per facet of ``_ENTRY_FACETS``, the K0 invariants, the
+    K1bar kernel rank and the twisted class key; ``names`` holds how a
+    mismatch message writes each.
+    """
+    out = []
+    for e in t.entries:
+        k0, kb = e.kzero.invariants(), e.konebar
+        cls = (k0, kb.kernel_rank, kb.coker_part.class_key())
+        out.append((e, cls, (str(k0), str(kb.kernel_rank), kb.coker_part.symbol())))
+    return out
 
 
 def _match_entries(t1: FilteredKTable, t2: FilteredKTable, iso, classes1: list, classes2: dict):
@@ -522,7 +525,7 @@ def _match_entries(t1: FilteredKTable, t2: FilteredKTable, iso, classes1: list, 
 
     ``classes1`` is :func:`_entry_classes` of the first table and
     ``classes2`` that of the second by piece difference, each computed once
-    per table and compared here per candidate.
+    per table, whatever the number of candidates.
     """
     prime_pos2 = {p: idx for idx, p in enumerate(t2.topology.primes)}
     mapped = {iso[p] for p in t1.topology.primes}
@@ -531,9 +534,9 @@ def _match_entries(t1: FilteredKTable, t2: FilteredKTable, iso, classes1: list, 
     prime_bij = {idx: prime_pos2[iso[p]] for idx, p in enumerate(t1.topology.primes)}
     verdicts = []
     paired = 0
-    for e1, c1 in classes1:
+    for e1, c1, names1 in classes1:
         difference = e1.piece.difference
-        e2, c2 = classes2.get(frozenset(prime_bij[x] for x in difference), (None, None))
+        e2, c2, names2 = classes2.get(frozenset(prime_bij[x] for x in difference), (None,) * 3)
         if e2 is None:
             verdicts.append(
                 PieceVerdict(
@@ -544,18 +547,11 @@ def _match_entries(t1: FilteredKTable, t2: FilteredKTable, iso, classes1: list, 
             )
             continue
         paired += 1
-        problems = []
-        if c1 != c2:
-            (k0_1, rank1, twisted1), (k0_2, rank2, twisted2) = c1, c2
-            if k0_1 != k0_2:
-                problems.append(f"K0 {k0_1} vs {k0_2}")
-            if rank1 != rank2:
-                problems.append(f"K1bar free rank {rank1} vs {rank2}")
-            if twisted1 != twisted2:
-                problems.append(
-                    f"K1bar twisted part {e1.konebar.coker_part.symbol()} "
-                    f"vs {e2.konebar.coker_part.symbol()}"
-                )
+        problems = [
+            f"{facet} {n1} vs {n2}"
+            for facet, x1, x2, n1, n2 in zip(_ENTRY_FACETS, c1, c2, names1, names2)
+            if x1 != x2
+        ]
         verdicts.append(
             PieceVerdict(
                 difference=tuple(sorted(difference)),
@@ -624,10 +620,10 @@ def compare_fkbar(
     per-row map invariants plus exactness, then (for small groups) an
     element-level search for commuting isomorphism systems.  Both lattices
     are checked against ``lattice_cap`` and ``row_cap`` and both tables'
-    entries are built before any candidate is tried.  A row is built, with
-    every check of :func:`six_term_row`, only when a candidate matches
-    every entry; each row and its signature are computed at most once,
-    whatever the number of candidates.
+    entries, with their classes, are built before any candidate is tried.
+    A row is built, with every check of :func:`six_term_row`, only when a
+    candidate matches every entry; each row and its signature are computed
+    at most once, whatever the number of candidates.
     """
     topology1 = _checked_spectrum(g1, lattice_cap, row_cap)
     topology2 = _checked_spectrum(g2, lattice_cap, row_cap)
@@ -648,7 +644,7 @@ def compare_fkbar(
             )
 
     classes1 = _entry_classes(t1)
-    classes2 = {e.piece.difference: (e, c) for e, c in _entry_classes(t2)}
+    classes2 = {item[0].piece.difference: item for item in _entry_classes(t2)}
     # (mismatch count, verdict bundle) of the closest failure; with no
     # candidate at all, the report says the lattices are not isomorphic
     best = (math.inf, (None, (), (), "ideal lattices admit no order isomorphism", "skipped"))
