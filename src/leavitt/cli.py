@@ -372,7 +372,7 @@ def _cmd_vdb(args):
     report = vdb_sequence(g, coeff)
     payload = {
         "k1": _konebar_json(report.k1),
-        "k0": _group_json(report.k0.invariants()),
+        "k0": _group_json(report.coker_phi),
         "ker_phi": _group_json(report.ker_phi),
         "coker_phi": _group_json(report.coker_phi),
         "kernel_maps_into_ker_phi": report.kernel_maps_into_ker_phi,
@@ -381,7 +381,7 @@ def _cmd_vdb(args):
         "consistent": report.consistent,
     }
     lines = [
-        f"K1 = {report.k1.symbol()} -> graded K0 -> graded K0 -> K0 = {report.k0.invariants()} -> 0",
+        f"K1 = {report.k1.symbol()} -> graded K0 -> graded K0 -> K0 = {report.coker_phi} -> 0",
         f"ker(phi) = {report.ker_phi}, coker(phi) = {report.coker_phi}",
         f"consistent: {report.consistent}",
     ]

@@ -85,12 +85,6 @@ class FilteredKTable:
     def all_rows_exact(self):
         return all(r.exact for r in self.rows)
 
-    def entry_for(self, piece: LocallyClosed) -> TableEntry:
-        for e in self.entries:
-            if e.piece == piece:
-                return e
-        raise KeyError("no entry for that piece")
-
 
 class RowCapError(RuntimeError):
     """Raised when a table would need more six-term rows than the cap."""

@@ -39,7 +39,9 @@ class GraphFormatError(ValueError):
 
 
 def _check_identifier(kind, ident):
-    if not ident or any(ch.isspace() for ch in ident):
+    # str.split() cuts at exactly the characters str.isspace() accepts, so an
+    # identifier is good when it is one nonempty whitespace-free piece
+    if ident.split() != [ident]:
         raise ValueError(f"bad {kind} identifier {ident!r}")
 
 
@@ -124,7 +126,7 @@ class Graph:
             counts = [[0] * n for _ in range(n)]
             for e in self.edges:
                 counts[self._index[e.src]][self._index[e.dst]] += 1
-            object.__setattr__(self, "_adjacency", IntMatrix(counts, cols=n))
+            object.__setattr__(self, "_adjacency", IntMatrix._trusted(tuple(map(tuple, counts)), n))
         return self._adjacency
 
     def reachable_from(self, v):

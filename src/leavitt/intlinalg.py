@@ -81,9 +81,9 @@ class IntMatrix:
     def _trusted(cls, rows, cols):
         """Wrap a tuple of int row tuples, each ``cols`` long, unchecked.
 
-        Only for rows this module has just built, from entries of existing
-        matrices or from literal zeros and ones; public construction goes
-        through the checks above.
+        Only for rows the package has just built, from entries of existing
+        matrices, from edge counts or from literal zeros and ones; public
+        construction goes through the checks above.
         """
         m = object.__new__(cls)
         object.__setattr__(m, "rows", len(rows))
@@ -233,11 +233,6 @@ class IntMatrix:
             self.cols + other.cols,
         )
 
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch")
-        return IntMatrix._trusted(self.data + other.data, self.cols)
-
     def pow(self, k):
         """Exact k-th power of a square matrix, k >= 0."""
         if self.rows != self.cols:
@@ -328,26 +323,8 @@ class SmithData:
     v: IntMatrix
 
     @property
-    def d(self) -> IntMatrix:
-        return IntMatrix.diagonal(self.diagonal, rows=self.u.rows, cols=self.v.cols)
-
-    @property
     def rank(self):
         return sum(1 for x in self.diagonal if x != 0)
-
-    def verify(self, m):
-        """Recheck the factorization against the original matrix."""
-        if self.u @ m @ self.v != self.d:
-            return False
-        if abs(self.u.det()) != 1 or abs(self.v.det()) != 1:
-            return False
-        diag = self.diagonal
-        for a, b in zip(diag, diag[1:]):
-            if a == 0 and b != 0:
-                return False
-            if a != 0 and b % a != 0:
-                return False
-        return all(x >= 0 for x in diag)
 
 
 def _select_pivot(d):
@@ -736,24 +713,31 @@ class PresentedGroup:
         return FgAbGroup(free, tuple(torsion))
 
     def canon(self, vec):
-        """Canonical form of the class of ``vec``; equal classes, equal tuples."""
+        """Canonical form of the class of ``vec``; equal classes, equal tuples.
+
+        Coordinate i is row i of ``u @ vec`` reduced modulo the Smith entry
+        d_i, where d_i = 0 beyond the diagonal keeps the value.  Where d_i = 1
+        the coordinate is 0 whatever the row gives, so only the rows with
+        d_i != 1 are multiplied out.
+        """
         vec = tuple(vec)
         if len(vec) != self.generators:
             raise ValueError("vector length mismatch")
         sd = self.smith
-        y = sd.u @ vec
         diag = sd.diagonal
-        out = []
-        for i, yi in enumerate(y):
-            di = diag[i] if i < len(diag) else 0
-            out.append(yi % di if di != 0 else yi)
+        u = sd.u.data
+        nonzero = [(k, x) for k, x in enumerate(vec) if x]
+        out = [0] * self.generators
+        for i, di in enumerate(diag):
+            if di != 1:
+                yi = sum(u[i][k] * x for k, x in nonzero)
+                out[i] = yi % di if di else yi
+        for i in range(len(diag), self.generators):
+            out[i] = sum(u[i][k] * x for k, x in nonzero)
         return tuple(out)
 
     def is_zero_class(self, vec):
         return all(x == 0 for x in self.canon(vec))
-
-    def class_equal(self, a, b):
-        return self.is_zero_class(tuple(x - y for x, y in zip(a, b, strict=True)))
 
     def same_presentation(self, other):
         return self.generators == other.generators and self.relations == other.relations
@@ -788,20 +772,6 @@ class GroupMap:
                 f"map matrix shape {self.matrix.shape} does not match "
                 f"({self.codomain.generators}, {self.domain.generators})"
             )
-
-    def apply(self, vec):
-        return self.matrix @ tuple(vec)
-
-    def compose(self, inner: "GroupMap") -> "GroupMap":
-        """self after inner."""
-        if not self.domain.same_presentation(inner.codomain):
-            raise ValueError("maps not composable")
-        return GroupMap(
-            domain=inner.domain,
-            codomain=self.codomain,
-            matrix=self.matrix @ inner.matrix,
-            name=f"{self.name}∘{inner.name}" if self.name or inner.name else "",
-        )
 
 
 @dataclass(frozen=True)
@@ -917,15 +887,6 @@ class CoeffGroup:
     def symbolic(cls, symbol="G"):
         return cls("symbolic", symbol=symbol)
 
-    def quotient_by(self, d):
-        """Isomorphism class of G/dG when it is finitely generated, else None."""
-        d = abs(int(d))
-        if self.kind == "finite-cyclic":
-            return FgAbGroup.from_parts(0, [math.gcd(d, self.order)] if d else [self.order])
-        if self.kind == "divisible":
-            return FgAbGroup(0, ()) if d != 0 else None
-        return None
-
 
 @dataclass(frozen=True)
 class CoeffCokernel:
@@ -972,10 +933,6 @@ class CoeffCokernel:
         coefficients admit one, else the quotient orders and free rank."""
         spec = self.specialize()
         return (self.coeff, spec if spec is not None else (self.quotient_orders, self.free_rank))
-
-    def same_class(self, other: "CoeffCokernel") -> bool:
-        """Structural equality of the induced groups (exact when specializable)."""
-        return self.class_key() == other.class_key()
 
     def is_trivial(self):
         if self.free_rank:

@@ -72,7 +72,7 @@ def k_matrix(g: Graph) -> IntMatrix:
     rows = [[a[j][i] for j in reg] for i in range(len(a))]
     for jj, j in enumerate(reg):
         rows[j][jj] -= 1
-    return IntMatrix(rows, cols=len(reg))
+    return IntMatrix._trusted(tuple(map(tuple, rows)), len(reg))
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,6 @@ class KZero:
 
     def invariants(self) -> FgAbGroup:
         return self.group.invariants()
-
-    def class_of(self, vec):
-        return self.group.canon(vec)
 
 
 def k0(g: Graph) -> KZero:
@@ -171,9 +168,13 @@ class VdbReport:
     by it is zero.  On generators v(i) the composite is zero by definition;
     what needs checking is that each graded relation v(0) - sum r(e)(-1),
     over the edges e leaving a regular vertex v, forgets to a zero class of
-    the K0 presentation.  The rest is identification, not computation:
-    ``ker_phi`` is the free group on that kernel basis and ``coker_phi`` is
-    K0, as the exactness of the sequence says they are, and
+    the K0 presentation.  For the j-th regular vertex the forgotten relation
+    is minus column j of the transfer matrix, so the witness -e_j proves it
+    zero once the K0 relations re-multiply it to that vector; a presentation
+    where no witness holds gets the full class decision instead.  The rest
+    is identification, not computation: ``ker_phi`` is the free group on
+    that kernel basis and ``coker_phi`` is K0, read from the Smith form that
+    K1 already holds, as the exactness of the sequence says they are, and
     ``lift_witnesses`` name the level-0 lift of each vertex generator.
     """
 
@@ -207,18 +208,27 @@ def vdb_sequence(g: Graph, coeff: CoeffGroup) -> VdbReport:
     # forgetting levels respects every graded relation, one level down as in
     # the level form's rewriting step
     composes_zero = True
-    for v in g.regulars:
+    # column j is relations @ e_j, so the witness -e_j holds for the j-th
+    # regular vertex when it equals minus the forgotten relation
+    columns = tuple(zip(*kzero.group.relations.data))
+    position = {w: i for i, w in enumerate(g.vertices)}
+    for j, v in enumerate(g.regulars):
         relation = GradedElement.of([(v, 0, 1)] + [(e.dst, -1, -1) for e in g.out_edges(v)])
-        forgotten = relation.forget_levels()
-        vec = tuple(forgotten.get(w, 0) for w in g.vertices)
-        if not kzero.group.is_zero_class(vec):
+        minus = [0] * len(position)
+        for w, n in relation.forget_levels().items():
+            minus[position[w]] = -n
+        minus = tuple(minus)
+        if j < len(columns) and minus == columns[j]:
+            continue
+        if not kzero.group.is_zero_class(tuple(-x for x in minus)):
             composes_zero = False
     witnesses = tuple((v, f"{v}(0)") for v in g.vertices)
+    coker = kone.coker_part
     return VdbReport(
         k1=kone,
         k0=kzero,
         ker_phi=FgAbGroup(kone.kernel_rank, ()),
-        coker_phi=kzero.invariants(),
+        coker_phi=FgAbGroup(coker.free_rank, coker.quotient_orders),
         lift_witnesses=witnesses,
         kernel_maps_into_ker_phi=into_ker,
         phi_composes_to_zero=composes_zero,
@@ -246,15 +256,6 @@ class ConnectingMap:
     kernel: IntMatrix
     x_block: IntMatrix
     map: GroupMap
-
-    def apply(self, x):
-        """Value on a kernel vector of the quotient transfer matrix."""
-        x = tuple(x)
-        if len(x) != len(self.quo.regulars):
-            raise ValueError("vector length must match quotient non-sinks")
-        if any(v != 0 for v in k_matrix(self.quo) @ x):
-            raise ValueError("vector is not in the kernel of the quotient transfer matrix")
-        return self.x_block @ x
 
 
 def connecting_delta(g: Graph, members, parts=None) -> ConnectingMap:

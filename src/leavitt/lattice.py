@@ -123,19 +123,8 @@ class IdealLattice:
     def leq(self, i: int, j: int) -> bool:
         return not self.elements[i] & ~self.elements[j]
 
-    def meet(self, i: int, j: int) -> int:
-        return self._index[self.elements[i] & self.elements[j]]
-
     def join(self, i: int, j: int) -> int:
         return self._index[self._close(self.elements[i] | self.elements[j])]
-
-    @property
-    def bottom(self) -> int:
-        return self._index[0]
-
-    @property
-    def top(self) -> int:
-        return self._index[(1 << self.graph.num_vertices) - 1]
 
 
 def enumerate_hsat(g: Graph, cap: int = 4096) -> IdealLattice:

@@ -134,11 +134,6 @@ class GradedElement:
         """The Z-action: move every generator k levels up."""
         return GradedElement.of([(v, l + int(k), n) for v, l, n in self.coeffs])
 
-    def restrict_to(self, vertices):
-        # the terms are already merged, sorted and nonzero: filtering keeps that
-        keep = frozenset(vertices)
-        return GradedElement(tuple(t for t in self.coeffs if t[0] in keep))
-
     def forget_levels(self) -> dict:
         acc = {}
         for v, _, n in self.coeffs:
@@ -283,14 +278,6 @@ class EqVerdict:
     @property
     def is_equal(self):
         return self.kind == "equal"
-
-    @property
-    def is_not_equal(self):
-        return self.kind == "not-equal"
-
-    @property
-    def is_unknown(self):
-        return self.kind == "unknown"
 
 
 def _k0_matrix(g: Graph):

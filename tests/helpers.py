@@ -30,6 +30,14 @@ independent cross-checks:
 * ``lattice_member`` — membership in a column lattice read off the Smith
   transforms, the reference for ``solve_lattice`` and ``_spans_into``;
   ``check_well_defined`` applies it to every domain relation of a map.
+* ``smith_verifies`` — rechecks a Smith factorization against its matrix;
+  ``canon_naive`` — the full ``u @ vec`` class form, the reference for
+  ``PresentedGroup.canon``, which multiplies out only the rows it keeps.
+* ``coeff_quotient_by`` — G/dG for one coefficient group, summed up by the
+  test of ``CoeffCokernel.specialize``; ``delta_value`` — the connecting
+  map's value on a checked kernel vector, against ``snake_rho``.
+* ``lattice_meet`` — the meet found by its vertex set, not by the
+  library's masks.
 
 The sampling harnesses below the oracles drive the library's exact engines
 on random inputs: ``random_graded_element`` and ``apply_random_expansions``
@@ -48,15 +56,19 @@ from itertools import combinations, product
 
 from leavitt.graphs import Graph, is_hereditary, is_saturated, quotient
 from leavitt.intlinalg import (
+    CoeffGroup,
+    FgAbGroup,
     GroupMap,
     IntMatrix,
+    PresentedGroup,
+    SmithData,
     inverse_unimodular,
     kernel_basis,
     preimage_lattice,
     snf,
     subgroup_equal,
 )
-from leavitt.ktheory import k_matrix, phi, psi, psi_regular
+from leavitt.ktheory import ConnectingMap, k_matrix, phi, psi, psi_regular
 from leavitt.lattice import IdealLattice, LocallyClosed, SpectrumTopology
 from leavitt.monoid import GradedElement, MonoidElement, graded_equal
 
@@ -527,6 +539,33 @@ def lattice_member(m: IntMatrix, vec) -> bool:
     return True
 
 
+def smith_verifies(sd: SmithData, m: IntMatrix) -> bool:
+    """Recheck a Smith factorization: u @ m @ v is the diagonal matrix, u and
+    v are unimodular, and the diagonal is a nonnegative divisibility chain
+    with its zeros last."""
+    d = IntMatrix.diagonal(sd.diagonal, rows=sd.u.rows, cols=sd.v.cols)
+    if sd.u @ m @ sd.v != d:
+        return False
+    if abs(sd.u.det()) != 1 or abs(sd.v.det()) != 1:
+        return False
+    diag = sd.diagonal
+    for a, b in zip(diag, diag[1:]):
+        if a == 0 and b != 0:
+            return False
+        if a != 0 and b % a != 0:
+            return False
+    return all(x >= 0 for x in diag)
+
+
+def canon_naive(pres: PresentedGroup, vec) -> tuple:
+    """Class form from the whole product u @ vec: row i reduced modulo the
+    Smith entry d_i, kept as it is where d_i = 0 or i is past the diagonal."""
+    sd = snf(pres.relations)
+    y = sd.u @ tuple(vec)
+    diag = sd.diagonal + (0,) * (len(y) - len(sd.diagonal))
+    return tuple(yi % di if di else yi for yi, di in zip(y, diag))
+
+
 def check_well_defined(gmap: GroupMap) -> bool:
     """Raise ValueError when a relation is not respected; True otherwise."""
     for j in range(gmap.domain.relations.cols):
@@ -543,14 +582,47 @@ def check_well_defined(gmap: GroupMap) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def coeff_quotient_by(coeff: CoeffGroup, d: int):
+    """Isomorphism class of G/dG when it is finitely generated, else None."""
+    d = abs(int(d))
+    if coeff.kind == "finite-cyclic":
+        return FgAbGroup.from_parts(0, [math.gcd(d, coeff.order)] if d else [coeff.order])
+    if coeff.kind == "divisible":
+        return FgAbGroup(0, ()) if d != 0 else None
+    return None
+
+
+def delta_value(cd: ConnectingMap, x) -> tuple:
+    """Value of the connecting map on a kernel vector of the quotient
+    transfer matrix; ValueError for any other vector."""
+    x = tuple(x)
+    if len(x) != len(cd.quo.regulars):
+        raise ValueError("vector length must match quotient non-sinks")
+    if any(v != 0 for v in k_matrix(cd.quo) @ x):
+        raise ValueError("vector is not in the kernel of the quotient transfer matrix")
+    return cd.x_block @ x
+
+
+def lattice_meet(lattice: IdealLattice, i: int, j: int) -> int:
+    """The element whose vertices both i and j contain: an intersection of
+    hereditary saturated sets is one."""
+    return lattice.index_of(set(lattice.members(i)) & set(lattice.members(j)))
+
+
+def restrict_to(a: GradedElement, vertices) -> GradedElement:
+    """The terms of ``a`` at the given vertices."""
+    keep = frozenset(vertices)
+    return GradedElement.of([t for t in a.items() if t[0] in keep])
+
+
 def is_lattice_prime(lattice: IdealLattice, i: int) -> bool:
     """Order-theoretic primality: meet(a,b) <= p forces a <= p or b <= p."""
-    if i == lattice.top:
+    if len(lattice.members(i)) == lattice.graph.num_vertices:
         return False
     n = len(lattice.elements)
     for a in range(n):
         for b in range(a, n):
-            if lattice.leq(lattice.meet(a, b), i) and not (
+            if lattice.leq(lattice_meet(lattice, a, b), i) and not (
                 lattice.leq(a, i) or lattice.leq(b, i)
             ):
                 return False
@@ -686,7 +758,7 @@ def quotient_roundtrip(g: Graph, members, samples: int = 100, rng=None, rewrite_
         a = random_graded_element(q, rng)
         # a is read in g as it stands: the quotient keeps g's vertex ids
         rewritten = apply_random_expansions(g, a, rng.randint(0, rewrite_steps), rng)
-        projected = rewritten.restrict_to(q.vertices)
+        projected = restrict_to(rewritten, q.vertices)
         verdict = graded_equal(q, projected, a)
         if not verdict.is_equal:
             failures.append(("down-up", a, rewritten, verdict.reason))
@@ -694,7 +766,7 @@ def quotient_roundtrip(g: Graph, members, samples: int = 100, rng=None, rewrite_
         # up-then-down on the ambient side
         c = random_graded_element(g, rng)
         rewritten = apply_random_expansions(g, c, rng.randint(0, rewrite_steps), rng)
-        verdict = graded_equal(q, c.restrict_to(q.vertices), rewritten.restrict_to(q.vertices))
+        verdict = graded_equal(q, restrict_to(c, q.vertices), restrict_to(rewritten, q.vertices))
         if not verdict.is_equal:
             failures.append(("up-down", c, rewritten, verdict.reason))
     return RoundtripReport(samples=samples, failures=tuple(failures), inner_graph=q)

@@ -171,7 +171,7 @@ def test_criterion_07_snake_consistency(corpus):
                 for _ in range(50):
                     coeffs = tuple(rng.randint(-3, 3) for _ in range(ncols))
                     x = delta.kernel @ coeffs
-                    assert tuple(delta.apply(x)) == tuple(snake_rho(g, h, x)), (
+                    assert tuple(H.delta_value(delta, x)) == tuple(snake_rho(g, h, x)), (
                         g,
                         h,
                         x,

@@ -37,6 +37,20 @@ class TestGraphBasics:
         assert g.index("w2") == 2
         assert g.has_vertex("v") and not g.has_vertex("x")
 
+    @pytest.mark.parametrize("ident", ["", "a b", "a\u2003b", "\u00a0", "a\tb", "a\n"])
+    def test_blank_or_spaced_identifiers_rejected(self, ident):
+        with pytest.raises(ValueError, match="identifier"):
+            Graph([ident], [])
+        with pytest.raises(ValueError, match="identifier"):
+            Graph(["v"], [(ident, "v", "v")])
+
+    def test_identifier_whitespace_is_str_isspace(self):
+        # the check splits on whitespace; that must be exactly str.isspace()
+        for code in range(0x110000):
+            c = chr(code)
+            ident = f"a{c}b"
+            assert (ident.split() != [ident]) == c.isspace(), hex(code)
+
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(ValueError):
             Graph(["v", "v"], [])

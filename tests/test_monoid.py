@@ -58,7 +58,7 @@ class TestParsing:
         assert a.shift(2).items() == (("v", 2, 2), ("w1", 1, 1))
         assert a.sub(parse_graded_element("v(0)")).items() == (("v", 0, 1), ("w1", -1, 1))
         assert not a.sub(parse_graded_element("3*v(0)")).is_nonnegative()
-        assert a.restrict_to({"w1"}).items() == (("w1", -1, 1),)
+        assert H.restrict_to(a, {"w1"}).items() == (("w1", -1, 1),)
         assert a.forget_levels() == {"v": 2, "w1": 1}
         assert MonoidElement.zero().mass() == 0
         # repeated vertices add up, as they do in GradedElement.of
@@ -113,10 +113,10 @@ class TestUngradedEquality:
     def test_goldens(self, rose2, rose3, loop):
         v, vv = parse_monoid_element("v"), parse_monoid_element("2*v")
         assert ungraded_equal(rose2, v, vv).is_equal
-        assert ungraded_equal(rose3, v, vv).is_not_equal
-        assert ungraded_equal(loop, v, vv).is_not_equal
+        assert ungraded_equal(rose3, v, vv).kind == "not-equal"
+        assert ungraded_equal(loop, v, vv).kind == "not-equal"
         assert ungraded_equal(rose2, v, v).is_equal
-        assert ungraded_equal(rose2, v, MonoidElement.zero()).is_not_equal
+        assert ungraded_equal(rose2, v, MonoidElement.zero()).kind == "not-equal"
 
     def test_rose3_triple_is_equal(self, rose3):
         # v rewrites to 3v in one step
@@ -170,7 +170,7 @@ class TestUngradedEquality:
                 if not succs:
                     break
                 b = rng.choice(succs)
-            assert not ungraded_equal(g, a, b).is_not_equal
+            assert not ungraded_equal(g, a, b).kind == "not-equal"
 
     def test_budget_monotonicity(self, corpus):
         rng = random.Random(37)
@@ -188,7 +188,7 @@ class TestUngradedEquality:
             decided = None
             for budget in budgets:
                 verdict = ungraded_equal(g, a, b, budget)
-                if decided is None and not verdict.is_unknown:
+                if decided is None and verdict.kind != "unknown":
                     decided = verdict.kind
                 elif decided is not None:
                     assert verdict.kind == decided  # no flips once decided
@@ -198,7 +198,7 @@ class TestGradedEquality:
     def test_goldens(self, rose2):
         v0 = parse_graded_element("v(0)")
         assert graded_equal(rose2, v0, parse_graded_element("2*v(-1)")).is_equal
-        assert graded_equal(rose2, v0, parse_graded_element("v(-1)")).is_not_equal
+        assert graded_equal(rose2, v0, parse_graded_element("v(-1)")).kind == "not-equal"
         assert graded_equal(rose2, v0, v0).is_equal
 
     def test_symmetry_and_reflexivity(self, corpus):
@@ -244,7 +244,7 @@ class TestGradedEquality:
 
     def test_sink_level_mismatch_detected(self, fan):
         # a sink occurrence is frozen at its level, so it separates classes
-        assert graded_equal(fan, parse_graded_element("w1(0)"), parse_graded_element("w1(-1)")).is_not_equal
+        assert graded_equal(fan, parse_graded_element("w1(0)"), parse_graded_element("w1(-1)")).kind == "not-equal"
         assert graded_equal(fan, parse_graded_element("v(0)"), parse_graded_element("w1(-1) + w2(-1)")).is_equal
 
 

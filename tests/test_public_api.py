@@ -101,3 +101,41 @@ def test_every_public_name_is_used_in_src():
     assert all(
         _references(trees, public, None) == [] for public in UNREFERENCED_OK
     ), "an exception is now used in src/; drop it from UNREFERENCED_OK"
+
+
+# Public methods (and properties) that nothing in src/ calls, as
+# "Class.method", and why each stays public.  None at present: the last ones
+# moved to tests/helpers.py as functions or were deleted.
+UNCALLED_METHODS_OK: dict[str, str] = {}
+
+
+def _public_methods(tree):
+    """(class name, definition) of every public method of every class."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield cls.name, node
+
+
+def test_every_public_method_is_used_in_src():
+    """A public method whose name no code in ``src/`` loads, outside its own
+    body, is a test-only helper; it belongs in ``tests/helpers.py`` as a
+    function unless ``UNCALLED_METHODS_OK`` says why not.  Names are matched
+    as attributes, not resolved to classes, so a method passes when any
+    attribute of its name is loaded."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    unused = [
+        f"{module}.{cls}.{method.name}"
+        for module, tree in sorted(trees.items())
+        for cls, method in _public_methods(tree)
+        if f"{cls}.{method.name}" not in UNCALLED_METHODS_OK
+        and not _references(trees, method.name, method)
+    ]
+    assert not unused, unused
+    stale = [
+        key
+        for key in UNCALLED_METHODS_OK
+        if _references(trees, key.split(".")[1], None)
+    ]
+    assert not stale, f"now used in src/; drop from UNCALLED_METHODS_OK: {stale}"

@@ -223,7 +223,7 @@ class TestGradedBridge:
             a = random_graded_element(g, rng)
             b = random_graded_element(g, rng)
             verdict = graded_equal(g, a, b)
-            if verdict.is_unknown:
+            if verdict.kind == "unknown":
                 continue
             ta, tb = triple_of_graded(g, a), triple_of_graded(g, b)
             assert dimension_triple_equal(g.adjacency().transpose(), ta, tb) == verdict.is_equal
