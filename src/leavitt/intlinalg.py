@@ -659,6 +659,14 @@ class FgAbGroup:
                 tors[i], tors[j] = math.gcd(a, b), math.lcm(a, b)
         return cls(free, tuple(t for t in tors if t > 1))
 
+    @classmethod
+    def cokernel_of(cls, rows, smith):
+        """Z^rows modulo the column span of a matrix with ``rows`` rows, read
+        off its Smith diagonal: entries 1 vanish, entries d >= 2 give Z/d and
+        each missing pivot gives a copy of Z.  ``smith`` is the matrix's
+        :class:`SmithData` or :class:`InvariantFactors`."""
+        return cls(rows - smith.rank, tuple(x for x in smith.diagonal if x > 1))
+
     def order(self):
         """Group order, or None when infinite."""
         if self.free_rank:
@@ -707,33 +715,20 @@ class PresentedGroup:
         return snf(self.relations)
 
     def invariants(self) -> FgAbGroup:
-        inv = invariant_factors(self.relations)
-        torsion = [x for x in inv.diagonal if x > 1]
-        free = self.generators - inv.rank
-        return FgAbGroup(free, tuple(torsion))
+        return FgAbGroup.cokernel_of(self.generators, invariant_factors(self.relations))
 
     def canon(self, vec):
-        """Canonical form of the class of ``vec``; equal classes, equal tuples.
-
-        Coordinate i is row i of ``u @ vec`` reduced modulo the Smith entry
-        d_i, where d_i = 0 beyond the diagonal keeps the value.  Where d_i = 1
-        the coordinate is 0 whatever the row gives, so only the rows with
-        d_i != 1 are multiplied out.
-        """
+        """Canonical form of the class of ``vec``; equal classes, equal tuples."""
         vec = tuple(vec)
         if len(vec) != self.generators:
             raise ValueError("vector length mismatch")
         sd = self.smith
+        y = sd.u @ vec
         diag = sd.diagonal
-        u = sd.u.data
-        nonzero = [(k, x) for k, x in enumerate(vec) if x]
-        out = [0] * self.generators
-        for i, di in enumerate(diag):
-            if di != 1:
-                yi = sum(u[i][k] * x for k, x in nonzero)
-                out[i] = yi % di if di else yi
-        for i in range(len(diag), self.generators):
-            out[i] = sum(u[i][k] * x for k, x in nonzero)
+        out = []
+        for i, yi in enumerate(y):
+            di = diag[i] if i < len(diag) else 0
+            out.append(yi % di if di != 0 else yi)
         return tuple(out)
 
     def is_zero_class(self, vec):
@@ -949,7 +944,5 @@ def coker_with_coefficients(m: IntMatrix, coeff: CoeffGroup) -> CoeffCokernel:
     Reads the Smith diagonal from :func:`snf`, whose cached transforms the
     kernel of the same matrix needs anyway (see ``ktheory.k1``).
     """
-    sd = snf(m)
-    orders = tuple(d for d in sd.diagonal if d > 1)
-    free = m.rows - sd.rank
-    return CoeffCokernel(coeff=coeff, quotient_orders=orders, free_rank=free)
+    group = FgAbGroup.cokernel_of(m.rows, snf(m))
+    return CoeffCokernel(coeff=coeff, quotient_orders=group.torsion, free_rank=group.free_rank)

@@ -32,6 +32,7 @@ from .intlinalg import (
     coker_with_coefficients,
     cokernel,
     kernel_basis,
+    snf,
     solve_lattice,
 )
 from .monoid import GradedElement, _LevelForm, graded_equal
@@ -223,12 +224,11 @@ def vdb_sequence(g: Graph, coeff: CoeffGroup) -> VdbReport:
         if not kzero.group.is_zero_class(tuple(-x for x in minus)):
             composes_zero = False
     witnesses = tuple((v, f"{v}(0)") for v in g.vertices)
-    coker = kone.coker_part
     return VdbReport(
         k1=kone,
         k0=kzero,
         ker_phi=FgAbGroup(kone.kernel_rank, ()),
-        coker_phi=FgAbGroup(coker.free_rank, coker.quotient_orders),
+        coker_phi=FgAbGroup.cokernel_of(km.rows, snf(km)),
         lift_witnesses=witnesses,
         kernel_maps_into_ker_phi=into_ker,
         phi_composes_to_zero=composes_zero,

@@ -30,9 +30,7 @@ independent cross-checks:
 * ``lattice_member`` — membership in a column lattice read off the Smith
   transforms, the reference for ``solve_lattice`` and ``_spans_into``;
   ``check_well_defined`` applies it to every domain relation of a map.
-* ``smith_verifies`` — rechecks a Smith factorization against its matrix;
-  ``canon_naive`` — the full ``u @ vec`` class form, the reference for
-  ``PresentedGroup.canon``, which multiplies out only the rows it keeps.
+* ``smith_verifies`` — rechecks a Smith factorization against its matrix.
 * ``coeff_quotient_by`` — G/dG for one coefficient group, summed up by the
   test of ``CoeffCokernel.specialize``; ``delta_value`` — the connecting
   map's value on a checked kernel vector, against ``snake_rho``.
@@ -60,7 +58,6 @@ from leavitt.intlinalg import (
     FgAbGroup,
     GroupMap,
     IntMatrix,
-    PresentedGroup,
     SmithData,
     inverse_unimodular,
     kernel_basis,
@@ -555,15 +552,6 @@ def smith_verifies(sd: SmithData, m: IntMatrix) -> bool:
         if a != 0 and b % a != 0:
             return False
     return all(x >= 0 for x in diag)
-
-
-def canon_naive(pres: PresentedGroup, vec) -> tuple:
-    """Class form from the whole product u @ vec: row i reduced modulo the
-    Smith entry d_i, kept as it is where d_i = 0 or i is past the diagonal."""
-    sd = snf(pres.relations)
-    y = sd.u @ tuple(vec)
-    diag = sd.diagonal + (0,) * (len(y) - len(sd.diagonal))
-    return tuple(yi % di if di else yi for yi, di in zip(y, diag))
 
 
 def check_well_defined(gmap: GroupMap) -> bool:

@@ -44,12 +44,17 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="identifier"):
             Graph(["v"], [(ident, "v", "v")])
 
-    def test_identifier_whitespace_is_str_isspace(self):
-        # the check splits on whitespace; that must be exactly str.isspace()
-        for code in range(0x110000):
-            c = chr(code)
-            ident = f"a{c}b"
-            assert (ident.split() != [ident]) == c.isspace(), hex(code)
+    def test_every_isspace_character_rejected(self):
+        # the check splits with str.split(), which cuts at exactly the
+        # characters str.isspace() accepts; each of them is refused inside a
+        # name, and characters outside that set are kept
+        spaces = [chr(code) for code in range(0x110000) if chr(code).isspace()]
+        assert "\u3000" in spaces and "\x1f" in spaces
+        for c in spaces:
+            with pytest.raises(ValueError, match="identifier"):
+                Graph([f"a{c}b"], [])
+        for c in ("\u200b", "\u180e", "\ufeff", "_", "-"):
+            assert Graph([f"a{c}b"], []).vertices == (f"a{c}b",)
 
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(ValueError):
