@@ -49,7 +49,6 @@ from .lattice import (
     spectrum,
 )
 from .monoid import (
-    EqBudget,
     EqVerdict,
     GradedElement,
     MonoidElement,

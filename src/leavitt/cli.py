@@ -21,13 +21,7 @@ from .graphs import Graph, GraphFormatError, parse_graph, parse_matrix
 from .intlinalg import CoeffGroup, FgAbGroup
 from .ktheory import k0, k1, six_term_row, vdb_sequence
 from .lattice import LatticeCapError, enumerate_hsat, locally_closed_all, spectrum
-from .monoid import (
-    EqBudget,
-    graded_equal,
-    parse_graded_element,
-    parse_monoid_element,
-    ungraded_equal,
-)
+from .monoid import graded_equal, parse_graded_element, parse_monoid_element, ungraded_equal
 from .shifts import bowen_franks, det_invariant, shift_equivalent_bounded, verify_certificate
 
 __all__ = ["main"]
@@ -204,42 +198,25 @@ def _cmd_k1bar(args):
     return payload, [f"Kbar1 = {kb.symbol()}"], EXIT_OK
 
 
-def _verdict_payload(g, verdict):
-    return {
-        "verdict": verdict.kind,
-        "reason": verdict.reason,
-        "trace_a": [e.to_str(g) for e in verdict.trace_a],
-        "trace_b": [e.to_str(g) for e in verdict.trace_b],
-    }
-
-
 def _cmd_monoid_eq(args):
     g = _load_graph(args.graph)
-    a = parse_monoid_element(args.a)
-    b = parse_monoid_element(args.b)
-    budget = EqBudget(max_states=args.budget_states, max_mass=args.budget_mass)
-    verdict = ungraded_equal(g, a, b, budget)
-    payload = _verdict_payload(g, verdict)
-    lines = [f"monoid equality: {verdict.kind}"]
-    if verdict.reason:
-        lines.append(f"  {verdict.reason}")
-    code = {"equal": EXIT_OK, "not-equal": EXIT_OBSTRUCTION, "unknown": EXIT_BUDGET}[
-        verdict.kind
-    ]
-    return payload, lines, code
+    verdict = ungraded_equal(g, parse_monoid_element(args.a), parse_monoid_element(args.b))
+    payload = {
+        "verdict": verdict.kind,
+        "reason": verdict.reason,
+        "ideal": list(verdict.ideal) if verdict.is_equal else None,
+        "witness": dict(verdict.witness) if verdict.is_equal else None,
+    }
+    lines = [f"monoid equality: {verdict.kind}", f"  {verdict.reason}"]
+    return payload, lines, EXIT_OK if verdict.is_equal else EXIT_OBSTRUCTION
 
 
 def _cmd_graded_eq(args):
     g = _load_graph(args.graph)
-    a = parse_graded_element(args.a)
-    b = parse_graded_element(args.b)
-    verdict = graded_equal(g, a, b)
-    payload = _verdict_payload(g, verdict)
-    lines = [f"graded equality: {verdict.kind}"]
-    if verdict.reason:
-        lines.append(f"  {verdict.reason}")
-    code = EXIT_OK if verdict.is_equal else EXIT_OBSTRUCTION
-    return payload, lines, code
+    verdict = graded_equal(g, parse_graded_element(args.a), parse_graded_element(args.b))
+    payload = {"verdict": verdict.kind, "reason": verdict.reason}
+    lines = [f"graded equality: {verdict.kind}", f"  {verdict.reason}"]
+    return payload, lines, EXIT_OK if verdict.is_equal else EXIT_OBSTRUCTION
 
 
 def _cmd_fk(args):
@@ -478,8 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("a", help="element, e.g. '2*v+w'")
     p.add_argument("b")
-    p.add_argument("--budget-states", type=int, default=100_000)
-    p.add_argument("--budget-mass", type=int, default=64)
     p.set_defaults(func=_cmd_monoid_eq)
 
     p = sub.add_parser("graded-eq", help="decide equality in the graded monoid")

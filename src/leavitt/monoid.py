@@ -1,11 +1,11 @@
-"""Graph monoids: vertex rewriting, budgets, and the graded refinement.
+"""Graph monoids: vertex rewriting, exact equality, and the graded refinement.
 
 A monoid element is a nonnegative integer combination of vertices, rewritten
 by replacing one copy of a non-sink vertex with the multiset of its edge
 targets.  The graded variant tags generators with an integer level; the
-rewrite then moves one level down.  Graded equality is decidable exactly;
-ungraded equality is semi-decided under explicit budgets and reports
-Unknown rather than guessing.
+rewrite then moves one level down.  Both equalities are decided exactly:
+graded equality by expanding to a common level, ungraded equality from
+separativity, by order ideals and K0 of a restriction.
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graphs import Graph, is_hereditary, is_saturated
-from .intlinalg import cokernel
+from .graphs import Graph, is_hereditary, is_saturated, restriction
+from .intlinalg import solve_lattice
+from .lattice import hsat_closure
 
 __all__ = [
     "MonoidElement",
     "GradedElement",
     "EqVerdict",
-    "EqBudget",
     "parse_monoid_element",
     "parse_graded_element",
     "successors_one_step",
@@ -62,9 +62,6 @@ class MonoidElement:
     def support(self):
         return tuple(v for v, _ in self.coeffs)
 
-    def mass(self):
-        return sum(n for _, n in self.coeffs)
-
     def is_zero(self):
         return not self.coeffs
 
@@ -73,12 +70,6 @@ class MonoidElement:
         for v, n in other.coeffs:
             acc[v] = acc.get(v, 0) + n
         return MonoidElement.of(acc)
-
-    def to_str(self, g: Graph | None = None) -> str:
-        if not self.coeffs:
-            return "0"
-        items = sorted(self.coeffs, key=(lambda p: g.index(p[0])) if g else None)
-        return " + ".join(f"{n}*{v}" if n != 1 else v for v, n in items)
 
 
 @dataclass(frozen=True)
@@ -140,20 +131,6 @@ class GradedElement:
             acc[v] = acc.get(v, 0) + n
         return acc
 
-    def to_str(self, g: Graph | None = None) -> str:
-        if not self.coeffs:
-            return "0"
-        items = sorted(
-            self.coeffs,
-            key=(lambda t: (g.index(t[0]), -t[1])) if g else (lambda t: (t[0], -t[1])),
-        )
-        parts = []
-        for v, l, n in items:
-            term = f"{v}({l})" if n in (1, -1) else f"{abs(n)}*{v}({l})"
-            parts.append(("- " if n < 0 else "+ ") + term)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
 
 def _negated(a: GradedElement) -> tuple:
     return tuple((v, l, -n) for v, l, n in a.coeffs)
@@ -211,16 +188,15 @@ def parse_graded_element(text: str) -> GradedElement:
 
 def parse_monoid_element(text: str) -> MonoidElement:
     """Parse literals like ``2*v + w``; levels are not allowed here."""
-    pairs = {}
+    pairs = []
     for sign, term in _split_terms(text):
         m = _TERM_RE.match(term)
         if not m or m.group(3) is not None:
             raise ValueError(f"bad ungraded term {term!r}")
-        coeff = (int(m.group(1)) if m.group(1) else 1) * sign
-        v = m.group(2)
-        pairs[v] = pairs.get(v, 0) + coeff
-    if any(n < 0 for n in pairs.values()):
-        raise ValueError("monoid elements need nonnegative coefficients")
+        if sign < 0:
+            # a monoid has no subtraction, so 'v - v' is not 0
+            raise ValueError(f"monoid elements need nonnegative terms, not -{term}")
+        pairs.append((m.group(2), int(m.group(1)) if m.group(1) else 1))
     return MonoidElement.of(pairs)
 
 
@@ -230,7 +206,7 @@ def _check_vertices(g: Graph, vertices):
 
 
 # ---------------------------------------------------------------------------
-# ungraded rewriting
+# ungraded rewriting and equality
 # ---------------------------------------------------------------------------
 
 
@@ -257,121 +233,61 @@ def successors_one_step(g: Graph, elem: MonoidElement) -> tuple[MonoidElement, .
 
 
 @dataclass(frozen=True)
-class EqBudget:
-    max_states: int = 100_000
-    max_mass: int = 64
-
-
-@dataclass(frozen=True)
 class EqVerdict:
     """Outcome of an equality test, with evidence.
 
-    For "equal", trace_a and trace_b are rewrite paths from each input to a
-    common element.  For "not-equal" and "unknown", reason says why.
+    An ungraded "equal" carries its certificate: ``ideal``, the vertices of
+    the hereditary saturated set H both supports generate, and ``witness``,
+    (regular vertex of H, x_w) pairs with K_H x = a - b on H.  ``reason``
+    says why the verdict holds.
     """
 
     kind: str
-    reason: str = ""
-    trace_a: tuple = ()
-    trace_b: tuple = ()
+    reason: str
+    ideal: tuple = ()
+    witness: tuple = ()
 
     @property
     def is_equal(self):
         return self.kind == "equal"
 
 
-def _k0_matrix(g: Graph):
+def ungraded_equal(g: Graph, a: MonoidElement, b: MonoidElement) -> EqVerdict:
+    """Exact decision of monoid equality.
+
+    The order ideal a generates is the monoid of the restriction to H(a),
+    the hereditary saturated closure of its support (Ara-Moreno-Pardo
+    2007), and M_E is separative, so a = b iff H(a) = H(b) = H and a - b is
+    0 in K0 of the restriction, coker K_H (Ara-Goodearl-O'Meara-Pardo
+    1998).  The integer solution x of K_H x = a - b is re-multiplied before
+    "equal" is returned.
+    """
     # lazy import: ktheory depends on this module for the graded machinery
     from .ktheory import k_matrix
 
-    return k_matrix(g)
-
-
-def _trace_from(parents, end):
-    path = [end]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return tuple(path)
-
-
-def ungraded_equal(g: Graph, a: MonoidElement, b: MonoidElement, budget: EqBudget | None = None) -> EqVerdict:
-    """Semi-decision of monoid equality under a state and mass budget.
-
-    NotEqual is only ever reported on sound evidence: a vertex-class
-    obstruction in the cokernel of the transfer matrix, or two fully
-    explored rewrite closures that are disjoint.  Budget exhaustion gives
-    Unknown, and growing the budget can only sharpen verdicts, never flip
-    them.
-    """
-    budget = budget or EqBudget()
     _check_vertices(g, a.support())
     _check_vertices(g, b.support())
-    if a == b:
-        return EqVerdict("equal", trace_a=(a,), trace_b=(b,))
-    if a.is_zero() or b.is_zero():
-        # rewriting never creates or destroys the zero element
-        return EqVerdict("not-equal", reason="only the zero element equals zero")
-
-    km = _k0_matrix(g)
-    group = cokernel(km)
-    diff = tuple(a.get(v) - b.get(v) for v in g.vertices)
-    if not group.is_zero_class(diff):
-        return EqVerdict("not-equal", reason="vertex classes differ in the transfer cokernel")
-
-    seen_a = {a: None}
-    seen_b = {b: None}
-    frontier_a = [a]
-    frontier_b = [b]
-    complete_a = True
-    complete_b = True
-    states = 2
-    hit_mass = False
-    hit_states = False
-
-    def expand(frontier, seen, complete_flag):
-        nonlocal states, hit_mass, hit_states
-        nxt = []
-        complete = complete_flag
-        for elem in frontier:
-            for succ in successors_one_step(g, elem):
-                if succ in seen:
-                    continue
-                if succ.mass() > budget.max_mass:
-                    complete = False
-                    hit_mass = True
-                    continue
-                if states >= budget.max_states:
-                    complete = False
-                    hit_states = True
-                    continue
-                seen[succ] = elem
-                states += 1
-                nxt.append(succ)
-        return nxt, complete
-
-    while frontier_a or frontier_b:
-        # grow the smaller side first; ties favor a
-        if frontier_a and (not frontier_b or len(seen_a) <= len(seen_b)):
-            frontier_a, complete_a = expand(frontier_a, seen_a, complete_a)
-        elif frontier_b:
-            frontier_b, complete_b = expand(frontier_b, seen_b, complete_b)
-        common = seen_a.keys() & seen_b.keys()
-        if common:
-            witness = min(common, key=lambda e: e.coeffs)
-            return EqVerdict(
-                "equal",
-                trace_a=_trace_from(seen_a, witness),
-                trace_b=_trace_from(seen_b, witness),
-            )
-    if complete_a and complete_b:
-        return EqVerdict("not-equal", reason="disjoint finite rewrite closures")
-    caps = []
-    if hit_states:
-        caps.append(f"states cap {budget.max_states}")
-    if hit_mass:
-        caps.append(f"mass cap {budget.max_mass}")
-    return EqVerdict("unknown", reason="budget exhausted: " + ", ".join(caps))
+    ideal = hsat_closure(g, a.support())
+    other = hsat_closure(g, b.support())
+    if ideal != other:
+        reason = f"order ideals differ: H(a) = {{{','.join(ideal)}}}, H(b) = {{{','.join(other)}}}"
+        return EqVerdict("not-equal", reason=reason)
+    sub = restriction(g, ideal)
+    km = k_matrix(sub)
+    diff = tuple(a.get(v) - b.get(v) for v in ideal)
+    x = solve_lattice(km, diff)
+    if x is None:
+        return EqVerdict(
+            "not-equal", reason="a - b is not 0 in K0 of the restriction to H(a) = H(b)"
+        )
+    if km @ x != diff:
+        raise AssertionError("monoid certificate does not re-multiply to a - b")
+    return EqVerdict(
+        "equal",
+        reason="a - b is zero in K0 of the restriction to H(a) = H(b)",
+        ideal=ideal,
+        witness=tuple(zip(sub.regulars, x)),
+    )
 
 
 # ---------------------------------------------------------------------------

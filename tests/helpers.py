@@ -36,13 +36,19 @@ independent cross-checks:
   map's value on a checked kernel vector, against ``snake_rho``.
 * ``lattice_meet`` — the meet found by its vertex set, not by the
   library's masks.
+* ``bfs_equal`` — monoid equality by bidirectional breadth-first search
+  over rewrites under a state and a mass budget, the engine the library's
+  exact separativity rule replaced; it answers "unknown" when a budget runs
+  out and never flips a decided verdict as the budgets grow.
 
 The sampling harnesses below the oracles drive the library's exact engines
 on random inputs: ``random_graded_element`` and ``apply_random_expansions``
 feed ``graded_equal``, ``quotient_roundtrip`` checks both composites of the
 quotient-monoid isomorphism, ``psi_diagram_check`` the square relating K and
 the colimit shift, and ``covering_window`` and ``is_irreducible`` build and
-test graphs for them.
+test graphs for them.  ``monoid_to_str`` and ``graded_to_str`` print
+elements as literals the parsers read back, and ``mass`` counts the vertex
+copies of a monoid element.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from leavitt.intlinalg import (
 )
 from leavitt.ktheory import ConnectingMap, k_matrix, phi, psi, psi_regular
 from leavitt.lattice import IdealLattice, LocallyClosed, SpectrumTopology
-from leavitt.monoid import GradedElement, MonoidElement, graded_equal
+from leavitt.monoid import GradedElement, MonoidElement, graded_equal, successors_one_step
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +572,103 @@ def check_well_defined(gmap: GroupMap) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# monoid equality by budgeted rewrite search
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BfsVerdict:
+    """For "equal", trace_a and trace_b are rewrite paths from each input to
+    a common element; for "not-equal" and "unknown", reason says why."""
+
+    kind: str
+    reason: str = ""
+    trace_a: tuple = ()
+    trace_b: tuple = ()
+
+
+def _trace_from(parents, end):
+    path = [end]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    path.reverse()
+    return tuple(path)
+
+
+def bfs_equal(g: Graph, a: MonoidElement, b: MonoidElement, max_states=100_000, max_mass=64) -> BfsVerdict:
+    """Semi-decision of monoid equality under a state and mass budget.
+
+    NotEqual is only ever reported on sound evidence: a vertex-class
+    obstruction in the cokernel of the transfer matrix, or two fully
+    explored rewrite closures that are disjoint.  Budget exhaustion gives
+    Unknown, and growing the budget can only sharpen verdicts, never flip
+    them.
+    """
+    if a == b:
+        return BfsVerdict("equal", trace_a=(a,), trace_b=(b,))
+    if a.is_zero() or b.is_zero():
+        # rewriting never creates or destroys the zero element
+        return BfsVerdict("not-equal", reason="only the zero element equals zero")
+    diff = tuple(a.get(v) - b.get(v) for v in g.vertices)
+    if not lattice_member(k_matrix(g), diff):
+        return BfsVerdict("not-equal", reason="vertex classes differ in the transfer cokernel")
+
+    seen_a = {a: None}
+    seen_b = {b: None}
+    frontier_a = [a]
+    frontier_b = [b]
+    complete_a = True
+    complete_b = True
+    states = 2
+    hit_mass = False
+    hit_states = False
+
+    def expand(frontier, seen, complete_flag):
+        nonlocal states, hit_mass, hit_states
+        nxt = []
+        complete = complete_flag
+        for elem in frontier:
+            for succ in successors_one_step(g, elem):
+                if succ in seen:
+                    continue
+                if mass(succ) > max_mass:
+                    complete = False
+                    hit_mass = True
+                    continue
+                if states >= max_states:
+                    complete = False
+                    hit_states = True
+                    continue
+                seen[succ] = elem
+                states += 1
+                nxt.append(succ)
+        return nxt, complete
+
+    while frontier_a or frontier_b:
+        # grow the smaller side first; ties favor a
+        if frontier_a and (not frontier_b or len(seen_a) <= len(seen_b)):
+            frontier_a, complete_a = expand(frontier_a, seen_a, complete_a)
+        elif frontier_b:
+            frontier_b, complete_b = expand(frontier_b, seen_b, complete_b)
+        common = seen_a.keys() & seen_b.keys()
+        if common:
+            witness = min(common, key=lambda e: e.coeffs)
+            return BfsVerdict(
+                "equal",
+                trace_a=_trace_from(seen_a, witness),
+                trace_b=_trace_from(seen_b, witness),
+            )
+    if complete_a and complete_b:
+        return BfsVerdict("not-equal", reason="disjoint finite rewrite closures")
+    caps = []
+    if hit_states:
+        caps.append(f"states cap {max_states}")
+    if hit_mass:
+        caps.append(f"mass cap {max_mass}")
+    return BfsVerdict("unknown", reason="budget exhausted: " + ", ".join(caps))
+
+
+# ---------------------------------------------------------------------------
 # test-only predicates, samplers and sampling harnesses
 # ---------------------------------------------------------------------------
 
@@ -601,6 +704,36 @@ def restrict_to(a: GradedElement, vertices) -> GradedElement:
     """The terms of ``a`` at the given vertices."""
     keep = frozenset(vertices)
     return GradedElement.of([t for t in a.items() if t[0] in keep])
+
+
+def mass(a: MonoidElement) -> int:
+    """The number of vertex copies in a monoid element; rewrites never lower it."""
+    return sum(n for _, n in a.coeffs)
+
+
+def monoid_to_str(a: MonoidElement, g: Graph | None = None) -> str:
+    """A literal ``parse_monoid_element`` reads back, terms in vertex order."""
+    if not a.coeffs:
+        return "0"
+    items = sorted(a.coeffs, key=(lambda p: g.index(p[0])) if g else None)
+    return " + ".join(f"{n}*{v}" if n != 1 else v for v, n in items)
+
+
+def graded_to_str(a: GradedElement, g: Graph | None = None) -> str:
+    """A literal ``parse_graded_element`` reads back: vertex order, then
+    descending level."""
+    if not a.coeffs:
+        return "0"
+    items = sorted(
+        a.coeffs,
+        key=(lambda t: (g.index(t[0]), -t[1])) if g else (lambda t: (t[0], -t[1])),
+    )
+    parts = []
+    for v, l, n in items:
+        term = f"{v}({l})" if n in (1, -1) else f"{abs(n)}*{v}({l})"
+        parts.append(("- " if n < 0 else "+ ") + term)
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
 def is_lattice_prime(lattice: IdealLattice, i: int) -> bool:

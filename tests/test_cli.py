@@ -72,14 +72,6 @@ class TestExitCodes:
         assert code == 2
         assert "--field" in err
 
-    def test_monoid_budget_is_three(self, capsys, files):
-        code, out, _ = run(
-            capsys, ["monoid-eq", files["rose2"], "v", "2*v", "--budget-states", "1"]
-        )
-        assert code == 3
-        assert out.startswith("monoid equality: unknown\n")
-        assert "budget exhausted" in out
-
     def test_lattice_cap_is_three(self, capsys, files):
         code, out, err = run(capsys, ["hsat", files["fan"], "--lattice-cap", "1"])
         assert (code, out) == (3, "")
@@ -127,6 +119,20 @@ class TestExitCodes:
         assert err == "internal error: kernel basis vector is not in the kernel\n"
         assert "Traceback" not in err
 
+    def test_monoid_certificate_mismatch_is_four(self, capsys, files, monkeypatch):
+        # v = 2v on the 2-petal rose with x = (-1,); a wrong x must not pass
+        monkeypatch.setattr(leavitt.monoid, "solve_lattice", lambda m, vec: (5,))
+        code, out, err = run(capsys, ["monoid-eq", files["rose2"], "v", "2*v"])
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error:") and "re-multiply" in err
+
+    @pytest.mark.parametrize("a, b", [("v - v", "0"), ("u", "v"), ("v", "2*v + u")])
+    def test_monoid_bad_element_is_two(self, capsys, files, a, b):
+        # a negative term, or a vertex the graph lacks, in either argument
+        code, out, err = run(capsys, ["monoid-eq", files["rose2"], a, b])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
 
 class TestParserReuse:
     def test_build_parser_builds_a_new_parser(self):
@@ -136,10 +142,7 @@ class TestParserReuse:
         "capped, plain",
         [
             (["fk", "fan", "--row-cap", "1"], ["fk", "fan"]),
-            (
-                ["monoid-eq", "rose2", "v", "2*v", "--budget-states", "1"],
-                ["monoid-eq", "rose2", "v", "2*v"],
-            ),
+            (["hsat", "fan", "--lattice-cap", "1"], ["hsat", "fan"]),
         ],
     )
     def test_calls_share_no_state(self, capsys, files, capped, plain):
@@ -228,6 +231,20 @@ class TestHumanOutput:
         assert code == 1
         assert out.splitlines()[0].startswith("obstruction: K0")
 
+    def test_monoid_eq(self, capsys, files):
+        code, out, _ = run(capsys, ["monoid-eq", files["fan"], "v", "w1 + w2"])
+        assert code == 0
+        assert out.splitlines() == [
+            "monoid equality: equal",
+            "  a - b is zero in K0 of the restriction to H(a) = H(b)",
+        ]
+        code, out, _ = run(capsys, ["monoid-eq", files["fan"], "w1", "w2"])
+        assert code == 1
+        assert out.splitlines() == [
+            "monoid equality: not-equal",
+            "  order ideals differ: H(a) = {w1}, H(b) = {w2}",
+        ]
+
     def test_shifteq_certificate(self, capsys, files):
         code, out, _ = run(capsys, ["shifteq", files["two"], files["ones2"]])
         assert code == 0
@@ -265,6 +282,21 @@ class TestJson:
         cert = payload["certificate"]
         assert cert["lag"] == 1 and cert["verified"] is True
         assert cert["r"] == [[1, 1]] and cert["s"] == [[1], [1]]
+
+    def test_monoid_eq_payload(self, capsys, files):
+        code, out, _ = run(capsys, ["--json", "monoid-eq", files["rose2"], "v", "2*v"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "equal"
+        assert (payload["ideal"], payload["witness"]) == (["v"], {"v": -1})
+        code, out, _ = run(capsys, ["--json", "monoid-eq", files["rose3"], "v", "2*v"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["verdict"] == "not-equal"
+        assert (payload["ideal"], payload["witness"]) == (None, None)
+        code, out, _ = run(capsys, ["--json", "graded-eq", files["rose2"], "v(0)", "2*v(-1)"])
+        assert code == 0
+        assert sorted(json.loads(out)) == ["reason", "verdict"]
 
     def test_fk_payload_structure(self, capsys, files):
         code, out, _ = run(capsys, ["--json", "fk", files["fan"], "--field", "5"])

@@ -1,14 +1,15 @@
 """Graph monoids: parsing, rewriting, equality decisions, quotient roundtrip."""
 
 import random
+import time
 
 import pytest
 
 import helpers as H
-from helpers import apply_random_expansions, quotient_roundtrip, random_graded_element
-from leavitt.graphs import Graph
+from helpers import apply_random_expansions, bfs_equal, quotient_roundtrip, random_graded_element
+from leavitt.graphs import Graph, restriction
+from leavitt.ktheory import k_matrix
 from leavitt.monoid import (
-    EqBudget,
     GradedElement,
     MonoidElement,
     graded_equal,
@@ -39,6 +40,11 @@ class TestParsing:
             parse_monoid_element("v + w(")
         with pytest.raises(ValueError):
             parse_monoid_element("-v")
+        # a monoid has no subtraction: a negative term is an error even when
+        # the coefficients sum to a nonnegative count
+        for text in ("v - v", "2*v - v", "-v + 2*v"):
+            with pytest.raises(ValueError):
+                parse_monoid_element(text)
         with pytest.raises(ValueError):
             parse_graded_element("v(x)")
         # a bare vertex in a graded element defaults to level 0
@@ -48,9 +54,9 @@ class TestParsing:
         rng = random.Random(17)
         for _ in range(50):
             a = H.random_monoid_element(fan, rng)
-            assert parse_monoid_element(a.to_str(fan)) == a
+            assert parse_monoid_element(H.monoid_to_str(a, fan)) == a
             b = random_graded_element(fan, rng, signed=True)
-            assert parse_graded_element(b.to_str(fan)) == b
+            assert parse_graded_element(H.graded_to_str(b, fan)) == b
 
     def test_element_algebra(self):
         a = parse_graded_element("2*v(0) + w1(-1)")
@@ -60,21 +66,21 @@ class TestParsing:
         assert not a.sub(parse_graded_element("3*v(0)")).is_nonnegative()
         assert H.restrict_to(a, {"w1"}).items() == (("w1", -1, 1),)
         assert a.forget_levels() == {"v": 2, "w1": 1}
-        assert MonoidElement.zero().mass() == 0
+        assert H.mass(MonoidElement.zero()) == 0
         # repeated vertices add up, as they do in GradedElement.of
         assert MonoidElement.of([("v", 1), ("v", 2)]).coeffs == (("v", 3),)
         assert MonoidElement.of([("v", 1), ("w", 2), ("v", 2)]) == parse_monoid_element("3*v + 2*w")
-        assert parse_monoid_element("2*v + w").mass() == 3
+        assert H.mass(parse_monoid_element("2*v + w")) == 3
 
 
 class TestRewriting:
     def test_successors_goldens(self, fan, rose2):
         v = parse_monoid_element("v")
-        assert [s.to_str(fan) for s in successors_one_step(fan, v)] == ["w1 + w2"]
-        assert [s.to_str(rose2) for s in successors_one_step(rose2, v)] == ["2*v"]
+        assert [H.monoid_to_str(s, fan) for s in successors_one_step(fan, v)] == ["w1 + w2"]
+        assert [H.monoid_to_str(s, rose2) for s in successors_one_step(rose2, v)] == ["2*v"]
         assert not successors_one_step(fan, parse_monoid_element("w1"))
         # one rewrite of one occurrence per successor
-        assert [s.to_str(fan) for s in successors_one_step(fan, parse_monoid_element("2*v"))] == [
+        assert [H.monoid_to_str(s, fan) for s in successors_one_step(fan, parse_monoid_element("2*v"))] == [
             "v + w1 + w2"
         ]
 
@@ -83,11 +89,11 @@ class TestRewriting:
         for g in corpus[:40]:
             a = H.random_monoid_element(g, rng)
             for succ in successors_one_step(g, a):
-                assert succ.mass() >= a.mass()
+                assert H.mass(succ) >= H.mass(a)
 
     def test_graded_expansion_golden(self, fan):
         out = graded_expand_to_level(fan, parse_graded_element("v(0)"), -1)
-        assert out.to_str(fan) == "w1(-1) + w2(-1)"
+        assert H.graded_to_str(out, fan) == "w1(-1) + w2(-1)"
         # sinks cannot move down; they simply stay at their level
         stay = graded_expand_to_level(fan, parse_graded_element("w1(0)"), -1)
         assert stay.items() == (("w1", 0, 1),)
@@ -109,6 +115,24 @@ class TestRewriting:
             assert left == right
 
 
+def _rewrite_pair(g, rng, steps):
+    """A random element and a random rewrite of it, so the two are equal."""
+    a = H.random_monoid_element(g, rng)
+    b = a
+    for _ in range(steps):
+        succs = successors_one_step(g, b)
+        if not succs:
+            break
+        b = rng.choice(succs)
+    return a, b
+
+
+def _smallest_hsat_containing(g, vertices):
+    """From the brute-force list of hereditary saturated sets, in declaration order."""
+    best = min((s for s in H.hsat_subsets_bruteforce(g) if set(vertices) <= s), key=len)
+    return tuple(v for v in g.vertices if v in best)
+
+
 class TestUngradedEquality:
     def test_goldens(self, rose2, rose3, loop):
         v, vv = parse_monoid_element("v"), parse_monoid_element("2*v")
@@ -126,7 +150,7 @@ class TestUngradedEquality:
         v, vv = parse_monoid_element("v"), parse_monoid_element("2*v")
         assert ungraded_equal(rose2, v, vv).kind == "equal"
         assert ungraded_equal(rose2, v, MonoidElement.zero()).kind == "not-equal"
-        assert ungraded_equal(rose2, v, vv, EqBudget(max_states=1, max_mass=1)).kind == "unknown"
+        assert bfs_equal(rose2, v, vv, max_states=1, max_mass=1).kind == "unknown"
 
     def test_equal_traces_are_valid_rewrite_paths(self, corpus):
         rng = random.Random(29)
@@ -134,17 +158,11 @@ class TestUngradedEquality:
         for g in corpus[:60]:
             if not g.regulars:
                 continue
-            a = H.random_monoid_element(g, rng)
+            a, b = _rewrite_pair(g, rng, rng.randint(1, 3))
             if a.is_zero():
                 continue
-            b = a
-            for _ in range(rng.randint(1, 3)):
-                succs = successors_one_step(g, b)
-                if not succs:
-                    break
-                b = rng.choice(succs)
-            verdict = ungraded_equal(g, a, b)
-            if not verdict.is_equal:
+            verdict = bfs_equal(g, a, b)
+            if verdict.kind != "equal":
                 continue
             checked += 1
             for trace, start in ((verdict.trace_a, a), (verdict.trace_b, b)):
@@ -170,15 +188,12 @@ class TestUngradedEquality:
                 if not succs:
                     break
                 b = rng.choice(succs)
-            assert not ungraded_equal(g, a, b).kind == "not-equal"
+            assert not bfs_equal(g, a, b).kind == "not-equal"
+            assert ungraded_equal(g, a, b).is_equal
 
     def test_budget_monotonicity(self, corpus):
         rng = random.Random(37)
-        budgets = [
-            EqBudget(max_states=20, max_mass=8),
-            EqBudget(max_states=400, max_mass=16),
-            EqBudget(max_states=8000, max_mass=32),
-        ]
+        budgets = [(20, 8), (400, 16), (8000, 32)]
         for _ in range(150):
             g = corpus[rng.randrange(len(corpus))]
             if not g.vertices:
@@ -186,12 +201,58 @@ class TestUngradedEquality:
             a = H.random_monoid_element(g, rng)
             b = H.random_monoid_element(g, rng)
             decided = None
-            for budget in budgets:
-                verdict = ungraded_equal(g, a, b, budget)
+            for states, mass in budgets:
+                verdict = bfs_equal(g, a, b, max_states=states, max_mass=mass)
                 if decided is None and verdict.kind != "unknown":
                     decided = verdict.kind
                 elif decided is not None:
                     assert verdict.kind == decided  # no flips once decided
+
+    def test_rule_agrees_with_bfs_on_corpus(self, corpus):
+        # half the pairs are rewrites of one element, half independent draws
+        rng = random.Random(59)
+        agreed = {"equal": 0, "not-equal": 0}
+        for k in range(600):
+            g = corpus[k % len(corpus)]
+            if k % 2:
+                a, b = _rewrite_pair(g, rng, rng.randint(1, 4))
+            else:
+                a, b = H.random_monoid_element(g, rng), H.random_monoid_element(g, rng)
+            oracle = bfs_equal(g, a, b, max_states=2000, max_mass=32)
+            verdict = ungraded_equal(g, a, b)
+            assert verdict.kind in agreed
+            if oracle.kind != "unknown":
+                assert verdict.kind == oracle.kind, (g, a, b, oracle)
+                agreed[oracle.kind] += 1
+        # 391 and 206 at this seed; 3 pairs exhaust the oracle's budget
+        assert agreed["equal"] >= 380 and agreed["not-equal"] >= 200, agreed
+
+    def test_equal_certificates_remultiply(self, corpus):
+        rng = random.Random(61)
+        checked = 0
+        for g in corpus[:120]:
+            a, b = _rewrite_pair(g, rng, rng.randint(0, 3))
+            verdict = ungraded_equal(g, a, b)
+            assert verdict.is_equal
+            ideal = _smallest_hsat_containing(g, a.support())
+            assert verdict.ideal == ideal == _smallest_hsat_containing(g, b.support())
+            sub = restriction(g, ideal)
+            assert tuple(v for v, _ in verdict.witness) == sub.regulars
+            x = tuple(n for _, n in verdict.witness)
+            assert k_matrix(sub) @ x == tuple(a.get(v) - b.get(v) for v in ideal)
+            checked += 1
+        assert checked == 120
+
+    def test_distinct_roses_are_not_equal_at_once(self):
+        # the budgeted search ran for minutes on this pair without deciding:
+        # the supports generate different order ideals
+        roses = H.disjoint_union(H.rose(2), H.rose(2))
+        v, w = roses.vertices
+        start = time.monotonic()
+        verdict = ungraded_equal(roses, MonoidElement.of({v: 3}), MonoidElement.of({w: 3}))
+        assert time.monotonic() - start < 1.0
+        assert verdict.kind == "not-equal"
+        assert bfs_equal(roses, MonoidElement.of({v: 3}), MonoidElement.of({w: 3})).kind == "unknown"
 
 
 class TestGradedEquality:

@@ -50,6 +50,7 @@ UNREFERENCED_OK = {
     "subgroup_equal",
     "lattice_isomorphisms",
     "graded_expand_to_level",
+    "successors_one_step",
     # graph text formats and constructors, for writing inputs
     "graph_to_text",
     "matrix_to_text",
