@@ -115,11 +115,12 @@ class TestRewriting:
             assert left == right
 
 
-def _rewrite_pair(g, rng, steps):
-    """A random element and a random rewrite of it, so the two are equal."""
+def _rewrite_pair(g, rng, lo, hi):
+    """A random element and a rewrite of it in lo to hi random steps, so the
+    two are equal."""
     a = H.random_monoid_element(g, rng)
     b = a
-    for _ in range(steps):
+    for _ in range(rng.randint(lo, hi)):
         succs = successors_one_step(g, b)
         if not succs:
             break
@@ -158,7 +159,7 @@ class TestUngradedEquality:
         for g in corpus[:60]:
             if not g.regulars:
                 continue
-            a, b = _rewrite_pair(g, rng, rng.randint(1, 3))
+            a, b = _rewrite_pair(g, rng, 1, 3)
             if a.is_zero():
                 continue
             verdict = bfs_equal(g, a, b)
@@ -215,7 +216,7 @@ class TestUngradedEquality:
         for k in range(600):
             g = corpus[k % len(corpus)]
             if k % 2:
-                a, b = _rewrite_pair(g, rng, rng.randint(1, 4))
+                a, b = _rewrite_pair(g, rng, 1, 4)
             else:
                 a, b = H.random_monoid_element(g, rng), H.random_monoid_element(g, rng)
             oracle = bfs_equal(g, a, b, max_states=2000, max_mass=32)
@@ -224,14 +225,14 @@ class TestUngradedEquality:
             if oracle.kind != "unknown":
                 assert verdict.kind == oracle.kind, (g, a, b, oracle)
                 agreed[oracle.kind] += 1
-        # 391 and 206 at this seed; 3 pairs exhaust the oracle's budget
+        # 390 and 210 at this seed; none exhausts the oracle's budget
         assert agreed["equal"] >= 380 and agreed["not-equal"] >= 200, agreed
 
     def test_equal_certificates_remultiply(self, corpus):
         rng = random.Random(61)
         checked = 0
         for g in corpus[:120]:
-            a, b = _rewrite_pair(g, rng, rng.randint(0, 3))
+            a, b = _rewrite_pair(g, rng, 0, 3)
             verdict = ungraded_equal(g, a, b)
             assert verdict.is_equal
             ideal = _smallest_hsat_containing(g, a.support())
