@@ -62,7 +62,6 @@ from .monoid import (
 from .ktheory import (
     ConnectingMap,
     KOneBar,
-    KZero,
     SixTermRow,
     connecting_delta,
     k0,

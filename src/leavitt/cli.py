@@ -178,8 +178,8 @@ def _cmd_k0(args):
     kz = k0(g)
     payload = {
         "group": _group_json(kz.invariants()),
-        "generators": list(kz.group.labels),
-        "relations": kz.group.relations.to_lists(),
+        "generators": list(kz.labels),
+        "relations": kz.relations.to_lists(),
     }
     return payload, [f"K0 = {kz.invariants()}"], EXIT_OK
 

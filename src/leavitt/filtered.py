@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import Graph
@@ -24,12 +24,11 @@ from .intlinalg import (
     inverse_unimodular,
     map_invariants,
 )
-from .ktheory import KOneBar, KZero, SixTermRow, SubquotientStore, six_term_row
+from .ktheory import KOneBar, SixTermRow, SubquotientStore, six_term_row
 from .lattice import (
     IdealLattice,
     LatticeCapError,
     LocallyClosed,
-    SpectrumTopology,
     _iter_isomorphisms,
     _signatures,
     enumerate_hsat,
@@ -66,72 +65,95 @@ class TableEntry:
     outer_members: tuple[str, ...]
     inner_members: tuple[str, ...]
     graph: Graph
-    kzero: KZero
+    kzero: PresentedGroup
     konebar: KOneBar
-
-
-@dataclass(frozen=True)
-class FilteredKTable:
-    graph: Graph
-    coeff: CoeffGroup
-    lattice: IdealLattice
-    topology: SpectrumTopology
-    pieces: tuple[LocallyClosed, ...]
-    entries: tuple[TableEntry, ...]
-    rows: tuple[SixTermRow, ...]
-    row_triples: tuple[tuple[int, int, int], ...]
-
-    @property
-    def all_rows_exact(self):
-        return all(r.exact for r in self.rows)
 
 
 class RowCapError(RuntimeError):
     """Raised when a table would need more six-term rows than the cap."""
 
 
-def _checked_spectrum(g: Graph, lattice_cap: int, row_cap: int) -> SpectrumTopology:
-    """The spectrum of g's ideal lattice; RowCapError past ``row_cap`` nested
-    triples i <= j <= p, counted at each j as (#i <= j) * (#p >= j)."""
-    topology = spectrum(enumerate_hsat(g, cap=lattice_cap))
-    count = sum(down * up for down, up in _signatures(topology))
-    if count > row_cap:
-        raise RowCapError(
-            f"nested triples exceed row cap {row_cap} "
-            f"(the {len(topology.lattice)}-element lattice has {count})"
-        )
-    return topology
+class FilteredKTable:
+    """The filtered table of one graph: an entry per locally closed piece of
+    the prime spectrum and a six-term row per nested ideal triple.
 
+    The constructor counts the nested triples i <= j <= p, at each j as
+    (#i <= j) * (#p >= j), and raises RowCapError past ``row_cap`` before
+    any entry is built; then it builds every entry.  A row is built through
+    the table's subquotient ``store`` on first request, with every check of
+    :func:`six_term_row`, and kept.  ``_skeletons``, when given, is the
+    skeleton memo of another table's store with the same coefficient group,
+    which this table's store then shares.
+    """
 
-def _entry_table(topo: SpectrumTopology, store: SubquotientStore) -> FilteredKTable:
-    """The table of the store's graph: an entry per locally closed piece, no rows."""
-    lattice = topo.lattice
-    pieces = locally_closed_all(topo)
-    entries = []
-    for piece in pieces:
-        outer = lattice.members(piece.outer_index)
-        inner = lattice.members(piece.inner_index)
-        pair = store.get(frozenset(inner), frozenset(outer))
-        entries.append(
-            TableEntry(
-                piece=piece,
-                outer_members=outer,
-                inner_members=inner,
-                graph=pair.graph,
-                kzero=pair.k0,
-                konebar=pair.k1,
+    def __init__(
+        self,
+        g: Graph,
+        coeff: CoeffGroup,
+        lattice_cap: int = 4096,
+        row_cap: int = 65_536,
+        _skeletons: dict | None = None,
+    ):
+        topology = spectrum(enumerate_hsat(g, cap=lattice_cap))
+        lattice = topology.lattice
+        count = sum(down * up for down, up in _signatures(topology))
+        if count > row_cap:
+            raise RowCapError(
+                f"nested triples exceed row cap {row_cap} "
+                f"(the {len(lattice)}-element lattice has {count})"
             )
+        self.graph, self.coeff, self.lattice, self.topology = g, coeff, lattice, topology
+        self.store = SubquotientStore(g, coeff)
+        if _skeletons is not None:
+            self.store._skeletons = _skeletons
+        n = len(lattice)
+        self._members = [frozenset(lattice.members(i)) for i in range(n)]
+        self.pieces = locally_closed_all(topology)
+        entries = []
+        for piece in self.pieces:
+            outer, inner = piece.outer_index, piece.inner_index
+            pair = self.store.get(self._members[inner], self._members[outer])
+            members = lattice.members(outer), lattice.members(inner)
+            entries.append(TableEntry(piece, *members, pair.graph, pair.k0, pair.k1))
+        self.entries = tuple(entries)
+        self.row_triples = tuple(
+            (i, j, p)
+            for i in range(n)
+            for j in range(i, n)
+            if lattice.leq(i, j)
+            for p in range(j, n)
+            if lattice.leq(j, p)
         )
-    return FilteredKTable(
-        graph=store.graph,
-        coeff=store.coeff,
-        lattice=lattice,
-        topology=topo,
-        pieces=pieces,
-        entries=tuple(entries),
-        rows=(),
-        row_triples=(),
-    )
+        self._rows, self._signatures = {}, {}
+
+    def row(self, trip) -> SixTermRow | None:
+        """The row of a lattice triple; None when the triple is not nested
+        (indices rise along the order)."""
+        row = self._rows.get(trip)
+        if row is None:
+            i, j, p = trip
+            if not (i <= j <= p and self.lattice.leq(i, j) and self.lattice.leq(j, p)):
+                return None
+            row = self._rows[trip] = six_term_row(
+                self.graph, *(self._members[k] for k in trip), self.coeff, store=self.store
+            )
+        return row
+
+    def signature(self, trip):
+        """:func:`_row_signature` of the row of a nested triple, computed once."""
+        sig = self._signatures.get(trip)
+        if sig is None:
+            sig = self._signatures[trip] = _row_signature(self.row(trip), self.store)
+        return sig
+
+    @property
+    def rows(self) -> tuple[SixTermRow, ...]:
+        """Every row, in the order of ``row_triples``."""
+        return tuple(self.row(trip) for trip in self.row_triples)
+
+    @property
+    def all_rows_exact(self):
+        return all(r.exact for r in self.rows)
 
 
 def fkbar(
@@ -146,68 +168,13 @@ def fkbar(
     verdicts rather than hiding them.  Every subquotient an entry or a row
     needs is built once, with its K-groups, and shared, and so is the
     exactness verdict of each distinct row skeleton.  Raises RowCapError
-    before any row is built when the lattice has more than ``row_cap``
-    nested triples.
+    before any entry is built when the lattice has more than ``row_cap``
+    nested triples; otherwise builds every row before it returns.
     """
-    topology = _checked_spectrum(g, lattice_cap, row_cap)
-    store = SubquotientStore(g, coeff)
-    table = _entry_table(topology, store)
-    source = _RowSource(table, store)
-    return replace(
-        table,
-        rows=tuple(source.row(trip) for trip in source.triples),
-        row_triples=source.triples,
-    )
-
-
-def _is_row_triple(lattice: IdealLattice, trip) -> bool:
-    """Does a table hold a row for this triple?  Indices rise along the order."""
-    i, j, p = trip
-    return i <= j <= p and lattice.leq(i, j) and lattice.leq(j, p)
-
-
-class _RowSource:
-    """The rows of one table by lattice triple, each built and signed once.
-
-    A row is built through the table's subquotient ``store`` on first
-    request, with every check of :func:`six_term_row`.  ``skeleton_classes``
-    keeps the signature part of each label-less row skeleton, and two
-    sources may share it.
-    """
-
-    def __init__(self, table: FilteredKTable, store: SubquotientStore, skeleton_classes=None):
-        lattice = table.lattice
-        n = len(lattice)
-        self.table = table
-        self.store = store
-        self.triples = tuple(
-            (i, j, p)
-            for i in range(n)
-            for j in range(i, n)
-            if lattice.leq(i, j)
-            for p in range(j, n)
-            if lattice.leq(j, p)
-        )
-        self._members = [frozenset(lattice.members(i)) for i in range(n)]
-        self._rows = {}
-        self._signatures = {}
-        self._skeleton_classes = {} if skeleton_classes is None else skeleton_classes
-
-    def row(self, trip) -> SixTermRow | None:
-        """The row of a nested triple; None when the table has no such row."""
-        row = self._rows.get(trip)
-        if row is None and _is_row_triple(self.table.lattice, trip):
-            i, j, p = (self._members[k] for k in trip)
-            row = self._rows[trip] = six_term_row(
-                self.table.graph, i, j, p, self.table.coeff, store=self.store
-            )
-        return row
-
-    def signature(self, trip):
-        sig = self._signatures.get(trip)
-        if sig is None:
-            sig = self._signatures[trip] = _row_signature(self.row(trip), self._skeleton_classes)
-        return sig
+    table = FilteredKTable(g, coeff, lattice_cap, row_cap)
+    for trip in table.row_triples:
+        table.row(trip)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -215,25 +182,25 @@ class _RowSource:
 # ---------------------------------------------------------------------------
 
 
-def _row_signature(row: SixTermRow, skeleton_classes: dict):
+def _row_signature(row: SixTermRow, store: SubquotientStore):
     """Invariant tuple of a six-term row: group classes and map classes.
 
     Map classes are the kernel/image/cokernel triples of the five maps of
     the row skeleton, so equal signatures mean no Z-level rank or invariant
     factor tells the rows apart.  Skeletons are label-less and recur across
-    rows, so ``skeleton_classes`` keeps the group and map classes of each,
-    computed once.
+    rows, so the group and map classes of each are computed once and kept
+    in its record in ``store``.
     """
-    skeleton = skeleton_classes.get(row.maps)
-    if skeleton is None:
-        skeleton = skeleton_classes[row.maps] = (
+    record = store._skeleton(row.maps)
+    if record[2] is None:
+        record[2] = (
             tuple(n.invariants() for n in row.groups),
             tuple(
                 map_invariants(f.matrix, f.domain.relations, f.codomain.relations)
                 for f in row.maps
             ),
         )
-    groups, maps = skeleton
+    groups, maps = record[2]
     k1bars = tuple((kb.kernel_rank, kb.coker_part.class_key()) for kb in row.k1bars)
     return (groups, k1bars, maps)
 
@@ -559,15 +526,15 @@ def _match_entries(t1: FilteredKTable, t2: FilteredKTable, iso, classes1: list, 
     return verdicts, bad.detail if bad else ""
 
 
-def _match_rows(rows1: _RowSource, rows2: _RowSource, iso, run_elements: bool):
+def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool):
     verdicts = []
     element_outcomes = []
     failure = ""
-    for trip in rows1.triples:
-        row = rows1.row(trip)
+    for trip in t1.row_triples:
+        row = t1.row(trip)
         # an order isomorphism maps a nested triple to a nested triple
         other_trip = (iso[trip[0]], iso[trip[1]], iso[trip[2]])
-        other = rows2.row(other_trip)
+        other = t2.row(other_trip)
         if other is None:
             verdicts.append(
                 RowVerdict(triple=trip, matched=False, detail="row missing in second table")
@@ -575,7 +542,7 @@ def _match_rows(rows1: _RowSource, rows2: _RowSource, iso, run_elements: bool):
             failure = failure or f"row {other_trip} missing in the second table"
             continue
         problems = []
-        if rows1.signature(trip) != rows2.signature(other_trip):
+        if t1.signature(trip) != t2.signature(other_trip):
             problems.append("map invariants differ")
         if not row.exact:
             problems.append("first table row failed exactness")
@@ -612,20 +579,16 @@ def compare_fkbar(
     after ``_CANDIDATE_CAP`` failed candidates.  For each candidate the checks
     run in order: prime and piece bijections, per-piece group classes,
     per-row map invariants plus exactness, then (for small groups) an
-    element-level search for commuting isomorphism systems.  Both lattices
-    are checked against ``lattice_cap`` and ``row_cap`` and both tables'
-    entries, with their classes, are built before any candidate is tried.
-    A row is built, with every check of :func:`six_term_row`, only when a
+    element-level search for commuting isomorphism systems.  Both tables
+    are built, each lattice checked against ``lattice_cap`` and ``row_cap``,
+    with their entries and entry classes before any candidate is tried.  A
+    row is built, with every check of :func:`six_term_row`, only when a
     candidate matches every entry; each row and its signature are computed
-    at most once, whatever the number of candidates.
+    at most once, whatever the number of candidates.  The two tables share
+    one skeleton memo, so each distinct skeleton is decided and classed once.
     """
-    topology1 = _checked_spectrum(g1, lattice_cap, row_cap)
-    topology2 = _checked_spectrum(g2, lattice_cap, row_cap)
-    store1, store2 = SubquotientStore(g1, coeff), SubquotientStore(g2, coeff)
-    t1, t2 = _entry_table(topology1, store1), _entry_table(topology2, store2)
-    skeleton_classes = {}
-    rows1 = _RowSource(t1, store1, skeleton_classes)
-    rows2 = _RowSource(t2, store2, skeleton_classes)
+    t1 = FilteredKTable(g1, coeff, lattice_cap, row_cap)
+    t2 = FilteredKTable(g2, coeff, lattice_cap, row_cap, _skeletons=t1.store._skeletons)
 
     candidates = _iter_isomorphisms(t1.topology, t2.topology)
     if se_intertwiner is not None:
@@ -652,7 +615,7 @@ def compare_fkbar(
             score = sum(1 for v in piece_verdicts if not v.matched)
         else:
             row_verdicts, row_failure, element_outcomes = _match_rows(
-                rows1, rows2, iso, run_elements=element_search
+                t1, t2, iso, run_elements=element_search
             )
             outcomes = [e for e, _ in element_outcomes]
             if outcomes and all(e == "passed" for e in outcomes):

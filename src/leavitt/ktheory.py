@@ -39,7 +39,6 @@ from .monoid import GradedElement, _LevelForm, graded_equal
 
 __all__ = [
     "k_matrix",
-    "KZero",
     "k0",
     "KOneBar",
     "k1",
@@ -65,8 +64,8 @@ def k_matrix(g: Graph) -> IntMatrix:
     cokernel presents K0 on the vertex generators; its integer kernel is the
     free part of K1.  Back-to-back calls on one graph (K0 and K1 of a
     :class:`SubquotientK` or of ``vdb_sequence``) get the same matrix
-    object, so the Smith caches keyed on it hold one key, not two equal
-    ones; one entry keeps no more than the last graph alive.
+    object instead of building it and its hash again; one entry keeps no
+    more than the last graph alive.
     """
     a = g.adjacency().data
     reg = [g.index(w) for w in g.regulars]
@@ -76,18 +75,9 @@ def k_matrix(g: Graph) -> IntMatrix:
     return IntMatrix._trusted(tuple(map(tuple, rows)), len(reg))
 
 
-@dataclass(frozen=True)
-class KZero:
+def k0(g: Graph) -> PresentedGroup:
     """K0 presented on vertex generators."""
-
-    group: PresentedGroup
-
-    def invariants(self) -> FgAbGroup:
-        return self.group.invariants()
-
-
-def k0(g: Graph) -> KZero:
-    return KZero(group=cokernel(k_matrix(g), labels=g.vertices))
+    return cokernel(k_matrix(g), labels=g.vertices)
 
 
 @dataclass(frozen=True)
@@ -180,7 +170,7 @@ class VdbReport:
     """
 
     k1: KOneBar
-    k0: KZero
+    k0: PresentedGroup
     ker_phi: FgAbGroup
     coker_phi: FgAbGroup
     lift_witnesses: tuple
@@ -211,7 +201,7 @@ def vdb_sequence(g: Graph, coeff: CoeffGroup) -> VdbReport:
     composes_zero = True
     # column j is relations @ e_j, so the witness -e_j holds for the j-th
     # regular vertex when it equals minus the forgotten relation
-    columns = tuple(zip(*kzero.group.relations.data))
+    columns = tuple(zip(*kzero.relations.data))
     position = {w: i for i, w in enumerate(g.vertices)}
     for j, v in enumerate(g.regulars):
         relation = GradedElement.of([(v, 0, 1)] + [(e.dst, -1, -1) for e in g.out_edges(v)])
@@ -221,7 +211,7 @@ def vdb_sequence(g: Graph, coeff: CoeffGroup) -> VdbReport:
         minus = tuple(minus)
         if j < len(columns) and minus == columns[j]:
             continue
-        if not kzero.group.is_zero_class(tuple(-x for x in minus)):
+        if not kzero.is_zero_class(tuple(-x for x in minus)):
             composes_zero = False
     witnesses = tuple((v, f"{v}(0)") for v in g.vertices)
     return VdbReport(
@@ -244,14 +234,12 @@ def vdb_sequence(g: Graph, coeff: CoeffGroup) -> VdbReport:
 class ConnectingMap:
     """Index map from the kernel at the quotient to K0 of the ideal.
 
-    ``x_block`` has one row per ideal vertex and one column per non-sink
-    quotient vertex; applied to a kernel vector it lands in the ideal's K0
-    presentation.
+    ``kernel`` is a basis of the kernel of the quotient graph's transfer
+    matrix.  ``x_block`` has one row per ideal vertex and one column per
+    non-sink quotient vertex; applied to a kernel vector it lands in the
+    ideal's K0 presentation.  ``map`` is the map on kernel-basis coordinates.
     """
 
-    graph: Graph
-    members: tuple[str, ...]
-    sub: Graph
     quo: Graph
     kernel: IntMatrix
     x_block: IntMatrix
@@ -279,7 +267,7 @@ def connecting_delta(g: Graph, members, parts=None) -> ConnectingMap:
     else:
         ideal, rest = parts
         sub, quo = ideal.graph, rest.graph
-        kb, codomain = rest.k1.kernel, ideal.k0.group
+        kb, codomain = rest.k1.kernel, ideal.k0
     # one row per ideal vertex, one column per quotient non-sink: edge counts
     x_block = (
         g.adjacency()
@@ -293,15 +281,7 @@ def connecting_delta(g: Graph, members, parts=None) -> ConnectingMap:
         labels=tuple(f"ker{i}" for i in range(kb.cols)),
     )
     gmap = GroupMap(domain=domain, codomain=codomain, matrix=x_block @ kb, name="delta")
-    return ConnectingMap(
-        graph=g,
-        members=tuple(v for v in g.vertices if v in members),
-        sub=sub,
-        quo=quo,
-        kernel=kb,
-        x_block=x_block,
-        map=gmap,
-    )
+    return ConnectingMap(quo=quo, kernel=kb, x_block=x_block, map=gmap)
 
 
 def snake_rho(g: Graph, members, x) -> tuple:
@@ -361,8 +341,10 @@ class SubquotientStore:
     store for all its entries and rows, a lone six-term row a store of its
     own.  The store also keeps, for as long as it lives, the row work that
     depends only on label-less values and so repeats across the rows of a
-    table: each distinct row skeleton with its node verdicts, which rows
-    with equal skeletons share, and the kernel coordinates of tau1 and tau2.
+    table: one record per distinct row skeleton, which rows with equal
+    skeletons share, and the kernel coordinates of tau1 and tau2.  Skeletons
+    are label-less, so two stores with one coefficient group may share the
+    records.
     """
 
     def __init__(self, g: Graph, coeff: CoeffGroup):
@@ -387,12 +369,14 @@ class SubquotientStore:
             coords = self._coordinates[key] = _kernel_coordinates(basis, vectors)
         return coords
 
-    def _skeleton(self, maps: tuple[GroupMap, ...]):
-        """The first skeleton equal to ``maps``, and its node verdicts."""
-        skeleton = self._skeletons.get(maps)
-        if skeleton is None:
-            skeleton = self._skeletons[maps] = (maps, _skeleton_nodes(maps, self.coeff))
-        return skeleton
+    def _skeleton(self, maps: tuple[GroupMap, ...]) -> list:
+        """The record of ``maps``: the first equal skeleton, its node verdicts
+        and, once a table comparison asks for them, its signature classes
+        (None until then)."""
+        record = self._skeletons.get(maps)
+        if record is None:
+            record = self._skeletons[maps] = [maps, _skeleton_nodes(maps, self.coeff), None]
+        return record
 
 
 def _kernel_coordinates(target_basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
@@ -470,8 +454,7 @@ class SixTermRow:
     triple: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
     graphs: tuple[Graph, Graph, Graph]
     k1bars: tuple[KOneBar, KOneBar, KOneBar]
-    k0s: tuple[KZero, KZero, KZero]
-    delta: ConnectingMap
+    k0s: tuple[PresentedGroup, PresentedGroup, PresentedGroup]
     maps: tuple[GroupMap, ...]
     nodes: tuple[NodeReport, ...]
 
@@ -535,7 +518,7 @@ def six_term_row(
     km1, km2, km3 = pair1.km, pair2.km, pair3.km
     k1bars = (pair1.k1, pair2.k1, pair3.k1)
     kb1, kb2, kb3 = (kb.kernel for kb in k1bars)
-    delta = connecting_delta(g2, hprime, parts=(pair1, pair3))
+    delta = connecting_delta(g2, hprime, parts=(pair1, pair3)).map
 
     reg_pos = {v: i for i, v in enumerate(g2.regulars)}
     reg1 = [reg_pos[v] for v in g1.regulars]
@@ -558,11 +541,11 @@ def six_term_row(
     matrices = (
         ("tau1", store._kernel_coordinates(kb2, kb1.scatter_rows(reg1, r2))),
         ("tau2", store._kernel_coordinates(kb3, kb2.take_rows(reg3))),
-        ("delta", delta.map.matrix),
+        ("delta", delta.matrix),
         ("u12", eye.take_columns(vert1)),
         ("u23", eye.take_rows(vert3)),
     )
-    maps, nodes = store._skeleton(
+    maps, nodes, _ = store._skeleton(
         tuple(
             GroupMap(groups[k], groups[k + 1], m, name=name)
             for k, (name, m) in enumerate(matrices)
@@ -577,7 +560,6 @@ def six_term_row(
         graphs=(g1, g2, g3),
         k1bars=k1bars,
         k0s=(pair1.k0, pair2.k0, pair3.k0),
-        delta=delta,
         maps=maps,
         nodes=nodes,
     )

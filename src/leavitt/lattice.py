@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .graphs import Graph, is_downward_directed
 
@@ -52,13 +53,17 @@ def _vertices(g: Graph, mask: int) -> tuple:
     return tuple(v for k, v in enumerate(g.vertices) if mask >> k & 1)
 
 
+@lru_cache(maxsize=1)
 def _mask_closure(g: Graph):
     """The closure of ``g`` on masks: seed mask to hereditary saturated mask.
 
     Hereditary closure ORs the reach masks of the seed's vertices.  Then
     saturation adds every regular vertex whose target mask lies inside until
     nothing changes; an added vertex has all its targets inside already, so
-    the set stays hereditary.
+    the set stays hereditary.  Back-to-back closures on one graph (the two
+    seeds of an ungraded equality, the lattice images of a certificate
+    transport) share the mask table; one entry keeps no more than the last
+    graph alive.
     """
     reach = [_mask(g, g.reachable_from(v)) for v in g.vertices]
     targets = [(_mask(g, (v,)), _mask(g, (e.dst for e in g.out_edges(v)))) for v in g.regulars]

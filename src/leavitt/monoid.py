@@ -49,10 +49,6 @@ class MonoidElement:
                 acc[str(v)] = acc.get(str(v), 0) + n
         return cls(tuple(sorted(acc.items())))
 
-    @classmethod
-    def zero(cls):
-        return cls(())
-
     def get(self, v):
         for w, n in self.coeffs:
             if w == v:
@@ -61,15 +57,6 @@ class MonoidElement:
 
     def support(self):
         return tuple(v for v, _ in self.coeffs)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def add(self, other):
-        acc = dict(self.coeffs)
-        for v, n in other.coeffs:
-            acc[v] = acc.get(v, 0) + n
-        return MonoidElement.of(acc)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ import pytest
 
 import helpers as H
 import leavitt.filtered as filtered
+import leavitt.ktheory as ktheory
 from leavitt.filtered import RowCapError, compare_fkbar, fkbar, transport_from_certificate
 from leavitt.graphs import Graph, graph_from_matrix, relabel, subquotient
-from leavitt.intlinalg import CoeffGroup, FgAbGroup, IntMatrix
-from leavitt.ktheory import KZero, SubquotientStore, k0, k1, six_term_row
+from leavitt.intlinalg import CoeffGroup, FgAbGroup, IntMatrix, PresentedGroup
+from leavitt.ktheory import SubquotientStore, k0, k1, six_term_row
 from leavitt.lattice import LatticeCapError, enumerate_hsat
 from leavitt.shifts import shift_equivalent_bounded
 
@@ -29,7 +30,7 @@ class TestTable:
         assert len(t.entries) == 4
         assert len(t.rows) == 16
         assert t.all_rows_exact
-        k0s = sorted(str(e.kzero.group.invariants()) for e in t.entries)
+        k0s = sorted(str(e.kzero.invariants()) for e in t.entries)
         assert k0s == ["0", "Z", "Z", "Z^2"]
 
     def test_rose2_vanishes(self, rose2):
@@ -38,7 +39,7 @@ class TestTable:
         for e in t.entries:
             if not e.piece.difference:
                 continue
-            assert e.kzero.group.invariants() == FgAbGroup.from_parts(0, ())
+            assert e.kzero.invariants() == FgAbGroup.from_parts(0, ())
             assert e.konebar.isomorphism_class() == FgAbGroup.from_parts(0, ())
 
     def test_full_spectrum_entry_is_global_invariant(self, corpus):
@@ -46,7 +47,7 @@ class TestTable:
             t = fkbar(g, COEFF)
             full = frozenset(range(len(t.topology.primes)))
             [entry] = [e for e in t.entries if e.piece.difference == full]
-            assert entry.kzero.group.invariants() == k0(g).group.invariants()
+            assert entry.kzero.invariants() == k0(g).invariants()
             expected = k1(g, COEFF).isomorphism_class()
             assert entry.konebar.isomorphism_class() == expected
 
@@ -54,7 +55,7 @@ class TestTable:
         for g in corpus[:40]:
             t = fkbar(g, COEFF)
             [entry] = [e for e in t.entries if not e.piece.difference]
-            assert entry.kzero.group.invariants() == FgAbGroup.from_parts(0, ())
+            assert entry.kzero.invariants() == FgAbGroup.from_parts(0, ())
             assert entry.graph.num_vertices == 0
 
     def test_entry_for_lookup(self, fan):
@@ -86,7 +87,7 @@ class TestTable:
                 slots = [((i, j), 0), ((i, p), 1), ((j, p), 2)]
                 for pair, slot in slots:
                     inv = (
-                        row.k0s[slot].group.invariants(),
+                        row.k0s[slot].invariants(),
                         row.k1bars[slot].isomorphism_class(),
                         row.k1bars[slot].symbol(),
                     )
@@ -108,17 +109,17 @@ class TestTable:
             t1 = fkbar(g, COEFF)
             t2 = fkbar(g2, COEFF)
             inv1 = sorted(
-                (len(e.piece.difference), str(e.kzero.group.invariants()), e.konebar.symbol())
+                (len(e.piece.difference), str(e.kzero.invariants()), e.konebar.symbol())
                 for e in t1.entries
             )
             inv2 = sorted(
-                (len(e.piece.difference), str(e.kzero.group.invariants()), e.konebar.symbol())
+                (len(e.piece.difference), str(e.kzero.invariants()), e.konebar.symbol())
                 for e in t2.entries
             )
             assert inv1 == inv2
 
 
-ROW_FIELDS = ("triple", "graphs", "k0s", "k1bars", "delta", "maps", "nodes")
+ROW_FIELDS = ("triple", "graphs", "k0s", "k1bars", "maps", "nodes")
 
 
 class TestSharedSubquotients:
@@ -183,27 +184,48 @@ class TestRowCap:
 class TestCompare:
     def test_row_signatures_computed_once_per_row(self, monkeypatch):
         g = disjoint_loops(2)
-        t = fkbar(g, COEFF)
         calls = []
         original = filtered._row_signature
 
-        def counting(row, skeleton_classes):
+        def counting(row, store):
             calls.append(row.triple)
-            return original(row, skeleton_classes)
+            return original(row, store)
 
         monkeypatch.setattr(filtered, "_row_signature", counting)
-        sources = (
-            filtered._RowSource(t, SubquotientStore(g, COEFF)),
-            filtered._RowSource(t, SubquotientStore(g, COEFF)),
-        )
-        rows = len(sources[0].triples)
-        isos = list(filtered._iter_isomorphisms(t.topology, t.topology))
+        tables = (filtered.FilteredKTable(g, COEFF), filtered.FilteredKTable(g, COEFF))
+        rows = len(tables[0].row_triples)
+        isos = list(filtered._iter_isomorphisms(tables[0].topology, tables[1].topology))
         assert len(isos) == 2 and rows == 16
         for iso in isos:
-            verdicts, failure, _ = filtered._match_rows(*sources, iso, run_elements=False)
+            verdicts, failure, _ = filtered._match_rows(*tables, iso, run_elements=False)
             assert not failure and len(verdicts) == rows
         # once per row of each of the two tables, not once per candidate
         assert len(calls) == 2 * rows
+
+    def test_rows_are_built_on_request(self):
+        g = disjoint_loops(2)
+        t = filtered.FilteredKTable(g, COEFF)
+        trip = (0, 1, 3)  # empty set, one loop, both loops
+        assert trip in t.row_triples and not t._rows
+        row = t.row(trip)
+        assert t.row(trip) is row and list(t._rows) == [trip]
+        assert row == fkbar(g, COEFF).row(trip)
+        # indices rise along the order, so the reversed triple is not nested
+        assert t.row(trip[::-1]) is None and list(t._rows) == [trip]
+
+    def test_skeletons_decided_once_across_both_tables(self, monkeypatch):
+        g = disjoint_loops(3)
+        calls = []
+        original = ktheory._skeleton_nodes
+
+        def counting(maps, coeff):
+            calls.append(maps)
+            return original(maps, coeff)
+
+        monkeypatch.setattr(ktheory, "_skeleton_nodes", counting)
+        assert compare_fkbar(g, g, COEFF).consistent
+        # the 64 rows of each table have 15 distinct skeletons between them
+        assert len(calls) == len(set(calls)) == 15
 
 
     def test_map_invariants_once_per_skeleton(self, monkeypatch):
@@ -227,13 +249,13 @@ class TestCompare:
         doubled = Graph(g.vertices, g.edges + (("extra", "x0", "x0"),))
         entries = len(fkbar(g, COEFF).entries) + len(fkbar(doubled, COEFF).entries)
         calls = []
-        invariants = KZero.invariants
+        invariants = PresentedGroup.invariants
 
         def counting(self):
             calls.append(self)
             return invariants(self)
 
-        monkeypatch.setattr(KZero, "invariants", counting)
+        monkeypatch.setattr(PresentedGroup, "invariants", counting)
         candidates = filtered._iter_isomorphisms
         reports = []
         for limit in (1, 6):  # every one of the 6 cube automorphisms fails
@@ -244,7 +266,8 @@ class TestCompare:
             )
             calls.clear()
             reports.append(compare_fkbar(g, doubled, COEFF))
-            # one call per entry of each table, however many candidates fail
+            # one K0 class per entry of each table, however many candidates
+            # fail, and no other group's invariants
             assert len(calls) == entries == 16
         assert not reports[0].consistent and reports[0] == reports[1]
 

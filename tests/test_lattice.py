@@ -47,6 +47,22 @@ class TestClosure:
         assert frozenset(hsat_closure(fan, {"v"})) == {"v", "w1", "w2"}
         assert frozenset(hsat_closure(fan, {"w1", "w2"})) == {"v", "w1", "w2"}
 
+    def test_closures_on_one_graph_share_one_mask_table(self, fan, monkeypatch):
+        g = Graph(["a", "b"], [("e", "a", "a"), ("f", "a", "b"), ("l", "b", "b")])
+        hsat_closure(fan, {"v"})  # the last graph closed is another one
+        calls = []
+        reachable_from = Graph.reachable_from
+
+        def counting(self, v):
+            calls.append(v)
+            return reachable_from(self, v)
+
+        monkeypatch.setattr(Graph, "reachable_from", counting)
+        assert hsat_closure(g, {"b"}) == ("b",)
+        assert hsat_closure(g, {"a"}) == ("a", "b")
+        # one reach mask per vertex, built for the first closure only
+        assert sorted(calls) == ["a", "b"]
+
 
 class TestEnumeration:
     def test_matches_bruteforce_oracle(self, corpus):

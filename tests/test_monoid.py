@@ -27,7 +27,7 @@ class TestParsing:
         assert parse_monoid_element("v").coeffs == (("v", 1),)
         assert parse_monoid_element("2*v + w").coeffs == (("v", 2), ("w", 1))
         assert parse_monoid_element("v+v").coeffs == (("v", 2),)
-        assert parse_monoid_element("0").is_zero()
+        assert parse_monoid_element("0").coeffs == ()
 
     def test_graded_goldens(self):
         assert parse_graded_element("v(0)").items() == (("v", 0, 1),)
@@ -66,7 +66,7 @@ class TestParsing:
         assert not a.sub(parse_graded_element("3*v(0)")).is_nonnegative()
         assert H.restrict_to(a, {"w1"}).items() == (("w1", -1, 1),)
         assert a.forget_levels() == {"v": 2, "w1": 1}
-        assert H.mass(MonoidElement.zero()) == 0
+        assert H.mass(MonoidElement(())) == 0
         # repeated vertices add up, as they do in GradedElement.of
         assert MonoidElement.of([("v", 1), ("v", 2)]).coeffs == (("v", 3),)
         assert MonoidElement.of([("v", 1), ("w", 2), ("v", 2)]) == parse_monoid_element("3*v + 2*w")
@@ -141,7 +141,7 @@ class TestUngradedEquality:
         assert ungraded_equal(rose3, v, vv).kind == "not-equal"
         assert ungraded_equal(loop, v, vv).kind == "not-equal"
         assert ungraded_equal(rose2, v, v).is_equal
-        assert ungraded_equal(rose2, v, MonoidElement.zero()).kind == "not-equal"
+        assert ungraded_equal(rose2, v, MonoidElement(())).kind == "not-equal"
 
     def test_rose3_triple_is_equal(self, rose3):
         # v rewrites to 3v in one step
@@ -150,7 +150,7 @@ class TestUngradedEquality:
     def test_verdict_kind_strings(self, rose2):
         v, vv = parse_monoid_element("v"), parse_monoid_element("2*v")
         assert ungraded_equal(rose2, v, vv).kind == "equal"
-        assert ungraded_equal(rose2, v, MonoidElement.zero()).kind == "not-equal"
+        assert ungraded_equal(rose2, v, MonoidElement(())).kind == "not-equal"
         assert bfs_equal(rose2, v, vv, max_states=1, max_mass=1).kind == "unknown"
 
     def test_equal_traces_are_valid_rewrite_paths(self, corpus):
@@ -160,7 +160,7 @@ class TestUngradedEquality:
             if not g.regulars:
                 continue
             a, b = _rewrite_pair(g, rng, 1, 3)
-            if a.is_zero():
+            if not a.coeffs:
                 continue
             verdict = bfs_equal(g, a, b)
             if verdict.kind != "equal":
@@ -181,7 +181,7 @@ class TestUngradedEquality:
                 continue
             root = random_graded_element(g, rng).forget_levels()
             a = MonoidElement.of(root.items())
-            if a.is_zero():
+            if not a.coeffs:
                 continue
             b = a
             for _ in range(rng.randint(0, 4)):
