@@ -18,7 +18,6 @@ from .intlinalg import (
     SmithData,
     check_exact,
     coker_with_coefficients,
-    cokernel,
     invariant_factors,
     kernel_basis,
     snf,

@@ -178,7 +178,7 @@ def _cmd_k0(args):
     kz = k0(g)
     payload = {
         "group": _group_json(kz.invariants()),
-        "generators": list(kz.labels),
+        "generators": list(g.vertices),
         "relations": kz.relations.to_lists(),
     }
     return payload, [f"K0 = {kz.invariants()}"], EXIT_OK

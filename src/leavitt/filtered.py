@@ -19,6 +19,7 @@ from functools import lru_cache
 from .graphs import Graph
 from .intlinalg import (
     CoeffGroup,
+    GroupMap,
     IntMatrix,
     PresentedGroup,
     inverse_unimodular,
@@ -187,9 +188,9 @@ def _row_signature(row: SixTermRow, store: SubquotientStore):
 
     Map classes are the kernel/image/cokernel triples of the five maps of
     the row skeleton, so equal signatures mean no Z-level rank or invariant
-    factor tells the rows apart.  Skeletons are label-less and recur across
-    rows, so the group and map classes of each are computed once and kept
-    in its record in ``store``.
+    factor tells the rows apart.  Skeletons recur across rows, so the group
+    and map classes of each are computed once and kept in its record in
+    ``store``.
     """
     record = store._skeleton(row.maps)
     if record[2] is None:
@@ -219,32 +220,17 @@ class _Reduced:
     """A presented group in its canonical coordinates.
 
     One coordinate per invariant factor greater than one (with that factor
-    as modulus) plus one per free generator (modulus zero).
+    as modulus) plus one per free generator (modulus zero).  ``project``
+    takes generator coordinates to these and ``lift`` takes them back.
     """
 
     def __init__(self, pres: PresentedGroup):
         sd = pres.smith
         diag = sd.diagonal
-        self.pres = pres
-        self.keep = tuple(
-            i
-            for i in range(pres.generators)
-            if i >= len(diag) or diag[i] != 1
-        )
-        self.moduli = tuple(
-            diag[i] if i < len(diag) and diag[i] != 0 else 0 for i in self.keep
-        )
-        self._uinv = inverse_unimodular(sd.u) if pres.generators else IntMatrix.zeros(0, 0)
-
-    def to_reduced(self, vec):
-        full = self.pres.canon(vec)
-        return tuple(full[i] for i in self.keep)
-
-    def from_reduced(self, red):
-        full = [0] * self.pres.generators
-        for value, i in zip(red, self.keep):
-            full[i] = value
-        return self._uinv @ tuple(full)
+        keep = [i for i in range(pres.generators) if i >= len(diag) or diag[i] != 1]
+        self.moduli = tuple(diag[i] if i < len(diag) else 0 for i in keep)
+        self.project = sd.u.take_rows(keep)
+        self.lift = inverse_unimodular(sd.u).take_columns(keep)
 
 
 @lru_cache(maxsize=4096)
@@ -252,89 +238,60 @@ def _reduced(pres: PresentedGroup) -> _Reduced:
     return _Reduced(pres)
 
 
-def _reduced_map(matrix: IntMatrix, dom: _Reduced, cod: _Reduced):
-    """The map in reduced coordinates, as a tuple of rows."""
-    cols = []
-    for j in range(len(dom.moduli)):
-        e = dom.from_reduced(tuple(1 if i == j else 0 for i in range(len(dom.moduli))))
-        cols.append(cod.to_reduced(matrix @ e))
-    return tuple(
-        tuple(c[i] for c in cols) for i in range(len(cod.moduli))
-    )
+def _residues(m: IntMatrix, moduli) -> tuple:
+    """The rows of ``m``, each reduced modulo its modulus (zero: left as is)."""
+    return tuple(tuple(x % q for x in r) if q else r for r, q in zip(m.data, moduli))
 
 
-def _candidate_count(dom: _Reduced, cod: _Reduced) -> int:
-    total = 1
-    for mj in dom.moduli:
-        for mi in cod.moduli:
-            if mi > 0:
-                total *= math.gcd(mi, mj) if mj > 0 else mi
-            else:
-                total *= 1 if mj > 0 else (2 * _FREE_ENTRY_BOUND + 1)
-            if total > _NODE_CANDIDATE_CAP:
-                return total
-    return total
+def _reduced_map(f: GroupMap) -> IntMatrix:
+    """The matrix of ``f`` in the reduced coordinates of its two groups."""
+    dom, cod = _reduced(f.domain), _reduced(f.codomain)
+    rows = _residues(cod.project @ f.matrix @ dom.lift, cod.moduli)
+    return IntMatrix._trusted(rows, len(dom.moduli))
 
 
 @lru_cache(maxsize=2048)
 def _iso_candidates(dom_pres: PresentedGroup, cod_pres: PresentedGroup):
     """All isomorphism matrices between two groups in reduced coordinates.
 
-    Returns (candidates, complete): candidates is a tuple of row-tuple
-    matrices; complete is False when free coordinates were truncated to the
-    entry bound, so an empty result is not a proof that no isomorphism
-    exists.  Returns None when the enumeration would exceed the node cap.
+    Returns (candidates, complete): candidates is a tuple of matrices;
+    complete is False when free coordinates were truncated to the entry
+    bound, so an empty result is not a proof that no isomorphism exists.
+    Returns None when the enumeration would exceed the node cap.
     """
     dom, cod = _reduced(dom_pres), _reduced(cod_pres)
     if sorted(dom.moduli) != sorted(cod.moduli):
         return (), True
-    if _candidate_count(dom, cod) > _NODE_CANDIDATE_CAP:
-        return None
-    complete = all(m > 0 for m in dom.moduli)
     per_entry = []
     for mi in cod.moduli:
         for mj in dom.moduli:
             if mi > 0 and mj > 0:
                 step = mi // math.gcd(mi, mj)
-                per_entry.append(tuple(range(0, mi, step)))
+                per_entry.append(range(0, mi, step))
             elif mi > 0:
-                per_entry.append(tuple(range(mi)))
+                per_entry.append(range(mi))
             elif mj > 0:
                 per_entry.append((0,))
             else:
-                per_entry.append(tuple(range(-_FREE_ENTRY_BOUND, _FREE_ENTRY_BOUND + 1)))
+                per_entry.append(range(-_FREE_ENTRY_BOUND, _FREE_ENTRY_BOUND + 1))
+    if math.prod(map(len, per_entry)) > _NODE_CANDIDATE_CAP:
+        return None
+    complete = all(m > 0 for m in dom.moduli)
     k_cod, k_dom = len(cod.moduli), len(dom.moduli)
     relations = IntMatrix.diagonal(cod.moduli, rows=k_cod, cols=k_cod)
     out = []
     for flat in itertools.product(*per_entry):
-        m = tuple(flat[i * k_dom : (i + 1) * k_dom] for i in range(k_cod))
-        mat = IntMatrix(m, cols=k_dom)
-        onto = PresentedGroup(k_cod, mat.hstack(relations)).invariants().is_trivial()
-        if onto:
-            out.append(m)
+        mat = IntMatrix._trusted(
+            tuple(flat[i * k_dom : (i + 1) * k_dom] for i in range(k_cod)), k_dom
+        )
+        if PresentedGroup(mat.hstack(relations)).invariants().is_trivial():
+            out.append(mat)
     return tuple(out), complete
 
 
-def _compose(rows_a, rows_b, inner_dim):
-    """Product of two row-tuple matrices (a after b)."""
-    if inner_dim == 0:
-        return tuple(tuple(0 for _ in (rows_b[0] if rows_b else ())) for _ in rows_a)
-    cols = len(rows_b[0]) if rows_b else 0
-    return tuple(
-        tuple(sum(ra[k] * rows_b[k][j] for k in range(inner_dim)) for j in range(cols))
-        for ra in rows_a
-    )
-
-
-def _squares_commute(alpha_next, f_red, f_other_red, alpha_prev, cod: _Reduced):
-    left = _compose(alpha_next, f_red, len(f_red))  # alpha after f
-    right = _compose(f_other_red, alpha_prev, len(alpha_prev))
-    for i, m in enumerate(cod.moduli):
-        for a, b in zip(left[i] if left else (), right[i] if right else ()):
-            diff = a - b
-            if (diff % m if m else diff) != 0:
-                return False
-    return True
+def _squares_commute(beta, f_a, f_b, alpha, moduli) -> bool:
+    """Does beta f_a = f_b alpha hold, each row modulo its modulus?"""
+    return not any(map(any, _residues(beta @ f_a - f_b @ alpha, moduli)))
 
 
 def _row_element_check(row_a: SixTermRow, row_b: SixTermRow):
@@ -351,9 +308,8 @@ def _row_element_check(row_a: SixTermRow, row_b: SixTermRow):
     reduced_a = [_reduced(n) for n in nodes_a]
     reduced_b = [_reduced(n) for n in nodes_b]
     for ra in reduced_a:
-        torsion = math.prod(m for m in ra.moduli if m) if ra.moduli else 1
-        free = sum(1 for m in ra.moduli if m == 0)
-        if torsion > _TORSION_ORDER_CAP or free > _FREE_RANK_CAP:
+        torsion = math.prod(m for m in ra.moduli if m)
+        if torsion > _TORSION_ORDER_CAP or ra.moduli.count(0) > _FREE_RANK_CAP:
             return "skipped", False
     candidate_sets = []
     complete = True
@@ -366,24 +322,21 @@ def _row_element_check(row_a: SixTermRow, row_b: SixTermRow):
             return ("refuted" if full else "inconclusive"), full
         candidate_sets.append(cands)
         complete = complete and full
-    red_maps_a = [
-        _reduced_map(f.matrix, reduced_a[k], reduced_a[k + 1]) for k, f in enumerate(row_a.maps)
-    ]
-    red_maps_b = [
-        _reduced_map(f.matrix, reduced_b[k], reduced_b[k + 1]) for k, f in enumerate(row_b.maps)
-    ]
-    viable = list(candidate_sets[0])
+    viable = candidate_sets[0]
     for k in range(5):
-        nxt = []
-        for beta in candidate_sets[k + 1]:
-            if any(
-                _squares_commute(beta, red_maps_a[k], red_maps_b[k], alpha, reduced_b[k + 1])
-                for alpha in viable
-            ):
-                nxt.append(beta)
-        if not nxt:
+        moduli = reduced_b[k + 1].moduli
+        if not (reduced_b[k].moduli and moduli):
+            # a square with a trivial corner commutes for every beta
+            viable = candidate_sets[k + 1]
+            continue
+        f_a, f_b = _reduced_map(row_a.maps[k]), _reduced_map(row_b.maps[k])
+        viable = [
+            beta
+            for beta in candidate_sets[k + 1]
+            if any(_squares_commute(beta, f_a, f_b, alpha, moduli) for alpha in viable)
+        ]
+        if not viable:
             return ("refuted" if complete else "inconclusive"), complete
-        viable = nxt
     return "passed", complete
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 __all__ = [
     "IntMatrix",
@@ -35,7 +36,6 @@ __all__ = [
     "snf",
     "invariant_factors",
     "kernel_basis",
-    "cokernel",
     "coker_with_coefficients",
     "check_exact",
     "solve_lattice",
@@ -185,12 +185,9 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-            od = other.data
+            columns = tuple(zip(*other.data)) if other.rows else ((),) * other.cols
             return IntMatrix._trusted(
-                tuple(
-                    tuple(sum(a * od[k][j] for k, a in enumerate(row)) for j in range(other.cols))
-                    for row in self.data
-                ),
+                tuple(tuple(sum(map(mul, row, c)) for c in columns) for row in self.data),
                 other.cols,
             )
         # vector: tuple/list of length cols; most vectors here are sparse,
@@ -248,41 +245,11 @@ class IntMatrix:
             k >>= 1
         return result
 
-    def det(self):
-        """Determinant by fraction-free (Bareiss) elimination.
-
-        Exact for any integer entries; the empty matrix has determinant 1.
-        """
-        if self.rows != self.cols:
-            raise ValueError("det needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if pivot_row is None:
-                    return 0
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     # -- predicates -----------------------------------------------------
 
     @property
     def shape(self):
         return (self.rows, self.cols)
-
-    def is_zero(self):
-        return all(a == 0 for r in self.data for a in r)
 
     def is_nonnegative(self):
         return all(a >= 0 for r in self.data for a in r)
@@ -578,10 +545,10 @@ def map_invariants(matrix: IntMatrix, dom_relations: IntMatrix, cod_relations: I
     ``matrix`` acts from Z^dom/span(dom_relations) to Z^cod/span(cod_relations)
     and must be well defined there.  Returns three FgAbGroup values.
     """
-    coker = PresentedGroup(matrix.rows, matrix.hstack(cod_relations)).invariants()
+    coker = PresentedGroup(matrix.hstack(cod_relations)).invariants()
     ker_lat = preimage_lattice(matrix, cod_relations)
-    image = PresentedGroup(matrix.cols, ker_lat).invariants()
-    kernel = PresentedGroup(ker_lat.cols, preimage_lattice(ker_lat, dom_relations)).invariants()
+    image = PresentedGroup(ker_lat).invariants()
+    kernel = PresentedGroup(preimage_lattice(ker_lat, dom_relations)).invariants()
     return kernel, image, coker
 
 
@@ -667,12 +634,6 @@ class FgAbGroup:
         :class:`SmithData` or :class:`InvariantFactors`."""
         return cls(rows - smith.rank, tuple(x for x in smith.diagonal if x > 1))
 
-    def order(self):
-        """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        return math.prod(self.torsion) if self.torsion else 1
-
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
 
@@ -693,22 +654,19 @@ class FgAbGroup:
 
 @dataclass(frozen=True)
 class PresentedGroup:
-    """Abelian group given by generators and a relation matrix.
+    """Abelian group presented by its relation matrix.
 
-    The group is Z^generators divided by the column span of ``relations``.
-    Canonical forms for elements come from the Smith transform, so equality
-    of classes is an exact decision.
+    The group is Z^n divided by the column span of ``relations``, n being
+    its row count, the number of generators.  Canonical forms for elements
+    come from the Smith transform, so equality of classes is an exact
+    decision.
     """
 
-    generators: int
     relations: IntMatrix
-    labels: tuple[str, ...] | None = None
 
-    def __post_init__(self):
-        if self.relations.rows != self.generators:
-            raise ValueError("relation matrix must have one row per generator")
-        if self.labels is not None and len(self.labels) != self.generators:
-            raise ValueError("label count mismatch")
+    @property
+    def generators(self) -> int:
+        return self.relations.rows
 
     @property
     def smith(self) -> SmithData:
@@ -733,14 +691,6 @@ class PresentedGroup:
 
     def is_zero_class(self, vec):
         return all(x == 0 for x in self.canon(vec))
-
-    def same_presentation(self, other):
-        return self.generators == other.generators and self.relations == other.relations
-
-
-def cokernel(m: IntMatrix, labels=None) -> PresentedGroup:
-    """Cokernel of ``m`` acting on column vectors: Z^rows / column span."""
-    return PresentedGroup(m.rows, m, labels=tuple(labels) if labels is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -784,10 +734,6 @@ class NodeVerdict:
 class ExactnessReport:
     nodes: tuple[NodeVerdict, ...]
 
-    @property
-    def exact(self):
-        return all(n.exact for n in self.nodes)
-
 
 def check_exact(maps) -> ExactnessReport:
     """Exactness of a composable sequence at every interior node.
@@ -800,7 +746,7 @@ def check_exact(maps) -> ExactnessReport:
     verdicts = []
     for idx in range(len(maps) - 1):
         f, g = maps[idx], maps[idx + 1]
-        if not f.codomain.same_presentation(g.domain):
+        if f.codomain != g.domain:
             raise ValueError(f"maps {idx} and {idx + 1} are not composable")
         rel = f.codomain.relations
         image = f.matrix
@@ -928,14 +874,6 @@ class CoeffCokernel:
         coefficients admit one, else the quotient orders and free rank."""
         spec = self.specialize()
         return (self.coeff, spec if spec is not None else (self.quotient_orders, self.free_rank))
-
-    def is_trivial(self):
-        if self.free_rank:
-            return False
-        spec = self.specialize()
-        if spec is not None:
-            return spec.is_trivial()
-        return not self.quotient_orders
 
 
 def coker_with_coefficients(m: IntMatrix, coeff: CoeffGroup) -> CoeffCokernel:

@@ -30,7 +30,6 @@ from .intlinalg import (
     PresentedGroup,
     check_exact,
     coker_with_coefficients,
-    cokernel,
     kernel_basis,
     snf,
     solve_lattice,
@@ -77,7 +76,7 @@ def k_matrix(g: Graph) -> IntMatrix:
 
 def k0(g: Graph) -> PresentedGroup:
     """K0 presented on vertex generators."""
-    return cokernel(k_matrix(g), labels=g.vertices)
+    return PresentedGroup(k_matrix(g))
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,6 @@ class KOneBar:
     non-sink coordinate space, and ``kernel_rank`` counts it.
     """
 
-    coeff: CoeffGroup
     coker_part: CoeffCokernel
     kernel: IntMatrix
 
@@ -126,7 +124,7 @@ def k1(g: Graph, coeff: CoeffGroup) -> KOneBar:
     """
     km = k_matrix(g)
     kernel = kernel_basis(km)
-    return KOneBar(coeff=coeff, coker_part=coker_with_coefficients(km, coeff), kernel=kernel)
+    return KOneBar(coker_part=coker_with_coefficients(km, coeff), kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +261,7 @@ def connecting_delta(g: Graph, members, parts=None) -> ConnectingMap:
         sub = restriction(g, members)
         quo = quotient(g, members)
         kb = kernel_basis(k_matrix(quo))
-        codomain = cokernel(k_matrix(sub), labels=sub.vertices)
+        codomain = k0(sub)
     else:
         ideal, rest = parts
         sub, quo = ideal.graph, rest.graph
@@ -275,11 +273,7 @@ def connecting_delta(g: Graph, members, parts=None) -> ConnectingMap:
         .take_columns(g.index(w) for w in sub.vertices)
         .transpose()
     )
-    domain = PresentedGroup(
-        generators=kb.cols,
-        relations=IntMatrix.zeros(kb.cols, 0),
-        labels=tuple(f"ker{i}" for i in range(kb.cols)),
-    )
+    domain = PresentedGroup(IntMatrix.zeros(kb.cols, 0))
     gmap = GroupMap(domain=domain, codomain=codomain, matrix=x_block @ kb, name="delta")
     return ConnectingMap(quo=quo, kernel=kb, x_block=x_block, map=gmap)
 
@@ -340,11 +334,10 @@ class SubquotientStore:
     Keys are (inner, outer) pairs of frozensets; a filtered table keeps one
     store for all its entries and rows, a lone six-term row a store of its
     own.  The store also keeps, for as long as it lives, the row work that
-    depends only on label-less values and so repeats across the rows of a
-    table: one record per distinct row skeleton, which rows with equal
-    skeletons share, and the kernel coordinates of tau1 and tau2.  Skeletons
-    are label-less, so two stores with one coefficient group may share the
-    records.
+    depends only on matrices and so repeats across the rows of a table: one
+    record per distinct row skeleton, which rows with equal skeletons share,
+    and the kernel coordinates of tau1 and tau2.  A skeleton is matrices
+    only, so two stores with one coefficient group may share the records.
     """
 
     def __init__(self, g: Graph, coeff: CoeffGroup):
@@ -419,10 +412,10 @@ def _skeleton_nodes(maps, coeff: CoeffGroup) -> tuple[NodeReport, ...]:
     if coeff.kind == "finite-cyclic":
         u12, u23 = maps[3], maps[4]
         c1, c2, c3 = (
-            PresentedGroup(km.rows, km.hstack(IntMatrix.identity(km.rows).scale(coeff.order)))
+            PresentedGroup(km.hstack(IntMatrix.identity(km.rows).scale(coeff.order)))
             for km in (u12.domain.relations, u12.codomain.relations, u23.codomain.relations)
         )
-        trivial = PresentedGroup(0, IntMatrix.zeros(0, 0))
+        trivial = PresentedGroup(IntMatrix.zeros(0, 0))
         middle_node, quotient_node = check_exact(
             (
                 GroupMap(c1, c2, u12.matrix, name="u12"),
@@ -447,8 +440,8 @@ class SixTermRow:
     Groups run K1bar(ideal part) -> K1bar(middle) -> K1bar(quotient part)
     -> K0(ideal part) -> K0(middle) -> K0(quotient part); the verdicts cover
     the four interior nodes.  ``maps`` is the Z-level skeleton of the row:
-    tau1, tau2, delta, u12 and u23 between six label-less groups, the free
-    kernel parts in kernel-basis coordinates and then the K0 presentations.
+    tau1, tau2, delta, u12 and u23 between six groups, the free kernel parts
+    in kernel-basis coordinates and then the K0 presentations ``k0s``.
     """
 
     triple: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
@@ -478,6 +471,9 @@ def six_term_row(
 ) -> SixTermRow:
     """Build and verify the six-term row of a nested hereditary triple.
 
+    A triple that is not nested, or a middle set that is not hereditary
+    saturated, raises ValueError before any subquotient is built.
+
     Exactness at the four interior nodes is decided on the row skeleton by
     :func:`_skeleton_nodes`: at the Z level, and for finite cyclic
     coefficients also at the two K1bar nodes on the twisted cokernels.  The
@@ -494,15 +490,17 @@ def six_term_row(
     outer = frozenset(outer)
     if not inner <= middle_set or not middle_set <= outer:
         raise ValueError("ideal triple must be nested")
+    if not (is_hereditary(g, middle_set) and is_saturated(g, middle_set)):
+        names = ",".join(v for v in g.vertices if v in middle_set)
+        raise ValueError(f"middle set {{{names}}} is not hereditary saturated")
     if store is None:
         store = SubquotientStore(g, coeff)
     elif store.graph != g or store.coeff != coeff:
         raise ValueError("subquotient store belongs to another graph or coefficient group")
     pair2 = store.get(inner, outer)
     g2 = pair2.graph
+    # hereditary saturated in g, so hereditary saturated in g2
     hprime = frozenset(v for v in middle_set if v not in inner)
-    if not (is_hereditary(g2, hprime) and is_saturated(g2, hprime)):
-        raise AssertionError("middle ideal does not stay hereditary saturated in the subquotient")
     pair1 = store.get(inner, middle_set)
     pair3 = store.get(middle_set, outer)
     g1, g3 = pair1.graph, pair3.graph
@@ -534,10 +532,8 @@ def six_term_row(
         raise AssertionError("quotient projection does not intertwine transfer matrices")
 
     eye = IntMatrix.identity(n2)
-    # label-less groups, so equal presentations hash alike across rows
-    groups = tuple(
-        PresentedGroup(kb.cols, IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3)
-    ) + tuple(PresentedGroup(km.rows, km) for km in (km1, km2, km3))
+    kernels = tuple(PresentedGroup(IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3))
+    groups = kernels + (pair1.k0, pair2.k0, pair3.k0)
     matrices = (
         ("tau1", store._kernel_coordinates(kb2, kb1.scatter_rows(reg1, r2))),
         ("tau2", store._kernel_coordinates(kb3, kb2.take_rows(reg3))),

@@ -13,7 +13,6 @@ pieces and lattice isomorphisms are computed on that prime poset.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -106,7 +105,6 @@ class IdealLattice:
 
     graph: Graph
     elements: tuple[int, ...]
-    _close: Callable[[int], int] = field(repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -127,9 +125,6 @@ class IdealLattice:
 
     def leq(self, i: int, j: int) -> bool:
         return not self.elements[i] & ~self.elements[j]
-
-    def join(self, i: int, j: int) -> int:
-        return self._index[self._close(self.elements[i] | self.elements[j])]
 
 
 def enumerate_hsat(g: Graph, cap: int = 4096) -> IdealLattice:
@@ -164,7 +159,7 @@ def enumerate_hsat(g: Graph, cap: int = 4096) -> IdealLattice:
         found,
         key=lambda m: (m.bit_count(), [k for k in range(g.num_vertices) if m >> k & 1]),
     )
-    return IdealLattice(graph=g, elements=tuple(elements), _close=close)
+    return IdealLattice(graph=g, elements=tuple(elements))
 
 
 def graded_primes(lattice: IdealLattice) -> tuple[int, ...]:

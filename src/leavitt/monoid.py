@@ -85,9 +85,6 @@ class GradedElement:
     def from_vertex_vector(cls, vertices, vec, level=0):
         return cls.of([(v, level, n) for v, n in zip(vertices, vec, strict=True)])
 
-    def items(self):
-        return self.coeffs
-
     def is_zero(self):
         return not self.coeffs
 
@@ -101,9 +98,6 @@ class GradedElement:
         if not self.coeffs:
             raise ValueError("zero element has no support level")
         return min(l for _, l, _ in self.coeffs)
-
-    def add(self, other):
-        return GradedElement.of(self.coeffs + other.coeffs)
 
     def sub(self, other):
         return GradedElement.of(self.coeffs + _negated(other))

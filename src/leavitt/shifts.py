@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import FgAbGroup, IntMatrix, cokernel, invariant_factors
+from .intlinalg import FgAbGroup, IntMatrix, PresentedGroup, invariant_factors
 
 __all__ = [
     "ShiftEqCertificate",
@@ -34,7 +34,7 @@ def _check_shift_matrix(m: IntMatrix, name="matrix"):
 def bowen_franks(m: IntMatrix) -> FgAbGroup:
     """Invariant factors of Z^n / (I - A) Z^n."""
     _check_shift_matrix(m)
-    return cokernel(IntMatrix.identity(m.rows) - m).invariants()
+    return PresentedGroup(IntMatrix.identity(m.rows) - m).invariants()
 
 
 def det_invariant(m: IntMatrix) -> int:

@@ -8,6 +8,9 @@ independent cross-checks:
   with first-nonzero pivoting and a final divisibility repair pass.
 * ``snf_invariant_factors_minors`` — determinantal-divisor method (gcd of
   all k-by-k minors), exponential but exact; for small matrices only.
+* ``bareiss_det`` — the determinant by fraction-free elimination, against
+  the sign and diagonal of ``invariant_factors``; ``_det_laplace`` checks
+  it by cofactor expansion.
 * ``hsat_subsets_bruteforce`` — filters all 2^V vertex subsets with the
   hereditary/saturated predicates spelled out from their definitions.
 * ``six_term_nodes_oracle`` — exactness of a six-term row at its four
@@ -34,8 +37,8 @@ independent cross-checks:
 * ``coeff_quotient_by`` — G/dG for one coefficient group, summed up by the
   test of ``CoeffCokernel.specialize``; ``delta_value`` — the connecting
   map's value on a checked kernel vector, against ``snake_rho``.
-* ``lattice_meet`` — the meet found by its vertex set, not by the
-  library's masks.
+* ``lattice_meet`` and ``lattice_join`` — the meet found by its vertex
+  set and the join by the order, not by the library's masks.
 * ``bfs_equal`` — monoid equality by bidirectional breadth-first search
   over rewrites under a state and a mass budget, the engine the library's
   exact separativity rule replaced; it answers "unknown" when a budget runs
@@ -47,8 +50,9 @@ feed ``graded_equal``, ``quotient_roundtrip`` checks both composites of the
 quotient-monoid isomorphism, ``psi_diagram_check`` the square relating K and
 the colimit shift, and ``covering_window`` and ``is_irreducible`` build and
 test graphs for them.  ``monoid_to_str`` and ``graded_to_str`` print
-elements as literals the parsers read back, and ``mass`` counts the vertex
-copies of a monoid element.
+elements as literals the parsers read back, ``mass`` counts the vertex
+copies of a monoid element, ``graded_add`` adds two graded elements and
+``group_order`` is the order of a finite group.
 """
 
 from __future__ import annotations
@@ -187,6 +191,34 @@ def _det_laplace(sub):
         term = sub[0][j] * _det_laplace(minor)
         total += -term if j % 2 else term
     return total
+
+
+def bareiss_det(m: IntMatrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    Exact for any integer entries; the empty matrix has determinant 1.
+    """
+    if m.rows != m.cols:
+        raise ValueError("det needs a square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_lists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot_row is None:
+                return 0
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def snf_invariant_factors_minors(rows):
@@ -424,7 +456,7 @@ def triple_of_graded(g: Graph, elem: GradedElement):
     triple = DimensionTriple(g.adjacency().transpose())
     n = len(g.vertices)
     total = (0, (0,) * n)
-    for v, lvl, c in elem.items():
+    for v, lvl, c in elem.coeffs:
         vec = [0] * n
         vec[g.index(v)] = c
         total = triple.add(total, (-lvl, tuple(vec)))
@@ -549,7 +581,7 @@ def smith_verifies(sd: SmithData, m: IntMatrix) -> bool:
     d = IntMatrix.diagonal(sd.diagonal, rows=sd.u.rows, cols=sd.v.cols)
     if sd.u @ m @ sd.v != d:
         return False
-    if abs(sd.u.det()) != 1 or abs(sd.v.det()) != 1:
+    if abs(bareiss_det(sd.u)) != 1 or abs(bareiss_det(sd.v)) != 1:
         return False
     diag = sd.diagonal
     for a, b in zip(diag, diag[1:]):
@@ -700,10 +732,26 @@ def lattice_meet(lattice: IdealLattice, i: int, j: int) -> int:
     return lattice.index_of(set(lattice.members(i)) & set(lattice.members(j)))
 
 
+def lattice_join(lattice: IdealLattice, i: int, j: int) -> int:
+    """The least element above both i and j, found from the order alone:
+    elements are sorted by size, so the first upper bound is the least."""
+    return next(k for k in range(len(lattice)) if lattice.leq(i, k) and lattice.leq(j, k))
+
+
+def group_order(group: FgAbGroup):
+    """Order of a finitely generated abelian group, or None when infinite."""
+    return None if group.free_rank else math.prod(group.torsion)
+
+
+def graded_add(a: GradedElement, b: GradedElement) -> GradedElement:
+    """The sum of two graded elements."""
+    return GradedElement.of(a.coeffs + b.coeffs)
+
+
 def restrict_to(a: GradedElement, vertices) -> GradedElement:
     """The terms of ``a`` at the given vertices."""
     keep = frozenset(vertices)
-    return GradedElement.of([t for t in a.items() if t[0] in keep])
+    return GradedElement.of([t for t in a.coeffs if t[0] in keep])
 
 
 def mass(a: MonoidElement) -> int:

@@ -11,7 +11,7 @@ import pytest
 
 import helpers as H
 import leavitt
-from leavitt import cli
+from leavitt import cli, ktheory
 from leavitt.cli import main
 from leavitt.graphs import graph_from_matrix, graph_to_text
 from leavitt.intlinalg import IntMatrix
@@ -71,6 +71,14 @@ class TestExitCodes:
         code, _, err = run(capsys, ["k1bar", files["loop"], "--field", "abc"])
         assert code == 2
         assert "--field" in err
+
+    def test_middle_set_not_hereditary_saturated_is_two(self, capsys, files, monkeypatch):
+        # {v0} is not hereditary in the graph of [[1, 1], [1, 1]]; no subquotient is built
+        built = []
+        monkeypatch.setattr(ktheory, "subquotient", lambda *args: built.append(args))
+        code, out, err = run(capsys, ["sixterm", files["ones"], "--middle", "v0", "--field", "7"])
+        assert (code, out, built) == (2, "", [])
+        assert err == "error: middle set {v0} is not hereditary saturated\n"
 
     def test_lattice_cap_is_three(self, capsys, files):
         code, out, err = run(capsys, ["hsat", files["fan"], "--lattice-cap", "1"])

@@ -1,5 +1,6 @@
 """Filtered K-theory tables and graph-to-graph comparison."""
 
+import dataclasses
 import itertools
 import random
 
@@ -405,6 +406,54 @@ class TestRowsOnDemand:
         rep = compare_fkbar(rose2, ones_graph(), COEFF)
         assert rep.consistent and len(rep.map_matches) == 4
         assert len(built) == 8
+
+
+def zeroed_map(row, k):
+    """``row`` with its k-th skeleton map replaced by the zero map."""
+    maps = list(row.maps)
+    maps[k] = dataclasses.replace(maps[k], matrix=IntMatrix.zeros(*maps[k].matrix.shape))
+    return dataclasses.replace(row, maps=tuple(maps))
+
+
+def element_outcome(matrix, trip, k):
+    """Element-search outcome of a real row against the same row with map k zeroed."""
+    row = fkbar(graph_from_matrix(IntMatrix(matrix)), COEFF).row(trip)
+    return row, filtered._row_element_check(row, zeroed_map(row, k))
+
+
+class TestElementSearchOutcomes:
+    """Each outcome of the element search, reached from a real row."""
+
+    def test_zeroed_map_between_finite_groups_is_refuted(self):
+        # Z/3 -> Z/3 -> 0 at K0; zeroing u12 leaves no commuting system
+        row, outcome = element_outcome([[4, 1], [0, 4]], (0, 1, 1), 3)
+        assert [str(grp.invariants()) for grp in row.groups[3:]] == ["Z/3", "Z/3", "0"]
+        assert outcome == ("refuted", True)
+        assert filtered._row_element_check(row, row) == ("passed", True)
+
+    def test_zeroed_map_between_free_groups_is_inconclusive(self):
+        # every node is Z, so free entries are truncated and nothing is refuted
+        row, outcome = element_outcome([[1, 1], [0, 1]], (0, 1, 2), 0)
+        assert all(str(grp.invariants()) == "Z" for grp in row.groups)
+        assert outcome == ("inconclusive", False)
+        assert filtered._row_element_check(row, row) == ("passed", False)
+
+    def test_large_torsion_is_skipped(self, monkeypatch):
+        # Z/101 + Z/101 has order 10,201, past the torsion cap: no candidate is listed
+        monkeypatch.setattr(filtered, "_iso_candidates", None)
+        row, outcome = element_outcome([[1, 101], [101, 1]], (0, 1, 1), 3)
+        assert str(row.groups[3].invariants()) == "Z/101 ⊕ Z/101"
+        assert 101 * 101 > filtered._TORSION_ORDER_CAP
+        assert outcome == ("skipped", False)
+
+    def test_many_candidates_are_skipped(self):
+        # Z/5 + Z/5 is small, but its 625 candidate matrices pass the node cap
+        row, outcome = element_outcome([[6, 0], [0, 6]], (0, 3, 3), 3)
+        node = row.groups[3]
+        assert str(node.invariants()) == "Z/5 ⊕ Z/5"
+        assert 25 <= filtered._TORSION_ORDER_CAP
+        assert filtered._iso_candidates(node, node) is None
+        assert outcome == ("skipped", False)
 
 
 class TestTransport:

@@ -15,7 +15,6 @@ from leavitt.intlinalg import (
     IntMatrix,
     PresentedGroup,
     check_exact,
-    cokernel,
 )
 from leavitt.ktheory import (
     SubquotientStore,
@@ -156,7 +155,7 @@ class TestPsiPhiDiagram:
 
     def test_psi_level_shift(self, fan):
         a = psi(fan, (1, 0, 0), level=2)
-        assert a.items() == (("v", 2, 1),)
+        assert a.coeffs == (("v", 2, 1),)
 
     def test_diagram_check_on_sample(self, corpus):
         rng = random.Random(7)
@@ -186,7 +185,7 @@ class TestVdbSequence:
         # K0 presented as the free group on the vertices: v(0) - 2*v(-1)
         # forgets to -v, which is not zero there
         def free_k0(g):
-            return cokernel(IntMatrix.zeros(len(g.vertices), 0), labels=g.vertices)
+            return PresentedGroup(IntMatrix.zeros(len(g.vertices), 0))
 
         assert vdb_sequence(rose2, CoeffGroup.units_of_field(5)).phi_composes_to_zero
         monkeypatch.setattr(ktheory, "k0", free_k0)
@@ -199,7 +198,7 @@ class TestVdbSequence:
         # longer re-multiply, so each relation is decided by its class form
         def reversed_k0(g):
             km = k_matrix(g)
-            return cokernel(km.take_columns(reversed(range(km.cols))), labels=g.vertices)
+            return PresentedGroup(km.take_columns(reversed(range(km.cols))))
 
         decided = []
         is_zero_class = PresentedGroup.is_zero_class
@@ -363,7 +362,7 @@ class TestRowSkeleton:
                 reported = tuple((n.z_image_in_kernel, n.z_kernel_in_image) for n in row.nodes)
                 assert reported == H.six_term_nodes_oracle(row.graphs), (g, row.triple)
                 assert reported == z_verdicts(check_exact(row.maps).nodes)
-                if not row.maps[2].matrix.is_zero():
+                if any(map(any, row.maps[2].matrix.data)):  # delta is not zero
                     # a broken row: the one-sided verdicts must still agree
                     got = z_verdicts(check_exact(with_doubled_delta(row)).nodes)
                     assert got == H.six_term_nodes_oracle(row.graphs, delta_scale=2), (
@@ -380,7 +379,7 @@ class TestRowSkeleton:
         for g in corpus[:60]:
             for row in nested_rows(g, coeff):
                 groups = row.groups
-                assert len(groups) == 6 and all(grp.labels is None for grp in groups)
+                assert len(groups) == 6 and groups[3:] == row.k0s
                 assert tuple(f.name for f in row.maps) == ROW_MAP_NAMES
                 for k, f in enumerate(row.maps):
                     assert f.domain == groups[k] and f.codomain == groups[k + 1]
@@ -441,14 +440,14 @@ def twisted_chain(maps, order, u12_scale=1, u23_scale=1):
     skeleton, then the zero map to the trivial group: the chain six_term_row
     checks."""
     c1, c2, c3 = (
-        PresentedGroup(km.rows, km.hstack(IntMatrix.identity(km.rows).scale(order)))
+        PresentedGroup(km.hstack(IntMatrix.identity(km.rows).scale(order)))
         for km in (maps[3].domain.relations, maps[4].domain.relations, maps[4].codomain.relations)
     )
     u12, u23 = maps[3].matrix.scale(u12_scale), maps[4].matrix.scale(u23_scale)
     return (
         GroupMap(c1, c2, u12),
         GroupMap(c2, c3, u23),
-        GroupMap(c3, PresentedGroup(0, IntMatrix.zeros(0, 0)), IntMatrix.zeros(0, c3.generators)),
+        GroupMap(c3, PresentedGroup(IntMatrix.zeros(0, 0)), IntMatrix.zeros(0, c3.generators)),
     )
 
 
@@ -544,4 +543,4 @@ class TestCoefficientNodes:
         # a zero u23 is not onto: the quotient node reads that as kernel_in_image
         _, quotient = check_exact(twisted_chain(row.maps, 2, u23_scale=0)).nodes
         assert quotient.image_in_kernel and not quotient.kernel_in_image
-        assert check_exact(twisted_chain(row.maps, 2)).exact
+        assert all(n.exact for n in check_exact(twisted_chain(row.maps, 2)).nodes)

@@ -106,7 +106,7 @@ class TestEnumeration:
                 for j in range(n):
                     assert sets[H.lattice_meet(lat, i, j)] == sets[i] & sets[j]
                     expected_join = frozenset(hsat_closure(g, sets[i] | sets[j]))
-                    assert sets[lat.join(i, j)] == expected_join
+                    assert sets[H.lattice_join(lat, i, j)] == expected_join
 
     def test_cap_enforced(self, fan):
         with pytest.raises(LatticeCapError):
@@ -224,7 +224,7 @@ class TestSpectrum:
             n = len(lat.elements)
             for i in range(n):
                 for j in range(n):
-                    assert topo.opens[lat.join(i, j)] == topo.opens[i] | topo.opens[j]
+                    assert topo.opens[H.lattice_join(lat, i, j)] == topo.opens[i] | topo.opens[j]
                     assert topo.opens[H.lattice_meet(lat, i, j)] == topo.opens[i] & topo.opens[j]
 
     def test_open_map_is_injective(self, corpus):
@@ -351,8 +351,8 @@ class TestBirkhoffDual:
             for a in range(n):
                 for b in range(n):
                     for c in range(n):
-                        assert H.lattice_meet(lat, a, lat.join(b, c)) == lat.join(
-                            H.lattice_meet(lat, a, b), H.lattice_meet(lat, a, c)
+                        assert H.lattice_meet(lat, a, H.lattice_join(lat, b, c)) == H.lattice_join(
+                            lat, H.lattice_meet(lat, a, b), H.lattice_meet(lat, a, c)
                         )
 
     def test_opens_are_the_down_sets_of_the_prime_poset(self, corpus):

@@ -30,9 +30,9 @@ class TestParsing:
         assert parse_monoid_element("0").coeffs == ()
 
     def test_graded_goldens(self):
-        assert parse_graded_element("v(0)").items() == (("v", 0, 1),)
-        assert parse_graded_element("-v(2) + 3*w(0)").items() == (("v", 2, -1), ("w", 0, 3))
-        assert parse_graded_element("v(1)+v(1)").items() == (("v", 1, 2),)
+        assert parse_graded_element("v(0)").coeffs == (("v", 0, 1),)
+        assert parse_graded_element("-v(2) + 3*w(0)").coeffs == (("v", 2, -1), ("w", 0, 3))
+        assert parse_graded_element("v(1)+v(1)").coeffs == (("v", 1, 2),)
         assert parse_graded_element("0").is_zero()
 
     def test_parse_errors(self):
@@ -48,7 +48,7 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_graded_element("v(x)")
         # a bare vertex in a graded element defaults to level 0
-        assert parse_graded_element("v").items() == (("v", 0, 1),)
+        assert parse_graded_element("v").coeffs == (("v", 0, 1),)
 
     def test_to_str_roundtrip(self, fan):
         rng = random.Random(17)
@@ -60,11 +60,11 @@ class TestParsing:
 
     def test_element_algebra(self):
         a = parse_graded_element("2*v(0) + w1(-1)")
-        assert a.min_level() == -1 and max(l for _, l, _ in a.items()) == 0
-        assert a.shift(2).items() == (("v", 2, 2), ("w1", 1, 1))
-        assert a.sub(parse_graded_element("v(0)")).items() == (("v", 0, 1), ("w1", -1, 1))
+        assert a.min_level() == -1 and max(l for _, l, _ in a.coeffs) == 0
+        assert a.shift(2).coeffs == (("v", 2, 2), ("w1", 1, 1))
+        assert a.sub(parse_graded_element("v(0)")).coeffs == (("v", 0, 1), ("w1", -1, 1))
         assert not a.sub(parse_graded_element("3*v(0)")).is_nonnegative()
-        assert H.restrict_to(a, {"w1"}).items() == (("w1", -1, 1),)
+        assert H.restrict_to(a, {"w1"}).coeffs == (("w1", -1, 1),)
         assert a.forget_levels() == {"v": 2, "w1": 1}
         assert H.mass(MonoidElement(())) == 0
         # repeated vertices add up, as they do in GradedElement.of
@@ -96,7 +96,7 @@ class TestRewriting:
         assert H.graded_to_str(out, fan) == "w1(-1) + w2(-1)"
         # sinks cannot move down; they simply stay at their level
         stay = graded_expand_to_level(fan, parse_graded_element("w1(0)"), -1)
-        assert stay.items() == (("w1", 0, 1),)
+        assert stay.coeffs == (("w1", 0, 1),)
 
     def test_graded_expansion_rejects_upward(self, rose2):
         with pytest.raises(ValueError):
@@ -110,8 +110,10 @@ class TestRewriting:
             a = random_graded_element(g, rng)
             b = random_graded_element(g, rng)
             lvl = min(a.min_level(), b.min_level()) - 2
-            left = graded_expand_to_level(g, a.add(b), lvl)
-            right = graded_expand_to_level(g, a, lvl).add(graded_expand_to_level(g, b, lvl))
+            left = graded_expand_to_level(g, H.graded_add(a, b), lvl)
+            right = H.graded_add(
+                graded_expand_to_level(g, a, lvl), graded_expand_to_level(g, b, lvl)
+            )
             assert left == right
 
 
@@ -293,7 +295,7 @@ class TestGradedEquality:
                     break
                 v, l = rng.choice(candidates)
                 delta = [(v, l, -1)] + [(e.dst, l - 1, 1) for e in g.out_edges(v)]
-                current = current.add(GradedElement.of(delta))
+                current = H.graded_add(current, GradedElement.of(delta))
             return current
 
         rng = random.Random(44)

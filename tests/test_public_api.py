@@ -124,7 +124,8 @@ def test_every_public_method_is_used_in_src():
     body, is a test-only helper; it belongs in ``tests/helpers.py`` as a
     function unless ``UNCALLED_METHODS_OK`` says why not.  Names are matched
     as attributes, not resolved to classes, so a method passes when any
-    attribute of its name is loaded."""
+    attribute of its name is loaded; a name that something else also has is
+    checked by ``test_shared_name_methods_have_listed_call_sites``."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     unused = [
         f"{module}.{cls}.{method.name}"
@@ -140,3 +141,107 @@ def test_every_public_method_is_used_in_src():
         if _references(trees, key.split(".")[1], None)
     ]
     assert not stale, f"now used in src/; drop from UNCALLED_METHODS_OK: {stale}"
+
+
+# Public methods (and properties) whose name another class in src/ or a
+# builtin type also has, as "Class.method", each with one src/ function that
+# calls it, as "module.function" or "module.Class.method".  A name match
+# cannot tell such methods apart, so the call site is listed by hand and
+# checked to load the name.
+SHARED_NAME_CALLS = {
+    "FilteredKTable.row": "filtered._match_rows",
+    "FilteredKTable.rows": "filtered.FilteredKTable.all_rows_exact",
+    "Graph.index": "ktheory.six_term_row",
+    "IntMatrix.diagonal": "filtered._iso_candidates",
+    "IntMatrix.row": "shifts._constraints",
+    "IntMatrix.shape": "filtered.transport_from_certificate",
+    "IntMatrix.is_nonnegative": "shifts.verify_certificate",
+    "SmithData.rank": "intlinalg.kernel_basis",
+    "InvariantFactors.rank": "intlinalg.FgAbGroup.cokernel_of",
+    "NodeVerdict.exact": "ktheory._skeleton_nodes",
+    "CoeffCokernel.symbol": "ktheory.KOneBar.symbol",
+    "KOneBar.symbol": "cli._cmd_k1",
+    "VdbReport.consistent": "cli._cmd_vdb",
+    "SubquotientStore.get": "ktheory.six_term_row",
+    "NodeReport.exact": "ktheory.SixTermRow.exact",
+    "SixTermRow.exact": "filtered._match_rows",
+    "MonoidElement.of": "monoid.parse_monoid_element",
+    "MonoidElement.get": "monoid.ungraded_equal",
+    "GradedElement.of": "monoid.parse_graded_element",
+    "GradedElement.is_nonnegative": "monoid.order_ideal_membership",
+}
+
+_BUILTIN_TYPES = (object, str, bytes, int, float, tuple, list, dict, set, frozenset)
+
+
+def _class_attributes(cls):
+    """Names a class defines: methods, class-level fields, ``__slots__``
+    entries and attributes assigned on ``self``."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id == "__slots__":
+                    names.update(ast.literal_eval(node.value))
+                elif isinstance(target, ast.Name):
+                    names.add(target.id)
+    for node in ast.walk(cls):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            names.add(node.attr)
+    return names
+
+
+def _function(trees, path):
+    """The definition named ``module.function`` or ``module.Class.method``."""
+    module, *names = path.split(".")
+    body = trees[module].body
+    node = None
+    for name in names:
+        node = next(
+            (n for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name),
+            None,
+        )
+        if node is None:
+            return None
+        body = node.body
+    return node
+
+
+def test_shared_name_methods_have_listed_call_sites():
+    """Every public method whose name another class in ``src/`` or a
+    builtin type also has is in ``SHARED_NAME_CALLS`` (or in
+    ``UNCALLED_METHODS_OK``), and the function listed for it loads the
+    name; a listed method whose name is no longer shared is stale."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    classes = [c for tree in trees.values() for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+    defined = {c.name: _class_attributes(c) for c in classes}
+    shared = {
+        f"{cls}.{method.name}"
+        for tree in trees.values()
+        for cls, method in _public_methods(tree)
+        if any(hasattr(t, method.name) for t in _BUILTIN_TYPES)
+        or any(method.name in names for other, names in defined.items() if other != cls)
+    }
+    unlisted = sorted(shared - set(SHARED_NAME_CALLS) - set(UNCALLED_METHODS_OK))
+    assert not unlisted, f"list a src/ call site in SHARED_NAME_CALLS: {unlisted}"
+    stale = sorted(set(SHARED_NAME_CALLS) - shared)
+    assert not stale, f"no longer a shared public name; drop from SHARED_NAME_CALLS: {stale}"
+    wrong = []
+    for key, site in SHARED_NAME_CALLS.items():
+        function = _function(trees, site)
+        name = key.split(".")[1]
+        if function is None or not any(
+            isinstance(node, ast.Attribute) and node.attr == name and isinstance(node.ctx, ast.Load)
+            for node in ast.walk(function)
+        ):
+            wrong.append(f"{key}: {site}")
+    assert not wrong, f"listed call sites that do not load the name: {wrong}"
