@@ -12,9 +12,9 @@ stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .filtered import RowCapError, compare_fkbar, fkbar
 from .graphs import Graph, GraphFormatError, parse_graph, parse_matrix
@@ -101,6 +101,65 @@ def _row_json(row) -> dict:
             for n in row.nodes
         ],
     }
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` set, CPython's ``json`` runs its pure-Python encoder.
+    This writer builds the same layout into one list of chunks and uses
+    ``json`` only to escape strings.  A list of plain ints (not bools), the
+    bulk of the matrix reports, is joined in one step.  Keys must be
+    strings, and values dicts, lists, tuples, strings, ints, bools or None;
+    anything else raises TypeError.
+    """
+    chunks = []
+    _put_json(payload, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _put_json(x, nl, put):
+    """Write ``x`` through ``put``; ``nl`` is a newline and the indent of x."""
+    t = type(x)
+    if t is str:
+        put(encode_basestring_ascii(x))
+    elif t is int:
+        put(int.__repr__(x))
+    elif x is None:
+        put("null")
+    elif x is True:
+        put("true")
+    elif x is False:
+        put("false")
+    elif t is list or t is tuple:
+        if not x:
+            put("[]")
+            return
+        inner = nl + "  "
+        if {*map(type, x)} == {int}:
+            put("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            put(sep)
+            sep = "," + inner
+            _put_json(v, inner, put)
+        put(nl + "]")
+    elif t is dict:
+        if not x:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(x):
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            put(sep + encode_basestring_ascii(k) + ": ")
+            sep = "," + inner
+            _put_json(x[k], inner, put)
+        put(nl + "}")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _split_vertices(text: str) -> tuple:
@@ -539,7 +598,7 @@ def main(argv=None) -> int:
         print(f"internal error: {exc or 'assertion failed'}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload))
     else:
         for line in lines:
             print(line)

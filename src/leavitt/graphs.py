@@ -219,7 +219,7 @@ def parse_matrix(text: str) -> IntMatrix:
         if not line:
             continue
         try:
-            row = [int(tok) for tok in line.split()]
+            row = tuple(map(int, line.split()))
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer entry in {raw.strip()!r}") from None
         if width is not None and len(row) != width:
@@ -228,7 +228,7 @@ def parse_matrix(text: str) -> IntMatrix:
         rows.append(row)
     if not rows:
         raise GraphFormatError("empty matrix file")
-    return IntMatrix(rows)
+    return IntMatrix._trusted(tuple(rows), width)
 
 
 def matrix_to_text(m: IntMatrix) -> str:

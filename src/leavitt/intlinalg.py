@@ -32,7 +32,6 @@ __all__ = [
     "GroupMap",
     "CoeffGroup",
     "CoeffCokernel",
-    "ExactnessReport",
     "snf",
     "invariant_factors",
     "kernel_basis",
@@ -82,13 +81,15 @@ class IntMatrix:
         """Wrap a tuple of int row tuples, each ``cols`` long, unchecked.
 
         Only for rows the package has just built, from entries of existing
-        matrices, from edge counts or from literal zeros and ones; public
-        construction goes through the checks above.
+        matrices, from edge counts or from literal zeros and ones, or for
+        ints just parsed and width-checked; public construction goes
+        through the checks above.  The slots are set through their member
+        descriptors, which skips the attribute lookup of ``__setattr__``.
         """
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", rows)
+        _set_rows(m, len(rows))
+        _set_cols(m, cols)
+        _set_data(m, rows)
         return m
 
     def __setattr__(self, *_):
@@ -252,7 +253,7 @@ class IntMatrix:
         return (self.rows, self.cols)
 
     def is_nonnegative(self):
-        return all(a >= 0 for r in self.data for a in r)
+        return not self.cols or min(map(min, self.data), default=0) >= 0
 
     def __eq__(self, other):
         return (
@@ -272,6 +273,9 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]!r}, cols={self.cols})"
+
+
+_set_rows, _set_cols, _set_data = (IntMatrix.__dict__[s].__set__ for s in ("rows", "cols", "data"))
 
 
 @dataclass(frozen=True)
@@ -730,12 +734,7 @@ class NodeVerdict:
         return self.image_in_kernel and self.kernel_in_image
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
-    nodes: tuple[NodeVerdict, ...]
-
-
-def check_exact(maps) -> ExactnessReport:
+def check_exact(maps) -> tuple[NodeVerdict, ...]:
     """Exactness of a composable sequence at every interior node.
 
     For consecutive maps f, g the check is im(f) = ker(g) inside f.codomain.
@@ -758,7 +757,7 @@ def check_exact(maps) -> ExactnessReport:
                 _spans_into(kernel, image.hstack(rel)),
             )
         )
-    return ExactnessReport(tuple(verdicts))
+    return tuple(verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -407,7 +407,7 @@ def _skeleton_nodes(maps, coeff: CoeffGroup) -> tuple[NodeReport, ...]:
     presentations: exactness at the middle one under u12 and u23, and
     onto-ness of u23.
     """
-    z_nodes = check_exact(maps).nodes
+    z_nodes = check_exact(maps)
     coeff2 = coeff3 = None
     if coeff.kind == "finite-cyclic":
         u12, u23 = maps[3], maps[4]
@@ -422,7 +422,7 @@ def _skeleton_nodes(maps, coeff: CoeffGroup) -> tuple[NodeReport, ...]:
                 GroupMap(c2, c3, u23.matrix, name="u23"),
                 GroupMap(c3, trivial, IntMatrix.zeros(0, c3.generators)),
             )
-        ).nodes
+        )
         coeff2 = middle_node.exact
         # the kernel of the zero map is all of c3: this inclusion is onto-ness
         coeff3 = quotient_node.kernel_in_image

@@ -11,6 +11,7 @@ sound obstructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
 from .intlinalg import FgAbGroup, IntMatrix, PresentedGroup, invariant_factors
 
@@ -31,16 +32,25 @@ def _check_shift_matrix(m: IntMatrix, name="matrix"):
         raise ValueError(f"{name} must be nonnegative")
 
 
+def _identity_minus(m: IntMatrix) -> IntMatrix:
+    """I - A of a square nonnegative A, built in one pass over its rows."""
+    _check_shift_matrix(m)
+    out = []
+    for i, r in enumerate(m.data):
+        row = list(map(neg, r))
+        row[i] += 1
+        out.append(tuple(row))
+    return IntMatrix._trusted(tuple(out), m.cols)
+
+
 def bowen_franks(m: IntMatrix) -> FgAbGroup:
     """Invariant factors of Z^n / (I - A) Z^n."""
-    _check_shift_matrix(m)
-    return PresentedGroup(IntMatrix.identity(m.rows) - m).invariants()
+    return PresentedGroup(_identity_minus(m)).invariants()
 
 
 def det_invariant(m: IntMatrix) -> int:
     """Exact determinant of I - A, a shift equivalence invariant with sign."""
-    _check_shift_matrix(m)
-    return invariant_factors(IntMatrix.identity(m.rows) - m).det
+    return invariant_factors(_identity_minus(m)).det
 
 
 # ---------------------------------------------------------------------------

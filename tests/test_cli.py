@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import helpers as H
 import leavitt
@@ -333,9 +335,31 @@ class TestJson:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
-        # and the text is exactly the canonical sorted-keys rendering
-        payload = json.loads(outputs[0])
-        assert outputs[0] == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        # and the text of one op of every verb is exactly the canonical
+        # sorted-keys rendering of its payload
+        ops = [
+            ["info", files["fan"]],
+            ["hsat", files["fan"]],
+            ["spec", files["fan"]],
+            ["k0", files["rose3"]],
+            ["k1", files["loop"], "--field", "5"],
+            ["k1bar", files["loop"], "--field", "5"],
+            ["monoid-eq", files["rose2"], "v", "2*v"],
+            ["graded-eq", files["rose2"], "v(0)", "2*v(-1)"],
+            ["fk", files["fan"], "--field", "5"],
+            ["compare", files["rose2"], files["ones"], "--se-r", files["r"]],
+            ["shifteq", files["two"], files["ones2"]],
+            ["bf", files["ones2"]],
+            ["vdb", files["loop"], "--field", "5"],
+            ["sixterm", files["fan"], "--middle", "w1", "--field", "5"],
+        ]
+        [verbs] = [a.choices for a in cli.build_parser()._actions if a.dest == "verb"]
+        assert {argv[0] for argv in ops} == set(verbs)
+        for argv in ops:
+            code, out, _ = run(capsys, ["--json"] + argv)
+            assert code in (0, 1), argv
+            payload = json.loads(out)
+            assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n", argv
 
     def test_compare_payload(self, capsys, files):
         code, out, _ = run(capsys, ["--json", "compare", files["rose2"], files["rose3"]])
@@ -345,6 +369,43 @@ class TestJson:
         assert "K0" in payload["obstruction"]
         # every candidate order-isomorphism was refuted at the group level
         assert payload["lattice_iso"] is None
+
+
+# JSON leaves, with the characters escaping must get right and ints past 64 bits
+_TEXT = st.text(st.sampled_from('a⊕"\\/\x00\x1f\x7f\n\té😀') | st.characters(), max_size=6)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | _TEXT
+    | st.lists(st.integers(), max_size=5)
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """``cli._json_text`` is ``json.dumps(x, sort_keys=True, indent=2)``."""
+
+    @given(_TREES)
+    @example([1, True])
+    @example({"a": [], "b": {}, "c": [[], [{}], ()], "": [[[]]]})
+    @example({"⊕": 'q"uo\\te\x01', "z": [-(2**100), 0, 2**64]})
+    def test_equals_json_dumps(self, x):
+        assert cli._json_text(x) == json.dumps(x, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "x", [1.5, [1, 2.0], {1, 2}, {"a": {3}}, {1: "a"}, {"a": {None: 1}}, object()]
+    )
+    def test_other_types_raise(self, x):
+        with pytest.raises(TypeError):
+            cli._json_text(x)
 
 
 def child_env():

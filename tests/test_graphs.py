@@ -122,6 +122,22 @@ class TestTextFormats:
             m = IntMatrix([[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)], cols=nc)
             assert parse_matrix(matrix_to_text(m)) == m
 
+    def test_parse_matrix_equals_checked_construction(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            nr = rng.randint(1, 6)
+            nc = rng.randint(1, 6)
+            rows = [[rng.randint(-(2**70), 9) for _ in range(nc)] for _ in range(nr)]
+            text = "# matrix\n\n" + "\n".join(
+                "  ".join(map(str, r)) + (" # row" if k % 2 else "") for k, r in enumerate(rows)
+            )
+            m = parse_matrix(text)
+            checked = IntMatrix(rows)
+            assert m == checked and hash(m) == hash(checked)
+            assert (m.rows, m.cols, m.data) == (checked.rows, checked.cols, checked.data)
+        one = parse_matrix("+3\n")
+        assert one == IntMatrix([[3]]) and hash(one) == hash(IntMatrix([[3]]))
+
     def test_parse_matrix_errors(self):
         with pytest.raises(GraphFormatError, match="empty"):
             parse_matrix("# only a comment\n")

@@ -120,6 +120,16 @@ class TestIntMatrix:
         assert a == b and hash(a) == hash(b)
         assert a != IntMatrix([[1, 2], [3, 5]])
 
+    def test_is_nonnegative_matches_entrywise_check(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            nr, nc = rng.randint(0, 4), rng.randint(0, 4)
+            m = random_matrix(rng, nr, nc, rng.choice((-1, 0)), 3)
+            assert m.is_nonnegative() == all(x >= 0 for r in m.data for x in r)
+        assert IntMatrix([], cols=0).is_nonnegative()
+        assert IntMatrix([[], []], cols=0).is_nonnegative()
+        assert not IntMatrix([[0, 5], [2, -(2**70)]]).is_nonnegative()
+
     def test_from_columns(self):
         m = IntMatrix.from_columns([(1, 2), (3, 4)])
         assert m.to_lists() == [[1, 3], [2, 4]]
@@ -624,8 +634,8 @@ class TestMapsAndExactness:
             GroupMap(zf, zmod2, IntMatrix([[1]]), name="proj"),
             GroupMap(zmod2, zt, IntMatrix([[0]]), name="out"),
         ]
-        rep = check_exact(maps)
-        assert [n.exact for n in rep.nodes] == [True, True, True]
+        nodes = check_exact(maps)
+        assert [n.exact for n in nodes] == [True, True, True]
 
     def test_broken_sequence_detected(self):
         zf, zt = _zfree(), _ztrivial()
@@ -636,9 +646,9 @@ class TestMapsAndExactness:
             GroupMap(zf, zmod2, IntMatrix([[1]]), name="proj"),
             GroupMap(zmod2, zt, IntMatrix([[0]]), name="out"),
         ]
-        rep = check_exact(maps)
-        assert not all(n.exact for n in rep.nodes)
-        assert rep.nodes[1].image_in_kernel and not rep.nodes[1].kernel_in_image
+        nodes = check_exact(maps)
+        assert not all(n.exact for n in nodes)
+        assert nodes[1].image_in_kernel and not nodes[1].kernel_in_image
 
     def test_image_outside_kernel_is_one_sided(self):
         # im(double) = 2Z is not killed by the identity, whose kernel 0 is
@@ -648,7 +658,7 @@ class TestMapsAndExactness:
             GroupMap(zf, zf, IntMatrix([[2]]), name="double"),
             GroupMap(zf, zf, IntMatrix([[1]]), name="id"),
         ]
-        [node] = check_exact(maps).nodes
+        [node] = check_exact(maps)
         assert not node.image_in_kernel and node.kernel_in_image
 
     def test_non_composable_rejected(self):

@@ -361,10 +361,10 @@ class TestRowSkeleton:
             for row in nested_rows(g, coeff):
                 reported = tuple((n.z_image_in_kernel, n.z_kernel_in_image) for n in row.nodes)
                 assert reported == H.six_term_nodes_oracle(row.graphs), (g, row.triple)
-                assert reported == z_verdicts(check_exact(row.maps).nodes)
+                assert reported == z_verdicts(check_exact(row.maps))
                 if any(map(any, row.maps[2].matrix.data)):  # delta is not zero
                     # a broken row: the one-sided verdicts must still agree
-                    got = z_verdicts(check_exact(with_doubled_delta(row)).nodes)
+                    got = z_verdicts(check_exact(with_doubled_delta(row)))
                     assert got == H.six_term_nodes_oracle(row.graphs, delta_scale=2), (
                         g,
                         row.triple,
@@ -430,7 +430,7 @@ class TestRowSkeleton:
         row = six_term_row(
             toeplitz_graph(), set(), {"s"}, {"v", "s"}, CoeffGroup.reduced_units_of_field(5)
         )
-        got = z_verdicts(check_exact(with_doubled_delta(row)).nodes)
+        got = z_verdicts(check_exact(with_doubled_delta(row)))
         assert got == ((True, True), (True, True), (True, False), (True, True))
         assert got == H.six_term_nodes_oracle(row.graphs, delta_scale=2)
 
@@ -453,10 +453,10 @@ def twisted_chain(maps, order, u12_scale=1, u23_scale=1):
 
 def fresh_verdicts(maps, coeff):
     """Node verdicts of a skeleton from check_exact, with no store."""
-    z = z_verdicts(check_exact(maps).nodes)
+    z = z_verdicts(check_exact(maps))
     twisted = (None, None)
     if coeff.kind == "finite-cyclic":
-        middle, quotient = check_exact(twisted_chain(maps, coeff.order)).nodes
+        middle, quotient = check_exact(twisted_chain(maps, coeff.order))
         twisted = (middle.exact, quotient.kernel_in_image)
     return z, twisted + (None, None)
 
@@ -536,11 +536,11 @@ class TestCoefficientNodes:
         g = Graph(["a", "b"], [("x", "a", "a"), ("y", "b", "b")])
         row = six_term_row(g, set(), {"a"}, {"a", "b"}, CoeffGroup.reduced_units_of_field(5))
         assert [n.coeff_exact for n in row.nodes[:2]] == [True, True]
-        middle, quotient = check_exact(twisted_chain(row.maps, 2, u12_scale=0)).nodes
+        middle, quotient = check_exact(twisted_chain(row.maps, 2, u12_scale=0))
         assert middle.image_in_kernel and not middle.kernel_in_image
         assert quotient.exact
         assert H.twisted_nodes_oracle(row.graphs, 2, u12_scale=0) == (False, True)
         # a zero u23 is not onto: the quotient node reads that as kernel_in_image
-        _, quotient = check_exact(twisted_chain(row.maps, 2, u23_scale=0)).nodes
+        _, quotient = check_exact(twisted_chain(row.maps, 2, u23_scale=0))
         assert quotient.image_in_kernel and not quotient.kernel_in_image
-        assert all(n.exact for n in check_exact(twisted_chain(row.maps, 2)).nodes)
+        assert all(n.exact for n in check_exact(twisted_chain(row.maps, 2)))

@@ -13,8 +13,10 @@ from helpers import (
     random_graded_element,
     triple_of_graded,
 )
-from leavitt.graphs import Graph, graph_from_matrix
-from leavitt.intlinalg import FgAbGroup, IntMatrix
+from leavitt import shifts
+from leavitt.cli import main
+from leavitt.graphs import Graph, graph_from_matrix, parse_matrix
+from leavitt.intlinalg import FgAbGroup, IntMatrix, PresentedGroup, invariant_factors
 from leavitt.ktheory import k0
 from leavitt.monoid import graded_equal
 from leavitt.shifts import (
@@ -55,6 +57,39 @@ class TestInvariants:
             bowen_franks(IntMatrix([[-1]]))
         with pytest.raises(ValueError):
             det_invariant(IntMatrix([[-1]]))
+
+    def test_identity_minus_matches_the_matrix_sum(self):
+        # I - A is built in one pass; both invariants must equal those of
+        # identity(n) - A, on sparse and dense draws and on 1x1 matrices
+        rng = random.Random(67)
+        mats = [IntMatrix([[0]]), IntMatrix([[1]]), IntMatrix([[7]])]
+        for n in (1, 2, 3, 6, 12, 20, 40):
+            if n <= 12:
+                mats.append(random_shift_matrix(rng, n, hi=3))
+            sparse = [[0] * n for _ in range(n)]
+            for row in sparse:
+                for _ in range(rng.randint(1, 2)):
+                    row[rng.randrange(n)] += 1
+            mats.append(IntMatrix(sparse))
+        for a in mats:
+            old = IntMatrix.identity(a.rows) - a
+            assert shifts._identity_minus(a) == old
+            assert hash(shifts._identity_minus(a)) == hash(IntMatrix(old.data))
+            assert bowen_franks(a) == PresentedGroup(old).invariants()
+            assert det_invariant(a) == invariant_factors(old).det
+
+    def test_bad_matrix_exits_two(self, tmp_path, capsys):
+        for name, text in (("neg.mat", "1 -1\n0 1\n"), ("wide.mat", "1 0 1\n0 1 1\n")):
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            m = parse_matrix(text)
+            for invariant in (bowen_franks, det_invariant):
+                with pytest.raises(ValueError):
+                    invariant(m)
+            assert main(["bf", str(path)]) == 2
+            assert main(["--json", "shifteq", str(path), str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_bowen_franks_is_k0_of_the_graph(self):
         # for a matrix with no zero rows, coker(I-A) matches K0 of its graph
