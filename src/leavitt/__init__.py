@@ -53,7 +53,6 @@ from .monoid import (
     MonoidElement,
     graded_equal,
     graded_expand_to_level,
-    order_ideal_membership,
     parse_graded_element,
     parse_monoid_element,
     ungraded_equal,
@@ -67,9 +66,7 @@ from .ktheory import (
     k1,
     k_matrix,
     phi,
-    psi,
     six_term_row,
-    snake_rho,
     vdb_sequence,
 )
 from .filtered import (

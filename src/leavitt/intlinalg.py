@@ -134,9 +134,6 @@ class IntMatrix:
         i, j = key
         return self.data[i][j]
 
-    def row(self, i):
-        return self.data[i]
-
     def column(self, j):
         return tuple(r[j] for r in self.data)
 

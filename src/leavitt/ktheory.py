@@ -34,7 +34,7 @@ from .intlinalg import (
     snf,
     solve_lattice,
 )
-from .monoid import GradedElement, _LevelForm, graded_equal
+from .monoid import GradedElement, graded_equal
 
 __all__ = [
     "k_matrix",
@@ -42,12 +42,10 @@ __all__ = [
     "KOneBar",
     "k1",
     "phi",
-    "psi",
     "VdbReport",
     "vdb_sequence",
     "ConnectingMap",
     "connecting_delta",
-    "snake_rho",
     "SixTermRow",
     "SubquotientK",
     "SubquotientStore",
@@ -135,11 +133,6 @@ def k1(g: Graph, coeff: CoeffGroup) -> KOneBar:
 def phi(a: GradedElement) -> GradedElement:
     """The colimit shift map: v(i) goes to v(i+1) - v(i), extended linearly."""
     return a.shift(1).sub(a)
-
-
-def psi(g: Graph, vec, level: int = 0) -> GradedElement:
-    """Stage embedding: a vertex vector becomes generators at one level."""
-    return GradedElement.from_vertex_vector(g.vertices, tuple(vec), level=level)
 
 
 def psi_regular(g: Graph, vec, level: int = 0) -> GradedElement:
@@ -276,36 +269,6 @@ def connecting_delta(g: Graph, members, parts=None) -> ConnectingMap:
     domain = PresentedGroup(IntMatrix.zeros(kb.cols, 0))
     gmap = GroupMap(domain=domain, codomain=codomain, matrix=x_block @ kb, name="delta")
     return ConnectingMap(quo=quo, kernel=kb, x_block=x_block, map=gmap)
-
-
-def snake_rho(g: Graph, members, x) -> tuple:
-    """Connecting value computed by chasing the colimit diagram directly.
-
-    Entirely independent of the adjacency-block formula: lift the kernel
-    vector to the ambient graph, apply the shift map, expand one level at a
-    time until the result is supported inside the ideal, then forget levels.
-    Returns the ideal vertex vector (one entry per ideal vertex, declaration
-    order).
-    """
-    members = frozenset(members)
-    if not (is_hereditary(g, members) and is_saturated(g, members)):
-        raise ValueError("snake chase needs a hereditary saturated set")
-    quo = quotient(g, members)
-    sub = restriction(g, members)
-    x = tuple(x)
-    if any(v != 0 for v in k_matrix(quo) @ x):
-        raise ValueError("vector is not in the kernel of the quotient transfer matrix")
-    w = phi(GradedElement.from_vertex_vector(quo.regulars, x, level=0))
-    if w.is_zero():
-        return tuple(0 for _ in sub.vertices)
-    form = _LevelForm(g, w.coeffs, w.min_level())
-    for attempt in range(len(quo.regulars) + 2):
-        if attempt:
-            form.step()
-        terms = tuple(form.terms())
-        if all(v in members for v, _, _ in terms):
-            return tuple(sum(n for u, _, n in terms if u == v) for v in sub.vertices)
-    raise AssertionError("shift image failed to fall into the ideal; kernel input invalid")
 
 
 # ---------------------------------------------------------------------------

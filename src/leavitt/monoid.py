@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graphs import Graph, is_hereditary, is_saturated, restriction
+from .graphs import Graph, restriction
 from .intlinalg import solve_lattice
 from .lattice import hsat_closure
 
@@ -27,7 +27,6 @@ __all__ = [
     "ungraded_equal",
     "graded_expand_to_level",
     "graded_equal",
-    "order_ideal_membership",
 ]
 
 
@@ -87,9 +86,6 @@ class GradedElement:
 
     def is_zero(self):
         return not self.coeffs
-
-    def is_nonnegative(self):
-        return all(n >= 0 for _, _, n in self.coeffs)
 
     def support_vertices(self):
         return tuple(dict.fromkeys(v for v, _, _ in self.coeffs))
@@ -381,21 +377,3 @@ def graded_equal(g: Graph, a: GradedElement, b: GradedElement) -> EqVerdict:
         "not-equal",
         reason=f"regular difference persists, e.g. {min(live)}({diff.level})",
     )
-
-
-def order_ideal_membership(g: Graph, a: GradedElement, members) -> bool:
-    """Is the class of a nonnegative graded element inside the ideal of H?
-
-    H must be hereditary and saturated; then membership is visible already
-    at the minimal support level: expand there and look at the support.
-    """
-    members = frozenset(members)
-    _check_vertices(g, members)
-    if not (is_hereditary(g, members) and is_saturated(g, members)):
-        raise ValueError("ideal test needs a hereditary saturated set")
-    if not a.is_nonnegative():
-        raise ValueError("ideal membership is a monoid notion; element must be nonnegative")
-    if a.is_zero():
-        return True
-    return all(v in members for v, _, _ in _LevelForm(g, a.coeffs, a.min_level()).terms())
-

@@ -2,18 +2,29 @@
 
 A lag-ell shift equivalence between square nonnegative matrices A and B is
 a pair of nonnegative integer matrices R, S with A R = R B, S A = B S,
-R S = A^ell and S R = B^ell.  The search here is complete within explicit
-entry and lag bounds and reports Unknown beyond them; the cheap complete
-invariants (Bowen-Franks group, determinant of I - A) run first and give
-sound obstructions.
+R S = A^ell and S R = B^ell.  These equations are linear, so R and S are
+points of integer solution lattices from the Smith engine, listed inside
+the entry bound by a walk over an echelon basis.  The search is complete
+within explicit entry and lag bounds and reports Unknown beyond them; the
+cheap complete invariants (Bowen-Franks group, determinant of I - A) run
+first and give sound obstructions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import count
 from operator import neg
 
-from .intlinalg import FgAbGroup, IntMatrix, PresentedGroup, invariant_factors
+from .intlinalg import (
+    FgAbGroup,
+    IntMatrix,
+    PresentedGroup,
+    invariant_factors,
+    kernel_basis,
+    solve_lattice,
+)
 
 __all__ = [
     "ShiftEqCertificate",
@@ -32,8 +43,11 @@ def _check_shift_matrix(m: IntMatrix, name="matrix"):
         raise ValueError(f"{name} must be nonnegative")
 
 
+@lru_cache(maxsize=2)
 def _identity_minus(m: IntMatrix) -> IntMatrix:
-    """I - A of a square nonnegative A, built in one pass over its rows."""
+    """I - A of a square nonnegative A, built in one pass over its rows and
+    kept for the last two matrices: ``bf`` and the shift screen ask for
+    both invariants of each."""
     _check_shift_matrix(m)
     out = []
     for i, r in enumerate(m.data):
@@ -111,83 +125,63 @@ class _NodeCapHit(Exception):
     pass
 
 
-def _bounded_solutions(num_vars, constraints, upper, counter, cap):
-    """Integer points of [0, upper]^num_vars satisfying linear constraints.
+def _unflat(x, rows, cols) -> IntMatrix:
+    return IntMatrix._trusted(tuple(tuple(x[i * cols:(i + 1) * cols]) for i in range(rows)), cols)
 
-    ``constraints`` is a list of (coeffs, target) with coeffs a dict from
-    variable index to coefficient.  Depth-first with interval pruning;
-    raises _NodeCapHit when the node budget runs out.
+
+def _sylvester(left: IntMatrix, right: IntMatrix) -> IntMatrix:
+    """The matrix M with M @ vec(X) = vec(left X + X right), where vec(X)
+    reads X row by row, as ``_unflat`` undoes."""
+    cells = [divmod(c, right.rows) for c in range(left.rows * right.rows)]
+    rows = (tuple(left.data[i][k] * (l == j) + (k == i) * right.data[l][j] for k, l in cells)
+            for i, j in cells)
+    return IntMatrix._trusted(tuple(rows), len(cells))
+
+
+def _echelon(vectors):
+    """A basis of the lattice that linearly independent integer vectors
+    span, each vector's first nonzero entry positive and right of the
+    previous vector's: Euclid's algorithm on one entry at a time."""
+    rest, basis, j = [list(v) for v in vectors], [], 0
+    while rest:
+        live = sorted((v for v in rest if v[j]), key=lambda v: abs(v[j]))
+        for v in live[1:]:
+            q = v[j] // live[0][j]
+            v[:] = [x - q * y for x, y in zip(v, live[0])]
+        if len(live) == 1:
+            rest = [v for v in rest if v is not live[0]]
+            basis.append(live[0] if live[0][j] > 0 else [-x for x in live[0]])
+        if len(live) <= 1:
+            j += 1
+    return basis
+
+
+def _box_points(base, basis, upper, tick):
+    """The points of base + span_Z(basis) in [0, upper]^n in lexicographic
+    order, for a basis from ``_echelon``: the i-th coefficient raises the
+    entry at the i-th pivot and fixes every entry before the next pivot, so
+    a depth-first walk over rising coefficients lists the points in order
+    and checks each entry once.  ``tick`` is called per accepted coefficient.
     """
-    by_var = [[] for _ in range(num_vars)]
-    partial = []
-    rem_lo = []
-    rem_hi = []
-    targets = []
-    for ci, (coeffs, target) in enumerate(constraints):
-        lo = hi = 0
-        for var, c in coeffs.items():
-            by_var[var].append((ci, c))
-            if c > 0:
-                hi += c * upper
-            else:
-                lo += c * upper
-        partial.append(0)
-        rem_lo.append(lo)
-        rem_hi.append(hi)
-        targets.append(target)
+    pivots = [next(j for j, x in enumerate(v) if x) for v in basis]
+    ends = pivots[1:] + [len(base)]
+    head = base[:pivots[0]] if pivots else base
+    if min(head, default=0) < 0 or max(head, default=0) > upper:
+        return
 
-    assignment = [0] * num_vars
-
-    def feasible():
-        return all(
-            partial[ci] + rem_lo[ci] <= targets[ci] <= partial[ci] + rem_hi[ci]
-            for ci in range(len(constraints))
-        )
-
-    def descend(var):
-        counter[0] += 1
-        if counter[0] > cap:
-            raise _NodeCapHit
-        if var == num_vars:
-            yield tuple(assignment)
+    def walk(depth, x):
+        if depth == len(basis):
+            yield tuple(x)
             return
-        for value in range(upper + 1):
-            assignment[var] = value
-            touched = by_var[var]
-            for ci, c in touched:
-                partial[ci] += c * value
-                if c > 0:
-                    rem_hi[ci] -= c * upper
-                else:
-                    rem_lo[ci] -= c * upper
-            if feasible():
-                yield from descend(var + 1)
-            for ci, c in touched:
-                partial[ci] -= c * value
-                if c > 0:
-                    rem_hi[ci] += c * upper
-                else:
-                    rem_lo[ci] += c * upper
-        assignment[var] = 0
+        v, p, end = basis[depth], pivots[depth], ends[depth]
+        for c in range(-(x[p] // v[p]), (upper - x[p]) // v[p] + 1):
+            y = [xi + c * vi for xi, vi in zip(x, v)]
+            fixed = y[p + 1:end]
+            if min(fixed, default=0) >= 0 and max(fixed, default=0) <= upper:
+                tick()
+                yield from walk(depth + 1, y)
 
-    yield from descend(0)
-
-
-def _constraints(target: IntMatrix, x_cols: int, left=None, right=None):
-    """left X + X right = target as constraints on vec(X), row-major X with
-    ``x_cols`` columns; either term may be absent."""
-    out = []
-    for i in range(target.rows):
-        for j in range(target.cols):
-            coeffs = {}
-            for k, c in enumerate(left.row(i) if left is not None else ()):
-                if c:
-                    coeffs[k * x_cols + j] = coeffs.get(k * x_cols + j, 0) + c
-            for k, c in enumerate(right.column(j) if right is not None else ()):
-                if c:
-                    coeffs[i * x_cols + k] = coeffs.get(i * x_cols + k, 0) + c
-            out.append(({v: c for v, c in coeffs.items() if c}, target[i, j]))
-    return out
+    yield from walk(0, list(base))
 
 
 def shift_equivalent_bounded(
@@ -200,9 +194,13 @@ def shift_equivalent_bounded(
     """Search for a shift equivalence within entry and lag bounds.
 
     Runs the invariant screen first; a mismatch is a sound obstruction.
-    Otherwise lags are tried in increasing order and for each lag the
-    R candidates in lexicographic order, solving for S under the same entry
-    bound.  Exhausting the bounds (or the node budget) yields Unknown.
+    Otherwise R runs over the integer solutions of A R = R B in the entry
+    bound, in lexicographic order, and for each lag in increasing order and
+    each R, S over those of S A = B S, R S = A^lag and S R = B^lag, in the
+    same order; both solution sets are lattices from ``kernel_basis`` and
+    ``solve_lattice``.  One node is counted per (R, lag) system and per
+    coefficient a lattice walk accepts; exhausting the bounds (or the node
+    budget) yields Unknown.
     """
     _check_shift_matrix(a, "A")
     _check_shift_matrix(b, "B")
@@ -217,39 +215,37 @@ def shift_equivalent_bounded(
         return SeResult(kind="obstruction", obstructions=tuple(obstructions))
 
     na, nb = a.rows, b.rows
-    counter = [0]
-    capped = False
-    r_candidates = []
-    ar_rb = _constraints(IntMatrix.zeros(na, nb), nb, left=a, right=-b)  # A R = R B
-    try:
-        for flat in _bounded_solutions(na * nb, ar_rb, max_entry, counter, node_cap):
-            r_candidates.append(
-                IntMatrix([flat[i * nb:(i + 1) * nb] for i in range(na)], cols=nb)
-            )
-    except _NodeCapHit:
-        capped = True
+    nodes = count(1)
 
-    sa_bs = _constraints(IntMatrix.zeros(nb, na), na, left=-b, right=a)  # S A = B S, every lag
-    for lag in range(1, max_lag + 1):
-        a_pow = a.pow(lag)
-        b_pow = b.pow(lag)
-        for r in r_candidates:
-            # R S = A^lag and S R = B^lag
-            constraints = (
-                sa_bs
-                + _constraints(a_pow, na, left=r)
-                + _constraints(b_pow, na, right=r)
-            )
-            try:
-                for flat in _bounded_solutions(nb * na, constraints, max_entry, counter, node_cap):
-                    s = IntMatrix([flat[i * na:(i + 1) * na] for i in range(nb)], cols=na)
-                    cert = ShiftEqCertificate(lag=lag, r=r, s=s)
-                    check = verify_certificate(a, b, cert)
-                    if check.ok:
-                        return SeResult(kind="certificate", certificate=cert)
-            except _NodeCapHit:
-                capped = True
+    def tick():
+        if next(nodes) > node_cap:
+            raise _NodeCapHit
+
     note = f"no certificate with lag <= {max_lag}, entries <= {max_entry}"
-    if capped:
+    s_lattice = kernel_basis(_sylvester(-b, a))  # vec(S) with S A = B S
+    s_basis = [_unflat(col, nb, na) for col in s_lattice.transpose().data]
+    r_basis = _echelon(kernel_basis(_sylvester(a, -b)).transpose().data)  # A R = R B
+    systems = []  # per R: R S = A^lag, S R = B^lag on S's coordinates; S's directions
+    try:
+        r_points = _box_points((0,) * (na * nb), r_basis, max_entry, tick)
+        r_candidates = [_unflat(flat, na, nb) for flat in r_points]
+        for lag in range(1, max_lag + 1):
+            target = sum(a.pow(lag).data + b.pow(lag).data, ())  # vec(A^lag), vec(B^lag)
+            for i, r in enumerate(r_candidates):
+                tick()
+                if lag == 1:
+                    columns = tuple(sum((r @ s).data + (s @ r).data, ()) for s in s_basis)
+                    system = IntMatrix._trusted(columns, len(target)).transpose()
+                    directions = (s_lattice @ kernel_basis(system)).transpose().data
+                    systems.append((system, _echelon(directions)))
+                system, s_directions = systems[i]
+                t = solve_lattice(system, target)
+                if t is None:
+                    continue
+                for flat in _box_points(s_lattice @ t, s_directions, max_entry, tick):
+                    cert = ShiftEqCertificate(lag=lag, r=r, s=_unflat(flat, nb, na))
+                    if verify_certificate(a, b, cert).ok:
+                        return SeResult(kind="certificate", certificate=cert)
+    except _NodeCapHit:
         note += f"; node budget {node_cap} exhausted, search incomplete"
     return SeResult(kind="unknown", note=note)

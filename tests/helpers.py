@@ -43,6 +43,14 @@ independent cross-checks:
   over rewrites under a state and a mass budget, the engine the library's
   exact separativity rule replaced; it answers "unknown" when a budget runs
   out and never flips a decided verdict as the budgets grow.
+* ``shift_equivalent_box_search`` — the bounded shift-equivalence search
+  the library's lattice walk replaced: every entry of R, then of S, over
+  [0, max_entry] one at a time, pruned by interval sums of the linear
+  constraints, with the same screen, search order, node cap and notes.
+* ``psi``, ``snake_rho`` and ``order_ideal_membership`` (with
+  ``graded_is_nonnegative``) — the stage embedding, the connecting map by a
+  direct chase of the colimit diagram, and the order-ideal test, which only
+  tests call.
 
 The sampling harnesses below the oracles drive the library's exact engines
 on random inputs: ``random_graded_element`` and ``apply_random_expansions``
@@ -62,7 +70,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from leavitt.graphs import Graph, is_hereditary, is_saturated, quotient
+from leavitt.graphs import Graph, is_hereditary, is_saturated, quotient, restriction
 from leavitt.intlinalg import (
     CoeffGroup,
     FgAbGroup,
@@ -75,9 +83,22 @@ from leavitt.intlinalg import (
     snf,
     subgroup_equal,
 )
-from leavitt.ktheory import ConnectingMap, k_matrix, phi, psi, psi_regular
+from leavitt.ktheory import ConnectingMap, k_matrix, phi, psi_regular
 from leavitt.lattice import IdealLattice, LocallyClosed, SpectrumTopology
-from leavitt.monoid import GradedElement, MonoidElement, graded_equal, successors_one_step
+from leavitt.monoid import (
+    GradedElement,
+    MonoidElement,
+    _LevelForm,
+    graded_equal,
+    successors_one_step,
+)
+from leavitt.shifts import (
+    SeResult,
+    ShiftEqCertificate,
+    bowen_franks,
+    det_invariant,
+    verify_certificate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -968,6 +989,209 @@ def psi_diagram_check(g: Graph, trials: int = 100, rng=None, bound: int = 5) -> 
         if not verdict.is_equal:
             failures.append((y, verdict.reason))
     return DiagramReport(trials=trials, failures=tuple(failures))
+
+
+# ---------------------------------------------------------------------------
+# the paper's maps and the order-ideal test, chased through the colimit engine
+# ---------------------------------------------------------------------------
+
+
+def psi(g: Graph, vec, level: int = 0) -> GradedElement:
+    """Stage embedding: a vertex vector becomes generators at one level."""
+    return GradedElement.from_vertex_vector(g.vertices, tuple(vec), level=level)
+
+
+def snake_rho(g: Graph, members, x) -> tuple:
+    """Connecting value computed by chasing the colimit diagram directly.
+
+    Entirely independent of the adjacency-block formula: lift the kernel
+    vector to the ambient graph, apply the shift map, expand one level at a
+    time until the result is supported inside the ideal, then forget levels.
+    Returns the ideal vertex vector (one entry per ideal vertex, declaration
+    order).
+    """
+    members = frozenset(members)
+    if not (is_hereditary(g, members) and is_saturated(g, members)):
+        raise ValueError("snake chase needs a hereditary saturated set")
+    quo = quotient(g, members)
+    sub = restriction(g, members)
+    x = tuple(x)
+    if any(v != 0 for v in k_matrix(quo) @ x):
+        raise ValueError("vector is not in the kernel of the quotient transfer matrix")
+    w = phi(GradedElement.from_vertex_vector(quo.regulars, x, level=0))
+    if w.is_zero():
+        return tuple(0 for _ in sub.vertices)
+    form = _LevelForm(g, w.coeffs, w.min_level())
+    for attempt in range(len(quo.regulars) + 2):
+        if attempt:
+            form.step()
+        terms = tuple(form.terms())
+        if all(v in members for v, _, _ in terms):
+            return tuple(sum(n for u, _, n in terms if u == v) for v in sub.vertices)
+    raise AssertionError("shift image failed to fall into the ideal; kernel input invalid")
+
+
+def graded_is_nonnegative(a: GradedElement) -> bool:
+    return all(n >= 0 for _, _, n in a.coeffs)
+
+
+def order_ideal_membership(g: Graph, a: GradedElement, members) -> bool:
+    """Is the class of a nonnegative graded element inside the ideal of H?
+
+    H must be hereditary and saturated; then membership is visible already
+    at the minimal support level: expand there and look at the support.
+    """
+    members = frozenset(members)
+    for v in members:
+        g.index(v)
+    if not (is_hereditary(g, members) and is_saturated(g, members)):
+        raise ValueError("ideal test needs a hereditary saturated set")
+    if not graded_is_nonnegative(a):
+        raise ValueError("ideal membership is a monoid notion; element must be nonnegative")
+    if a.is_zero():
+        return True
+    return all(v in members for v, _, _ in _LevelForm(g, a.coeffs, a.min_level()).terms())
+
+
+# ---------------------------------------------------------------------------
+# the interval-pruned box search for shift equivalence
+# ---------------------------------------------------------------------------
+
+
+class _NodeCapHit(Exception):
+    pass
+
+
+def _bounded_solutions(num_vars, constraints, upper, counter, cap):
+    """Integer points of [0, upper]^num_vars satisfying linear constraints.
+
+    ``constraints`` is a list of (coeffs, target) with coeffs a dict from
+    variable index to coefficient.  Depth-first with interval pruning;
+    raises _NodeCapHit when the node budget runs out.
+    """
+    by_var = [[] for _ in range(num_vars)]
+    partial = []
+    rem_lo = []
+    rem_hi = []
+    targets = []
+    for ci, (coeffs, target) in enumerate(constraints):
+        lo = hi = 0
+        for var, c in coeffs.items():
+            by_var[var].append((ci, c))
+            if c > 0:
+                hi += c * upper
+            else:
+                lo += c * upper
+        partial.append(0)
+        rem_lo.append(lo)
+        rem_hi.append(hi)
+        targets.append(target)
+
+    assignment = [0] * num_vars
+
+    def feasible():
+        return all(
+            partial[ci] + rem_lo[ci] <= targets[ci] <= partial[ci] + rem_hi[ci]
+            for ci in range(len(constraints))
+        )
+
+    def descend(var):
+        counter[0] += 1
+        if counter[0] > cap:
+            raise _NodeCapHit
+        if var == num_vars:
+            yield tuple(assignment)
+            return
+        for value in range(upper + 1):
+            assignment[var] = value
+            touched = by_var[var]
+            for ci, c in touched:
+                partial[ci] += c * value
+                if c > 0:
+                    rem_hi[ci] -= c * upper
+                else:
+                    rem_lo[ci] -= c * upper
+            if feasible():
+                yield from descend(var + 1)
+            for ci, c in touched:
+                partial[ci] -= c * value
+                if c > 0:
+                    rem_hi[ci] += c * upper
+                else:
+                    rem_lo[ci] += c * upper
+        assignment[var] = 0
+
+    yield from descend(0)
+
+
+def _constraints(target: IntMatrix, x_cols: int, left=None, right=None):
+    """left X + X right = target as constraints on vec(X), row-major X with
+    ``x_cols`` columns; either term may be absent."""
+    out = []
+    for i in range(target.rows):
+        for j in range(target.cols):
+            coeffs = {}
+            for k, c in enumerate(left.data[i] if left is not None else ()):
+                if c:
+                    coeffs[k * x_cols + j] = coeffs.get(k * x_cols + j, 0) + c
+            for k, c in enumerate(right.column(j) if right is not None else ()):
+                if c:
+                    coeffs[i * x_cols + k] = coeffs.get(i * x_cols + k, 0) + c
+            out.append(({v: c for v, c in coeffs.items() if c}, target[i, j]))
+    return out
+
+
+def shift_equivalent_box_search(a, b, max_lag=6, max_entry=4, node_cap=200_000):
+    """``shift_equivalent_bounded`` by the walk it replaced: every entry of
+    R, then of S, one at a time over [0, max_entry], pruned by interval sums
+    of the linear constraints.  Same screen, search order and notes; its
+    node count is one per partial assignment that passes the pruning."""
+    obstructions = []
+    bf_a, bf_b = bowen_franks(a), bowen_franks(b)
+    if bf_a != bf_b:
+        obstructions.append(f"Bowen-Franks groups differ: {bf_a} vs {bf_b}")
+    det_a, det_b = det_invariant(a), det_invariant(b)
+    if det_a != det_b:
+        obstructions.append(f"det(I-A) differs: {det_a} vs {det_b}")
+    if obstructions:
+        return SeResult(kind="obstruction", obstructions=tuple(obstructions))
+
+    na, nb = a.rows, b.rows
+    counter = [0]
+    capped = False
+    r_candidates = []
+    ar_rb = _constraints(IntMatrix.zeros(na, nb), nb, left=a, right=-b)  # A R = R B
+    try:
+        for flat in _bounded_solutions(na * nb, ar_rb, max_entry, counter, node_cap):
+            r_candidates.append(
+                IntMatrix([flat[i * nb:(i + 1) * nb] for i in range(na)], cols=nb)
+            )
+    except _NodeCapHit:
+        capped = True
+
+    sa_bs = _constraints(IntMatrix.zeros(nb, na), na, left=-b, right=a)  # S A = B S, every lag
+    for lag in range(1, max_lag + 1):
+        a_pow = a.pow(lag)
+        b_pow = b.pow(lag)
+        for r in r_candidates:
+            # R S = A^lag and S R = B^lag
+            constraints = (
+                sa_bs
+                + _constraints(a_pow, na, left=r)
+                + _constraints(b_pow, na, right=r)
+            )
+            try:
+                for flat in _bounded_solutions(nb * na, constraints, max_entry, counter, node_cap):
+                    s = IntMatrix([flat[i * na:(i + 1) * na] for i in range(nb)], cols=na)
+                    cert = ShiftEqCertificate(lag=lag, r=r, s=s)
+                    if verify_certificate(a, b, cert).ok:
+                        return SeResult(kind="certificate", certificate=cert)
+            except _NodeCapHit:
+                capped = True
+    note = f"no certificate with lag <= {max_lag}, entries <= {max_entry}"
+    if capped:
+        note += f"; node budget {node_cap} exhausted, search incomplete"
+    return SeResult(kind="unknown", note=note)
 
 
 # ---------------------------------------------------------------------------

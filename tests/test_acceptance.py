@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 
 import helpers as H
-from helpers import psi_diagram_check, quotient_roundtrip
+from helpers import psi_diagram_check, quotient_roundtrip, snake_rho
 from leavitt.filtered import compare_fkbar
 from leavitt.graphs import graph_from_matrix, relabel
 from leavitt.intlinalg import CoeffGroup, FgAbGroup, IntMatrix
@@ -20,7 +20,6 @@ from leavitt.ktheory import (
     k0,
     k1,
     six_term_row,
-    snake_rho,
 )
 from leavitt.lattice import enumerate_hsat, spectrum
 from leavitt.monoid import (

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import helpers as H
-from helpers import check_well_defined, psi_diagram_check
+from helpers import check_well_defined, psi, psi_diagram_check, snake_rho
 from leavitt import ktheory
 from leavitt.graphs import Graph, relabel
 from leavitt.intlinalg import (
@@ -23,9 +23,7 @@ from leavitt.ktheory import (
     k1,
     k_matrix,
     phi,
-    psi,
     six_term_row,
-    snake_rho,
     vdb_sequence,
 )
 from leavitt.lattice import enumerate_hsat

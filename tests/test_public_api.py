@@ -8,6 +8,8 @@ only as an import error.
 
 import ast
 import importlib
+from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -56,26 +58,34 @@ UNREFERENCED_OK = {
     "matrix_to_text",
     "relabel",
     "graph_from_matrix",
-    # the paper's maps and the exact engines that cross-check the verbs
-    "psi",
-    "snake_rho",
-    "order_ideal_membership",
 }
 
 
-def _references(trees, name, own_definition):
+def _loaded_names(tree):
+    """How often ``tree`` loads each name, as a name or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    )
+
+
+@lru_cache(maxsize=None)
+def _src():
+    """Each src/ module's syntax tree and the names it loads, one walk each."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    return trees, {module: _loaded_names(tree) for module, tree in trees.items()}
+
+
+def _references(name, own_module=None, own_definition=None):
     """Modules whose code loads ``name`` (as a name or an attribute), outside
-    the subtree of its own definition."""
-    skip = {id(node) for node in ast.walk(own_definition)} if own_definition else set()
+    the subtree of its own definition in ``own_module``."""
+    own = _loaded_names(own_definition)[name] if own_definition else 0
     return [
         module
-        for module, tree in trees.items()
-        for node in ast.walk(tree)
-        if id(node) not in skip
-        and (
-            (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
-            or (isinstance(node, ast.Attribute) and node.attr == name)
-        )
+        for module, loads in _src()[1].items()
+        if loads[name] > (own if module == own_module else 0)
     ]
 
 
@@ -83,7 +93,7 @@ def test_every_public_name_is_used_in_src():
     """A name in some ``__all__`` that no code in ``src/`` reaches (imports
     and ``__all__`` strings do not count) is a test-only helper; it belongs
     in ``tests/helpers.py`` unless ``UNREFERENCED_OK`` says why not."""
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    trees = _src()[0]
     unused = []
     for name in MODULES:
         tree = trees[name]
@@ -96,11 +106,11 @@ def test_every_public_name_is_used_in_src():
                 ),
                 None,
             )
-            if not _references(trees, public, own) and public not in UNREFERENCED_OK:
+            if not _references(public, name, own) and public not in UNREFERENCED_OK:
                 unused.append(f"{name}.{public}")
     assert not unused, unused
     assert all(
-        _references(trees, public, None) == [] for public in UNREFERENCED_OK
+        _references(public) == [] for public in UNREFERENCED_OK
     ), "an exception is now used in src/; drop it from UNREFERENCED_OK"
 
 
@@ -126,19 +136,19 @@ def test_every_public_method_is_used_in_src():
     as attributes, not resolved to classes, so a method passes when any
     attribute of its name is loaded; a name that something else also has is
     checked by ``test_shared_name_methods_have_listed_call_sites``."""
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    trees = _src()[0]
     unused = [
         f"{module}.{cls}.{method.name}"
         for module, tree in sorted(trees.items())
         for cls, method in _public_methods(tree)
         if f"{cls}.{method.name}" not in UNCALLED_METHODS_OK
-        and not _references(trees, method.name, method)
+        and not _references(method.name, module, method)
     ]
     assert not unused, unused
     stale = [
         key
         for key in UNCALLED_METHODS_OK
-        if _references(trees, key.split(".")[1], None)
+        if _references(key.split(".")[1])
     ]
     assert not stale, f"now used in src/; drop from UNCALLED_METHODS_OK: {stale}"
 
@@ -149,13 +159,10 @@ def test_every_public_method_is_used_in_src():
 # cannot tell such methods apart, so the call site is listed by hand and
 # checked to load the name.
 SHARED_NAME_CALLS = {
-    "FilteredKTable.row": "filtered._match_rows",
     "FilteredKTable.rows": "filtered.FilteredKTable.all_rows_exact",
     "Graph.index": "ktheory.six_term_row",
     "IntMatrix.diagonal": "filtered._iso_candidates",
-    "IntMatrix.row": "shifts._constraints",
     "IntMatrix.shape": "filtered.transport_from_certificate",
-    "IntMatrix.is_nonnegative": "shifts.verify_certificate",
     "SmithData.rank": "intlinalg.kernel_basis",
     "InvariantFactors.rank": "intlinalg.FgAbGroup.cokernel_of",
     "NodeVerdict.exact": "ktheory._skeleton_nodes",
@@ -168,7 +175,6 @@ SHARED_NAME_CALLS = {
     "MonoidElement.of": "monoid.parse_monoid_element",
     "MonoidElement.get": "monoid.ungraded_equal",
     "GradedElement.of": "monoid.parse_graded_element",
-    "GradedElement.is_nonnegative": "monoid.order_ideal_membership",
 }
 
 _BUILTIN_TYPES = (object, str, bytes, int, float, tuple, list, dict, set, frozenset)
@@ -221,7 +227,7 @@ def test_shared_name_methods_have_listed_call_sites():
     builtin type also has is in ``SHARED_NAME_CALLS`` (or in
     ``UNCALLED_METHODS_OK``), and the function listed for it loads the
     name; a listed method whose name is no longer shared is stale."""
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    trees = _src()[0]
     classes = [c for tree in trees.values() for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
     defined = {c.name: _class_attributes(c) for c in classes}
     shared = {

@@ -1,6 +1,7 @@
 """Shift equivalence, Bowen-Franks invariants; the dimension-triple oracle
 against the graded colimit engine."""
 
+import itertools
 import random
 
 import pytest
@@ -30,6 +31,29 @@ from leavitt.shifts import (
 
 def random_shift_matrix(rng, n, hi=2):
     return IntMatrix([[rng.randint(0, hi) for _ in range(n)] for _ in range(n)])
+
+
+def shift_pairs(rng, count):
+    """Seeded (kind, A, B) with A of size 2 to 4, the kinds in turn:
+    elementary pairs A = R S, B = S R (often of unequal size), conjugates
+    by a permutation, transposes, and independent random pairs."""
+    for i in range(count):
+        kind = ("elementary", "permutation", "transpose", "random")[i % 4]
+        n = rng.randint(2, 4)
+        if kind == "elementary":
+            m = rng.randint(n - 1, min(4, n + 1))
+            r = IntMatrix([[rng.randint(0, 1) for _ in range(m)] for _ in range(n)])
+            s = IntMatrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(m)])
+            yield kind, r @ s, s @ r
+        elif kind == "permutation":
+            a = random_shift_matrix(rng, n)
+            p = IntMatrix.identity(n).take_rows(rng.sample(range(n), n))
+            yield kind, a, p @ a @ p.transpose()
+        elif kind == "transpose":
+            a = random_shift_matrix(rng, n)
+            yield kind, a, a.transpose()
+        else:
+            yield kind, random_shift_matrix(rng, n, hi=1), random_shift_matrix(rng, n, hi=1)
 
 
 class TestInvariants:
@@ -77,6 +101,21 @@ class TestInvariants:
             assert hash(shifts._identity_minus(a)) == hash(IntMatrix(old.data))
             assert bowen_franks(a) == PresentedGroup(old).invariants()
             assert det_invariant(a) == invariant_factors(old).det
+
+    def test_one_identity_minus_per_matrix(self, tmp_path, capsys):
+        # bf and the shift screen read both invariants of a matrix from one I - A
+        a, b = IntMatrix([[1, 1], [1, 0]]), IntMatrix([[0, 1], [1, 1]])
+        shifts._identity_minus.cache_clear()
+        assert shift_equivalent_bounded(a, b).kind == "certificate"
+        info = shifts._identity_minus.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+        path = tmp_path / "a.mat"
+        path.write_text("2 1\n1 0\n", encoding="utf-8")
+        shifts._identity_minus.cache_clear()
+        assert main(["bf", str(path)]) == 0
+        info = shifts._identity_minus.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert capsys.readouterr().out == "BF = Z/2\ndet(I - A) = -2\n"
 
     def test_bad_matrix_exits_two(self, tmp_path, capsys):
         for name, text in (("neg.mat", "1 -1\n0 1\n"), ("wide.mat", "1 0 1\n0 1 1\n")):
@@ -197,12 +236,104 @@ class TestBoundedSearch:
                 assert bowen_franks(a) != bowen_franks(b) or det_invariant(a) != det_invariant(b)
         assert kinds["certificate"] > 5 and kinds["obstruction"] > 5
 
+    def test_node_cap_ends_unknown(self):
+        # A R = 0 leaves twelve free entries of R in [0, 4]: far past any cap
+        e03 = IntMatrix([[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+        res = shift_equivalent_bounded(e03, IntMatrix.zeros(4, 4), node_cap=5_000)
+        assert res.kind == "unknown" and res.certificate is None
+        assert res.note == (
+            "no certificate with lag <= 6, entries <= 4; "
+            "node budget 5000 exhausted, search incomplete"
+        )
+
+    def test_r_lag_systems_count_against_the_cap(self):
+        # R in {0, 1} takes two nodes; then each of the 2 * max_lag (R, lag)
+        # systems takes one and has no S in the box (R S = 2^lag needs S > 1)
+        a = IntMatrix([[2]])
+        for max_lag in (1, 3):
+            nodes = 2 + 2 * max_lag
+            done = shift_equivalent_bounded(a, a, max_lag=max_lag, max_entry=1, node_cap=nodes)
+            assert done.note == f"no certificate with lag <= {max_lag}, entries <= 1"
+            capped = shift_equivalent_bounded(a, a, max_lag=max_lag, max_entry=1, node_cap=nodes - 1)
+            assert capped.kind == "unknown"
+            assert capped.note == done.note + f"; node budget {nodes - 1} exhausted, search incomplete"
+
+    def test_four_by_four_transposes_finish_under_the_cap(self):
+        # the interval-pruned walk spent its 200,000 nodes listing R on four
+        # of these six; the lattice walk decides all six at the default bounds
+        rng = random.Random(11)
+        lags = []
+        for _ in range(6):
+            a = IntMatrix([[rng.randint(0, 2) for _ in range(4)] for _ in range(4)])
+            res = shift_equivalent_bounded(a, a.transpose())
+            assert "budget" not in res.note
+            if res.kind == "certificate":
+                assert verify_certificate(a, a.transpose(), res.certificate).ok
+                lags.append(res.certificate.lag)
+            else:
+                assert res.kind == "unknown"
+        assert lags == [2, 2, 1]
+
+    def test_matches_the_box_search_oracle(self):
+        # every field agrees wherever the old walk finishes under the cap, and
+        # the lattice walk never runs out of nodes where the old walk did not
+        rng = random.Random(71)
+        finished = 0
+        for kind, a, b in shift_pairs(rng, 1000):
+            bounds = dict(max_lag=2, max_entry=2, node_cap=2_000)
+            new = shift_equivalent_bounded(a, b, **bounds)
+            if new.kind == "certificate":
+                assert verify_certificate(a, b, new.certificate).ok
+            old = H.shift_equivalent_box_search(a, b, **bounds)
+            if "budget" not in old.note:
+                assert new == old, (kind, a, b)
+                finished += 1
+        assert finished >= 800
+
     def test_deterministic(self):
         a = IntMatrix([[2]])
         b = IntMatrix([[1, 1], [1, 1]])
         r1 = shift_equivalent_bounded(a, b, max_lag=2, max_entry=2)
         r2 = shift_equivalent_bounded(a, b, max_lag=2, max_entry=2)
         assert r1 == r2
+
+
+class TestLatticeWalk:
+    def test_echelon_spans_the_same_lattice(self):
+        rng = random.Random(73)
+        for _ in range(200):
+            n, k = rng.randint(1, 5), rng.randint(0, 3)
+            vectors = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(min(k, n))]
+            m = IntMatrix.from_columns(vectors, rows=n)
+            if invariant_factors(m).rank < m.cols:
+                continue
+            basis = shifts._echelon(vectors)
+            pivots = [next(j for j, x in enumerate(v) if x) for v in basis]
+            assert len(basis) == len(vectors)
+            assert pivots == sorted(set(pivots)) and all(v[p] > 0 for v, p in zip(basis, pivots))
+            e = IntMatrix.from_columns(basis, rows=n)
+            assert all(H.lattice_member(m, v) for v in basis)
+            assert all(H.lattice_member(e, v) for v in vectors)
+
+    def test_box_points_match_brute_force(self):
+        # every point of the box whose difference from the base lies in the
+        # lattice, in lexicographic order, one node per accepted coefficient
+        rng = random.Random(79)
+        for _ in range(150):
+            n, upper = rng.randint(1, 4), rng.randint(0, 3)
+            vectors = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, n))]
+            m = IntMatrix.from_columns(vectors, rows=n)
+            if invariant_factors(m).rank < m.cols:
+                continue
+            base = tuple(rng.randint(-2, 5) for _ in range(n))
+            nodes = []
+            got = list(shifts._box_points(base, shifts._echelon(vectors), upper, lambda: nodes.append(1)))
+            want = [
+                x for x in itertools.product(range(upper + 1), repeat=n)
+                if H.lattice_member(m, [xi - bi for xi, bi in zip(x, base)])
+            ]
+            assert got == want, (vectors, base, upper)
+            assert len(nodes) >= len(got) if vectors else not nodes
 
 
 class TestDimensionTriples:
