@@ -126,7 +126,7 @@ class _NodeCapHit(Exception):
 
 
 def _unflat(x, rows, cols) -> IntMatrix:
-    return IntMatrix._trusted(tuple(tuple(x[i * cols:(i + 1) * cols]) for i in range(rows)), cols)
+    return IntMatrix._trusted(tuple(x[i * cols:(i + 1) * cols] for i in range(rows)), cols)
 
 
 def _sylvester(left: IntMatrix, right: IntMatrix) -> IntMatrix:
