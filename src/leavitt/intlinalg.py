@@ -1,19 +1,20 @@
 """Exact linear algebra over the integers.
 
 One Smith elimination is the engine here: ``_smith`` pivots on the least
-entry of the trailing block and, when asked, carries the unimodular
-transforms along.  :func:`invariant_factors` runs it without transforms and
-serves the callers that need only the diagonal, the rank or the determinant:
-group invariants (``PresentedGroup.invariants``), the shift invariants, and
-the subgroup inclusion tests of :func:`subgroup_equal` and of
-:func:`check_exact`, the one exactness checker.  :func:`snf` runs it with
-transforms and serves the callers that need them: canonical class forms,
-kernels (and so the kernels :func:`check_exact` compares), lattice
-membership, solving, unimodular inverses and preimage lattices.  Both cache
-their results, and their diagonals agree because the elimination is one.
-:func:`coker_with_coefficients` reads its diagonal from :func:`snf` too,
-because K1 needs the kernel of the same matrix.  Everything runs on Python
-ints, so there is no overflow and no floating point anywhere.
+entry of the trailing block and carries along only the unimodular
+transforms its caller reads, with one pivot sequence whatever it tracks.
+:func:`invariant_factors` tracks none and serves the callers that need
+only the diagonal, the rank or the determinant: group invariants
+(``PresentedGroup.invariants``), twisted cokernels
+(:func:`coker_with_coefficients`), the shift invariants, and the subgroup
+inclusion tests of :func:`subgroup_equal` and of :func:`check_exact`, the
+one exactness checker.  :func:`kernel_basis` tracks v alone and serves the
+kernels, and through :func:`preimage_lattice` the kernels
+:func:`check_exact` compares.  :func:`snf` tracks u and v and serves
+canonical class forms, solving and unimodular inverses.  Each caches its
+results, and their diagonals agree because the elimination is one.
+Everything runs on Python ints, so there is no overflow and no floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from operator import mul
 
 __all__ = [
@@ -298,19 +300,28 @@ class SmithData:
 def _select_pivot(d):
     """Position of the entry with the least (abs value, row, column) key.
 
-    The scan is row-major, so the first unit it meets already has the least
-    key (1, i, j) and ends it.
+    A unit has the least value, so the first row holding one ends the
+    search; otherwise each row's least nonzero value is compared, a later
+    row winning only when it is strictly smaller.  Each row is scanned in
+    C, by membership tests, ``min`` and ``index``.
     """
+    for i, di in enumerate(d):
+        if 1 in di or -1 in di:
+            return (i, _first_of(di, 1))
     best = None
     for i, di in enumerate(d):
-        for j, x in enumerate(di):
-            if x != 0:
-                if x == 1 or x == -1:
-                    return (i, j)
-                key = (abs(x), i, j)
-                if best is None or key < best:
-                    best = key
-    return None if best is None else (best[1], best[2])
+        least = min(map(abs, filter(None, di)), default=0)
+        if least and (best is None or least < best[0]):
+            best = (least, i)
+    if best is None:
+        return None
+    least, i = best
+    return (i, _first_of(d[i], least))
+
+
+def _first_of(row, a):
+    """Least column holding a or -a, in a row that holds one of them."""
+    return min(row.index(x) for x in (a, -a) if x in row)
 
 
 def _first_indivisible_row(d, p):
@@ -325,7 +336,26 @@ def _first_indivisible_row(d, p):
     return None
 
 
-def _smith(m: IntMatrix, transforms: bool):
+def _nonzero(row):
+    """The (index, entry) pairs of a row that is mostly zeros, else None."""
+    n = len(row)
+    if 2 * (n - row.count(0)) >= n:
+        return None
+    return [(k, row[k]) for k in compress(range(n), row)]
+
+
+def _subtract(rows, i, q, pivot, pivot_nz):
+    """rows[i] -= q * pivot, touching only the columns in ``pivot_nz`` when
+    that is not None (see ``_nonzero``)."""
+    if pivot_nz is None:
+        rows[i] = [a - q * b for a, b in zip(rows[i], pivot)]
+    else:
+        r = rows[i]
+        for k, y in pivot_nz:
+            r[k] -= q * y
+
+
+def _smith(m: IntMatrix, u: bool, v: bool):
     """The one Smith elimination: ``(u, diagonal, v, sign)``.
 
     Each step pivots on the least entry of the trailing block (see
@@ -333,17 +363,17 @@ def _smith(m: IntMatrix, transforms: bool):
     column operations, promoting any remainder to the pivot, and folds in
     the first row that the pivot does not divide until none is left.  The
     finished pivot row and column are then dropped, so the next step works
-    on the trailing block only.  With ``transforms`` the rows of u follow
-    every row operation and the columns of v every column operation, block
-    index i being global index t + i; otherwise u and v are None.  ``sign``
-    is the product of the signs of the swaps and negations.
+    on the trailing block only.  With ``u`` the rows of u follow every row
+    operation, with ``v`` the columns of v every column operation, block
+    index i being global index t + i; an untracked transform is None.  v is
+    returned as its list of columns, so a column operation on it is one
+    list operation.  ``sign`` is the product of the signs of the swaps and
+    negations.  The pivot sequence does not depend on what is tracked.
     """
     rows, cols = m.rows, m.cols
     d = [list(r) for r in m.data]
-    u = v = None
-    if transforms:
-        u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-        v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    left = [[int(i == j) for j in range(rows)] for i in range(rows)] if u else None
+    right = [[int(i == j) for j in range(cols)] for i in range(cols)] if v else None
     diagonal = []
     sign = 1
     t = 0
@@ -354,38 +384,49 @@ def _smith(m: IntMatrix, transforms: bool):
         i, j = piv
         if i:
             d[0], d[i] = d[i], d[0]
-            if transforms:
-                u[t], u[t + i] = u[t + i], u[t]
+            if u:
+                left[t], left[t + i] = left[t + i], left[t]
             sign = -sign
         if j:
             for r in d:
                 r[0], r[j] = r[j], r[0]
-            if transforms:
-                for r in v:
-                    r[t], r[t + j] = r[t + j], r[t]
+            if v:
+                right[t], right[t + j] = right[t + j], right[t]
             sign = -sign
         while True:
             restart = False
-            p = d[0][0]
+            head = d[0]
+            p = head[0]
+            head_nz = _nonzero(head)
+            if u:
+                left_nz = _nonzero(left[t])
             for i in range(1, len(d)):
                 x = d[i][0]
                 if x == 0:
                     continue
                 q = x // p
-                d[i] = [a - q * b for a, b in zip(d[i], d[0])]
-                if transforms:
-                    u[t + i] = [a - q * b for a, b in zip(u[t + i], u[t])]
+                if head_nz is None:  # the dense case, inlined: it is the hot one
+                    d[i] = [a - q * b for a, b in zip(d[i], head)]
+                else:
+                    _subtract(d, i, q, head, head_nz)
+                if u:
+                    _subtract(left, t + i, q, left[t], left_nz)
                 if x % p:
                     # the remainder is smaller than the pivot: promote it
                     d[0], d[i] = d[i], d[0]
-                    if transforms:
-                        u[t], u[t + i] = u[t + i], u[t]
+                    if u:
+                        left[t], left[t + i] = left[t + i], left[t]
                     sign = -sign
                     restart = True
                     break
             if restart:
                 continue
-            head = d[0]
+            if not v and (p == 1 or p == -1):
+                # the row pass would only zero row 0, which is dropped
+                # next: x % p is 0, so it makes no swap
+                break
+            if v:
+                right_nz = _nonzero(right[t])
             for j in range(1, len(head)):
                 x = head[j]
                 if x == 0:
@@ -393,17 +434,13 @@ def _smith(m: IntMatrix, transforms: bool):
                 # column 0 is zero below the pivot, so subtracting x // p
                 # times column 0 changes this one entry of the block
                 head[j] = x % p
-                if transforms:
-                    q = x // p
-                    for r in v:
-                        if r[t]:
-                            r[t + j] -= q * r[t]
+                if v:
+                    _subtract(right, t + j, x // p, right[t], right_nz)
                 if head[j]:
                     for r in d:
                         r[0], r[j] = r[j], r[0]
-                    if transforms:
-                        for r in v:
-                            r[t], r[t + j] = r[t + j], r[t]
+                    if v:
+                        right[t], right[t + j] = right[t + j], right[t]
                     sign = -sign
                     restart = True
                     break
@@ -415,35 +452,45 @@ def _smith(m: IntMatrix, transforms: bool):
             # fold the offending row into row 0; the next clearing pass
             # shrinks the pivot toward the gcd
             d[0] = [a + b for a, b in zip(head, d[bad])]
-            if transforms:
-                u[t] = [a + b for a, b in zip(u[t], u[t + bad])]
-        # the last pass changed no entry of row or column 0, so p = d[0][0]
+            if u:
+                left[t] = [a + b for a, b in zip(left[t], left[t + bad])]
+        # the last pass changed no entry of column 0, nor of row 0 when it
+        # ran, so p = d[0][0]
         if p < 0:
             sign = -sign
-            if transforms:
-                u[t] = [-a for a in u[t]]
+            if u:
+                left[t] = [-a for a in left[t]]
         diagonal.append(abs(p))
         del d[0]
         for r in d:
             del r[0]
         t += 1
     diagonal += [0] * (min(rows, cols) - len(diagonal))
-    return u, tuple(diagonal), v, sign
+    return left, tuple(diagonal), right, sign
+
+
+def _smith_form(m: IntMatrix) -> SmithData:
+    """The two-sided elimination of ``m``, uncached."""
+    left, diagonal, right, _ = _smith(m, True, True)
+    return SmithData(
+        u=IntMatrix._trusted(tuple(map(tuple, left)), m.rows),
+        diagonal=diagonal,
+        v=IntMatrix._trusted(tuple(zip(*right)), m.cols),
+    )
 
 
 @lru_cache(maxsize=65536)
 def snf(m: IntMatrix) -> SmithData:
-    """Smith normal form with transforms, deterministically pivoted.
+    """Smith normal form with both transforms, deterministically pivoted.
 
     Returns :class:`SmithData` with ``u @ m @ v == d``.  Results are cached;
-    matrices are immutable so sharing is safe.
+    matrices are immutable so sharing is safe.  Only the callers that read
+    u come here: :func:`solve_lattice`, :func:`inverse_unimodular` and the
+    class forms of :class:`PresentedGroup`.  A caller that reads only the
+    diagonal uses :func:`invariant_factors`, one that reads only kernel
+    columns :func:`kernel_basis`.
     """
-    u, diagonal, v, _ = _smith(m, transforms=True)
-    return SmithData(
-        u=IntMatrix._trusted(tuple(map(tuple, u)), m.rows),
-        diagonal=diagonal,
-        v=IntMatrix._trusted(tuple(map(tuple, v)), m.cols),
-    )
+    return _smith_form(m)
 
 
 @dataclass(frozen=True)
@@ -479,29 +526,36 @@ def invariant_factors(m: IntMatrix) -> InvariantFactors:
     equals ``snf(m).diagonal``.  Results are cached like those of
     :func:`snf`.
     """
-    _, diagonal, _, sign = _smith(m, transforms=False)
+    _, diagonal, _, sign = _smith(m, False, False)
     return InvariantFactors(shape=m.shape, diagonal=diagonal, sign=sign)
 
 
+@lru_cache(maxsize=65536)
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel lattice of ``m``, as matrix columns.
 
     The basis is primitive: it spans ker(m) as a direct summand basis, not
     just up to finite index, because the columns come from a unimodular
-    transform.
+    transform.  They are the last columns of ``snf(m).v``, from an
+    elimination that tracks v alone; the cache keeps only these columns.
     """
-    sd = snf(m)
-    k = sd.rank
-    return sd.v.take_columns(range(k, m.cols))
+    _, diagonal, right, _ = _smith(m, False, True)
+    kernel = right[len(diagonal) - diagonal.count(0):]
+    return IntMatrix._trusted(tuple(zip(*kernel)) if kernel else ((),) * m.cols, len(kernel))
 
 
 def solve_lattice(m: IntMatrix, vec):
     """One integer solution x of m @ x = vec, or None if there is none."""
-    sd = snf(m)
+    return _solve(snf(m), vec)
+
+
+def _solve(sd: SmithData, vec):
+    """:func:`solve_lattice` on the Smith form ``sd`` of the matrix."""
     y = sd.u @ tuple(vec)
     diag = sd.diagonal
+    cols = sd.v.rows
     z = []
-    for i in range(m.cols):
+    for i in range(cols):
         di = diag[i] if i < len(diag) else 0
         yi = y[i] if i < len(y) else 0
         if di == 0:
@@ -512,7 +566,7 @@ def solve_lattice(m: IntMatrix, vec):
             if yi % di != 0:
                 return None
             z.append(yi // di)
-    for i in range(m.cols, len(y)):
+    for i in range(cols, len(y)):
         if y[i] != 0:
             return None
     return sd.v @ tuple(z)
@@ -632,7 +686,7 @@ class FgAbGroup:
         """Z^rows modulo the column span of a matrix with ``rows`` rows, read
         off its Smith diagonal: entries 1 vanish, entries d >= 2 give Z/d and
         each missing pivot gives a copy of Z.  ``smith`` is the matrix's
-        :class:`SmithData` or :class:`InvariantFactors`."""
+        :class:`InvariantFactors`."""
         return cls(rows - smith.rank, tuple(x for x in smith.diagonal if x > 1))
 
     def is_trivial(self):
@@ -875,8 +929,7 @@ class CoeffCokernel:
 def coker_with_coefficients(m: IntMatrix, coeff: CoeffGroup) -> CoeffCokernel:
     """Cokernel of ``m`` with coefficients: (+) G/d_iG (+) G^(rows - rank).
 
-    Reads the Smith diagonal from :func:`snf`, whose cached transforms the
-    kernel of the same matrix needs anyway (see ``ktheory.k1``).
+    Reads only the Smith diagonal, from :func:`invariant_factors`.
     """
-    group = FgAbGroup.cokernel_of(m.rows, snf(m))
+    group = FgAbGroup.cokernel_of(m.rows, invariant_factors(m))
     return CoeffCokernel(coeff=coeff, quotient_orders=group.torsion, free_rank=group.free_rank)

@@ -30,8 +30,8 @@ from .intlinalg import (
     PresentedGroup,
     check_exact,
     coker_with_coefficients,
+    invariant_factors,
     kernel_basis,
-    snf,
     solve_lattice,
 )
 from .monoid import GradedElement, graded_equal
@@ -62,14 +62,17 @@ def k_matrix(g: Graph) -> IntMatrix:
     free part of K1.  Back-to-back calls on one graph (K0 and K1 of a
     :class:`SubquotientK` or of ``vdb_sequence``) get the same matrix
     object instead of building it and its hash again; one entry keeps no
-    more than the last graph alive.
+    more than the last graph alive.  It is built in one walk over the edge
+    list, not from the n-by-n adjacency matrix.
     """
-    a = g.adjacency().data
-    reg = [g.index(w) for w in g.regulars]
-    rows = [[a[j][i] for j in reg] for i in range(len(a))]
-    for jj, j in enumerate(reg):
-        rows[j][jj] -= 1
-    return IntMatrix._trusted(tuple(map(tuple, rows)), len(reg))
+    row = {v: i for i, v in enumerate(g.vertices)}
+    col = {w: j for j, w in enumerate(g.regulars)}
+    rows = [[0] * len(col) for _ in row]
+    for w, j in col.items():
+        rows[row[w]][j] = -1
+    for e in g.edges:
+        rows[row[e.dst]][col[e.src]] += 1
+    return IntMatrix._trusted(tuple(map(tuple, rows)), len(col))
 
 
 def k0(g: Graph) -> PresentedGroup:
@@ -83,15 +86,21 @@ class KOneBar:
 
     ``coker_part`` is the cokernel of the transfer matrix with coefficients
     in the unit group; ``kernel`` is a basis of the free summand inside the
-    non-sink coordinate space, and ``kernel_rank`` counts it.
+    non-sink coordinate space, and ``kernel_rank`` counts it.  The rank is
+    read off the Smith diagonal of the transfer matrix, and the basis is
+    computed only when a caller reads it.
     """
 
     coker_part: CoeffCokernel
-    kernel: IntMatrix
+    _transfer: IntMatrix
+
+    @property
+    def kernel(self) -> IntMatrix:
+        return kernel_basis(self._transfer)
 
     @property
     def kernel_rank(self) -> int:
-        return self.kernel.cols
+        return self._transfer.cols - invariant_factors(self._transfer).rank
 
     def isomorphism_class(self) -> FgAbGroup | None:
         spec = self.coker_part.specialize()
@@ -117,12 +126,12 @@ def k1(g: Graph, coeff: CoeffGroup) -> KOneBar:
 
     Reduced K1 is the same computation with the reduced unit group passed
     in (for a field with q elements, cyclic of order (q-1)/gcd(2,q-1)).
-    The kernel and the twisted cokernel share one Smith form of the
-    transfer matrix.
+    The twisted cokernel and the kernel rank come from one transform-free
+    elimination of the transfer matrix; the kernel basis needs an
+    elimination tracking v, run only when ``kernel`` is read.
     """
     km = k_matrix(g)
-    kernel = kernel_basis(km)
-    return KOneBar(coker_part=coker_with_coefficients(km, coeff), kernel=kernel)
+    return KOneBar(coker_with_coefficients(km, coeff), km)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +164,9 @@ class VdbReport:
     zero once the K0 relations re-multiply it to that vector; a presentation
     where no witness holds gets the full class decision instead.  The rest
     is identification, not computation: ``ker_phi`` is the free group on
-    that kernel basis and ``coker_phi`` is K0, read from the Smith form that
-    K1 already holds, as the exactness of the sequence says they are, and
+    that kernel basis and ``coker_phi`` is K0, read from the Smith diagonal
+    that K1's twisted cokernel already holds, as the exactness of the
+    sequence says they are, and
     ``lift_witnesses`` name the level-0 lift of each vertex generator.
     """
 
@@ -209,7 +219,7 @@ def vdb_sequence(g: Graph, coeff: CoeffGroup) -> VdbReport:
         k1=kone,
         k0=kzero,
         ker_phi=FgAbGroup(kone.kernel_rank, ()),
-        coker_phi=FgAbGroup.cokernel_of(km.rows, snf(km)),
+        coker_phi=FgAbGroup.cokernel_of(km.rows, invariant_factors(km)),
         lift_witnesses=witnesses,
         kernel_maps_into_ker_phi=into_ker,
         phi_composes_to_zero=composes_zero,

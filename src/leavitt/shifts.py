@@ -21,9 +21,10 @@ from .intlinalg import (
     FgAbGroup,
     IntMatrix,
     PresentedGroup,
+    _smith_form,
+    _solve,
     invariant_factors,
     kernel_basis,
-    solve_lattice,
 )
 
 __all__ = [
@@ -197,10 +198,11 @@ def shift_equivalent_bounded(
     Otherwise R runs over the integer solutions of A R = R B in the entry
     bound, in lexicographic order, and for each lag in increasing order and
     each R, S over those of S A = B S, R S = A^lag and S R = B^lag, in the
-    same order; both solution sets are lattices from ``kernel_basis`` and
-    ``solve_lattice``.  One node is counted per (R, lag) system and per
-    coefficient a lattice walk accepts; exhausting the bounds (or the node
-    budget) yields Unknown.
+    same order; both solution sets are lattices from the Smith engine.  The
+    S system of each R gets one uncached two-sided elimination, which gives
+    both the directions of its lattice and a base point for every lag.  One
+    node is counted per (R, lag) system and per coefficient a lattice walk
+    accepts; exhausting the bounds (or the node budget) yields Unknown.
     """
     _check_shift_matrix(a, "A")
     _check_shift_matrix(b, "B")
@@ -225,7 +227,9 @@ def shift_equivalent_bounded(
     s_lattice = kernel_basis(_sylvester(-b, a))  # vec(S) with S A = B S
     s_basis = [_unflat(col, nb, na) for col in s_lattice.transpose().data]
     r_basis = _echelon(kernel_basis(_sylvester(a, -b)).transpose().data)  # A R = R B
-    systems = []  # per R: R S = A^lag, S R = B^lag on S's coordinates; S's directions
+    # per R: the Smith form of R S = A^lag, S R = B^lag on S's coordinates,
+    # and S's directions
+    systems = []
     try:
         r_points = _box_points((0,) * (na * nb), r_basis, max_entry, tick)
         r_candidates = [_unflat(flat, na, nb) for flat in r_points]
@@ -235,11 +239,11 @@ def shift_equivalent_bounded(
                 tick()
                 if lag == 1:
                     columns = tuple(sum((r @ s).data + (s @ r).data, ()) for s in s_basis)
-                    system = IntMatrix._trusted(columns, len(target)).transpose()
-                    directions = (s_lattice @ kernel_basis(system)).transpose().data
-                    systems.append((system, _echelon(directions)))
-                system, s_directions = systems[i]
-                t = solve_lattice(system, target)
+                    sd = _smith_form(IntMatrix._trusted(columns, len(target)).transpose())
+                    kernel = sd.v.take_columns(range(sd.rank, sd.v.cols))
+                    systems.append((sd, _echelon((s_lattice @ kernel).transpose().data)))
+                sd, s_directions = systems[i]
+                t = _solve(sd, target)
                 if t is None:
                     continue
                 for flat in _box_points(s_lattice @ t, s_directions, max_entry, tick):

@@ -60,7 +60,8 @@ the colimit shift, and ``covering_window`` and ``is_irreducible`` build and
 test graphs for them.  ``monoid_to_str`` and ``graded_to_str`` print
 elements as literals the parsers read back, ``mass`` counts the vertex
 copies of a monoid element, ``graded_add`` adds two graded elements and
-``group_order`` is the order of a finite group.
+``group_order`` is the order of a finite group.  ``sparse_graph`` draws
+the sparse graphs, up to 200 vertices, that the Smith sweeps run on.
 """
 
 from __future__ import annotations
@@ -309,6 +310,19 @@ def _transfer(g: Graph) -> IntMatrix:
         [[_edge_count(g, w, v) - (v == w) for w in g.regulars] for v in g.vertices],
         cols=len(g.regulars),
     )
+
+
+def sparse_graph(rng, n: int, sink_prob: float = 0.0) -> Graph:
+    """Random graph with n vertices, each a sink with probability
+    ``sink_prob`` and otherwise of out-degree 1 or 2, like the sparse graphs
+    of the benchmark."""
+    names = [f"v{i}" for i in range(n)]
+    edges = []
+    for v in names:
+        if rng.random() >= sink_prob:
+            for _ in range(rng.randint(1, 2)):
+                edges.append((f"e{len(edges)}", v, rng.choice(names)))
+    return Graph(names, edges)
 
 
 def _select(sub_items, all_items) -> IntMatrix:

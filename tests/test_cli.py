@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import helpers as H
 import leavitt
-from leavitt import cli, ktheory
+from leavitt import cli, intlinalg, ktheory
 from leavitt.cli import main
 from leavitt.graphs import graph_from_matrix, graph_to_text
 from leavitt.intlinalg import IntMatrix
@@ -168,6 +169,42 @@ class TestParserReuse:
         )
         assert (code, err) == (0, "")
         assert (fresh.returncode, fresh.stdout) == (0, out)
+
+
+class TestTrackedTransforms:
+    """Verbs that read only Smith diagonals and kernels run no elimination
+    that tracks a transform they do not read.  Each test draws a graph no
+    other test builds, so the Smith caches miss."""
+
+    def record(self, monkeypatch):
+        calls = []
+        smith = intlinalg._smith
+
+        def counting(m, u, v):
+            calls.append((u, v))
+            return smith(m, u, v)
+
+        monkeypatch.setattr(intlinalg, "_smith", counting)
+        return calls
+
+    def write(self, tmp_path, seed):
+        path = tmp_path / f"sparse{seed}.graph"
+        path.write_text(graph_to_text(H.sparse_graph(random.Random(seed), 40)), encoding="utf-8")
+        return str(path)
+
+    def test_k1_tracks_no_transform(self, capsys, tmp_path, monkeypatch):
+        path = self.write(tmp_path, 97)
+        calls = self.record(monkeypatch)
+        code, out, _ = run(capsys, ["--json", "k1", path, "--field", "5"])
+        assert code == 0 and "kernel_rank" in json.loads(out)
+        assert calls and calls == [(False, False)] * len(calls)
+
+    def test_vdb_tracks_no_u(self, capsys, tmp_path, monkeypatch):
+        path = self.write(tmp_path, 101)
+        calls = self.record(monkeypatch)
+        code, out, _ = run(capsys, ["--json", "vdb", path, "--field", "5"])
+        assert code == 0 and json.loads(out)["consistent"]
+        assert (False, True) in calls and not any(u for u, _ in calls)
 
 
 class TestHumanOutput:

@@ -25,8 +25,8 @@ from leavitt.intlinalg import (
     solve_lattice,
     subgroup_equal,
 )
-from leavitt.intlinalg import _spans_into
-from leavitt.ktheory import k0
+from leavitt.intlinalg import _smith, _spans_into
+from leavitt.ktheory import k0, k_matrix
 
 
 def random_matrix(rng, nr, nc, lo=-9, hi=9):
@@ -331,6 +331,99 @@ class TestSmith:
                 assert prod == abs(H.bareiss_det(m))
             else:
                 assert H.bareiss_det(m) == 0
+
+
+def sparse_transfer_matrix(rng, n, sink_prob=0.0):
+    """Transfer matrix of a random sparse graph; sinks make it non-square."""
+    g = H.sparse_graph(rng, n, sink_prob)
+    km = k_matrix(g)
+    assert km == H._transfer(g)
+    return km
+
+
+class TestTransformChoices:
+    """Each choice of tracked transforms runs the pivot sequence of the full
+    elimination: the same diagonal and sign, and each tracked transform
+    equal to the full run's."""
+
+    CHOICES = ((False, False), (True, False), (False, True), (True, True))
+
+    def assert_choices_agree(self, m):
+        full_u, diagonal, full_v, sign = _smith(m, True, True)
+        for u, v in self.CHOICES:
+            left, diag, right, s = _smith(m, u, v)
+            assert (diag, s) == (diagonal, sign), (m, u, v)
+            assert left == (full_u if u else None), (m, u, v)
+            assert right == (full_v if v else None), (m, u, v)
+        sd = snf(m)
+        assert sd.u.to_lists() == full_u
+        # v is carried as its list of columns
+        assert sd.v.transpose().to_lists() == full_v
+        assert (invariant_factors(m).diagonal, invariant_factors(m).sign) == (diagonal, sign)
+        rank = sd.rank
+        assert kernel_basis(m) == sd.v.take_columns(range(rank, m.cols))
+        return sd
+
+    def test_sparse_transfer_matrices(self):
+        rng = random.Random(61)
+        matrices = [sparse_transfer_matrix(rng, n) for n in (5, 20, 60, 120, 200)]
+        matrices += [sparse_transfer_matrix(rng, n, sink_prob=0.3) for n in (8, 30, 90)]
+        assert all(km.rows > km.cols for km in matrices[-3:])
+        for km in matrices:
+            sd = self.assert_choices_agree(km)
+            kernel = kernel_basis(km)
+            assert all(not any(km @ kernel.column(j)) for j in range(kernel.cols))
+            if km.rows <= 60:  # the dense products of the check are cubic
+                assert H.smith_verifies(sd, km)
+
+    def test_dense_matrices(self):
+        rng = random.Random(67)
+        for _ in range(40):
+            m = random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), -3, 3)
+            assert H.smith_verifies(self.assert_choices_agree(m), m)
+        for n in (16, 24):
+            self.assert_choices_agree(random_matrix(rng, n, n, -3, 3))
+
+    def test_rank_deficient_and_non_square(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            nr, nc, r = rng.randint(1, 8), rng.randint(1, 8), rng.randint(0, 3)
+            # a product through r dimensions has rank at most r
+            m = random_matrix(rng, nr, r, -3, 3) @ random_matrix(rng, r, nc, -3, 3)
+            sd = self.assert_choices_agree(m)
+            assert sd.rank <= r and H.smith_verifies(sd, m)
+
+    def test_zero_rows_and_columns(self):
+        rng = random.Random(79)
+        shapes = [IntMatrix([], cols=4), IntMatrix([[], [], []], cols=0), IntMatrix.zeros(3, 5)]
+        for _ in range(30):
+            nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+            rows = random_matrix(rng, nr, nc, -4, 4).to_lists()
+            for i in rng.sample(range(nr), rng.randint(1, nr)):
+                rows[i] = [0] * nc
+            for j in rng.sample(range(nc), rng.randint(0, nc)):
+                for r in rows:
+                    r[j] = 0
+            shapes.append(IntMatrix(rows, cols=nc))
+        for m in shapes + SWEEP_EXTRAS:
+            assert H.smith_verifies(self.assert_choices_agree(m), m)
+
+    def test_negative_unit_pivots_flip_the_sign(self):
+        rng = random.Random(83)
+        cases = [IntMatrix([[-1]]), IntMatrix.identity(4).scale(-1), IntMatrix([[-1, 3], [2, 5]])]
+        for _ in range(30):
+            n = rng.randint(2, 7)
+            rows = random_matrix(rng, n, n, -3, 3).to_lists()
+            for i in range(n):
+                rows[i][i] = -1
+            cases.append(IntMatrix(rows))
+        for m in cases:
+            self.assert_choices_agree(m)
+            assert invariant_factors(m).det == H.bareiss_det(m)
+        # a -1 pivot leaves 1 on the diagonal; only the sign records it
+        minus_one = invariant_factors(IntMatrix([[-1]]))
+        assert (minus_one.diagonal, minus_one.sign) == ((1,), -1)
+        assert invariant_factors(IntMatrix.identity(4).scale(-1)).sign == 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from leavitt.intlinalg import (
     IntMatrix,
     PresentedGroup,
     check_exact,
+    snf,
 )
 from leavitt.ktheory import (
     SubquotientStore,
@@ -136,6 +137,20 @@ class TestKOne:
         kb = k1(loop, CoeffGroup.symbolic("Gbar"))
         assert kb.isomorphism_class() is None
         assert kb.symbol() == "Z ⊕ Gbar"
+
+    def test_kernel_is_the_tail_of_the_two_sided_v(self, corpus):
+        # the V-only elimination behind k1's kernel gives the columns of
+        # snf's v past the rank, and kernel_rank counts them
+        rng = random.Random(89)
+        sizes = ((50, 0.0), (120, 0.2), (200, 0.0))
+        graphs = list(corpus[:60]) + [H.sparse_graph(rng, n, p) for n, p in sizes]
+        for coeff in (CoeffGroup.units_of_field(5), CoeffGroup.symbolic()):
+            for g in graphs:
+                km = k_matrix(g)
+                sd = snf(km)
+                kb = k1(g, coeff)
+                assert kb.kernel == sd.v.take_columns(range(sd.rank, km.cols)), g
+                assert kb.kernel_rank == kb.kernel.cols
 
     def test_sink_only_graph(self):
         g = Graph(["s"], [])

@@ -163,10 +163,11 @@ SHARED_NAME_CALLS = {
     "Graph.index": "ktheory.six_term_row",
     "IntMatrix.diagonal": "filtered._iso_candidates",
     "IntMatrix.shape": "filtered.transport_from_certificate",
-    "SmithData.rank": "intlinalg.kernel_basis",
+    "SmithData.rank": "shifts.shift_equivalent_bounded",
     "InvariantFactors.rank": "intlinalg.FgAbGroup.cokernel_of",
     "NodeVerdict.exact": "ktheory._skeleton_nodes",
     "CoeffCokernel.symbol": "ktheory.KOneBar.symbol",
+    "KOneBar.kernel": "ktheory.six_term_row",
     "KOneBar.symbol": "cli._cmd_k1",
     "VdbReport.consistent": "cli._cmd_vdb",
     "SubquotientStore.get": "ktheory.six_term_row",
