@@ -7,6 +7,11 @@ drawing lattice isomorphisms from the prime posets until one matches every
 entry class and every row signature; a match is a necessary condition for
 the tables to be isomorphic as diagrams, never a proof, and the report
 says so explicitly.
+
+Row signatures and the element search read each row's skeleton in the Smith
+coordinates its store reduced it to (``SixTermRow.reduced``): one
+coordinate per invariant factor other than 1, so candidate isomorphisms
+are listed on the invariant factors and no map is rewritten per row pair.
 """
 
 from __future__ import annotations
@@ -19,13 +24,18 @@ from functools import lru_cache
 from .graphs import Graph
 from .intlinalg import (
     CoeffGroup,
-    GroupMap,
     IntMatrix,
     PresentedGroup,
-    inverse_unimodular,
     map_invariants,
 )
-from .ktheory import KOneBar, SixTermRow, SubquotientStore, six_term_row
+from .ktheory import (
+    KOneBar,
+    SixTermRow,
+    SubquotientStore,
+    _build_row,
+    _moduli,
+    _residues,
+)
 from .lattice import (
     IdealLattice,
     LatticeCapError,
@@ -81,10 +91,13 @@ class FilteredKTable:
     The constructor counts the nested triples i <= j <= p, at each j as
     (#i <= j) * (#p >= j), and raises RowCapError past ``row_cap`` before
     any entry is built; then it builds every entry.  A row is built through
-    the table's subquotient ``store`` on first request, with every check of
-    :func:`six_term_row`, and kept.  ``_skeletons``, when given, is the
-    skeleton memo of another table's store with the same coefficient group,
-    which this table's store then shares.
+    the table's subquotient ``store`` on first request and kept.  Its
+    triple comes from the table's own lattice, so it is nested with a
+    hereditary saturated middle set, and the row skips that validation of
+    :func:`~leavitt.ktheory.six_term_row`; every other check of a row runs.
+    ``_share``, when given, is another table's store with the same
+    coefficient group, whose skeleton records and Smith coordinates this
+    table's store then shares.
     """
 
     def __init__(
@@ -93,7 +106,7 @@ class FilteredKTable:
         coeff: CoeffGroup,
         lattice_cap: int = 4096,
         row_cap: int = 65_536,
-        _skeletons: dict | None = None,
+        _share: SubquotientStore | None = None,
     ):
         topology = spectrum(enumerate_hsat(g, cap=lattice_cap))
         lattice = topology.lattice
@@ -105,8 +118,8 @@ class FilteredKTable:
             )
         self.graph, self.coeff, self.lattice, self.topology = g, coeff, lattice, topology
         self.store = SubquotientStore(g, coeff)
-        if _skeletons is not None:
-            self.store._skeletons = _skeletons
+        if _share is not None:
+            self.store._share(_share)
         n = len(lattice)
         self._members = [frozenset(lattice.members(i)) for i in range(n)]
         self.pieces = locally_closed_all(topology)
@@ -135,9 +148,7 @@ class FilteredKTable:
             i, j, p = trip
             if not (i <= j <= p and self.lattice.leq(i, j) and self.lattice.leq(j, p)):
                 return None
-            row = self._rows[trip] = six_term_row(
-                self.graph, *(self._members[k] for k in trip), self.coeff, store=self.store
-            )
+            row = self._rows[trip] = _build_row(self.store, *(self._members[k] for k in trip))
         return row
 
     def signature(self, trip):
@@ -189,16 +200,17 @@ def _row_signature(row: SixTermRow, store: SubquotientStore):
     Map classes are the kernel/image/cokernel triples of the five maps of
     the row skeleton, so equal signatures mean no Z-level rank or invariant
     factor tells the rows apart.  Skeletons recur across rows, so the group
-    and map classes of each are computed once and kept in its record in
-    ``store``.
+    and map classes of each are computed once, on the skeleton in Smith
+    coordinates, and kept in its record in ``store``.
     """
     record = store._skeleton(row.maps)
     if record[2] is None:
+        reduced = record[3]
         record[2] = (
-            tuple(n.invariants() for n in row.groups),
+            tuple(n.invariants() for n in (reduced[0].domain,) + tuple(f.codomain for f in reduced)),
             tuple(
                 map_invariants(f.matrix, f.domain.relations, f.codomain.relations)
-                for f in row.maps
+                for f in reduced
             ),
         )
     groups, maps = record[2]
@@ -216,55 +228,21 @@ _FREE_RANK_CAP = 3
 _FREE_ENTRY_BOUND = 2
 
 
-class _Reduced:
-    """A presented group in its canonical coordinates.
-
-    One coordinate per invariant factor greater than one (with that factor
-    as modulus) plus one per free generator (modulus zero).  ``project``
-    takes generator coordinates to these and ``lift`` takes them back.
-    """
-
-    def __init__(self, pres: PresentedGroup):
-        sd = pres.smith
-        diag = sd.diagonal
-        keep = [i for i in range(pres.generators) if i >= len(diag) or diag[i] != 1]
-        self.moduli = tuple(diag[i] if i < len(diag) else 0 for i in keep)
-        self.project = sd.u.take_rows(keep)
-        self.lift = inverse_unimodular(sd.u).take_columns(keep)
-
-
-@lru_cache(maxsize=4096)
-def _reduced(pres: PresentedGroup) -> _Reduced:
-    return _Reduced(pres)
-
-
-def _residues(m: IntMatrix, moduli) -> tuple:
-    """The rows of ``m``, each reduced modulo its modulus (zero: left as is)."""
-    return tuple(tuple(x % q for x in r) if q else r for r, q in zip(m.data, moduli))
-
-
-def _reduced_map(f: GroupMap) -> IntMatrix:
-    """The matrix of ``f`` in the reduced coordinates of its two groups."""
-    dom, cod = _reduced(f.domain), _reduced(f.codomain)
-    rows = _residues(cod.project @ f.matrix @ dom.lift, cod.moduli)
-    return IntMatrix._trusted(rows, len(dom.moduli))
-
-
 @lru_cache(maxsize=2048)
-def _iso_candidates(dom_pres: PresentedGroup, cod_pres: PresentedGroup):
-    """All isomorphism matrices between two groups in reduced coordinates.
+def _iso_candidates(dom: PresentedGroup, cod: PresentedGroup):
+    """All isomorphism matrices between two groups in Smith coordinates.
 
     Returns (candidates, complete): candidates is a tuple of matrices;
     complete is False when free coordinates were truncated to the entry
     bound, so an empty result is not a proof that no isomorphism exists.
     Returns None when the enumeration would exceed the node cap.
     """
-    dom, cod = _reduced(dom_pres), _reduced(cod_pres)
-    if sorted(dom.moduli) != sorted(cod.moduli):
+    dom_moduli, cod_moduli = _moduli(dom), _moduli(cod)
+    if sorted(dom_moduli) != sorted(cod_moduli):
         return (), True
     per_entry = []
-    for mi in cod.moduli:
-        for mj in dom.moduli:
+    for mi in cod_moduli:
+        for mj in dom_moduli:
             if mi > 0 and mj > 0:
                 step = mi // math.gcd(mi, mj)
                 per_entry.append(range(0, mi, step))
@@ -276,9 +254,9 @@ def _iso_candidates(dom_pres: PresentedGroup, cod_pres: PresentedGroup):
                 per_entry.append(range(-_FREE_ENTRY_BOUND, _FREE_ENTRY_BOUND + 1))
     if math.prod(map(len, per_entry)) > _NODE_CANDIDATE_CAP:
         return None
-    complete = all(m > 0 for m in dom.moduli)
-    k_cod, k_dom = len(cod.moduli), len(dom.moduli)
-    relations = IntMatrix.diagonal(cod.moduli, rows=k_cod, cols=k_cod)
+    complete = all(m > 0 for m in dom_moduli)
+    k_cod, k_dom = len(cod_moduli), len(dom_moduli)
+    relations = IntMatrix.diagonal(cod_moduli, rows=k_cod, cols=k_cod)
     out = []
     for flat in itertools.product(*per_entry):
         mat = IntMatrix._trusted(
@@ -302,14 +280,17 @@ def _row_element_check(row_a: SixTermRow, row_b: SixTermRow):
     entry bounds got in the way.  ``complete`` says that no node has a free
     coordinate, so the candidates listed cover every isomorphism.  The chain
     shape of the diagram lets a forward arc-consistency pass decide
-    existence exactly.
+    existence exactly.  Everything runs on the rows' skeletons in Smith
+    coordinates (``SixTermRow.reduced``).
     """
-    nodes_a, nodes_b = row_a.groups, row_b.groups
-    reduced_a = [_reduced(n) for n in nodes_a]
-    reduced_b = [_reduced(n) for n in nodes_b]
-    for ra in reduced_a:
-        torsion = math.prod(m for m in ra.moduli if m)
-        if torsion > _TORSION_ORDER_CAP or ra.moduli.count(0) > _FREE_RANK_CAP:
+    nodes_a, nodes_b = (
+        (row.reduced[0].domain,) + tuple(f.codomain for f in row.reduced)
+        for row in (row_a, row_b)
+    )
+    moduli_b = [_moduli(n) for n in nodes_b]
+    for moduli in map(_moduli, nodes_a):
+        torsion = math.prod(m for m in moduli if m)
+        if torsion > _TORSION_ORDER_CAP or moduli.count(0) > _FREE_RANK_CAP:
             return "skipped", False
     candidate_sets = []
     complete = True
@@ -324,12 +305,12 @@ def _row_element_check(row_a: SixTermRow, row_b: SixTermRow):
         complete = complete and full
     viable = candidate_sets[0]
     for k in range(5):
-        moduli = reduced_b[k + 1].moduli
-        if not (reduced_b[k].moduli and moduli):
+        moduli = moduli_b[k + 1]
+        if not (moduli_b[k] and moduli):
             # a square with a trivial corner commutes for every beta
             viable = candidate_sets[k + 1]
             continue
-        f_a, f_b = _reduced_map(row_a.maps[k]), _reduced_map(row_b.maps[k])
+        f_a, f_b = row_a.reduced[k].matrix, row_b.reduced[k].matrix
         viable = [
             beta
             for beta in candidate_sets[k + 1]
@@ -434,23 +415,37 @@ def _entry_classes(t: FilteredKTable):
     return out
 
 
-def _match_entries(t1: FilteredKTable, t2: FilteredKTable, iso, classes1: list, classes2: dict):
+def _prime_bijection(t1: FilteredKTable, t2: FilteredKTable, iso):
+    """Prime positions of the first table to those of the second under a
+    lattice isomorphism; None when it does not map primes onto primes."""
+    prime_pos2 = {p: idx for idx, p in enumerate(t2.topology.primes)}
+    if {iso[p] for p in t1.topology.primes} != set(t2.topology.primes):
+        return None
+    return {idx: prime_pos2[iso[p]] for idx, p in enumerate(t1.topology.primes)}
+
+
+def _entry_mismatches(bijection, classes1: list, classes2: dict) -> int:
+    """How many entries of the first table have no piece, or a piece of
+    another class, in the second under ``bijection``; builds no verdict."""
+    image, missing = bijection.__getitem__, (None, None)
+    return sum(
+        classes2.get(frozenset(map(image, e1.piece.difference)), missing)[1] != c1
+        for e1, c1, _ in classes1
+    )
+
+
+def _match_entries(t1: FilteredKTable, t2: FilteredKTable, bijection, classes1: list, classes2: dict):
     """Pair the pieces through the prime bijection; verdict per piece.
 
     ``classes1`` is :func:`_entry_classes` of the first table and
     ``classes2`` that of the second by piece difference, each computed once
     per table, whatever the number of candidates.
     """
-    prime_pos2 = {p: idx for idx, p in enumerate(t2.topology.primes)}
-    mapped = {iso[p] for p in t1.topology.primes}
-    if mapped != set(t2.topology.primes):
-        return None, "lattice isomorphism does not preserve the prime set"
-    prime_bij = {idx: prime_pos2[iso[p]] for idx, p in enumerate(t1.topology.primes)}
     verdicts = []
     paired = 0
     for e1, c1, names1 in classes1:
         difference = e1.piece.difference
-        e2, c2, names2 = classes2.get(frozenset(prime_bij[x] for x in difference), (None,) * 3)
+        e2, c2, names2 = classes2.get(frozenset(bijection[x] for x in difference), (None,) * 3)
         if e2 is None:
             verdicts.append(
                 PieceVerdict(
@@ -535,13 +530,14 @@ def compare_fkbar(
     element-level search for commuting isomorphism systems.  Both tables
     are built, each lattice checked against ``lattice_cap`` and ``row_cap``,
     with their entries and entry classes before any candidate is tried.  A
-    row is built, with every check of :func:`six_term_row`, only when a
-    candidate matches every entry; each row and its signature are computed
-    at most once, whatever the number of candidates.  The two tables share
-    one skeleton memo, so each distinct skeleton is decided and classed once.
+    row is built only when a candidate matches every entry; each row and
+    its signature are computed at most once, whatever the number of
+    candidates.  The two tables share one skeleton memo and one set of
+    Smith coordinates, so each distinct skeleton is decided and classed
+    once, and each K0 presentation reduced once.
     """
     t1 = FilteredKTable(g1, coeff, lattice_cap, row_cap)
-    t2 = FilteredKTable(g2, coeff, lattice_cap, row_cap, _skeletons=t1.store._skeletons)
+    t2 = FilteredKTable(g2, coeff, lattice_cap, row_cap, _share=t1.store)
 
     candidates = _iter_isomorphisms(t1.topology, t2.topology)
     if se_intertwiner is not None:
@@ -556,48 +552,55 @@ def compare_fkbar(
     classes1 = _entry_classes(t1)
     classes2 = {item[0].piece.difference: item for item in _entry_classes(t2)}
     # (mismatch count, verdict bundle) of the closest failure; with no
-    # candidate at all, the report says the lattices are not isomorphic
+    # candidate at all, the report says the lattices are not isomorphic.
+    # Mismatches are counted first, and the verdicts of a candidate are
+    # built only when it is the first or closer than every earlier one.
     best = (math.inf, (None, (), (), "ideal lattices admit no order isomorphism", "skipped"))
     for tried, iso in enumerate(candidates, 1):
-        piece_verdicts, piece_failure = _match_entries(t1, t2, iso, classes1, classes2)
-        if piece_verdicts is None:
-            bundle = (iso, (), (), piece_failure, "skipped")
+        bijection = _prime_bijection(t1, t2, iso)
+        rows = None
+        if bijection is None:
             score = math.inf
-        elif piece_failure:
-            bundle = (iso, tuple(piece_verdicts), (), piece_failure, "skipped")
-            score = sum(1 for v in piece_verdicts if not v.matched)
         else:
-            row_verdicts, row_failure, element_outcomes = _match_rows(
-                t1, t2, iso, run_elements=element_search
-            )
-            outcomes = [e for e, _ in element_outcomes]
-            if outcomes and all(e == "passed" for e in outcomes):
-                element = "passed"
-            elif "refuted" in outcomes:
-                element = "refuted"
-            elif outcomes:
-                element = "inconclusive"
-            else:
-                element = "skipped"
-            if not row_failure:
-                if element == "skipped":
-                    certification = "structural"
-                elif element == "passed" and all(c for _, c in element_outcomes):
-                    certification = "exhaustive"
+            score = _entry_mismatches(bijection, classes1, classes2)
+            if not score and len(t1.pieces) == len(t2.pieces):
+                rows = _match_rows(t1, t2, iso, run_elements=element_search)
+                row_verdicts, row_failure, element_outcomes = rows
+                outcomes = [e for e, _ in element_outcomes]
+                if outcomes and all(e == "passed" for e in outcomes):
+                    element = "passed"
+                elif "refuted" in outcomes:
+                    element = "refuted"
+                elif outcomes:
+                    element = "inconclusive"
                 else:
-                    certification = "bounded"
-                return ComparisonReport(
-                    consistent=True,
-                    obstruction="",
-                    lattice_iso=iso,
-                    group_matches=tuple(piece_verdicts),
-                    map_matches=tuple(row_verdicts),
-                    certification=certification,
-                    element_check=element,
-                )
-            bundle = (iso, tuple(piece_verdicts), tuple(row_verdicts), row_failure, element)
-            score = sum(1 for v in row_verdicts if not v.matched)
+                    element = "skipped"
+                if not row_failure:
+                    if element == "skipped":
+                        certification = "structural"
+                    elif element == "passed" and all(c for _, c in element_outcomes):
+                        certification = "exhaustive"
+                    else:
+                        certification = "bounded"
+                    return ComparisonReport(
+                        consistent=True,
+                        obstruction="",
+                        lattice_iso=iso,
+                        group_matches=tuple(_match_entries(t1, t2, bijection, classes1, classes2)[0]),
+                        map_matches=tuple(row_verdicts),
+                        certification=certification,
+                        element_check=element,
+                    )
+                score = sum(1 for v in row_verdicts if not v.matched)
         if tried == 1 or score < best[0]:
+            if bijection is None:
+                bundle = (iso, (), (), "lattice isomorphism does not preserve the prime set", "skipped")
+            else:
+                pieces, piece_failure = _match_entries(t1, t2, bijection, classes1, classes2)
+                if rows is None:
+                    bundle = (iso, tuple(pieces), (), piece_failure, "skipped")
+                else:
+                    bundle = (iso, tuple(pieces), tuple(row_verdicts), row_failure, element)
             best = (score, bundle)
         if tried > _CANDIDATE_CAP:
             raise LatticeCapError(

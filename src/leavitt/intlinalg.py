@@ -10,9 +10,12 @@ only the diagonal, the rank or the determinant: group invariants
 inclusion tests of :func:`subgroup_equal` and of :func:`check_exact`, the
 one exactness checker.  :func:`kernel_basis` tracks v alone and serves the
 kernels, and through :func:`preimage_lattice` the kernels
-:func:`check_exact` compares.  :func:`snf` tracks u and v and serves
-canonical class forms, solving and unimodular inverses.  Each caches its
-results, and their diagonals agree because the elimination is one.
+:func:`check_exact` compares.  The two share one cache, one entry per
+matrix: a kernel run also yields the diagonal, so a matrix whose kernel was
+read is never eliminated again for its invariant factors, and a later
+kernel request replaces a diagonal-only entry.  :func:`snf` tracks u and v
+and serves canonical class forms, solving and unimodular inverses, with a
+cache of its own.  The diagonals agree because the elimination is one.
 Everything runs on Python ints, so there is no overflow and no floating
 point anywhere.
 """
@@ -20,7 +23,7 @@ point anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
 from operator import mul
@@ -500,12 +503,14 @@ class InvariantFactors:
     ``diagonal`` and ``rank`` mean what they mean on :class:`SmithData`.
     ``sign`` is the product of the signs of the swaps and negations that
     produced the diagonal, so a square matrix has determinant
-    ``sign * prod(diagonal)``.
+    ``sign * prod(diagonal)``.  ``_kernel`` is the kernel basis when the
+    elimination tracked v (see :func:`kernel_basis`), else None.
     """
 
     shape: tuple[int, int]
     diagonal: tuple[int, ...]
     sign: int
+    _kernel: IntMatrix | None = field(default=None, compare=False, repr=False)
 
     @property
     def rank(self):
@@ -518,30 +523,52 @@ class InvariantFactors:
         return self.sign * math.prod(self.diagonal)
 
 
-@lru_cache(maxsize=65536)
+_ELIMINATIONS_CAP = 65536
+_eliminations: dict = {}  # matrix -> InvariantFactors, oldest first
+
+
+def _eliminated(m: IntMatrix, with_kernel: bool) -> InvariantFactors:
+    """The cached elimination of ``m``, tracking v when ``with_kernel``.
+
+    An entry without a kernel is replaced when a kernel is asked for, so a
+    matrix has one entry whatever was read from it; past the cap the oldest
+    entry goes.
+    """
+    hit = _eliminations.get(m)
+    if hit is not None and (hit._kernel is not None or not with_kernel):
+        return hit
+    _, diagonal, right, sign = _smith(m, False, with_kernel)
+    kernel = None
+    if with_kernel:
+        columns = right[len(diagonal) - diagonal.count(0):]
+        kernel = IntMatrix._trusted(tuple(zip(*columns)) if columns else ((),) * m.cols, len(columns))
+    if hit is None and len(_eliminations) >= _ELIMINATIONS_CAP:
+        del _eliminations[next(iter(_eliminations))]
+    _eliminations[m] = InvariantFactors(m.shape, diagonal, sign, kernel)
+    return _eliminations[m]
+
+
 def invariant_factors(m: IntMatrix) -> InvariantFactors:
     """Smith diagonal and determinant sign of ``m``, with no transforms.
 
     The elimination of :func:`snf` without its u and v, so ``diagonal``
-    equals ``snf(m).diagonal``.  Results are cached like those of
-    :func:`snf`.
+    equals ``snf(m).diagonal``.  Served from the cached kernel run of ``m``
+    when there is one.
     """
-    _, diagonal, _, sign = _smith(m, False, False)
-    return InvariantFactors(shape=m.shape, diagonal=diagonal, sign=sign)
+    hit = _eliminations.get(m)
+    return hit if hit is not None else _eliminated(m, False)
 
 
-@lru_cache(maxsize=65536)
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel lattice of ``m``, as matrix columns.
 
     The basis is primitive: it spans ker(m) as a direct summand basis, not
     just up to finite index, because the columns come from a unimodular
     transform.  They are the last columns of ``snf(m).v``, from an
-    elimination that tracks v alone; the cache keeps only these columns.
+    elimination that tracks v alone; the cache keeps only these columns and
+    the diagonal, which :func:`invariant_factors` then reads.
     """
-    _, diagonal, right, _ = _smith(m, False, True)
-    kernel = right[len(diagonal) - diagonal.count(0):]
-    return IntMatrix._trusted(tuple(zip(*kernel)) if kernel else ((),) * m.cols, len(kernel))
+    return _eliminated(m, True)._kernel
 
 
 def solve_lattice(m: IntMatrix, vec):
@@ -584,14 +611,13 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
 def preimage_lattice(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
     """Generators of {x : m @ x lies in the column span of lat}.
 
-    Computed as the projection of ker([m | -lat]) onto the first block, so
-    the columns generate (not necessarily freely) the preimage lattice.
+    Computed as the projection of ker([m | lat]) onto the first block, so
+    the columns generate (not necessarily freely) the preimage lattice: m x
+    + lat y = 0 says m x = lat (-y), so no negated copy of lat is needed.
     """
     if m.rows != lat.rows:
         raise ValueError("row count mismatch")
-    stacked = m.hstack(-lat)
-    kb = kernel_basis(stacked)
-    return kb.take_rows(range(m.cols))
+    return kernel_basis(m.hstack(lat)).take_rows(range(m.cols))
 
 
 def map_invariants(matrix: IntMatrix, dom_relations: IntMatrix, cod_relations: IntMatrix):
@@ -607,17 +633,25 @@ def map_invariants(matrix: IntMatrix, dom_relations: IntMatrix, cod_relations: I
     return kernel, image, coker
 
 
+def _extent(lattice: IntMatrix):
+    """Rank and index in its saturation of the span of the columns.
+
+    A lattice inside another of the same rank has the same saturation, so
+    the two are equal exactly when their extents are; no transform and no
+    per-column membership test is needed.  The index is the product of the
+    nonzero invariant factors.
+    """
+    nonzero = [x for x in invariant_factors(lattice).diagonal if x]
+    return len(nonzero), math.prod(nonzero)
+
+
 def _spans_into(gens: IntMatrix, lattice: IntMatrix) -> bool:
     """Is every column of ``gens`` in the column span of ``lattice``?
 
-    L lies in L + span(gens), and both lie in the saturation of the larger,
-    where a lattice of full rank has index the product of its nonzero
-    invariant factors.  So the two are equal exactly when rank and that
-    product agree; no transform and no per-column membership test is needed.
+    L lies in L + span(gens), so they are equal, and the answer is yes,
+    exactly when their extents agree (see ``_extent``).
     """
-    before = [x for x in invariant_factors(lattice).diagonal if x]
-    after = [x for x in invariant_factors(lattice.hstack(gens)).diagonal if x]
-    return len(before) == len(after) and math.prod(before) == math.prod(after)
+    return _extent(lattice) == _extent(lattice.hstack(gens))
 
 
 def subgroup_equal(gens_a: IntMatrix, gens_b: IntMatrix, modulo: IntMatrix | None = None) -> bool:
@@ -789,8 +823,11 @@ def check_exact(maps) -> tuple[NodeVerdict, ...]:
     """Exactness of a composable sequence at every interior node.
 
     For consecutive maps f, g the check is im(f) = ker(g) inside f.codomain.
-    Each inclusion is tested on its own modulo the relations, by comparing
-    invariant factors (see ``_spans_into``), and reported as its own verdict.
+    Each inclusion is tested on its own modulo the relations R and reported
+    as its own verdict: im(f) lies in ker(g) + R exactly when ker(g) + R
+    has the extent (see ``_extent``) of the union ker(g) + R + im(f), and
+    the other way round for im(f) + R.  So a node eliminates three lattices,
+    the union once for both inclusions.
     """
     maps = list(maps)
     verdicts = []
@@ -799,13 +836,13 @@ def check_exact(maps) -> tuple[NodeVerdict, ...]:
         if f.codomain != g.domain:
             raise ValueError(f"maps {idx} and {idx + 1} are not composable")
         rel = f.codomain.relations
-        image = f.matrix
-        kernel = preimage_lattice(g.matrix, g.codomain.relations)
+        kernel_rel = preimage_lattice(g.matrix, g.codomain.relations).hstack(rel)
+        union = _extent(kernel_rel.hstack(f.matrix))
         verdicts.append(
             NodeVerdict(
                 idx,
-                _spans_into(image, kernel.hstack(rel)),
-                _spans_into(kernel, image.hstack(rel)),
+                _extent(kernel_rel) == union,
+                _extent(f.matrix.hstack(rel)) == union,
             )
         )
     return tuple(verdicts)

@@ -6,12 +6,21 @@ its cokernel on vertex generators, the kernel gives the free part of K1,
 and coefficient groups of units twist the cokernel.  Connecting maps
 between the invariants of an ideal, the whole graph and the quotient are
 computed exactly and their six-term rows are verified, not assumed.
+
+A row's exactness is decided on its skeleton of six groups and five maps,
+once per distinct skeleton of a :class:`SubquotientStore`, after each K0
+presentation has been rewritten on its invariant factors other than 1
+(``_SmithCoordinates``, with certified transforms).  The rewriting is an
+isomorphism of each group and the maps are well defined, so verdicts about
+images, kernels and cokernels do not change; the store's record keeps the
+skeleton in both coordinates.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .graphs import (
     Graph,
@@ -31,7 +40,9 @@ from .intlinalg import (
     check_exact,
     coker_with_coefficients,
     invariant_factors,
+    inverse_unimodular,
     kernel_basis,
+    snf,
     solve_lattice,
 )
 from .monoid import GradedElement, graded_equal
@@ -85,20 +96,27 @@ class KOneBar:
     """K1 (or its reduced variant) split as twisted cokernel plus free kernel.
 
     ``coker_part`` is the cokernel of the transfer matrix with coefficients
-    in the unit group; ``kernel`` is a basis of the free summand inside the
-    non-sink coordinate space, and ``kernel_rank`` counts it.  The rank is
-    read off the Smith diagonal of the transfer matrix, and the basis is
-    computed only when a caller reads it.
+    in the unit group ``coeff``; ``kernel`` is a basis of the free summand
+    inside the non-sink coordinate space, and ``kernel_rank`` counts it.
+    Each is computed when first read and kept: the cokernel and the rank
+    from the Smith diagonal of the transfer matrix, the basis from an
+    elimination tracking v, which also yields that diagonal (see
+    :func:`~leavitt.intlinalg.kernel_basis`).  So a caller that reads the
+    kernel first runs one elimination in all.
     """
 
-    coker_part: CoeffCokernel
+    coeff: CoeffGroup
     _transfer: IntMatrix
 
-    @property
+    @cached_property
+    def coker_part(self) -> CoeffCokernel:
+        return coker_with_coefficients(self._transfer, self.coeff)
+
+    @cached_property
     def kernel(self) -> IntMatrix:
         return kernel_basis(self._transfer)
 
-    @property
+    @cached_property
     def kernel_rank(self) -> int:
         return self._transfer.cols - invariant_factors(self._transfer).rank
 
@@ -126,12 +144,11 @@ def k1(g: Graph, coeff: CoeffGroup) -> KOneBar:
 
     Reduced K1 is the same computation with the reduced unit group passed
     in (for a field with q elements, cyclic of order (q-1)/gcd(2,q-1)).
-    The twisted cokernel and the kernel rank come from one transform-free
-    elimination of the transfer matrix; the kernel basis needs an
-    elimination tracking v, run only when ``kernel`` is read.
+    Nothing is eliminated until a part is read: the twisted cokernel and the
+    kernel rank need a transform-free elimination of the transfer matrix,
+    the kernel basis one tracking v, whose diagonal then serves the rest.
     """
-    km = k_matrix(g)
-    return KOneBar(coker_with_coefficients(km, coeff), km)
+    return KOneBar(coeff, k_matrix(g))
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +182,9 @@ class VdbReport:
     where no witness holds gets the full class decision instead.  The rest
     is identification, not computation: ``ker_phi`` is the free group on
     that kernel basis and ``coker_phi`` is K0, read from the Smith diagonal
-    that K1's twisted cokernel already holds, as the exactness of the
-    sequence says they are, and
-    ``lift_witnesses`` name the level-0 lift of each vertex generator.
+    of the one elimination that gave that basis, as the exactness of the
+    sequence says they are, and ``lift_witnesses`` name the level-0 lift of
+    each vertex generator.
     """
 
     k1: KOneBar
@@ -252,15 +269,17 @@ def connecting_delta(g: Graph, members, parts=None) -> ConnectingMap:
 
     The matrix block records edges from non-sink quotient vertices into the
     ideal; composing with a kernel basis of the quotient transfer matrix
-    gives the map on the free kernel summand.  ``parts``, when given, is the
+    gives the map on the free kernel summand.  ``members`` must be
+    hereditary saturated, which is checked unless ``parts`` is given: the
     pair of :class:`SubquotientK` for the ideal and the quotient that a
-    six-term row has already built; their graphs, quotient kernel basis and
-    ideal K0 are used instead of being computed again.
+    six-term row has already built from a checked set.  Their graphs,
+    quotient kernel basis and ideal K0 are then used instead of being
+    computed again.
     """
     members = frozenset(members)
-    if not (is_hereditary(g, members) and is_saturated(g, members)):
-        raise ValueError("connecting map needs a hereditary saturated set")
     if parts is None:
+        if not (is_hereditary(g, members) and is_saturated(g, members)):
+            raise ValueError("connecting map needs a hereditary saturated set")
         sub = restriction(g, members)
         quo = quotient(g, members)
         kb = kernel_basis(k_matrix(quo))
@@ -279,6 +298,75 @@ def connecting_delta(g: Graph, members, parts=None) -> ConnectingMap:
     domain = PresentedGroup(IntMatrix.zeros(kb.cols, 0))
     gmap = GroupMap(domain=domain, codomain=codomain, matrix=x_block @ kb, name="delta")
     return ConnectingMap(quo=quo, kernel=kb, x_block=x_block, map=gmap)
+
+
+# ---------------------------------------------------------------------------
+# Smith coordinates
+# ---------------------------------------------------------------------------
+
+
+class _SmithCoordinates:
+    """A presented group rewritten on its invariant factors.
+
+    With u @ relations @ v = d in Smith form, x -> u @ x is an isomorphism
+    onto Z^n modulo the diagonal d, whose coordinates with d_i = 1 vanish.
+    ``project`` is the rows of u at the other coordinates and ``lift`` the
+    matching columns of u^-1, so project @ lift = I and lift @ project is
+    the identity modulo the relations.  ``group`` presents the same group
+    on the kept coordinates: one relation d_i e_i per factor d_i > 1 (they
+    come first), and a free coordinate per missing pivot (see
+    ``_moduli``).  Both transforms are certified
+    once, by re-multiplying u @ relations @ v to the diagonal and u @ u^-1
+    to the identity.  A group whose relations are all zero is in these
+    coordinates already; it keeps its presentation, and ``project`` and
+    ``lift`` are None.
+    """
+
+    __slots__ = ("group", "project", "lift")
+
+    def __init__(self, pres: PresentedGroup):
+        rel = pres.relations
+        n = rel.rows
+        if not any(map(any, rel.data)):
+            self.group, self.project, self.lift = pres, None, None
+            return
+        sd = snf(rel)
+        diag = sd.diagonal
+        u_inv = None
+        if sd.u @ rel @ sd.v == IntMatrix.diagonal(diag, rows=n, cols=rel.cols):
+            with suppress(ValueError):  # u is not unimodular
+                u_inv = inverse_unimodular(sd.u)
+        if u_inv is None or sd.u @ u_inv != IntMatrix.identity(n):
+            raise AssertionError("Smith transforms of a K0 presentation do not re-multiply")
+        keep = [i for i in range(n) if i >= len(diag) or diag[i] != 1]
+        torsion = [x for x in diag if x > 1]
+        self.group = PresentedGroup(IntMatrix.diagonal(torsion, rows=len(keep), cols=len(torsion)))
+        self.project = sd.u.take_rows(keep)
+        self.lift = u_inv.take_columns(keep)
+
+
+def _moduli(group: PresentedGroup) -> tuple:
+    """Per generator of a group in Smith coordinates, its modulus (0: free)."""
+    rel = group.relations
+    return tuple(r[i] if i < rel.cols else 0 for i, r in enumerate(rel.data))
+
+
+def _residues(m: IntMatrix, moduli) -> tuple:
+    """The rows of ``m``, each reduced modulo its modulus (zero: left as is)."""
+    return tuple(tuple(x % q for x in r) if q else r for r, q in zip(m.data, moduli))
+
+
+def _in_coordinates(f: GroupMap, dom: _SmithCoordinates, cod: _SmithCoordinates) -> GroupMap:
+    """``f`` between the Smith coordinates of its groups: project @ f @ lift,
+    each row reduced modulo its modulus.  Conjugate to ``f`` by the two
+    isomorphisms when ``f`` is well defined."""
+    m = f.matrix
+    if dom.lift is not None:
+        m = m @ dom.lift
+    if cod.project is not None:
+        m = cod.project @ m
+        m = IntMatrix._trusted(_residues(m, _moduli(cod.group)), m.cols)
+    return GroupMap(dom.group, cod.group, m, name=f.name)
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +389,35 @@ class SubquotientK:
         self.k1 = k1(graph, coeff)
 
 
+_ROW_MAP_NAMES = ("tau1", "tau2", "delta", "u12", "u23")
+
+
 class SubquotientStore:
     """Subquotients of one graph with one coefficient group, each built once.
 
     Keys are (inner, outer) pairs of frozensets; a filtered table keeps one
     store for all its entries and rows, a lone six-term row a store of its
     own.  The store also keeps, for as long as it lives, the row work that
-    depends only on matrices and so repeats across the rows of a table: one
-    record per distinct row skeleton, which rows with equal skeletons share,
-    and the kernel coordinates of tau1 and tau2.  A skeleton is matrices
-    only, so two stores with one coefficient group may share the records.
+    depends only on matrices and so repeats across the rows of a table:
+
+    - one record per distinct row skeleton, found by the identities of its
+      five matrices and six relation matrices, which rows with equal
+      skeletons share.  A record holds the first equal skeleton, the same
+      skeleton in Smith coordinates (see ``_SmithCoordinates``), the node
+      verdicts decided there and, once a table comparison asks for them,
+      its signature classes (None until then);
+    - the Smith coordinates of each K0 presentation, reduced and certified
+      once;
+    - the selection matrices of the inclusions and projections, by size and
+      positions, the free kernel groups by rank, and the kernel coordinates
+      of tau1 and tau2.
+
+    Exactness, kernels, images and cokernels are statements about
+    subgroups, so an isomorphism of each group carries them over; the
+    verdicts and classes decided in Smith coordinates are those of the
+    skeleton itself, whose maps are well defined (the squares each row
+    checks, and free domains).  A skeleton is matrices only, so two stores
+    with one coefficient group may share these memos (``_share``).
     """
 
     def __init__(self, g: Graph, coeff: CoeffGroup):
@@ -319,6 +426,15 @@ class SubquotientStore:
         self._pairs = {}
         self._coordinates = {}
         self._skeletons = {}
+        self._reductions = {}
+        self._interned = {}
+
+    def _share(self, other: SubquotientStore) -> None:
+        """Use the skeleton records, Smith coordinates and interned matrices
+        of ``other``, a store with the same coefficient group."""
+        self._skeletons = other._skeletons
+        self._reductions = other._reductions
+        self._interned = other._interned
 
     def get(self, inner: frozenset, outer: frozenset) -> SubquotientK:
         key = (inner, outer)
@@ -335,13 +451,54 @@ class SubquotientStore:
             coords = self._coordinates[key] = _kernel_coordinates(basis, vectors)
         return coords
 
+    # ``_interned`` holds kernel groups under their rank and selection
+    # matrices under (size, positions, columns)
+
+    def _kernel_group(self, rank: int) -> PresentedGroup:
+        """The free group of a kernel basis with ``rank`` columns."""
+        group = self._interned.get(rank)
+        if group is None:
+            group = self._interned[rank] = PresentedGroup(IntMatrix.zeros(rank, 0))
+        return group
+
+    def _selection(self, size: int, positions: tuple, columns: bool) -> IntMatrix:
+        """The columns (or rows) of the size-by-size identity at ``positions``."""
+        key = (size, positions, columns)
+        m = self._interned.get(key)
+        if m is None:
+            eye = IntMatrix.identity(size)
+            m = eye.take_columns(positions) if columns else eye.take_rows(positions)
+            self._interned[key] = m
+        return m
+
+    def _coordinates_of(self, group: PresentedGroup) -> _SmithCoordinates:
+        coords = self._reductions.get(group)
+        if coords is None:
+            coords = self._reductions[group] = _SmithCoordinates(group)
+        return coords
+
     def _skeleton(self, maps: tuple[GroupMap, ...]) -> list:
-        """The record of ``maps``: the first equal skeleton, its node verdicts
-        and, once a table comparison asks for them, its signature classes
-        (None until then)."""
-        record = self._skeletons.get(maps)
+        """The record of a skeleton: [maps, nodes, signature classes, maps
+        in Smith coordinates]."""
+        groups = (maps[0].domain,) + tuple(f.codomain for f in maps)
+        return self._record(groups, tuple(f.matrix for f in maps), maps)
+
+    def _record(self, groups, matrices, maps=None) -> list:
+        """The record of the skeleton with these six groups and five map
+        matrices; ``maps``, when given, is that skeleton, else it is built
+        (with the names of ``_ROW_MAP_NAMES``) only when no record exists."""
+        key = matrices + tuple(grp.relations for grp in groups)
+        record = self._skeletons.get(key)
         if record is None:
-            record = self._skeletons[maps] = [maps, _skeleton_nodes(maps, self.coeff), None]
+            if maps is None:
+                maps = tuple(
+                    GroupMap(groups[k], groups[k + 1], m, name=name)
+                    for k, (name, m) in enumerate(zip(_ROW_MAP_NAMES, matrices))
+                )
+            coords = [self._coordinates_of(grp) for grp in groups]
+            reduced = tuple(_in_coordinates(f, coords[k], coords[k + 1]) for k, f in enumerate(maps))
+            record = [maps, _skeleton_nodes(reduced, self.coeff), None, reduced]
+            self._skeletons[key] = record
         return record
 
 
@@ -378,7 +535,7 @@ def _skeleton_nodes(maps, coeff: CoeffGroup) -> tuple[NodeReport, ...]:
     finite cyclic coefficients Z/m, the two K1bar nodes are also decided on
     the twisted cokernels coker(K) ⊗ Z/m = coker([K | mI]) of the three K0
     presentations: exactness at the middle one under u12 and u23, and
-    onto-ness of u23.
+    onto-ness of u23.  A store passes the skeleton in Smith coordinates.
     """
     z_nodes = check_exact(maps)
     coeff2 = coeff3 = None
@@ -415,6 +572,8 @@ class SixTermRow:
     the four interior nodes.  ``maps`` is the Z-level skeleton of the row:
     tau1, tau2, delta, u12 and u23 between six groups, the free kernel parts
     in kernel-basis coordinates and then the K0 presentations ``k0s``.
+    ``reduced`` is the same skeleton in the Smith coordinates of its groups
+    (see ``SubquotientStore``), where the verdicts were decided.
     """
 
     triple: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
@@ -423,6 +582,7 @@ class SixTermRow:
     k0s: tuple[PresentedGroup, PresentedGroup, PresentedGroup]
     maps: tuple[GroupMap, ...]
     nodes: tuple[NodeReport, ...]
+    reduced: tuple[GroupMap, ...]
 
     @property
     def groups(self) -> tuple[PresentedGroup, ...]:
@@ -444,38 +604,49 @@ def six_term_row(
 ) -> SixTermRow:
     """Build and verify the six-term row of a nested hereditary triple.
 
-    A triple that is not nested, or a middle set that is not hereditary
-    saturated, raises ValueError before any subquotient is built.
-
-    Exactness at the four interior nodes is decided on the row skeleton by
-    :func:`_skeleton_nodes`: at the Z level, and for finite cyclic
-    coefficients also at the two K1bar nodes on the twisted cokernels.  The
-    three subquotients and their K-groups come from ``store`` (a fresh one
-    when None), which decides each distinct skeleton once.  Every row still
-    checks the vertices and edges of the middle ideal's restriction and
-    quotient against the store, and the two squares that make the induced
-    maps well defined.  Inclusions and projections act by selecting and
-    scattering rows and columns at the positions of the smaller graphs'
-    vertices in the middle subquotient.
+    A triple that is not nested, a middle set that is not hereditary
+    saturated, or a store of another graph or coefficient group raises
+    ValueError before any subquotient is built.  The row itself is built by
+    ``_build_row``, which a filtered table calls directly for the triples
+    of its own lattice.
     """
     inner = frozenset(inner)
-    middle_set = frozenset(middle)
+    middle = frozenset(middle)
     outer = frozenset(outer)
-    if not inner <= middle_set or not middle_set <= outer:
+    if not inner <= middle or not middle <= outer:
         raise ValueError("ideal triple must be nested")
-    if not (is_hereditary(g, middle_set) and is_saturated(g, middle_set)):
-        names = ",".join(v for v in g.vertices if v in middle_set)
+    if not (is_hereditary(g, middle) and is_saturated(g, middle)):
+        names = ",".join(v for v in g.vertices if v in middle)
         raise ValueError(f"middle set {{{names}}} is not hereditary saturated")
     if store is None:
         store = SubquotientStore(g, coeff)
     elif store.graph != g or store.coeff != coeff:
         raise ValueError("subquotient store belongs to another graph or coefficient group")
+    return _build_row(store, inner, middle, outer)
+
+
+def _build_row(store: SubquotientStore, inner: frozenset, middle: frozenset, outer: frozenset):
+    """The six-term row of a nested triple whose middle set is hereditary
+    saturated in the store's graph, which the caller vouches for.
+
+    Exactness at the four interior nodes is decided on the row skeleton by
+    :func:`_skeleton_nodes`: at the Z level, and for finite cyclic
+    coefficients also at the two K1bar nodes on the twisted cokernels.  The
+    three subquotients and their K-groups come from ``store``, which
+    decides each distinct skeleton once, in Smith coordinates.  Every row
+    still checks the vertices and edges of the middle ideal's restriction
+    and quotient against the store, and the two squares that make the
+    induced maps well defined.  Inclusions and projections act by selecting
+    and scattering rows and columns at the positions of the smaller graphs'
+    vertices in the middle subquotient.
+    """
+    g = store.graph
     pair2 = store.get(inner, outer)
     g2 = pair2.graph
     # hereditary saturated in g, so hereditary saturated in g2
-    hprime = frozenset(v for v in middle_set if v not in inner)
-    pair1 = store.get(inner, middle_set)
-    pair3 = store.get(middle_set, outer)
+    hprime = middle - inner
+    pair1 = store.get(inner, middle)
+    pair3 = store.get(middle, outer)
     g1, g3 = pair1.graph, pair3.graph
     # restriction(g2, hprime) and quotient(g2, hprime), without building them
     if (
@@ -494,8 +665,8 @@ def six_term_row(
     reg_pos = {v: i for i, v in enumerate(g2.regulars)}
     reg1 = [reg_pos[v] for v in g1.regulars]
     reg3 = [reg_pos[v] for v in g3.regulars]
-    vert1 = [g2.index(v) for v in g1.vertices]
-    vert3 = [g2.index(v) for v in g3.vertices]
+    vert1 = tuple(g2.index(v) for v in g1.vertices)
+    vert3 = tuple(g2.index(v) for v in g3.vertices)
     n2, r2 = len(g2.vertices), len(g2.regulars)
 
     # the squares that make every induced map well defined
@@ -504,26 +675,19 @@ def six_term_row(
     if km2.take_rows(vert3) != km3.scatter_columns(reg3, r2):
         raise AssertionError("quotient projection does not intertwine transfer matrices")
 
-    eye = IntMatrix.identity(n2)
-    kernels = tuple(PresentedGroup(IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3))
-    groups = kernels + (pair1.k0, pair2.k0, pair3.k0)
+    kernels = tuple(store._kernel_group(kb.cols) for kb in (kb1, kb2, kb3))
     matrices = (
-        ("tau1", store._kernel_coordinates(kb2, kb1.scatter_rows(reg1, r2))),
-        ("tau2", store._kernel_coordinates(kb3, kb2.take_rows(reg3))),
-        ("delta", delta.matrix),
-        ("u12", eye.take_columns(vert1)),
-        ("u23", eye.take_rows(vert3)),
+        store._kernel_coordinates(kb2, kb1.scatter_rows(reg1, r2)),
+        store._kernel_coordinates(kb3, kb2.take_rows(reg3)),
+        delta.matrix,
+        store._selection(n2, vert1, columns=True),
+        store._selection(n2, vert3, columns=False),
     )
-    maps, nodes, _ = store._skeleton(
-        tuple(
-            GroupMap(groups[k], groups[k + 1], m, name=name)
-            for k, (name, m) in enumerate(matrices)
-        )
-    )
+    maps, nodes, _, reduced = store._record(kernels + (pair1.k0, pair2.k0, pair3.k0), matrices)
     return SixTermRow(
         triple=(
             tuple(v for v in g.vertices if v in inner),
-            tuple(v for v in g.vertices if v in middle_set),
+            tuple(v for v in g.vertices if v in middle),
             tuple(v for v in g.vertices if v in outer),
         ),
         graphs=(g1, g2, g3),
@@ -531,4 +695,5 @@ def six_term_row(
         k0s=(pair1.k0, pair2.k0, pair3.k0),
         maps=maps,
         nodes=nodes,
+        reduced=reduced,
     )

@@ -47,6 +47,9 @@ independent cross-checks:
   the library's lattice walk replaced: every entry of R, then of S, over
   [0, max_entry] one at a time, pruned by interval sums of the linear
   constraints, with the same screen, search order, node cap and notes.
+* ``compare_verdicts_per_candidate`` — table comparison as it was before
+  it counted entry mismatches first, building every candidate's piece
+  verdicts, against the closest-failure report of ``compare_fkbar``.
 * ``psi``, ``snake_rho`` and ``order_ideal_membership`` (with
   ``graded_is_nonnegative``) — the stage embedding, the connecting map by a
   direct chase of the colimit diagram, and the order-ideal test, which only
@@ -71,6 +74,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
+import leavitt.filtered as filtered
+from leavitt.filtered import ComparisonReport, PieceVerdict
 from leavitt.graphs import Graph, is_hereditary, is_saturated, quotient, restriction
 from leavitt.intlinalg import (
     CoeffGroup,
@@ -1206,6 +1211,115 @@ def shift_equivalent_box_search(a, b, max_lag=6, max_entry=4, node_cap=200_000):
     if capped:
         note += f"; node budget {node_cap} exhausted, search incomplete"
     return SeResult(kind="unknown", note=note)
+
+
+# ---------------------------------------------------------------------------
+# table comparison with a verdict per entry of every candidate
+# ---------------------------------------------------------------------------
+
+
+def _old_match_entries(t1, t2, iso, classes1, classes2):
+    """The per-candidate entry matcher ``compare_fkbar`` replaced: builds a
+    ``PieceVerdict`` for every entry of every candidate."""
+    prime_pos2 = {p: idx for idx, p in enumerate(t2.topology.primes)}
+    mapped = {iso[p] for p in t1.topology.primes}
+    if mapped != set(t2.topology.primes):
+        return None, "lattice isomorphism does not preserve the prime set"
+    prime_bij = {idx: prime_pos2[iso[p]] for idx, p in enumerate(t1.topology.primes)}
+    verdicts = []
+    paired = 0
+    for e1, c1, names1 in classes1:
+        difference = e1.piece.difference
+        e2, c2, names2 = classes2.get(frozenset(prime_bij[x] for x in difference), (None,) * 3)
+        if e2 is None:
+            verdicts.append(
+                PieceVerdict(
+                    difference=tuple(sorted(difference)),
+                    matched=False,
+                    detail="no matching piece in the second table",
+                )
+            )
+            continue
+        paired += 1
+        problems = [
+            f"{facet} {n1} vs {n2}"
+            for facet, x1, x2, n1, n2 in zip(filtered._ENTRY_FACETS, c1, c2, names1, names2)
+            if x1 != x2
+        ]
+        verdicts.append(
+            PieceVerdict(
+                difference=tuple(sorted(difference)),
+                matched=not problems,
+                detail="; ".join(problems) if problems else "entry classes agree",
+            )
+        )
+    if paired != len(t1.pieces) or len(t1.pieces) != len(t2.pieces):
+        return verdicts, "piece bijection failed"
+    bad = next((v for v in verdicts if not v.matched), None)
+    return verdicts, bad.detail if bad else ""
+
+
+def compare_verdicts_per_candidate(g1: Graph, g2: Graph, coeff: CoeffGroup, element_search=True):
+    """``compare_fkbar`` as it was before it counted mismatches first: every
+    candidate gets its piece verdicts built, and the closest failure (fewest
+    unmatched verdicts, the first on ties) is reported.  No intertwiner and
+    default caps."""
+    t1 = filtered.FilteredKTable(g1, coeff)
+    t2 = filtered.FilteredKTable(g2, coeff, _share=t1.store)
+    classes1 = filtered._entry_classes(t1)
+    classes2 = {item[0].piece.difference: item for item in filtered._entry_classes(t2)}
+    best = (math.inf, (None, (), (), "ideal lattices admit no order isomorphism", "skipped"))
+    for tried, iso in enumerate(filtered._iter_isomorphisms(t1.topology, t2.topology), 1):
+        piece_verdicts, piece_failure = _old_match_entries(t1, t2, iso, classes1, classes2)
+        if piece_verdicts is None:
+            bundle = (iso, (), (), piece_failure, "skipped")
+            score = math.inf
+        elif piece_failure:
+            bundle = (iso, tuple(piece_verdicts), (), piece_failure, "skipped")
+            score = sum(1 for v in piece_verdicts if not v.matched)
+        else:
+            row_verdicts, row_failure, element_outcomes = filtered._match_rows(
+                t1, t2, iso, run_elements=element_search
+            )
+            outcomes = [e for e, _ in element_outcomes]
+            if outcomes and all(e == "passed" for e in outcomes):
+                element = "passed"
+            elif "refuted" in outcomes:
+                element = "refuted"
+            elif outcomes:
+                element = "inconclusive"
+            else:
+                element = "skipped"
+            if not row_failure:
+                if element == "skipped":
+                    certification = "structural"
+                elif element == "passed" and all(c for _, c in element_outcomes):
+                    certification = "exhaustive"
+                else:
+                    certification = "bounded"
+                return ComparisonReport(
+                    consistent=True,
+                    obstruction="",
+                    lattice_iso=iso,
+                    group_matches=tuple(piece_verdicts),
+                    map_matches=tuple(row_verdicts),
+                    certification=certification,
+                    element_check=element,
+                )
+            bundle = (iso, tuple(piece_verdicts), tuple(row_verdicts), row_failure, element)
+            score = sum(1 for v in row_verdicts if not v.matched)
+        if tried == 1 or score < best[0]:
+            best = (score, bundle)
+    iso, pieces, rows, failure, element = best[1]
+    return ComparisonReport(
+        consistent=False,
+        obstruction=failure,
+        lattice_iso=None,
+        group_matches=pieces,
+        map_matches=rows,
+        certification="structural",
+        element_check=element,
+    )
 
 
 # ---------------------------------------------------------------------------

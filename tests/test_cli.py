@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, JSON determinism."""
 
+import dataclasses
 import json
 import os
 import random
@@ -16,7 +17,7 @@ import helpers as H
 import leavitt
 from leavitt import cli, intlinalg, ktheory
 from leavitt.cli import main
-from leavitt.graphs import graph_from_matrix, graph_to_text
+from leavitt.graphs import graph_from_matrix, graph_to_text, parse_graph
 from leavitt.intlinalg import IntMatrix
 
 
@@ -130,6 +131,27 @@ class TestExitCodes:
         assert err == "internal error: kernel basis vector is not in the kernel\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("transform", ["u", "u_inverse"])
+    def test_corrupted_smith_coordinates_are_four(self, capsys, files, monkeypatch, transform):
+        # the fan's K0 presentation [-1, 1, 1]^T is reduced to Smith
+        # coordinates; one wrong entry in u or in its inverse must not pass
+        def bump(m):
+            rows = m.to_lists()
+            rows[0][0] += 1
+            return IntMatrix(rows, cols=m.cols)
+
+        if transform == "u":
+            snf = ktheory.snf
+            monkeypatch.setattr(
+                ktheory, "snf", lambda m: dataclasses.replace(snf(m), u=bump(snf(m).u))
+            )
+        else:
+            inverse = ktheory.inverse_unimodular
+            monkeypatch.setattr(ktheory, "inverse_unimodular", lambda m: bump(inverse(m)))
+        code, out, err = run(capsys, ["fk", files["fan"], "--field", "5"])
+        assert (code, out) == (4, "")
+        assert err == "internal error: Smith transforms of a K0 presentation do not re-multiply\n"
+
     def test_monoid_certificate_mismatch_is_four(self, capsys, files, monkeypatch):
         # v = 2v on the 2-petal rose with x = (-1,); a wrong x must not pass
         monkeypatch.setattr(leavitt.monoid, "solve_lattice", lambda m, vec: (5,))
@@ -205,6 +227,23 @@ class TestTrackedTransforms:
         code, out, _ = run(capsys, ["--json", "vdb", path, "--field", "5"])
         assert code == 0 and json.loads(out)["consistent"]
         assert (False, True) in calls and not any(u for u, _ in calls)
+
+    def test_vdb_eliminates_its_transfer_matrix_once(self, capsys, tmp_path, monkeypatch):
+        # the kernel run of K1 also serves K1's twisted cokernel, its kernel
+        # rank and coker(phi): one elimination of the transfer matrix in all
+        path = self.write(tmp_path, 103)
+        eliminated = []
+        smith = intlinalg._smith
+
+        def counting(m, u, v):
+            eliminated.append((m, u, v))
+            return smith(m, u, v)
+
+        monkeypatch.setattr(intlinalg, "_smith", counting)
+        code, out, _ = run(capsys, ["--json", "vdb", path, "--field", "5"])
+        assert code == 0 and json.loads(out)["consistent"]
+        km = ktheory.k_matrix(parse_graph(Path(path).read_text(encoding="utf-8")))
+        assert [(u, v) for m, u, v in eliminated if m == km] == [(False, True)]
 
 
 class TestHumanOutput:

@@ -367,13 +367,13 @@ class TestCompare:
 
 def count_rows(monkeypatch):
     built = []
-    original = filtered.six_term_row
+    original = filtered._build_row
 
     def counting(*args, **kwargs):
         built.append(args[1:4])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(filtered, "six_term_row", counting)
+    monkeypatch.setattr(filtered, "_build_row", counting)
     return built
 
 
@@ -409,10 +409,15 @@ class TestRowsOnDemand:
 
 
 def zeroed_map(row, k):
-    """``row`` with its k-th skeleton map replaced by the zero map."""
-    maps = list(row.maps)
-    maps[k] = dataclasses.replace(maps[k], matrix=IntMatrix.zeros(*maps[k].matrix.shape))
-    return dataclasses.replace(row, maps=tuple(maps))
+    """``row`` with its k-th skeleton map replaced by the zero map, in the
+    row's own coordinates and in Smith coordinates alike."""
+
+    def zeroed(maps):
+        maps = list(maps)
+        maps[k] = dataclasses.replace(maps[k], matrix=IntMatrix.zeros(*maps[k].matrix.shape))
+        return tuple(maps)
+
+    return dataclasses.replace(row, maps=zeroed(row.maps), reduced=zeroed(row.reduced))
 
 
 def element_outcome(matrix, trip, k):
@@ -482,3 +487,56 @@ class TestTransport:
         lat = enumerate_hsat(g)
         iso = transport_from_certificate(g, g, lat, lat, IntMatrix.identity(3))
         assert iso == tuple(range(len(lat.elements)))
+
+class TestClosestFailure:
+    """compare counts entry mismatches first and builds verdicts only for
+    the first candidate or a closer failure; its reports must equal those of
+    the builder that made every candidate's verdicts."""
+
+    def test_reports_equal_verdicts_per_candidate(self, corpus):
+        rng = random.Random(23)
+        pairs = []
+        for _ in range(80):
+            g = rng.choice(corpus)
+            v, w = rng.choice(g.vertices), rng.choice(g.vertices)
+            pairs.append((g, Graph(g.vertices, g.edges + (("extra", v, w),))))
+        pairs += [(rng.choice(corpus), rng.choice(corpus)) for _ in range(80)]
+        entry_failures = lattice_failures = 0
+        for a, b in pairs:
+            rep = compare_fkbar(a, b, COEFF)
+            assert rep == H.compare_verdicts_per_candidate(a, b, COEFF), (a, b)
+            entry_failures += not rep.consistent and bool(rep.group_matches)
+            lattice_failures += not rep.consistent and not rep.group_matches
+        assert entry_failures >= 60 and lattice_failures >= 30
+
+    def test_row_failures_keep_the_closest(self, monkeypatch):
+        # every candidate of a 3-loop self-compare fails some rows, a number
+        # that depends on the candidate, so a later one is the closest
+        match_rows = filtered._match_rows
+
+        def failing(t1, t2, iso, run_elements):
+            verdicts, _, outcomes = match_rows(t1, t2, iso, run_elements)
+            bad = 7 - sum(i * p for i, p in enumerate(iso)) % 7
+            verdicts = [
+                dataclasses.replace(v, matched=False, detail="forced") if k < bad else v
+                for k, v in enumerate(verdicts)
+            ]
+            return verdicts, f"forced {bad}", outcomes
+
+        monkeypatch.setattr(filtered, "_match_rows", failing)
+        g = disjoint_loops(3)
+        t = filtered.FilteredKTable(g, COEFF)
+        isos = list(filtered._iter_isomorphisms(t.topology, t.topology))
+        scores = [7 - sum(i * p for i, p in enumerate(iso)) % 7 for iso in isos]
+        assert len(isos) == 6 and scores.index(min(scores)) > 0
+        rep = compare_fkbar(g, g, COEFF)
+        assert rep.obstruction == f"forced {min(scores)}" and len(rep.map_matches) == 64
+        assert rep == H.compare_verdicts_per_candidate(g, g, COEFF)
+
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_loops_against_one_doubled(self, k):
+        g = disjoint_loops(k)
+        doubled = Graph(g.vertices, g.edges + (("extra", "x0", "x0"),))
+        rep = compare_fkbar(g, doubled, COEFF)
+        assert not rep.consistent and len(rep.group_matches) == 2**k
+        assert rep == H.compare_verdicts_per_candidate(g, doubled, COEFF)

@@ -1,12 +1,14 @@
 """K-theory of graph algebras: K0, reduced K1, diagrams, six-term rows."""
 
+import dataclasses
 import random
 
 import pytest
 
 import helpers as H
 from helpers import check_well_defined, psi, psi_diagram_check, snake_rho
-from leavitt import ktheory
+from leavitt import filtered, ktheory
+from leavitt.filtered import RowCapError, compare_fkbar, fkbar
 from leavitt.graphs import Graph, relabel
 from leavitt.intlinalg import (
     CoeffGroup,
@@ -15,6 +17,7 @@ from leavitt.intlinalg import (
     IntMatrix,
     PresentedGroup,
     check_exact,
+    map_invariants,
     snf,
 )
 from leavitt.ktheory import (
@@ -29,6 +32,9 @@ from leavitt.ktheory import (
 )
 from leavitt.lattice import enumerate_hsat
 from leavitt.monoid import GradedElement, graded_equal, parse_graded_element
+
+
+COEFF_F5 = CoeffGroup.reduced_units_of_field(5)
 
 
 def toeplitz_graph():
@@ -557,3 +563,114 @@ class TestCoefficientNodes:
         _, quotient = check_exact(twisted_chain(row.maps, 2, u23_scale=0))
         assert quotient.image_in_kernel and not quotient.kernel_in_image
         assert all(n.exact for n in check_exact(twisted_chain(row.maps, 2)))
+
+
+def seeded_tables(coeff, count=16, max_rows=150):
+    """Tables of seeded sparse graphs with 5 to 12 vertices, some with
+    sinks; a graph whose lattice has more than ``max_rows`` nested triples
+    is drawn again."""
+    rng = random.Random(2323)
+    tables = []
+    while len(tables) < count:
+        g = H.sparse_graph(rng, 5 + len(tables) % 8, sink_prob=0.3)
+        try:
+            tables.append(fkbar(g, coeff, row_cap=max_rows))
+        except RowCapError:
+            continue
+    return tables
+
+
+def original_classes(maps):
+    """Group and map classes of a skeleton, on its own presentations."""
+    groups = (maps[0].domain,) + tuple(f.codomain for f in maps)
+    return (
+        tuple(n.invariants() for n in groups),
+        tuple(map_invariants(f.matrix, f.domain.relations, f.codomain.relations) for f in maps),
+    )
+
+
+class TestSmithCoordinates:
+    """A table decides every skeleton on its groups' Smith coordinates; the
+    verdicts and classes must be those of the skeleton's own maps."""
+
+    @pytest.mark.parametrize(
+        "coeff",
+        [CoeffGroup.reduced_units_of_field(5), CoeffGroup.divisible(), CoeffGroup.symbolic()],
+        ids=["field5", "divisible", "symbolic"],
+    )
+    def test_verdicts_and_classes_equal_original_coordinates(self, corpus, coeff):
+        tables = [filtered.FilteredKTable(g, coeff) for g in corpus] + seeded_tables(coeff)
+        expected = {}  # skeleton -> verdicts and classes on its own maps
+
+        def original(maps):
+            if maps not in expected:
+                expected[maps] = fresh_verdicts(maps, coeff), original_classes(maps)
+            return expected[maps]
+
+        rows = reduced = broken = 0
+        for t in tables:
+            for row in t.rows:
+                groups, _, maps = filtered._row_signature(row, t.store)
+                assert (store_verdicts(row.nodes), (groups, maps)) == original(row.maps), row.triple
+                rows += 1
+                reduced += row.reduced != row.maps
+                if not any(map(any, row.maps[2].matrix.data)):
+                    continue
+                # a non-exact skeleton: its one-sided verdicts and its classes
+                mutant = with_doubled_delta(row)
+                got = store_verdicts(t.store._skeleton(mutant)[1])
+                groups, _, maps = filtered._row_signature(
+                    dataclasses.replace(row, maps=mutant), t.store
+                )
+                assert (got, (groups, maps)) == original(mutant), row.triple
+                broken += got != store_verdicts(row.nodes)
+        assert rows >= 1491 + 16 and reduced >= 1000 and broken >= 50
+
+    def test_each_presentation_reduced_once_per_table(self, corpus, monkeypatch):
+        reduced = []
+        coordinates = ktheory._SmithCoordinates
+
+        def counting(group):
+            reduced.append(group.relations)
+            return coordinates(group)
+
+        monkeypatch.setattr(ktheory, "_SmithCoordinates", counting)
+        total = 0
+        for g in corpus[:80]:
+            reduced.clear()
+            fkbar(g, COEFF_F5)
+            assert len(reduced) == len(set(reduced)), g
+            total += len(reduced)
+            # a relabelled copy shares the first table's memos, so the two
+            # tables of a compare reduce each presentation once between them
+            reduced.clear()
+            copy = relabel(g, {v: v + "c" for v in g.vertices})
+            assert compare_fkbar(g, copy, COEFF_F5).consistent
+            assert len(reduced) == len(set(reduced)), g
+        assert total >= 200
+
+    def test_skeleton_work_once_per_skeleton(self, monkeypatch):
+        # a chain of loops into a sink, and a two-petal rose feeding it
+        edges = [("x", "a", "a"), ("y", "a", "b"), ("z", "b", "b"), ("w", "b", "s")]
+        edges += [("v", "c", "c"), ("u", "c", "c"), ("t", "c", "a")]
+        g = Graph(["a", "b", "c", "s"], edges)
+        calls = {"nodes": [], "classes": []}
+        skeleton_nodes, invariants = ktheory._skeleton_nodes, filtered.map_invariants
+
+        def counting_nodes(maps, coeff):
+            calls["nodes"].append(maps)
+            return skeleton_nodes(maps, coeff)
+
+        def counting_classes(*args):
+            calls["classes"].append(args)
+            return invariants(*args)
+
+        monkeypatch.setattr(ktheory, "_skeleton_nodes", counting_nodes)
+        monkeypatch.setattr(filtered, "map_invariants", counting_classes)
+        skeletons = {row.maps for row in fkbar(g, COEFF_F5).rows}
+        calls["nodes"].clear()
+        assert compare_fkbar(g, g, COEFF_F5, element_search=False).consistent
+        # the nodes and classes of each skeleton, on its Smith coordinates
+        assert len(calls["nodes"]) == len(skeletons) >= 10
+        assert len(calls["classes"]) == 5 * len(skeletons)
+        assert any(reduced not in skeletons for reduced in calls["nodes"])

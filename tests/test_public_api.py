@@ -160,17 +160,17 @@ def test_every_public_method_is_used_in_src():
 # checked to load the name.
 SHARED_NAME_CALLS = {
     "FilteredKTable.rows": "filtered.FilteredKTable.all_rows_exact",
-    "Graph.index": "ktheory.six_term_row",
+    "Graph.index": "ktheory._build_row",
     "IntMatrix.diagonal": "filtered._iso_candidates",
     "IntMatrix.shape": "filtered.transport_from_certificate",
     "SmithData.rank": "shifts.shift_equivalent_bounded",
     "InvariantFactors.rank": "intlinalg.FgAbGroup.cokernel_of",
     "NodeVerdict.exact": "ktheory._skeleton_nodes",
     "CoeffCokernel.symbol": "ktheory.KOneBar.symbol",
-    "KOneBar.kernel": "ktheory.six_term_row",
+    "KOneBar.kernel": "ktheory._build_row",
     "KOneBar.symbol": "cli._cmd_k1",
     "VdbReport.consistent": "cli._cmd_vdb",
-    "SubquotientStore.get": "ktheory.six_term_row",
+    "SubquotientStore.get": "ktheory._build_row",
     "NodeReport.exact": "ktheory.SixTermRow.exact",
     "SixTermRow.exact": "filtered._match_rows",
     "MonoidElement.of": "monoid.parse_monoid_element",
