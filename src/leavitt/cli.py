@@ -15,6 +15,7 @@ import argparse
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from .filtered import RowCapError, compare_fkbar, fkbar
 from .graphs import Graph, GraphFormatError, parse_graph, parse_matrix
@@ -85,41 +86,90 @@ def _konebar_json(kb) -> dict:
     }
 
 
-def _row_json(row) -> dict:
+def _k0_json(kz) -> dict:
+    return _group_json(kz.invariants())
+
+
+def _nodes_json(nodes) -> list:
+    return [
+        {
+            "name": n.name,
+            "z_image_in_kernel": n.z_image_in_kernel,
+            "z_kernel_in_image": n.z_kernel_in_image,
+            "coeff_exact": n.coeff_exact,
+        }
+        for n in nodes
+    ]
+
+
+def _row_json(row, part) -> dict:
+    """The payload of a six-term row, its parts from ``part`` (see
+    :func:`_parts`): the vertex names of each set of the triple, each
+    K1bar and K0 group, and the node verdicts, which rows of one table
+    share."""
     return {
-        "triple": [list(part) for part in row.triple],
+        "triple": [part(list, names) for names in row.triple],
         "exact": row.exact,
-        "k1bar": [_konebar_json(kb) for kb in row.k1bars],
-        "k0": [_group_json(kz.invariants()) for kz in row.k0s],
-        "nodes": [
-            {
-                "name": n.name,
-                "z_image_in_kernel": n.z_image_in_kernel,
-                "z_kernel_in_image": n.z_kernel_in_image,
-                "coeff_exact": n.coeff_exact,
-            }
-            for n in row.nodes
-        ],
+        "k1bar": [part(_konebar_json, kb) for kb in row.k1bars],
+        "k0": [part(_k0_json, kz) for kz in row.k0s],
+        "nodes": part(_nodes_json, row.nodes),
     }
 
 
-def _json_text(payload) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte.
+class _Shared:
+    """A payload part that one report refers to more than once.
 
-    With ``indent`` set, CPython's ``json`` runs its pure-Python encoder.
-    This writer builds the same layout into one list of chunks and uses
-    ``json`` only to escape strings.  A list of plain ints (not bools), the
-    bulk of the matrix reports, is joined in one step.  Keys must be
-    strings, and values dicts, lists, tuples, strings, ints, bools or None;
-    anything else raises TypeError.
+    :func:`_put_json` writes it as its ``value``, encoding that once per
+    indent depth and keeping the text here, so the text lives exactly as
+    long as the payload that holds the part.
     """
+
+    __slots__ = ("value", "texts")
+
+    def __init__(self, value):
+        self.value = value
+        self.texts = {}
+
+
+def _parts():
+    """A function ``part(build, source)`` that returns ``build(source)``
+    wrapped in a :class:`_Shared`, built once per source object for as long
+    as the function lives.  Sources are told apart by identity, and each is
+    kept alive with its part, so no identity is reused meanwhile."""
+    memo = {}
+
+    def part(build, source):
+        key = (build, id(source))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (_Shared(build(source)), source)
+        return hit[0]
+
+    return part
+
+
+def _json_text(payload, nl="\n") -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte,
+    when ``nl`` is a newline alone; a longer ``nl`` indents the text as a
+    value at that depth (see :func:`_put_json`)."""
     chunks = []
-    _put_json(payload, "\n", chunks.append)
+    _put_json(payload, nl, chunks.append)
     return "".join(chunks)
 
 
 def _put_json(x, nl, put):
-    """Write ``x`` through ``put``; ``nl`` is a newline and the indent of x."""
+    """Write ``x`` through ``put`` as ``json.dumps(x, sort_keys=True,
+    indent=2)`` writes it; ``nl`` is a newline and the indent of x.
+
+    With ``indent`` set, CPython's ``json`` runs its pure-Python encoder.
+    This writer emits the same layout as a stream of chunks and uses
+    ``json`` only to escape strings.  A list of plain ints (not bools), the
+    bulk of the matrix reports, is joined in one step.  A generator is
+    written as the list of what it yields, consumed as it is written, and
+    a :class:`_Shared` part as its value, encoded once per depth.  Keys
+    must be strings, and values dicts, lists, tuples, strings, ints, bools
+    or None; anything else raises TypeError.
+    """
     t = type(x)
     if t is str:
         put(encode_basestring_ascii(x))
@@ -131,12 +181,14 @@ def _put_json(x, nl, put):
         put("true")
     elif x is False:
         put("false")
-    elif t is list or t is tuple:
-        if not x:
-            put("[]")
-            return
+    elif t is _Shared:
+        text = x.texts.get(nl)
+        if text is None:
+            text = x.texts[nl] = _json_text(x.value, nl)
+        put(text)
+    elif t is list or t is tuple or t is GeneratorType:
         inner = nl + "  "
-        if {*map(type, x)} == {int}:
+        if t is not GeneratorType and {*map(type, x)} == {int}:
             put("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
             return
         sep = "[" + inner
@@ -144,7 +196,7 @@ def _put_json(x, nl, put):
             put(sep)
             sep = "," + inner
             _put_json(v, inner, put)
-        put(nl + "]")
+        put("[]" if sep[0] == "[" else nl + "]")
     elif t is dict:
         if not x:
             put("{}")
@@ -287,6 +339,13 @@ def _cmd_fk(args):
         lattice_cap=args.lattice_cap,
         row_cap=args.row_cap,
     )
+    # the rows are written as they are encoded, in row_triples order, each
+    # referring to the parts it shares with other rows and with the pieces
+    part = _parts()
+    rows = (
+        dict(_row_json(table.row(trip), part), lattice_triple=list(trip))
+        for trip in table.row_triples
+    )
     payload = {
         "lattice": [list(table.lattice.members(i)) for i in range(len(table.lattice))],
         "primes": list(table.topology.primes),
@@ -295,20 +354,17 @@ def _cmd_fk(args):
                 "difference": sorted(e.piece.difference),
                 "outer": list(e.outer_members),
                 "inner": list(e.inner_members),
-                "k0": _group_json(e.kzero.invariants()),
-                "k1bar": _konebar_json(e.konebar),
+                "k0": part(_k0_json, e.kzero),
+                "k1bar": part(_konebar_json, e.konebar),
             }
             for e in table.entries
         ],
-        "rows": [
-            dict(_row_json(row), lattice_triple=list(trip))
-            for trip, row in zip(table.row_triples, table.rows)
-        ],
+        "rows": rows,
         "all_rows_exact": table.all_rows_exact,
     }
     lines = [
         f"filtered K-theory over a {len(table.lattice)}-element lattice, "
-        f"{len(table.pieces)} pieces, {len(table.rows)} rows "
+        f"{len(table.pieces)} pieces, {len(table.row_triples)} rows "
         f"({'all exact' if table.all_rows_exact else 'EXACTNESS FAILURE'})"
     ]
     for e in table.entries:
@@ -433,7 +489,7 @@ def _cmd_sixterm(args):
         tuple(g.vertices) if args.outer == "*" else _split_vertices(args.outer)
     )
     row = six_term_row(g, inner, middle, outer, coeff)
-    payload = _row_json(row)
+    payload = _row_json(row, _parts())
     lines = [
         "Kbar1: " + " -> ".join(kb.symbol() for kb in row.k1bars),
         "K0:   " + " -> ".join(str(kz.invariants()) for kz in row.k0s),
@@ -598,7 +654,8 @@ def main(argv=None) -> int:
         print(f"internal error: {exc or 'assertion failed'}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.json:
-        print(_json_text(payload))
+        _put_json(payload, "\n", sys.stdout.write)
+        sys.stdout.write("\n")
     else:
         for line in lines:
             print(line)

@@ -24,6 +24,7 @@ from functools import lru_cache
 from .graphs import Graph
 from .intlinalg import (
     CoeffGroup,
+    FgAbGroup,
     IntMatrix,
     PresentedGroup,
     map_invariants,
@@ -155,7 +156,7 @@ class FilteredKTable:
         """:func:`_row_signature` of the row of a nested triple, computed once."""
         sig = self._signatures.get(trip)
         if sig is None:
-            sig = self._signatures[trip] = _row_signature(self.row(trip), self.store)
+            sig = self._signatures[trip] = _row_signature(self.row(trip))
         return sig
 
     @property
@@ -176,8 +177,9 @@ def fkbar(
 ) -> FilteredKTable:
     """Compute the filtered table: an entry per piece, a row per ideal triple.
 
-    Each row is verified at construction; ``all_rows_exact`` summarizes the
-    verdicts rather than hiding them.  Every subquotient an entry or a row
+    Each row's checks run at construction and its node verdicts are
+    decided when first read; ``all_rows_exact`` reads and summarizes them
+    rather than hiding them.  Every subquotient an entry or a row
     needs is built once, with its K-groups, and shared, and so is the
     exactness verdict of each distinct row skeleton.  Raises RowCapError
     before any entry is built when the lattice has more than ``row_cap``
@@ -194,28 +196,29 @@ def fkbar(
 # ---------------------------------------------------------------------------
 
 
-def _row_signature(row: SixTermRow, store: SubquotientStore):
+def _row_signature(row: SixTermRow):
     """Invariant tuple of a six-term row: group classes and map classes.
 
     Map classes are the kernel/image/cokernel triples of the five maps of
     the row skeleton, so equal signatures mean no Z-level rank or invariant
     factor tells the rows apart.  Skeletons recur across rows, so the group
     and map classes of each are computed once, on the skeleton in Smith
-    coordinates, and kept in its record in ``store``.
+    coordinates, and kept in the store's record that the row was built
+    from; the K1bar classes are kept by each group.
     """
-    record = store._skeleton(row.maps)
-    if record[2] is None:
-        reduced = record[3]
-        record[2] = (
-            tuple(n.invariants() for n in (reduced[0].domain,) + tuple(f.codomain for f in reduced)),
+    record = row._record
+    if record.classes is None:
+        reduced = record.reduced
+        groups = (reduced[0].domain,) + tuple(f.codomain for f in reduced)
+        record.classes = (
+            tuple(FgAbGroup.from_parts(0, _moduli(n)) for n in groups),
             tuple(
                 map_invariants(f.matrix, f.domain.relations, f.codomain.relations)
                 for f in reduced
             ),
         )
-    groups, maps = record[2]
-    k1bars = tuple((kb.kernel_rank, kb.coker_part.class_key()) for kb in row.k1bars)
-    return (groups, k1bars, maps)
+    groups, maps = record.classes
+    return (groups, tuple(kb.class_key for kb in row.k1bars), maps)
 
 
 # ---------------------------------------------------------------------------
@@ -401,18 +404,29 @@ _ENTRY_FACETS = ("K0", "K1bar free rank", "K1bar twisted part")
 
 
 def _entry_classes(t: FilteredKTable):
-    """(entry, class, names) per entry of a table, in entry order.
+    """[entry, transfer matrix, class] per entry of a table, in entry order.
 
     The class holds, per facet of ``_ENTRY_FACETS``, the K0 invariants, the
-    K1bar kernel rank and the twisted class key; ``names`` holds how a
-    mismatch message writes each.
+    K1bar kernel rank and the twisted class key.  All three are read off the
+    Smith diagonal of the transfer matrix, so it is None until
+    :func:`_entry_class` first needs it, and two entries with equal transfer
+    matrices are of one class without it (:func:`_same_class`).
     """
-    out = []
-    for e in t.entries:
-        k0, kb = e.kzero.invariants(), e.konebar
-        cls = (k0, kb.kernel_rank, kb.coker_part.class_key())
-        out.append((e, cls, (str(k0), str(kb.kernel_rank), kb.coker_part.symbol())))
-    return out
+    return [[e, e.kzero.relations, None] for e in t.entries]
+
+
+def _entry_class(item) -> tuple:
+    """The class of an item of :func:`_entry_classes`, computed once."""
+    if item[2] is None:
+        e = item[0]
+        item[2] = (e.kzero.invariants(), *e.konebar.class_key)
+    return item[2]
+
+
+def _same_class(item1, item2) -> bool:
+    """Are two entry items of one class?  Read off their transfer matrices
+    when those are equal, with no elimination."""
+    return item1[1] == item2[1] or _entry_class(item1) == _entry_class(item2)
 
 
 def _prime_bijection(t1: FilteredKTable, t2: FilteredKTable, iso):
@@ -427,26 +441,28 @@ def _prime_bijection(t1: FilteredKTable, t2: FilteredKTable, iso):
 def _entry_mismatches(bijection, classes1: list, classes2: dict) -> int:
     """How many entries of the first table have no piece, or a piece of
     another class, in the second under ``bijection``; builds no verdict."""
-    image, missing = bijection.__getitem__, (None, None)
-    return sum(
-        classes2.get(frozenset(map(image, e1.piece.difference)), missing)[1] != c1
-        for e1, c1, _ in classes1
-    )
+    image = bijection.__getitem__
+    mismatches = 0
+    for item1 in classes1:
+        item2 = classes2.get(frozenset(map(image, item1[0].piece.difference)))
+        mismatches += item2 is None or not _same_class(item1, item2)
+    return mismatches
 
 
 def _match_entries(t1: FilteredKTable, t2: FilteredKTable, bijection, classes1: list, classes2: dict):
     """Pair the pieces through the prime bijection; verdict per piece.
 
     ``classes1`` is :func:`_entry_classes` of the first table and
-    ``classes2`` that of the second by piece difference, each computed once
-    per table, whatever the number of candidates.
+    ``classes2`` that of the second by piece difference, each made once
+    per table, whatever the number of candidates.  Every paired entry's
+    class is read.
     """
     verdicts = []
     paired = 0
-    for e1, c1, names1 in classes1:
-        difference = e1.piece.difference
-        e2, c2, names2 = classes2.get(frozenset(bijection[x] for x in difference), (None,) * 3)
-        if e2 is None:
+    for item1 in classes1:
+        difference = item1[0].piece.difference
+        item2 = classes2.get(frozenset(bijection[x] for x in difference))
+        if item2 is None:
             verdicts.append(
                 PieceVerdict(
                     difference=tuple(sorted(difference)),
@@ -456,11 +472,15 @@ def _match_entries(t1: FilteredKTable, t2: FilteredKTable, bijection, classes1: 
             )
             continue
         paired += 1
-        problems = [
-            f"{facet} {n1} vs {n2}"
-            for facet, x1, x2, n1, n2 in zip(_ENTRY_FACETS, c1, c2, names1, names2)
-            if x1 != x2
-        ]
+        c1, c2 = _entry_class(item1), _entry_class(item2)
+        problems = []
+        if c1 != c2:
+            names = zip(_entry_names(item1), _entry_names(item2))
+            problems = [
+                f"{facet} {n1} vs {n2}"
+                for facet, x1, x2, (n1, n2) in zip(_ENTRY_FACETS, c1, c2, names)
+                if x1 != x2
+            ]
         verdicts.append(
             PieceVerdict(
                 difference=tuple(sorted(difference)),
@@ -474,23 +494,40 @@ def _match_entries(t1: FilteredKTable, t2: FilteredKTable, bijection, classes1: 
     return verdicts, bad.detail if bad else ""
 
 
+def _entry_names(item) -> tuple[str, str, str]:
+    """How a mismatch message writes each facet of an entry's class."""
+    k0, kernel_rank, _ = item[2]
+    return str(k0), str(kernel_rank), item[0].konebar.coker_part.symbol()
+
+
 def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool):
+    """Row verdicts under a lattice isomorphism, the first failure, and the
+    element search outcomes.
+
+    Every row pair's signatures are compared before any row's exactness
+    is read or any element search runs: the signature classes take the
+    kernels of matrices whose diagonals those read (see
+    ``ktheory._Skeleton``), so each such matrix is eliminated once.
+    """
+    # an order isomorphism maps a nested triple to a nested triple
+    pairs = [(trip, (iso[trip[0]], iso[trip[1]], iso[trip[2]])) for trip in t1.row_triples]
+    same = [
+        None if t2.row(other) is None else t1.signature(trip) == t2.signature(other)
+        for trip, other in pairs
+    ]
     verdicts = []
     element_outcomes = []
     failure = ""
-    for trip in t1.row_triples:
-        row = t1.row(trip)
-        # an order isomorphism maps a nested triple to a nested triple
-        other_trip = (iso[trip[0]], iso[trip[1]], iso[trip[2]])
-        other = t2.row(other_trip)
-        if other is None:
+    for (trip, other_trip), matched in zip(pairs, same):
+        if matched is None:
             verdicts.append(
                 RowVerdict(triple=trip, matched=False, detail="row missing in second table")
             )
             failure = failure or f"row {other_trip} missing in the second table"
             continue
+        row, other = t1.row(trip), t2.row(other_trip)
         problems = []
-        if t1.signature(trip) != t2.signature(other_trip):
+        if not matched:
             problems.append("map invariants differ")
         if not row.exact:
             problems.append("first table row failed exactness")
@@ -511,6 +548,16 @@ def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool)
     return verdicts, failure, element_outcomes
 
 
+def _element_check(element_outcomes) -> str:
+    """The report's element check from the outcomes of the rows searched."""
+    outcomes = [e for e, _ in element_outcomes]
+    if outcomes and all(e == "passed" for e in outcomes):
+        return "passed"
+    if "refuted" in outcomes:
+        return "refuted"
+    return "inconclusive" if outcomes else "skipped"
+
+
 def compare_fkbar(
     g1: Graph,
     g2: Graph,
@@ -529,12 +576,16 @@ def compare_fkbar(
     per-row map invariants plus exactness, then (for small groups) an
     element-level search for commuting isomorphism systems.  Both tables
     are built, each lattice checked against ``lattice_cap`` and ``row_cap``,
-    with their entries and entry classes before any candidate is tried.  A
-    row is built only when a candidate matches every entry; each row and
-    its signature are computed at most once, whatever the number of
-    candidates.  The two tables share one skeleton memo and one set of
-    Smith coordinates, so each distinct skeleton is decided and classed
-    once, and each K0 presentation reduced once.
+    with their entries before any candidate is tried.  An entry's class is
+    computed once, when a candidate pairs it with an entry of another
+    transfer matrix or the report's verdicts need it; a row is built only
+    when a candidate matches every entry.  Each row and its signature are
+    computed at most once, whatever the number of candidates.  The two
+    tables share one skeleton memo and one set of Smith coordinates, so
+    each distinct skeleton is decided and classed once, and each K0
+    presentation reduced once.  So a comparison that fails at its entries
+    runs no elimination that tracks a transform, and one whose candidate
+    pairs equal transfer matrices eliminates no matrix twice.
     """
     t1 = FilteredKTable(g1, coeff, lattice_cap, row_cap)
     t2 = FilteredKTable(g2, coeff, lattice_cap, row_cap, _share=t1.store)
@@ -551,11 +602,10 @@ def compare_fkbar(
 
     classes1 = _entry_classes(t1)
     classes2 = {item[0].piece.difference: item for item in _entry_classes(t2)}
-    # (mismatch count, verdict bundle) of the closest failure; with no
-    # candidate at all, the report says the lattices are not isomorphic.
-    # Mismatches are counted first, and the verdicts of a candidate are
-    # built only when it is the first or closer than every earlier one.
-    best = (math.inf, (None, (), (), "ideal lattices admit no order isomorphism", "skipped"))
+    # (mismatch count, candidate, prime bijection, row results) of the
+    # closest failure, the first candidate winning ties; its verdicts are
+    # built once the search has failed
+    best = None
     for tried, iso in enumerate(candidates, 1):
         bijection = _prime_bijection(t1, t2, iso)
         rows = None
@@ -566,16 +616,8 @@ def compare_fkbar(
             if not score and len(t1.pieces) == len(t2.pieces):
                 rows = _match_rows(t1, t2, iso, run_elements=element_search)
                 row_verdicts, row_failure, element_outcomes = rows
-                outcomes = [e for e, _ in element_outcomes]
-                if outcomes and all(e == "passed" for e in outcomes):
-                    element = "passed"
-                elif "refuted" in outcomes:
-                    element = "refuted"
-                elif outcomes:
-                    element = "inconclusive"
-                else:
-                    element = "skipped"
                 if not row_failure:
+                    element = _element_check(element_outcomes)
                     if element == "skipped":
                         certification = "structural"
                     elif element == "passed" and all(c for _, c in element_outcomes):
@@ -592,28 +634,30 @@ def compare_fkbar(
                         element_check=element,
                     )
                 score = sum(1 for v in row_verdicts if not v.matched)
-        if tried == 1 or score < best[0]:
-            if bijection is None:
-                bundle = (iso, (), (), "lattice isomorphism does not preserve the prime set", "skipped")
-            else:
-                pieces, piece_failure = _match_entries(t1, t2, bijection, classes1, classes2)
-                if rows is None:
-                    bundle = (iso, tuple(pieces), (), piece_failure, "skipped")
-                else:
-                    bundle = (iso, tuple(pieces), tuple(row_verdicts), row_failure, element)
-            best = (score, bundle)
+        if best is None or score < best[0]:
+            best = (score, iso, bijection, rows)
         if tried > _CANDIDATE_CAP:
             raise LatticeCapError(
                 f"more than {_CANDIDATE_CAP} lattice isomorphisms tried without a match"
             )
 
-    iso, pieces, rows, failure, element = best[1]
+    pieces, rows, element = (), (), "skipped"
+    if best is None:
+        failure = "ideal lattices admit no order isomorphism"
+    elif best[2] is None:
+        failure = "lattice isomorphism does not preserve the prime set"
+    else:
+        _, iso, bijection, found = best
+        pieces, failure = _match_entries(t1, t2, bijection, classes1, classes2)
+        if found is not None:
+            rows, failure, element_outcomes = found
+            element = _element_check(element_outcomes)
     return ComparisonReport(
         consistent=False,
         obstruction=failure,
         lattice_iso=None,
-        group_matches=pieces,
-        map_matches=rows,
+        group_matches=tuple(pieces),
+        map_matches=tuple(rows),
         certification="structural",
         element_check=element,
     )

@@ -104,7 +104,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls._trusted(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
+        return cls._trusted(tuple(map(tuple, _identity_rows(n))), n)
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -358,6 +358,14 @@ def _subtract(rows, i, q, pivot, pivot_nz):
             r[k] -= q * y
 
 
+def _identity_rows(n: int) -> list[list[int]]:
+    """The rows of the n-by-n identity, as fresh lists."""
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
 def _smith(m: IntMatrix, u: bool, v: bool):
     """The one Smith elimination: ``(u, diagonal, v, sign)``.
 
@@ -375,8 +383,8 @@ def _smith(m: IntMatrix, u: bool, v: bool):
     """
     rows, cols = m.rows, m.cols
     d = [list(r) for r in m.data]
-    left = [[int(i == j) for j in range(rows)] for i in range(rows)] if u else None
-    right = [[int(i == j) for j in range(cols)] for i in range(cols)] if v else None
+    left = _identity_rows(rows) if u else None
+    right = _identity_rows(cols) if v else None
     diagonal = []
     sign = 1
     t = 0
@@ -625,12 +633,21 @@ def map_invariants(matrix: IntMatrix, dom_relations: IntMatrix, cod_relations: I
 
     ``matrix`` acts from Z^dom/span(dom_relations) to Z^cod/span(cod_relations)
     and must be well defined there.  Returns three FgAbGroup values.
+
+    Every matrix read here is eliminated tracking v, diagonals included:
+    the lattices of one map recur as the matrices whose kernels another
+    map reads, so one run each serves both.
     """
-    coker = PresentedGroup(matrix.hstack(cod_relations)).invariants()
     ker_lat = preimage_lattice(matrix, cod_relations)
-    image = PresentedGroup(ker_lat).invariants()
-    kernel = PresentedGroup(preimage_lattice(ker_lat, dom_relations)).invariants()
+    kernel = _kernel_run_class(preimage_lattice(ker_lat, dom_relations))
+    image = _kernel_run_class(ker_lat)
+    coker = _kernel_run_class(matrix.hstack(cod_relations))
     return kernel, image, coker
+
+
+def _kernel_run_class(m: IntMatrix) -> FgAbGroup:
+    """Z^rows modulo the column span of ``m``, from its kernel run."""
+    return FgAbGroup.cokernel_of(m.rows, _eliminated(m, True))
 
 
 def _extent(lattice: IntMatrix):

@@ -19,7 +19,7 @@ skeleton in both coordinates.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .graphs import (
@@ -119,6 +119,12 @@ class KOneBar:
     @cached_property
     def kernel_rank(self) -> int:
         return self._transfer.cols - invariant_factors(self._transfer).rank
+
+    @cached_property
+    def class_key(self) -> tuple:
+        """Hashable class of the group: the kernel rank and the class key
+        of the twisted cokernel."""
+        return self.kernel_rank, self.coker_part.class_key()
 
     def isomorphism_class(self) -> FgAbGroup | None:
         spec = self.coker_part.specialize()
@@ -400,17 +406,15 @@ class SubquotientStore:
     own.  The store also keeps, for as long as it lives, the row work that
     depends only on matrices and so repeats across the rows of a table:
 
-    - one record per distinct row skeleton, found by the identities of its
-      five matrices and six relation matrices, which rows with equal
-      skeletons share.  A record holds the first equal skeleton, the same
-      skeleton in Smith coordinates (see ``_SmithCoordinates``), the node
-      verdicts decided there and, once a table comparison asks for them,
-      its signature classes (None until then);
+    - one record (a ``_Skeleton``) per distinct row skeleton, found by the
+      identities of its five matrices and six relation matrices, which
+      rows with equal skeletons share;
     - the Smith coordinates of each K0 presentation, reduced and certified
       once;
     - the selection matrices of the inclusions and projections, by size and
       positions, the free kernel groups by rank, and the kernel coordinates
-      of tau1 and tau2.
+      of tau1 and tau2;
+    - the vertex names of each set of a triple, one tuple that rows share.
 
     Exactness, kernels, images and cokernels are statements about
     subgroups, so an isomorphism of each group carries them over; the
@@ -424,6 +428,7 @@ class SubquotientStore:
         self.graph = g
         self.coeff = coeff
         self._pairs = {}
+        self._names = {}
         self._coordinates = {}
         self._skeletons = {}
         self._reductions = {}
@@ -443,6 +448,13 @@ class SubquotientStore:
             pair = SubquotientK(subquotient(self.graph, inner, outer), self.coeff)
             self._pairs[key] = pair
         return pair
+
+    def _names_of(self, members: frozenset) -> tuple[str, ...]:
+        """The vertices of ``members`` in graph order, one tuple per set."""
+        names = self._names.get(members)
+        if names is None:
+            names = self._names[members] = tuple(v for v in self.graph.vertices if v in members)
+        return names
 
     def _kernel_coordinates(self, basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
         key = (basis, vectors)
@@ -477,29 +489,47 @@ class SubquotientStore:
             coords = self._reductions[group] = _SmithCoordinates(group)
         return coords
 
-    def _skeleton(self, maps: tuple[GroupMap, ...]) -> list:
-        """The record of a skeleton: [maps, nodes, signature classes, maps
-        in Smith coordinates]."""
-        groups = (maps[0].domain,) + tuple(f.codomain for f in maps)
-        return self._record(groups, tuple(f.matrix for f in maps), maps)
-
-    def _record(self, groups, matrices, maps=None) -> list:
+    def _record(self, groups, matrices) -> _Skeleton:
         """The record of the skeleton with these six groups and five map
-        matrices; ``maps``, when given, is that skeleton, else it is built
-        (with the names of ``_ROW_MAP_NAMES``) only when no record exists."""
+        matrices, whose maps (with the names of ``_ROW_MAP_NAMES``) are
+        built only when no record exists."""
         key = matrices + tuple(grp.relations for grp in groups)
         record = self._skeletons.get(key)
         if record is None:
-            if maps is None:
-                maps = tuple(
-                    GroupMap(groups[k], groups[k + 1], m, name=name)
-                    for k, (name, m) in enumerate(zip(_ROW_MAP_NAMES, matrices))
-                )
+            maps = tuple(
+                GroupMap(groups[k], groups[k + 1], m, name=name)
+                for k, (name, m) in enumerate(zip(_ROW_MAP_NAMES, matrices))
+            )
             coords = [self._coordinates_of(grp) for grp in groups]
             reduced = tuple(_in_coordinates(f, coords[k], coords[k + 1]) for k, f in enumerate(maps))
-            record = [maps, _skeleton_nodes(reduced, self.coeff), None, reduced]
-            self._skeletons[key] = record
+            record = self._skeletons[key] = _Skeleton(maps, reduced, self.coeff)
         return record
+
+
+class _Skeleton:
+    """A store's record of one row skeleton, shared by the rows with equal
+    skeletons: the first such skeleton (``maps``), the same skeleton in
+    Smith coordinates (``reduced``, see ``_SmithCoordinates``), and what is
+    decided there when first asked: the node verdicts (``nodes``) and the
+    signature classes of a table comparison (``classes``, None until
+    :func:`~leavitt.filtered._row_signature` sets them).
+
+    A comparison reads the classes before the nodes.  The classes read the
+    kernels of the matrices whose Smith diagonals the node checks read, so
+    in that order each of those matrices is eliminated once.
+    """
+
+    __slots__ = ("maps", "reduced", "classes", "_coeff", "_nodes")
+
+    def __init__(self, maps, reduced, coeff: CoeffGroup):
+        self.maps, self.reduced, self._coeff = maps, reduced, coeff
+        self.classes = self._nodes = None
+
+    @property
+    def nodes(self) -> tuple[NodeReport, ...]:
+        if self._nodes is None:
+            self._nodes = _skeleton_nodes(self.reduced, self._coeff)
+        return self._nodes
 
 
 def _kernel_coordinates(target_basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
@@ -573,7 +603,9 @@ class SixTermRow:
     tau1, tau2, delta, u12 and u23 between six groups, the free kernel parts
     in kernel-basis coordinates and then the K0 presentations ``k0s``.
     ``reduced`` is the same skeleton in the Smith coordinates of its groups
-    (see ``SubquotientStore``), where the verdicts were decided.
+    (see ``SubquotientStore``), where the verdicts are decided when first
+    read, and ``_record`` the store's record of the skeleton, which holds
+    both and the verdicts.
     """
 
     triple: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
@@ -581,8 +613,12 @@ class SixTermRow:
     k1bars: tuple[KOneBar, KOneBar, KOneBar]
     k0s: tuple[PresentedGroup, PresentedGroup, PresentedGroup]
     maps: tuple[GroupMap, ...]
-    nodes: tuple[NodeReport, ...]
     reduced: tuple[GroupMap, ...]
+    _record: _Skeleton = field(compare=False, repr=False)
+
+    @property
+    def nodes(self) -> tuple[NodeReport, ...]:
+        return self._record.nodes
 
     @property
     def groups(self) -> tuple[PresentedGroup, ...]:
@@ -640,7 +676,6 @@ def _build_row(store: SubquotientStore, inner: frozenset, middle: frozenset, out
     and scattering rows and columns at the positions of the smaller graphs'
     vertices in the middle subquotient.
     """
-    g = store.graph
     pair2 = store.get(inner, outer)
     g2 = pair2.graph
     # hereditary saturated in g, so hereditary saturated in g2
@@ -683,17 +718,13 @@ def _build_row(store: SubquotientStore, inner: frozenset, middle: frozenset, out
         store._selection(n2, vert1, columns=True),
         store._selection(n2, vert3, columns=False),
     )
-    maps, nodes, _, reduced = store._record(kernels + (pair1.k0, pair2.k0, pair3.k0), matrices)
+    record = store._record(kernels + (pair1.k0, pair2.k0, pair3.k0), matrices)
     return SixTermRow(
-        triple=(
-            tuple(v for v in g.vertices if v in inner),
-            tuple(v for v in g.vertices if v in middle),
-            tuple(v for v in g.vertices if v in outer),
-        ),
+        triple=(store._names_of(inner), store._names_of(middle), store._names_of(outer)),
         graphs=(g1, g2, g3),
         k1bars=k1bars,
         k0s=(pair1.k0, pair2.k0, pair3.k0),
-        maps=maps,
-        nodes=nodes,
-        reduced=reduced,
+        maps=record.maps,
+        reduced=record.reduced,
+        _record=record,
     )

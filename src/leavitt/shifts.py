@@ -161,8 +161,10 @@ def _box_points(base, basis, upper, tick):
     """The points of base + span_Z(basis) in [0, upper]^n in lexicographic
     order, for a basis from ``_echelon``: the i-th coefficient raises the
     entry at the i-th pivot and fixes every entry before the next pivot, so
-    a depth-first walk over rising coefficients lists the points in order
-    and checks each entry once.  ``tick`` is called per accepted coefficient.
+    a depth-first walk over rising coefficients lists the points in order.
+    A coefficient is accepted when the entries it fixes lie in [0, upper]
+    and every later entry can still get there (see ``_reachable``).
+    ``tick`` is called per accepted coefficient.
     """
     pivots = [next(j for j, x in enumerate(v) if x) for v in basis]
     ends = pivots[1:] + [len(base)]
@@ -178,11 +180,35 @@ def _box_points(base, basis, upper, tick):
         for c in range(-(x[p] // v[p]), (upper - x[p]) // v[p] + 1):
             y = [xi + c * vi for xi, vi in zip(x, v)]
             fixed = y[p + 1:end]
-            if min(fixed, default=0) >= 0 and max(fixed, default=0) <= upper:
+            if (
+                min(fixed, default=0) >= 0
+                and max(fixed, default=0) <= upper
+                and _reachable(y, basis, pivots, depth + 1, upper)
+            ):
                 tick()
                 yield from walk(depth + 1, y)
 
     yield from walk(0, list(base))
+
+
+def _reachable(x, basis, pivots, depth, upper) -> bool:
+    """Can coefficients of ``basis[depth:]`` bring every entry of x from the
+    pivot of ``basis[depth]`` on into [0, upper]?  A sound bound, by
+    intervals: each coefficient ranges over what keeps its pivot entry in
+    [0, upper], given the ranges the earlier ones leave that entry, and
+    each entry over the sum of what the ranges can add to it."""
+    if depth == len(basis):
+        return True
+    start = pivots[depth]
+    lo, hi = x[start:], x[start:]
+    for v, pivot in zip(basis[depth:], pivots[depth:]):
+        q, k = v[pivot], pivot - start
+        c_lo, c_hi = -(hi[k] // q), (upper - lo[k]) // q
+        if c_lo > c_hi:
+            return False
+        lo = [a + min(c_lo * w, c_hi * w) for a, w in zip(lo, v[start:])]
+        hi = [b + max(c_lo * w, c_hi * w) for b, w in zip(hi, v[start:])]
+    return min(hi) >= 0 and max(lo) <= upper
 
 
 def shift_equivalent_bounded(

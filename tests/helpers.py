@@ -1218,6 +1218,19 @@ def shift_equivalent_box_search(a, b, max_lag=6, max_entry=4, node_cap=200_000):
 # ---------------------------------------------------------------------------
 
 
+def _old_entry_classes(t):
+    """(entry, class, names) per entry of a table, all built up front, as
+    ``compare_fkbar`` once did: per facet of ``filtered._ENTRY_FACETS`` the
+    K0 invariants, the K1bar kernel rank and the twisted class key, and how
+    a mismatch message writes each."""
+    out = []
+    for e in t.entries:
+        k0, kb = e.kzero.invariants(), e.konebar
+        cls = (k0, kb.kernel_rank, kb.coker_part.class_key())
+        out.append((e, cls, (str(k0), str(kb.kernel_rank), kb.coker_part.symbol())))
+    return out
+
+
 def _old_match_entries(t1, t2, iso, classes1, classes2):
     """The per-candidate entry matcher ``compare_fkbar`` replaced: builds a
     ``PieceVerdict`` for every entry of every candidate."""
@@ -1266,8 +1279,8 @@ def compare_verdicts_per_candidate(g1: Graph, g2: Graph, coeff: CoeffGroup, elem
     default caps."""
     t1 = filtered.FilteredKTable(g1, coeff)
     t2 = filtered.FilteredKTable(g2, coeff, _share=t1.store)
-    classes1 = filtered._entry_classes(t1)
-    classes2 = {item[0].piece.difference: item for item in filtered._entry_classes(t2)}
+    classes1 = _old_entry_classes(t1)
+    classes2 = {item[0].piece.difference: item for item in _old_entry_classes(t2)}
     best = (math.inf, (None, (), (), "ideal lattices admit no order isomorphism", "skipped"))
     for tried, iso in enumerate(filtered._iter_isomorphisms(t1.topology, t2.topology), 1):
         piece_verdicts, piece_failure = _old_match_entries(t1, t2, iso, classes1, classes2)

@@ -1,12 +1,15 @@
 """Command-line interface: verbs, exit codes, JSON determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 import helpers as H
 import leavitt
-from leavitt import cli, intlinalg, ktheory
+from leavitt import cli, filtered, intlinalg, ktheory
 from leavitt.cli import main
 from leavitt.graphs import graph_from_matrix, graph_to_text, parse_graph
 from leavitt.intlinalg import IntMatrix
@@ -165,6 +168,41 @@ class TestExitCodes:
         code, out, err = run(capsys, ["monoid-eq", files["rose2"], a, b])
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+
+class TestStreamedReports:
+    """``fk`` writes its rows while it encodes them, each referring to the
+    parts it shares with other rows, after every row is built and checked."""
+
+    def test_fk_on_six_loops_stays_small(self, tmp_path):
+        path = tmp_path / "loops6.graph"
+        path.write_text(graph_to_text(graph_from_matrix(IntMatrix.identity(6))), encoding="utf-8")
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main(["--json", "fk", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 4,096 rows and their 8.6 MB of text, the text included
+        assert code == 0 and len(json.loads(out.getvalue())["rows"]) == 4096
+        assert peak <= 30 * 2**20
+
+    def test_failed_check_on_the_last_row_writes_nothing(self, capsys, files, monkeypatch):
+        built = []
+        build_row = filtered._build_row
+
+        def failing_last(store, *members):
+            built.append(members)
+            if len(built) == 1024:
+                raise AssertionError("subquotient bookkeeping broke; identities violated")
+            return build_row(store, *members)
+
+        monkeypatch.setattr(filtered, "_build_row", failing_last)
+        code, out, err = run(capsys, ["--json", "fk", files["loops5"]])
+        assert (code, out, len(built)) == (4, "", 1024)
+        assert err == "internal error: subquotient bookkeeping broke; identities violated\n"
 
 
 class TestParserReuse:
@@ -475,6 +513,25 @@ class TestJsonWriter:
     @example({"⊕": 'q"uo\\te\x01', "z": [-(2**100), 0, 2**64]})
     def test_equals_json_dumps(self, x):
         assert cli._json_text(x) == json.dumps(x, sort_keys=True, indent=2)
+
+    @given(_TREES, _TREES, st.lists(_TREES, max_size=4))
+    @example([1, 2], {"k": []}, [])
+    @example({"a": [True, None]}, "x", [0, [], {}])
+    def test_shared_parts_and_lazy_lists(self, part, tree, items):
+        # one object at several depths, plain or as a _Shared part, and lists
+        # written from generators (empty ones included) as they are consumed
+        plain = {"a": part, "b": [part, {"c": part, "d": tree}], "e": [[part, x] for x in items]}
+        assert cli._json_text(plain) == json.dumps(plain, sort_keys=True, indent=2)
+        shared = cli._Shared(part)
+        for _ in range(2):  # the second pass reads the texts the first one kept
+            lazy = {
+                "a": shared,
+                "b": [shared, {"c": shared, "d": tree}],
+                "e": ([shared, x] for x in items),
+            }
+            chunks = []
+            cli._put_json(lazy, "\n", chunks.append)
+            assert "".join(chunks) == json.dumps(plain, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize(
         "x", [1.5, [1, 2.0], {1, 2}, {"a": {3}}, {1: "a"}, {"a": {None: 1}}, object()]

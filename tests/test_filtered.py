@@ -8,6 +8,7 @@ import pytest
 
 import helpers as H
 import leavitt.filtered as filtered
+import leavitt.intlinalg as intlinalg
 import leavitt.ktheory as ktheory
 from leavitt.filtered import RowCapError, compare_fkbar, fkbar, transport_from_certificate
 from leavitt.graphs import Graph, graph_from_matrix, relabel, subquotient
@@ -188,9 +189,9 @@ class TestCompare:
         calls = []
         original = filtered._row_signature
 
-        def counting(row, store):
+        def counting(row):
             calls.append(row.triple)
-            return original(row, store)
+            return original(row)
 
         monkeypatch.setattr(filtered, "_row_signature", counting)
         tables = (filtered.FilteredKTable(g, COEFF), filtered.FilteredKTable(g, COEFF))
@@ -363,6 +364,46 @@ class TestCompare:
         assert compare_fkbar(rose2, rose3, COEFF) == compare_fkbar(rose2, rose3, COEFF)
         g2 = ones_graph()
         assert compare_fkbar(rose2, g2, COEFF) == compare_fkbar(rose2, g2, COEFF)
+
+
+def count_eliminations(monkeypatch):
+    """Matrix -> the set of (u, v) tracked by its Smith eliminations, from
+    an empty elimination cache, so no earlier test serves a run."""
+    runs = {}
+    smith = intlinalg._smith
+
+    def counting(m, u, v):
+        runs.setdefault(m, set()).add((u, v))
+        return smith(m, u, v)
+
+    monkeypatch.setattr(intlinalg, "_smith", counting)
+    monkeypatch.setattr(intlinalg, "_eliminations", {})
+    return runs
+
+
+class TestEliminations:
+    """A comparison eliminates each matrix one way: tracking v where some
+    reader takes its kernel, with no transform where none does."""
+
+    @pytest.mark.parametrize("coeff", [CoeffGroup.symbolic("Gbar"), COEFF], ids=["symbolic", "field5"])
+    def test_no_matrix_is_eliminated_both_ways(self, coeff, monkeypatch):
+        g = H.sparse_graph(random.Random(77), 9, 0.3)
+        n = g.num_vertices
+        twin = relabel(g, {v: f"w{n - 1 - k}" for k, v in enumerate(g.vertices)})
+        runs = count_eliminations(monkeypatch)
+        rep = compare_fkbar(g, twin, coeff)
+        assert rep.consistent and rep.element_check != "skipped"
+        both = [m for m, kinds in runs.items() if {(False, False), (False, True)} <= kinds]
+        assert len(runs) >= 200 and both == []
+
+    def test_entry_failures_track_no_transform(self, rose2, rose3, monkeypatch):
+        g = disjoint_loops(4)
+        doubled = Graph(g.vertices, g.edges + (("extra", "x0", "x0"),))
+        runs = count_eliminations(monkeypatch)
+        for a, b in ((rose2, rose3), (g, doubled), (doubled, g)):
+            rep = compare_fkbar(a, b, COEFF)
+            assert not rep.consistent and rep.group_matches and not rep.map_matches
+        assert runs and set().union(*runs.values()) == {(False, False)}
 
 
 def count_rows(monkeypatch):

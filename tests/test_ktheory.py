@@ -485,6 +485,12 @@ def store_verdicts(nodes):
     return z, tuple(n.coeff_exact for n in nodes)
 
 
+def skeleton_record(store, maps):
+    """The store's record of the skeleton ``maps``, made if there is none."""
+    groups = (maps[0].domain,) + tuple(f.codomain for f in maps)
+    return store._record(groups, tuple(f.matrix for f in maps))
+
+
 def with_zero_u12(row):
     f = row.maps[3]
     zero = GroupMap(f.domain, f.codomain, f.matrix.scale(0), name="u12")
@@ -513,7 +519,7 @@ class TestSkeletonMemo:
                 # skeletons that differ from a real one in a single map must
                 # not be served its verdicts
                 for maps in (with_doubled_delta(row), with_zero_u12(row)):
-                    got = store_verdicts(store._skeleton(maps)[1])
+                    got = store_verdicts(skeleton_record(store, maps).nodes)
                     expected = fresh_verdicts(maps, coeff)
                     assert got == expected, (g, row.triple, maps[2].name, maps[3].matrix)
                     broken += got != store_verdicts(row.nodes)
@@ -610,7 +616,7 @@ class TestSmithCoordinates:
         rows = reduced = broken = 0
         for t in tables:
             for row in t.rows:
-                groups, _, maps = filtered._row_signature(row, t.store)
+                groups, _, maps = filtered._row_signature(row)
                 assert (store_verdicts(row.nodes), (groups, maps)) == original(row.maps), row.triple
                 rows += 1
                 reduced += row.reduced != row.maps
@@ -618,9 +624,9 @@ class TestSmithCoordinates:
                     continue
                 # a non-exact skeleton: its one-sided verdicts and its classes
                 mutant = with_doubled_delta(row)
-                got = store_verdicts(t.store._skeleton(mutant)[1])
+                got = store_verdicts(skeleton_record(t.store, mutant).nodes)
                 groups, _, maps = filtered._row_signature(
-                    dataclasses.replace(row, maps=mutant), t.store
+                    dataclasses.replace(row, maps=mutant, _record=skeleton_record(t.store, mutant))
                 )
                 assert (got, (groups, maps)) == original(mutant), row.triple
                 broken += got != store_verdicts(row.nodes)

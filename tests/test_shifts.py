@@ -17,7 +17,7 @@ from helpers import (
 from leavitt import shifts
 from leavitt.cli import main
 from leavitt.graphs import Graph, graph_from_matrix, parse_matrix
-from leavitt.intlinalg import FgAbGroup, IntMatrix, PresentedGroup, invariant_factors
+from leavitt.intlinalg import FgAbGroup, IntMatrix, PresentedGroup, invariant_factors, kernel_basis
 from leavitt.ktheory import k0
 from leavitt.monoid import graded_equal
 from leavitt.shifts import (
@@ -290,6 +290,20 @@ class TestBoundedSearch:
                 finished += 1
         assert finished >= 800
 
+    @pytest.mark.parametrize("node_cap", [500, 1_000])
+    def test_small_caps_match_the_box_search_oracle(self, node_cap):
+        # the walk cuts dead ends early enough that a small budget finishes
+        # wherever the old walk's does
+        rng = random.Random(71)
+        finished = 0
+        for kind, a, b in shift_pairs(rng, 1000):
+            bounds = dict(max_lag=2, max_entry=2, node_cap=node_cap)
+            old = H.shift_equivalent_box_search(a, b, **bounds)
+            if "budget" not in old.note:
+                assert shift_equivalent_bounded(a, b, **bounds) == old, (kind, a, b)
+                finished += 1
+        assert finished >= 800
+
     def test_deterministic(self):
         a = IntMatrix([[2]])
         b = IntMatrix([[1, 1], [1, 1]])
@@ -334,6 +348,17 @@ class TestLatticeWalk:
             ]
             assert got == want, (vectors, base, upper)
             assert len(nodes) >= len(got) if vectors else not nodes
+
+    def test_dead_ends_are_cut_early(self):
+        # R with A R = R B in [0, 2]^12 for an elementary pair of sizes 3
+        # and 4: checking the entries after the last pivot only at the last
+        # depth took 1,134 nodes to list the 42 points
+        a = IntMatrix([[1, 1, 1], [1, 1, 1], [3, 3, 3]])
+        b = IntMatrix([[1, 1, 2, 1]] * 4)
+        basis = shifts._echelon(kernel_basis(shifts._sylvester(a, -b)).transpose().data)
+        nodes = []
+        points = list(shifts._box_points((0,) * 12, basis, 2, lambda: nodes.append(1)))
+        assert len(points) == 42 and len(nodes) <= 392
 
 
 class TestDimensionTriples:
