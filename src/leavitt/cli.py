@@ -342,6 +342,7 @@ def _cmd_fk(args):
     # the rows are written as they are encoded, in row_triples order, each
     # referring to the parts it shares with other rows and with the pieces
     part = _parts()
+    exact = table.all_rows_exact
     rows = (
         dict(_row_json(table.row(trip), part), lattice_triple=list(trip))
         for trip in table.row_triples
@@ -360,19 +361,19 @@ def _cmd_fk(args):
             for e in table.entries
         ],
         "rows": rows,
-        "all_rows_exact": table.all_rows_exact,
+        "all_rows_exact": exact,
     }
     lines = [
         f"filtered K-theory over a {len(table.lattice)}-element lattice, "
         f"{len(table.pieces)} pieces, {len(table.row_triples)} rows "
-        f"({'all exact' if table.all_rows_exact else 'EXACTNESS FAILURE'})"
+        f"({'all exact' if exact else 'EXACTNESS FAILURE'})"
     ]
     for e in table.entries:
         lines.append(
             f"  piece primes={sorted(e.piece.difference)}: "
             f"K0 = {e.kzero.invariants()}, Kbar1 = {e.konebar.symbol()}"
         )
-    code = EXIT_OK if table.all_rows_exact else EXIT_OBSTRUCTION
+    code = EXIT_OK if exact else EXIT_OBSTRUCTION
     return payload, lines, code
 
 

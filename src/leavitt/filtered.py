@@ -19,16 +19,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .graphs import Graph
-from .intlinalg import (
-    CoeffGroup,
-    FgAbGroup,
-    IntMatrix,
-    PresentedGroup,
-    map_invariants,
-)
+from .intlinalg import CoeffGroup, IntMatrix, PresentedGroup
 from .ktheory import (
     KOneBar,
     SixTermRow,
@@ -80,6 +74,18 @@ class TableEntry:
     kzero: PresentedGroup
     konebar: KOneBar
 
+    @cached_property
+    def class_key(self) -> tuple:
+        """The entry's class, per facet of ``_ENTRY_FACETS``: the K0
+        invariants, the K1bar kernel rank and the twisted class key, all
+        read off the Smith diagonal of the transfer matrix."""
+        return (self.kzero.invariants(), *self.konebar.class_key)
+
+    def same_class(self, other: TableEntry) -> bool:
+        """Are the two entries of one class?  Read off their transfer
+        matrices when those are equal, with no elimination."""
+        return self.kzero.relations == other.kzero.relations or self.class_key == other.class_key
+
 
 class RowCapError(RuntimeError):
     """Raised when a table would need more six-term rows than the cap."""
@@ -96,19 +102,11 @@ class FilteredKTable:
     triple comes from the table's own lattice, so it is nested with a
     hereditary saturated middle set, and the row skips that validation of
     :func:`~leavitt.ktheory.six_term_row`; every other check of a row runs.
-    ``_share``, when given, is another table's store with the same
-    coefficient group, whose skeleton records and Smith coordinates this
-    table's store then shares.
+    The constructor builds no row, so a caller may still have the store
+    share another store's memos (``SubquotientStore._share``).
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        coeff: CoeffGroup,
-        lattice_cap: int = 4096,
-        row_cap: int = 65_536,
-        _share: SubquotientStore | None = None,
-    ):
+    def __init__(self, g: Graph, coeff: CoeffGroup, lattice_cap: int = 4096, row_cap: int = 65_536):
         topology = spectrum(enumerate_hsat(g, cap=lattice_cap))
         lattice = topology.lattice
         count = sum(down * up for down, up in _signatures(topology))
@@ -119,8 +117,6 @@ class FilteredKTable:
             )
         self.graph, self.coeff, self.lattice, self.topology = g, coeff, lattice, topology
         self.store = SubquotientStore(g, coeff)
-        if _share is not None:
-            self.store._share(_share)
         n = len(lattice)
         self._members = [frozenset(lattice.members(i)) for i in range(n)]
         self.pieces = locally_closed_all(topology)
@@ -131,6 +127,7 @@ class FilteredKTable:
             members = lattice.members(outer), lattice.members(inner)
             entries.append(TableEntry(piece, *members, pair.graph, pair.k0, pair.k1))
         self.entries = tuple(entries)
+        self._by_difference = {e.piece.difference: e for e in entries}
         self.row_triples = tuple(
             (i, j, p)
             for i in range(n)
@@ -201,23 +198,11 @@ def _row_signature(row: SixTermRow):
 
     Map classes are the kernel/image/cokernel triples of the five maps of
     the row skeleton, so equal signatures mean no Z-level rank or invariant
-    factor tells the rows apart.  Skeletons recur across rows, so the group
-    and map classes of each are computed once, on the skeleton in Smith
-    coordinates, and kept in the store's record that the row was built
-    from; the K1bar classes are kept by each group.
+    factor tells the rows apart.  The group and map classes are those of
+    the store's record of the skeleton, computed once per skeleton; the
+    K1bar classes are kept by each group.
     """
-    record = row._record
-    if record.classes is None:
-        reduced = record.reduced
-        groups = (reduced[0].domain,) + tuple(f.codomain for f in reduced)
-        record.classes = (
-            tuple(FgAbGroup.from_parts(0, _moduli(n)) for n in groups),
-            tuple(
-                map_invariants(f.matrix, f.domain.relations, f.codomain.relations)
-                for f in reduced
-            ),
-        )
-    groups, maps = record.classes
+    groups, maps = row._record.classes
     return (groups, tuple(kb.class_key for kb in row.k1bars), maps)
 
 
@@ -403,101 +388,47 @@ class ComparisonReport:
 _ENTRY_FACETS = ("K0", "K1bar free rank", "K1bar twisted part")
 
 
-def _entry_classes(t: FilteredKTable):
-    """[entry, transfer matrix, class] per entry of a table, in entry order.
-
-    The class holds, per facet of ``_ENTRY_FACETS``, the K0 invariants, the
-    K1bar kernel rank and the twisted class key.  All three are read off the
-    Smith diagonal of the transfer matrix, so it is None until
-    :func:`_entry_class` first needs it, and two entries with equal transfer
-    matrices are of one class without it (:func:`_same_class`).
-    """
-    return [[e, e.kzero.relations, None] for e in t.entries]
-
-
-def _entry_class(item) -> tuple:
-    """The class of an item of :func:`_entry_classes`, computed once."""
-    if item[2] is None:
-        e = item[0]
-        item[2] = (e.kzero.invariants(), *e.konebar.class_key)
-    return item[2]
-
-
-def _same_class(item1, item2) -> bool:
-    """Are two entry items of one class?  Read off their transfer matrices
-    when those are equal, with no elimination."""
-    return item1[1] == item2[1] or _entry_class(item1) == _entry_class(item2)
-
-
-def _prime_bijection(t1: FilteredKTable, t2: FilteredKTable, iso):
-    """Prime positions of the first table to those of the second under a
-    lattice isomorphism; None when it does not map primes onto primes."""
-    prime_pos2 = {p: idx for idx, p in enumerate(t2.topology.primes)}
-    if {iso[p] for p in t1.topology.primes} != set(t2.topology.primes):
+def _paired_entries(t1: FilteredKTable, t2: FilteredKTable, iso):
+    """Each entry of the first table with the entry of the second whose
+    piece is its image under the prime bijection of a lattice isomorphism,
+    or None where the second table has no such piece; None in place of the
+    list when the isomorphism does not map primes onto primes."""
+    primes1, primes2 = t1.topology.primes, t2.topology.primes
+    if {iso[p] for p in primes1} != set(primes2):
         return None
-    return {idx: prime_pos2[iso[p]] for idx, p in enumerate(t1.topology.primes)}
+    position = {p: idx for idx, p in enumerate(primes2)}
+    image = [position[iso[p]] for p in primes1].__getitem__
+    get = t2._by_difference.get
+    return [(e, get(frozenset(map(image, d)))) for d, e in t1._by_difference.items()]
 
 
-def _entry_mismatches(bijection, classes1: list, classes2: dict) -> int:
-    """How many entries of the first table have no piece, or a piece of
-    another class, in the second under ``bijection``; builds no verdict."""
-    image = bijection.__getitem__
-    mismatches = 0
-    for item1 in classes1:
-        item2 = classes2.get(frozenset(map(image, item1[0].piece.difference)))
-        mismatches += item2 is None or not _same_class(item1, item2)
-    return mismatches
-
-
-def _match_entries(t1: FilteredKTable, t2: FilteredKTable, bijection, classes1: list, classes2: dict):
-    """Pair the pieces through the prime bijection; verdict per piece.
-
-    ``classes1`` is :func:`_entry_classes` of the first table and
-    ``classes2`` that of the second by piece difference, each made once
-    per table, whatever the number of candidates.  Every paired entry's
-    class is read.
-    """
+def _entry_verdicts(pairs) -> list[PieceVerdict]:
+    """A verdict per pair of :func:`_paired_entries`; the class of every
+    paired entry is read."""
     verdicts = []
-    paired = 0
-    for item1 in classes1:
-        difference = item1[0].piece.difference
-        item2 = classes2.get(frozenset(bijection[x] for x in difference))
-        if item2 is None:
-            verdicts.append(
-                PieceVerdict(
-                    difference=tuple(sorted(difference)),
-                    matched=False,
-                    detail="no matching piece in the second table",
-                )
-            )
+    for e1, e2 in pairs:
+        difference = tuple(sorted(e1.piece.difference))
+        if e2 is None:
+            verdicts.append(PieceVerdict(difference, False, "no matching piece in the second table"))
             continue
-        paired += 1
-        c1, c2 = _entry_class(item1), _entry_class(item2)
+        c1, c2 = e1.class_key, e2.class_key
         problems = []
         if c1 != c2:
-            names = zip(_entry_names(item1), _entry_names(item2))
+            names = zip(_entry_names(e1), _entry_names(e2))
             problems = [
                 f"{facet} {n1} vs {n2}"
                 for facet, x1, x2, (n1, n2) in zip(_ENTRY_FACETS, c1, c2, names)
                 if x1 != x2
             ]
-        verdicts.append(
-            PieceVerdict(
-                difference=tuple(sorted(difference)),
-                matched=not problems,
-                detail="; ".join(problems) if problems else "entry classes agree",
-            )
-        )
-    if paired != len(t1.pieces) or len(t1.pieces) != len(t2.pieces):
-        return verdicts, "piece bijection failed"
-    bad = next((v for v in verdicts if not v.matched), None)
-    return verdicts, bad.detail if bad else ""
+        detail = "; ".join(problems) if problems else "entry classes agree"
+        verdicts.append(PieceVerdict(difference, not problems, detail))
+    return verdicts
 
 
-def _entry_names(item) -> tuple[str, str, str]:
+def _entry_names(e: TableEntry) -> tuple[str, str, str]:
     """How a mismatch message writes each facet of an entry's class."""
-    k0, kernel_rank, _ = item[2]
-    return str(k0), str(kernel_rank), item[0].konebar.coker_part.symbol()
+    k0, kernel_rank, _ = e.class_key
+    return str(k0), str(kernel_rank), e.konebar.coker_part.symbol()
 
 
 def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool):
@@ -548,14 +479,16 @@ def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool)
     return verdicts, failure, element_outcomes
 
 
-def _element_check(element_outcomes) -> str:
-    """The report's element check from the outcomes of the rows searched."""
+def _element_check(element_outcomes) -> tuple[str, str]:
+    """The report's element check and certification from the outcomes of
+    the rows searched: "structural" when none was searched, "exhaustive"
+    when every search passed over every candidate, else "bounded"."""
     outcomes = [e for e, _ in element_outcomes]
-    if outcomes and all(e == "passed" for e in outcomes):
-        return "passed"
-    if "refuted" in outcomes:
-        return "refuted"
-    return "inconclusive" if outcomes else "skipped"
+    if not outcomes:
+        return "skipped", "structural"
+    if all(e == "passed" for e in outcomes):
+        return "passed", "exhaustive" if all(c for _, c in element_outcomes) else "bounded"
+    return ("refuted" if "refuted" in outcomes else "inconclusive"), "bounded"
 
 
 def compare_fkbar(
@@ -588,7 +521,8 @@ def compare_fkbar(
     pairs equal transfer matrices eliminates no matrix twice.
     """
     t1 = FilteredKTable(g1, coeff, lattice_cap, row_cap)
-    t2 = FilteredKTable(g2, coeff, lattice_cap, row_cap, _share=t1.store)
+    t2 = FilteredKTable(g2, coeff, lattice_cap, row_cap)
+    t2.store._share(t1.store)
 
     candidates = _iter_isomorphisms(t1.topology, t2.topology)
     if se_intertwiner is not None:
@@ -600,42 +534,34 @@ def compare_fkbar(
                 (transported,), (iso for iso in candidates if iso != transported)
             )
 
-    classes1 = _entry_classes(t1)
-    classes2 = {item[0].piece.difference: item for item in _entry_classes(t2)}
-    # (mismatch count, candidate, prime bijection, row results) of the
-    # closest failure, the first candidate winning ties; its verdicts are
-    # built once the search has failed
+    # (mismatch count, candidate, entry pairs, row results) of the closest
+    # failure, the first candidate winning ties; its verdicts are built once
+    # the search has failed
     best = None
     for tried, iso in enumerate(candidates, 1):
-        bijection = _prime_bijection(t1, t2, iso)
+        pairs = _paired_entries(t1, t2, iso)
         rows = None
-        if bijection is None:
+        if pairs is None:
             score = math.inf
         else:
-            score = _entry_mismatches(bijection, classes1, classes2)
-            if not score and len(t1.pieces) == len(t2.pieces):
+            score = sum(e2 is None or not e1.same_class(e2) for e1, e2 in pairs)
+            if not score and len(t1.entries) == len(t2.entries):
                 rows = _match_rows(t1, t2, iso, run_elements=element_search)
                 row_verdicts, row_failure, element_outcomes = rows
                 if not row_failure:
-                    element = _element_check(element_outcomes)
-                    if element == "skipped":
-                        certification = "structural"
-                    elif element == "passed" and all(c for _, c in element_outcomes):
-                        certification = "exhaustive"
-                    else:
-                        certification = "bounded"
+                    element, certification = _element_check(element_outcomes)
                     return ComparisonReport(
                         consistent=True,
                         obstruction="",
                         lattice_iso=iso,
-                        group_matches=tuple(_match_entries(t1, t2, bijection, classes1, classes2)[0]),
+                        group_matches=tuple(_entry_verdicts(pairs)),
                         map_matches=tuple(row_verdicts),
                         certification=certification,
                         element_check=element,
                     )
                 score = sum(1 for v in row_verdicts if not v.matched)
         if best is None or score < best[0]:
-            best = (score, iso, bijection, rows)
+            best = (score, iso, pairs, rows)
         if tried > _CANDIDATE_CAP:
             raise LatticeCapError(
                 f"more than {_CANDIDATE_CAP} lattice isomorphisms tried without a match"
@@ -647,11 +573,15 @@ def compare_fkbar(
     elif best[2] is None:
         failure = "lattice isomorphism does not preserve the prime set"
     else:
-        _, iso, bijection, found = best
-        pieces, failure = _match_entries(t1, t2, bijection, classes1, classes2)
+        _, iso, pairs, found = best
+        pieces = _entry_verdicts(pairs)
         if found is not None:
             rows, failure, element_outcomes = found
-            element = _element_check(element_outcomes)
+            element = _element_check(element_outcomes)[0]
+        elif any(e2 is None for _, e2 in pairs) or len(t1.entries) != len(t2.entries):
+            failure = "piece bijection failed"
+        else:
+            failure = next(v.detail for v in pieces if not v.matched)
     return ComparisonReport(
         consistent=False,
         obstruction=failure,

@@ -14,10 +14,10 @@ kernels, and through :func:`preimage_lattice` the kernels
 matrix: a kernel run also yields the diagonal, so a matrix whose kernel was
 read is never eliminated again for its invariant factors, and a later
 kernel request replaces a diagonal-only entry.  :func:`snf` tracks u and v
-and serves canonical class forms, solving and unimodular inverses, with a
-cache of its own.  The diagonals agree because the elimination is one.
-Everything runs on Python ints, so there is no overflow and no floating
-point anywhere.
+and serves lattice solving, unimodular inverses and the Smith coordinates
+of K0 presentations, with a cache of its own.  The diagonals agree because
+the elimination is one.  Everything runs on Python ints, so there is no
+overflow and no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -497,7 +497,7 @@ def snf(m: IntMatrix) -> SmithData:
     Returns :class:`SmithData` with ``u @ m @ v == d``.  Results are cached;
     matrices are immutable so sharing is safe.  Only the callers that read
     u come here: :func:`solve_lattice`, :func:`inverse_unimodular` and the
-    class forms of :class:`PresentedGroup`.  A caller that reads only the
+    Smith coordinates of :mod:`leavitt.ktheory`.  A caller that reads only the
     diagonal uses :func:`invariant_factors`, one that reads only kernel
     columns :func:`kernel_basis`.
     """
@@ -763,9 +763,8 @@ class PresentedGroup:
     """Abelian group presented by its relation matrix.
 
     The group is Z^n divided by the column span of ``relations``, n being
-    its row count, the number of generators.  Canonical forms for elements
-    come from the Smith transform, so equality of classes is an exact
-    decision.
+    its row count, the number of generators.  An element is zero when
+    :func:`solve_lattice` finds it in that span.
     """
 
     relations: IntMatrix
@@ -774,29 +773,8 @@ class PresentedGroup:
     def generators(self) -> int:
         return self.relations.rows
 
-    @property
-    def smith(self) -> SmithData:
-        return snf(self.relations)
-
     def invariants(self) -> FgAbGroup:
         return FgAbGroup.cokernel_of(self.generators, invariant_factors(self.relations))
-
-    def canon(self, vec):
-        """Canonical form of the class of ``vec``; equal classes, equal tuples."""
-        vec = tuple(vec)
-        if len(vec) != self.generators:
-            raise ValueError("vector length mismatch")
-        sd = self.smith
-        y = sd.u @ vec
-        diag = sd.diagonal
-        out = []
-        for i, yi in enumerate(y):
-            di = diag[i] if i < len(diag) else 0
-            out.append(yi % di if di != 0 else yi)
-        return tuple(out)
-
-    def is_zero_class(self, vec):
-        return all(x == 0 for x in self.canon(vec))
 
 
 # ---------------------------------------------------------------------------

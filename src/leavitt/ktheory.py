@@ -42,6 +42,7 @@ from .intlinalg import (
     invariant_factors,
     inverse_unimodular,
     kernel_basis,
+    map_invariants,
     snf,
     solve_lattice,
 )
@@ -185,7 +186,7 @@ class VdbReport:
     the K0 presentation.  For the j-th regular vertex the forgotten relation
     is minus column j of the transfer matrix, so the witness -e_j proves it
     zero once the K0 relations re-multiply it to that vector; a presentation
-    where no witness holds gets the full class decision instead.  The rest
+    where no witness holds gets a lattice solve instead.  The rest
     is identification, not computation: ``ker_phi`` is the free group on
     that kernel basis and ``coker_phi`` is K0, read from the Smith diagonal
     of the one elimination that gave that basis, as the exactness of the
@@ -235,7 +236,7 @@ def vdb_sequence(g: Graph, coeff: CoeffGroup) -> VdbReport:
         minus = tuple(minus)
         if j < len(columns) and minus == columns[j]:
             continue
-        if not kzero.is_zero_class(tuple(-x for x in minus)):
+        if solve_lattice(kzero.relations, tuple(-x for x in minus)) is None:
             composes_zero = False
     witnesses = tuple((v, f"{v}(0)") for v in g.vertices)
     return VdbReport(
@@ -511,25 +512,41 @@ class _Skeleton:
     skeletons: the first such skeleton (``maps``), the same skeleton in
     Smith coordinates (``reduced``, see ``_SmithCoordinates``), and what is
     decided there when first asked: the node verdicts (``nodes``) and the
-    signature classes of a table comparison (``classes``, None until
-    :func:`~leavitt.filtered._row_signature` sets them).
+    signature classes that a table comparison reads (``classes``).
 
     A comparison reads the classes before the nodes.  The classes read the
     kernels of the matrices whose Smith diagonals the node checks read, so
     in that order each of those matrices is eliminated once.
     """
 
-    __slots__ = ("maps", "reduced", "classes", "_coeff", "_nodes")
+    __slots__ = ("maps", "reduced", "_coeff", "_nodes", "_classes")
 
     def __init__(self, maps, reduced, coeff: CoeffGroup):
         self.maps, self.reduced, self._coeff = maps, reduced, coeff
-        self.classes = self._nodes = None
+        self._nodes = self._classes = None
 
     @property
     def nodes(self) -> tuple[NodeReport, ...]:
         if self._nodes is None:
             self._nodes = _skeleton_nodes(self.reduced, self._coeff)
         return self._nodes
+
+    @property
+    def classes(self) -> tuple[tuple[FgAbGroup, ...], tuple]:
+        """The six group classes and the kernel/image/cokernel classes of
+        the five maps (:func:`~leavitt.intlinalg.map_invariants`), in Smith
+        coordinates."""
+        if self._classes is None:
+            reduced = self.reduced
+            groups = (reduced[0].domain,) + tuple(f.codomain for f in reduced)
+            self._classes = (
+                tuple(FgAbGroup.from_parts(0, _moduli(n)) for n in groups),
+                tuple(
+                    map_invariants(f.matrix, f.domain.relations, f.codomain.relations)
+                    for f in reduced
+                ),
+            )
+        return self._classes
 
 
 def _kernel_coordinates(target_basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
@@ -619,11 +636,6 @@ class SixTermRow:
     @property
     def nodes(self) -> tuple[NodeReport, ...]:
         return self._record.nodes
-
-    @property
-    def groups(self) -> tuple[PresentedGroup, ...]:
-        """The six groups of the skeleton, in row order."""
-        return (self.maps[0].domain,) + tuple(f.codomain for f in self.maps)
 
     @property
     def exact(self):

@@ -33,6 +33,9 @@ independent cross-checks:
 * ``lattice_member`` — membership in a column lattice read off the Smith
   transforms, the reference for ``solve_lattice`` and ``_spans_into``;
   ``check_well_defined`` applies it to every domain relation of a map.
+* ``canon`` and ``is_zero_class`` — the canonical form of an element's
+  class in a presented group, read off the Smith transform u, and the zero
+  test by it; the library decides membership by ``solve_lattice``.
 * ``smith_verifies`` — rechecks a Smith factorization against its matrix.
 * ``coeff_quotient_by`` — G/dG for one coefficient group, summed up by the
   test of ``CoeffCokernel.specialize``; ``delta_value`` — the connecting
@@ -63,7 +66,8 @@ the colimit shift, and ``covering_window`` and ``is_irreducible`` build and
 test graphs for them.  ``monoid_to_str`` and ``graded_to_str`` print
 elements as literals the parsers read back, ``mass`` counts the vertex
 copies of a monoid element, ``graded_add`` adds two graded elements and
-``group_order`` is the order of a finite group.  ``sparse_graph`` draws
+``group_order`` is the order of a finite group; ``row_groups`` lists the
+six groups of a six-term row's skeleton.  ``sparse_graph`` draws
 the sparse graphs, up to 200 vertices, that the Smith sweeps run on.
 """
 
@@ -82,6 +86,7 @@ from leavitt.intlinalg import (
     FgAbGroup,
     GroupMap,
     IntMatrix,
+    PresentedGroup,
     SmithData,
     inverse_unimodular,
     kernel_basis,
@@ -89,7 +94,7 @@ from leavitt.intlinalg import (
     snf,
     subgroup_equal,
 )
-from leavitt.ktheory import ConnectingMap, k_matrix, phi, psi_regular
+from leavitt.ktheory import ConnectingMap, SixTermRow, k_matrix, phi, psi_regular
 from leavitt.lattice import IdealLattice, LocallyClosed, SpectrumTopology
 from leavitt.monoid import (
     GradedElement,
@@ -614,6 +619,24 @@ def lattice_member(m: IntMatrix, vec) -> bool:
     return True
 
 
+def canon(group: PresentedGroup, vec) -> tuple:
+    """Canonical form of the class of ``vec`` in ``group``, read off the
+    Smith transform u of its relations: equal classes, equal tuples."""
+    vec = tuple(vec)
+    if len(vec) != group.generators:
+        raise ValueError("vector length mismatch")
+    sd = snf(group.relations)
+    diag = sd.diagonal
+    return tuple(
+        yi % diag[i] if i < len(diag) and diag[i] else yi for i, yi in enumerate(sd.u @ vec)
+    )
+
+
+def is_zero_class(group: PresentedGroup, vec) -> bool:
+    """Is ``vec`` zero in ``group``, by its class form?"""
+    return not any(canon(group, vec))
+
+
 def smith_verifies(sd: SmithData, m: IntMatrix) -> bool:
     """Recheck a Smith factorization: u @ m @ v is the diagonal matrix, u and
     v are unimodular, and the diagonal is a nonnegative divisibility chain
@@ -641,6 +664,11 @@ def check_well_defined(gmap: GroupMap) -> bool:
                 f"map {gmap.name or '<anonymous>'} does not kill domain relation {j}"
             )
     return True
+
+
+def row_groups(row: SixTermRow) -> tuple[PresentedGroup, ...]:
+    """The six groups of a row's skeleton, in row order."""
+    return (row.maps[0].domain,) + tuple(f.codomain for f in row.maps)
 
 
 # ---------------------------------------------------------------------------
@@ -1278,7 +1306,8 @@ def compare_verdicts_per_candidate(g1: Graph, g2: Graph, coeff: CoeffGroup, elem
     unmatched verdicts, the first on ties) is reported.  No intertwiner and
     default caps."""
     t1 = filtered.FilteredKTable(g1, coeff)
-    t2 = filtered.FilteredKTable(g2, coeff, _share=t1.store)
+    t2 = filtered.FilteredKTable(g2, coeff)
+    t2.store._share(t1.store)
     classes1 = _old_entry_classes(t1)
     classes2 = {item[0].piece.difference: item for item in _old_entry_classes(t2)}
     best = (math.inf, (None, (), (), "ideal lattices admit no order isomorphism", "skipped"))

@@ -234,13 +234,13 @@ class TestCompare:
         g = disjoint_loops(3)
         skeletons = {row.maps for row in fkbar(g, COEFF).rows}
         calls = []
-        original = filtered.map_invariants
+        original = ktheory.map_invariants
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(filtered, "map_invariants", counting)
+        monkeypatch.setattr(ktheory, "map_invariants", counting)
         assert compare_fkbar(g, g, COEFF, element_search=False).consistent
         # both tables share one memo: five maps per distinct skeleton of 64 rows
         assert len(skeletons) == 15
@@ -473,14 +473,14 @@ class TestElementSearchOutcomes:
     def test_zeroed_map_between_finite_groups_is_refuted(self):
         # Z/3 -> Z/3 -> 0 at K0; zeroing u12 leaves no commuting system
         row, outcome = element_outcome([[4, 1], [0, 4]], (0, 1, 1), 3)
-        assert [str(grp.invariants()) for grp in row.groups[3:]] == ["Z/3", "Z/3", "0"]
+        assert [str(grp.invariants()) for grp in H.row_groups(row)[3:]] == ["Z/3", "Z/3", "0"]
         assert outcome == ("refuted", True)
         assert filtered._row_element_check(row, row) == ("passed", True)
 
     def test_zeroed_map_between_free_groups_is_inconclusive(self):
         # every node is Z, so free entries are truncated and nothing is refuted
         row, outcome = element_outcome([[1, 1], [0, 1]], (0, 1, 2), 0)
-        assert all(str(grp.invariants()) == "Z" for grp in row.groups)
+        assert all(str(grp.invariants()) == "Z" for grp in H.row_groups(row))
         assert outcome == ("inconclusive", False)
         assert filtered._row_element_check(row, row) == ("passed", False)
 
@@ -488,14 +488,14 @@ class TestElementSearchOutcomes:
         # Z/101 + Z/101 has order 10,201, past the torsion cap: no candidate is listed
         monkeypatch.setattr(filtered, "_iso_candidates", None)
         row, outcome = element_outcome([[1, 101], [101, 1]], (0, 1, 1), 3)
-        assert str(row.groups[3].invariants()) == "Z/101 ⊕ Z/101"
+        assert str(H.row_groups(row)[3].invariants()) == "Z/101 ⊕ Z/101"
         assert 101 * 101 > filtered._TORSION_ORDER_CAP
         assert outcome == ("skipped", False)
 
     def test_many_candidates_are_skipped(self):
         # Z/5 + Z/5 is small, but its 625 candidate matrices pass the node cap
         row, outcome = element_outcome([[6, 0], [0, 6]], (0, 3, 3), 3)
-        node = row.groups[3]
+        node = H.row_groups(row)[3]
         assert str(node.invariants()) == "Z/5 ⊕ Z/5"
         assert 25 <= filtered._TORSION_ORDER_CAP
         assert filtered._iso_candidates(node, node) is None
@@ -542,13 +542,28 @@ class TestClosestFailure:
             v, w = rng.choice(g.vertices), rng.choice(g.vertices)
             pairs.append((g, Graph(g.vertices, g.edges + (("extra", v, w),))))
         pairs += [(rng.choice(corpus), rng.choice(corpus)) for _ in range(80)]
-        entry_failures = lattice_failures = 0
-        for a, b in pairs:
+        # copies declaring their vertices in another order: their entries
+        # have other transfer matrices of the same classes
+        shuffled = []
+        for _ in range(40):
+            g = rng.choice(corpus)
+            order = list(g.vertices)
+            rng.shuffle(order)
+            shuffled.append((g, Graph(order, g.edges)))
+        entry_failures = lattice_failures = other_matrices = 0
+        for a, b in pairs + shuffled:
             rep = compare_fkbar(a, b, COEFF)
             assert rep == H.compare_verdicts_per_candidate(a, b, COEFF), (a, b)
             entry_failures += not rep.consistent and bool(rep.group_matches)
             lattice_failures += not rep.consistent and not rep.group_matches
-        assert entry_failures >= 60 and lattice_failures >= 30
+            if (a, b) in shuffled:
+                assert rep.consistent, (a, b)
+                t1, t2 = filtered.FilteredKTable(a, COEFF), filtered.FilteredKTable(b, COEFF)
+                other_matrices += sum(
+                    e1.kzero.relations != e2.kzero.relations
+                    for e1, e2 in filtered._paired_entries(t1, t2, rep.lattice_iso)
+                )
+        assert entry_failures >= 60 and lattice_failures >= 30 and other_matrices >= 20
 
     def test_row_failures_keep_the_closest(self, monkeypatch):
         # every candidate of a 3-loop self-compare fails some rows, a number

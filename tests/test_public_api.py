@@ -71,20 +71,35 @@ def _loaded_names(tree):
     )
 
 
+def _loaded_attributes(tree):
+    """How often ``tree`` loads each name as an attribute."""
+    return Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
 @lru_cache(maxsize=None)
 def _src():
-    """Each src/ module's syntax tree and the names it loads, one walk each."""
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
-    return trees, {module: _loaded_names(tree) for module, tree in trees.items()}
+    """Each src/ module's syntax tree."""
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
 
 
-def _references(name, own_module=None, own_definition=None):
-    """Modules whose code loads ``name`` (as a name or an attribute), outside
-    the subtree of its own definition in ``own_module``."""
-    own = _loaded_names(own_definition)[name] if own_definition else 0
+@lru_cache(maxsize=None)
+def _loads(count):
+    """``count`` of each src/ module's syntax tree, one walk each."""
+    return {module: count(tree) for module, tree in _src().items()}
+
+
+def _references(name, own_module=None, own_definition=None, count=_loaded_names):
+    """Modules whose code loads ``name`` (by default as a name or an
+    attribute, as ``count`` counts), outside the subtree of its own
+    definition in ``own_module``."""
+    own = count(own_definition)[name] if own_definition else 0
     return [
         module
-        for module, loads in _src()[1].items()
+        for module, loads in _loads(count).items()
         if loads[name] > (own if module == own_module else 0)
     ]
 
@@ -93,7 +108,7 @@ def test_every_public_name_is_used_in_src():
     """A name in some ``__all__`` that no code in ``src/`` reaches (imports
     and ``__all__`` strings do not count) is a test-only helper; it belongs
     in ``tests/helpers.py`` unless ``UNREFERENCED_OK`` says why not."""
-    trees = _src()[0]
+    trees = _src()
     unused = []
     for name in MODULES:
         tree = trees[name]
@@ -130,25 +145,27 @@ def _public_methods(tree):
 
 
 def test_every_public_method_is_used_in_src():
-    """A public method whose name no code in ``src/`` loads, outside its own
-    body, is a test-only helper; it belongs in ``tests/helpers.py`` as a
-    function unless ``UNCALLED_METHODS_OK`` says why not.  Names are matched
-    as attributes, not resolved to classes, so a method passes when any
-    attribute of its name is loaded; a name that something else also has is
-    checked by ``test_shared_name_methods_have_listed_call_sites``."""
-    trees = _src()[0]
+    """A public method whose name no code in ``src/`` loads as an attribute,
+    outside its own body, is a test-only helper; it belongs in
+    ``tests/helpers.py`` as a function unless ``UNCALLED_METHODS_OK`` says
+    why not.  Names are matched as attribute loads, not resolved to
+    classes, so a method passes when any attribute of its name is loaded
+    (a bare name or an assigned attribute does not count); a name that
+    something else also has is checked by
+    ``test_shared_name_methods_have_listed_call_sites``."""
+    trees = _src()
     unused = [
         f"{module}.{cls}.{method.name}"
         for module, tree in sorted(trees.items())
         for cls, method in _public_methods(tree)
         if f"{cls}.{method.name}" not in UNCALLED_METHODS_OK
-        and not _references(method.name, module, method)
+        and not _references(method.name, module, method, count=_loaded_attributes)
     ]
     assert not unused, unused
     stale = [
         key
         for key in UNCALLED_METHODS_OK
-        if _references(key.split(".")[1])
+        if _references(key.split(".")[1], count=_loaded_attributes)
     ]
     assert not stale, f"now used in src/; drop from UNCALLED_METHODS_OK: {stale}"
 
@@ -169,6 +186,7 @@ SHARED_NAME_CALLS = {
     "CoeffCokernel.symbol": "ktheory.KOneBar.symbol",
     "CoeffCokernel.class_key": "ktheory.KOneBar.class_key",
     "KOneBar.class_key": "filtered._row_signature",
+    "TableEntry.class_key": "filtered.TableEntry.same_class",
     "KOneBar.kernel": "ktheory._build_row",
     "KOneBar.symbol": "cli._cmd_k1",
     "VdbReport.consistent": "cli._cmd_vdb",
@@ -232,7 +250,7 @@ def test_shared_name_methods_have_listed_call_sites():
     builtin type also has is in ``SHARED_NAME_CALLS`` (or in
     ``UNCALLED_METHODS_OK``), and the function listed for it loads the
     name; a listed method whose name is no longer shared is stale."""
-    trees = _src()[0]
+    trees = _src()
     classes = [c for tree in trees.values() for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
     defined = {c.name: _class_attributes(c) for c in classes}
     shared = {
