@@ -220,14 +220,16 @@ _FREE_ENTRY_BOUND = 2
 def _iso_candidates(dom: PresentedGroup, cod: PresentedGroup):
     """All isomorphism matrices between two groups in Smith coordinates.
 
-    Returns (candidates, complete): candidates is a tuple of matrices;
-    complete is False when free coordinates were truncated to the entry
-    bound, so an empty result is not a proof that no isomorphism exists.
-    Returns None when the enumeration would exceed the node cap.
+    The two groups have equal moduli tuples: equal group classes give equal
+    moduli, since Smith coordinates list the torsion as an ascending
+    invariant-factor chain followed by the free zeros.  Returns
+    (candidates, complete): candidates is a tuple of matrices, never empty,
+    since every diagonal entry may be 1 and every other entry 0, so the
+    identity is listed; complete is False when free coordinates were
+    truncated to the entry bound.  Returns None when the enumeration would
+    exceed the node cap.
     """
     dom_moduli, cod_moduli = _moduli(dom), _moduli(cod)
-    if sorted(dom_moduli) != sorted(cod_moduli):
-        return (), True
     per_entry = []
     for mi in cod_moduli:
         for mj in dom_moduli:
@@ -263,13 +265,16 @@ def _squares_commute(beta, f_a, f_b, alpha, moduli) -> bool:
 def _row_element_check(row_a: SixTermRow, row_b: SixTermRow):
     """Search for a commuting system of node isomorphisms between two rows.
 
-    Returns (outcome, complete).  The outcome is "passed", "refuted" (full
-    coverage, no system exists), or "skipped" / "inconclusive" when caps or
-    entry bounds got in the way.  ``complete`` says that no node has a free
+    The rows have equal signatures, so each pair of nodes has equal moduli
+    and a nonempty candidate list (see :func:`_iso_candidates`).  Returns
+    (outcome, complete).  The outcome is "passed", "refuted" (full coverage,
+    no system exists), or "skipped" / "inconclusive" when caps or entry
+    bounds got in the way.  ``complete`` says that no node has a free
     coordinate, so the candidates listed cover every isomorphism.  The chain
     shape of the diagram lets a forward arc-consistency pass decide
-    existence exactly.  Everything runs on the rows' skeletons in Smith
-    coordinates (``SixTermRow.reduced``).
+    existence exactly, so only a square that no listed pair of node
+    isomorphisms makes commute refutes.  Everything runs on the rows'
+    skeletons in Smith coordinates (``SixTermRow.reduced``).
     """
     nodes_a, nodes_b = (
         (row.reduced[0].domain,) + tuple(f.codomain for f in row.reduced)
@@ -287,8 +292,6 @@ def _row_element_check(row_a: SixTermRow, row_b: SixTermRow):
         if found is None:
             return "skipped", False
         cands, full = found
-        if not cands:
-            return ("refuted" if full else "inconclusive"), full
         candidate_sets.append(cands)
         complete = complete and full
     viable = candidate_sets[0]
@@ -390,16 +393,15 @@ _ENTRY_FACETS = ("K0", "K1bar free rank", "K1bar twisted part")
 
 def _paired_entries(t1: FilteredKTable, t2: FilteredKTable, iso):
     """Each entry of the first table with the entry of the second whose
-    piece is its image under the prime bijection of a lattice isomorphism,
-    or None where the second table has no such piece; None in place of the
-    list when the isomorphism does not map primes onto primes."""
-    primes1, primes2 = t1.topology.primes, t2.topology.primes
-    if {iso[p] for p in primes1} != set(primes2):
-        return None
-    position = {p: idx for idx, p in enumerate(primes2)}
-    image = [position[iso[p]] for p in primes1].__getitem__
-    get = t2._by_difference.get
-    return [(e, get(frozenset(map(image, d)))) for d, e in t1._by_difference.items()]
+    piece is its image under the prime bijection of a lattice isomorphism.
+
+    ``iso`` maps primes onto primes and every difference of nested opens
+    onto one, so every entry has an image and both tables have as many
+    entries (see :func:`compare_fkbar`)."""
+    position = {p: idx for idx, p in enumerate(t2.topology.primes)}
+    image = [position[iso[p]] for p in t1.topology.primes].__getitem__
+    by_difference = t2._by_difference
+    return [(e, by_difference[frozenset(map(image, d))]) for d, e in t1._by_difference.items()]
 
 
 def _entry_verdicts(pairs) -> list[PieceVerdict]:
@@ -407,10 +409,6 @@ def _entry_verdicts(pairs) -> list[PieceVerdict]:
     paired entry is read."""
     verdicts = []
     for e1, e2 in pairs:
-        difference = tuple(sorted(e1.piece.difference))
-        if e2 is None:
-            verdicts.append(PieceVerdict(difference, False, "no matching piece in the second table"))
-            continue
         c1, c2 = e1.class_key, e2.class_key
         problems = []
         if c1 != c2:
@@ -421,7 +419,7 @@ def _entry_verdicts(pairs) -> list[PieceVerdict]:
                 if x1 != x2
             ]
         detail = "; ".join(problems) if problems else "entry classes agree"
-        verdicts.append(PieceVerdict(difference, not problems, detail))
+        verdicts.append(PieceVerdict(tuple(sorted(e1.piece.difference)), not problems, detail))
     return verdicts
 
 
@@ -442,20 +440,11 @@ def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool)
     """
     # an order isomorphism maps a nested triple to a nested triple
     pairs = [(trip, (iso[trip[0]], iso[trip[1]], iso[trip[2]])) for trip in t1.row_triples]
-    same = [
-        None if t2.row(other) is None else t1.signature(trip) == t2.signature(other)
-        for trip, other in pairs
-    ]
+    same = [t1.signature(trip) == t2.signature(other) for trip, other in pairs]
     verdicts = []
     element_outcomes = []
     failure = ""
     for (trip, other_trip), matched in zip(pairs, same):
-        if matched is None:
-            verdicts.append(
-                RowVerdict(triple=trip, matched=False, detail="row missing in second table")
-            )
-            failure = failure or f"row {other_trip} missing in the second table"
-            continue
         row, other = t1.row(trip), t2.row(other_trip)
         problems = []
         if not matched:
@@ -505,20 +494,35 @@ def compare_fkbar(
     A shift-equivalence intertwiner, when supplied, proposes the first
     candidate; the rest are drawn lazily, and LatticeCapError is raised
     after ``_CANDIDATE_CAP`` failed candidates.  For each candidate the checks
-    run in order: prime and piece bijections, per-piece group classes,
-    per-row map invariants plus exactness, then (for small groups) an
-    element-level search for commuting isomorphism systems.  Both tables
-    are built, each lattice checked against ``lattice_cap`` and ``row_cap``,
-    with their entries before any candidate is tried.  An entry's class is
-    computed once, when a candidate pairs it with an entry of another
-    transfer matrix or the report's verdicts need it; a row is built only
-    when a candidate matches every entry.  Each row and its signature are
-    computed at most once, whatever the number of candidates.  The two
-    tables share one skeleton memo and one set of Smith coordinates, so
-    each distinct skeleton is decided and classed once, and each K0
-    presentation reduced once.  So a comparison that fails at its entries
-    runs no elimination that tracks a transform, and one whose candidate
-    pairs equal transfer matrices eliminates no matrix twice.
+    run in order: per-piece group classes, per-row map invariants plus
+    exactness, then (for small groups) an element-level search for
+    commuting isomorphism systems.  Both tables are built, each lattice
+    checked against ``lattice_cap`` and ``row_cap``, with their entries
+    before any candidate is tried.  An entry's class is computed once, when
+    a candidate pairs it with an entry of another transfer matrix or the
+    report's verdicts need it; a row is built only when a candidate matches
+    every entry.  Each row and its signature are computed at most once,
+    whatever the number of candidates.  The two tables share one skeleton
+    memo and one set of Smith coordinates, so each distinct skeleton is
+    decided and classed once, and each K0 presentation reduced once.  So a
+    comparison that fails at its entries runs no elimination that tracks a
+    transform, and one whose candidate pairs equal transfer matrices
+    eliminates no matrix twice.
+
+    Every candidate pairs every piece and every row.  A candidate is an
+    order isomorphism of finite distributive lattices:
+    ``_iter_isomorphisms`` lifts a bijection s of the primes that maps the
+    opens onto the opens, and ``transport_from_certificate`` returns only
+    bijections it has checked to preserve order both ways.  An order
+    isomorphism maps the meet-irreducible elements, which are the primes,
+    onto the primes; the bijection s it induces on them maps each open, the
+    set of primes not above an element, onto the open of the image.  So s
+    maps each difference U minus V of nested opens onto the difference of
+    their images, which are nested opens too: every piece of the first
+    table has an image piece, and the tables have as many pieces.  It maps
+    a nested triple onto a nested triple, whose indices rise because
+    lattice indices extend inclusion, so every row of the first table has
+    an image row.
     """
     t1 = FilteredKTable(g1, coeff, lattice_cap, row_cap)
     t2 = FilteredKTable(g2, coeff, lattice_cap, row_cap)
@@ -541,25 +545,22 @@ def compare_fkbar(
     for tried, iso in enumerate(candidates, 1):
         pairs = _paired_entries(t1, t2, iso)
         rows = None
-        if pairs is None:
-            score = math.inf
-        else:
-            score = sum(e2 is None or not e1.same_class(e2) for e1, e2 in pairs)
-            if not score and len(t1.entries) == len(t2.entries):
-                rows = _match_rows(t1, t2, iso, run_elements=element_search)
-                row_verdicts, row_failure, element_outcomes = rows
-                if not row_failure:
-                    element, certification = _element_check(element_outcomes)
-                    return ComparisonReport(
-                        consistent=True,
-                        obstruction="",
-                        lattice_iso=iso,
-                        group_matches=tuple(_entry_verdicts(pairs)),
-                        map_matches=tuple(row_verdicts),
-                        certification=certification,
-                        element_check=element,
-                    )
-                score = sum(1 for v in row_verdicts if not v.matched)
+        score = sum(not e1.same_class(e2) for e1, e2 in pairs)
+        if not score:
+            rows = _match_rows(t1, t2, iso, run_elements=element_search)
+            row_verdicts, row_failure, element_outcomes = rows
+            if not row_failure:
+                element, certification = _element_check(element_outcomes)
+                return ComparisonReport(
+                    consistent=True,
+                    obstruction="",
+                    lattice_iso=iso,
+                    group_matches=tuple(_entry_verdicts(pairs)),
+                    map_matches=tuple(row_verdicts),
+                    certification=certification,
+                    element_check=element,
+                )
+            score = sum(1 for v in row_verdicts if not v.matched)
         if best is None or score < best[0]:
             best = (score, iso, pairs, rows)
         if tried > _CANDIDATE_CAP:
@@ -570,16 +571,12 @@ def compare_fkbar(
     pieces, rows, element = (), (), "skipped"
     if best is None:
         failure = "ideal lattices admit no order isomorphism"
-    elif best[2] is None:
-        failure = "lattice isomorphism does not preserve the prime set"
     else:
         _, iso, pairs, found = best
         pieces = _entry_verdicts(pairs)
         if found is not None:
             rows, failure, element_outcomes = found
             element = _element_check(element_outcomes)[0]
-        elif any(e2 is None for _, e2 in pairs) or len(t1.entries) != len(t2.entries):
-            failure = "piece bijection failed"
         else:
             failure = next(v.detail for v in pieces if not v.matched)
     return ComparisonReport(

@@ -134,16 +134,16 @@ class KOneBar:
         return FgAbGroup(self.kernel_rank, ()).direct_sum(spec)
 
     def symbol(self) -> str:
+        """The group as text.  A transfer matrix has no more columns than
+        rows, so a positive kernel rank leaves the cokernel a free part
+        too, and then the twisted cokernel's symbol is never "0"."""
         iso = self.isomorphism_class()
         if iso is not None:
             return str(iso)
-        free = FgAbGroup(self.kernel_rank, ())
         coker = self.coker_part.symbol()
         if self.kernel_rank == 0:
             return coker
-        if coker == "0":
-            return str(free)
-        return f"{free} ⊕ {coker}"
+        return f"{FgAbGroup(self.kernel_rank, ())} ⊕ {coker}"
 
 
 def k1(g: Graph, coeff: CoeffGroup) -> KOneBar:

@@ -289,6 +289,9 @@ class TestHumanOutput:
         code, out, _ = run(capsys, ["k1bar", files["loop"], "--field", "5"])
         assert code == 0
         assert out == "Kbar1 = Z ⊕ Z/2\n"
+        # the twisted cokernel keeps one whole divisible summand
+        code, out, _ = run(capsys, ["k1bar", files["loop"], "--field", "divisible"])
+        assert (code, out) == (0, "Kbar1 = Z ⊕ G\n")
 
     def test_info(self, capsys, files):
         code, out, _ = run(capsys, ["info", files["loop"]])

@@ -14,7 +14,7 @@ from leavitt.filtered import RowCapError, compare_fkbar, fkbar, transport_from_c
 from leavitt.graphs import Graph, graph_from_matrix, relabel, subquotient
 from leavitt.intlinalg import CoeffGroup, FgAbGroup, IntMatrix, PresentedGroup
 from leavitt.ktheory import SubquotientStore, k0, k1, six_term_row
-from leavitt.lattice import LatticeCapError, enumerate_hsat
+from leavitt.lattice import LatticeCapError, enumerate_hsat, hsat_closure
 from leavitt.shifts import shift_equivalent_bounded
 
 
@@ -366,6 +366,56 @@ class TestCompare:
         assert compare_fkbar(rose2, g2, COEFF) == compare_fkbar(rose2, g2, COEFF)
 
 
+def linked_blocks(links):
+    """A two-vertex block on x0, x1 (K0 = Z/2 + Z/4, K1 = 0) below a
+    two-vertex block on x2, x3 (K0 = Z + Z/2, K1 = Z): ``links[i][j]``
+    edges run from x(2 + i) to x(j).  The ideal lattice is the 3-chain."""
+    (n00, n01), (n10, n11) = links
+    adjacency = [[3, 2, 0, 0], [2, 7, 0, 0], [n00, n01, 3, 2], [n10, n11, 2, 3]]
+    return graph_from_matrix(IntMatrix(adjacency), prefix="x")
+
+
+class TestRowFailures:
+    """A candidate that matches every entry can still fail at a row."""
+
+    def test_connecting_maps_with_other_cokernels(self):
+        # delta: K1(top block) = Z -> K0(bottom block) = Z/2 + Z/4 has image
+        # Z/2 in both, with cokernel Z/4 in one and Z/2 + Z/2 in the other;
+        # the whole graphs' K0 are both Z + Z/2 + Z/4
+        a, b = linked_blocks(((0, 0), (1, 1))), linked_blocks(((0, 1), (2, 1)))
+        rep = compare_fkbar(a, b, COEFF)
+        assert not rep.consistent
+        assert all(v.matched for v in rep.group_matches) and len(rep.group_matches) == 4
+        assert rep.obstruction == "triple (0, 1, 2): map invariants differ"
+        assert [v.triple for v in rep.map_matches if not v.matched] == [(0, 1, 2)]
+        delta = [fkbar(g, COEFF).row((0, 1, 2))._record.classes[1][2] for g in (a, b)]
+        assert [str(cokernel) for _, _, cokernel in delta] == ["Z/4", "Z/2 ⊕ Z/2"]
+        assert rep == H.compare_verdicts_per_candidate(a, b, COEFF)
+
+    @pytest.mark.parametrize("broken, problem", [("v", "first"), ("w", "second")])
+    def test_inexact_row_fails_the_candidate(self, rose2, monkeypatch, broken, problem):
+        # a row whose exactness check fails, as a broken skeleton check would
+        # leave it, is a failure of the candidate and not a match
+        exact = property(lambda row: broken not in row.triple[2])
+        monkeypatch.setattr(ktheory.SixTermRow, "exact", exact)
+        rep = compare_fkbar(rose2, relabel(rose2, {"v": "w"}), COEFF)
+        assert not rep.consistent and rep.element_check == "passed"
+        detail = f"{problem} table row failed exactness"
+        assert rep.obstruction == f"triple (0, 0, 1): {detail}"
+        details = [v.detail for v in rep.map_matches]
+        assert details == ["row matches (element search: passed)"] + [detail] * 3
+
+    def test_refuted_element_search_fails_the_candidate(self, rose2, monkeypatch):
+        # no real pair refutes under today's node cap: the rows would be short
+        # exact sequences of small finite groups, where rows of equal
+        # signatures are always isomorphic
+        monkeypatch.setattr(filtered, "_row_element_check", lambda row, other: ("refuted", True))
+        rep = compare_fkbar(rose2, ones_graph(), COEFF)
+        assert not rep.consistent and rep.element_check == "refuted"
+        assert rep.obstruction == "triple (0, 0, 0): no commuting system of isomorphisms exists"
+        assert {v.matched for v in rep.map_matches} == {False}
+
+
 def count_eliminations(monkeypatch):
     """Matrix -> the set of (u, v) tracked by its Smith eliminations, from
     an empty elimination cache, so no earlier test serves a run."""
@@ -516,10 +566,42 @@ class TestTransport:
 
     def test_degenerate_matrix_rejected(self, rose2):
         g2 = ones_graph()
-        iso = transport_from_certificate(
-            rose2, g2, enumerate_hsat(rose2), enumerate_hsat(g2), IntMatrix([[0, 0]], cols=2)
+        lat1, lat2 = enumerate_hsat(rose2), enumerate_hsat(g2)
+        for r in (IntMatrix([[0, 0]], cols=2), IntMatrix.identity(2)):  # no hit; wrong shape
+            assert transport_from_certificate(rose2, g2, lat1, lat2, r) is None
+
+    def test_image_outside_the_second_lattice_rejected(self):
+        # the second lattice is of a strongly connected graph on the same
+        # names, so the image {b} of the ideal {b} is not one of its elements
+        g = Graph(["a", "b"], [("x", "a", "a"), ("y", "a", "b"), ("z", "b", "b")])
+        cycle = Graph(["a", "b"], [("x", "a", "a"), ("y", "a", "b"), ("z", "b", "a")])
+        lattice, other = enumerate_hsat(g), enumerate_hsat(cycle)
+        with pytest.raises(KeyError):
+            other.index_of({"b"})
+        assert transport_from_certificate(g, g, lattice, other, IntMatrix.identity(2)) is None
+
+    def test_monotone_bijection_that_does_not_reflect_order_rejected(self):
+        # square {}, {x}, {y}, {x, y, z} (z only feeds x and y) against the
+        # chain {}, {a}, {a, b}, {a, b, c}: R sends x, y, z to a, b, c, so
+        # the image map is a monotone bijection, but {x} and {y} are
+        # incomparable while their images {a} and {a, b} are not
+        square = Graph(
+            ["x", "y", "z"], [("p", "x", "x"), ("q", "y", "y"), ("r", "z", "x"), ("s", "z", "y")]
         )
-        assert iso is None
+        chain = Graph(
+            ["a", "b", "c"],
+            [("p", "a", "a"), ("q", "b", "a"), ("r", "b", "b"), ("s", "c", "b"), ("t", "c", "c")],
+        )
+        lat1, lat2 = enumerate_hsat(square), enumerate_hsat(chain)
+        assert len(lat1) == len(lat2) == 4
+        hit = dict(zip("xyz", "abc"))
+        images = [
+            lat2.index_of(hsat_closure(chain, [hit[v] for v in lat1.members(i)])) for i in range(4)
+        ]
+        assert sorted(images) == [0, 1, 2, 3]
+        pairs = [(i, j) for i in range(4) for j in range(4) if lat1.leq(i, j)]
+        assert all(lat2.leq(images[i], images[j]) for i, j in pairs)
+        assert transport_from_certificate(square, chain, lat1, lat2, IntMatrix.identity(3)) is None
 
     def test_transport_on_graphs_with_ideals(self):
         # identical graphs with a nontrivial lattice: the identity intertwiner

@@ -36,6 +36,7 @@ class TestGraphBasics:
         assert [e.name for e in g.out_edges("v")] == ["a", "b"]
         assert g.index("w2") == 2
         assert g.has_vertex("v") and not g.has_vertex("x")
+        assert repr(g) == "Graph(vertices=('v', 'w1', 'w2'), edges=2)"
 
     @pytest.mark.parametrize("ident", ["", "a b", "a\u2003b", "\u00a0", "a\tb", "a\n"])
     def test_blank_or_spaced_identifiers_rejected(self, ident):

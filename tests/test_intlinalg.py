@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import helpers as H
 from helpers import check_well_defined, lattice_member
+from leavitt import intlinalg
 from leavitt.intlinalg import (
     CoeffGroup,
     FgAbGroup,
@@ -73,6 +74,7 @@ class TestIntMatrix:
         assert m.shape == (2, 3)
         assert m[1, 2] == 6
         assert m.to_lists() == [[1, 2, 3], [4, 5, 6]]
+        assert repr(m) == "IntMatrix([[1, 2, 3], [4, 5, 6]], cols=3)"
 
     def test_matmul_matrix_and_vector(self):
         a = IntMatrix([[1, 2], [3, 4]])
@@ -429,6 +431,21 @@ class TestTransformChoices:
 # ---------------------------------------------------------------------------
 # kernels, lattices, solving
 # ---------------------------------------------------------------------------
+
+
+class TestEliminationCache:
+    def test_oldest_entry_is_evicted_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(intlinalg, "_ELIMINATIONS_CAP", 2)
+        monkeypatch.setattr(intlinalg, "_eliminations", {})
+        a, b, c = IntMatrix([[2]]), IntMatrix([[3]]), IntMatrix([[4]])
+        for m in (a, b, c):
+            invariant_factors(m)
+        assert list(intlinalg._eliminations) == [b, c]
+        # a kernel request replaces an entry in place, evicting nothing
+        kernel_basis(b)
+        assert list(intlinalg._eliminations) == [b, c]
+        assert invariant_factors(a).diagonal == (2,)
+        assert list(intlinalg._eliminations) == [c, a]
 
 
 class TestKernelsAndLattices:
@@ -794,6 +811,7 @@ class TestCoefficients:
     def test_coker_with_divisible(self):
         cd = coker_with_coefficients(IntMatrix([[2]]), CoeffGroup.divisible())
         assert cd.specialize() == FgAbGroup.from_parts(0, ())
+        assert cd.symbol() == "0"
         cd2 = coker_with_coefficients(IntMatrix([[0]]), CoeffGroup.divisible())
         assert cd2.specialize() is None  # one full divisible summand survives
         assert cd2.free_rank == 1

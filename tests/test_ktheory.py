@@ -31,7 +31,7 @@ from leavitt.ktheory import (
     vdb_sequence,
 )
 from leavitt.lattice import enumerate_hsat
-from leavitt.monoid import GradedElement, graded_equal, parse_graded_element
+from leavitt.monoid import EqVerdict, GradedElement, graded_equal, parse_graded_element
 
 
 COEFF_F5 = CoeffGroup.reduced_units_of_field(5)
@@ -249,6 +249,21 @@ class TestVdbSequence:
                 assert rep.coker_phi == k0(g).invariants()
         assert calls == []
 
+    def test_kernel_vector_outside_the_kernel_is_a_bug(self, rose2, monkeypatch):
+        # the transfer matrix of the rose is [1]; a kernel basis [1] is wrong
+        monkeypatch.setattr(ktheory, "kernel_basis", lambda m: IntMatrix([[1]]))
+        with pytest.raises(AssertionError, match="^kernel basis vector is not in the kernel of"):
+            vdb_sequence(rose2, COEFF_F5)
+
+    def test_kernel_image_phi_does_not_kill_is_reported(self, loop, monkeypatch):
+        # as if graded equality could not decide phi(psi(x)) = 0 for the
+        # loop's kernel vector
+        undecided = EqVerdict("not-equal", "forced")
+        monkeypatch.setattr(ktheory, "graded_equal", lambda g, a, b: undecided)
+        rep = vdb_sequence(loop, COEFF_F5)
+        assert not rep.kernel_maps_into_ker_phi and rep.phi_composes_to_zero
+        assert not rep.consistent
+
     def test_loop_witnesses(self, loop):
         rep = vdb_sequence(loop, CoeffGroup.reduced_units_of_field(5))
         assert rep.consistent
@@ -443,6 +458,14 @@ class TestRowSkeleton:
             pair.graph = relabel(pair.graph, {v: v + "2" for v in pair.graph.vertices})
             with pytest.raises(AssertionError, match="subquotient bookkeeping broke"):
                 six_term_row(g, set(), {"a"}, {"a", "b"}, coeff, store=store)
+
+    def test_kernel_vector_leaving_the_kernel_is_a_bug(self, monkeypatch):
+        # a lattice solve that finds no coordinates for an induced kernel vector
+        monkeypatch.setattr(ktheory, "solve_lattice", lambda m, vec: None)
+        g = Graph(["a", "b"], [("x", "a", "a"), ("y", "b", "b")])
+        message = "^kernel vector left the kernel under an induced map$"
+        with pytest.raises(AssertionError, match=message):
+            six_term_row(g, set(), {"a"}, {"a", "b"}, COEFF_F5)
 
     def test_doubled_delta_is_one_sided_on_toeplitz(self):
         # im(2 delta) = 2Z sits inside ker(u12) = Z but does not fill it

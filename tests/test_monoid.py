@@ -102,6 +102,8 @@ class TestRewriting:
         # sinks cannot move down; they simply stay at their level
         stay = graded_expand_to_level(fan, parse_graded_element("w1(0)"), -1)
         assert stay.coeffs == (("w1", 0, 1),)
+        # zero has no support level, so any target level will do
+        assert graded_expand_to_level(fan, GradedElement.zero(), 5) == GradedElement.zero()
 
     def test_graded_expansion_rejects_upward(self, rose2):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from leavitt.ktheory import k0
 from leavitt.monoid import graded_equal
 from leavitt.shifts import (
     ShiftEqCertificate,
+    VerifyResult,
     bowen_franks,
     det_invariant,
     shift_equivalent_bounded,
@@ -182,6 +183,15 @@ class TestCertificates:
         )
         res = verify_certificate(a, b, broken)
         assert not res.ok and res.failures
+
+        # R = [1 1] intertwines the two, so every failure below involves S
+        for s, failures in (
+            ([[1, 1]], ("S shape (1, 2) != (2, 1)",)),
+            ([[3], [-1]], ("S has a negative entry", "S A != B S", "S R != B^lag")),
+            ([[1], [0]], ("S A != B S", "R S != A^lag", "S R != B^lag")),
+        ):
+            cert = ShiftEqCertificate(lag=1, r=IntMatrix([[1, 1]]), s=IntMatrix(s))
+            assert verify_certificate(a, b, cert) == VerifyResult(False, failures)
 
 
 class TestBoundedSearch:
