@@ -98,12 +98,14 @@ class FilteredKTable:
     The constructor counts the nested triples i <= j <= p, at each j as
     (#i <= j) * (#p >= j), and raises RowCapError past ``row_cap`` before
     any entry is built; then it builds every entry.  A row is built through
-    the table's subquotient ``store`` on first request and kept.  Its
-    triple comes from the table's own lattice, so it is nested with a
-    hereditary saturated middle set, and the row skips that validation of
-    :func:`~leavitt.ktheory.six_term_row`; every other check of a row runs.
-    The constructor builds no row, so a caller may still have the store
-    share another store's memos (``SubquotientStore._share``).
+    the table's subquotient ``store`` on first request and kept: its name
+    triple over the store's body for its positional shape.  Its triple
+    comes from the table's own lattice, so it is nested with a hereditary
+    saturated middle set, and the row skips that validation of
+    :func:`~leavitt.ktheory.six_term_row`; every other check runs, once
+    per shape, on the matrices every row of that shape carries.  The
+    constructor builds no row, so a caller may still have the store share
+    another store's memos (``SubquotientStore._share``).
     """
 
     def __init__(self, g: Graph, coeff: CoeffGroup, lattice_cap: int = 4096, row_cap: int = 65_536):
@@ -178,7 +180,7 @@ def fkbar(
     decided when first read; ``all_rows_exact`` reads and summarizes them
     rather than hiding them.  Every subquotient an entry or a row
     needs is built once, with its K-groups, and shared, and so is the
-    exactness verdict of each distinct row skeleton.  Raises RowCapError
+    body of each positional row shape with its exactness verdict.  Raises RowCapError
     before any entry is built when the lattice has more than ``row_cap``
     nested triples; otherwise builds every row before it returns.
     """
@@ -199,7 +201,7 @@ def _row_signature(row: SixTermRow):
     Map classes are the kernel/image/cokernel triples of the five maps of
     the row skeleton, so equal signatures mean no Z-level rank or invariant
     factor tells the rows apart.  The group and map classes are those of
-    the store's record of the skeleton, computed once per skeleton; the
+    the store's record of the skeleton, computed once per row shape; the
     K1bar classes are kept by each group.
     """
     groups, maps = row._record.classes
@@ -502,9 +504,10 @@ def compare_fkbar(
     a candidate pairs it with an entry of another transfer matrix or the
     report's verdicts need it; a row is built only when a candidate matches
     every entry.  Each row and its signature are computed at most once,
-    whatever the number of candidates.  The two tables share one skeleton
-    memo and one set of Smith coordinates, so each distinct skeleton is
-    decided and classed once, and each K0 presentation reduced once.  So a
+    whatever the number of candidates.  The two tables share one body per
+    positional row shape and one set of Smith coordinates, so each row
+    shape is built, checked, decided and classed once, and each K0
+    presentation reduced once.  So a
     comparison that fails at its entries runs no elimination that tracks a
     transform, and one whose candidate pairs equal transfer matrices
     eliminates no matrix twice.

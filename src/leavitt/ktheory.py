@@ -7,13 +7,17 @@ and coefficient groups of units twist the cokernel.  Connecting maps
 between the invariants of an ideal, the whole graph and the quotient are
 computed exactly and their six-term rows are verified, not assumed.
 
-A row's exactness is decided on its skeleton of six groups and five maps,
-once per distinct skeleton of a :class:`SubquotientStore`, after each K0
-presentation has been rewritten on its invariant factors other than 1
-(``_SmithCoordinates``, with certified transforms).  The rewriting is an
-isomorphism of each group and the maps are well defined, so verdicts about
-images, kernels and cokernels do not change; the store's record keeps the
-skeleton in both coordinates.
+A row depends on its triple I <= J <= P only through its positional
+shape: the adjacency matrix of the middle subquotient, in declaration
+order, and the positions in it of the vertices of J not in I.  A
+:class:`SubquotientStore` builds and checks one row body per shape, and
+every row of that shape shares it.  A row's exactness is decided on its skeleton of six groups and
+five maps, once per body, after each K0 presentation has been rewritten
+on its invariant factors other than 1 (``_SmithCoordinates``, with
+certified transforms).  The rewriting is an isomorphism of each group and
+the maps are well defined, so verdicts about images, kernels and
+cokernels do not change; the body's record keeps the skeleton in both
+coordinates.
 """
 
 from __future__ import annotations
@@ -271,30 +275,21 @@ class ConnectingMap:
     map: GroupMap
 
 
-def connecting_delta(g: Graph, members, parts=None) -> ConnectingMap:
+def connecting_delta(g: Graph, members) -> ConnectingMap:
     """Connecting map of the ideal-quotient pair, checked well defined.
 
     The matrix block records edges from non-sink quotient vertices into the
     ideal; composing with a kernel basis of the quotient transfer matrix
     gives the map on the free kernel summand.  ``members`` must be
-    hereditary saturated, which is checked unless ``parts`` is given: the
-    pair of :class:`SubquotientK` for the ideal and the quotient that a
-    six-term row has already built from a checked set.  Their graphs,
-    quotient kernel basis and ideal K0 are then used instead of being
-    computed again.
+    hereditary saturated, which is checked.
     """
     members = frozenset(members)
-    if parts is None:
-        if not (is_hereditary(g, members) and is_saturated(g, members)):
-            raise ValueError("connecting map needs a hereditary saturated set")
-        sub = restriction(g, members)
-        quo = quotient(g, members)
-        kb = kernel_basis(k_matrix(quo))
-        codomain = k0(sub)
-    else:
-        ideal, rest = parts
-        sub, quo = ideal.graph, rest.graph
-        kb, codomain = rest.k1.kernel, ideal.k0
+    if not (is_hereditary(g, members) and is_saturated(g, members)):
+        raise ValueError("connecting map needs a hereditary saturated set")
+    sub = restriction(g, members)
+    quo = quotient(g, members)
+    kb = kernel_basis(k_matrix(quo))
+    codomain = k0(sub)
     # one row per ideal vertex, one column per quotient non-sink: edge counts
     x_block = (
         g.adjacency()
@@ -407,21 +402,19 @@ class SubquotientStore:
     own.  The store also keeps, for as long as it lives, the row work that
     depends only on matrices and so repeats across the rows of a table:
 
-    - one record (a ``_Skeleton``) per distinct row skeleton, found by the
-      identities of its five matrices and six relation matrices, which
-      rows with equal skeletons share;
+    - one row body per positional shape (see the module docstring): the
+      three K1bar groups, the three K0 groups and the record (a
+      ``_Skeleton``) of the skeleton, built and checked by the first row of
+      that shape and shared by every later one;
     - the Smith coordinates of each K0 presentation, reduced and certified
       once;
-    - the selection matrices of the inclusions and projections, by size and
-      positions, the free kernel groups by rank, and the kernel coordinates
-      of tau1 and tau2;
     - the vertex names of each set of a triple, one tuple that rows share.
 
     Exactness, kernels, images and cokernels are statements about
     subgroups, so an isomorphism of each group carries them over; the
     verdicts and classes decided in Smith coordinates are those of the
-    skeleton itself, whose maps are well defined (the squares each row
-    checks, and free domains).  A skeleton is matrices only, so two stores
+    skeleton itself, whose maps are well defined (the squares each body
+    checks, and free domains).  A body is matrices only, so two stores
     with one coefficient group may share these memos (``_share``).
     """
 
@@ -430,17 +423,14 @@ class SubquotientStore:
         self.coeff = coeff
         self._pairs = {}
         self._names = {}
-        self._coordinates = {}
-        self._skeletons = {}
+        self._bodies = {}
         self._reductions = {}
-        self._interned = {}
 
     def _share(self, other: SubquotientStore) -> None:
-        """Use the skeleton records, Smith coordinates and interned matrices
-        of ``other``, a store with the same coefficient group."""
-        self._skeletons = other._skeletons
+        """Use the row bodies and Smith coordinates of ``other``, a store
+        with the same coefficient group."""
+        self._bodies = other._bodies
         self._reductions = other._reductions
-        self._interned = other._interned
 
     def get(self, inner: frozenset, outer: frozenset) -> SubquotientK:
         key = (inner, outer)
@@ -457,33 +447,6 @@ class SubquotientStore:
             names = self._names[members] = tuple(v for v in self.graph.vertices if v in members)
         return names
 
-    def _kernel_coordinates(self, basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
-        key = (basis, vectors)
-        coords = self._coordinates.get(key)
-        if coords is None:
-            coords = self._coordinates[key] = _kernel_coordinates(basis, vectors)
-        return coords
-
-    # ``_interned`` holds kernel groups under their rank and selection
-    # matrices under (size, positions, columns)
-
-    def _kernel_group(self, rank: int) -> PresentedGroup:
-        """The free group of a kernel basis with ``rank`` columns."""
-        group = self._interned.get(rank)
-        if group is None:
-            group = self._interned[rank] = PresentedGroup(IntMatrix.zeros(rank, 0))
-        return group
-
-    def _selection(self, size: int, positions: tuple, columns: bool) -> IntMatrix:
-        """The columns (or rows) of the size-by-size identity at ``positions``."""
-        key = (size, positions, columns)
-        m = self._interned.get(key)
-        if m is None:
-            eye = IntMatrix.identity(size)
-            m = eye.take_columns(positions) if columns else eye.take_rows(positions)
-            self._interned[key] = m
-        return m
-
     def _coordinates_of(self, group: PresentedGroup) -> _SmithCoordinates:
         coords = self._reductions.get(group)
         if coords is None:
@@ -491,25 +454,20 @@ class SubquotientStore:
         return coords
 
     def _record(self, groups, matrices) -> _Skeleton:
-        """The record of the skeleton with these six groups and five map
-        matrices, whose maps (with the names of ``_ROW_MAP_NAMES``) are
-        built only when no record exists."""
-        key = matrices + tuple(grp.relations for grp in groups)
-        record = self._skeletons.get(key)
-        if record is None:
-            maps = tuple(
-                GroupMap(groups[k], groups[k + 1], m, name=name)
-                for k, (name, m) in enumerate(zip(_ROW_MAP_NAMES, matrices))
-            )
-            coords = [self._coordinates_of(grp) for grp in groups]
-            reduced = tuple(_in_coordinates(f, coords[k], coords[k + 1]) for k, f in enumerate(maps))
-            record = self._skeletons[key] = _Skeleton(maps, reduced, self.coeff)
-        return record
+        """A new record of the skeleton with these six groups and five map
+        matrices, its maps named as in ``_ROW_MAP_NAMES``."""
+        maps = tuple(
+            GroupMap(groups[k], groups[k + 1], m, name=name)
+            for k, (name, m) in enumerate(zip(_ROW_MAP_NAMES, matrices))
+        )
+        coords = [self._coordinates_of(grp) for grp in groups]
+        reduced = tuple(_in_coordinates(f, coords[k], coords[k + 1]) for k, f in enumerate(maps))
+        return _Skeleton(maps, reduced, self.coeff)
 
 
 class _Skeleton:
-    """A store's record of one row skeleton, shared by the rows with equal
-    skeletons: the first such skeleton (``maps``), the same skeleton in
+    """A store's record of one row skeleton, shared by the rows of one
+    positional shape: the skeleton (``maps``), the same skeleton in
     Smith coordinates (``reduced``, see ``_SmithCoordinates``), and what is
     decided there when first asked: the node verdicts (``nodes``) and the
     signature classes that a table comparison reads (``classes``).
@@ -610,7 +568,7 @@ def _skeleton_nodes(maps, coeff: CoeffGroup) -> tuple[NodeReport, ...]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SixTermRow:
     """One row of the filtered K-theory ladder for a nested ideal triple.
 
@@ -622,11 +580,11 @@ class SixTermRow:
     ``reduced`` is the same skeleton in the Smith coordinates of its groups
     (see ``SubquotientStore``), where the verdicts are decided when first
     read, and ``_record`` the store's record of the skeleton, which holds
-    both and the verdicts.
+    both and the verdicts.  Every field but ``triple`` is the store's body
+    for the row's positional shape, shared by all rows of that shape.
     """
 
     triple: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
-    graphs: tuple[Graph, Graph, Graph]
     k1bars: tuple[KOneBar, KOneBar, KOneBar]
     k0s: tuple[PresentedGroup, PresentedGroup, PresentedGroup]
     maps: tuple[GroupMap, ...]
@@ -677,24 +635,50 @@ def _build_row(store: SubquotientStore, inner: frozenset, middle: frozenset, out
     """The six-term row of a nested triple whose middle set is hereditary
     saturated in the store's graph, which the caller vouches for.
 
-    Exactness at the four interior nodes is decided on the row skeleton by
-    :func:`_skeleton_nodes`: at the Z level, and for finite cyclic
-    coefficients also at the two K1bar nodes on the twisted cokernels.  The
-    three subquotients and their K-groups come from ``store``, which
-    decides each distinct skeleton once, in Smith coordinates.  Every row
-    still checks the vertices and edges of the middle ideal's restriction
-    and quotient against the store, and the two squares that make the
-    induced maps well defined.  Inclusions and projections act by selecting
-    and scattering rows and columns at the positions of the smaller graphs'
-    vertices in the middle subquotient.
+    The row is its triple of vertex names over the store's body for its
+    positional shape: the adjacency matrix of the middle subquotient and the
+    positions in it of the middle set's vertices not in the inner one.
+    Every matrix of the row is a function of that shape, so the first row
+    of a shape builds and checks the body (``_row_body``) and every later
+    row shares it.
     """
     pair2 = store.get(inner, outer)
     g2 = pair2.graph
     # hereditary saturated in g, so hereditary saturated in g2
     hprime = middle - inner
-    pair1 = store.get(inner, middle)
-    pair3 = store.get(middle, outer)
-    g1, g3 = pair1.graph, pair3.graph
+    shape = (g2.adjacency(), tuple(i for i, v in enumerate(g2.vertices) if v in hprime))
+    body = store._bodies.get(shape)
+    if body is None:
+        pairs = (store.get(inner, middle), pair2, store.get(middle, outer))
+        body = store._bodies[shape] = _row_body(store, pairs, hprime)
+    k1bars, k0s, record = body
+    return SixTermRow(
+        triple=(store._names_of(inner), store._names_of(middle), store._names_of(outer)),
+        k1bars=k1bars,
+        k0s=k0s,
+        maps=record.maps,
+        reduced=record.reduced,
+        _record=record,
+    )
+
+
+def _row_body(store: SubquotientStore, pairs, hprime: frozenset):
+    """The K1bar groups, K0 groups and skeleton record of a row, from its
+    three store pairs (ideal part, middle, quotient part) and the middle
+    ideal ``hprime`` of the middle subquotient.
+
+    Exactness at the four interior nodes is decided on the row skeleton by
+    :func:`_skeleton_nodes`: at the Z level, and for finite cyclic
+    coefficients also at the two K1bar nodes on the twisted cokernels, once
+    per record and in Smith coordinates.  The body checks the vertices and
+    edges of the middle ideal's restriction and quotient against the store,
+    and the two squares that make the induced maps well defined.
+    Inclusions and projections act by selecting and scattering rows and
+    columns at the positions of the smaller graphs' vertices in the middle
+    subquotient.
+    """
+    pair1, pair2, pair3 = pairs
+    g1, g2, g3 = pair1.graph, pair2.graph, pair3.graph
     # restriction(g2, hprime) and quotient(g2, hprime), without building them
     if (
         g1.vertices != tuple(v for v in g2.vertices if v in hprime)
@@ -706,14 +690,15 @@ def _build_row(store: SubquotientStore, inner: frozenset, middle: frozenset, out
 
     km1, km2, km3 = pair1.km, pair2.km, pair3.km
     k1bars = (pair1.k1, pair2.k1, pair3.k1)
+    k0s = (pair1.k0, pair2.k0, pair3.k0)
     kb1, kb2, kb3 = (kb.kernel for kb in k1bars)
-    delta = connecting_delta(g2, hprime, parts=(pair1, pair3)).map
+    delta = connecting_delta(g2, hprime).map
 
     reg_pos = {v: i for i, v in enumerate(g2.regulars)}
     reg1 = [reg_pos[v] for v in g1.regulars]
     reg3 = [reg_pos[v] for v in g3.regulars]
-    vert1 = tuple(g2.index(v) for v in g1.vertices)
-    vert3 = tuple(g2.index(v) for v in g3.vertices)
+    vert1 = [g2.index(v) for v in g1.vertices]
+    vert3 = [g2.index(v) for v in g3.vertices]
     n2, r2 = len(g2.vertices), len(g2.regulars)
 
     # the squares that make every induced map well defined
@@ -722,21 +707,13 @@ def _build_row(store: SubquotientStore, inner: frozenset, middle: frozenset, out
     if km2.take_rows(vert3) != km3.scatter_columns(reg3, r2):
         raise AssertionError("quotient projection does not intertwine transfer matrices")
 
-    kernels = tuple(store._kernel_group(kb.cols) for kb in (kb1, kb2, kb3))
+    kernels = tuple(PresentedGroup(IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3))
+    eye = IntMatrix.identity(n2)
     matrices = (
-        store._kernel_coordinates(kb2, kb1.scatter_rows(reg1, r2)),
-        store._kernel_coordinates(kb3, kb2.take_rows(reg3)),
+        _kernel_coordinates(kb2, kb1.scatter_rows(reg1, r2)),
+        _kernel_coordinates(kb3, kb2.take_rows(reg3)),
         delta.matrix,
-        store._selection(n2, vert1, columns=True),
-        store._selection(n2, vert3, columns=False),
+        eye.take_columns(vert1),
+        eye.take_rows(vert3),
     )
-    record = store._record(kernels + (pair1.k0, pair2.k0, pair3.k0), matrices)
-    return SixTermRow(
-        triple=(store._names_of(inner), store._names_of(middle), store._names_of(outer)),
-        graphs=(g1, g2, g3),
-        k1bars=k1bars,
-        k0s=(pair1.k0, pair2.k0, pair3.k0),
-        maps=record.maps,
-        reduced=record.reduced,
-        _record=record,
-    )
+    return k1bars, k0s, store._record(kernels + k0s, matrices)

@@ -80,7 +80,14 @@ from itertools import combinations, product
 
 import leavitt.filtered as filtered
 from leavitt.filtered import ComparisonReport, PieceVerdict
-from leavitt.graphs import Graph, is_hereditary, is_saturated, quotient, restriction
+from leavitt.graphs import (
+    Graph,
+    is_hereditary,
+    is_saturated,
+    quotient,
+    restriction,
+    subquotient,
+)
 from leavitt.intlinalg import (
     CoeffGroup,
     FgAbGroup,
@@ -669,6 +676,13 @@ def check_well_defined(gmap: GroupMap) -> bool:
 def row_groups(row: SixTermRow) -> tuple[PresentedGroup, ...]:
     """The six groups of a row's skeleton, in row order."""
     return (row.maps[0].domain,) + tuple(f.codomain for f in row.maps)
+
+
+def row_graphs(g: Graph, row: SixTermRow) -> tuple[Graph, Graph, Graph]:
+    """The ideal part, middle and quotient part of a row of ``g``, built
+    from its triple of vertex names."""
+    inner, middle, outer = (frozenset(names) for names in row.triple)
+    return subquotient(g, inner, middle), subquotient(g, inner, outer), subquotient(g, middle, outer)
 
 
 # ---------------------------------------------------------------------------
@@ -1372,6 +1386,12 @@ def compare_verdicts_per_candidate(g1: Graph, g2: Graph, coeff: CoeffGroup, elem
 def rose(n: int) -> Graph:
     """One vertex with n loops."""
     return Graph(["v"], [(f"e{i}", "v", "v") for i in range(n)])
+
+
+def disjoint_loops(k: int) -> Graph:
+    """k vertices, each with one loop: 4^k nested ideal triples."""
+    names = [f"x{i}" for i in range(k)]
+    return Graph(names, [(f"l{i}", v, v) for i, v in enumerate(names)])
 
 
 def fan_graph() -> Graph:

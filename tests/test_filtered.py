@@ -121,7 +121,7 @@ class TestTable:
             assert inv1 == inv2
 
 
-ROW_FIELDS = ("triple", "graphs", "k0s", "k1bars", "maps", "nodes")
+ROW_FIELDS = ("triple", "k0s", "k1bars", "maps", "nodes")
 
 
 class TestSharedSubquotients:
@@ -161,11 +161,6 @@ class TestSharedSubquotients:
             six_term_row(H.rose(2), set(), {"v"}, {"v"}, COEFF, store=store)
 
 
-def disjoint_loops(k):
-    names = [f"x{i}" for i in range(k)]
-    return Graph(names, [(f"l{i}", v, v) for i, v in enumerate(names)])
-
-
 class TestRowCap:
     def test_cap_counts_nested_triples_before_rows(self, fan):
         assert len(fkbar(fan, COEFF, row_cap=16).rows) == 16
@@ -173,7 +168,7 @@ class TestRowCap:
             fkbar(fan, COEFF, row_cap=15)
 
     def test_boolean_lattice_has_four_to_the_k_triples(self):
-        g = disjoint_loops(3)
+        g = H.disjoint_loops(3)
         assert len(fkbar(g, COEFF, row_cap=64).rows) == 64
         with pytest.raises(RowCapError):
             fkbar(g, COEFF, row_cap=63)
@@ -185,7 +180,7 @@ class TestRowCap:
 
 class TestCompare:
     def test_row_signatures_computed_once_per_row(self, monkeypatch):
-        g = disjoint_loops(2)
+        g = H.disjoint_loops(2)
         calls = []
         original = filtered._row_signature
 
@@ -205,7 +200,7 @@ class TestCompare:
         assert len(calls) == 2 * rows
 
     def test_rows_are_built_on_request(self):
-        g = disjoint_loops(2)
+        g = H.disjoint_loops(2)
         t = filtered.FilteredKTable(g, COEFF)
         trip = (0, 1, 3)  # empty set, one loop, both loops
         assert trip in t.row_triples and not t._rows
@@ -216,7 +211,7 @@ class TestCompare:
         assert t.row(trip[::-1]) is None and list(t._rows) == [trip]
 
     def test_skeletons_decided_once_across_both_tables(self, monkeypatch):
-        g = disjoint_loops(3)
+        g = H.disjoint_loops(3)
         calls = []
         original = ktheory._skeleton_nodes
 
@@ -231,7 +226,7 @@ class TestCompare:
 
 
     def test_map_invariants_once_per_skeleton(self, monkeypatch):
-        g = disjoint_loops(3)
+        g = H.disjoint_loops(3)
         skeletons = {row.maps for row in fkbar(g, COEFF).rows}
         calls = []
         original = ktheory.map_invariants
@@ -247,7 +242,7 @@ class TestCompare:
         assert len(calls) == 5 * len(skeletons)
 
     def test_entry_classes_once_per_table(self, monkeypatch):
-        g = disjoint_loops(3)
+        g = H.disjoint_loops(3)
         doubled = Graph(g.vertices, g.edges + (("extra", "x0", "x0"),))
         entries = len(fkbar(g, COEFF).entries) + len(fkbar(doubled, COEFF).entries)
         calls = []
@@ -304,13 +299,13 @@ class TestCompare:
                 yield iso
 
         monkeypatch.setattr(filtered, "_iter_isomorphisms", counting)
-        g = disjoint_loops(4)
+        g = H.disjoint_loops(4)
         rep = compare_fkbar(g, g, COEFF, element_search=False)
         # 24 lattice automorphisms, but the first (the identity) matches
         assert rep.consistent and drawn == [tuple(range(16))]
 
     def test_candidate_cap_counts_failed_candidates(self, monkeypatch):
-        g = disjoint_loops(3)
+        g = H.disjoint_loops(3)
         doubled = Graph(g.vertices, g.edges + (("extra", "x0", "x0"),))
         # all 6 automorphisms of the cube fail the K0 of the doubled loop
         assert not compare_fkbar(g, doubled, COEFF).consistent
@@ -447,7 +442,7 @@ class TestEliminations:
         assert len(runs) >= 200 and both == []
 
     def test_entry_failures_track_no_transform(self, rose2, rose3, monkeypatch):
-        g = disjoint_loops(4)
+        g = H.disjoint_loops(4)
         doubled = Graph(g.vertices, g.edges + (("extra", "x0", "x0"),))
         runs = count_eliminations(monkeypatch)
         for a, b in ((rose2, rose3), (g, doubled), (doubled, g)):
@@ -662,7 +657,7 @@ class TestClosestFailure:
             return verdicts, f"forced {bad}", outcomes
 
         monkeypatch.setattr(filtered, "_match_rows", failing)
-        g = disjoint_loops(3)
+        g = H.disjoint_loops(3)
         t = filtered.FilteredKTable(g, COEFF)
         isos = list(filtered._iter_isomorphisms(t.topology, t.topology))
         scores = [7 - sum(i * p for i, p in enumerate(iso)) % 7 for iso in isos]
@@ -673,7 +668,7 @@ class TestClosestFailure:
 
     @pytest.mark.parametrize("k", [5, 6, 7])
     def test_loops_against_one_doubled(self, k):
-        g = disjoint_loops(k)
+        g = H.disjoint_loops(k)
         doubled = Graph(g.vertices, g.edges + (("extra", "x0", "x0"),))
         rep = compare_fkbar(g, doubled, COEFF)
         assert not rep.consistent and len(rep.group_matches) == 2**k

@@ -177,7 +177,7 @@ def test_every_public_method_is_used_in_src():
 # checked to load the name.
 SHARED_NAME_CALLS = {
     "FilteredKTable.rows": "filtered.FilteredKTable.all_rows_exact",
-    "Graph.index": "ktheory._build_row",
+    "Graph.index": "ktheory._row_body",
     "IntMatrix.diagonal": "filtered._iso_candidates",
     "IntMatrix.shape": "filtered.transport_from_certificate",
     "SmithData.rank": "shifts.shift_equivalent_bounded",
@@ -187,7 +187,7 @@ SHARED_NAME_CALLS = {
     "CoeffCokernel.class_key": "ktheory.KOneBar.class_key",
     "KOneBar.class_key": "filtered._row_signature",
     "TableEntry.class_key": "filtered.TableEntry.same_class",
-    "KOneBar.kernel": "ktheory._build_row",
+    "KOneBar.kernel": "ktheory._row_body",
     "KOneBar.symbol": "cli._cmd_k1",
     "VdbReport.consistent": "cli._cmd_vdb",
     "SubquotientStore.get": "ktheory._build_row",
