@@ -106,13 +106,14 @@ def _row_json(row, part) -> dict:
     """The payload of a six-term row, its parts from ``part`` (see
     :func:`_parts`): the vertex names of each set of the triple, each
     K1bar and K0 group, and the node verdicts, which rows of one table
-    share."""
+    share through their bodies."""
+    body = row.body
     return {
         "triple": [part(list, names) for names in row.triple],
-        "exact": row.exact,
-        "k1bar": [part(_konebar_json, kb) for kb in row.k1bars],
-        "k0": [part(_k0_json, kz) for kz in row.k0s],
-        "nodes": part(_nodes_json, row.nodes),
+        "exact": body.exact,
+        "k1bar": [part(_konebar_json, kb) for kb in body.k1bars],
+        "k0": [part(_k0_json, kz) for kz in body.k0s],
+        "nodes": part(_nodes_json, body.nodes),
     }
 
 
@@ -491,18 +492,19 @@ def _cmd_sixterm(args):
     )
     row = six_term_row(g, inner, middle, outer, coeff)
     payload = _row_json(row, _parts())
+    body = row.body
     lines = [
-        "Kbar1: " + " -> ".join(kb.symbol() for kb in row.k1bars),
-        "K0:   " + " -> ".join(str(kz.invariants()) for kz in row.k0s),
-        f"exact: {row.exact}",
+        "Kbar1: " + " -> ".join(kb.symbol() for kb in body.k1bars),
+        "K0:   " + " -> ".join(str(kz.invariants()) for kz in body.k0s),
+        f"exact: {body.exact}",
     ]
-    for n in row.nodes:
+    for n in body.nodes:
         extra = "" if n.coeff_exact is None else f", coefficient level {n.coeff_exact}"
         lines.append(
             f"  node {n.name}: image in kernel {n.z_image_in_kernel}, "
             f"kernel in image {n.z_kernel_in_image}{extra}"
         )
-    return payload, lines, EXIT_OK if row.exact else EXIT_OBSTRUCTION
+    return payload, lines, EXIT_OK if body.exact else EXIT_OBSTRUCTION
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ entry class and every row signature; a match is a necessary condition for
 the tables to be isomorphic as diagrams, never a proof, and the report
 says so explicitly.
 
-Row signatures and the element search read each row's skeleton in the Smith
-coordinates its store reduced it to (``SixTermRow.reduced``): one
-coordinate per invariant factor other than 1, so candidate isomorphisms
-are listed on the invariant factors and no map is rewritten per row pair.
+A comparison reads each row's body (``ktheory._RowBody``), which rows of
+one positional shape share: its signature and exactness are computed once
+per body, and the element search runs once per pair of bodies, on their
+skeletons in Smith coordinates (``_RowBody.reduced``): one coordinate per
+invariant factor other than 1, so candidate isomorphisms are listed on the
+invariant factors and no map is rewritten per row pair.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .ktheory import (
     SixTermRow,
     SubquotientStore,
     _build_row,
+    _RowBody,
     _moduli,
     _residues,
 )
@@ -138,7 +141,7 @@ class FilteredKTable:
             for p in range(j, n)
             if lattice.leq(j, p)
         )
-        self._rows, self._signatures = {}, {}
+        self._rows = {}
 
     def row(self, trip) -> SixTermRow | None:
         """The row of a lattice triple; None when the triple is not nested
@@ -151,13 +154,6 @@ class FilteredKTable:
             row = self._rows[trip] = _build_row(self.store, *(self._members[k] for k in trip))
         return row
 
-    def signature(self, trip):
-        """:func:`_row_signature` of the row of a nested triple, computed once."""
-        sig = self._signatures.get(trip)
-        if sig is None:
-            sig = self._signatures[trip] = _row_signature(self.row(trip))
-        return sig
-
     @property
     def rows(self) -> tuple[SixTermRow, ...]:
         """Every row, in the order of ``row_triples``."""
@@ -165,7 +161,7 @@ class FilteredKTable:
 
     @property
     def all_rows_exact(self):
-        return all(r.exact for r in self.rows)
+        return all(r.body.exact for r in self.rows)
 
 
 def fkbar(
@@ -188,24 +184,6 @@ def fkbar(
     for trip in table.row_triples:
         table.row(trip)
     return table
-
-
-# ---------------------------------------------------------------------------
-# row signatures
-# ---------------------------------------------------------------------------
-
-
-def _row_signature(row: SixTermRow):
-    """Invariant tuple of a six-term row: group classes and map classes.
-
-    Map classes are the kernel/image/cokernel triples of the five maps of
-    the row skeleton, so equal signatures mean no Z-level rank or invariant
-    factor tells the rows apart.  The group and map classes are those of
-    the store's record of the skeleton, computed once per row shape; the
-    K1bar classes are kept by each group.
-    """
-    groups, maps = row._record.classes
-    return (groups, tuple(kb.class_key for kb in row.k1bars), maps)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +242,11 @@ def _squares_commute(beta, f_a, f_b, alpha, moduli) -> bool:
     return not any(map(any, _residues(beta @ f_a - f_b @ alpha, moduli)))
 
 
-def _row_element_check(row_a: SixTermRow, row_b: SixTermRow):
-    """Search for a commuting system of node isomorphisms between two rows.
+def _row_element_check(body_a: _RowBody, body_b: _RowBody):
+    """Search for a commuting system of node isomorphisms between the rows
+    of two bodies.
 
-    The rows have equal signatures, so each pair of nodes has equal moduli
+    The bodies have equal signatures, so each pair of nodes has equal moduli
     and a nonempty candidate list (see :func:`_iso_candidates`).  Returns
     (outcome, complete).  The outcome is "passed", "refuted" (full coverage,
     no system exists), or "skipped" / "inconclusive" when caps or entry
@@ -275,12 +254,12 @@ def _row_element_check(row_a: SixTermRow, row_b: SixTermRow):
     coordinate, so the candidates listed cover every isomorphism.  The chain
     shape of the diagram lets a forward arc-consistency pass decide
     existence exactly, so only a square that no listed pair of node
-    isomorphisms makes commute refutes.  Everything runs on the rows'
-    skeletons in Smith coordinates (``SixTermRow.reduced``).
+    isomorphisms makes commute refutes.  Everything runs on the bodies'
+    skeletons in Smith coordinates (``_RowBody.reduced``).
     """
     nodes_a, nodes_b = (
-        (row.reduced[0].domain,) + tuple(f.codomain for f in row.reduced)
-        for row in (row_a, row_b)
+        (body.reduced[0].domain,) + tuple(f.codomain for f in body.reduced)
+        for body in (body_a, body_b)
     )
     moduli_b = [_moduli(n) for n in nodes_b]
     for moduli in map(_moduli, nodes_a):
@@ -303,7 +282,7 @@ def _row_element_check(row_a: SixTermRow, row_b: SixTermRow):
             # a square with a trivial corner commutes for every beta
             viable = candidate_sets[k + 1]
             continue
-        f_a, f_b = row_a.reduced[k].matrix, row_b.reduced[k].matrix
+        f_a, f_b = body_a.reduced[k].matrix, body_b.reduced[k].matrix
         viable = [
             beta
             for beta in candidate_sets[k + 1]
@@ -433,32 +412,40 @@ def _entry_names(e: TableEntry) -> tuple[str, str, str]:
 
 def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool):
     """Row verdicts under a lattice isomorphism, the first failure, and the
-    element search outcomes.
+    element search outcomes, one per row searched.
 
-    Every row pair's signatures are compared before any row's exactness
-    is read or any element search runs: the signature classes take the
-    kernels of matrices whose diagonals those read (see
-    ``ktheory._Skeleton``), so each such matrix is eliminated once.
+    Everything is read on the rows' bodies.  Every row pair's signatures
+    are compared before any body's exactness is read or any element search
+    runs: the signatures take the kernels of matrices whose diagonals those
+    read (see ``ktheory._RowBody``), so each such matrix is eliminated
+    once.  The element search runs once per distinct pair of bodies, and
+    its outcome is recorded on every row pair of those bodies.
     """
     # an order isomorphism maps a nested triple to a nested triple
-    pairs = [(trip, (iso[trip[0]], iso[trip[1]], iso[trip[2]])) for trip in t1.row_triples]
-    same = [t1.signature(trip) == t2.signature(other) for trip, other in pairs]
+    pairs = [
+        (trip, t1.row(trip).body, t2.row((iso[trip[0]], iso[trip[1]], iso[trip[2]])).body)
+        for trip in t1.row_triples
+    ]
+    same = [a.signature == b.signature for _, a, b in pairs]
     verdicts = []
     element_outcomes = []
+    searched = {}
     failure = ""
-    for (trip, other_trip), matched in zip(pairs, same):
-        row, other = t1.row(trip), t2.row(other_trip)
+    for (trip, body, other), matched in zip(pairs, same):
         problems = []
         if not matched:
             problems.append("map invariants differ")
-        if not row.exact:
+        if not body.exact:
             problems.append("first table row failed exactness")
         if not other.exact:
             problems.append("second table row failed exactness")
         element = None
         if not problems and run_elements:
-            element, complete = _row_element_check(row, other)
-            element_outcomes.append((element, complete))
+            outcome = searched.get((body, other))
+            if outcome is None:
+                outcome = searched[body, other] = _row_element_check(body, other)
+            element, complete = outcome
+            element_outcomes.append(outcome)
             if element == "refuted":
                 problems.append("no commuting system of isomorphisms exists")
         detail = "; ".join(problems) if problems else "row matches"

@@ -10,20 +10,21 @@ computed exactly and their six-term rows are verified, not assumed.
 A row depends on its triple I <= J <= P only through its positional
 shape: the adjacency matrix of the middle subquotient, in declaration
 order, and the positions in it of the vertices of J not in I.  A
-:class:`SubquotientStore` builds and checks one row body per shape, and
-every row of that shape shares it.  A row's exactness is decided on its skeleton of six groups and
-five maps, once per body, after each K0 presentation has been rewritten
-on its invariant factors other than 1 (``_SmithCoordinates``, with
-certified transforms).  The rewriting is an isomorphism of each group and
-the maps are well defined, so verdicts about images, kernels and
-cokernels do not change; the body's record keeps the skeleton in both
-coordinates.
+:class:`SubquotientStore` builds and checks one row body (``_RowBody``)
+per shape, and a row is its triple of vertex names over the body of its
+shape.  A body decides exactness and computes its signature on its
+skeleton of six groups and five maps, once, after each K0 presentation
+has been rewritten on its invariant factors other than 1
+(``_SmithCoordinates``, with certified transforms).  The rewriting is an
+isomorphism of each group and the maps are well defined, so verdicts
+about images, kernels and cokernels do not change; the body keeps the
+skeleton in both coordinates.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .graphs import (
@@ -402,10 +403,9 @@ class SubquotientStore:
     own.  The store also keeps, for as long as it lives, the row work that
     depends only on matrices and so repeats across the rows of a table:
 
-    - one row body per positional shape (see the module docstring): the
-      three K1bar groups, the three K0 groups and the record (a
-      ``_Skeleton``) of the skeleton, built and checked by the first row of
-      that shape and shared by every later one;
+    - ``_bodies``: one :class:`_RowBody` per positional shape (see the
+      module docstring), built and checked by the first row of that shape
+      and shared by every later one;
     - the Smith coordinates of each K0 presentation, reduced and certified
       once;
     - the vertex names of each set of a triple, one tuple that rows share.
@@ -453,58 +453,56 @@ class SubquotientStore:
             coords = self._reductions[group] = _SmithCoordinates(group)
         return coords
 
-    def _record(self, groups, matrices) -> _Skeleton:
-        """A new record of the skeleton with these six groups and five map
-        matrices, its maps named as in ``_ROW_MAP_NAMES``."""
-        maps = tuple(
-            GroupMap(groups[k], groups[k + 1], m, name=name)
-            for k, (name, m) in enumerate(zip(_ROW_MAP_NAMES, matrices))
-        )
-        coords = [self._coordinates_of(grp) for grp in groups]
-        reduced = tuple(_in_coordinates(f, coords[k], coords[k + 1]) for k, f in enumerate(maps))
-        return _Skeleton(maps, reduced, self.coeff)
 
+class _RowBody:
+    """The body that every six-term row of one positional shape shares.
 
-class _Skeleton:
-    """A store's record of one row skeleton, shared by the rows of one
-    positional shape: the skeleton (``maps``), the same skeleton in
-    Smith coordinates (``reduced``, see ``_SmithCoordinates``), and what is
-    decided there when first asked: the node verdicts (``nodes``) and the
-    signature classes that a table comparison reads (``classes``).
+    Groups run K1bar(ideal part) -> K1bar(middle) -> K1bar(quotient part)
+    -> K0(ideal part) -> K0(middle) -> K0(quotient part).  ``k1bars`` and
+    ``k0s`` are those groups; ``maps`` is the Z-level skeleton of the row:
+    tau1, tau2, delta, u12 and u23 between six groups, the free kernel parts
+    in kernel-basis coordinates and then the K0 presentations ``k0s``.
+    ``reduced`` is the same skeleton in the Smith coordinates of its groups
+    (see ``_SmithCoordinates``).  What is decided there is computed when
+    first read and kept: the verdicts at the four interior nodes
+    (``nodes``), exactness (``exact``) and the signature that a table
+    comparison matches (``signature``).
 
-    A comparison reads the classes before the nodes.  The classes read the
-    kernels of the matrices whose Smith diagonals the node checks read, so
-    in that order each of those matrices is eliminated once.
+    A comparison reads the signature before the nodes.  The signature reads
+    the kernels of the matrices whose Smith diagonals the node checks read,
+    so in that order each of those matrices is eliminated once.  Bodies
+    are equal only when they are the same object.
     """
 
-    __slots__ = ("maps", "reduced", "_coeff", "_nodes", "_classes")
+    def __init__(self, k1bars, k0s, maps, reduced, coeff: CoeffGroup):
+        self.k1bars, self.k0s, self.maps, self.reduced = k1bars, k0s, maps, reduced
+        self._coeff = coeff
 
-    def __init__(self, maps, reduced, coeff: CoeffGroup):
-        self.maps, self.reduced, self._coeff = maps, reduced, coeff
-        self._nodes = self._classes = None
-
-    @property
+    @cached_property
     def nodes(self) -> tuple[NodeReport, ...]:
-        if self._nodes is None:
-            self._nodes = _skeleton_nodes(self.reduced, self._coeff)
-        return self._nodes
+        return _skeleton_nodes(self.reduced, self._coeff)
 
-    @property
-    def classes(self) -> tuple[tuple[FgAbGroup, ...], tuple]:
-        """The six group classes and the kernel/image/cokernel classes of
-        the five maps (:func:`~leavitt.intlinalg.map_invariants`), in Smith
-        coordinates."""
-        if self._classes is None:
-            reduced = self.reduced
-            groups = (reduced[0].domain,) + tuple(f.codomain for f in reduced)
-            self._classes = (
-                tuple(FgAbGroup.from_parts(0, _moduli(n)) for n in groups),
-                tuple(
-                    map_invariants(f.matrix, f.domain.relations, f.codomain.relations)
-                    for f in reduced
-                ),
-            )
-        return self._classes
+    @cached_property
+    def exact(self) -> bool:
+        return all(n.exact for n in self.nodes)
+
+    @cached_property
+    def signature(self) -> tuple:
+        """Invariant tuple of the row: the six group classes, the K1bar
+        class keys, and the kernel/image/cokernel classes of the five maps
+        (:func:`~leavitt.intlinalg.map_invariants`), groups and maps in
+        Smith coordinates.  Equal signatures mean no Z-level rank or
+        invariant factor tells two rows apart."""
+        reduced = self.reduced
+        groups = (reduced[0].domain,) + tuple(f.codomain for f in reduced)
+        maps = tuple(
+            map_invariants(f.matrix, f.domain.relations, f.codomain.relations) for f in reduced
+        )
+        return (
+            tuple(FgAbGroup.from_parts(0, _moduli(n)) for n in groups),
+            tuple(kb.class_key for kb in self.k1bars),
+            maps,
+        )
 
 
 def _kernel_coordinates(target_basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
@@ -570,51 +568,23 @@ def _skeleton_nodes(maps, coeff: CoeffGroup) -> tuple[NodeReport, ...]:
 
 @dataclass(frozen=True, slots=True)
 class SixTermRow:
-    """One row of the filtered K-theory ladder for a nested ideal triple.
-
-    Groups run K1bar(ideal part) -> K1bar(middle) -> K1bar(quotient part)
-    -> K0(ideal part) -> K0(middle) -> K0(quotient part); the verdicts cover
-    the four interior nodes.  ``maps`` is the Z-level skeleton of the row:
-    tau1, tau2, delta, u12 and u23 between six groups, the free kernel parts
-    in kernel-basis coordinates and then the K0 presentations ``k0s``.
-    ``reduced`` is the same skeleton in the Smith coordinates of its groups
-    (see ``SubquotientStore``), where the verdicts are decided when first
-    read, and ``_record`` the store's record of the skeleton, which holds
-    both and the verdicts.  Every field but ``triple`` is the store's body
-    for the row's positional shape, shared by all rows of that shape.
-    """
+    """One row of the filtered K-theory ladder for a nested ideal triple:
+    the triple's vertex names over the :class:`_RowBody` of its positional
+    shape, which holds the groups, the maps and the verdicts at the four
+    interior nodes, and which every row of that shape shares."""
 
     triple: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
-    k1bars: tuple[KOneBar, KOneBar, KOneBar]
-    k0s: tuple[PresentedGroup, PresentedGroup, PresentedGroup]
-    maps: tuple[GroupMap, ...]
-    reduced: tuple[GroupMap, ...]
-    _record: _Skeleton = field(compare=False, repr=False)
-
-    @property
-    def nodes(self) -> tuple[NodeReport, ...]:
-        return self._record.nodes
-
-    @property
-    def exact(self):
-        return all(n.exact for n in self.nodes)
+    body: _RowBody
 
 
-def six_term_row(
-    g: Graph,
-    inner,
-    middle,
-    outer,
-    coeff: CoeffGroup,
-    store: SubquotientStore | None = None,
-) -> SixTermRow:
+def six_term_row(g: Graph, inner, middle, outer, coeff: CoeffGroup) -> SixTermRow:
     """Build and verify the six-term row of a nested hereditary triple.
 
-    A triple that is not nested, a middle set that is not hereditary
-    saturated, or a store of another graph or coefficient group raises
-    ValueError before any subquotient is built.  The row itself is built by
-    ``_build_row``, which a filtered table calls directly for the triples
-    of its own lattice.
+    A triple that is not nested or a middle set that is not hereditary
+    saturated raises ValueError before any subquotient is built.  The row
+    itself is built by ``_build_row`` on a store of its own; a filtered
+    table calls that directly, on its own store, for the triples of its
+    lattice.
     """
     inner = frozenset(inner)
     middle = frozenset(middle)
@@ -624,11 +594,7 @@ def six_term_row(
     if not (is_hereditary(g, middle) and is_saturated(g, middle)):
         names = ",".join(v for v in g.vertices if v in middle)
         raise ValueError(f"middle set {{{names}}} is not hereditary saturated")
-    if store is None:
-        store = SubquotientStore(g, coeff)
-    elif store.graph != g or store.coeff != coeff:
-        raise ValueError("subquotient store belongs to another graph or coefficient group")
-    return _build_row(store, inner, middle, outer)
+    return _build_row(SubquotientStore(g, coeff), inner, middle, outer)
 
 
 def _build_row(store: SubquotientStore, inner: frozenset, middle: frozenset, outer: frozenset):
@@ -651,26 +617,19 @@ def _build_row(store: SubquotientStore, inner: frozenset, middle: frozenset, out
     if body is None:
         pairs = (store.get(inner, middle), pair2, store.get(middle, outer))
         body = store._bodies[shape] = _row_body(store, pairs, hprime)
-    k1bars, k0s, record = body
-    return SixTermRow(
-        triple=(store._names_of(inner), store._names_of(middle), store._names_of(outer)),
-        k1bars=k1bars,
-        k0s=k0s,
-        maps=record.maps,
-        reduced=record.reduced,
-        _record=record,
-    )
+    names = store._names_of
+    return SixTermRow((names(inner), names(middle), names(outer)), body)
 
 
-def _row_body(store: SubquotientStore, pairs, hprime: frozenset):
-    """The K1bar groups, K0 groups and skeleton record of a row, from its
-    three store pairs (ideal part, middle, quotient part) and the middle
-    ideal ``hprime`` of the middle subquotient.
+def _row_body(store: SubquotientStore, pairs, hprime: frozenset) -> _RowBody:
+    """The body of a row, from its three store pairs (ideal part, middle,
+    quotient part) and the middle ideal ``hprime`` of the middle
+    subquotient.
 
     Exactness at the four interior nodes is decided on the row skeleton by
     :func:`_skeleton_nodes`: at the Z level, and for finite cyclic
     coefficients also at the two K1bar nodes on the twisted cokernels, once
-    per record and in Smith coordinates.  The body checks the vertices and
+    per body and in Smith coordinates.  The body checks the vertices and
     edges of the middle ideal's restriction and quotient against the store,
     and the two squares that make the induced maps well defined.
     Inclusions and projections act by selecting and scattering rows and
@@ -707,7 +666,7 @@ def _row_body(store: SubquotientStore, pairs, hprime: frozenset):
     if km2.take_rows(vert3) != km3.scatter_columns(reg3, r2):
         raise AssertionError("quotient projection does not intertwine transfer matrices")
 
-    kernels = tuple(PresentedGroup(IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3))
+    groups = tuple(PresentedGroup(IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3)) + k0s
     eye = IntMatrix.identity(n2)
     matrices = (
         _kernel_coordinates(kb2, kb1.scatter_rows(reg1, r2)),
@@ -716,4 +675,10 @@ def _row_body(store: SubquotientStore, pairs, hprime: frozenset):
         eye.take_columns(vert1),
         eye.take_rows(vert3),
     )
-    return k1bars, k0s, store._record(kernels + k0s, matrices)
+    maps = tuple(
+        GroupMap(groups[k], groups[k + 1], m, name=name)
+        for k, (name, m) in enumerate(zip(_ROW_MAP_NAMES, matrices))
+    )
+    coords = [store._coordinates_of(grp) for grp in groups]
+    reduced = tuple(_in_coordinates(f, coords[k], coords[k + 1]) for k, f in enumerate(maps))
+    return _RowBody(k1bars, k0s, maps, reduced, store.coeff)

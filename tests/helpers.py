@@ -675,7 +675,7 @@ def check_well_defined(gmap: GroupMap) -> bool:
 
 def row_groups(row: SixTermRow) -> tuple[PresentedGroup, ...]:
     """The six groups of a row's skeleton, in row order."""
-    return (row.maps[0].domain,) + tuple(f.codomain for f in row.maps)
+    return (row.body.maps[0].domain,) + tuple(f.codomain for f in row.body.maps)
 
 
 def row_graphs(g: Graph, row: SixTermRow) -> tuple[Graph, Graph, Graph]:

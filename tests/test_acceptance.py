@@ -116,7 +116,7 @@ def test_criterion_04_exactness_sweep(corpus):
                             lat.members(p),
                             coeff,
                         )
-                        for node in row.nodes:
+                        for node in row.body.nodes:
                             assert node.z_image_in_kernel, (g, row.triple, node.name)
                             assert node.z_kernel_in_image, (g, row.triple, node.name)
                             # finite cyclic coefficients: both K1bar nodes are

@@ -13,7 +13,7 @@ import leavitt.ktheory as ktheory
 from leavitt.filtered import RowCapError, compare_fkbar, fkbar, transport_from_certificate
 from leavitt.graphs import Graph, graph_from_matrix, relabel, subquotient
 from leavitt.intlinalg import CoeffGroup, FgAbGroup, IntMatrix, PresentedGroup
-from leavitt.ktheory import SubquotientStore, k0, k1, six_term_row
+from leavitt.ktheory import k0, k1, six_term_row
 from leavitt.lattice import LatticeCapError, enumerate_hsat, hsat_closure
 from leavitt.shifts import shift_equivalent_bounded
 
@@ -89,9 +89,9 @@ class TestTable:
                 slots = [((i, j), 0), ((i, p), 1), ((j, p), 2)]
                 for pair, slot in slots:
                     inv = (
-                        row.k0s[slot].invariants(),
-                        row.k1bars[slot].isomorphism_class(),
-                        row.k1bars[slot].symbol(),
+                        row.body.k0s[slot].invariants(),
+                        row.body.k1bars[slot].isomorphism_class(),
+                        row.body.k1bars[slot].symbol(),
                     )
                     if pair in seen:
                         assert seen[pair] == inv, (g, pair)
@@ -121,7 +121,7 @@ class TestTable:
             assert inv1 == inv2
 
 
-ROW_FIELDS = ("triple", "k0s", "k1bars", "maps", "nodes")
+BODY_FIELDS = ("k0s", "k1bars", "maps", "nodes")
 
 
 class TestSharedSubquotients:
@@ -139,10 +139,12 @@ class TestSharedSubquotients:
             t = fkbar(g, coeff)
             for row in t.rows:
                 fresh = six_term_row(g, *row.triple, coeff)
-                for name in ROW_FIELDS:
-                    assert getattr(row, name) == getattr(fresh, name), (g, row.triple, name)
-                assert [k.invariants() for k in row.k0s] == [k.invariants() for k in fresh.k0s]
-                assert [k.symbol() for k in row.k1bars] == [k.symbol() for k in fresh.k1bars]
+                assert row.triple == fresh.triple
+                body, fresh = row.body, fresh.body
+                for name in BODY_FIELDS:
+                    assert getattr(body, name) == getattr(fresh, name), (g, row.triple, name)
+                assert [k.invariants() for k in body.k0s] == [k.invariants() for k in fresh.k0s]
+                assert [k.symbol() for k in body.k1bars] == [k.symbol() for k in fresh.k1bars]
                 rows += 1
             for e in t.entries:
                 sub = subquotient(g, e.inner_members, e.outer_members)
@@ -150,15 +152,6 @@ class TestSharedSubquotients:
                 assert e.kzero == k0(sub), (g, e.piece)
                 assert e.konebar == k1(sub, coeff), (g, e.piece)
         assert rows == 1491
-
-    def test_store_serves_one_graph_and_coefficient_group(self, fan):
-        store = SubquotientStore(fan, COEFF)
-        members = frozenset(fan.vertices)
-        assert store.get(frozenset(), members) is store.get(frozenset(), members)
-        with pytest.raises(ValueError):
-            six_term_row(fan, set(), {"w1"}, members, CoeffGroup.symbolic(), store=store)
-        with pytest.raises(ValueError):
-            six_term_row(H.rose(2), set(), {"v"}, {"v"}, COEFF, store=store)
 
 
 class TestRowCap:
@@ -179,25 +172,34 @@ class TestRowCap:
 
 
 class TestCompare:
-    def test_row_signatures_computed_once_per_row(self, monkeypatch):
-        g = H.disjoint_loops(2)
-        calls = []
-        original = filtered._row_signature
+    def test_body_work_once_per_body(self, monkeypatch):
+        g = H.disjoint_loops(3)
+        calls = {"signature": [], "exact": [], "element": []}
+        for name in ("signature", "exact"):
+            prop = vars(ktheory._RowBody)[name]
 
-        def counting(row):
-            calls.append(row.triple)
-            return original(row)
+            def counting(body, compute=prop.func, name=name):
+                calls[name].append(body)
+                return compute(body)
 
-        monkeypatch.setattr(filtered, "_row_signature", counting)
-        tables = (filtered.FilteredKTable(g, COEFF), filtered.FilteredKTable(g, COEFF))
-        rows = len(tables[0].row_triples)
-        isos = list(filtered._iter_isomorphisms(tables[0].topology, tables[1].topology))
-        assert len(isos) == 2 and rows == 16
-        for iso in isos:
-            verdicts, failure, _ = filtered._match_rows(*tables, iso, run_elements=False)
-            assert not failure and len(verdicts) == rows
-        # once per row of each of the two tables, not once per candidate
-        assert len(calls) == 2 * rows
+            monkeypatch.setattr(prop, "func", counting)
+        search = filtered._row_element_check
+
+        def counting_search(a, b):
+            calls["element"].append((a, b))
+            return search(a, b)
+
+        monkeypatch.setattr(filtered, "_row_element_check", counting_search)
+        rep = compare_fkbar(g, g, COEFF)
+        assert rep.consistent and len(rep.map_matches) == 64
+        assert all(v.matched for v in rep.map_matches)
+        # the 64 rows of each table have 15 bodies between them: one
+        # signature and one exactness verdict per body, and one element
+        # search per pair of bodies, not one per row or per candidate
+        bodies = set(calls["signature"])
+        assert len(bodies) == len(calls["signature"]) == 15
+        assert set(calls["exact"]) == bodies and len(calls["exact"]) == 15
+        assert len(calls["element"]) == len(set(calls["element"])) == 15
 
     def test_rows_are_built_on_request(self):
         g = H.disjoint_loops(2)
@@ -206,7 +208,11 @@ class TestCompare:
         assert trip in t.row_triples and not t._rows
         row = t.row(trip)
         assert t.row(trip) is row and list(t._rows) == [trip]
-        assert row == fkbar(g, COEFF).row(trip)
+        # another table's row has its own body, equal in its groups and maps
+        other = fkbar(g, COEFF).row(trip)
+        assert row.triple == other.triple and row.body is not other.body
+        for name in ("k1bars", "k0s", "maps"):
+            assert getattr(row.body, name) == getattr(other.body, name), name
         # indices rise along the order, so the reversed triple is not nested
         assert t.row(trip[::-1]) is None and list(t._rows) == [trip]
 
@@ -227,7 +233,7 @@ class TestCompare:
 
     def test_map_invariants_once_per_skeleton(self, monkeypatch):
         g = H.disjoint_loops(3)
-        skeletons = {row.maps for row in fkbar(g, COEFF).rows}
+        skeletons = {row.body.maps for row in fkbar(g, COEFF).rows}
         calls = []
         original = ktheory.map_invariants
 
@@ -383,16 +389,28 @@ class TestRowFailures:
         assert all(v.matched for v in rep.group_matches) and len(rep.group_matches) == 4
         assert rep.obstruction == "triple (0, 1, 2): map invariants differ"
         assert [v.triple for v in rep.map_matches if not v.matched] == [(0, 1, 2)]
-        delta = [fkbar(g, COEFF).row((0, 1, 2))._record.classes[1][2] for g in (a, b)]
+        delta = [fkbar(g, COEFF).row((0, 1, 2)).body.signature[2][2] for g in (a, b)]
         assert [str(cokernel) for _, _, cokernel in delta] == ["Z/4", "Z/2 ⊕ Z/2"]
         assert rep == H.compare_verdicts_per_candidate(a, b, COEFF)
 
     @pytest.mark.parametrize("broken, problem", [("v", "first"), ("w", "second")])
     def test_inexact_row_fails_the_candidate(self, rose2, monkeypatch, broken, problem):
         # a row whose exactness check fails, as a broken skeleton check would
-        # leave it, is a failure of the candidate and not a match
-        exact = property(lambda row: broken not in row.triple[2])
-        monkeypatch.setattr(ktheory.SixTermRow, "exact", exact)
+        # leave it, is a failure of the candidate and not a match; the two
+        # tables share their bodies, so only the rows of one table get an
+        # inexact copy of theirs
+        build_row = filtered._build_row
+
+        def breaking(store, inner, middle, outer):
+            row = build_row(store, inner, middle, outer)
+            if broken not in outer:
+                return row
+            body = row.body
+            inexact = ktheory._RowBody(body.k1bars, body.k0s, body.maps, body.reduced, COEFF)
+            inexact.exact = False
+            return ktheory.SixTermRow(row.triple, inexact)
+
+        monkeypatch.setattr(filtered, "_build_row", breaking)
         rep = compare_fkbar(rose2, relabel(rose2, {"v": "w"}), COEFF)
         assert not rep.consistent and rep.element_check == "passed"
         detail = f"{problem} table row failed exactness"
@@ -494,22 +512,23 @@ class TestRowsOnDemand:
         assert len(built) == 8
 
 
-def zeroed_map(row, k):
-    """``row`` with its k-th skeleton map replaced by the zero map, in the
-    row's own coordinates and in Smith coordinates alike."""
+def zeroed_map(body, k):
+    """A new body like ``body`` with its k-th skeleton map replaced by the
+    zero map, in the row's own coordinates and in Smith coordinates alike."""
 
     def zeroed(maps):
         maps = list(maps)
         maps[k] = dataclasses.replace(maps[k], matrix=IntMatrix.zeros(*maps[k].matrix.shape))
         return tuple(maps)
 
-    return dataclasses.replace(row, maps=zeroed(row.maps), reduced=zeroed(row.reduced))
+    return ktheory._RowBody(body.k1bars, body.k0s, zeroed(body.maps), zeroed(body.reduced), COEFF)
 
 
 def element_outcome(matrix, trip, k):
-    """Element-search outcome of a real row against the same row with map k zeroed."""
+    """Element-search outcome of a real row's body against the same body
+    with map k zeroed."""
     row = fkbar(graph_from_matrix(IntMatrix(matrix)), COEFF).row(trip)
-    return row, filtered._row_element_check(row, zeroed_map(row, k))
+    return row, filtered._row_element_check(row.body, zeroed_map(row.body, k))
 
 
 class TestElementSearchOutcomes:
@@ -520,14 +539,14 @@ class TestElementSearchOutcomes:
         row, outcome = element_outcome([[4, 1], [0, 4]], (0, 1, 1), 3)
         assert [str(grp.invariants()) for grp in H.row_groups(row)[3:]] == ["Z/3", "Z/3", "0"]
         assert outcome == ("refuted", True)
-        assert filtered._row_element_check(row, row) == ("passed", True)
+        assert filtered._row_element_check(row.body, row.body) == ("passed", True)
 
     def test_zeroed_map_between_free_groups_is_inconclusive(self):
         # every node is Z, so free entries are truncated and nothing is refuted
         row, outcome = element_outcome([[1, 1], [0, 1]], (0, 1, 2), 0)
         assert all(str(grp.invariants()) == "Z" for grp in H.row_groups(row))
         assert outcome == ("inconclusive", False)
-        assert filtered._row_element_check(row, row) == ("passed", False)
+        assert filtered._row_element_check(row.body, row.body) == ("passed", False)
 
     def test_large_torsion_is_skipped(self, monkeypatch):
         # Z/101 + Z/101 has order 10,201, past the torsion cap: no candidate is listed

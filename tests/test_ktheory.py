@@ -1,6 +1,5 @@
 """K-theory of graph algebras: K0, reduced K1, diagrams, six-term rows."""
 
-import dataclasses
 import random
 
 import pytest
@@ -317,7 +316,8 @@ ROW_MAP_NAMES = ("tau1", "tau2", "delta", "u12", "u23")
 
 
 def nested_rows(g, coeff, store=None):
-    """The six-term row of every nested triple of g's ideal lattice."""
+    """The six-term row of every nested triple of g's ideal lattice, each on
+    a store of its own, or all on ``store`` when one is given."""
     lat = enumerate_hsat(g)
     n = len(lat)
     for i in range(n):
@@ -325,10 +325,17 @@ def nested_rows(g, coeff, store=None):
             if not lat.leq(i, j):
                 continue
             for p in range(j, n):
-                if lat.leq(j, p):
-                    yield six_term_row(
-                        g, lat.members(i), lat.members(j), lat.members(p), coeff, store=store
-                    )
+                if not lat.leq(j, p):
+                    continue
+                if store is None:
+                    yield six_term_row(g, lat.members(i), lat.members(j), lat.members(p), coeff)
+                else:
+                    members = (frozenset(lat.members(k)) for k in (i, j, p))
+                    yield ktheory._build_row(store, *members)
+
+
+# two loops a and b: the ideal {a} between nothing and everything
+TWO_LOOP_TRIPLE = (frozenset(), frozenset({"a"}), frozenset({"a", "b"}))
 
 
 def z_verdicts(nodes):
@@ -336,41 +343,41 @@ def z_verdicts(nodes):
 
 
 def with_doubled_delta(row):
-    f = row.maps[2]
+    f = row.body.maps[2]
     doubled = GroupMap(f.domain, f.codomain, f.matrix.scale(2), name="2delta")
-    return row.maps[:2] + (doubled,) + row.maps[3:]
+    return row.body.maps[:2] + (doubled,) + row.body.maps[3:]
 
 
 class TestSixTermRow:
     def test_fan_row_golden(self, fan):
         f5r = CoeffGroup.reduced_units_of_field(5)
         row = six_term_row(fan, set(), {"w1"}, set(fan.vertices), f5r)
-        assert row.exact
-        assert [n.name for n in row.nodes] == [
+        assert row.body.exact
+        assert [n.name for n in row.body.nodes] == [
             "k1bar-middle",
             "k1bar-quotient",
             "k0-ideal",
             "k0-middle",
         ]
-        assert [k.invariants() for k in row.k0s] == [
+        assert [k.invariants() for k in row.body.k0s] == [
             FgAbGroup.from_parts(1, ()),
             FgAbGroup.from_parts(2, ()),
             FgAbGroup.from_parts(1, ()),
         ]
-        assert [k.isomorphism_class() for k in row.k1bars] == [
+        assert [k.isomorphism_class() for k in row.body.k1bars] == [
             FgAbGroup.from_parts(0, (2,)),
             FgAbGroup.from_parts(0, (2, 2)),
             FgAbGroup.from_parts(0, (2,)),
         ]
         # coefficient-level element checks ran on the torsion nodes
-        assert all(n.coeff_exact for n in row.nodes[:2])
+        assert all(n.coeff_exact for n in row.body.nodes[:2])
 
     def test_toeplitz_row_has_nonzero_delta(self):
         g = toeplitz_graph()
         f5r = CoeffGroup.reduced_units_of_field(5)
         row = six_term_row(g, set(), {"s"}, {"v", "s"}, f5r)
-        assert row.exact
-        assert row.maps[2].matrix.to_lists() == [[1]]
+        assert row.body.exact
+        assert row.body.maps[2].matrix.to_lists() == [[1]]
 
     def test_rejects_non_nested_triples(self):
         g = toeplitz_graph()
@@ -385,7 +392,7 @@ class TestSixTermRow:
         ):
             for g in corpus[:15]:
                 for row in nested_rows(g, coeff):
-                    assert row.exact, (g, row.triple)
+                    assert row.body.exact, (g, row.triple)
 
 class TestRowSkeleton:
     def test_nodes_match_ambient_oracle_on_corpus(self, corpus):
@@ -393,11 +400,11 @@ class TestRowSkeleton:
         rows = doubled = 0
         for g in corpus:
             for row in nested_rows(g, coeff):
-                reported = tuple((n.z_image_in_kernel, n.z_kernel_in_image) for n in row.nodes)
+                reported = tuple((n.z_image_in_kernel, n.z_kernel_in_image) for n in row.body.nodes)
                 graphs = H.row_graphs(g, row)
                 assert reported == H.six_term_nodes_oracle(graphs), (g, row.triple)
-                assert reported == z_verdicts(check_exact(row.maps))
-                if any(map(any, row.maps[2].matrix.data)):  # delta is not zero
+                assert reported == z_verdicts(check_exact(row.body.maps))
+                if any(map(any, row.body.maps[2].matrix.data)):  # delta is not zero
                     # a broken row: the one-sided verdicts must still agree
                     got = z_verdicts(check_exact(with_doubled_delta(row)))
                     assert got == H.six_term_nodes_oracle(graphs, delta_scale=2), (
@@ -414,23 +421,23 @@ class TestRowSkeleton:
         for g in corpus[:60]:
             for row in nested_rows(g, coeff):
                 groups = H.row_groups(row)
-                assert len(groups) == 6 and groups[3:] == row.k0s
-                assert tuple(f.name for f in row.maps) == ROW_MAP_NAMES
-                for k, f in enumerate(row.maps):
+                assert len(groups) == 6 and groups[3:] == row.body.k0s
+                assert tuple(f.name for f in row.body.maps) == ROW_MAP_NAMES
+                for k, f in enumerate(row.body.maps):
                     assert f.domain == groups[k] and f.codomain == groups[k + 1]
                     assert f.matrix.shape == (f.codomain.generators, f.domain.generators)
                     assert check_well_defined(f)
-                for grp, kb in zip(groups[:3], row.k1bars):
+                for grp, kb in zip(groups[:3], row.body.k1bars):
                     assert grp.generators == kb.kernel_rank
                     assert grp.relations.shape == (kb.kernel_rank, 0)
                 graphs = H.row_graphs(g, row)
-                for grp, kz, sub in zip(groups[3:], row.k0s, graphs):
+                for grp, kz, sub in zip(groups[3:], row.body.k0s, graphs):
                     assert grp.relations == kz.relations == k_matrix(sub)
                 # delta in the skeleton is the standalone connecting map of
                 # the middle ideal in the outer subquotient
                 inner, middle, _ = row.triple
                 hprime = set(middle) - set(inner)
-                assert row.maps[2].matrix == connecting_delta(graphs[1], hprime).map.matrix
+                assert row.body.maps[2].matrix == connecting_delta(graphs[1], hprime).map.matrix
 
     def test_corrupted_store_pair_breaks_a_square(self):
         # two loops, ideal {a}: a store pair holding the transfer matrix of
@@ -447,7 +454,7 @@ class TestRowSkeleton:
             store = SubquotientStore(g, coeff)
             store.get(*key).km = two_loops
             with pytest.raises(AssertionError, match=f"{square} does not intertwine transfer"):
-                six_term_row(g, set(), {"a"}, {"a", "b"}, coeff, store=store)
+                ktheory._build_row(store, *TWO_LOOP_TRIPLE)
 
     def test_relabelled_store_graph_breaks_bookkeeping(self):
         # a store pair whose graph has other vertex names than the middle
@@ -459,7 +466,7 @@ class TestRowSkeleton:
             pair = store.get(*key)
             pair.graph = relabel(pair.graph, {v: v + "2" for v in pair.graph.vertices})
             with pytest.raises(AssertionError, match="subquotient bookkeeping broke"):
-                six_term_row(g, set(), {"a"}, {"a", "b"}, coeff, store=store)
+                ktheory._build_row(store, *TWO_LOOP_TRIPLE)
 
     def test_kernel_vector_leaving_the_kernel_is_a_bug(self, monkeypatch):
         # a lattice solve that finds no coordinates for an induced kernel vector
@@ -509,16 +516,21 @@ def store_verdicts(nodes):
     return z, tuple(n.coeff_exact for n in nodes)
 
 
-def skeleton_record(store, maps):
-    """The store's record of the skeleton ``maps``, made if there is none."""
+def mutant_body(store, body, maps):
+    """A new body with the groups of ``body`` and the skeleton ``maps``,
+    reduced on the store's Smith coordinates as a store reduces a body."""
     groups = (maps[0].domain,) + tuple(f.codomain for f in maps)
-    return store._record(groups, tuple(f.matrix for f in maps))
+    coords = [store._coordinates_of(grp) for grp in groups]
+    reduced = tuple(
+        ktheory._in_coordinates(f, dom, cod) for f, dom, cod in zip(maps, coords, coords[1:])
+    )
+    return ktheory._RowBody(body.k1bars, body.k0s, maps, reduced, store.coeff)
 
 
 def with_zero_u12(row):
-    f = row.maps[3]
+    f = row.body.maps[3]
     zero = GroupMap(f.domain, f.codomain, f.matrix.scale(0), name="u12")
-    return row.maps[:3] + (zero,) + row.maps[4:]
+    return row.body.maps[:3] + (zero,) + row.body.maps[4:]
 
 
 class TestSkeletonMemo:
@@ -536,17 +548,18 @@ class TestSkeletonMemo:
             store = SubquotientStore(g, coeff)
             skeletons = set()
             for row in nested_rows(g, coeff, store=store):
-                assert store_verdicts(row.nodes) == fresh_verdicts(row.maps, coeff), (g, row.triple)
-                shared += row.maps in skeletons
-                skeletons.add(row.maps)
+                expected = fresh_verdicts(row.body.maps, coeff)
+                assert store_verdicts(row.body.nodes) == expected, (g, row.triple)
+                shared += row.body.maps in skeletons
+                skeletons.add(row.body.maps)
                 rows += 1
                 # skeletons that differ from a real one in a single map must
                 # not be served its verdicts
                 for maps in (with_doubled_delta(row), with_zero_u12(row)):
-                    got = store_verdicts(skeleton_record(store, maps).nodes)
+                    got = store_verdicts(mutant_body(store, row.body, maps).nodes)
                     expected = fresh_verdicts(maps, coeff)
                     assert got == expected, (g, row.triple, maps[2].name, maps[3].matrix)
-                    broken += got != store_verdicts(row.nodes)
+                    broken += got != store_verdicts(row.body.nodes)
         assert rows == 1491 and shared >= 300 and broken >= 100
 
     def test_kernel_coordinates_are_shared(self, monkeypatch):
@@ -556,7 +569,7 @@ class TestSkeletonMemo:
         assert len(rows) == 64
         for row in rows:
             fresh = six_term_row(g, *row.triple, CoeffGroup.symbolic())
-            assert row.maps == fresh.maps and row.nodes == fresh.nodes
+            assert row.body.maps == fresh.body.maps and row.body.nodes == fresh.body.nodes
         # 4^k rows on k disjoint loops fall into 2^(k+1) - 1 positional shapes
         for k in range(1, 5):
             table = fkbar(H.disjoint_loops(k), COEFF_F5)
@@ -583,7 +596,7 @@ class TestCoefficientNodes:
             rows = 0
             for g in corpus:
                 for row in nested_rows(g, coeff):
-                    got = tuple(n.coeff_exact for n in row.nodes)
+                    got = tuple(n.coeff_exact for n in row.body.nodes)
                     expected = H.twisted_nodes_oracle(H.row_graphs(g, row), coeff.order)
                     assert got == expected + (None, None), (q, g, row.triple)
                     rows += 1
@@ -592,22 +605,22 @@ class TestCoefficientNodes:
     def test_not_checked_without_finite_coefficients(self, fan):
         for coeff in (CoeffGroup.symbolic(), CoeffGroup.divisible()):
             row = six_term_row(fan, set(), {"w1"}, set(fan.vertices), coeff)
-            assert all(n.coeff_exact is None for n in row.nodes)
+            assert all(n.coeff_exact is None for n in row.body.nodes)
 
     def test_zero_maps_leave_kernels_uncovered(self):
         # two loops, ideal {a}: ker(u23) = Z/2 ⊕ 0 inside (Z/2)^2, and a zero
         # u12 has image 0, so only the kernel-in-image inclusion fails
         g = Graph(["a", "b"], [("x", "a", "a"), ("y", "b", "b")])
         row = six_term_row(g, set(), {"a"}, {"a", "b"}, CoeffGroup.reduced_units_of_field(5))
-        assert [n.coeff_exact for n in row.nodes[:2]] == [True, True]
-        middle, quotient = check_exact(twisted_chain(row.maps, 2, u12_scale=0))
+        assert [n.coeff_exact for n in row.body.nodes[:2]] == [True, True]
+        middle, quotient = check_exact(twisted_chain(row.body.maps, 2, u12_scale=0))
         assert middle.image_in_kernel and not middle.kernel_in_image
         assert quotient.exact
         assert H.twisted_nodes_oracle(H.row_graphs(g, row), 2, u12_scale=0) == (False, True)
         # a zero u23 is not onto: the quotient node reads that as kernel_in_image
-        _, quotient = check_exact(twisted_chain(row.maps, 2, u23_scale=0))
+        _, quotient = check_exact(twisted_chain(row.body.maps, 2, u23_scale=0))
         assert quotient.image_in_kernel and not quotient.kernel_in_image
-        assert all(n.exact for n in check_exact(twisted_chain(row.maps, 2)))
+        assert all(n.exact for n in check_exact(twisted_chain(row.body.maps, 2)))
 
 
 def seeded_tables(coeff, count=16, max_rows=150):
@@ -655,20 +668,20 @@ class TestSmithCoordinates:
         rows = reduced = broken = 0
         for t in tables:
             for row in t.rows:
-                groups, _, maps = filtered._row_signature(row)
-                assert (store_verdicts(row.nodes), (groups, maps)) == original(row.maps), row.triple
+                groups, _, maps = row.body.signature
+                got = store_verdicts(row.body.nodes), (groups, maps)
+                assert got == original(row.body.maps), row.triple
                 rows += 1
-                reduced += row.reduced != row.maps
-                if not any(map(any, row.maps[2].matrix.data)):
+                reduced += row.body.reduced != row.body.maps
+                if not any(map(any, row.body.maps[2].matrix.data)):
                     continue
                 # a non-exact skeleton: its one-sided verdicts and its classes
                 mutant = with_doubled_delta(row)
-                got = store_verdicts(skeleton_record(t.store, mutant).nodes)
-                groups, _, maps = filtered._row_signature(
-                    dataclasses.replace(row, maps=mutant, _record=skeleton_record(t.store, mutant))
-                )
+                body = mutant_body(t.store, row.body, mutant)
+                got = store_verdicts(body.nodes)
+                groups, _, maps = body.signature
                 assert (got, (groups, maps)) == original(mutant), row.triple
-                broken += got != store_verdicts(row.nodes)
+                broken += got != store_verdicts(row.body.nodes)
         assert rows >= 1491 + 16 and reduced >= 1000 and broken >= 50
 
     def test_each_presentation_reduced_once_per_table(self, corpus, monkeypatch):
@@ -712,7 +725,7 @@ class TestSmithCoordinates:
 
         monkeypatch.setattr(ktheory, "_skeleton_nodes", counting_nodes)
         monkeypatch.setattr(ktheory, "map_invariants", counting_classes)
-        skeletons = {row.maps for row in fkbar(g, COEFF_F5).rows}
+        skeletons = {row.body.maps for row in fkbar(g, COEFF_F5).rows}
         calls["nodes"].clear()
         assert compare_fkbar(g, g, COEFF_F5, element_search=False).consistent
         # the nodes and classes of each skeleton, on its Smith coordinates

@@ -185,16 +185,14 @@ SHARED_NAME_CALLS = {
     "NodeVerdict.exact": "ktheory._skeleton_nodes",
     "CoeffCokernel.symbol": "ktheory.KOneBar.symbol",
     "CoeffCokernel.class_key": "ktheory.KOneBar.class_key",
-    "KOneBar.class_key": "filtered._row_signature",
+    "KOneBar.class_key": "ktheory._RowBody.signature",
     "TableEntry.class_key": "filtered.TableEntry.same_class",
     "KOneBar.kernel": "ktheory._row_body",
     "KOneBar.symbol": "cli._cmd_k1",
     "VdbReport.consistent": "cli._cmd_vdb",
     "SubquotientStore.get": "ktheory._build_row",
-    "NodeReport.exact": "ktheory.SixTermRow.exact",
-    "SixTermRow.nodes": "cli._row_json",
-    "_Skeleton.nodes": "ktheory.SixTermRow.nodes",
-    "SixTermRow.exact": "filtered._match_rows",
+    "NodeReport.exact": "ktheory._RowBody.exact",
+    "_RowBody.exact": "filtered._match_rows",
     "MonoidElement.of": "monoid.parse_monoid_element",
     "MonoidElement.get": "monoid.ungraded_equal",
     "GradedElement.of": "monoid.parse_graded_element",
