@@ -191,23 +191,25 @@ def fkbar(
 # ---------------------------------------------------------------------------
 
 _NODE_CANDIDATE_CAP = 64
-_TORSION_ORDER_CAP = 10_000
-_FREE_RANK_CAP = 3
 _FREE_ENTRY_BOUND = 2
 
 
 @lru_cache(maxsize=2048)
 def _iso_candidates(dom: PresentedGroup, cod: PresentedGroup):
-    """All isomorphism matrices between two groups in Smith coordinates.
+    """All isomorphism matrices between two groups in Smith coordinates, or
+    None when the enumeration would exceed the node cap.
 
     The two groups have equal moduli tuples: equal group classes give equal
     moduli, since Smith coordinates list the torsion as an ascending
-    invariant-factor chain followed by the free zeros.  Returns
-    (candidates, complete): candidates is a tuple of matrices, never empty,
-    since every diagonal entry may be 1 and every other entry 0, so the
-    identity is listed; complete is False when free coordinates were
-    truncated to the entry bound.  Returns None when the enumeration would
-    exceed the node cap.
+    invariant-factor chain followed by the free zeros.  An entry runs over
+    every homomorphism between its two coordinates, except that a
+    free-to-free entry runs over the entry bound.  That truncates nothing
+    that is listed: two free coordinates give at least 5^4 = 625
+    candidates, past the node cap, and on one free coordinate an
+    isomorphism's free entry is a unit, +1 or -1 (GL1(Z) = {±1}).  So the
+    tuple returned lists every isomorphism.  It is never empty, since
+    every diagonal entry may be 1 and every other entry 0, so the identity
+    is listed.
     """
     dom_moduli, cod_moduli = _moduli(dom), _moduli(cod)
     per_entry = []
@@ -224,7 +226,6 @@ def _iso_candidates(dom: PresentedGroup, cod: PresentedGroup):
                 per_entry.append(range(-_FREE_ENTRY_BOUND, _FREE_ENTRY_BOUND + 1))
     if math.prod(map(len, per_entry)) > _NODE_CANDIDATE_CAP:
         return None
-    complete = all(m > 0 for m in dom_moduli)
     k_cod, k_dom = len(cod_moduli), len(dom_moduli)
     relations = IntMatrix.diagonal(cod_moduli, rows=k_cod, cols=k_cod)
     out = []
@@ -234,7 +235,7 @@ def _iso_candidates(dom: PresentedGroup, cod: PresentedGroup):
         )
         if PresentedGroup(mat.hstack(relations)).invariants().is_trivial():
             out.append(mat)
-    return tuple(out), complete
+    return tuple(out)
 
 
 def _squares_commute(beta, f_a, f_b, alpha, moduli) -> bool:
@@ -248,33 +249,24 @@ def _row_element_check(body_a: _RowBody, body_b: _RowBody):
 
     The bodies have equal signatures, so each pair of nodes has equal moduli
     and a nonempty candidate list (see :func:`_iso_candidates`).  Returns
-    (outcome, complete).  The outcome is "passed", "refuted" (full coverage,
-    no system exists), or "skipped" / "inconclusive" when caps or entry
-    bounds got in the way.  ``complete`` says that no node has a free
-    coordinate, so the candidates listed cover every isomorphism.  The chain
-    shape of the diagram lets a forward arc-consistency pass decide
-    existence exactly, so only a square that no listed pair of node
-    isomorphisms makes commute refutes.  Everything runs on the bodies'
-    skeletons in Smith coordinates (``_RowBody.reduced``).
+    "passed", "refuted" (no system exists), or "skipped" when some node
+    has more candidates than the node cap.  A node's candidates, when
+    listed, are all its isomorphisms, and the chain shape of the diagram
+    lets a forward arc-consistency pass decide existence exactly, so every
+    search that is not skipped is exhaustive.  Everything runs on the
+    bodies' skeletons in Smith coordinates (``_RowBody.reduced``).
     """
     nodes_a, nodes_b = (
         (body.reduced[0].domain,) + tuple(f.codomain for f in body.reduced)
         for body in (body_a, body_b)
     )
     moduli_b = [_moduli(n) for n in nodes_b]
-    for moduli in map(_moduli, nodes_a):
-        torsion = math.prod(m for m in moduli if m)
-        if torsion > _TORSION_ORDER_CAP or moduli.count(0) > _FREE_RANK_CAP:
-            return "skipped", False
     candidate_sets = []
-    complete = True
     for na, nb in zip(nodes_a, nodes_b):
-        found = _iso_candidates(na, nb)
-        if found is None:
-            return "skipped", False
-        cands, full = found
+        cands = _iso_candidates(na, nb)
+        if cands is None:
+            return "skipped"
         candidate_sets.append(cands)
-        complete = complete and full
     viable = candidate_sets[0]
     for k in range(5):
         moduli = moduli_b[k + 1]
@@ -289,8 +281,8 @@ def _row_element_check(body_a: _RowBody, body_b: _RowBody):
             if any(_squares_commute(beta, f_a, f_b, alpha, moduli) for alpha in viable)
         ]
         if not viable:
-            return ("refuted" if complete else "inconclusive"), complete
-    return "passed", complete
+            return "refuted"
+    return "passed"
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +346,10 @@ class ComparisonReport:
     and every row signature (and survived the element-level search when it
     ran).  ``certification`` records how much of the isomorphism space was
     covered: "structural" for signature matching only, "bounded" when the
-    element-level search ran with truncated free parts or skipped rows,
-    "exhaustive" when it covered every candidate system.  ``note`` flags
-    that consistency is a necessary condition, not a proof.
+    element-level search skipped some row (a node past the candidate cap),
+    "exhaustive" when every row's search covered every system of node
+    isomorphisms.  ``note`` flags that consistency is a necessary
+    condition, not a proof.
     """
 
     consistent: bool
@@ -441,11 +434,10 @@ def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool)
             problems.append("second table row failed exactness")
         element = None
         if not problems and run_elements:
-            outcome = searched.get((body, other))
-            if outcome is None:
-                outcome = searched[body, other] = _row_element_check(body, other)
-            element, complete = outcome
-            element_outcomes.append(outcome)
+            element = searched.get((body, other))
+            if element is None:
+                element = searched[body, other] = _row_element_check(body, other)
+            element_outcomes.append(element)
             if element == "refuted":
                 problems.append("no commuting system of isomorphisms exists")
         detail = "; ".join(problems) if problems else "row matches"
@@ -460,13 +452,15 @@ def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool)
 def _element_check(element_outcomes) -> tuple[str, str]:
     """The report's element check and certification from the outcomes of
     the rows searched: "structural" when none was searched, "exhaustive"
-    when every search passed over every candidate, else "bounded"."""
-    outcomes = [e for e, _ in element_outcomes]
-    if not outcomes:
+    when every search passed, else "bounded".  A search that is not
+    skipped covers every isomorphism, so on a consistent report "bounded"
+    means some row was skipped, and the element check reads
+    "inconclusive"."""
+    if not element_outcomes:
         return "skipped", "structural"
-    if all(e == "passed" for e in outcomes):
-        return "passed", "exhaustive" if all(c for _, c in element_outcomes) else "bounded"
-    return ("refuted" if "refuted" in outcomes else "inconclusive"), "bounded"
+    if all(e == "passed" for e in element_outcomes):
+        return "passed", "exhaustive"
+    return ("refuted" if "refuted" in element_outcomes else "inconclusive"), "bounded"
 
 
 def compare_fkbar(

@@ -1337,7 +1337,7 @@ def compare_verdicts_per_candidate(g1: Graph, g2: Graph, coeff: CoeffGroup, elem
             row_verdicts, row_failure, element_outcomes = filtered._match_rows(
                 t1, t2, iso, run_elements=element_search
             )
-            outcomes = [e for e, _ in element_outcomes]
+            outcomes = element_outcomes
             if outcomes and all(e == "passed" for e in outcomes):
                 element = "passed"
             elif "refuted" in outcomes:
@@ -1349,7 +1349,7 @@ def compare_verdicts_per_candidate(g1: Graph, g2: Graph, coeff: CoeffGroup, elem
             if not row_failure:
                 if element == "skipped":
                     certification = "structural"
-                elif element == "passed" and all(c for _, c in element_outcomes):
+                elif element == "passed":
                     certification = "exhaustive"
                 else:
                     certification = "bounded"

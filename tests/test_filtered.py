@@ -345,11 +345,25 @@ class TestCompare:
             rep = compare_fkbar(g, g2, COEFF)
             assert rep.consistent, (g, rep.obstruction)
 
-    def test_free_k0_comparison_is_bounded(self, loop):
+    def test_free_rank_one_comparison_is_exhaustive(self, loop):
+        # K0 = Z: an isomorphism of Z is +1 or -1 (GL1(Z) = {±1}), so the
+        # entry bound truncates nothing and the search covers every system
         rep = compare_fkbar(loop, relabel(loop, {"v": "w"}), COEFF)
         assert rep.consistent
-        assert rep.certification == "bounded"  # free parts truncate the search
+        assert rep.certification == "exhaustive"
         assert rep.element_check == "passed"
+
+    def test_free_k0_comparison_is_bounded(self):
+        # K0 = Z^2 at the whole graph: its node has at least 5^4 candidates,
+        # past the node cap, so those rows are skipped; the report stays
+        # consistent, bounded and inconclusive
+        g = H.disjoint_loops(2)
+        rep = compare_fkbar(g, relabel(g, {"x0": "y0", "x1": "y1"}), COEFF)
+        assert rep.consistent
+        assert rep.certification == "bounded"
+        assert rep.element_check == "inconclusive"
+        details = {v.detail for v in rep.map_matches}
+        assert details == {f"row matches (element search: {e})" for e in ("passed", "skipped")}
 
     def test_element_search_can_be_disabled(self, rose2):
         rep = compare_fkbar(rose2, ones_graph(), COEFF, element_search=False)
@@ -422,7 +436,7 @@ class TestRowFailures:
         # no real pair refutes under today's node cap: the rows would be short
         # exact sequences of small finite groups, where rows of equal
         # signatures are always isomorphic
-        monkeypatch.setattr(filtered, "_row_element_check", lambda row, other: ("refuted", True))
+        monkeypatch.setattr(filtered, "_row_element_check", lambda body, other: "refuted")
         rep = compare_fkbar(rose2, ones_graph(), COEFF)
         assert not rep.consistent and rep.element_check == "refuted"
         assert rep.obstruction == "triple (0, 0, 0): no commuting system of isomorphisms exists"
@@ -531,6 +545,11 @@ def element_outcome(matrix, trip, k):
     return row, filtered._row_element_check(row.body, zeroed_map(row.body, k))
 
 
+def free_group(rank):
+    """Z^rank in Smith coordinates: no relations."""
+    return PresentedGroup(IntMatrix.zeros(rank, 0))
+
+
 class TestElementSearchOutcomes:
     """Each outcome of the element search, reached from a real row."""
 
@@ -538,32 +557,48 @@ class TestElementSearchOutcomes:
         # Z/3 -> Z/3 -> 0 at K0; zeroing u12 leaves no commuting system
         row, outcome = element_outcome([[4, 1], [0, 4]], (0, 1, 1), 3)
         assert [str(grp.invariants()) for grp in H.row_groups(row)[3:]] == ["Z/3", "Z/3", "0"]
-        assert outcome == ("refuted", True)
-        assert filtered._row_element_check(row.body, row.body) == ("passed", True)
+        assert outcome == "refuted"
+        assert filtered._row_element_check(row.body, row.body) == "passed"
 
-    def test_zeroed_map_between_free_groups_is_inconclusive(self):
-        # every node is Z, so free entries are truncated and nothing is refuted
+    def test_zeroed_map_between_free_groups_is_refuted(self):
+        # every node is Z, whose isomorphisms are +1 and -1, all listed; the
+        # zeroed map leaves no commuting system of them
         row, outcome = element_outcome([[1, 1], [0, 1]], (0, 1, 2), 0)
         assert all(str(grp.invariants()) == "Z" for grp in H.row_groups(row))
-        assert outcome == ("inconclusive", False)
-        assert filtered._row_element_check(row.body, row.body) == ("passed", False)
+        assert outcome == "refuted"
+        assert filtered._row_element_check(row.body, row.body) == "passed"
 
-    def test_large_torsion_is_skipped(self, monkeypatch):
-        # Z/101 + Z/101 has order 10,201, past the torsion cap: no candidate is listed
-        monkeypatch.setattr(filtered, "_iso_candidates", None)
+    def test_large_torsion_is_skipped(self):
+        # Z/101 + Z/101 has order 10,201: its candidates outnumber the node
+        # cap, as those of any torsion order past the cap do
         row, outcome = element_outcome([[1, 101], [101, 1]], (0, 1, 1), 3)
-        assert str(H.row_groups(row)[3].invariants()) == "Z/101 ⊕ Z/101"
-        assert 101 * 101 > filtered._TORSION_ORDER_CAP
-        assert outcome == ("skipped", False)
+        node = H.row_groups(row)[3]
+        assert str(node.invariants()) == "Z/101 ⊕ Z/101"
+        assert 101 > filtered._NODE_CANDIDATE_CAP
+        assert filtered._iso_candidates(node, node) is None
+        assert outcome == "skipped"
 
     def test_many_candidates_are_skipped(self):
         # Z/5 + Z/5 is small, but its 625 candidate matrices pass the node cap
         row, outcome = element_outcome([[6, 0], [0, 6]], (0, 3, 3), 3)
         node = H.row_groups(row)[3]
         assert str(node.invariants()) == "Z/5 ⊕ Z/5"
-        assert 25 <= filtered._TORSION_ORDER_CAP
+        assert 5**4 > filtered._NODE_CANDIDATE_CAP
         assert filtered._iso_candidates(node, node) is None
-        assert outcome == ("skipped", False)
+        assert outcome == "skipped"
+
+    def test_listed_nodes_have_every_isomorphism(self):
+        # two free coordinates give (2 * bound + 1)^4 candidates, past the
+        # node cap; on one, the listed free entries are the units +1 and -1
+        bound = filtered._FREE_ENTRY_BOUND
+        assert (2 * bound + 1) ** 4 > filtered._NODE_CANDIDATE_CAP
+        assert filtered._iso_candidates(free_group(2), free_group(2)) is None
+        units = filtered._iso_candidates(free_group(1), free_group(1))
+        assert [m.to_lists() for m in units] == [[[-1]], [[1]]]
+        # Z/2 + Z: -1 or 1 on Z, either residue from Z into Z/2, 0 back
+        mixed = PresentedGroup(IntMatrix([[2], [0]]))
+        found = sorted(m.to_lists() for m in filtered._iso_candidates(mixed, mixed))
+        assert found == [[[1, a], [0, u]] for a in (0, 1) for u in (-1, 1)]
 
 
 class TestTransport:

@@ -23,7 +23,7 @@ from leavitt.graphs import graph_to_text, matrix_to_text, relabel
 GRAPHS = 40
 SHIFTEQ = ["shifteq", "--max-lag", "2", "--max-entry", "2"]
 
-REPORT_DIGEST = "2b5234096b95e0fa93abe2c5bc15d30c5f0ed8d3b89ce63fb007968abfe44829"
+REPORT_DIGEST = "d12cdcf03a3eacf10ec9370ebb9a5fddabaf64893de716b98506c63fcb1b937d"
 
 
 def _reversed_names(g):
