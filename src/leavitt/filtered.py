@@ -195,13 +195,15 @@ _FREE_ENTRY_BOUND = 2
 
 
 @lru_cache(maxsize=2048)
-def _iso_candidates(dom: PresentedGroup, cod: PresentedGroup):
-    """All isomorphism matrices between two groups in Smith coordinates, or
-    None when the enumeration would exceed the node cap.
+def _iso_candidates(moduli: tuple):
+    """All isomorphism matrices between two groups in Smith coordinates
+    with these moduli (see ``ktheory._moduli``), or None when the
+    enumeration would exceed the node cap.
 
-    The two groups have equal moduli tuples: equal group classes give equal
-    moduli, since Smith coordinates list the torsion as an ascending
-    invariant-factor chain followed by the free zeros.  An entry runs over
+    Two nodes that a search pairs have equal moduli tuples: equal group
+    classes give equal moduli, since Smith coordinates list the torsion as
+    an ascending invariant-factor chain followed by the free zeros.  So
+    one tuple keys the candidates of both.  An entry runs over
     every homomorphism between its two coordinates, except that a
     free-to-free entry runs over the entry bound.  That truncates nothing
     that is listed: two free coordinates give at least 5^4 = 625
@@ -211,10 +213,9 @@ def _iso_candidates(dom: PresentedGroup, cod: PresentedGroup):
     every diagonal entry may be 1 and every other entry 0, so the identity
     is listed.
     """
-    dom_moduli, cod_moduli = _moduli(dom), _moduli(cod)
     per_entry = []
-    for mi in cod_moduli:
-        for mj in dom_moduli:
+    for mi in moduli:
+        for mj in moduli:
             if mi > 0 and mj > 0:
                 step = mi // math.gcd(mi, mj)
                 per_entry.append(range(0, mi, step))
@@ -226,13 +227,11 @@ def _iso_candidates(dom: PresentedGroup, cod: PresentedGroup):
                 per_entry.append(range(-_FREE_ENTRY_BOUND, _FREE_ENTRY_BOUND + 1))
     if math.prod(map(len, per_entry)) > _NODE_CANDIDATE_CAP:
         return None
-    k_cod, k_dom = len(cod_moduli), len(dom_moduli)
-    relations = IntMatrix.diagonal(cod_moduli, rows=k_cod, cols=k_cod)
+    k = len(moduli)
+    relations = IntMatrix.diagonal(moduli, rows=k, cols=k)
     out = []
     for flat in itertools.product(*per_entry):
-        mat = IntMatrix._trusted(
-            tuple(flat[i * k_dom : (i + 1) * k_dom] for i in range(k_cod)), k_dom
-        )
+        mat = IntMatrix._trusted(tuple(flat[i * k : (i + 1) * k] for i in range(k)), k)
         if PresentedGroup(mat.hstack(relations)).invariants().is_trivial():
             out.append(mat)
     return tuple(out)
@@ -248,7 +247,7 @@ def _row_element_check(body_a: _RowBody, body_b: _RowBody):
     of two bodies.
 
     The bodies have equal signatures, so each pair of nodes has equal moduli
-    and a nonempty candidate list (see :func:`_iso_candidates`).  Returns
+    and one nonempty candidate list (see :func:`_iso_candidates`).  Returns
     "passed", "refuted" (no system exists), or "skipped" when some node
     has more candidates than the node cap.  A node's candidates, when
     listed, are all its isomorphisms, and the chain shape of the diagram
@@ -256,29 +255,25 @@ def _row_element_check(body_a: _RowBody, body_b: _RowBody):
     search that is not skipped is exhaustive.  Everything runs on the
     bodies' skeletons in Smith coordinates (``_RowBody.reduced``).
     """
-    nodes_a, nodes_b = (
-        (body.reduced[0].domain,) + tuple(f.codomain for f in body.reduced)
-        for body in (body_a, body_b)
-    )
-    moduli_b = [_moduli(n) for n in nodes_b]
+    maps_a, maps_b = body_a.reduced, body_b.reduced
+    moduli = [_moduli(maps_a[0].domain)] + [_moduli(f.codomain) for f in maps_a]
     candidate_sets = []
-    for na, nb in zip(nodes_a, nodes_b):
-        cands = _iso_candidates(na, nb)
+    for node in moduli:
+        cands = _iso_candidates(node)
         if cands is None:
             return "skipped"
         candidate_sets.append(cands)
     viable = candidate_sets[0]
-    for k in range(5):
-        moduli = moduli_b[k + 1]
-        if not (moduli_b[k] and moduli):
+    for k, (f_a, f_b) in enumerate(zip(maps_a, maps_b)):
+        cod = moduli[k + 1]
+        if not (moduli[k] and cod):
             # a square with a trivial corner commutes for every beta
             viable = candidate_sets[k + 1]
             continue
-        f_a, f_b = body_a.reduced[k].matrix, body_b.reduced[k].matrix
         viable = [
             beta
             for beta in candidate_sets[k + 1]
-            if any(_squares_commute(beta, f_a, f_b, alpha, moduli) for alpha in viable)
+            if any(_squares_commute(beta, f_a.matrix, f_b.matrix, alpha, cod) for alpha in viable)
         ]
         if not viable:
             return "refuted"
