@@ -479,10 +479,12 @@ def compare_fkbar(
     before any candidate is tried.  An entry's class is computed once, when
     a candidate pairs it with an entry of another transfer matrix or the
     report's verdicts need it; a row is built only when a candidate matches
-    every entry.  Each row and its signature are computed at most once,
-    whatever the number of candidates.  The two tables share one body per
-    positional row shape and one set of Smith coordinates, so each row
-    shape is built, checked, decided and classed once, and each K0
+    every entry.  Each row is built at most once, whatever the number of
+    candidates, and every row verdict is read on the rows' bodies.  The
+    two tables share one body per positional row shape and one set of
+    Smith coordinates, so each row shape is built, checked, decided and
+    classed once, each pair of bodies that a candidate pairs is searched
+    for isomorphism systems once, and each K0
     presentation reduced once.  So a
     comparison that fails at its entries runs no elimination that tracks a
     transform, and one whose candidate pairs equal transfer matrices
