@@ -1,8 +1,9 @@
 """Filtered K-theory: the full table over the ideal lattice, and comparison.
 
 The table attaches to each canonical locally closed piece of the prime
-spectrum the K0/K1bar pair of its subquotient graph, and to each nested
-triple of ideals its verified six-term row.  Comparing two tables means
+spectrum the K0/K1bar pair of its subquotient, a block of the graph's
+transfer matrix, and to each nested triple of ideals its verified
+six-term row; no graph is built for either.  Comparing two tables means
 drawing lattice isomorphisms from the prime posets until one matches every
 entry class and every row signature; a match is a necessary condition for
 the tables to be isomorphic as diagrams, never a proof, and the report
@@ -73,7 +74,6 @@ class TableEntry:
     piece: LocallyClosed
     outer_members: tuple[str, ...]
     inner_members: tuple[str, ...]
-    graph: Graph
     kzero: PresentedGroup
     konebar: KOneBar
 
@@ -130,17 +130,12 @@ class FilteredKTable:
             outer, inner = piece.outer_index, piece.inner_index
             pair = self.store.get(self._members[inner], self._members[outer])
             members = lattice.members(outer), lattice.members(inner)
-            entries.append(TableEntry(piece, *members, pair.graph, pair.k0, pair.k1))
+            entries.append(TableEntry(piece, *members, pair.k0, pair.k1))
         self.entries = tuple(entries)
         self._by_difference = {e.piece.difference: e for e in entries}
-        self.row_triples = tuple(
-            (i, j, p)
-            for i in range(n)
-            for j in range(i, n)
-            if lattice.leq(i, j)
-            for p in range(j, n)
-            if lattice.leq(j, p)
-        )
+        # indices extend inclusion, so the elements above i come after it
+        above = [[j for j in range(i, n) if lattice.leq(i, j)] for i in range(n)]
+        self.row_triples = tuple((i, j, p) for i in range(n) for j in above[i] for p in above[j])
         self._rows = {}
 
     def row(self, trip) -> SixTermRow | None:
@@ -174,11 +169,12 @@ def fkbar(
 
     Each row's checks run at construction and its node verdicts are
     decided when first read; ``all_rows_exact`` reads and summarizes them
-    rather than hiding them.  Every subquotient an entry or a row
-    needs is built once, with its K-groups, and shared, and so is the
-    body of each positional row shape with its exactness verdict.  Raises RowCapError
-    before any entry is built when the lattice has more than ``row_cap``
-    nested triples; otherwise builds every row before it returns.
+    rather than hiding them.  Every pair an entry or a row needs is read
+    once, as blocks of the graph's matrices with its K-groups, and shared,
+    and so is the body of each positional row shape with its exactness
+    verdict.  Raises RowCapError before any entry is built when the
+    lattice has more than ``row_cap`` nested triples; otherwise builds
+    every row before it returns.
     """
     table = FilteredKTable(g, coeff, lattice_cap, row_cap)
     for trip in table.row_triples:

@@ -166,19 +166,6 @@ class IntMatrix:
             out[i] = r
         return IntMatrix._trusted(tuple(out), self.cols)
 
-    def scatter_columns(self, indices, cols):
-        """The ``cols``-column matrix with column k of self at ``indices[k]``."""
-        indices = list(indices)
-        if len(indices) != self.cols:
-            raise ValueError("one index per column needed")
-        out = []
-        for r in self.data:
-            row = [0] * cols
-            for j, x in zip(indices, r):
-                row[j] = x
-            out.append(tuple(row))
-        return IntMatrix._trusted(tuple(out), cols)
-
     def to_lists(self):
         return [list(r) for r in self.data]
 

@@ -7,12 +7,15 @@ and coefficient groups of units twist the cokernel.  Connecting maps
 between the invariants of an ideal, the whole graph and the quotient are
 computed exactly and their six-term rows are verified, not assumed.
 
-A row depends on its triple I <= J <= P only through its positional
-shape: the adjacency matrix of the middle subquotient, in declaration
-order, and the positions in it of the vertices of J not in I.  A
-:class:`SubquotientStore` builds and checks one row body (``_RowBody``)
-per shape, and a row is its triple of vertex names over the body of its
-shape.  A body decides exactness and computes its signature on its
+The subquotient of a pair I <= P of hereditary saturated sets is a block
+of the graph's transfer matrix (:class:`SubquotientK`; the block-matrix
+reading of Restorff and of Eilers-Restorff-Ruiz-Sorensen), so no graph
+is built for it.  A row depends on its triple I <= J <= P only through
+its positional shape: the adjacency block of I <= P and the positions in
+it of the vertices of J not in I.  A :class:`SubquotientStore` builds and
+checks one row body (``_RowBody``) per shape, from the transfer block of
+I <= P alone, and a row is its triple of vertex names over the body of
+its shape.  A body decides exactness and computes its signature on its
 skeleton of six groups and five maps, once, after each K0 presentation
 has been rewritten on its invariant factors other than 1
 (``_SmithCoordinates``, with certified transforms).  The rewriting is an
@@ -29,11 +32,11 @@ from functools import cached_property, lru_cache
 
 from .graphs import (
     Graph,
+    _require_hsat,
     is_hereditary,
     is_saturated,
     quotient,
     restriction,
-    subquotient,
 )
 from .intlinalg import (
     CoeffCokernel,
@@ -378,30 +381,47 @@ def _in_coordinates(f: GroupMap, dom: _SmithCoordinates, cod: _SmithCoordinates)
 
 
 class SubquotientK:
-    """The subquotient graph of one pair inner <= outer, with its K-groups.
+    """One pair inner <= outer of hereditary saturated sets of a graph,
+    read as blocks of the graph's matrices, with its K-groups.
 
-    Holds the graph, its transfer matrix, K0 and K1 with the given coefficients.
+    ``vertices`` are the vertices of outer not in inner and ``regulars``
+    the regular vertices among them, both in declaration order.
+    ``adjacency`` is the block of ``g.adjacency()`` at those vertices, and
+    ``km`` the block of the graph's transfer matrix ``km`` (its
+    :func:`k_matrix`) at those rows and regular columns.  They are the
+    matrices of ``subquotient(g, inner, outer)``: outer is hereditary, so
+    every edge leaving a vertex of the pair stays in outer; inner is
+    saturated, so a regular vertex outside it keeps an edge that leaves
+    inner, and a sink stays a sink.  ``k0`` and ``k1`` present K0, and K1
+    with coefficients ``coeff``, on ``km``.
     """
 
-    __slots__ = ("graph", "km", "k0", "k1")
+    __slots__ = ("vertices", "regulars", "adjacency", "km", "k0", "k1")
 
-    def __init__(self, graph: Graph, coeff: CoeffGroup):
-        self.graph = graph
-        self.km = k_matrix(graph)
-        self.k0 = k0(graph)
-        self.k1 = k1(graph, coeff)
+    def __init__(self, g: Graph, km: IntMatrix, inner, outer, coeff: CoeffGroup):
+        rows = [i for i, v in enumerate(g.vertices) if v in outer and v not in inner]
+        cols = [j for j, v in enumerate(g.regulars) if v in outer and v not in inner]
+        self.vertices = tuple(g.vertices[i] for i in rows)
+        self.regulars = tuple(g.regulars[j] for j in cols)
+        self.adjacency = g.adjacency().take_rows(rows).take_columns(rows)
+        self.km = km.take_rows(rows).take_columns(cols)
+        self.k0 = PresentedGroup(self.km)
+        self.k1 = KOneBar(coeff, self.km)
 
 
 _ROW_MAP_NAMES = ("tau1", "tau2", "delta", "u12", "u23")
 
 
 class SubquotientStore:
-    """Subquotients of one graph with one coefficient group, each built once.
+    """The pairs of one graph with one coefficient group, each built once.
 
-    Keys are (inner, outer) pairs of frozensets; a filtered table keeps one
-    store for all its entries and rows, a lone six-term row a store of its
-    own.  The store also keeps, for as long as it lives, the row work that
-    depends only on matrices and so repeats across the rows of a table:
+    Keys are (inner, outer) pairs of frozensets, and each pair is a
+    :class:`SubquotientK` of blocks of the graph's matrices, so no graph is
+    built; the store computes the graph's transfer matrix once.  A filtered
+    table keeps one store for all its entries and rows, a lone six-term row
+    a store of its own.  The store also keeps, for as long as it lives, the
+    row work that depends only on matrices and so repeats across the rows
+    of a table:
 
     - ``_bodies``: one :class:`_RowBody` per positional shape (see the
       module docstring), built and checked by the first row of that shape
@@ -421,6 +441,7 @@ class SubquotientStore:
     def __init__(self, g: Graph, coeff: CoeffGroup):
         self.graph = g
         self.coeff = coeff
+        self._km = k_matrix(g)
         self._pairs = {}
         self._names = {}
         self._bodies = {}
@@ -436,8 +457,7 @@ class SubquotientStore:
         key = (inner, outer)
         pair = self._pairs.get(key)
         if pair is None:
-            pair = SubquotientK(subquotient(self.graph, inner, outer), self.coeff)
-            self._pairs[key] = pair
+            pair = self._pairs[key] = SubquotientK(self.graph, self._km, inner, outer, self.coeff)
         return pair
 
     def _names_of(self, members: frozenset) -> tuple[str, ...]:
@@ -580,11 +600,11 @@ class SixTermRow:
 def six_term_row(g: Graph, inner, middle, outer, coeff: CoeffGroup) -> SixTermRow:
     """Build and verify the six-term row of a nested hereditary triple.
 
-    A triple that is not nested or a middle set that is not hereditary
-    saturated raises ValueError before any subquotient is built.  The row
-    itself is built by ``_build_row`` on a store of its own; a filtered
-    table calls that directly, on its own store, for the triples of its
-    lattice.
+    A triple that is not nested, or a middle, inner or outer set that is
+    not hereditary saturated, raises ValueError before any pair is built,
+    in that order.  The row itself is built by ``_build_row`` on a store of
+    its own; a filtered table calls that directly, on its own store, for
+    the triples of its lattice.
     """
     inner = frozenset(inner)
     middle = frozenset(middle)
@@ -594,85 +614,69 @@ def six_term_row(g: Graph, inner, middle, outer, coeff: CoeffGroup) -> SixTermRo
     if not (is_hereditary(g, middle) and is_saturated(g, middle)):
         names = ",".join(v for v in g.vertices if v in middle)
         raise ValueError(f"middle set {{{names}}} is not hereditary saturated")
+    _require_hsat(g, inner, "inner set")
+    _require_hsat(g, outer, "outer set")
     return _build_row(SubquotientStore(g, coeff), inner, middle, outer)
 
 
 def _build_row(store: SubquotientStore, inner: frozenset, middle: frozenset, outer: frozenset):
-    """The six-term row of a nested triple whose middle set is hereditary
-    saturated in the store's graph, which the caller vouches for.
+    """The six-term row of a nested triple of hereditary saturated sets of
+    the store's graph, which the caller vouches for.
 
     The row is its triple of vertex names over the store's body for its
-    positional shape: the adjacency matrix of the middle subquotient and the
-    positions in it of the middle set's vertices not in the inner one.
-    Every matrix of the row is a function of that shape, so the first row
-    of a shape builds and checks the body (``_row_body``) and every later
-    row shares it.
+    positional shape: the adjacency block of the middle pair (inner, outer)
+    and the positions in it of the middle set's vertices not in the inner
+    one.  Every matrix of the row is a function of that shape, so the first
+    row of a shape builds and checks the body (``_row_body``) and every
+    later row shares it.
     """
-    pair2 = store.get(inner, outer)
-    g2 = pair2.graph
-    # hereditary saturated in g, so hereditary saturated in g2
-    hprime = middle - inner
-    shape = (g2.adjacency(), tuple(i for i, v in enumerate(g2.vertices) if v in hprime))
+    pair = store.get(inner, outer)
+    hprime = tuple(k for k, v in enumerate(pair.vertices) if v in middle)
+    shape = (pair.adjacency, hprime)
     body = store._bodies.get(shape)
     if body is None:
-        pairs = (store.get(inner, middle), pair2, store.get(middle, outer))
-        body = store._bodies[shape] = _row_body(store, pairs, hprime)
+        body = store._bodies[shape] = _row_body(store, pair, hprime)
     names = store._names_of
     return SixTermRow((names(inner), names(middle), names(outer)), body)
 
 
-def _row_body(store: SubquotientStore, pairs, hprime: frozenset) -> _RowBody:
-    """The body of a row, from its three store pairs (ideal part, middle,
-    quotient part) and the middle ideal ``hprime`` of the middle
-    subquotient.
+def _row_body(store: SubquotientStore, pair: SubquotientK, hprime: tuple) -> _RowBody:
+    """The body of a row, from its middle pair (inner, outer) and the
+    positions ``hprime`` in it of the middle ideal H' of that subquotient.
 
-    Exactness at the four interior nodes is decided on the row skeleton by
-    :func:`_skeleton_nodes`: at the Z level, and for finite cyclic
-    coefficients also at the two K1bar nodes on the twisted cokernels, once
-    per body and in Smith coordinates.  The body checks the vertices and
-    edges of the middle ideal's restriction and quotient against the store,
-    and the two squares that make the induced maps well defined.
-    Inclusions and projections act by selecting and scattering rows and
-    columns at the positions of the smaller graphs' vertices in the middle
-    subquotient.
+    Every matrix is a block of the middle pair's transfer matrix ``km``:
+    H' is hereditary saturated in the subquotient, so the ideal part is
+    ``km`` at the rows and regular columns of H', the quotient part at the
+    other rows and regular columns, and delta is ``km`` at the rows of H'
+    and the quotient's regular columns, applied to the quotient's kernel
+    basis.  Both intertwining squares then say one thing: ``km`` is zero at
+    the quotient's rows and the regular columns of H', so no edge leaves H'
+    from one of its regular vertices.  That is checked once per body, as a
+    bug guard.  Exactness at the four interior nodes is decided on the row
+    skeleton by :func:`_skeleton_nodes`: at the Z level, and for finite
+    cyclic coefficients also at the two K1bar nodes on the twisted
+    cokernels, once per body and in Smith coordinates.  Inclusions and
+    projections act by selecting and scattering rows and columns.
     """
-    pair1, pair2, pair3 = pairs
-    g1, g2, g3 = pair1.graph, pair2.graph, pair3.graph
-    # restriction(g2, hprime) and quotient(g2, hprime), without building them
-    if (
-        g1.vertices != tuple(v for v in g2.vertices if v in hprime)
-        or g1.edges != tuple(e for e in g2.edges if e.src in hprime)
-        or g3.vertices != tuple(v for v in g2.vertices if v not in hprime)
-        or g3.edges != tuple(e for e in g2.edges if e.dst not in hprime)
-    ):
-        raise AssertionError("subquotient bookkeeping broke; identities violated")
-
-    km1, km2, km3 = pair1.km, pair2.km, pair3.km
-    k1bars = (pair1.k1, pair2.k1, pair3.k1)
-    k0s = (pair1.k0, pair2.k0, pair3.k0)
+    ideal = {pair.vertices[k] for k in hprime}
+    vert3 = [k for k, v in enumerate(pair.vertices) if v not in ideal]
+    reg1 = [c for c, v in enumerate(pair.regulars) if v in ideal]
+    reg3 = [c for c, v in enumerate(pair.regulars) if v not in ideal]
+    top, bottom = pair.km.take_rows(hprime), pair.km.take_rows(vert3)
+    if any(map(any, bottom.take_columns(reg1).data)):
+        raise AssertionError("an edge leaves the middle ideal; the squares do not commute")
+    km1, km3 = top.take_columns(reg1), bottom.take_columns(reg3)
+    coeff = store.coeff
+    k1bars = (KOneBar(coeff, km1), pair.k1, KOneBar(coeff, km3))
+    k0s = (PresentedGroup(km1), pair.k0, PresentedGroup(km3))
     kb1, kb2, kb3 = (kb.kernel for kb in k1bars)
-    delta = connecting_delta(g2, hprime).map
-
-    reg_pos = {v: i for i, v in enumerate(g2.regulars)}
-    reg1 = [reg_pos[v] for v in g1.regulars]
-    reg3 = [reg_pos[v] for v in g3.regulars]
-    vert1 = [g2.index(v) for v in g1.vertices]
-    vert3 = [g2.index(v) for v in g3.vertices]
-    n2, r2 = len(g2.vertices), len(g2.regulars)
-
-    # the squares that make every induced map well defined
-    if km2.take_columns(reg1) != km1.scatter_rows(vert1, n2):
-        raise AssertionError("ideal inclusion does not intertwine transfer matrices")
-    if km2.take_rows(vert3) != km3.scatter_columns(reg3, r2):
-        raise AssertionError("quotient projection does not intertwine transfer matrices")
-
     groups = tuple(PresentedGroup(IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3)) + k0s
-    eye = IntMatrix.identity(n2)
+    eye = IntMatrix.identity(len(pair.vertices))
     matrices = (
-        _kernel_coordinates(kb2, kb1.scatter_rows(reg1, r2)),
+        _kernel_coordinates(kb2, kb1.scatter_rows(reg1, len(pair.regulars))),
         _kernel_coordinates(kb3, kb2.take_rows(reg3)),
-        delta.matrix,
-        eye.take_columns(vert1),
+        top.take_columns(reg3) @ kb3,
+        eye.take_columns(hprime),
         eye.take_rows(vert3),
     )
     maps = tuple(
@@ -681,4 +685,4 @@ def _row_body(store: SubquotientStore, pairs, hprime: frozenset) -> _RowBody:
     )
     coords = [store._coordinates_of(grp) for grp in groups]
     reduced = tuple(_in_coordinates(f, coords[k], coords[k + 1]) for k, f in enumerate(maps))
-    return _RowBody(k1bars, k0s, maps, reduced, store.coeff)
+    return _RowBody(k1bars, k0s, maps, reduced, coeff)

@@ -44,6 +44,8 @@ def files(tmp_path_factory):
         "ones": write(
             "ones.graph", graph_to_text(graph_from_matrix(IntMatrix([[1, 1], [1, 1]])))
         ),
+        # a loop at a, and b with one edge to the loop at c
+        "split": write("split.graph", "vertices: a b c\nedge x a a\nedge y b c\nedge z c c\n"),
         "two": write("two.mat", "2\n"),
         "three": write("three.mat", "3\n"),
         "ones2": write("ones2.mat", "1 1\n1 1\n"),
@@ -80,12 +82,31 @@ class TestExitCodes:
         assert "--field" in err
 
     def test_middle_set_not_hereditary_saturated_is_two(self, capsys, files, monkeypatch):
-        # {v0} is not hereditary in the graph of [[1, 1], [1, 1]]; no subquotient is built
+        # {v0} is not hereditary in the graph of [[1, 1], [1, 1]]; no pair is built
         built = []
-        monkeypatch.setattr(ktheory, "subquotient", lambda *args: built.append(args))
+        monkeypatch.setattr(ktheory, "SubquotientK", lambda *args: built.append(args))
         code, out, err = run(capsys, ["sixterm", files["ones"], "--middle", "v0", "--field", "7"])
         assert (code, out, built) == (2, "", [])
         assert err == "error: middle set {v0} is not hereditary saturated\n"
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            (["--inner", "b", "--middle", "a,b,c"], "inner set is not hereditary"),
+            (["--inner", "c", "--middle", "a,b,c"], "inner set is not saturated"),
+            (["--middle", "a", "--outer", "a,b"], "outer set is not hereditary"),
+            (["--middle", "a", "--outer", "a,c"], "outer set is not saturated"),
+        ],
+    )
+    def test_inner_or_outer_set_not_hereditary_saturated_is_two(
+        self, capsys, files, monkeypatch, sets, message
+    ):
+        # the middle set is hereditary saturated; no pair is built
+        built = []
+        monkeypatch.setattr(ktheory, "SubquotientK", lambda *args: built.append(args))
+        code, out, err = run(capsys, ["sixterm", files["split"], *sets, "--field", "7"])
+        assert (code, out, built) == (2, "", [])
+        assert err == f"error: {message}\n"
 
     def test_lattice_cap_is_three(self, capsys, files):
         code, out, err = run(capsys, ["hsat", files["fan"], "--lattice-cap", "1"])
@@ -196,13 +217,15 @@ class TestStreamedReports:
         def failing_last(store, *members):
             built.append(members)
             if len(built) == 1024:
-                raise AssertionError("subquotient bookkeeping broke; identities violated")
+                raise AssertionError("an edge leaves the middle ideal; the squares do not commute")
             return build_row(store, *members)
 
         monkeypatch.setattr(filtered, "_build_row", failing_last)
         code, out, err = run(capsys, ["--json", "fk", files["loops5"]])
         assert (code, out, len(built)) == (4, "", 1024)
-        assert err == "internal error: subquotient bookkeeping broke; identities violated\n"
+        assert err == (
+            "internal error: an edge leaves the middle ideal; the squares do not commute\n"
+        )
 
 
 class TestParserReuse:

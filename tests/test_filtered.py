@@ -13,7 +13,7 @@ import leavitt.ktheory as ktheory
 from leavitt.filtered import RowCapError, compare_fkbar, fkbar, transport_from_certificate
 from leavitt.graphs import Graph, graph_from_matrix, relabel, subquotient
 from leavitt.intlinalg import CoeffGroup, FgAbGroup, IntMatrix, PresentedGroup
-from leavitt.ktheory import k0, k1, six_term_row
+from leavitt.ktheory import k0, k1, k_matrix, six_term_row
 from leavitt.lattice import LatticeCapError, enumerate_hsat, hsat_closure
 from leavitt.shifts import shift_equivalent_bounded
 
@@ -58,7 +58,9 @@ class TestTable:
             t = fkbar(g, COEFF)
             [entry] = [e for e in t.entries if not e.piece.difference]
             assert entry.kzero.invariants() == FgAbGroup.from_parts(0, ())
-            assert entry.graph.num_vertices == 0
+            sub = subquotient(g, entry.inner_members, entry.outer_members)
+            assert sub.num_vertices == 0
+            assert entry.kzero.relations == k_matrix(sub) == IntMatrix.zeros(0, 0)
 
     def test_entry_for_lookup(self, fan):
         t = fkbar(fan, COEFF)
@@ -78,6 +80,39 @@ class TestTable:
             if lat.leq(j, p)
         )
         assert len(t.rows) == expected == len(t.row_triples)
+
+    def test_row_triples_are_the_nested_triples_in_order(self, corpus):
+        for g in corpus[:40]:
+            t = filtered.FilteredKTable(g, COEFF)
+            lat, n = t.lattice, len(t.lattice)
+            nested = tuple(
+                (i, j, p)
+                for i in range(n)
+                for j in range(i, n)
+                if lat.leq(i, j)
+                for p in range(j, n)
+                if lat.leq(j, p)
+            )
+            assert t.row_triples == nested, g
+
+    def test_tables_and_rows_build_no_graph(self, corpus, monkeypatch):
+        # every entry and row is read off blocks of the parsed graph's
+        # matrices; a relabelled copy is built before the count starts
+        graphs = [(g, relabel(g, {v: v + "c" for v in g.vertices})) for g in corpus[:30]]
+        built = []
+        init = Graph.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Graph, "__init__", counting)
+        for g, copy in graphs:
+            table = fkbar(g, COEFF)
+            assert compare_fkbar(g, copy, COEFF).consistent
+            trip = table.row_triples[-1]
+            six_term_row(g, *(table.lattice.members(k) for k in trip), COEFF)
+        assert built == []
 
     def test_referential_integrity(self, corpus):
         # the same nested pair must show the same groups in every row
@@ -148,7 +183,7 @@ class TestSharedSubquotients:
                 rows += 1
             for e in t.entries:
                 sub = subquotient(g, e.inner_members, e.outer_members)
-                assert e.graph == sub, (g, e.piece)
+                assert e.kzero.relations == k_matrix(sub), (g, e.piece)
                 assert e.kzero == k0(sub), (g, e.piece)
                 assert e.konebar == k1(sub, coeff), (g, e.piece)
         assert rows == 1491

@@ -179,7 +179,6 @@ class TestIntMatrix:
                 (a.take_rows(rows), (len(rows), nc)),
                 (a.take_columns(cols), (nr, len(cols))),
                 (a.take_rows(rows).scatter_rows(rows, nr), (nr, nc)),
-                (a.take_columns(cols).scatter_columns(cols, nc), (nr, nc)),
                 (IntMatrix.zeros(nr, nc), (nr, nc)),
                 (IntMatrix.identity(nr), (nr, nr)),
             ]
@@ -203,13 +202,10 @@ class TestIntMatrix:
             small, big = random_matrix(rng, k, c), random_matrix(rng, n, c)
             assert small.scatter_rows(positions, n) == place @ small
             assert big.take_rows(positions) == place.transpose() @ big
-            small, big = random_matrix(rng, c, k), random_matrix(rng, c, n)
-            assert small.scatter_columns(positions, n) == small @ place.transpose()
+            big = random_matrix(rng, c, n)
             assert big.take_columns(positions) == big @ place
         with pytest.raises(ValueError):
             IntMatrix.identity(2).scatter_rows([0], 3)
-        with pytest.raises(ValueError):
-            IntMatrix.identity(2).scatter_columns([0, 1, 2], 3)
 
 
 # ---------------------------------------------------------------------------
