@@ -106,7 +106,7 @@ def _row_json(row, part) -> dict:
     """The payload of a six-term row, its parts from ``part`` (see
     :func:`_parts`): the vertex names of each set of the triple, each
     K1bar and K0 group, and the node verdicts, which rows of one table
-    share through their bodies."""
+    share through their name tuples and bodies."""
     body = row.body
     return {
         "triple": [part(list, names) for names in row.triple],
@@ -345,8 +345,8 @@ def _cmd_fk(args):
     part = _parts()
     exact = table.all_rows_exact
     rows = (
-        dict(_row_json(table.row(trip), part), lattice_triple=list(trip))
-        for trip in table.row_triples
+        dict(_row_json(row, part), lattice_triple=list(trip))
+        for trip, row in zip(table.row_triples, table.rows)
     )
     payload = {
         "lattice": [list(table.lattice.members(i)) for i in range(len(table.lattice))],

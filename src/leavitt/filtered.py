@@ -3,11 +3,12 @@
 The table attaches to each canonical locally closed piece of the prime
 spectrum the K0/K1bar pair of its subquotient, a block of the graph's
 transfer matrix, and to each nested triple of ideals its verified
-six-term row; no graph is built for either.  Comparing two tables means
-drawing lattice isomorphisms from the prime posets until one matches every
-entry class and every row signature; a match is a necessary condition for
-the tables to be isomorphic as diagrams, never a proof, and the report
-says so explicitly.
+six-term row; no graph is built for either, and lattice elements stay
+the vertex masks of ``IdealLattice.elements`` until a report asks for
+vertex names.  Comparing two tables means drawing lattice isomorphisms
+from the prime posets until one matches every entry class and every row
+signature; a match is a necessary condition for the tables to be
+isomorphic as diagrams, never a proof, and the report says so explicitly.
 
 A comparison reads each row's body (``ktheory._RowBody``), which rows of
 one positional shape share: its signature and exactness are computed once
@@ -22,7 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 
 from .graphs import Graph
 from .intlinalg import CoeffGroup, IntMatrix, PresentedGroup
@@ -30,19 +32,19 @@ from .ktheory import (
     KOneBar,
     SixTermRow,
     SubquotientStore,
-    _build_row,
     _RowBody,
     _moduli,
     _residues,
+    _row_body,
 )
 from .lattice import (
     IdealLattice,
     LatticeCapError,
     LocallyClosed,
     _iter_isomorphisms,
+    _mask_closure,
     _signatures,
     enumerate_hsat,
-    hsat_closure,
     locally_closed_all,
     spectrum,
 )
@@ -100,13 +102,13 @@ class FilteredKTable:
 
     The constructor counts the nested triples i <= j <= p, at each j as
     (#i <= j) * (#p >= j), and raises RowCapError past ``row_cap`` before
-    any entry is built; then it builds every entry.  A row is built through
-    the table's subquotient ``store`` on first request and kept: its name
-    triple over the store's body for its positional shape.  Its triple
-    comes from the table's own lattice, so it is nested with a hereditary
-    saturated middle set, and the row skips that validation of
-    :func:`~leavitt.ktheory.six_term_row`; every other check runs, once
-    per shape, on the matrices every row of that shape carries.  The
+    any entry is built; then it builds every entry.  Lattice elements stay
+    the vertex masks of ``lattice.elements``: an entry's pair and a row's
+    body come from the table's subquotient ``store`` by mask.  A row's
+    triple comes from the table's own lattice, so it is nested with a
+    hereditary saturated middle set, and ``body`` skips that validation of
+    :func:`~leavitt.ktheory.six_term_row`; every other check runs, once per
+    shape, on the matrices every row of that shape carries.  The
     constructor builds no row, so a caller may still have the store share
     another store's memos (``SubquotientStore._share``).
     """
@@ -122,41 +124,47 @@ class FilteredKTable:
             )
         self.graph, self.coeff, self.lattice, self.topology = g, coeff, lattice, topology
         self.store = SubquotientStore(g, coeff)
-        n = len(lattice)
-        self._members = [frozenset(lattice.members(i)) for i in range(n)]
+        bits = lattice.elements
         self.pieces = locally_closed_all(topology)
         entries = []
         for piece in self.pieces:
             outer, inner = piece.outer_index, piece.inner_index
-            pair = self.store.get(self._members[inner], self._members[outer])
+            pair = self.store.get(bits[outer] & ~bits[inner])
             members = lattice.members(outer), lattice.members(inner)
             entries.append(TableEntry(piece, *members, pair.k0, pair.k1))
         self.entries = tuple(entries)
         self._by_difference = {e.piece.difference: e for e in entries}
         # indices extend inclusion, so the elements above i come after it
+        n = len(lattice)
         above = [[j for j in range(i, n) if lattice.leq(i, j)] for i in range(n)]
         self.row_triples = tuple((i, j, p) for i in range(n) for j in above[i] for p in above[j])
-        self._rows = {}
+
+    def body(self, trip) -> _RowBody:
+        """The body of a nested lattice triple, which the caller vouches for:
+        one of ``row_triples``, or its image under a lattice isomorphism."""
+        return _row_body(self.store, *map(self.lattice.elements.__getitem__, trip))
 
     def row(self, trip) -> SixTermRow | None:
-        """The row of a lattice triple; None when the triple is not nested
-        (indices rise along the order)."""
-        row = self._rows.get(trip)
-        if row is None:
-            i, j, p = trip
-            if not (i <= j <= p and self.lattice.leq(i, j) and self.lattice.leq(j, p)):
-                return None
-            row = self._rows[trip] = _build_row(self.store, *(self._members[k] for k in trip))
-        return row
+        """The row of a lattice triple, its names over its body; None when
+        the triple is not nested."""
+        inner, middle, outer = (self.lattice.elements[k] for k in trip)
+        if inner & ~middle or middle & ~outer:
+            return None
+        return SixTermRow(tuple(map(self.lattice.members, trip)), self.body(trip))
 
     @property
     def rows(self) -> tuple[SixTermRow, ...]:
-        """Every row, in the order of ``row_triples``."""
-        return tuple(self.row(trip) for trip in self.row_triples)
+        """Every row, in the order of ``row_triples``; rows share one name
+        tuple per lattice element."""
+        names = list(map(self.lattice.members, range(len(self.lattice))))
+        return tuple(
+            SixTermRow((names[i], names[j], names[p]), self.body((i, j, p)))
+            for i, j, p in self.row_triples
+        )
 
     @property
     def all_rows_exact(self):
-        return all(r.body.exact for r in self.rows)
+        return all(self.body(trip).exact for trip in self.row_triples)
 
 
 def fkbar(
@@ -167,18 +175,18 @@ def fkbar(
 ) -> FilteredKTable:
     """Compute the filtered table: an entry per piece, a row per ideal triple.
 
-    Each row's checks run at construction and its node verdicts are
+    Each row body's checks run at construction and its node verdicts are
     decided when first read; ``all_rows_exact`` reads and summarizes them
     rather than hiding them.  Every pair an entry or a row needs is read
-    once, as blocks of the graph's matrices with its K-groups, and shared,
-    and so is the body of each positional row shape with its exactness
-    verdict.  Raises RowCapError before any entry is built when the
-    lattice has more than ``row_cap`` nested triples; otherwise builds
-    every row before it returns.
+    once per difference mask, as blocks of the graph's matrices with its
+    K-groups, and shared, and so is the body of each positional row shape
+    with its exactness verdict.  Raises RowCapError before any entry is
+    built when the lattice has more than ``row_cap`` nested triples;
+    otherwise builds the body of every row before it returns.
     """
     table = FilteredKTable(g, coeff, lattice_cap, row_cap)
     for trip in table.row_triples:
-        table.row(trip)
+        table.body(trip)
     return table
 
 
@@ -287,27 +295,23 @@ def transport_from_certificate(
     """Candidate lattice map induced by a shift-equivalence intertwiner.
 
     Sends an ideal to the saturated closure of the vertices its members hit
-    through R.  Returns the index map when it lands bijectively on the
-    second lattice and preserves order both ways; otherwise None.  Always
-    verified, never trusted.
+    through R, on vertex masks: the closure of the OR of the hit masks of
+    R's rows at the ideal's vertices.  Returns the index map when it lands
+    bijectively on the second lattice and preserves order both ways;
+    otherwise None.  Always verified, never trusted.
     """
     if r_matrix.shape != (g1.num_vertices, g2.num_vertices):
         return None
-    n = len(lattice1)
+    hits = [sum(1 << j for j, x in enumerate(row) if x) for row in r_matrix.data]
+    close = _mask_closure(g2)
     images = []
-    for i in range(n):
-        hit = [
-            g2.vertices[j]
-            for j in range(g2.num_vertices)
-            if any(r_matrix[g1.index(v), j] != 0 for v in lattice1.members(i))
-        ]
-        try:
-            images.append(lattice2.index_of(hsat_closure(g2, hit)))
-        except KeyError:
-            return None
-    if sorted(images) != list(range(len(lattice2))):
+    for h in lattice1.elements:
+        seed = reduce(or_, (hit for i, hit in enumerate(hits) if h >> i & 1), 0)
+        images.append(lattice2._index.get(close(seed)))
+    if None in images or sorted(images) != list(range(len(lattice2))):
         return None
     mapping = tuple(images)
+    n = len(lattice1)
     for i in range(n):
         for j in range(n):
             if lattice1.leq(i, j) != lattice2.leq(mapping[i], mapping[j]):
@@ -407,7 +411,7 @@ def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool)
     """
     # an order isomorphism maps a nested triple to a nested triple
     pairs = [
-        (trip, t1.row(trip).body, t2.row((iso[trip[0]], iso[trip[1]], iso[trip[2]])).body)
+        (trip, t1.body(trip), t2.body((iso[trip[0]], iso[trip[1]], iso[trip[2]])))
         for trip in t1.row_triples
     ]
     same = [a.signature == b.signature for _, a, b in pairs]
@@ -474,14 +478,14 @@ def compare_fkbar(
     checked against ``lattice_cap`` and ``row_cap``, with their entries
     before any candidate is tried.  An entry's class is computed once, when
     a candidate pairs it with an entry of another transfer matrix or the
-    report's verdicts need it; a row is built only when a candidate matches
-    every entry.  Each row is built at most once, whatever the number of
-    candidates, and every row verdict is read on the rows' bodies.  The
-    two tables share one body per positional row shape and one set of
-    Smith coordinates, so each row shape is built, checked, decided and
-    classed once, each pair of bodies that a candidate pairs is searched
-    for isomorphism systems once, and each K0
-    presentation reduced once.  So a
+    report's verdicts need it; a row body is built only when a candidate
+    matches every entry.  Each body is built at most once, whatever the
+    number of candidates, and every row verdict is read on the rows'
+    bodies.  The two tables share one body per positional row shape and
+    one set of Smith coordinates, so each row shape is built, checked,
+    decided and classed once, each pair of bodies that a candidate pairs
+    is searched for isomorphism systems once, and each K0 presentation
+    reduced once.  So a
     comparison that fails at its entries runs no elimination that tracks a
     transform, and one whose candidate pairs equal transfer matrices
     eliminates no matrix twice.

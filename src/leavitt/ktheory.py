@@ -10,14 +10,17 @@ computed exactly and their six-term rows are verified, not assumed.
 The subquotient of a pair I <= P of hereditary saturated sets is a block
 of the graph's transfer matrix (:class:`SubquotientK`; the block-matrix
 reading of Restorff and of Eilers-Restorff-Ruiz-Sorensen), so no graph
-is built for it.  A row depends on its triple I <= J <= P only through
+is built for it, and it depends on the difference P minus I alone.  Sets
+are vertex masks here, as in :mod:`leavitt.lattice` (bit k: the k-th
+declared vertex), and a :class:`SubquotientStore` keys each pair by its
+difference mask.  A row depends on its triple I <= J <= P only through
 its positional shape: the adjacency block of I <= P and the positions in
-it of the vertices of J not in I.  A :class:`SubquotientStore` builds and
-checks one row body (``_RowBody``) per shape, from the transfer block of
-I <= P alone, and a row is its triple of vertex names over the body of
-its shape.  A body decides exactness and computes its signature on its
-skeleton of six groups and five maps, once, after each K0 presentation
-has been rewritten on its invariant factors other than 1
+it of the vertices of J not in I.  ``_row_body`` builds and checks one
+row body (``_RowBody``) per shape, from the transfer block of I <= P
+alone, and a :class:`SixTermRow` is a triple of vertex names over the
+body of its shape.  A body decides exactness and computes its signature
+on its skeleton of six groups and five maps, once, after each K0
+presentation has been rewritten on its invariant factors other than 1
 (``_SmithCoordinates``, with certified transforms).  The rewriting is an
 isomorphism of each group and the maps are well defined, so verdicts
 about images, kernels and cokernels do not change; the body keeps the
@@ -54,6 +57,7 @@ from .intlinalg import (
     snf,
     solve_lattice,
 )
+from .lattice import _mask, _vertices
 from .monoid import GradedElement, graded_equal
 
 __all__ = [
@@ -384,27 +388,28 @@ class SubquotientK:
     """One pair inner <= outer of hereditary saturated sets of a graph,
     read as blocks of the graph's matrices, with its K-groups.
 
-    ``vertices`` are the vertices of outer not in inner and ``regulars``
-    the regular vertices among them, both in declaration order.
-    ``adjacency`` is the block of ``g.adjacency()`` at those vertices, and
-    ``km`` the block of the graph's transfer matrix ``km`` (its
-    :func:`k_matrix`) at those rows and regular columns.  They are the
-    matrices of ``subquotient(g, inner, outer)``: outer is hereditary, so
-    every edge leaving a vertex of the pair stays in outer; inner is
-    saturated, so a regular vertex outside it keeps an edge that leaves
-    inner, and a sink stays a sink.  ``k0`` and ``k1`` present K0, and K1
-    with coefficients ``coeff``, on ``km``.
+    The pair is given by its difference ``bits``, the vertex mask of outer
+    minus inner (bit k: the k-th declared vertex).  ``rows`` are the
+    declaration indices of those vertices and ``regs`` those of the regular
+    ones among them, both rising.  ``adjacency`` is the block of
+    ``g.adjacency()`` at ``rows``, and ``km`` the block of the graph's
+    transfer matrix ``km`` (its :func:`k_matrix`) at those rows and the
+    columns of ``regs``.  They are the matrices of ``subquotient(g, inner,
+    outer)``: outer is hereditary, so every edge leaving a vertex of the
+    pair stays in outer; inner is saturated, so a regular vertex outside it
+    keeps an edge that leaves inner, and a sink stays a sink.  ``k0`` and
+    ``k1`` present K0, and K1 with coefficients ``coeff``, on ``km``.
     """
 
-    __slots__ = ("vertices", "regulars", "adjacency", "km", "k0", "k1")
+    __slots__ = ("rows", "regs", "adjacency", "km", "k0", "k1")
 
-    def __init__(self, g: Graph, km: IntMatrix, inner, outer, coeff: CoeffGroup):
-        rows = [i for i, v in enumerate(g.vertices) if v in outer and v not in inner]
-        cols = [j for j, v in enumerate(g.regulars) if v in outer and v not in inner]
-        self.vertices = tuple(g.vertices[i] for i in rows)
-        self.regulars = tuple(g.regulars[j] for j in cols)
-        self.adjacency = g.adjacency().take_rows(rows).take_columns(rows)
-        self.km = km.take_rows(rows).take_columns(cols)
+    def __init__(self, g: Graph, km: IntMatrix, bits: int, coeff: CoeffGroup):
+        regular = [g.index(v) for v in g.regulars]
+        cols = [j for j, i in enumerate(regular) if bits >> i & 1]
+        self.rows = tuple(i for i in range(g.num_vertices) if bits >> i & 1)
+        self.regs = tuple(regular[j] for j in cols)
+        self.adjacency = g.adjacency().take_rows(self.rows).take_columns(self.rows)
+        self.km = km.take_rows(self.rows).take_columns(cols)
         self.k0 = PresentedGroup(self.km)
         self.k1 = KOneBar(coeff, self.km)
 
@@ -415,9 +420,10 @@ _ROW_MAP_NAMES = ("tau1", "tau2", "delta", "u12", "u23")
 class SubquotientStore:
     """The pairs of one graph with one coefficient group, each built once.
 
-    Keys are (inner, outer) pairs of frozensets, and each pair is a
-    :class:`SubquotientK` of blocks of the graph's matrices, so no graph is
-    built; the store computes the graph's transfer matrix once.  A filtered
+    A pair inner <= outer depends only on its difference, so the store
+    keys each :class:`SubquotientK` by the vertex mask of outer minus
+    inner; a pair is blocks of the graph's matrices, so no graph is built,
+    and the store computes the graph's transfer matrix once.  A filtered
     table keeps one store for all its entries and rows, a lone six-term row
     a store of its own.  The store also keeps, for as long as it lives, the
     row work that depends only on matrices and so repeats across the rows
@@ -427,8 +433,7 @@ class SubquotientStore:
       module docstring), built and checked by the first row of that shape
       and shared by every later one;
     - the Smith coordinates of each K0 presentation, reduced and certified
-      once;
-    - the vertex names of each set of a triple, one tuple that rows share.
+      once.
 
     Exactness, kernels, images and cokernels are statements about
     subgroups, so an isomorphism of each group carries them over; the
@@ -443,7 +448,6 @@ class SubquotientStore:
         self.coeff = coeff
         self._km = k_matrix(g)
         self._pairs = {}
-        self._names = {}
         self._bodies = {}
         self._reductions = {}
 
@@ -453,19 +457,12 @@ class SubquotientStore:
         self._bodies = other._bodies
         self._reductions = other._reductions
 
-    def get(self, inner: frozenset, outer: frozenset) -> SubquotientK:
-        key = (inner, outer)
-        pair = self._pairs.get(key)
+    def get(self, bits: int) -> SubquotientK:
+        """The pair whose difference is the vertex mask ``bits``."""
+        pair = self._pairs.get(bits)
         if pair is None:
-            pair = self._pairs[key] = SubquotientK(self.graph, self._km, inner, outer, self.coeff)
+            pair = self._pairs[bits] = SubquotientK(self.graph, self._km, bits, self.coeff)
         return pair
-
-    def _names_of(self, members: frozenset) -> tuple[str, ...]:
-        """The vertices of ``members`` in graph order, one tuple per set."""
-        names = self._names.get(members)
-        if names is None:
-            names = self._names[members] = tuple(v for v in self.graph.vertices if v in members)
-        return names
 
     def _coordinates_of(self, group: PresentedGroup) -> _SmithCoordinates:
         coords = self._reductions.get(group)
@@ -602,9 +599,9 @@ def six_term_row(g: Graph, inner, middle, outer, coeff: CoeffGroup) -> SixTermRo
 
     A triple that is not nested, or a middle, inner or outer set that is
     not hereditary saturated, raises ValueError before any pair is built,
-    in that order.  The row itself is built by ``_build_row`` on a store of
-    its own; a filtered table calls that directly, on its own store, for
-    the triples of its lattice.
+    in that order.  The sets then become vertex masks, and the body comes
+    from ``_row_body`` on a store of its own; a filtered table calls that
+    directly, on its own store, for the triples of its lattice.
     """
     inner = frozenset(inner)
     middle = frozenset(middle)
@@ -616,33 +613,21 @@ def six_term_row(g: Graph, inner, middle, outer, coeff: CoeffGroup) -> SixTermRo
         raise ValueError(f"middle set {{{names}}} is not hereditary saturated")
     _require_hsat(g, inner, "inner set")
     _require_hsat(g, outer, "outer set")
-    return _build_row(SubquotientStore(g, coeff), inner, middle, outer)
+    masks = [_mask(g, members) for members in (inner, middle, outer)]
+    body = _row_body(SubquotientStore(g, coeff), *masks)
+    return SixTermRow(tuple(_vertices(g, m) for m in masks), body)
 
 
-def _build_row(store: SubquotientStore, inner: frozenset, middle: frozenset, outer: frozenset):
-    """The six-term row of a nested triple of hereditary saturated sets of
-    the store's graph, which the caller vouches for.
+def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _RowBody:
+    """The body of the row of a nested triple of hereditary saturated sets
+    of the store's graph, given as vertex masks, which the caller vouches
+    for.
 
-    The row is its triple of vertex names over the store's body for its
-    positional shape: the adjacency block of the middle pair (inner, outer)
-    and the positions in it of the middle set's vertices not in the inner
-    one.  Every matrix of the row is a function of that shape, so the first
-    row of a shape builds and checks the body (``_row_body``) and every
-    later row shares it.
-    """
-    pair = store.get(inner, outer)
-    hprime = tuple(k for k, v in enumerate(pair.vertices) if v in middle)
-    shape = (pair.adjacency, hprime)
-    body = store._bodies.get(shape)
-    if body is None:
-        body = store._bodies[shape] = _row_body(store, pair, hprime)
-    names = store._names_of
-    return SixTermRow((names(inner), names(middle), names(outer)), body)
-
-
-def _row_body(store: SubquotientStore, pair: SubquotientK, hprime: tuple) -> _RowBody:
-    """The body of a row, from its middle pair (inner, outer) and the
-    positions ``hprime`` in it of the middle ideal H' of that subquotient.
+    The body depends only on the row's positional shape: the adjacency
+    block of the middle pair (inner, outer) and the positions ``hprime``
+    in it of the middle set's vertices, that is of the middle ideal H' of
+    that subquotient.  The first row of a shape builds and checks the body,
+    and every later one gets it from the store.
 
     Every matrix is a block of the middle pair's transfer matrix ``km``:
     H' is hereditary saturated in the subquotient, so the ideal part is
@@ -658,10 +643,15 @@ def _row_body(store: SubquotientStore, pair: SubquotientK, hprime: tuple) -> _Ro
     cokernels, once per body and in Smith coordinates.  Inclusions and
     projections act by selecting and scattering rows and columns.
     """
-    ideal = {pair.vertices[k] for k in hprime}
-    vert3 = [k for k, v in enumerate(pair.vertices) if v not in ideal]
-    reg1 = [c for c, v in enumerate(pair.regulars) if v in ideal]
-    reg3 = [c for c, v in enumerate(pair.regulars) if v not in ideal]
+    pair = store.get(outer & ~inner)
+    hprime = tuple(k for k, i in enumerate(pair.rows) if middle >> i & 1)
+    shape = (pair.adjacency, hprime)
+    body = store._bodies.get(shape)
+    if body is not None:
+        return body
+    vert3 = [k for k, i in enumerate(pair.rows) if not middle >> i & 1]
+    reg1 = [c for c, i in enumerate(pair.regs) if middle >> i & 1]
+    reg3 = [c for c, i in enumerate(pair.regs) if not middle >> i & 1]
     top, bottom = pair.km.take_rows(hprime), pair.km.take_rows(vert3)
     if any(map(any, bottom.take_columns(reg1).data)):
         raise AssertionError("an edge leaves the middle ideal; the squares do not commute")
@@ -671,9 +661,9 @@ def _row_body(store: SubquotientStore, pair: SubquotientK, hprime: tuple) -> _Ro
     k0s = (PresentedGroup(km1), pair.k0, PresentedGroup(km3))
     kb1, kb2, kb3 = (kb.kernel for kb in k1bars)
     groups = tuple(PresentedGroup(IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3)) + k0s
-    eye = IntMatrix.identity(len(pair.vertices))
+    eye = IntMatrix.identity(len(pair.rows))
     matrices = (
-        _kernel_coordinates(kb2, kb1.scatter_rows(reg1, len(pair.regulars))),
+        _kernel_coordinates(kb2, kb1.scatter_rows(reg1, len(pair.regs))),
         _kernel_coordinates(kb3, kb2.take_rows(reg3)),
         top.take_columns(reg3) @ kb3,
         eye.take_columns(hprime),
@@ -685,4 +675,5 @@ def _row_body(store: SubquotientStore, pair: SubquotientK, hprime: tuple) -> _Ro
     )
     coords = [store._coordinates_of(grp) for grp in groups]
     reduced = tuple(_in_coordinates(f, coords[k], coords[k + 1]) for k, f in enumerate(maps))
-    return _RowBody(k1bars, k0s, maps, reduced, coeff)
+    body = store._bodies[shape] = _RowBody(k1bars, k0s, maps, reduced, coeff)
+    return body

@@ -37,8 +37,9 @@ class LatticeCapError(RuntimeError):
 
 
 # A vertex set is stored here as an int mask over declaration order: bit k
-# is set when the k-th declared vertex belongs to it.  Other modules see
-# vertex tuples in declaration order only.
+# is set when the k-th declared vertex belongs to it.  The filtered table
+# and its rows (``filtered``, ``ktheory``) read these masks as they are;
+# everywhere else a set is a vertex tuple in declaration order.
 
 
 def _mask(g: Graph, vertices) -> int:
@@ -115,13 +116,6 @@ class IdealLattice:
 
     def members(self, i: int) -> tuple[str, ...]:
         return _vertices(self.graph, self.elements[i])
-
-    def index_of(self, vertices) -> int:
-        vertices = frozenset(vertices)
-        try:
-            return self._index[_mask(self.graph, vertices)]
-        except KeyError:
-            raise KeyError(f"not a lattice element: {sorted(vertices)!r}") from None
 
     def leq(self, i: int, j: int) -> bool:
         return not self.elements[i] & ~self.elements[j]

@@ -5,7 +5,8 @@ by replacing one copy of a non-sink vertex with the multiset of its edge
 targets.  The graded variant tags generators with an integer level; the
 rewrite then moves one level down.  Both equalities are decided exactly:
 graded equality by expanding to a common level, ungraded equality from
-separativity, by order ideals and K0 of a restriction.
+separativity, by order ideals and K0 of a restriction, a block of the
+graph's transfer matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graphs import Graph, restriction
+from .graphs import Graph
 from .intlinalg import solve_lattice
 from .lattice import hsat_closure
 
@@ -249,8 +250,11 @@ def ungraded_equal(g: Graph, a: MonoidElement, b: MonoidElement) -> EqVerdict:
     if ideal != other:
         reason = f"order ideals differ: H(a) = {{{','.join(ideal)}}}, H(b) = {{{','.join(other)}}}"
         return EqVerdict("not-equal", reason=reason)
-    sub = restriction(g, ideal)
-    km = k_matrix(sub)
+    # H is hereditary, so K_H is the block of the graph's transfer matrix
+    # at the vertices of H and its regular vertices, in declaration order
+    members = set(ideal)
+    cols = [j for j, v in enumerate(g.regulars) if v in members]
+    km = k_matrix(g).take_rows(map(g.index, ideal)).take_columns(cols)
     diff = tuple(a.get(v) - b.get(v) for v in ideal)
     x = solve_lattice(km, diff)
     if x is None:
@@ -263,7 +267,7 @@ def ungraded_equal(g: Graph, a: MonoidElement, b: MonoidElement) -> EqVerdict:
         "equal",
         reason="a - b is zero in K0 of the restriction to H(a) = H(b)",
         ideal=ideal,
-        witness=tuple(zip(sub.regulars, x)),
+        witness=tuple(zip((g.regulars[j] for j in cols), x)),
     )
 
 

@@ -40,8 +40,9 @@ independent cross-checks:
 * ``coeff_quotient_by`` — G/dG for one coefficient group, summed up by the
   test of ``CoeffCokernel.specialize``; ``delta_value`` — the connecting
   map's value on a checked kernel vector, against ``snake_rho``.
-* ``lattice_meet`` and ``lattice_join`` — the meet found by its vertex
-  set and the join by the order, not by the library's masks.
+* ``index_of``, ``lattice_meet`` and ``lattice_join`` — an element's
+  index and the meet found by their vertex sets, and the join by the
+  order, not by the library's masks.
 * ``bfs_equal`` — monoid equality by bidirectional breadth-first search
   over rewrites under a state and a mass budget, the engine the library's
   exact separativity rule replaced; it answers "unknown" when a budget runs
@@ -808,10 +809,20 @@ def delta_value(cd: ConnectingMap, x) -> tuple:
     return cd.x_block @ x
 
 
+def index_of(lattice: IdealLattice, vertices) -> int:
+    """The index of the element whose vertices are ``vertices``, found by
+    comparing vertex sets; KeyError when no element has them."""
+    vertices = frozenset(vertices)
+    for i in range(len(lattice)):
+        if frozenset(lattice.members(i)) == vertices:
+            return i
+    raise KeyError(f"not a lattice element: {sorted(vertices)!r}")
+
+
 def lattice_meet(lattice: IdealLattice, i: int, j: int) -> int:
     """The element whose vertices both i and j contain: an intersection of
     hereditary saturated sets is one."""
-    return lattice.index_of(set(lattice.members(i)) & set(lattice.members(j)))
+    return index_of(lattice, set(lattice.members(i)) & set(lattice.members(j)))
 
 
 def lattice_join(lattice: IdealLattice, i: int, j: int) -> int:

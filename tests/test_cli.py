@@ -212,15 +212,15 @@ class TestStreamedReports:
 
     def test_failed_check_on_the_last_row_writes_nothing(self, capsys, files, monkeypatch):
         built = []
-        build_row = filtered._build_row
+        row_body = filtered._row_body
 
         def failing_last(store, *members):
             built.append(members)
             if len(built) == 1024:
                 raise AssertionError("an edge leaves the middle ideal; the squares do not commute")
-            return build_row(store, *members)
+            return row_body(store, *members)
 
-        monkeypatch.setattr(filtered, "_build_row", failing_last)
+        monkeypatch.setattr(filtered, "_row_body", failing_last)
         code, out, err = run(capsys, ["--json", "fk", files["loops5"]])
         assert (code, out, len(built)) == (4, "", 1024)
         assert err == (

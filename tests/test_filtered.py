@@ -14,7 +14,7 @@ from leavitt.filtered import RowCapError, compare_fkbar, fkbar, transport_from_c
 from leavitt.graphs import Graph, graph_from_matrix, relabel, subquotient
 from leavitt.intlinalg import CoeffGroup, FgAbGroup, IntMatrix, PresentedGroup
 from leavitt.ktheory import k0, k1, k_matrix, six_term_row
-from leavitt.lattice import LatticeCapError, enumerate_hsat, hsat_closure
+from leavitt.lattice import IdealLattice, LatticeCapError, enumerate_hsat, hsat_closure
 from leavitt.shifts import shift_equivalent_bounded
 
 
@@ -188,6 +188,14 @@ class TestSharedSubquotients:
                 assert e.konebar == k1(sub, coeff), (g, e.piece)
         assert rows == 1491
 
+    def test_one_pair_record_per_difference(self):
+        # a pair depends on its difference mask alone: the 3^k nested pairs
+        # of k disjoint loops have 2^k differences, one record each
+        for k in range(3, 7):
+            table = fkbar(H.disjoint_loops(k), COEFF)
+            assert len(table.row_triples) == 4**k
+            assert len(table.store._pairs) == 2**k
+
 
 class TestRowCap:
     def test_cap_counts_nested_triples_before_rows(self, fan):
@@ -236,20 +244,42 @@ class TestCompare:
         assert set(calls["exact"]) == bodies and len(calls["exact"]) == 15
         assert len(calls["element"]) == len(set(calls["element"])) == 15
 
+    def test_row_passes_call_no_leq(self, monkeypatch):
+        # only the ``above`` lists of ``row_triples`` compare lattice
+        # elements, one call per i <= j of each 32-element table; fkbar's
+        # row pass and _match_rows read every body by mask
+        g = H.disjoint_loops(5)
+        calls = []
+        leq = IdealLattice.leq
+
+        def counting(self, i, j):
+            calls.append((i, j))
+            return leq(self, i, j)
+
+        monkeypatch.setattr(IdealLattice, "leq", counting)
+        table = fkbar(g, COEFF)
+        assert len(table.store._bodies) == 2**6 - 1 and len(calls) == 32 * 33 // 2
+        calls.clear()
+        rep = compare_fkbar(g, g, COEFF)
+        assert rep.consistent and len(rep.map_matches) == 4**5
+        assert len(calls) == 2 * 32 * 33 // 2
+
     def test_rows_are_built_on_request(self):
         g = H.disjoint_loops(2)
         t = filtered.FilteredKTable(g, COEFF)
         trip = (0, 1, 3)  # empty set, one loop, both loops
-        assert trip in t.row_triples and not t._rows
+        assert trip in t.row_triples and not t.store._bodies
         row = t.row(trip)
-        assert t.row(trip) is row and list(t._rows) == [trip]
+        assert row.triple == ((), ("x0",), ("x0", "x1")) and len(t.store._bodies) == 1
+        again = t.row(trip)
+        assert again == row and again.body is row.body and len(t.store._bodies) == 1
         # another table's row has its own body, equal in its groups and maps
         other = fkbar(g, COEFF).row(trip)
         assert row.triple == other.triple and row.body is not other.body
         for name in ("k1bars", "k0s", "maps"):
             assert getattr(row.body, name) == getattr(other.body, name), name
         # indices rise along the order, so the reversed triple is not nested
-        assert t.row(trip[::-1]) is None and list(t._rows) == [trip]
+        assert t.row(trip[::-1]) is None and len(t.store._bodies) == 1
 
     def test_skeletons_decided_once_across_both_tables(self, monkeypatch):
         g = H.disjoint_loops(3)
@@ -448,18 +478,18 @@ class TestRowFailures:
         # leave it, is a failure of the candidate and not a match; the two
         # tables share their bodies, so only the rows of one table get an
         # inexact copy of theirs
-        build_row = filtered._build_row
+        row_body = filtered._row_body
 
         def breaking(store, inner, middle, outer):
-            row = build_row(store, inner, middle, outer)
-            if broken not in outer:
-                return row
-            body = row.body
+            body = row_body(store, inner, middle, outer)
+            g = store.graph
+            if not g.has_vertex(broken) or not outer >> g.index(broken) & 1:
+                return body
             inexact = ktheory._RowBody(body.k1bars, body.k0s, body.maps, body.reduced, COEFF)
             inexact.exact = False
-            return ktheory.SixTermRow(row.triple, inexact)
+            return inexact
 
-        monkeypatch.setattr(filtered, "_build_row", breaking)
+        monkeypatch.setattr(filtered, "_row_body", breaking)
         rep = compare_fkbar(rose2, relabel(rose2, {"v": "w"}), COEFF)
         assert not rep.consistent and rep.element_check == "passed"
         detail = f"{problem} table row failed exactness"
@@ -519,14 +549,15 @@ class TestEliminations:
 
 
 def count_rows(monkeypatch):
+    """The (inner, middle, outer) masks of every row body a table asks for."""
     built = []
-    original = filtered._build_row
+    original = filtered._row_body
 
     def counting(*args, **kwargs):
         built.append(args[1:4])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(filtered, "_build_row", counting)
+    monkeypatch.setattr(filtered, "_row_body", counting)
     return built
 
 
@@ -654,7 +685,7 @@ class TestTransport:
         cycle = Graph(["a", "b"], [("x", "a", "a"), ("y", "a", "b"), ("z", "b", "a")])
         lattice, other = enumerate_hsat(g), enumerate_hsat(cycle)
         with pytest.raises(KeyError):
-            other.index_of({"b"})
+            H.index_of(other, {"b"})
         assert transport_from_certificate(g, g, lattice, other, IntMatrix.identity(2)) is None
 
     def test_monotone_bijection_that_does_not_reflect_order_rejected(self):
@@ -673,7 +704,8 @@ class TestTransport:
         assert len(lat1) == len(lat2) == 4
         hit = dict(zip("xyz", "abc"))
         images = [
-            lat2.index_of(hsat_closure(chain, [hit[v] for v in lat1.members(i)])) for i in range(4)
+            H.index_of(lat2, hsat_closure(chain, [hit[v] for v in lat1.members(i)]))
+            for i in range(4)
         ]
         assert sorted(images) == [0, 1, 2, 3]
         pairs = [(i, j) for i in range(4) for j in range(4) if lat1.leq(i, j)]

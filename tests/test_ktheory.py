@@ -20,6 +20,7 @@ from leavitt.intlinalg import (
     snf,
 )
 from leavitt.ktheory import (
+    SixTermRow,
     SubquotientStore,
     connecting_delta,
     k0,
@@ -330,12 +331,14 @@ def nested_rows(g, coeff, store=None):
                 if store is None:
                     yield six_term_row(g, lat.members(i), lat.members(j), lat.members(p), coeff)
                 else:
-                    members = (frozenset(lat.members(k)) for k in (i, j, p))
-                    yield ktheory._build_row(store, *members)
+                    names = tuple(lat.members(k) for k in (i, j, p))
+                    masks = (lat.elements[k] for k in (i, j, p))
+                    yield SixTermRow(names, ktheory._row_body(store, *masks))
 
 
-# two loops a and b: the ideal {a} between nothing and everything
-TWO_LOOP_TRIPLE = (frozenset(), frozenset({"a"}), frozenset({"a", "b"}))
+# two loops a and b, as vertex masks: the ideal {a} between nothing and
+# everything
+TWO_LOOP_TRIPLE = (0b00, 0b01, 0b11)
 
 
 def z_verdicts(nodes):
@@ -448,9 +451,9 @@ class TestRowSkeleton:
         # corrupted before the first row: a later row of the same shape
         # shares the checked body and would not look at the pair again
         store = SubquotientStore(g, coeff)
-        store.get(TWO_LOOP_TRIPLE[0], TWO_LOOP_TRIPLE[2]).km = leaving
+        store.get(TWO_LOOP_TRIPLE[2] & ~TWO_LOOP_TRIPLE[0]).km = leaving
         with pytest.raises(AssertionError, match="^an edge leaves the middle ideal; the squares"):
-            ktheory._build_row(store, *TWO_LOOP_TRIPLE)
+            ktheory._row_body(store, *TWO_LOOP_TRIPLE)
 
     def test_kernel_vector_leaving_the_kernel_is_a_bug(self, monkeypatch):
         # a lattice solve that finds no coordinates for an induced kernel vector
@@ -561,13 +564,13 @@ class TestSkeletonMemo:
             assert len(table.store._bodies) == 2 ** (k + 1) - 1
         # the two tables of a compare share one body per shape
         built = []
-        row_body = ktheory._row_body
+        body_class = ktheory._RowBody
 
         def counting(*args):
             built.append(args)
-            return row_body(*args)
+            return body_class(*args)
 
-        monkeypatch.setattr(ktheory, "_row_body", counting)
+        monkeypatch.setattr(ktheory, "_RowBody", counting)
         assert compare_fkbar(g, g, COEFF_F5).consistent
         assert len(built) == 15
 

@@ -85,7 +85,7 @@ class TestEnumeration:
     def test_bottom_and_top(self, corpus):
         for g in corpus[:60]:
             lat = enumerate_hsat(g)
-            assert frozenset(lat.members(lat.index_of(()))) == frozenset()
+            assert frozenset(lat.members(H.index_of(lat, ()))) == frozenset()
             assert frozenset(lat.members(len(lat) - 1)) == frozenset(g.vertices)
 
     def test_leq_matches_subset(self, corpus):
@@ -115,7 +115,7 @@ class TestEnumeration:
     def test_empty_graph(self):
         lat = enumerate_hsat(Graph([], []))
         assert len(lat.elements) == 1
-        assert lat.index_of(()) == len(lat) - 1 == 0
+        assert H.index_of(lat, ()) == len(lat) - 1 == 0
 
 
 def _disjoint_loops(k):
@@ -165,15 +165,15 @@ class TestBeyondCorpus:
         lat = enumerate_hsat(g)
         assert lat.members(len(lat) - 1) == ("b", "a", "c")
         assert hsat_closure(g, {"c"}) == ("b", "a", "c")
-        assert lat.index_of(["a", "c", "b"]) == len(lat) - 1
+        assert H.index_of(lat, ["a", "c", "b"]) == len(lat) - 1
 
     def test_index_of_rejects_non_elements(self, fan):
         lat = enumerate_hsat(fan)
-        assert lat.members(lat.index_of({"w2"})) == ("w2",)
+        assert lat.members(H.index_of(lat, {"w2"})) == ("w2",)
         for bad in ({"v"}, {"w1", "w2"}, {"nowhere"}):
             # not hereditary, not saturated, not a vertex
             with pytest.raises(KeyError):
-                lat.index_of(bad)
+                H.index_of(lat, bad)
 
 
 class TestPrimes:
@@ -214,7 +214,7 @@ class TestSpectrum:
         for g in corpus[:60]:
             lat = enumerate_hsat(g)
             topo = spectrum(lat)
-            assert topo.opens[lat.index_of(())] == frozenset()
+            assert topo.opens[H.index_of(lat, ())] == frozenset()
             assert topo.opens[len(lat) - 1] == frozenset(range(len(topo.primes)))
 
     def test_open_map_respects_meet_and_join(self, corpus):

@@ -253,6 +253,25 @@ class TestUngradedEquality:
             checked += 1
         assert checked == 120
 
+    def test_builds_no_graph(self, corpus, monkeypatch):
+        # K_H is the block of the graph's transfer matrix at H, so no
+        # restriction is built; the inputs are drawn before the count starts
+        rng = random.Random(67)
+        pairs = []
+        for g in corpus[:60]:
+            pairs.append((g, *_rewrite_pair(g, rng, 0, 3)))
+            pairs.append((g, H.random_monoid_element(g, rng), H.random_monoid_element(g, rng)))
+        built = []
+        init = Graph.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Graph, "__init__", counting)
+        kinds = {ungraded_equal(g, a, b).kind for g, a, b in pairs}
+        assert kinds == {"equal", "not-equal"} and built == []
+
     def test_distinct_roses_are_not_equal_at_once(self):
         # the budgeted search ran for minutes on this pair without deciding:
         # the supports generate different order ideals
