@@ -86,67 +86,59 @@ def _konebar_json(kb) -> dict:
     }
 
 
-def _k0_json(kz) -> dict:
-    return _group_json(kz.invariants())
-
-
-def _nodes_json(nodes) -> list:
-    return [
-        {
-            "name": n.name,
-            "z_image_in_kernel": n.z_image_in_kernel,
-            "z_kernel_in_image": n.z_kernel_in_image,
-            "coeff_exact": n.coeff_exact,
-        }
-        for n in nodes
-    ]
-
-
-def _row_json(row, part) -> dict:
-    """The payload of a six-term row, its parts from ``part`` (see
-    :func:`_parts`): the vertex names of each set of the triple, each
-    K1bar and K0 group, and the node verdicts, which rows of one table
-    share through their name tuples and bodies."""
-    body = row.body
+def _body_json(body) -> dict:
+    """The payload of a row body: exactness, each K1bar and K0 group and
+    the node verdicts."""
     return {
-        "triple": [part(list, names) for names in row.triple],
         "exact": body.exact,
-        "k1bar": [part(_konebar_json, kb) for kb in body.k1bars],
-        "k0": [part(_k0_json, kz) for kz in body.k0s],
-        "nodes": part(_nodes_json, body.nodes),
+        "k1bar": [_konebar_json(kb) for kb in body.k1bars],
+        "k0": [_group_json(kz.invariants()) for kz in body.k0s],
+        "nodes": [
+            {
+                "name": n.name,
+                "z_image_in_kernel": n.z_image_in_kernel,
+                "z_kernel_in_image": n.z_kernel_in_image,
+                "coeff_exact": n.coeff_exact,
+            }
+            for n in body.nodes
+        ],
     }
 
 
-class _Shared:
-    """A payload part that one report refers to more than once.
-
-    :func:`_put_json` writes it as its ``value``, encoding that once per
-    indent depth and keeping the text here, so the text lives exactly as
-    long as the payload that holds the part.
-    """
-
-    __slots__ = ("value", "texts")
-
-    def __init__(self, value):
-        self.value = value
-        self.texts = {}
+def _row_json(row) -> dict:
+    """The payload of a six-term row: its body's, and the vertex names of
+    each set of its triple."""
+    return dict(_body_json(row.body), triple=[list(names) for names in row.triple])
 
 
-def _parts():
-    """A function ``part(build, source)`` that returns ``build(source)``
-    wrapped in a :class:`_Shared`, built once per source object for as long
-    as the function lives.  Sources are told apart by identity, and each is
-    kept alive with its part, so no identity is reused meanwhile."""
-    memo = {}
+class _Text(str):
+    """JSON text that :func:`_put_json` writes as it stands."""
 
-    def part(build, source):
-        key = (build, id(source))
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = (_Shared(build(source)), source)
-        return hit[0]
 
-    return part
+def _row_texts(table, nl):
+    """The text of each row of ``table`` as a value at indent ``nl``, in
+    ``row_triples`` order: ``dict(_row_json(row), lattice_triple=[i, j,
+    p])`` as :func:`_put_json` writes it there.
+
+    A row's text is its body's, around holes for its lattice triple and
+    its vertex names, encoded once per body; each lattice element's index
+    and name list is encoded once, and a row joins those strings."""
+    inner, deeper = nl + "  ", nl + "    "
+    members = map(table.lattice.members, range(len(table.lattice)))
+    names = [deeper + _json_text(list(m), deeper) for m in members]
+    indices = [deeper + str(k) for k in range(len(names))]
+    hole = _Text("\0")  # an encoded string escapes every NUL
+    texts = {}
+    for (i, j, p), body in zip(table.row_triples, table.bodies):
+        text = texts.get(body)
+        if text is None:
+            payload = dict(_body_json(body), lattice_triple=hole, triple=hole)
+            text = texts[body] = _json_text(payload, nl).split(hole)
+        start, middle, end = text
+        yield _Text(
+            f"{start}[{indices[i]},{indices[j]},{indices[p]}{inner}]"
+            f"{middle}[{names[i]},{names[j]},{names[p]}{inner}]{end}"
+        )
 
 
 def _json_text(payload, nl="\n") -> str:
@@ -167,9 +159,9 @@ def _put_json(x, nl, put):
     ``json`` only to escape strings.  A list of plain ints (not bools), the
     bulk of the matrix reports, is joined in one step.  A generator is
     written as the list of what it yields, consumed as it is written, and
-    a :class:`_Shared` part as its value, encoded once per depth.  Keys
-    must be strings, and values dicts, lists, tuples, strings, ints, bools
-    or None; anything else raises TypeError.
+    a :class:`_Text` as it stands, so it must be the text of a value at
+    depth ``nl``.  Keys must be strings, and values dicts, lists, tuples,
+    strings, ints, bools or None; anything else raises TypeError.
     """
     t = type(x)
     if t is str:
@@ -182,11 +174,8 @@ def _put_json(x, nl, put):
         put("true")
     elif x is False:
         put("false")
-    elif t is _Shared:
-        text = x.texts.get(nl)
-        if text is None:
-            text = x.texts[nl] = _json_text(x.value, nl)
-        put(text)
+    elif t is _Text:
+        put(x)
     elif t is list or t is tuple or t is GeneratorType:
         inner = nl + "  "
         if t is not GeneratorType and {*map(type, x)} == {int}:
@@ -340,14 +329,7 @@ def _cmd_fk(args):
         lattice_cap=args.lattice_cap,
         row_cap=args.row_cap,
     )
-    # the rows are written as they are encoded, in row_triples order, each
-    # referring to the parts it shares with other rows and with the pieces
-    part = _parts()
     exact = table.all_rows_exact
-    rows = (
-        dict(_row_json(row, part), lattice_triple=list(trip))
-        for trip, row in zip(table.row_triples, table.rows)
-    )
     payload = {
         "lattice": [list(table.lattice.members(i)) for i in range(len(table.lattice))],
         "primes": list(table.topology.primes),
@@ -356,12 +338,13 @@ def _cmd_fk(args):
                 "difference": sorted(e.piece.difference),
                 "outer": list(e.outer_members),
                 "inner": list(e.inner_members),
-                "k0": part(_k0_json, e.kzero),
-                "k1bar": part(_konebar_json, e.konebar),
+                "k0": _group_json(e.kzero.invariants()),
+                "k1bar": _konebar_json(e.konebar),
             }
             for e in table.entries
         ],
-        "rows": rows,
+        # the report's rows list is at depth 1, so each row at depth 2
+        "rows": _row_texts(table, "\n    "),
         "all_rows_exact": exact,
     }
     lines = [
@@ -491,7 +474,7 @@ def _cmd_sixterm(args):
         tuple(g.vertices) if args.outer == "*" else _split_vertices(args.outer)
     )
     row = six_term_row(g, inner, middle, outer, coeff)
-    payload = _row_json(row, _parts())
+    payload = _row_json(row)
     body = row.body
     lines = [
         "Kbar1: " + " -> ".join(kb.symbol() for kb in body.k1bars),

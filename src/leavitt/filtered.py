@@ -144,6 +144,12 @@ class FilteredKTable:
         one of ``row_triples``, or its image under a lattice isomorphism."""
         return _row_body(self.store, *map(self.lattice.elements.__getitem__, trip))
 
+    @cached_property
+    def bodies(self) -> tuple[_RowBody, ...]:
+        """The body of every row, in the order of ``row_triples``, each
+        triple's looked up once."""
+        return tuple(map(self.body, self.row_triples))
+
     def row(self, trip) -> SixTermRow | None:
         """The row of a lattice triple, its names over its body; None when
         the triple is not nested."""
@@ -158,13 +164,13 @@ class FilteredKTable:
         tuple per lattice element."""
         names = list(map(self.lattice.members, range(len(self.lattice))))
         return tuple(
-            SixTermRow((names[i], names[j], names[p]), self.body((i, j, p)))
-            for i, j, p in self.row_triples
+            SixTermRow((names[i], names[j], names[p]), body)
+            for (i, j, p), body in zip(self.row_triples, self.bodies)
         )
 
     @property
     def all_rows_exact(self):
-        return all(self.body(trip).exact for trip in self.row_triples)
+        return all(body.exact for body in self.bodies)
 
 
 def fkbar(
@@ -185,8 +191,7 @@ def fkbar(
     otherwise builds the body of every row before it returns.
     """
     table = FilteredKTable(g, coeff, lattice_cap, row_cap)
-    for trip in table.row_triples:
-        table.body(trip)
+    table.bodies  # builds the body of every row
     return table
 
 
@@ -341,9 +346,11 @@ class ComparisonReport:
     and every row signature (and survived the element-level search when it
     ran).  ``certification`` records how much of the isomorphism space was
     covered: "structural" for signature matching only, "bounded" when the
-    element-level search skipped some row (a node past the candidate cap),
-    "exhaustive" when every row's search covered every system of node
-    isomorphisms.  ``note`` flags that consistency is a necessary
+    element-level search skipped some pair of row bodies (a node past the
+    candidate cap), "exhaustive" when the search of every pair of bodies
+    the rows pair covered every system of node isomorphisms.  The search
+    runs once per pair of bodies, and each ``map_matches`` verdict is that
+    of its row's pair.  ``note`` flags that consistency is a necessary
     condition, not a proof.
     """
 
@@ -400,26 +407,25 @@ def _entry_names(e: TableEntry) -> tuple[str, str, str]:
 
 def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool):
     """Row verdicts under a lattice isomorphism, the first failure, and the
-    element search outcomes, one per row searched.
+    element search outcomes, one per pair of bodies searched.
 
-    Everything is read on the rows' bodies.  Every row pair's signatures
-    are compared before any body's exactness is read or any element search
+    Everything is read on the rows' bodies, and a row's verdict depends on
+    nothing else, so it is decided once per distinct pair of bodies and
+    stamped on every triple of that pair.  Every pair's signatures are
+    compared before any body's exactness is read or any element search
     runs: the signatures take the kernels of matrices whose diagonals those
     read (see ``ktheory._RowBody``), so each such matrix is eliminated
-    once.  The element search runs once per distinct pair of bodies, and
-    its outcome is recorded on every row pair of those bodies.
+    once.
     """
     # an order isomorphism maps a nested triple to a nested triple
     pairs = [
-        (trip, t1.body(trip), t2.body((iso[trip[0]], iso[trip[1]], iso[trip[2]])))
-        for trip in t1.row_triples
+        (body, t2.body((iso[i], iso[j], iso[p])))
+        for (i, j, p), body in zip(t1.row_triples, t1.bodies)
     ]
-    same = [a.signature == b.signature for _, a, b in pairs]
-    verdicts = []
+    same = {pair: pair[0].signature == pair[1].signature for pair in pairs}
+    decided = {}
     element_outcomes = []
-    searched = {}
-    failure = ""
-    for (trip, body, other), matched in zip(pairs, same):
+    for (body, other), matched in same.items():
         problems = []
         if not matched:
             problems.append("map invariants differ")
@@ -427,17 +433,19 @@ def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool)
             problems.append("first table row failed exactness")
         if not other.exact:
             problems.append("second table row failed exactness")
-        element = None
+        detail = "row matches"
         if not problems and run_elements:
-            element = searched.get((body, other))
-            if element is None:
-                element = searched[body, other] = _row_element_check(body, other)
+            element = _row_element_check(body, other)
             element_outcomes.append(element)
             if element == "refuted":
                 problems.append("no commuting system of isomorphisms exists")
-        detail = "; ".join(problems) if problems else "row matches"
-        if element is not None and not problems:
-            detail = f"row matches (element search: {element})"
+            else:
+                detail = f"row matches (element search: {element})"
+        decided[body, other] = problems, "; ".join(problems) or detail
+    verdicts = []
+    failure = ""
+    for trip, pair in zip(t1.row_triples, pairs):
+        problems, detail = decided[pair]
         verdicts.append(RowVerdict(triple=trip, matched=not problems, detail=detail))
         if problems and not failure:
             failure = f"triple {trip}: {problems[0]}"
@@ -446,10 +454,10 @@ def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool)
 
 def _element_check(element_outcomes) -> tuple[str, str]:
     """The report's element check and certification from the outcomes of
-    the rows searched: "structural" when none was searched, "exhaustive"
-    when every search passed, else "bounded".  A search that is not
-    skipped covers every isomorphism, so on a consistent report "bounded"
-    means some row was skipped, and the element check reads
+    the pairs of bodies searched: "structural" when none was searched,
+    "exhaustive" when every search passed, else "bounded".  A search that
+    is not skipped covers every isomorphism, so on a consistent report
+    "bounded" means some pair was skipped, and the element check reads
     "inconclusive"."""
     if not element_outcomes:
         return "skipped", "structural"

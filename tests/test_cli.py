@@ -20,7 +20,7 @@ import helpers as H
 import leavitt
 from leavitt import cli, filtered, intlinalg, ktheory
 from leavitt.cli import main
-from leavitt.graphs import graph_from_matrix, graph_to_text, parse_graph
+from leavitt.graphs import Graph, graph_from_matrix, graph_to_text, parse_graph
 from leavitt.intlinalg import IntMatrix
 
 
@@ -192,8 +192,9 @@ class TestExitCodes:
 
 
 class TestStreamedReports:
-    """``fk`` writes its rows while it encodes them, each referring to the
-    parts it shares with other rows, after every row is built and checked."""
+    """``fk`` writes its rows while it encodes them, each joined from the
+    text of its body and of its lattice elements, after every row is built
+    and checked."""
 
     def test_fk_on_six_loops_stays_small(self, tmp_path):
         path = tmp_path / "loops6.graph"
@@ -208,7 +209,33 @@ class TestStreamedReports:
             tracemalloc.stop()
         # the 4,096 rows and their 8.6 MB of text, the text included
         assert code == 0 and len(json.loads(out.getvalue())["rows"]) == 4096
-        assert peak <= 30 * 2**20
+        assert peak <= 14 * 2**20
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            *map(H.disjoint_loops, range(1, 6)),
+            Graph(
+                [f"x{i}" for i in range(7)],
+                [(f"l{i}", f"x{i}", f"x{i}") for i in range(7)]
+                + [(f"f{i}", f"x{i}", f"x{i + 1}") for i in range(6)],
+            ),
+        ],
+        ids=[*(f"loops{k}" for k in range(1, 6)), "line7"],
+    )
+    def test_fk_writes_each_row_payload(self, capsys, tmp_path, graph):
+        # the report is json.dumps of itself, and each row the payload of
+        # the table's row with its lattice triple
+        path = tmp_path / "g.graph"
+        path.write_text(graph_to_text(graph), encoding="utf-8")
+        code, out, _ = run(capsys, ["--json", "fk", str(path)])
+        report = json.loads(out)
+        assert code == 0 and out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        table = filtered.fkbar(graph, cli._coeff("symbolic", reduced=True))
+        assert report["rows"] == [
+            dict(cli._row_json(row), lattice_triple=list(trip))
+            for trip, row in zip(table.row_triples, table.rows)
+        ]
 
     def test_failed_check_on_the_last_row_writes_nothing(self, capsys, files, monkeypatch):
         built = []
@@ -543,21 +570,24 @@ class TestJsonWriter:
     @given(_TREES, _TREES, st.lists(_TREES, max_size=4))
     @example([1, 2], {"k": []}, [])
     @example({"a": [True, None]}, "x", [0, [], {}])
-    def test_shared_parts_and_lazy_lists(self, part, tree, items):
-        # one object at several depths, plain or as a _Shared part, and lists
-        # written from generators (empty ones included) as they are consumed
+    def test_texts_and_lazy_lists(self, part, tree, items):
+        # one object at several depths, plain or as its _Text at that depth,
+        # and lists written from generators (empty ones included) as they
+        # are consumed
         plain = {"a": part, "b": [part, {"c": part, "d": tree}], "e": [[part, x] for x in items]}
         assert cli._json_text(plain) == json.dumps(plain, sort_keys=True, indent=2)
-        shared = cli._Shared(part)
-        for _ in range(2):  # the second pass reads the texts the first one kept
-            lazy = {
-                "a": shared,
-                "b": [shared, {"c": shared, "d": tree}],
-                "e": ([shared, x] for x in items),
-            }
-            chunks = []
-            cli._put_json(lazy, "\n", chunks.append)
-            assert "".join(chunks) == json.dumps(plain, sort_keys=True, indent=2)
+
+        def text(depth):
+            return cli._Text(cli._json_text(part, "\n" + "  " * depth))
+
+        lazy = {
+            "a": text(1),
+            "b": [text(2), {"c": text(3), "d": tree}],
+            "e": ([text(3), x] for x in items),
+        }
+        chunks = []
+        cli._put_json(lazy, "\n", chunks.append)
+        assert "".join(chunks) == json.dumps(plain, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize(
         "x", [1.5, [1, 2.0], {1, 2}, {"a": {3}}, {1: "a"}, {"a": {None: 1}}, object()]

@@ -10,8 +10,9 @@ import helpers as H
 import leavitt.filtered as filtered
 import leavitt.intlinalg as intlinalg
 import leavitt.ktheory as ktheory
+from leavitt import cli
 from leavitt.filtered import RowCapError, compare_fkbar, fkbar, transport_from_certificate
-from leavitt.graphs import Graph, graph_from_matrix, relabel, subquotient
+from leavitt.graphs import Graph, graph_from_matrix, graph_to_text, relabel, subquotient
 from leavitt.intlinalg import CoeffGroup, FgAbGroup, IntMatrix, PresentedGroup
 from leavitt.ktheory import k0, k1, k_matrix, six_term_row
 from leavitt.lattice import IdealLattice, LatticeCapError, enumerate_hsat, hsat_closure
@@ -590,6 +591,20 @@ class TestRowsOnDemand:
         rep = compare_fkbar(rose2, ones_graph(), COEFF)
         assert rep.consistent and len(rep.map_matches) == 4
         assert len(built) == 8
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_each_triple_asks_for_its_body_once(self, k, tmp_path, capsys, monkeypatch):
+        # fk asks once per row of its table, a self-compare once per row of
+        # each table: the first table's bodies and the second's image triples
+        path = tmp_path / "loops.graph"
+        path.write_text(graph_to_text(H.disjoint_loops(k)), encoding="utf-8")
+        built = count_rows(monkeypatch)
+        assert cli.main(["--json", "fk", str(path)]) == 0
+        assert len(built) == 4**k
+        built.clear()
+        assert cli.main(["--json", "compare", str(path), str(path)]) == 0
+        assert len(built) == 2 * 4**k
+        capsys.readouterr()
 
 
 def zeroed_map(body, k):
