@@ -13,12 +13,10 @@ from .intlinalg import (
     FgAbGroup,
     GroupMap,
     IntMatrix,
-    InvariantFactors,
     PresentedGroup,
     SmithData,
     check_exact,
     coker_with_coefficients,
-    invariant_factors,
     kernel_basis,
     snf,
 )

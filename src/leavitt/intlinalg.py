@@ -1,29 +1,25 @@
 """Exact linear algebra over the integers.
 
-One Smith elimination is the engine here: ``_smith`` pivots on the least
-entry of the trailing block and carries along only the unimodular
-transforms its caller reads, with one pivot sequence whatever it tracks.
-:func:`invariant_factors` tracks none and serves the callers that need
-only the diagonal, the rank or the determinant: group invariants
-(``PresentedGroup.invariants``), twisted cokernels
-(:func:`coker_with_coefficients`), the shift invariants, and the subgroup
-inclusion tests of :func:`subgroup_equal` and of :func:`check_exact`, the
-one exactness checker.  :func:`kernel_basis` tracks v alone and serves the
-kernels, and through :func:`preimage_lattice` the kernels
-:func:`check_exact` compares.  The two share one cache, one entry per
-matrix: a kernel run also yields the diagonal, so a matrix whose kernel was
-read is never eliminated again for its invariant factors, and a later
-kernel request replaces a diagonal-only entry.  :func:`snf` tracks u and v
-and serves lattice solving, unimodular inverses and the Smith coordinates
-of K0 presentations, with a cache of its own.  The diagonals agree because
-the elimination is one.  Everything runs on Python ints, so there is no
-overflow and no floating point anywhere.
+One Smith elimination is the engine here, with one record per matrix.
+``_smith`` pivots on the least entry of the trailing block and carries
+along only the unimodular transforms its caller reads, with one pivot
+sequence whatever it tracks.  A :class:`SmithData` record computes each
+part of it when first read, and :func:`snf`, the only cache, keeps one
+record per matrix.  The diagonal needs no transform: it gives group
+invariants, twisted cokernels (:func:`coker_with_coefficients`), the shift
+invariants and the inclusion tests of :func:`subgroup_equal` and of
+:func:`check_exact`, the one exactness checker.  The kernel needs v: it
+gives :func:`kernel_basis` and :func:`preimage_lattice`.  Lattice solving,
+unimodular inverses and the Smith coordinates of K0 presentations read u
+and v, from one two-sided run; they read them first, so that run serves
+the diagonal too.  Everything runs on Python ints, so there is no overflow
+and no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import mul
@@ -31,14 +27,12 @@ from operator import mul
 __all__ = [
     "IntMatrix",
     "SmithData",
-    "InvariantFactors",
     "FgAbGroup",
     "PresentedGroup",
     "GroupMap",
     "CoeffGroup",
     "CoeffCokernel",
     "snf",
-    "invariant_factors",
     "kernel_basis",
     "coker_with_coefficients",
     "check_exact",
@@ -122,16 +116,6 @@ class IntMatrix:
             ),
             cols=cols,
         )
-
-    @classmethod
-    def from_columns(cls, columns, rows=None):
-        columns = [tuple(int(x) for x in c) for c in columns]
-        if columns:
-            rows = len(columns[0])
-            return cls(tuple(tuple(c[i] for c in columns) for i in range(rows)), cols=len(columns))
-        if rows is None:
-            raise ValueError("rows required for an empty column list")
-        return cls.zeros(rows, 0)
 
     # -- access --------------------------------------------------------
 
@@ -265,26 +249,6 @@ class IntMatrix:
 
 
 _set_rows, _set_cols, _set_data = (IntMatrix.__dict__[s].__set__ for s in ("rows", "cols", "data"))
-
-
-@dataclass(frozen=True)
-class SmithData:
-    """Factorization d = u @ m @ v with u, v unimodular and d in Smith form.
-
-    ``d`` is diagonal with nonnegative entries forming a divisibility chain;
-    zero diagonal entries come last.  Only its ``diagonal`` is stored, so a
-    cached factorization keeps two matrices, not three.  The same pivot rule
-    (smallest absolute value, then lowest row and column index) makes u and
-    v reproducible, so they can be frozen in golden tests.
-    """
-
-    u: IntMatrix
-    diagonal: tuple[int, ...]
-    v: IntMatrix
-
-    @property
-    def rank(self):
-        return sum(1 for x in self.diagonal if x != 0)
 
 
 def _select_pivot(d):
@@ -467,91 +431,76 @@ def _smith(m: IntMatrix, u: bool, v: bool):
     return left, tuple(diagonal), right, sign
 
 
-def _smith_form(m: IntMatrix) -> SmithData:
-    """The two-sided elimination of ``m``, uncached."""
-    left, diagonal, right, _ = _smith(m, True, True)
-    return SmithData(
-        u=IntMatrix._trusted(tuple(map(tuple, left)), m.rows),
-        diagonal=diagonal,
-        v=IntMatrix._trusted(tuple(zip(*right)), m.cols),
-    )
+class SmithData:
+    """The Smith elimination d = u @ m @ v of one matrix, filled in as read.
 
-
-@lru_cache(maxsize=65536)
-def snf(m: IntMatrix) -> SmithData:
-    """Smith normal form with both transforms, deterministically pivoted.
-
-    Returns :class:`SmithData` with ``u @ m @ v == d``.  Results are cached;
-    matrices are immutable so sharing is safe.  Only the callers that read
-    u come here: :func:`solve_lattice`, :func:`inverse_unimodular` and the
-    Smith coordinates of :mod:`leavitt.ktheory`.  A caller that reads only the
-    diagonal uses :func:`invariant_factors`, one that reads only kernel
-    columns :func:`kernel_basis`.
-    """
-    return _smith_form(m)
-
-
-@dataclass(frozen=True)
-class InvariantFactors:
-    """The Smith diagonal of a matrix, without the transforms.
-
-    ``diagonal`` and ``rank`` mean what they mean on :class:`SmithData`.
-    ``sign`` is the product of the signs of the swaps and negations that
-    produced the diagonal, so a square matrix has determinant
-    ``sign * prod(diagonal)``.  ``_kernel`` is the kernel basis when the
-    elimination tracked v (see :func:`kernel_basis`), else None.
+    u and v are unimodular; the ``diagonal`` of d is a divisibility chain of
+    nonnegative entries, zeros last.  ``sign`` is the product of the signs
+    of the swaps and negations, so a square matrix has determinant
+    ``sign * prod(diagonal)`` (``det``).  ``kernel`` is the columns of v past
+    the rank, a primitive basis of the integer kernel.  A part is computed
+    when first read, by one ``_smith`` run that tracks only what it needs:
+    nothing for the diagonal, sign, rank and determinant, v for the kernel,
+    both for u and v.  A run keeps every part it yields, so a kernel run
+    serves the diagonal too, and a two-sided run serves every part.  The
+    pivot rule (least absolute value, then lowest row and column) makes u
+    and v reproducible, so golden tests freeze them.
     """
 
-    shape: tuple[int, int]
-    diagonal: tuple[int, ...]
-    sign: int
-    _kernel: IntMatrix | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("_m", "diagonal", "sign", "kernel", "u", "v")
+
+    # the (u, v) a run tracks to yield each part
+    _TRACKS = {
+        "diagonal": (False, False),
+        "sign": (False, False),
+        "kernel": (False, True),
+        "u": (True, True),
+        "v": (True, True),
+    }
+
+    def __init__(self, m: IntMatrix):
+        self._m = m
+
+    def __getattr__(self, name):
+        # only a part that no run has yielded yet gets here
+        if name not in SmithData._TRACKS:
+            raise AttributeError(name)
+        self._run(*SmithData._TRACKS[name])
+        return getattr(self, name)
+
+    def _run(self, u: bool, v: bool) -> None:
+        m = self._m
+        left, self.diagonal, right, self.sign = _smith(m, u, v)
+        if v:
+            columns = right[self.rank:]
+            self.kernel = IntMatrix._trusted(
+                tuple(zip(*columns)) if columns else ((),) * m.cols, len(columns)
+            )
+        if u:
+            self.u = IntMatrix._trusted(tuple(map(tuple, left)), m.rows)
+            self.v = IntMatrix._trusted(tuple(zip(*right)), m.cols)
 
     @property
-    def rank(self):
-        return sum(1 for x in self.diagonal if x != 0)
+    def rank(self) -> int:
+        diagonal = self.diagonal
+        return len(diagonal) - diagonal.count(0)
 
     @property
-    def det(self):
-        if self.shape[0] != self.shape[1]:
+    def det(self) -> int:
+        if self._m.rows != self._m.cols:
             raise ValueError("det needs a square matrix")
         return self.sign * math.prod(self.diagonal)
 
 
-_ELIMINATIONS_CAP = 65536
-_eliminations: dict = {}  # matrix -> InvariantFactors, oldest first
+@lru_cache(maxsize=65536)
+def snf(m: IntMatrix) -> SmithData:
+    """The Smith record of ``m``, one per matrix and shared by every reader.
 
-
-def _eliminated(m: IntMatrix, with_kernel: bool) -> InvariantFactors:
-    """The cached elimination of ``m``, tracking v when ``with_kernel``.
-
-    An entry without a kernel is replaced when a kernel is asked for, so a
-    matrix has one entry whatever was read from it; past the cap the oldest
-    entry goes.
+    This is the only Smith cache.  Matrices are immutable, so sharing is
+    safe, and a record is filled in as its readers read it (see
+    :class:`SmithData`).
     """
-    hit = _eliminations.get(m)
-    if hit is not None and (hit._kernel is not None or not with_kernel):
-        return hit
-    _, diagonal, right, sign = _smith(m, False, with_kernel)
-    kernel = None
-    if with_kernel:
-        columns = right[len(diagonal) - diagonal.count(0):]
-        kernel = IntMatrix._trusted(tuple(zip(*columns)) if columns else ((),) * m.cols, len(columns))
-    if hit is None and len(_eliminations) >= _ELIMINATIONS_CAP:
-        del _eliminations[next(iter(_eliminations))]
-    _eliminations[m] = InvariantFactors(m.shape, diagonal, sign, kernel)
-    return _eliminations[m]
-
-
-def invariant_factors(m: IntMatrix) -> InvariantFactors:
-    """Smith diagonal and determinant sign of ``m``, with no transforms.
-
-    The elimination of :func:`snf` without its u and v, so ``diagonal``
-    equals ``snf(m).diagonal``.  Served from the cached kernel run of ``m``
-    when there is one.
-    """
-    hit = _eliminations.get(m)
-    return hit if hit is not None else _eliminated(m, False)
+    return SmithData(m)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -559,11 +508,9 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 
     The basis is primitive: it spans ker(m) as a direct summand basis, not
     just up to finite index, because the columns come from a unimodular
-    transform.  They are the last columns of ``snf(m).v``, from an
-    elimination that tracks v alone; the cache keeps only these columns and
-    the diagonal, which :func:`invariant_factors` then reads.
+    transform.  They are ``snf(m).kernel``, the last columns of v.
     """
-    return _eliminated(m, True)._kernel
+    return snf(m).kernel
 
 
 def solve_lattice(m: IntMatrix, vec):
@@ -597,10 +544,12 @@ def _solve(sd: SmithData, vec):
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +1 or -1."""
     sd = snf(m)
-    if any(x != 1 for x in sd.diagonal) or m.rows != m.cols:
+    # u m v = 1 forces m^-1 = v u; the transforms are read before the
+    # diagonal, so one run serves both
+    inverse = sd.v @ sd.u if m.rows == m.cols else None
+    if inverse is None or any(x != 1 for x in sd.diagonal):
         raise ValueError("matrix is not unimodular")
-    # u m v = 1 forces m^-1 = v u
-    return sd.v @ sd.u
+    return inverse
 
 
 def preimage_lattice(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
@@ -633,8 +582,11 @@ def map_invariants(matrix: IntMatrix, dom_relations: IntMatrix, cod_relations: I
 
 
 def _kernel_run_class(m: IntMatrix) -> FgAbGroup:
-    """Z^rows modulo the column span of ``m``, from its kernel run."""
-    return FgAbGroup.cokernel_of(m.rows, _eliminated(m, True))
+    """Z^rows modulo the column span of ``m``.  The kernel is read first, so
+    that its run gives the diagonal too."""
+    sd = snf(m)
+    sd.kernel
+    return FgAbGroup.cokernel_of(m.rows, sd)
 
 
 def _extent(lattice: IntMatrix):
@@ -645,7 +597,7 @@ def _extent(lattice: IntMatrix):
     per-column membership test is needed.  The index is the product of the
     nonzero invariant factors.
     """
-    nonzero = [x for x in invariant_factors(lattice).diagonal if x]
+    nonzero = [x for x in snf(lattice).diagonal if x]
     return len(nonzero), math.prod(nonzero)
 
 
@@ -724,7 +676,7 @@ class FgAbGroup:
         """Z^rows modulo the column span of a matrix with ``rows`` rows, read
         off its Smith diagonal: entries 1 vanish, entries d >= 2 give Z/d and
         each missing pivot gives a copy of Z.  ``smith`` is the matrix's
-        :class:`InvariantFactors`."""
+        :class:`SmithData`."""
         return cls(rows - smith.rank, tuple(x for x in smith.diagonal if x > 1))
 
     def is_trivial(self):
@@ -761,7 +713,7 @@ class PresentedGroup:
         return self.relations.rows
 
     def invariants(self) -> FgAbGroup:
-        return FgAbGroup.cokernel_of(self.generators, invariant_factors(self.relations))
+        return FgAbGroup.cokernel_of(self.generators, snf(self.relations))
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +900,7 @@ class CoeffCokernel:
 def coker_with_coefficients(m: IntMatrix, coeff: CoeffGroup) -> CoeffCokernel:
     """Cokernel of ``m`` with coefficients: (+) G/d_iG (+) G^(rows - rank).
 
-    Reads only the Smith diagonal, from :func:`invariant_factors`.
+    Reads only the Smith diagonal of ``m``.
     """
-    group = FgAbGroup.cokernel_of(m.rows, invariant_factors(m))
+    group = FgAbGroup.cokernel_of(m.rows, snf(m))
     return CoeffCokernel(coeff=coeff, quotient_orders=group.torsion, free_rank=group.free_rank)

@@ -50,7 +50,6 @@ from .intlinalg import (
     PresentedGroup,
     check_exact,
     coker_with_coefficients,
-    invariant_factors,
     inverse_unimodular,
     kernel_basis,
     map_invariants,
@@ -111,11 +110,12 @@ class KOneBar:
     ``coker_part`` is the cokernel of the transfer matrix with coefficients
     in the unit group ``coeff``; ``kernel`` is a basis of the free summand
     inside the non-sink coordinate space, and ``kernel_rank`` counts it.
-    Each is computed when first read and kept: the cokernel and the rank
-    from the Smith diagonal of the transfer matrix, the basis from an
-    elimination tracking v, which also yields that diagonal (see
-    :func:`~leavitt.intlinalg.kernel_basis`).  So a caller that reads the
-    kernel first runs one elimination in all.
+    Each is computed when first read and kept, from the one Smith record of
+    the transfer matrix (:func:`~leavitt.intlinalg.snf`): the cokernel and
+    the rank from its diagonal, the basis from its kernel.  The record keeps
+    what every run yields, so a caller that reads the kernel first, or the
+    Smith coordinates of the same matrix before that, runs one elimination
+    in all.
     """
 
     coeff: CoeffGroup
@@ -131,7 +131,7 @@ class KOneBar:
 
     @cached_property
     def kernel_rank(self) -> int:
-        return self._transfer.cols - invariant_factors(self._transfer).rank
+        return self._transfer.cols - snf(self._transfer).rank
 
     @cached_property
     def class_key(self) -> tuple:
@@ -164,8 +164,8 @@ def k1(g: Graph, coeff: CoeffGroup) -> KOneBar:
     Reduced K1 is the same computation with the reduced unit group passed
     in (for a field with q elements, cyclic of order (q-1)/gcd(2,q-1)).
     Nothing is eliminated until a part is read: the twisted cokernel and the
-    kernel rank need a transform-free elimination of the transfer matrix,
-    the kernel basis one tracking v, whose diagonal then serves the rest.
+    kernel rank need the Smith diagonal of the transfer matrix, the kernel
+    basis an elimination tracking v, whose diagonal then serves the rest.
     """
     return KOneBar(coeff, k_matrix(g))
 
@@ -255,7 +255,7 @@ def vdb_sequence(g: Graph, coeff: CoeffGroup) -> VdbReport:
         k1=kone,
         k0=kzero,
         ker_phi=FgAbGroup(kone.kernel_rank, ()),
-        coker_phi=FgAbGroup.cokernel_of(km.rows, invariant_factors(km)),
+        coker_phi=FgAbGroup.cokernel_of(km.rows, snf(km)),
         lift_witnesses=witnesses,
         kernel_maps_into_ker_phi=into_ker,
         phi_composes_to_zero=composes_zero,
@@ -341,9 +341,11 @@ class _SmithCoordinates:
             self.group, self.project, self.lift = pres, None, None
             return
         sd = snf(rel)
+        # the transforms first: their two-sided run also gives the diagonal
+        product = sd.u @ rel @ sd.v
         diag = sd.diagonal
         u_inv = None
-        if sd.u @ rel @ sd.v == IntMatrix.diagonal(diag, rows=n, cols=rel.cols):
+        if product == IntMatrix.diagonal(diag, rows=n, cols=rel.cols):
             with suppress(ValueError):  # u is not unimodular
                 u_inv = inverse_unimodular(sd.u)
         if u_inv is None or sd.u @ u_inv != IntMatrix.identity(n):
@@ -523,14 +525,20 @@ class _RowBody:
 
 
 def _kernel_coordinates(target_basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
-    """Coordinates of each vector column in a primitive kernel basis."""
-    cols = []
-    for j in range(vectors.cols):
-        c = solve_lattice(target_basis, vectors.column(j))
-        if c is None:
-            raise AssertionError("kernel vector left the kernel under an induced map")
-        cols.append(c)
-    return IntMatrix.from_columns(cols, rows=target_basis.cols)
+    """Coordinates of each vector column in a primitive kernel basis K.
+
+    K's own Smith record gives u K v = [I; 0], so v @ u[:k] is a left
+    inverse of K, k being its column count.  The coordinates are
+    re-multiplied to the vectors, which catches a vector outside the span
+    of K.  With no vector, K is not eliminated.
+    """
+    if not vectors.cols:
+        return IntMatrix.zeros(target_basis.cols, 0)
+    sd = snf(target_basis)
+    coordinates = sd.v @ (sd.u.take_rows(range(target_basis.cols)) @ vectors)
+    if target_basis @ coordinates != vectors:
+        raise AssertionError("kernel vector left the kernel under an induced map")
+    return coordinates
 
 
 @dataclass(frozen=True)
@@ -659,8 +667,12 @@ def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _
     coeff = store.coeff
     k1bars = (KOneBar(coeff, km1), pair.k1, KOneBar(coeff, km3))
     k0s = (PresentedGroup(km1), pair.k0, PresentedGroup(km3))
+    # Smith coordinates before kernels: the two-sided run of each K0
+    # presentation then serves the kernel of the same matrix
+    k0_coords = [store._coordinates_of(grp) for grp in k0s]
     kb1, kb2, kb3 = (kb.kernel for kb in k1bars)
-    groups = tuple(PresentedGroup(IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3)) + k0s
+    free = tuple(PresentedGroup(IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3))
+    groups = free + k0s
     eye = IntMatrix.identity(len(pair.rows))
     matrices = (
         _kernel_coordinates(kb2, kb1.scatter_rows(reg1, len(pair.regs))),
@@ -673,7 +685,7 @@ def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _
         GroupMap(groups[k], groups[k + 1], m, name=name)
         for k, (name, m) in enumerate(zip(_ROW_MAP_NAMES, matrices))
     )
-    coords = [store._coordinates_of(grp) for grp in groups]
+    coords = [store._coordinates_of(grp) for grp in free] + k0_coords
     reduced = tuple(_in_coordinates(f, coords[k], coords[k + 1]) for k, f in enumerate(maps))
     body = store._bodies[shape] = _RowBody(k1bars, k0s, maps, reduced, coeff)
     return body

@@ -21,10 +21,10 @@ from .intlinalg import (
     FgAbGroup,
     IntMatrix,
     PresentedGroup,
-    _smith_form,
+    SmithData,
     _solve,
-    invariant_factors,
     kernel_basis,
+    snf,
 )
 
 __all__ = [
@@ -65,7 +65,7 @@ def bowen_franks(m: IntMatrix) -> FgAbGroup:
 
 def det_invariant(m: IntMatrix) -> int:
     """Exact determinant of I - A, a shift equivalence invariant with sign."""
-    return invariant_factors(_identity_minus(m)).det
+    return snf(_identity_minus(m)).det
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,8 @@ def shift_equivalent_bounded(
                 tick()
                 if lag == 1:
                     columns = tuple(sum((r @ s).data + (s @ r).data, ()) for s in s_basis)
-                    sd = _smith_form(IntMatrix._trusted(columns, len(target)).transpose())
+                    # one two-sided run, read through v first, serves _solve
+                    sd = SmithData(IntMatrix._trusted(columns, len(target)).transpose())
                     kernel = sd.v.take_columns(range(sd.rank, sd.v.cols))
                     systems.append((sd, _echelon((s_lattice @ kernel).transpose().data)))
                 sd, s_directions = systems[i]

@@ -9,7 +9,7 @@ independent cross-checks:
 * ``snf_invariant_factors_minors`` — determinantal-divisor method (gcd of
   all k-by-k minors), exponential but exact; for small matrices only.
 * ``bareiss_det`` — the determinant by fraction-free elimination, against
-  the sign and diagonal of ``invariant_factors``; ``_det_laplace`` checks
+  the sign and diagonal of a ``SmithData`` record; ``_det_laplace`` checks
   it by cofactor expansion.
 * ``hsat_subsets_bruteforce`` — filters all 2^V vertex subsets with the
   hereditary/saturated predicates spelled out from their definitions.
@@ -610,6 +610,18 @@ def disjoint_union(*graphs: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # lattice membership and well-defined maps
 # ---------------------------------------------------------------------------
+
+
+def from_columns(columns, rows=None) -> IntMatrix:
+    """The matrix whose columns are ``columns``; ``rows`` pins the row
+    count of an empty list."""
+    columns = [tuple(int(x) for x in c) for c in columns]
+    if columns:
+        rows = len(columns[0])
+        return IntMatrix(tuple(tuple(c[i] for c in columns) for i in range(rows)), cols=len(columns))
+    if rows is None:
+        raise ValueError("rows required for an empty column list")
+    return IntMatrix.zeros(rows, 0)
 
 
 def lattice_member(m: IntMatrix, vec) -> bool:

@@ -1,7 +1,6 @@
 """Command-line interface: verbs, exit codes, JSON determinism."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -21,7 +20,7 @@ import leavitt
 from leavitt import cli, filtered, intlinalg, ktheory
 from leavitt.cli import main
 from leavitt.graphs import Graph, graph_from_matrix, graph_to_text, parse_graph
-from leavitt.intlinalg import IntMatrix
+from leavitt.intlinalg import IntMatrix, SmithData
 
 
 @pytest.fixture(scope="module")
@@ -165,10 +164,11 @@ class TestExitCodes:
             return IntMatrix(rows, cols=m.cols)
 
         if transform == "u":
+            fan_k0 = IntMatrix([[-1], [1], [1]])
+            record = SmithData(fan_k0)
+            record.u = bump(record.u)  # a record of its own, so the cached one stays
             snf = ktheory.snf
-            monkeypatch.setattr(
-                ktheory, "snf", lambda m: dataclasses.replace(snf(m), u=bump(snf(m).u))
-            )
+            monkeypatch.setattr(ktheory, "snf", lambda m: record if m == fan_k0 else snf(m))
         else:
             inverse = ktheory.inverse_unimodular
             monkeypatch.setattr(ktheory, "inverse_unimodular", lambda m: bump(inverse(m)))

@@ -510,17 +510,17 @@ class TestRowFailures:
 
 
 def count_eliminations(monkeypatch):
-    """Matrix -> the set of (u, v) tracked by its Smith eliminations, from
-    an empty elimination cache, so no earlier test serves a run."""
+    """Matrix -> the list of (u, v) tracked by its Smith eliminations, in
+    run order, from an empty Smith cache, so no earlier test serves a run."""
     runs = {}
     smith = intlinalg._smith
 
     def counting(m, u, v):
-        runs.setdefault(m, set()).add((u, v))
+        runs.setdefault(m, []).append((u, v))
         return smith(m, u, v)
 
     monkeypatch.setattr(intlinalg, "_smith", counting)
-    monkeypatch.setattr(intlinalg, "_eliminations", {})
+    intlinalg.snf.cache_clear()
     return runs
 
 
@@ -536,7 +536,7 @@ class TestEliminations:
         runs = count_eliminations(monkeypatch)
         rep = compare_fkbar(g, twin, coeff)
         assert rep.consistent and rep.element_check != "skipped"
-        both = [m for m, kinds in runs.items() if {(False, False), (False, True)} <= kinds]
+        both = [m for m, kinds in runs.items() if {(False, False), (False, True)} <= set(kinds)]
         assert len(runs) >= 200 and both == []
 
     def test_entry_failures_track_no_transform(self, rose2, rose3, monkeypatch):
@@ -547,6 +547,29 @@ class TestEliminations:
             rep = compare_fkbar(a, b, COEFF)
             assert not rep.consistent and rep.group_matches and not rep.map_matches
         assert runs and set().union(*runs.values()) == {(False, False)}
+
+    @pytest.mark.parametrize("case", ["rose2-pair", "fk-8-loops", "sparse-relabelled"])
+    def test_each_matrix_runs_each_kind_once(self, case, rose2, monkeypatch):
+        # one Smith record per matrix: a read that needs more than the runs
+        # so far yielded runs once more, and a two-sided run yields every part
+        runs = count_eliminations(monkeypatch)
+        if case == "rose2-pair":
+            rep = compare_fkbar(rose2, graph_from_matrix(IntMatrix([[1, 1], [1, 1]])), COEFF)
+            assert rep.consistent
+            # each was eliminated three ways while two caches kept its runs
+            assert len(runs[IntMatrix([[1]])]) <= 2
+            assert len(runs[IntMatrix([[0, 1], [1, 0]])]) <= 2
+        elif case == "fk-8-loops":
+            assert fkbar(H.disjoint_loops(8), COEFF).all_rows_exact
+        else:
+            g = H.sparse_graph(random.Random(77), 9, 0.3)
+            n = g.num_vertices
+            twin = relabel(g, {v: f"w{n - 1 - k}" for k, v in enumerate(g.vertices)})
+            assert compare_fkbar(g, twin, COEFF).consistent
+        assert runs
+        for m, kinds in runs.items():
+            assert len(kinds) == len(set(kinds)), (m, kinds)
+            assert (True, True) not in kinds[:-1], (m, kinds)
 
 
 def count_rows(monkeypatch):

@@ -1,5 +1,8 @@
 """Every input guard of the library raises its own error with its own message.
 
+The guard of ``helpers.from_columns``, which stood in ``IntMatrix`` until
+the library stopped building matrices from columns, is kept here too.
+
 One row per guard: the call that trips it, the exception type, and the
 message it must carry.  Guards that other tests already trip on their way
 (parsers, caps, the command line) are not repeated here.
@@ -35,7 +38,7 @@ GUARDS = [
     ("declared cols", lambda: IntMatrix([[1, 2]], cols=3), ValueError, "cols mismatch"),
     ("immutable matrix", lambda: setattr(ONE, "rows", 2), AttributeError,
      "IntMatrix is immutable"),
-    ("empty columns", lambda: IntMatrix.from_columns([]), ValueError,
+    ("empty columns", lambda: H.from_columns([]), ValueError,
      "rows required for an empty column list"),
     ("matmul shapes", lambda: IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]]), ValueError,
      "shape mismatch (1, 2) @ (1, 2)"),

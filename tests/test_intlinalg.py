@@ -15,9 +15,9 @@ from leavitt.intlinalg import (
     GroupMap,
     IntMatrix,
     PresentedGroup,
+    SmithData,
     check_exact,
     coker_with_coefficients,
-    invariant_factors,
     inverse_unimodular,
     kernel_basis,
     map_invariants,
@@ -52,10 +52,11 @@ SWEEP_EXTRAS = [
 
 
 def assert_invariant_factors_agree(m):
-    """The transform-free diagonal is the Smith diagonal; det matches Bareiss."""
-    inv = invariant_factors(m)
-    assert inv.diagonal == snf(m).diagonal
-    assert inv.rank == snf(m).rank
+    """The transform-free diagonal is the two-sided one; det matches Bareiss."""
+    inv, full = SmithData(m), SmithData(m)
+    assert full.u.shape == (m.rows, m.rows)  # a two-sided run
+    assert inv.diagonal == full.diagonal
+    assert inv.rank == full.rank
     if m.rows == m.cols:
         assert inv.det == H.bareiss_det(m)
     else:
@@ -133,9 +134,9 @@ class TestIntMatrix:
         assert not IntMatrix([[0, 5], [2, -(2**70)]]).is_nonnegative()
 
     def test_from_columns(self):
-        m = IntMatrix.from_columns([(1, 2), (3, 4)])
+        m = H.from_columns([(1, 2), (3, 4)])
         assert m.to_lists() == [[1, 3], [2, 4]]
-        assert IntMatrix.from_columns([], rows=2).shape == (2, 0)
+        assert H.from_columns([], rows=2).shape == (2, 0)
 
     def test_matvec_matches_dense_reference(self):
         rng = random.Random(23)
@@ -226,8 +227,8 @@ class TestSmith:
         assert snf(IntMatrix([[0, 0], [0, 0]])).diagonal == (0, 0)
         assert snf(IntMatrix([[0, 0], [0, 0]])).rank == 0
 
-    # (m, u, diagonal, v, sign): transforms of snf and the sign of
-    # invariant_factors, frozen.  The comments name the steps each input
+    # (m, u, diagonal, v, sign): transforms of snf and the sign of a
+    # transform-free run, frozen.  The comments name the steps each input
     # forces; the last two are a 0-row and a 0-column shape.
     GOLDEN = [
         # row swap
@@ -271,7 +272,7 @@ class TestSmith:
             assert (sd.u.to_lists(), sd.diagonal, sd.v.to_lists()) == (u, diagonal, v)
             assert sd.u.shape == (m.rows, m.rows) and sd.v.shape == (m.cols, m.cols)
             assert H.smith_verifies(sd, m)
-            inv = invariant_factors(m)
+            inv = SmithData(m)  # a fresh record reads the sign with no transform
             assert (inv.diagonal, inv.sign) == (diagonal, sign)
 
     def test_transforms_are_unimodular_and_verify(self):
@@ -357,9 +358,11 @@ class TestTransformChoices:
         assert sd.u.to_lists() == full_u
         # v is carried as its list of columns
         assert sd.v.transpose().to_lists() == full_v
-        assert (invariant_factors(m).diagonal, invariant_factors(m).sign) == (diagonal, sign)
+        inv = SmithData(m)
+        assert (inv.diagonal, inv.sign) == (diagonal, sign)
         rank = sd.rank
         assert kernel_basis(m) == sd.v.take_columns(range(rank, m.cols))
+        assert SmithData(m).kernel == kernel_basis(m)  # from a run tracking v alone
         return sd
 
     def test_sparse_transfer_matrices(self):
@@ -417,11 +420,11 @@ class TestTransformChoices:
             cases.append(IntMatrix(rows))
         for m in cases:
             self.assert_choices_agree(m)
-            assert invariant_factors(m).det == H.bareiss_det(m)
+            assert SmithData(m).det == H.bareiss_det(m)
         # a -1 pivot leaves 1 on the diagonal; only the sign records it
-        minus_one = invariant_factors(IntMatrix([[-1]]))
+        minus_one = SmithData(IntMatrix([[-1]]))
         assert (minus_one.diagonal, minus_one.sign) == ((1,), -1)
-        assert invariant_factors(IntMatrix.identity(4).scale(-1)).sign == 1
+        assert SmithData(IntMatrix.identity(4).scale(-1)).sign == 1
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +432,42 @@ class TestTransformChoices:
 # ---------------------------------------------------------------------------
 
 
-class TestEliminationCache:
-    def test_oldest_entry_is_evicted_past_the_cap(self, monkeypatch):
-        monkeypatch.setattr(intlinalg, "_ELIMINATIONS_CAP", 2)
-        monkeypatch.setattr(intlinalg, "_eliminations", {})
-        a, b, c = IntMatrix([[2]]), IntMatrix([[3]]), IntMatrix([[4]])
-        for m in (a, b, c):
-            invariant_factors(m)
-        assert list(intlinalg._eliminations) == [b, c]
-        # a kernel request replaces an entry in place, evicting nothing
-        kernel_basis(b)
-        assert list(intlinalg._eliminations) == [b, c]
-        assert invariant_factors(a).diagonal == (2,)
-        assert list(intlinalg._eliminations) == [c, a]
+class TestSmithRecord:
+    """A record runs the elimination its first read of a part needs, and
+    serves every later read from what its runs yielded."""
+
+    # parts read in order -> the (u, v) choices of the runs they cause
+    ORDERS = [
+        (("diagonal", "sign", "kernel", "rank", "u", "v", "diagonal"),
+         [(False, False), (False, True), (True, True)]),
+        (("kernel", "diagonal", "sign", "rank", "kernel"), [(False, True)]),
+        (("u", "diagonal", "sign", "rank", "kernel", "v"), [(True, True)]),
+    ]
+
+    def test_each_read_order_runs_what_it_needs(self, monkeypatch):
+        runs = []
+        smith = intlinalg._smith
+
+        def counting(m, u, v):
+            runs.append((u, v))
+            return smith(m, u, v)
+
+        monkeypatch.setattr(intlinalg, "_smith", counting)
+        rng = random.Random(37)
+        matrices = SWEEP_EXTRAS + [IntMatrix([], cols=3), IntMatrix([[], []], cols=0)]
+        matrices += [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), -4, 4) for _ in range(30)]
+        for m in matrices:
+            parts = {}
+            for order, kinds in self.ORDERS:
+                runs.clear()
+                sd = SmithData(m)
+                for name in order:
+                    value = getattr(sd, name)
+                    # every order yields equal parts
+                    assert parts.setdefault(name, value) == value, (m, order, name)
+                assert runs == kinds, (m, order)
+            assert H.smith_verifies(sd, m)
+            assert parts["kernel"] == parts["v"].take_columns(range(parts["rank"], m.cols))
 
 
 class TestKernelsAndLattices:
@@ -596,6 +622,9 @@ class TestKernelsAndLattices:
             inverse_unimodular(IntMatrix([[2]]))
         with pytest.raises(ValueError):
             inverse_unimodular(IntMatrix([[1, 0], [0, 0]]))
+        # a non-square matrix with unit invariant factors
+        with pytest.raises(ValueError, match="^matrix is not unimodular$"):
+            inverse_unimodular(IntMatrix([[1, 0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +646,7 @@ class TestGroups:
             free = free_rank + sum(1 for t in torsion if t == 0)
             if not tors:
                 return FgAbGroup(free, ())
-            diag = invariant_factors(IntMatrix.diagonal(tors)).diagonal
+            diag = snf(IntMatrix.diagonal(tors)).diagonal
             return FgAbGroup(free, tuple(x for x in diag if x > 1))
 
         rng = random.Random(31)

@@ -456,8 +456,13 @@ class TestRowSkeleton:
             ktheory._row_body(store, *TWO_LOOP_TRIPLE)
 
     def test_kernel_vector_leaving_the_kernel_is_a_bug(self, monkeypatch):
-        # a lattice solve that finds no coordinates for an induced kernel vector
-        monkeypatch.setattr(ktheory, "solve_lattice", lambda m, vec: None)
+        # a kernel basis of the middle group that misses the vector which
+        # tau1 sends from the ideal part's kernel: (1, 0) is not in its span
+        kernel_basis = ktheory.kernel_basis
+        middle = IntMatrix.zeros(2, 2)
+        monkeypatch.setattr(
+            ktheory, "kernel_basis", lambda m: IntMatrix([[0], [1]]) if m == middle else kernel_basis(m)
+        )
         g = Graph(["a", "b"], [("x", "a", "a"), ("y", "b", "b")])
         message = "^kernel vector left the kernel under an induced map$"
         with pytest.raises(AssertionError, match=message):

@@ -189,9 +189,6 @@ SHARED_NAME_CALLS = {
     "Graph.adjacency": "ktheory.SubquotientK.__init__",
     "Graph.index": "ktheory.connecting_delta",
     "IntMatrix.diagonal": "filtered._iso_candidates",
-    "IntMatrix.shape": "filtered.transport_from_certificate",
-    "SmithData.rank": "shifts.shift_equivalent_bounded",
-    "InvariantFactors.rank": "intlinalg.FgAbGroup.cokernel_of",
     "NodeVerdict.exact": "ktheory._skeleton_nodes",
     "CoeffCokernel.symbol": "ktheory.KOneBar.symbol",
     "CoeffCokernel.class_key": "ktheory.KOneBar.class_key",

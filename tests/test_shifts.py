@@ -17,7 +17,7 @@ from helpers import (
 from leavitt import shifts
 from leavitt.cli import main
 from leavitt.graphs import Graph, graph_from_matrix, parse_matrix
-from leavitt.intlinalg import FgAbGroup, IntMatrix, PresentedGroup, invariant_factors, kernel_basis
+from leavitt.intlinalg import FgAbGroup, IntMatrix, PresentedGroup, kernel_basis, snf
 from leavitt.ktheory import k0
 from leavitt.monoid import graded_equal
 from leavitt.shifts import (
@@ -101,7 +101,7 @@ class TestInvariants:
             assert shifts._identity_minus(a) == old
             assert hash(shifts._identity_minus(a)) == hash(IntMatrix(old.data))
             assert bowen_franks(a) == PresentedGroup(old).invariants()
-            assert det_invariant(a) == invariant_factors(old).det
+            assert det_invariant(a) == snf(old).det
 
     def test_one_identity_minus_per_matrix(self, tmp_path, capsys):
         # bf and the shift screen read both invariants of a matrix from one I - A
@@ -328,14 +328,14 @@ class TestLatticeWalk:
         for _ in range(200):
             n, k = rng.randint(1, 5), rng.randint(0, 3)
             vectors = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(min(k, n))]
-            m = IntMatrix.from_columns(vectors, rows=n)
-            if invariant_factors(m).rank < m.cols:
+            m = H.from_columns(vectors, rows=n)
+            if snf(m).rank < m.cols:
                 continue
             basis = shifts._echelon(vectors)
             pivots = [next(j for j, x in enumerate(v) if x) for v in basis]
             assert len(basis) == len(vectors)
             assert pivots == sorted(set(pivots)) and all(v[p] > 0 for v, p in zip(basis, pivots))
-            e = IntMatrix.from_columns(basis, rows=n)
+            e = H.from_columns(basis, rows=n)
             assert all(H.lattice_member(m, v) for v in basis)
             assert all(H.lattice_member(e, v) for v in vectors)
 
@@ -346,8 +346,8 @@ class TestLatticeWalk:
         for _ in range(150):
             n, upper = rng.randint(1, 4), rng.randint(0, 3)
             vectors = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, n))]
-            m = IntMatrix.from_columns(vectors, rows=n)
-            if invariant_factors(m).rank < m.cols:
+            m = H.from_columns(vectors, rows=n)
+            if snf(m).rank < m.cols:
                 continue
             base = tuple(rng.randint(-2, 5) for _ in range(n))
             nodes = []

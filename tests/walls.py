@@ -3,30 +3,36 @@ process each.
 
 Run from anywhere, with the interpreter that runs the tests::
 
-    python tests/walls.py
+    python tests/walls.py [--only NAME] [--repeat N] [SRC ...]
 
 It writes the input graphs to a temporary directory: k disjoint loops
 (vertices ``x0`` ... ``x<k-1>``, edge ``l<i>`` a loop at ``x<i>``) for k =
 7, 8 and 12, and 7 loops with a second loop ``extra`` at ``x0``.  Then it
-runs, each as one child process on the ``src`` tree next to this file:
+runs these walls, each as one child process:
 
-- ``leavitt --json fk`` on 8 loops;
-- ``leavitt --json compare`` of 8 loops with itself;
-- ``leavitt --json compare`` of 7 loops against 7 with one doubled, which
-  exits 1;
-- ``leavitt --json spec`` on 12 loops.
+- ``fk``: ``leavitt --json fk`` on 8 loops;
+- ``compare-self``: ``leavitt --json compare`` of 8 loops with itself;
+- ``compare-doubled``: ``leavitt --json compare`` of 7 loops against 7
+  with one doubled, which exits 1;
+- ``spec``: ``leavitt --json spec`` on 12 loops.
 
-For each it prints the exit code, the wall time, the child's peak resident
-set (``ru_maxrss`` from ``os.wait4``), the stdout byte count and its
-sha256.  The hash names the bytes, so two trees that print the same hash
-wrote the same output.  Copy the file into another checkout's ``tests/`` to
-time that tree the same way.
+``--only NAME`` runs one of them alone.  The library comes from each
+``SRC`` directory given, by default the ``src`` tree next to this file.
+``--repeat N`` runs each wall N rounds before the next wall, every tree
+once per round, in the given order in even rounds and reversed in odd
+ones, so two trees alternate and each pair of runs is adjacent.
+
+It prints one line per child: the wall, the tree, the exit code, the wall
+time, the child's peak resident set (``ru_maxrss`` from ``os.wait4``),
+the stdout byte count and its sha256.  The hash names the bytes, so two
+trees that print the same hash wrote the same output.
 
 The file has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -46,9 +52,10 @@ def loops_text(k: int, doubled: bool = False) -> str:
     return "\n".join(["vertices: " + " ".join(names)] + edges) + "\n"
 
 
-def run(args) -> tuple[int, float, float, int, str]:
-    """(exit code, wall s, peak RSS MB, stdout bytes, sha256) of one child."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def run(args, src=SRC) -> tuple[int, float, float, int, str]:
+    """(exit code, wall s, peak RSS MB, stdout bytes, sha256) of one child
+    that imports the library from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
     command = [sys.executable, "-c", "import sys, leavitt.cli; sys.exit(leavitt.cli.main())"]
     digest, size = hashlib.sha256(), 0
     start = time.perf_counter()
@@ -63,7 +70,22 @@ def run(args) -> tuple[int, float, float, int, str]:
     return child.returncode, wall, usage.ru_maxrss / 1024, size, digest.hexdigest()
 
 
-def main() -> int:
+WALLS = {
+    "fk": ["fk", "loops8"],
+    "compare-self": ["compare", "loops8", "loops8"],
+    "compare-doubled": ["compare", "loops7", "doubled7"],
+    "spec": ["spec", "loops12"],
+}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", choices=sorted(WALLS), help="run this wall alone")
+    parser.add_argument("--repeat", type=int, default=1, metavar="N", help="rounds per wall")
+    parser.add_argument("trees", nargs="*", metavar="SRC", help="src directories to time")
+    args = parser.parse_args(argv)
+    trees = args.trees or [str(SRC)]
+    walls = [args.only] if args.only else list(WALLS)
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, text in (
@@ -74,14 +96,18 @@ def main() -> int:
         ):
             paths[name] = os.path.join(tmp, f"{name}.graph")
             Path(paths[name]).write_text(text, encoding="utf-8")
-        for name, args in (
-            ("fk 8 loops", ["fk", paths["loops8"]]),
-            ("compare 8 loops, self", ["compare", paths["loops8"], paths["loops8"]]),
-            ("compare 7 loops, one doubled", ["compare", paths["loops7"], paths["doubled7"]]),
-            ("spec 12 loops", ["spec", paths["loops12"]]),
-        ):
-            code, wall, rss, size, sha = run(["--json", *args])
-            print(f"{name}: exit {code}, {wall:.2f} s, {rss:.1f} MB, {size} bytes, sha256 {sha}")
+        for name in walls:
+            verb, *inputs = WALLS[name]
+            for round_ in range(args.repeat):
+                for src in trees if round_ % 2 == 0 else trees[::-1]:
+                    code, wall, rss, size, sha = run(
+                        ["--json", verb, *map(paths.get, inputs)], Path(src).resolve()
+                    )
+                    print(
+                        f"{name} {src}: exit {code}, {wall:.2f} s, {rss:.1f} MB, "
+                        f"{size} bytes, sha256 {sha}",
+                        flush=True,
+                    )
     return 0
 
 
