@@ -253,17 +253,19 @@ def _squares_commute(beta, f_a, f_b, alpha, moduli) -> bool:
 
 def _row_element_check(body_a: _RowBody, body_b: _RowBody):
     """Search for a commuting system of node isomorphisms between the rows
-    of two bodies.
-
-    The bodies have equal signatures, so each pair of nodes has equal moduli
-    and one nonempty candidate list (see :func:`_iso_candidates`).  Returns
-    "passed", "refuted" (no system exists), or "skipped" when some node
-    has more candidates than the node cap.  A node's candidates, when
-    listed, are all its isomorphisms, and the chain shape of the diagram
-    lets a forward arc-consistency pass decide existence exactly, so every
-    search that is not skipped is exhaustive.  Everything runs on the
-    bodies' skeletons in Smith coordinates (``_RowBody.reduced``).
+    of two bodies of equal signatures.  A body passes against itself: its
+    rows are the same matrices, so the identity at each node is one.
+    Otherwise each pair of nodes has equal moduli and one nonempty
+    candidate list (see :func:`_iso_candidates`).  Returns "passed",
+    "refuted" (no system exists), or "skipped" when a node has more
+    candidates than the node cap.  Listed candidates are all of a node's
+    isomorphisms, and the diagram is a chain, so a forward arc-consistency
+    pass on the bodies' skeletons in Smith coordinates
+    (``_RowBody.reduced``) decides existence exactly: a search that is not
+    skipped is exhaustive.
     """
+    if body_a is body_b:
+        return "passed"
     maps_a, maps_b = body_a.reduced, body_b.reduced
     moduli = [_moduli(maps_a[0].domain)] + [_moduli(f.codomain) for f in maps_a]
     candidate_sets = []
@@ -491,12 +493,12 @@ def compare_fkbar(
     number of candidates, and every row verdict is read on the rows'
     bodies.  The two tables share one body per positional row shape and
     one set of Smith coordinates, so each row shape is built, checked,
-    decided and classed once, each pair of bodies that a candidate pairs
-    is searched for isomorphism systems once, and each K0 presentation
-    reduced once.  So a
-    comparison that fails at its entries runs no elimination that tracks a
-    transform, and one whose candidate pairs equal transfer matrices
-    eliminates no matrix twice.
+    decided and classed once, each K0 presentation reduced once, and each
+    pair of bodies that a candidate pairs is searched for isomorphism
+    systems once; a row whose image row has its shape has its body, and
+    passes by the identity.  So a comparison that fails at its entries runs
+    no elimination that tracks a transform, and one whose candidate pairs
+    equal transfer matrices eliminates no matrix twice.
 
     Every candidate pairs every piece and every row.  A candidate is an
     order isomorphism of finite distributive lattices:

@@ -628,7 +628,7 @@ def subgroup_equal(gens_a: IntMatrix, gens_b: IntMatrix, modulo: IntMatrix | Non
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FgAbGroup:
     """Isomorphism class of a finitely generated abelian group.
 
@@ -697,7 +697,7 @@ class FgAbGroup:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PresentedGroup:
     """Abelian group presented by its relation matrix.
 
@@ -721,7 +721,7 @@ class PresentedGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupMap:
     """Homomorphism between presented groups, given on generators.
 
@@ -742,7 +742,7 @@ class GroupMap:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeVerdict:
     index: int
     image_in_kernel: bool
@@ -850,7 +850,7 @@ class CoeffGroup:
         return cls("symbolic", symbol=symbol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoeffCokernel:
     """Cokernel of an integer matrix after applying a coefficient group.
 

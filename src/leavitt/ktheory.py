@@ -15,16 +15,16 @@ are vertex masks here, as in :mod:`leavitt.lattice` (bit k: the k-th
 declared vertex), and a :class:`SubquotientStore` keys each pair by its
 difference mask.  A row depends on its triple I <= J <= P only through
 its positional shape: the adjacency block of I <= P and the positions in
-it of the vertices of J not in I.  ``_row_body`` builds and checks one
-row body (``_RowBody``) per shape, from the transfer block of I <= P
-alone, and a :class:`SixTermRow` is a triple of vertex names over the
-body of its shape.  A body decides exactness and computes its signature
-on its skeleton of six groups and five maps, once, after each K0
+it of the vertices of J not in I.  ``_row_body`` builds one row body
+(``_RowBody``) per shape, from the transfer block of I <= P alone, and a
+:class:`SixTermRow` is a triple of vertex names over the body of its
+shape.  ``_row_skeleton`` builds and checks the row's skeleton of six
+groups and five maps, and the body keeps it only after each K0
 presentation has been rewritten on its invariant factors other than 1
-(``_SmithCoordinates``, with certified transforms).  The rewriting is an
-isomorphism of each group and the maps are well defined, so verdicts
-about images, kernels and cokernels do not change; the body keeps the
-skeleton in both coordinates.
+(``_SmithCoordinates``, with certified transforms); it decides exactness
+and computes its signature there, once.  The rewriting is an isomorphism
+of each group and the maps are well defined, so verdicts about images,
+kernels and cokernels do not change.
 """
 
 from __future__ import annotations
@@ -368,17 +368,16 @@ def _residues(m: IntMatrix, moduli) -> tuple:
     return tuple(tuple(x % q for x in r) if q else r for r, q in zip(m.data, moduli))
 
 
-def _in_coordinates(f: GroupMap, dom: _SmithCoordinates, cod: _SmithCoordinates) -> GroupMap:
-    """``f`` between the Smith coordinates of its groups: project @ f @ lift,
-    each row reduced modulo its modulus.  Conjugate to ``f`` by the two
-    isomorphisms when ``f`` is well defined."""
-    m = f.matrix
+def _in_coordinates(m: IntMatrix, dom: _SmithCoordinates, cod: _SmithCoordinates) -> GroupMap:
+    """The map of ``m`` between the Smith coordinates of its groups:
+    project @ m @ lift, each row reduced modulo its modulus, conjugate to
+    the map of ``m`` by the two isomorphisms when that is well defined."""
     if dom.lift is not None:
         m = m @ dom.lift
     if cod.project is not None:
         m = cod.project @ m
         m = IntMatrix._trusted(_residues(m, _moduli(cod.group)), m.cols)
-    return GroupMap(dom.group, cod.group, m, name=f.name)
+    return GroupMap(dom.group, cod.group, m)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +413,6 @@ class SubquotientK:
         self.km = km.take_rows(self.rows).take_columns(cols)
         self.k0 = PresentedGroup(self.km)
         self.k1 = KOneBar(coeff, self.km)
-
-
-_ROW_MAP_NAMES = ("tau1", "tau2", "delta", "u12", "u23")
 
 
 class SubquotientStore:
@@ -478,14 +474,13 @@ class _RowBody:
 
     Groups run K1bar(ideal part) -> K1bar(middle) -> K1bar(quotient part)
     -> K0(ideal part) -> K0(middle) -> K0(quotient part).  ``k1bars`` and
-    ``k0s`` are those groups; ``maps`` is the Z-level skeleton of the row:
-    tau1, tau2, delta, u12 and u23 between six groups, the free kernel parts
-    in kernel-basis coordinates and then the K0 presentations ``k0s``.
-    ``reduced`` is the same skeleton in the Smith coordinates of its groups
-    (see ``_SmithCoordinates``).  What is decided there is computed when
-    first read and kept: the verdicts at the four interior nodes
-    (``nodes``), exactness (``exact``) and the signature that a table
-    comparison matches (``signature``).
+    ``k0s`` are those groups, and ``reduced`` is the skeleton tau1, tau2,
+    delta, u12 and u23 between them in their Smith coordinates (see
+    ``_SmithCoordinates``; a free kernel part is in kernel-basis
+    coordinates).  What is decided there is computed when first read and
+    kept: the verdicts at the four interior nodes (``nodes``), exactness
+    (``exact``) and the signature that a table comparison matches
+    (``signature``).
 
     A comparison reads the signature before the nodes.  The signature reads
     the kernels of the matrices whose Smith diagonals the node checks read,
@@ -493,9 +488,8 @@ class _RowBody:
     are equal only when they are the same object.
     """
 
-    def __init__(self, k1bars, k0s, maps, reduced, coeff: CoeffGroup):
-        self.k1bars, self.k0s, self.maps, self.reduced = k1bars, k0s, maps, reduced
-        self._coeff = coeff
+    def __init__(self, k1bars, k0s, reduced, coeff: CoeffGroup):
+        self.k1bars, self.k0s, self.reduced, self._coeff = k1bars, k0s, reduced, coeff
 
     @cached_property
     def nodes(self) -> tuple[NodeReport, ...]:
@@ -507,21 +501,19 @@ class _RowBody:
 
     @cached_property
     def signature(self) -> tuple:
-        """Invariant tuple of the row: the six group classes, the K1bar
-        class keys, and the kernel/image/cokernel classes of the five maps
-        (:func:`~leavitt.intlinalg.map_invariants`), groups and maps in
-        Smith coordinates.  Equal signatures mean no Z-level rank or
-        invariant factor tells two rows apart."""
+        """Invariant pair of the row in Smith coordinates: the six group
+        classes and the kernel/image/cokernel classes of the five maps
+        (:func:`~leavitt.intlinalg.map_invariants`).  Equal signatures mean
+        no Z-level rank or invariant factor tells two rows apart.  With one
+        coefficient group the K1bar classes add nothing: a kernel rank is
+        the rank of a free node, and a twisted cokernel is read off the K0
+        class of the same block."""
         reduced = self.reduced
         groups = (reduced[0].domain,) + tuple(f.codomain for f in reduced)
         maps = tuple(
             map_invariants(f.matrix, f.domain.relations, f.codomain.relations) for f in reduced
         )
-        return (
-            tuple(FgAbGroup.from_parts(0, _moduli(n)) for n in groups),
-            tuple(kb.class_key for kb in self.k1bars),
-            maps,
-        )
+        return tuple(FgAbGroup.from_parts(0, _moduli(n)) for n in groups), maps
 
 
 def _kernel_coordinates(target_basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
@@ -541,7 +533,7 @@ def _kernel_coordinates(target_basis: IntMatrix, vectors: IntMatrix) -> IntMatri
     return coordinates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeReport:
     """Exactness at one interior node, one inclusion per Z-level field."""
 
@@ -634,29 +626,42 @@ def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _
     The body depends only on the row's positional shape: the adjacency
     block of the middle pair (inner, outer) and the positions ``hprime``
     in it of the middle set's vertices, that is of the middle ideal H' of
-    that subquotient.  The first row of a shape builds and checks the body,
-    and every later one gets it from the store.
-
-    Every matrix is a block of the middle pair's transfer matrix ``km``:
-    H' is hereditary saturated in the subquotient, so the ideal part is
-    ``km`` at the rows and regular columns of H', the quotient part at the
-    other rows and regular columns, and delta is ``km`` at the rows of H'
-    and the quotient's regular columns, applied to the quotient's kernel
-    basis.  Both intertwining squares then say one thing: ``km`` is zero at
-    the quotient's rows and the regular columns of H', so no edge leaves H'
-    from one of its regular vertices.  That is checked once per body, as a
-    bug guard.  Exactness at the four interior nodes is decided on the row
-    skeleton by :func:`_skeleton_nodes`: at the Z level, and for finite
-    cyclic coefficients also at the two K1bar nodes on the twisted
-    cokernels, once per body and in Smith coordinates.  Inclusions and
-    projections act by selecting and scattering rows and columns.
+    that subquotient.  The first row of a shape builds its skeleton
+    (:func:`_row_skeleton`) and keeps it only in the Smith coordinates of
+    its groups, whose products also check the shape of each map; every
+    later row gets the body from the store.
     """
     pair = store.get(outer & ~inner)
     hprime = tuple(k for k, i in enumerate(pair.rows) if middle >> i & 1)
     shape = (pair.adjacency, hprime)
     body = store._bodies.get(shape)
-    if body is not None:
-        return body
+    if body is None:
+        k1bars, groups, matrices = _row_skeleton(store, pair, middle)
+        coords = [store._coordinates_of(grp) for grp in groups]
+        reduced = tuple(_in_coordinates(m, coords[k], coords[k + 1]) for k, m in enumerate(matrices))
+        body = store._bodies[shape] = _RowBody(k1bars, groups[3:], reduced, store.coeff)
+    return body
+
+
+def _row_skeleton(store: SubquotientStore, pair: SubquotientK, middle: int):
+    """The Z-level skeleton of the row of a middle set (a vertex mask) in
+    the store's pair ``pair``: its three K1bar groups, its six groups (the
+    free kernel parts, then the K0 presentations) and the five matrices of
+    tau1, tau2, delta, u12 and u23 between them.
+
+    Every matrix is a block of the pair's transfer matrix ``km``: the
+    middle ideal H' is hereditary saturated in the subquotient, so the
+    ideal part is ``km`` at the rows and regular columns of H', the
+    quotient part at the other rows and regular columns, and delta is
+    ``km`` at the rows of H' and the quotient's regular columns, applied to
+    the quotient's kernel basis.  Both intertwining squares then say one
+    thing: ``km`` is zero at the quotient's rows and the regular columns of
+    H', so no edge leaves H' from one of its regular vertices.  That is
+    checked as a bug guard, and so is each kernel coordinate of tau1 and
+    tau2 (:func:`_kernel_coordinates`).  Inclusions and projections select
+    and scatter rows and columns.
+    """
+    hprime = [k for k, i in enumerate(pair.rows) if middle >> i & 1]
     vert3 = [k for k, i in enumerate(pair.rows) if not middle >> i & 1]
     reg1 = [c for c, i in enumerate(pair.regs) if middle >> i & 1]
     reg3 = [c for c, i in enumerate(pair.regs) if not middle >> i & 1]
@@ -664,15 +669,14 @@ def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _
     if any(map(any, bottom.take_columns(reg1).data)):
         raise AssertionError("an edge leaves the middle ideal; the squares do not commute")
     km1, km3 = top.take_columns(reg1), bottom.take_columns(reg3)
-    coeff = store.coeff
-    k1bars = (KOneBar(coeff, km1), pair.k1, KOneBar(coeff, km3))
+    k1bars = (KOneBar(store.coeff, km1), pair.k1, KOneBar(store.coeff, km3))
     k0s = (PresentedGroup(km1), pair.k0, PresentedGroup(km3))
     # Smith coordinates before kernels: the two-sided run of each K0
     # presentation then serves the kernel of the same matrix
-    k0_coords = [store._coordinates_of(grp) for grp in k0s]
+    for grp in k0s:
+        store._coordinates_of(grp)
     kb1, kb2, kb3 = (kb.kernel for kb in k1bars)
     free = tuple(PresentedGroup(IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3))
-    groups = free + k0s
     eye = IntMatrix.identity(len(pair.rows))
     matrices = (
         _kernel_coordinates(kb2, kb1.scatter_rows(reg1, len(pair.regs))),
@@ -681,11 +685,4 @@ def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _
         eye.take_columns(hprime),
         eye.take_rows(vert3),
     )
-    maps = tuple(
-        GroupMap(groups[k], groups[k + 1], m, name=name)
-        for k, (name, m) in enumerate(zip(_ROW_MAP_NAMES, matrices))
-    )
-    coords = [store._coordinates_of(grp) for grp in free] + k0_coords
-    reduced = tuple(_in_coordinates(f, coords[k], coords[k + 1]) for k, f in enumerate(maps))
-    body = store._bodies[shape] = _RowBody(k1bars, k0s, maps, reduced, coeff)
-    return body
+    return k1bars, free + k0s, matrices

@@ -50,7 +50,8 @@ independent cross-checks:
 * ``shift_equivalent_box_search`` — the bounded shift-equivalence search
   the library's lattice walk replaced: every entry of R, then of S, over
   [0, max_entry] one at a time, pruned by interval sums of the linear
-  constraints, with the same screen, search order, node cap and notes.
+  constraints, with the same screen, search order, node cap and notes; it
+  also reports the nodes it used.
 * ``compare_verdicts_per_candidate`` — table comparison as it was before
   it counted entry mismatches first, building every candidate's piece
   verdicts, against the closest-failure report of ``compare_fkbar``.
@@ -67,8 +68,9 @@ the colimit shift, and ``covering_window`` and ``is_irreducible`` build and
 test graphs for them.  ``monoid_to_str`` and ``graded_to_str`` print
 elements as literals the parsers read back, ``mass`` counts the vertex
 copies of a monoid element, ``graded_add`` adds two graded elements and
-``group_order`` is the order of a finite group; ``row_groups`` lists the
-six groups of a six-term row's skeleton.  ``sparse_graph`` draws
+``group_order`` is the order of a finite group; ``row_skeleton`` gives a
+six-term row's Z-level skeleton from the library's own builder, and
+``row_groups`` lists the six groups of a skeleton.  ``sparse_graph`` draws
 the sparse graphs, up to 200 vertices, that the Smith sweeps run on.
 """
 
@@ -102,8 +104,16 @@ from leavitt.intlinalg import (
     snf,
     subgroup_equal,
 )
-from leavitt.ktheory import ConnectingMap, SixTermRow, k_matrix, phi, psi_regular
-from leavitt.lattice import IdealLattice, LocallyClosed, SpectrumTopology
+from leavitt.ktheory import (
+    ConnectingMap,
+    SixTermRow,
+    SubquotientStore,
+    _row_skeleton,
+    k_matrix,
+    phi,
+    psi_regular,
+)
+from leavitt.lattice import IdealLattice, LocallyClosed, SpectrumTopology, _mask
 from leavitt.monoid import (
     GradedElement,
     MonoidElement,
@@ -686,9 +696,20 @@ def check_well_defined(gmap: GroupMap) -> bool:
     return True
 
 
-def row_groups(row: SixTermRow) -> tuple[PresentedGroup, ...]:
-    """The six groups of a row's skeleton, in row order."""
-    return (row.body.maps[0].domain,) + tuple(f.codomain for f in row.body.maps)
+def row_skeleton(store: SubquotientStore, row: SixTermRow) -> tuple[GroupMap, ...]:
+    """The Z-level skeleton of a row of the store's graph: tau1, tau2,
+    delta, u12 and u23 between its six groups, unnamed like the maps of
+    ``_RowBody.reduced``, from the library's builder
+    (``ktheory._row_skeleton``), whose matrices ``_row_body`` reduces to
+    Smith coordinates.  Any store of the graph gives the same skeleton."""
+    inner, middle, outer = (_mask(store.graph, names) for names in row.triple)
+    _, groups, matrices = _row_skeleton(store, store.get(outer & ~inner), middle)
+    return tuple(GroupMap(groups[k], groups[k + 1], m) for k, m in enumerate(matrices))
+
+
+def row_groups(maps) -> tuple[PresentedGroup, ...]:
+    """The six groups of a row skeleton, in row order."""
+    return (maps[0].domain,) + tuple(f.codomain for f in maps)
 
 
 def row_graphs(g: Graph, row: SixTermRow) -> tuple[Graph, Graph, Graph]:
@@ -1229,7 +1250,12 @@ def shift_equivalent_box_search(a, b, max_lag=6, max_entry=4, node_cap=200_000):
     """``shift_equivalent_bounded`` by the walk it replaced: every entry of
     R, then of S, one at a time over [0, max_entry], pruned by interval sums
     of the linear constraints.  Same screen, search order and notes; its
-    node count is one per partial assignment that passes the pruning."""
+    node count is one per partial assignment that passes the pruning.
+
+    Returns the result and the nodes used.  The walk does not depend on the
+    cap, and every walk after the first node past it stops at its first
+    node, so the search finishes under a cap c exactly when an uncapped
+    one uses at most c nodes, and then gives the same result."""
     obstructions = []
     bf_a, bf_b = bowen_franks(a), bowen_franks(b)
     if bf_a != bf_b:
@@ -1238,7 +1264,7 @@ def shift_equivalent_box_search(a, b, max_lag=6, max_entry=4, node_cap=200_000):
     if det_a != det_b:
         obstructions.append(f"det(I-A) differs: {det_a} vs {det_b}")
     if obstructions:
-        return SeResult(kind="obstruction", obstructions=tuple(obstructions))
+        return SeResult(kind="obstruction", obstructions=tuple(obstructions)), 0
 
     na, nb = a.rows, b.rows
     counter = [0]
@@ -1269,13 +1295,13 @@ def shift_equivalent_box_search(a, b, max_lag=6, max_entry=4, node_cap=200_000):
                     s = IntMatrix([flat[i * na:(i + 1) * na] for i in range(nb)], cols=na)
                     cert = ShiftEqCertificate(lag=lag, r=r, s=s)
                     if verify_certificate(a, b, cert).ok:
-                        return SeResult(kind="certificate", certificate=cert)
+                        return SeResult(kind="certificate", certificate=cert), counter[0]
             except _NodeCapHit:
                 capped = True
     note = f"no certificate with lag <= {max_lag}, entries <= {max_entry}"
     if capped:
         note += f"; node budget {node_cap} exhausted, search incomplete"
-    return SeResult(kind="unknown", note=note)
+    return SeResult(kind="unknown", note=note), counter[0]
 
 
 # ---------------------------------------------------------------------------

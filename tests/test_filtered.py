@@ -157,7 +157,7 @@ class TestTable:
             assert inv1 == inv2
 
 
-BODY_FIELDS = ("k0s", "k1bars", "maps", "nodes")
+BODY_FIELDS = ("k0s", "k1bars", "reduced", "nodes")
 
 
 class TestSharedSubquotients:
@@ -277,7 +277,7 @@ class TestCompare:
         # another table's row has its own body, equal in its groups and maps
         other = fkbar(g, COEFF).row(trip)
         assert row.triple == other.triple and row.body is not other.body
-        for name in ("k1bars", "k0s", "maps"):
+        for name in ("k1bars", "k0s", "reduced"):
             assert getattr(row.body, name) == getattr(other.body, name), name
         # indices rise along the order, so the reversed triple is not nested
         assert t.row(trip[::-1]) is None and len(t.store._bodies) == 1
@@ -299,7 +299,8 @@ class TestCompare:
 
     def test_map_invariants_once_per_skeleton(self, monkeypatch):
         g = H.disjoint_loops(3)
-        skeletons = {row.body.maps for row in fkbar(g, COEFF).rows}
+        table = fkbar(g, COEFF)
+        skeletons = {H.row_skeleton(table.store, row) for row in table.rows}
         calls = []
         original = ktheory.map_invariants
 
@@ -419,17 +420,50 @@ class TestCompare:
         assert rep.certification == "exhaustive"
         assert rep.element_check == "passed"
 
-    def test_free_k0_comparison_is_bounded(self):
-        # K0 = Z^2 at the whole graph: its node has at least 5^4 candidates,
-        # past the node cap, so those rows are skipped; the report stays
-        # consistent, bounded and inconclusive
+    def test_shared_bodies_pass_by_the_identity(self, monkeypatch):
+        # K0 = Z^2 at the whole graph, past the node cap; but a relabelled
+        # copy keeps the declaration order, so every row pairs a body with
+        # itself, and the identity is a commuting system at every node
         g = H.disjoint_loops(2)
+        pairs = []
+        search = filtered._row_element_check
+
+        def recording(a, b):
+            pairs.append((a, b))
+            return search(a, b)
+
+        monkeypatch.setattr(filtered, "_row_element_check", recording)
         rep = compare_fkbar(g, relabel(g, {"x0": "y0", "x1": "y1"}), COEFF)
+        assert rep.consistent
+        assert rep.certification == "exhaustive"
+        assert rep.element_check == "passed"
+        assert {v.detail for v in rep.map_matches} == {"row matches (element search: passed)"}
+        assert len(pairs) == 7 and all(a is b for a, b in pairs)
+
+    def test_free_k0_comparison_is_bounded(self, monkeypatch):
+        # K0 = Z^2 at the whole graph: its node has at least 5^4 candidates,
+        # past the node cap.  Declared in the other order, the copy's blocks
+        # are other matrices, so such a row and its image have two bodies,
+        # and their search is skipped; the report stays consistent, bounded
+        # and inconclusive
+        edges = [("l0", "0", "0"), ("l1", "1", "1"), ("l2", "2", "2"), ("e", "0", "1")]
+        g = Graph(["x0", "x1", "x2"], [(e, "x" + s, "x" + d) for e, s, d in edges])
+        copy = Graph(["y2", "y1", "y0"], [(e, "y" + s, "y" + d) for e, s, d in edges])
+        outcomes = []
+        search = filtered._row_element_check
+
+        def recording(a, b):
+            outcomes.append((a is b, search(a, b)))
+            return outcomes[-1][1]
+
+        monkeypatch.setattr(filtered, "_row_element_check", recording)
+        rep = compare_fkbar(g, copy, COEFF)
         assert rep.consistent
         assert rep.certification == "bounded"
         assert rep.element_check == "inconclusive"
         details = {v.detail for v in rep.map_matches}
         assert details == {f"row matches (element search: {e})" for e in ("passed", "skipped")}
+        assert (False, "skipped") in outcomes and (True, "skipped") not in outcomes
 
     def test_element_search_can_be_disabled(self, rose2):
         rep = compare_fkbar(rose2, ones_graph(), COEFF, element_search=False)
@@ -469,7 +503,7 @@ class TestRowFailures:
         assert all(v.matched for v in rep.group_matches) and len(rep.group_matches) == 4
         assert rep.obstruction == "triple (0, 1, 2): map invariants differ"
         assert [v.triple for v in rep.map_matches if not v.matched] == [(0, 1, 2)]
-        delta = [fkbar(g, COEFF).row((0, 1, 2)).body.signature[2][2] for g in (a, b)]
+        delta = [fkbar(g, COEFF).row((0, 1, 2)).body.signature[1][2] for g in (a, b)]
         assert [str(cokernel) for _, _, cokernel in delta] == ["Z/4", "Z/2 ⊕ Z/2"]
         assert rep == H.compare_verdicts_per_candidate(a, b, COEFF)
 
@@ -486,7 +520,7 @@ class TestRowFailures:
             g = store.graph
             if not g.has_vertex(broken) or not outer >> g.index(broken) & 1:
                 return body
-            inexact = ktheory._RowBody(body.k1bars, body.k0s, body.maps, body.reduced, COEFF)
+            inexact = ktheory._RowBody(body.k1bars, body.k0s, body.reduced, COEFF)
             inexact.exact = False
             return inexact
 
@@ -632,21 +666,20 @@ class TestRowsOnDemand:
 
 def zeroed_map(body, k):
     """A new body like ``body`` with its k-th skeleton map replaced by the
-    zero map, in the row's own coordinates and in Smith coordinates alike."""
-
-    def zeroed(maps):
-        maps = list(maps)
-        maps[k] = dataclasses.replace(maps[k], matrix=IntMatrix.zeros(*maps[k].matrix.shape))
-        return tuple(maps)
-
-    return ktheory._RowBody(body.k1bars, body.k0s, zeroed(body.maps), zeroed(body.reduced), COEFF)
+    zero map."""
+    maps = list(body.reduced)
+    maps[k] = dataclasses.replace(maps[k], matrix=IntMatrix.zeros(*maps[k].matrix.shape))
+    return ktheory._RowBody(body.k1bars, body.k0s, tuple(maps), COEFF)
 
 
 def element_outcome(matrix, trip, k):
-    """Element-search outcome of a real row's body against the same body
-    with map k zeroed."""
-    row = fkbar(graph_from_matrix(IntMatrix(matrix)), COEFF).row(trip)
-    return row, filtered._row_element_check(row.body, zeroed_map(row.body, k))
+    """A real row, the six groups of its Z-level skeleton, and the
+    element-search outcome of its body against the same body with map k
+    zeroed."""
+    table = fkbar(graph_from_matrix(IntMatrix(matrix)), COEFF)
+    row = table.row(trip)
+    groups = H.row_groups(H.row_skeleton(table.store, row))
+    return row, groups, filtered._row_element_check(row.body, zeroed_map(row.body, k))
 
 
 class TestElementSearchOutcomes:
@@ -654,24 +687,24 @@ class TestElementSearchOutcomes:
 
     def test_zeroed_map_between_finite_groups_is_refuted(self):
         # Z/3 -> Z/3 -> 0 at K0; zeroing u12 leaves no commuting system
-        row, outcome = element_outcome([[4, 1], [0, 4]], (0, 1, 1), 3)
-        assert [str(grp.invariants()) for grp in H.row_groups(row)[3:]] == ["Z/3", "Z/3", "0"]
+        row, groups, outcome = element_outcome([[4, 1], [0, 4]], (0, 1, 1), 3)
+        assert [str(grp.invariants()) for grp in groups[3:]] == ["Z/3", "Z/3", "0"]
         assert outcome == "refuted"
         assert filtered._row_element_check(row.body, row.body) == "passed"
 
     def test_zeroed_map_between_free_groups_is_refuted(self):
         # every node is Z, whose isomorphisms are +1 and -1, all listed; the
         # zeroed map leaves no commuting system of them
-        row, outcome = element_outcome([[1, 1], [0, 1]], (0, 1, 2), 0)
-        assert all(str(grp.invariants()) == "Z" for grp in H.row_groups(row))
+        row, groups, outcome = element_outcome([[1, 1], [0, 1]], (0, 1, 2), 0)
+        assert all(str(grp.invariants()) == "Z" for grp in groups)
         assert outcome == "refuted"
         assert filtered._row_element_check(row.body, row.body) == "passed"
 
     def test_large_torsion_is_skipped(self):
         # Z/101 + Z/101 has order 10,201: its candidates outnumber the node
         # cap, as those of any torsion order past the cap do
-        row, outcome = element_outcome([[1, 101], [101, 1]], (0, 1, 1), 3)
-        node = H.row_groups(row)[3]
+        _, groups, outcome = element_outcome([[1, 101], [101, 1]], (0, 1, 1), 3)
+        node = groups[3]
         assert str(node.invariants()) == "Z/101 ⊕ Z/101"
         assert 101 > filtered._NODE_CANDIDATE_CAP
         assert filtered._iso_candidates(ktheory._moduli(node)) is None
@@ -679,8 +712,8 @@ class TestElementSearchOutcomes:
 
     def test_many_candidates_are_skipped(self):
         # Z/5 + Z/5 is small, but its 625 candidate matrices pass the node cap
-        row, outcome = element_outcome([[6, 0], [0, 6]], (0, 3, 3), 3)
-        node = H.row_groups(row)[3]
+        _, groups, outcome = element_outcome([[6, 0], [0, 6]], (0, 3, 3), 3)
+        node = groups[3]
         assert str(node.invariants()) == "Z/5 ⊕ Z/5"
         assert 5**4 > filtered._NODE_CANDIDATE_CAP
         assert filtered._iso_candidates(ktheory._moduli(node)) is None

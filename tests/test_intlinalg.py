@@ -469,6 +469,15 @@ class TestSmithRecord:
             assert H.smith_verifies(sd, m)
             assert parts["kernel"] == parts["v"].take_columns(range(parts["rank"], m.cols))
 
+    def test_a_name_that_is_no_part_runs_nothing(self, monkeypatch):
+        # hasattr and copy probe names such as __deepcopy__; they must get
+        # AttributeError, not an elimination
+        monkeypatch.setattr(intlinalg, "_smith", lambda m, u, v: pytest.fail("ran _smith"))
+        sd = SmithData(IntMatrix([[2]]))
+        assert not hasattr(sd, "__deepcopy__")
+        with pytest.raises(AttributeError, match="^transforms$"):
+            sd.transforms
+
 
 class TestKernelsAndLattices:
     def test_kernel_basis_annihilates_and_has_right_rank(self):

@@ -23,7 +23,7 @@ from leavitt.graphs import graph_to_text, matrix_to_text, relabel
 GRAPHS = 40
 SHIFTEQ = ["shifteq", "--max-lag", "2", "--max-entry", "2"]
 
-REPORT_DIGEST = "d12cdcf03a3eacf10ec9370ebb9a5fddabaf64893de716b98506c63fcb1b937d"
+REPORT_DIGEST = "a2369b34db55681a616352809c14335057d713b1b1b0dc72e01a4102458322ae"
 
 
 def _reversed_names(g):

@@ -313,9 +313,6 @@ class TestConnectingMap:
         assert checked >= 50
 
 
-ROW_MAP_NAMES = ("tau1", "tau2", "delta", "u12", "u23")
-
-
 def nested_rows(g, coeff, store=None):
     """The six-term row of every nested triple of g's ideal lattice, each on
     a store of its own, or all on ``store`` when one is given."""
@@ -345,10 +342,10 @@ def z_verdicts(nodes):
     return tuple((n.image_in_kernel, n.kernel_in_image) for n in nodes)
 
 
-def with_doubled_delta(row):
-    f = row.body.maps[2]
+def with_doubled_delta(maps):
+    f = maps[2]
     doubled = GroupMap(f.domain, f.codomain, f.matrix.scale(2), name="2delta")
-    return row.body.maps[:2] + (doubled,) + row.body.maps[3:]
+    return maps[:2] + (doubled,) + maps[3:]
 
 
 class TestSixTermRow:
@@ -380,7 +377,7 @@ class TestSixTermRow:
         f5r = CoeffGroup.reduced_units_of_field(5)
         row = six_term_row(g, set(), {"s"}, {"v", "s"}, f5r)
         assert row.body.exact
-        assert row.body.maps[2].matrix.to_lists() == [[1]]
+        assert H.row_skeleton(SubquotientStore(g, f5r), row)[2].matrix.to_lists() == [[1]]
 
     def test_rejects_non_nested_triples(self):
         g = toeplitz_graph()
@@ -402,14 +399,16 @@ class TestRowSkeleton:
         coeff = CoeffGroup.reduced_units_of_field(3)
         rows = doubled = 0
         for g in corpus:
+            store = SubquotientStore(g, coeff)
             for row in nested_rows(g, coeff):
                 reported = tuple((n.z_image_in_kernel, n.z_kernel_in_image) for n in row.body.nodes)
                 graphs = H.row_graphs(g, row)
                 assert reported == H.six_term_nodes_oracle(graphs), (g, row.triple)
-                assert reported == z_verdicts(check_exact(row.body.maps))
-                if any(map(any, row.body.maps[2].matrix.data)):  # delta is not zero
+                maps = H.row_skeleton(store, row)
+                assert reported == z_verdicts(check_exact(maps))
+                if any(map(any, maps[2].matrix.data)):  # delta is not zero
                     # a broken row: the one-sided verdicts must still agree
-                    got = z_verdicts(check_exact(with_doubled_delta(row)))
+                    got = z_verdicts(check_exact(with_doubled_delta(maps)))
                     assert got == H.six_term_nodes_oracle(graphs, delta_scale=2), (
                         g,
                         row.triple,
@@ -422,11 +421,12 @@ class TestRowSkeleton:
     def test_stored_maps_form_a_chain(self, corpus):
         coeff = CoeffGroup.reduced_units_of_field(5)
         for g in corpus[:60]:
+            store = SubquotientStore(g, coeff)
             for row in nested_rows(g, coeff):
-                groups = H.row_groups(row)
+                maps = H.row_skeleton(store, row)
+                groups = H.row_groups(maps)
                 assert len(groups) == 6 and groups[3:] == row.body.k0s
-                assert tuple(f.name for f in row.body.maps) == ROW_MAP_NAMES
-                for k, f in enumerate(row.body.maps):
+                for k, f in enumerate(maps):
                     assert f.domain == groups[k] and f.codomain == groups[k + 1]
                     assert f.matrix.shape == (f.codomain.generators, f.domain.generators)
                     assert check_well_defined(f)
@@ -440,7 +440,7 @@ class TestRowSkeleton:
                 # the middle ideal in the outer subquotient
                 inner, middle, _ = row.triple
                 hprime = set(middle) - set(inner)
-                assert row.body.maps[2].matrix == connecting_delta(graphs[1], hprime).map.matrix
+                assert maps[2].matrix == connecting_delta(graphs[1], hprime).map.matrix
 
     def test_corrupted_store_pair_breaks_a_square(self):
         # two loops, ideal {a}: a middle pair whose transfer matrix counts an
@@ -471,8 +471,10 @@ class TestRowSkeleton:
     def test_doubled_delta_is_one_sided_on_toeplitz(self):
         # im(2 delta) = 2Z sits inside ker(u12) = Z but does not fill it
         g = toeplitz_graph()
-        row = six_term_row(g, set(), {"s"}, {"v", "s"}, CoeffGroup.reduced_units_of_field(5))
-        got = z_verdicts(check_exact(with_doubled_delta(row)))
+        coeff = CoeffGroup.reduced_units_of_field(5)
+        row = six_term_row(g, set(), {"s"}, {"v", "s"}, coeff)
+        maps = H.row_skeleton(SubquotientStore(g, coeff), row)
+        got = z_verdicts(check_exact(with_doubled_delta(maps)))
         assert got == ((True, True), (True, True), (True, False), (True, True))
         assert got == H.six_term_nodes_oracle(H.row_graphs(g, row), delta_scale=2)
 
@@ -514,15 +516,15 @@ def mutant_body(store, body, maps):
     groups = (maps[0].domain,) + tuple(f.codomain for f in maps)
     coords = [store._coordinates_of(grp) for grp in groups]
     reduced = tuple(
-        ktheory._in_coordinates(f, dom, cod) for f, dom, cod in zip(maps, coords, coords[1:])
+        ktheory._in_coordinates(f.matrix, dom, cod) for f, dom, cod in zip(maps, coords, coords[1:])
     )
-    return ktheory._RowBody(body.k1bars, body.k0s, maps, reduced, store.coeff)
+    return ktheory._RowBody(body.k1bars, body.k0s, reduced, store.coeff)
 
 
-def with_zero_u12(row):
-    f = row.body.maps[3]
+def with_zero_u12(maps):
+    f = maps[3]
     zero = GroupMap(f.domain, f.codomain, f.matrix.scale(0), name="u12")
-    return row.body.maps[:3] + (zero,) + row.body.maps[4:]
+    return maps[:3] + (zero,) + maps[4:]
 
 
 class TestSkeletonMemo:
@@ -540,14 +542,15 @@ class TestSkeletonMemo:
             store = SubquotientStore(g, coeff)
             skeletons = set()
             for row in nested_rows(g, coeff, store=store):
-                expected = fresh_verdicts(row.body.maps, coeff)
+                skeleton = H.row_skeleton(store, row)
+                expected = fresh_verdicts(skeleton, coeff)
                 assert store_verdicts(row.body.nodes) == expected, (g, row.triple)
-                shared += row.body.maps in skeletons
-                skeletons.add(row.body.maps)
+                shared += skeleton in skeletons
+                skeletons.add(skeleton)
                 rows += 1
                 # skeletons that differ from a real one in a single map must
                 # not be served its verdicts
-                for maps in (with_doubled_delta(row), with_zero_u12(row)):
+                for maps in (with_doubled_delta(skeleton), with_zero_u12(skeleton)):
                     got = store_verdicts(mutant_body(store, row.body, maps).nodes)
                     expected = fresh_verdicts(maps, coeff)
                     assert got == expected, (g, row.triple, maps[2].name, maps[3].matrix)
@@ -561,7 +564,7 @@ class TestSkeletonMemo:
         assert len(rows) == 64
         for row in rows:
             fresh = six_term_row(g, *row.triple, CoeffGroup.symbolic())
-            assert row.body.maps == fresh.body.maps and row.body.nodes == fresh.body.nodes
+            assert row.body.reduced == fresh.body.reduced and row.body.nodes == fresh.body.nodes
         # 4^k rows on k disjoint loops fall into 2^(k+1) - 1 positional shapes
         for k in range(1, 5):
             table = fkbar(H.disjoint_loops(k), COEFF_F5)
@@ -603,16 +606,18 @@ class TestCoefficientNodes:
         # two loops, ideal {a}: ker(u23) = Z/2 ⊕ 0 inside (Z/2)^2, and a zero
         # u12 has image 0, so only the kernel-in-image inclusion fails
         g = Graph(["a", "b"], [("x", "a", "a"), ("y", "b", "b")])
-        row = six_term_row(g, set(), {"a"}, {"a", "b"}, CoeffGroup.reduced_units_of_field(5))
+        coeff = CoeffGroup.reduced_units_of_field(5)
+        row = six_term_row(g, set(), {"a"}, {"a", "b"}, coeff)
         assert [n.coeff_exact for n in row.body.nodes[:2]] == [True, True]
-        middle, quotient = check_exact(twisted_chain(row.body.maps, 2, u12_scale=0))
+        maps = H.row_skeleton(SubquotientStore(g, coeff), row)
+        middle, quotient = check_exact(twisted_chain(maps, 2, u12_scale=0))
         assert middle.image_in_kernel and not middle.kernel_in_image
         assert quotient.exact
         assert H.twisted_nodes_oracle(H.row_graphs(g, row), 2, u12_scale=0) == (False, True)
         # a zero u23 is not onto: the quotient node reads that as kernel_in_image
-        _, quotient = check_exact(twisted_chain(row.body.maps, 2, u23_scale=0))
+        _, quotient = check_exact(twisted_chain(maps, 2, u23_scale=0))
         assert quotient.image_in_kernel and not quotient.kernel_in_image
-        assert all(n.exact for n in check_exact(twisted_chain(row.body.maps, 2)))
+        assert all(n.exact for n in check_exact(twisted_chain(maps, 2)))
 
 
 def seeded_tables(coeff, count=16, max_rows=150):
@@ -660,18 +665,18 @@ class TestSmithCoordinates:
         rows = reduced = broken = 0
         for t in tables:
             for row in t.rows:
-                groups, _, maps = row.body.signature
-                got = store_verdicts(row.body.nodes), (groups, maps)
-                assert got == original(row.body.maps), row.triple
+                skeleton = H.row_skeleton(t.store, row)
+                got = store_verdicts(row.body.nodes), row.body.signature
+                assert got == original(skeleton), row.triple
                 rows += 1
-                reduced += row.body.reduced != row.body.maps
-                if not any(map(any, row.body.maps[2].matrix.data)):
+                reduced += row.body.reduced != skeleton
+                if not any(map(any, skeleton[2].matrix.data)):
                     continue
                 # a non-exact skeleton: its one-sided verdicts and its classes
-                mutant = with_doubled_delta(row)
+                mutant = with_doubled_delta(skeleton)
                 body = mutant_body(t.store, row.body, mutant)
                 got = store_verdicts(body.nodes)
-                groups, _, maps = body.signature
+                groups, maps = body.signature
                 assert (got, (groups, maps)) == original(mutant), row.triple
                 broken += got != store_verdicts(row.body.nodes)
         assert rows >= 1491 + 16 and reduced >= 1000 and broken >= 50
@@ -717,7 +722,8 @@ class TestSmithCoordinates:
 
         monkeypatch.setattr(ktheory, "_skeleton_nodes", counting_nodes)
         monkeypatch.setattr(ktheory, "map_invariants", counting_classes)
-        skeletons = {row.body.maps for row in fkbar(g, COEFF_F5).rows}
+        table = fkbar(g, COEFF_F5)
+        skeletons = {H.row_skeleton(table.store, row) for row in table.rows}
         calls["nodes"].clear()
         assert compare_fkbar(g, g, COEFF_F5, element_search=False).consistent
         # the nodes and classes of each skeleton, on its Smith coordinates

@@ -192,9 +192,9 @@ SHARED_NAME_CALLS = {
     "NodeVerdict.exact": "ktheory._skeleton_nodes",
     "CoeffCokernel.symbol": "ktheory.KOneBar.symbol",
     "CoeffCokernel.class_key": "ktheory.KOneBar.class_key",
-    "KOneBar.class_key": "ktheory._RowBody.signature",
+    "KOneBar.class_key": "filtered.TableEntry.class_key",
     "TableEntry.class_key": "filtered.TableEntry.same_class",
-    "KOneBar.kernel": "ktheory._row_body",
+    "KOneBar.kernel": "ktheory._row_skeleton",
     "KOneBar.symbol": "cli._cmd_k1",
     "VdbReport.consistent": "cli._cmd_vdb",
     "SubquotientStore.get": "ktheory._row_body",

@@ -57,6 +57,18 @@ def shift_pairs(rng, count):
             yield kind, random_shift_matrix(rng, n, hi=1), random_shift_matrix(rng, n, hi=1)
 
 
+@pytest.fixture(scope="module")
+def box_oracle():
+    """(kind, A, B, result, nodes used) of the box-search oracle at node cap
+    2,000, run once on each of the 1,000 seeded pairs of the oracle sweeps;
+    a smaller cap c gives the same result when nodes <= c, and runs out of
+    nodes otherwise (see ``helpers.shift_equivalent_box_search``)."""
+    return [
+        (kind, a, b, *H.shift_equivalent_box_search(a, b, max_lag=2, max_entry=2, node_cap=2_000))
+        for kind, a, b in shift_pairs(random.Random(71), 1000)
+    ]
+
+
 class TestInvariants:
     def test_bowen_franks_goldens(self):
         assert bowen_franks(IntMatrix([[2]])) == FgAbGroup.from_parts(0, ())
@@ -284,32 +296,30 @@ class TestBoundedSearch:
                 assert res.kind == "unknown"
         assert lags == [2, 2, 1]
 
-    def test_matches_the_box_search_oracle(self):
+    def test_matches_the_box_search_oracle(self, box_oracle):
         # every field agrees wherever the old walk finishes under the cap, and
         # the lattice walk never runs out of nodes where the old walk did not
-        rng = random.Random(71)
         finished = 0
-        for kind, a, b in shift_pairs(rng, 1000):
+        for kind, a, b, old, nodes in box_oracle:
             bounds = dict(max_lag=2, max_entry=2, node_cap=2_000)
             new = shift_equivalent_bounded(a, b, **bounds)
             if new.kind == "certificate":
                 assert verify_certificate(a, b, new.certificate).ok
-            old = H.shift_equivalent_box_search(a, b, **bounds)
+            assert ("budget" not in old.note) == (nodes <= 2_000), (kind, a, b)
             if "budget" not in old.note:
                 assert new == old, (kind, a, b)
                 finished += 1
         assert finished >= 800
 
     @pytest.mark.parametrize("node_cap", [500, 1_000])
-    def test_small_caps_match_the_box_search_oracle(self, node_cap):
+    def test_small_caps_match_the_box_search_oracle(self, node_cap, box_oracle):
         # the walk cuts dead ends early enough that a small budget finishes
-        # wherever the old walk's does
-        rng = random.Random(71)
+        # wherever the old walk's does; the old walk finishes under this cap
+        # exactly where its cap-2,000 run used no more nodes
         finished = 0
-        for kind, a, b in shift_pairs(rng, 1000):
-            bounds = dict(max_lag=2, max_entry=2, node_cap=node_cap)
-            old = H.shift_equivalent_box_search(a, b, **bounds)
-            if "budget" not in old.note:
+        for kind, a, b, old, nodes in box_oracle:
+            if nodes <= node_cap:
+                bounds = dict(max_lag=2, max_entry=2, node_cap=node_cap)
                 assert shift_equivalent_bounded(a, b, **bounds) == old, (kind, a, b)
                 finished += 1
         assert finished >= 800

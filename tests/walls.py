@@ -1,5 +1,5 @@
-"""Time the filtered-table and spectrum walls on disjoint loops, one child
-process each.
+"""Time the filtered-table and spectrum walls on disjoint loops and on a
+poset of loops, one child process each.
 
 Run from anywhere, with the interpreter that runs the tests::
 
@@ -7,14 +7,21 @@ Run from anywhere, with the interpreter that runs the tests::
 
 It writes the input graphs to a temporary directory: k disjoint loops
 (vertices ``x0`` ... ``x<k-1>``, edge ``l<i>`` a loop at ``x<i>``) for k =
-7, 8 and 12, and 7 loops with a second loop ``extra`` at ``x0``.  Then it
-runs these walls, each as one child process:
+7, 8 and 12, 7 loops with a second loop ``extra`` at ``x0``, the poset of
+loops ``poset_loops(12, 0.3, 1)`` and a copy of it whose vertex
+declaration order ``random.Random(5).shuffle`` has shuffled.  Then it runs
+these walls, each as one child process:
 
 - ``fk``: ``leavitt --json fk`` on 8 loops;
 - ``compare-self``: ``leavitt --json compare`` of 8 loops with itself;
 - ``compare-doubled``: ``leavitt --json compare`` of 7 loops against 7
   with one doubled, which exits 1;
-- ``spec``: ``leavitt --json spec`` on 12 loops.
+- ``spec``: ``leavitt --json spec`` on 12 loops;
+- ``fk-poset``: ``leavitt --json fk`` on the poset of loops, whose rows
+  share far fewer bodies than those of disjoint loops;
+- ``compare-poset-self``: ``leavitt --json compare`` of it with itself;
+- ``compare-poset-shuffled``: ``leavitt --json compare`` of it against
+  the shuffled copy, whose table shares only 703 of its row shapes.
 
 ``--only NAME`` runs one of them alone.  The library comes from each
 ``SRC`` directory given, by default the ``src`` tree next to this file.
@@ -24,8 +31,9 @@ ones, so two trees alternate and each pair of runs is adjacent.
 
 It prints one line per child: the wall, the tree, the exit code, the wall
 time, the child's peak resident set (``ru_maxrss`` from ``os.wait4``),
-the stdout byte count and its sha256.  The hash names the bytes, so two
-trees that print the same hash wrote the same output.
+the stdout byte count and its sha256, and whether that hash is the one
+``PINNED`` for the wall.  The hash names the bytes, so two trees that
+print the same hash wrote the same output.
 
 The file has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -35,6 +43,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -49,6 +58,27 @@ def loops_text(k: int, doubled: bool = False) -> str:
     edges = [f"edge l{i} {v} {v}" for i, v in enumerate(names)]
     if doubled:
         edges.append("edge extra x0 x0")
+    return "\n".join(["vertices: " + " ".join(names)] + edges) + "\n"
+
+
+def poset_loops(n: int, p: float, seed: int, order_seed: int | None = None) -> str:
+    """A loop ``l<i>`` at each of the vertices ``v0`` ... ``v<n-1>``, then,
+    for each i < j in i-major order, an edge ``e<k>`` from ``v<i>`` to
+    ``v<j>`` when ``random.Random(seed).random() < p``, k counting the edges
+    kept, in the text format of :func:`loops_text`.  Every vertex keeps its
+    loop, so every hereditary set is saturated, and the ideal lattice is
+    the hereditary sets of a random DAG.  With ``order_seed``, the vertices
+    are declared in the order ``random.Random(order_seed).shuffle`` gives
+    them; the edges stay."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    edges = [f"edge l{i} {v} {v}" for i, v in enumerate(names)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                edges.append(f"edge e{len(edges) - n} v{i} v{j}")
+    if order_seed is not None:
+        random.Random(order_seed).shuffle(names)
     return "\n".join(["vertices: " + " ".join(names)] + edges) + "\n"
 
 
@@ -75,6 +105,22 @@ WALLS = {
     "compare-self": ["compare", "loops8", "loops8"],
     "compare-doubled": ["compare", "loops7", "doubled7"],
     "spec": ["spec", "loops12"],
+    "fk-poset": ["fk", "poset"],
+    "compare-poset-self": ["compare", "poset", "poset"],
+    "compare-poset-shuffled": ["compare", "poset", "shuffled"],
+}
+
+
+# the sha256 of each wall's stdout; a change that moves one pins the new
+# hash and says why
+PINNED = {
+    "fk": "c0ed38d6a524b8d14b74f9c1365e7d4d4ec0c3a479d23dcbf32dd6d9273193ef",
+    "compare-self": "ff43f57d49b9d633393e0a8204ecd7db896a33772b5c633db0255a6c99ed3470",
+    "compare-doubled": "9f58012e23b3ee1b6533e19f442cddf7ed83b8a4b08178b9c0ddaaaafad9413b",
+    "spec": "a70f3126bdc426f59df0b3ee53f5cb78da0c6f7ed39e3e526687a74e26adc725",
+    "fk-poset": "bef67ab93c37a45db1c41e4af48de2a090f3301ed9051f678e700c47b7f86869",
+    "compare-poset-self": "d5ca838292effc8826f8b22faeaf8416ec9fa7ed92e6a48b57e10e5d57e5b2f9",
+    "compare-poset-shuffled": "ceae34e634a67469b7f978ef62d76b51cb3922e71b651eacd43af435dbc944d0",
 }
 
 
@@ -93,6 +139,8 @@ def main(argv=None) -> int:
             ("loops8", loops_text(8)),
             ("loops12", loops_text(12)),
             ("doubled7", loops_text(7, doubled=True)),
+            ("poset", poset_loops(12, 0.3, 1)),
+            ("shuffled", poset_loops(12, 0.3, 1, order_seed=5)),
         ):
             paths[name] = os.path.join(tmp, f"{name}.graph")
             Path(paths[name]).write_text(text, encoding="utf-8")
@@ -103,9 +151,10 @@ def main(argv=None) -> int:
                     code, wall, rss, size, sha = run(
                         ["--json", verb, *map(paths.get, inputs)], Path(src).resolve()
                     )
+                    pin = "pinned" if sha == PINNED[name] else "NOT the pinned hash"
                     print(
                         f"{name} {src}: exit {code}, {wall:.2f} s, {rss:.1f} MB, "
-                        f"{size} bytes, sha256 {sha}",
+                        f"{size} bytes, sha256 {sha} ({pin})",
                         flush=True,
                     )
     return 0
