@@ -13,18 +13,17 @@ reading of Restorff and of Eilers-Restorff-Ruiz-Sorensen), so no graph
 is built for it, and it depends on the difference P minus I alone.  Sets
 are vertex masks here, as in :mod:`leavitt.lattice` (bit k: the k-th
 declared vertex), and a :class:`SubquotientStore` keys each pair by its
-difference mask.  A row depends on its triple I <= J <= P only through
-its positional shape: the adjacency block of I <= P and the positions in
-it of the vertices of J not in I.  ``_row_body`` builds one row body
-(``_RowBody``) per shape, from the transfer block of I <= P alone, and a
-:class:`SixTermRow` is a triple of vertex names over the body of its
-shape.  ``_row_skeleton`` builds and checks the row's skeleton of six
-groups and five maps, and the body keeps it only after each K0
-presentation has been rewritten on its invariant factors other than 1
-(``_SmithCoordinates``, with certified transforms); it decides exactness
-and computes its signature there, once.  The rewriting is an isomorphism
-of each group and the maps are well defined, so verdicts about images,
-kernels and cokernels do not change.
+difference mask.  The row of a triple I <= J <= P is three pairs, J
+minus I, P minus I and P minus J, and depends on the triple only through
+its positional shape: the adjacency block of P minus I and the positions
+in it of J minus I.  ``_row_body`` builds one row body (``_RowBody``)
+per shape, and a :class:`SixTermRow` is a triple of vertex names over
+it.  ``_row_skeleton`` builds and checks the row's skeleton of six
+groups and five maps; the body keeps it only on the invariant factors
+other than 1 of each K0 presentation (``_SmithCoordinates``, with
+certified transforms), an isomorphism of each group under which the maps
+stay well defined, so verdicts about images, kernels and cokernels do
+not change, and decides exactness and its signature there, once.
 """
 
 from __future__ import annotations
@@ -429,7 +428,7 @@ class SubquotientStore:
 
     - ``_bodies``: one :class:`_RowBody` per positional shape (see the
       module docstring), built and checked by the first row of that shape
-      and shared by every later one;
+      and shared by every later one, over the records of its three pairs;
     - the Smith coordinates of each K0 presentation, reduced and certified
       once.
 
@@ -474,13 +473,13 @@ class _RowBody:
 
     Groups run K1bar(ideal part) -> K1bar(middle) -> K1bar(quotient part)
     -> K0(ideal part) -> K0(middle) -> K0(quotient part).  ``k1bars`` and
-    ``k0s`` are those groups, and ``reduced`` is the skeleton tau1, tau2,
-    delta, u12 and u23 between them in their Smith coordinates (see
-    ``_SmithCoordinates``; a free kernel part is in kernel-basis
-    coordinates).  What is decided there is computed when first read and
-    kept: the verdicts at the four interior nodes (``nodes``), exactness
-    (``exact``) and the signature that a table comparison matches
-    (``signature``).
+    ``k0s`` are those groups, the ``k1`` and ``k0`` of the store's records
+    of J minus I, P minus I and P minus J, and ``reduced`` is the skeleton
+    tau1, tau2, delta, u12 and u23 between them in their Smith coordinates
+    (``_SmithCoordinates``; a free kernel part in kernel-basis coordinates).
+    What is decided there is computed when first read and kept: the verdicts
+    at the four interior nodes (``nodes``), exactness (``exact``) and the
+    signature that a table comparison matches (``signature``).
 
     A comparison reads the signature before the nodes.  The signature reads
     the kernels of the matrices whose Smith diagonals the node checks read,
@@ -625,42 +624,45 @@ def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _
 
     The body depends only on the row's positional shape: the adjacency
     block of the middle pair (inner, outer) and the positions ``hprime``
-    in it of the middle set's vertices, that is of the middle ideal H' of
-    that subquotient.  The first row of a shape builds its skeleton
-    (:func:`_row_skeleton`) and keeps it only in the Smith coordinates of
-    its groups, whose products also check the shape of each map; every
-    later row gets the body from the store.
+    in it of the middle ideal H'.  The first row of a shape builds its
+    skeleton (:func:`_row_skeleton`) and keeps it only in the Smith
+    coordinates of its groups, whose products also check the shape of each
+    map; every later row gets the body from the store.
     """
     pair = store.get(outer & ~inner)
     hprime = tuple(k for k, i in enumerate(pair.rows) if middle >> i & 1)
     shape = (pair.adjacency, hprime)
     body = store._bodies.get(shape)
     if body is None:
-        k1bars, groups, matrices = _row_skeleton(store, pair, middle)
+        k1bars, groups, matrices = _row_skeleton(store, inner, middle, outer)
         coords = [store._coordinates_of(grp) for grp in groups]
         reduced = tuple(_in_coordinates(m, coords[k], coords[k + 1]) for k, m in enumerate(matrices))
         body = store._bodies[shape] = _RowBody(k1bars, groups[3:], reduced, store.coeff)
     return body
 
 
-def _row_skeleton(store: SubquotientStore, pair: SubquotientK, middle: int):
-    """The Z-level skeleton of the row of a middle set (a vertex mask) in
-    the store's pair ``pair``: its three K1bar groups, its six groups (the
-    free kernel parts, then the K0 presentations) and the five matrices of
-    tau1, tau2, delta, u12 and u23 between them.
+def _row_skeleton(store: SubquotientStore, inner: int, middle: int, outer: int):
+    """The Z-level skeleton of the row of a nested triple I <= J <= P of
+    vertex masks: its three K1bar groups, its six groups (the free kernel
+    parts, then the K0 presentations) and the five matrices of tau1, tau2,
+    delta, u12 and u23 between them.
 
-    Every matrix is a block of the pair's transfer matrix ``km``: the
-    middle ideal H' is hereditary saturated in the subquotient, so the
-    ideal part is ``km`` at the rows and regular columns of H', the
-    quotient part at the other rows and regular columns, and delta is
-    ``km`` at the rows of H' and the quotient's regular columns, applied to
-    the quotient's kernel basis.  Both intertwining squares then say one
-    thing: ``km`` is zero at the quotient's rows and the regular columns of
-    H', so no edge leaves H' from one of its regular vertices.  That is
-    checked as a bug guard, and so is each kernel coordinate of tau1 and
-    tau2 (:func:`_kernel_coordinates`).  Inclusions and projections select
-    and scatter rows and columns.
+    Every matrix is a block of the transfer matrix ``km`` of the pair P
+    minus I, in which H' = J minus I is hereditary saturated: the ideal part
+    at the rows ``hprime`` and regular columns ``reg1`` of H', the quotient
+    part at the other rows and regular columns, and delta at the rows of H'
+    and the quotient's regular columns, applied to the quotient's kernel
+    basis.  The parts are the pairs J minus I, which is (P minus I) meet J,
+    and P minus J, which is (P minus I) minus J: their records list ``rows``
+    and ``regs`` rising, as ``hprime`` and ``reg1`` do, so their ``km`` are
+    the blocks, and the row takes their ``k1`` and ``k0``.  Both intertwining
+    squares say one thing: ``km`` is zero at the quotient's rows and the
+    regular columns of H', so no edge leaves H' from one of its regular
+    vertices.  That is checked as a bug guard, and so is each kernel
+    coordinate of tau1 and tau2 (:func:`_kernel_coordinates`).
     """
+    pair = store.get(outer & ~inner)
+    parts = (store.get(middle & ~inner), pair, store.get(outer & ~middle))
     hprime = [k for k, i in enumerate(pair.rows) if middle >> i & 1]
     vert3 = [k for k, i in enumerate(pair.rows) if not middle >> i & 1]
     reg1 = [c for c, i in enumerate(pair.regs) if middle >> i & 1]
@@ -668,9 +670,7 @@ def _row_skeleton(store: SubquotientStore, pair: SubquotientK, middle: int):
     top, bottom = pair.km.take_rows(hprime), pair.km.take_rows(vert3)
     if any(map(any, bottom.take_columns(reg1).data)):
         raise AssertionError("an edge leaves the middle ideal; the squares do not commute")
-    km1, km3 = top.take_columns(reg1), bottom.take_columns(reg3)
-    k1bars = (KOneBar(store.coeff, km1), pair.k1, KOneBar(store.coeff, km3))
-    k0s = (PresentedGroup(km1), pair.k0, PresentedGroup(km3))
+    k1bars, k0s = zip(*((part.k1, part.k0) for part in parts))
     # Smith coordinates before kernels: the two-sided run of each K0
     # presentation then serves the kernel of the same matrix
     for grp in k0s:

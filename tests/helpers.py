@@ -703,7 +703,7 @@ def row_skeleton(store: SubquotientStore, row: SixTermRow) -> tuple[GroupMap, ..
     (``ktheory._row_skeleton``), whose matrices ``_row_body`` reduces to
     Smith coordinates.  Any store of the graph gives the same skeleton."""
     inner, middle, outer = (_mask(store.graph, names) for names in row.triple)
-    _, groups, matrices = _row_skeleton(store, store.get(outer & ~inner), middle)
+    _, groups, matrices = _row_skeleton(store, inner, middle, outer)
     return tuple(GroupMap(groups[k], groups[k + 1], m) for k, m in enumerate(matrices))
 
 

@@ -8,7 +8,7 @@ import helpers as H
 from helpers import check_well_defined, psi, psi_diagram_check, snake_rho
 from leavitt import filtered, ktheory
 from leavitt.filtered import RowCapError, compare_fkbar, fkbar
-from leavitt.graphs import Graph, relabel
+from leavitt.graphs import Graph, parse_graph, relabel
 from leavitt.intlinalg import (
     CoeffGroup,
     FgAbGroup,
@@ -32,6 +32,7 @@ from leavitt.ktheory import (
 )
 from leavitt.lattice import enumerate_hsat
 from leavitt.monoid import EqVerdict, GradedElement, graded_equal, parse_graded_element
+from walls import poset_loops
 
 
 COEFF_F5 = CoeffGroup.reduced_units_of_field(5)
@@ -730,3 +731,60 @@ class TestSmithCoordinates:
         assert len(calls["nodes"]) == len(skeletons) >= 10
         assert len(calls["classes"]) == 5 * len(skeletons)
         assert any(reduced not in skeletons for reduced in calls["nodes"])
+
+
+def count_konebars(monkeypatch):
+    """A list that gains an entry per ``KOneBar`` built from now on."""
+    built = []
+    init = ktheory.KOneBar.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ktheory.KOneBar, "__init__", counting)
+    return built
+
+
+def assert_groups_are_records(bodies, stores):
+    """Every K1bar and K0 group of each body is the ``k1`` or ``k0`` of a
+    pair record of one of the stores, the same object."""
+    records = [pair for store in stores for pair in store._pairs.values()]
+    k1s, k0s = {id(p.k1) for p in records}, {id(p.k0) for p in records}
+    for body in bodies:
+        assert all(id(kb) in k1s for kb in body.k1bars)
+        assert all(id(kz) in k0s for kz in body.k0s)
+
+
+class TestPairRecordGroups:
+    """A row is three pair records: a body takes its K1bar and K0 groups
+    from the store, so a table builds one K1bar per pair record and none
+    per body."""
+
+    def test_one_konebar_per_pair_record(self, corpus, monkeypatch):
+        built = count_konebars(monkeypatch)
+        for g in [*corpus[:80], parse_graph(poset_loops(8, 0.3, 1))]:
+            built.clear()
+            table = fkbar(g, COEFF_F5)
+            assert len(built) == len(table.store._pairs), g
+            assert_groups_are_records(table.store._bodies.values(), [table.store])
+        # the poset's 396 bodies over its 84 pair records
+        assert len(table.store._bodies) >= 4 * len(table.store._pairs)
+
+    def test_compare_builds_konebars_per_pair_record(self, monkeypatch):
+        stores = []
+        share = ktheory.SubquotientStore._share
+
+        def recording(store, other):
+            stores.extend((other, store))
+            share(store, other)
+
+        monkeypatch.setattr(ktheory.SubquotientStore, "_share", recording)
+        g = parse_graph(poset_loops(8, 0.3, 1))
+        shuffled = parse_graph(poset_loops(8, 0.3, 1, order_seed=5))
+        built = count_konebars(monkeypatch)
+        assert compare_fkbar(g, shuffled, COEFF_F5).consistent
+        first, second = stores
+        assert len(built) <= len(first._pairs) + len(second._pairs)
+        assert_groups_are_records(first._bodies.values(), stores)
+        assert len(first._bodies) >= 300

@@ -33,7 +33,11 @@ It prints one line per child: the wall, the tree, the exit code, the wall
 time, the child's peak resident set (``ru_maxrss`` from ``os.wait4``),
 the stdout byte count and its sha256, and whether that hash is the one
 ``PINNED`` for the wall.  The hash names the bytes, so two trees that
-print the same hash wrote the same output.
+print the same hash wrote the same output.  With ``--repeat N`` for N of
+at least 2 it ends with one line per wall and tree: the median wall time
+and its interquartile range (``statistics.quantiles``, inclusive method),
+the median peak RSS, and how many of the N runs printed the pinned hash.
+It exits 1 when any run's hash is not the pinned one, 0 otherwise.
 
 The file has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -44,6 +48,7 @@ import argparse
 import hashlib
 import os
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -132,6 +137,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     trees = args.trees or [str(SRC)]
     walls = [args.only] if args.only else list(WALLS)
+    runs = {(name, src): [] for name in walls for src in trees}  # (wall s, RSS MB, pinned)
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, text in (
@@ -151,13 +157,23 @@ def main(argv=None) -> int:
                     code, wall, rss, size, sha = run(
                         ["--json", verb, *map(paths.get, inputs)], Path(src).resolve()
                     )
+                    runs[name, src].append((wall, rss, sha == PINNED[name]))
                     pin = "pinned" if sha == PINNED[name] else "NOT the pinned hash"
                     print(
                         f"{name} {src}: exit {code}, {wall:.2f} s, {rss:.1f} MB, "
                         f"{size} bytes, sha256 {sha} ({pin})",
                         flush=True,
                     )
-    return 0
+    if args.repeat >= 2:
+        for (name, src), got in runs.items():
+            times, rss, pinned = zip(*got)
+            q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
+            print(
+                f"{name} {src} over {len(got)} runs: median {statistics.median(times):.2f} s "
+                f"(IQR {q3 - q1:.2f} s), median {statistics.median(rss):.1f} MB, "
+                f"{sum(pinned)} of {len(got)} pinned"
+            )
+    return 0 if all(ok for got in runs.values() for _, _, ok in got) else 1
 
 
 if __name__ == "__main__":
