@@ -121,19 +121,28 @@ def _row_texts(table, nl):
     p])`` as :func:`_put_json` writes it there.
 
     A row's text is its body's, around holes for its lattice triple and
-    its vertex names, encoded once per body; each lattice element's index
-    and name list is encoded once, and a row joins those strings."""
+    its vertex names; each lattice element's index and name list is
+    encoded once, and a row joins those strings.  A body's text is encoded
+    once per distinct skeleton in Smith coordinates (``body.reduced``)
+    within the report: the payload reads the K1bar and K0 classes, the
+    exactness and the node verdicts, and under the table's one coefficient
+    group each is a function of that skeleton, so bodies of two shapes
+    with one skeleton share one text.  A row looks its text up by its body
+    first, which hashes no skeleton, and a body's first row by skeleton."""
     inner, deeper = nl + "  ", nl + "    "
     members = map(table.lattice.members, range(len(table.lattice)))
     names = [deeper + _json_text(list(m), deeper) for m in members]
     indices = [deeper + str(k) for k in range(len(names))]
     hole = _Text("\0")  # an encoded string escapes every NUL
-    texts = {}
+    texts, by_skeleton = {}, {}
     for (i, j, p), body in zip(table.row_triples, table.bodies):
         text = texts.get(body)
         if text is None:
-            payload = dict(_body_json(body), lattice_triple=hole, triple=hole)
-            text = texts[body] = _json_text(payload, nl).split(hole)
+            text = by_skeleton.get(body.reduced)
+            if text is None:
+                payload = dict(_body_json(body), lattice_triple=hole, triple=hole)
+                text = by_skeleton[body.reduced] = _json_text(payload, nl).split(hole)
+            texts[body] = text
         start, middle, end = text
         yield _Text(
             f"{start}[{indices[i]},{indices[j]},{indices[p]}{inner}]"

@@ -11,11 +11,14 @@ signature; a match is a necessary condition for the tables to be
 isomorphic as diagrams, never a proof, and the report says so explicitly.
 
 A comparison reads each row's body (``ktheory._RowBody``), which rows of
-one positional shape share: its signature and exactness are computed once
+one positional shape share: its signature and exactness are read once
 per body, and the element search runs once per pair of bodies, on their
 skeletons in Smith coordinates (``_RowBody.reduced``): one coordinate per
 invariant factor other than 1, so candidate isomorphisms are listed on the
-invariant factors and no map is rewritten per row pair.
+invariant factors and no map is rewritten per row pair.  Each is decided
+once per process for each distinct skeleton, or pair of skeletons for the
+search (``_skeleton_element_search``, an ``lru_cache`` of 65,536 pairs),
+so bodies of other shapes with equal skeletons share the work.
 """
 
 from __future__ import annotations
@@ -253,20 +256,36 @@ def _squares_commute(beta, f_a, f_b, alpha, moduli) -> bool:
 
 def _row_element_check(body_a: _RowBody, body_b: _RowBody):
     """Search for a commuting system of node isomorphisms between the rows
-    of two bodies of equal signatures.  A body passes against itself: its
-    rows are the same matrices, so the identity at each node is one.
-    Otherwise each pair of nodes has equal moduli and one nonempty
-    candidate list (see :func:`_iso_candidates`).  Returns "passed",
-    "refuted" (no system exists), or "skipped" when a node has more
-    candidates than the node cap.  Listed candidates are all of a node's
-    isomorphisms, and the diagram is a chain, so a forward arc-consistency
-    pass on the bodies' skeletons in Smith coordinates
-    (``_RowBody.reduced``) decides existence exactly: a search that is not
-    skipped is exhaustive.
+    of two bodies of equal signatures.  Returns "passed", "refuted" (no
+    system exists), or "skipped" when a node has more candidates than the
+    node cap.
+
+    A body passes against itself: its rows are the same matrices, so the
+    identity at each node is one.  That rule comes first and reads only
+    the bodies' identity, so it hashes no skeleton, and it decides pairs
+    whose nodes are past the node cap, which the search would skip.  Any
+    other pair goes to :func:`_skeleton_element_search` on the bodies'
+    skeletons in Smith coordinates (``_RowBody.reduced``), whose outcome
+    depends on those two skeletons alone; two distinct bodies with one
+    skeleton go there too, so the rule changes no outcome of the search.
     """
     if body_a is body_b:
         return "passed"
-    maps_a, maps_b = body_a.reduced, body_b.reduced
+    return _skeleton_element_search(body_a.reduced, body_b.reduced)
+
+
+@lru_cache(maxsize=65536)
+def _skeleton_element_search(maps_a, maps_b):
+    """The element search of :func:`_row_element_check` on two skeletons
+    in Smith coordinates, kept per process for the last 65,536 pairs, keyed
+    by both skeletons in full.
+
+    Each pair of nodes has equal moduli and one nonempty candidate list
+    (see :func:`_iso_candidates`).  Listed candidates are all of a node's
+    isomorphisms, and the diagram is a chain, so a forward arc-consistency
+    pass decides existence exactly: a search that is not skipped is
+    exhaustive.
+    """
     moduli = [_moduli(maps_a[0].domain)] + [_moduli(f.codomain) for f in maps_a]
     candidate_sets = []
     for node in moduli:

@@ -589,15 +589,16 @@ def _kernel_run_class(m: IntMatrix) -> FgAbGroup:
     return FgAbGroup.cokernel_of(m.rows, sd)
 
 
-def _extent(lattice: IntMatrix):
-    """Rank and index in its saturation of the span of the columns.
+def _extent(sd: SmithData):
+    """Rank and index in its saturation of the span of the columns of the
+    matrix whose Smith record is ``sd``.
 
     A lattice inside another of the same rank has the same saturation, so
     the two are equal exactly when their extents are; no transform and no
     per-column membership test is needed.  The index is the product of the
     nonzero invariant factors.
     """
-    nonzero = [x for x in snf(lattice).diagonal if x]
+    nonzero = [x for x in sd.diagonal if x]
     return len(nonzero), math.prod(nonzero)
 
 
@@ -607,7 +608,7 @@ def _spans_into(gens: IntMatrix, lattice: IntMatrix) -> bool:
     L lies in L + span(gens), so they are equal, and the answer is yes,
     exactly when their extents agree (see ``_extent``).
     """
-    return _extent(lattice) == _extent(lattice.hstack(gens))
+    return _extent(snf(lattice)) == _extent(snf(lattice.hstack(gens)))
 
 
 def subgroup_equal(gens_a: IntMatrix, gens_b: IntMatrix, modulo: IntMatrix | None = None) -> bool:
@@ -762,21 +763,29 @@ def check_exact(maps) -> tuple[NodeVerdict, ...]:
     has the extent (see ``_extent``) of the union ker(g) + R + im(f), and
     the other way round for im(f) + R.  So a node eliminates three lattices,
     the union once for both inclusions.
+
+    Each map m is stacked as [m | R_cod] once, and its one Smith record
+    serves both nodes that read it: the node before m reads its kernel,
+    whose top block generates the preimage of R_cod under m (see
+    :func:`preimage_lattice`), and m's own node reads its diagonal, the
+    extent of im(m) + R_cod, which that kernel run has yielded.  So a chain
+    of n maps asks :func:`snf` for n + 2(n - 1) records.
     """
     maps = list(maps)
+    records = [snf(f.matrix.hstack(f.codomain.relations)) for f in maps]
     verdicts = []
     for idx in range(len(maps) - 1):
         f, g = maps[idx], maps[idx + 1]
         if f.codomain != g.domain:
             raise ValueError(f"maps {idx} and {idx + 1} are not composable")
-        rel = f.codomain.relations
-        kernel_rel = preimage_lattice(g.matrix, g.codomain.relations).hstack(rel)
-        union = _extent(kernel_rel.hstack(f.matrix))
+        preimage = records[idx + 1].kernel.take_rows(range(g.matrix.cols))
+        kernel_rel = preimage.hstack(f.codomain.relations)
+        union = _extent(snf(kernel_rel.hstack(f.matrix)))
         verdicts.append(
             NodeVerdict(
                 idx,
-                _extent(kernel_rel) == union,
-                _extent(f.matrix.hstack(rel)) == union,
+                _extent(snf(kernel_rel)) == union,
+                _extent(records[idx]) == union,
             )
         )
     return tuple(verdicts)

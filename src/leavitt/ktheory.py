@@ -24,6 +24,16 @@ other than 1 of each K0 presentation (``_SmithCoordinates``, with
 certified transforms), an isomorphism of each group under which the maps
 stay well defined, so verdicts about images, kernels and cokernels do
 not change, and decides exactness and its signature there, once.
+
+Those decisions are pure functions of the skeleton in Smith coordinates
+(``_RowBody.reduced``, a tuple of frozen, hashable maps), and bodies of
+many shapes, in one table or in several, share one such skeleton.  So
+each is kept per process in an ``lru_cache`` of 65,536 entries, as the
+Smith records of :func:`~leavitt.intlinalg.snf` are: the node verdicts
+(``_skeleton_nodes``) keyed by the skeleton and the coefficient group,
+and the signature (``_skeleton_signature``) keyed by the skeleton.  A key
+is the full reduced matrices and relations, never a row shape, so a
+skeleton that differs in any entry has an entry of its own.
 """
 
 from __future__ import annotations
@@ -479,7 +489,11 @@ class _RowBody:
     (``_SmithCoordinates``; a free kernel part in kernel-basis coordinates).
     What is decided there is computed when first read and kept: the verdicts
     at the four interior nodes (``nodes``), exactness (``exact``) and the
-    signature that a table comparison matches (``signature``).
+    signature that a table comparison matches (``signature``).  The first
+    two come from :func:`_skeleton_nodes`, keyed by ``reduced`` and the
+    coefficient group, the signature from :func:`_skeleton_signature`,
+    keyed by ``reduced``: each caches 65,536 entries per process, so a
+    body whose skeleton another body already has decides nothing anew.
 
     A comparison reads the signature before the nodes.  The signature reads
     the kernels of the matrices whose Smith diagonals the node checks read,
@@ -500,19 +514,25 @@ class _RowBody:
 
     @cached_property
     def signature(self) -> tuple:
-        """Invariant pair of the row in Smith coordinates: the six group
-        classes and the kernel/image/cokernel classes of the five maps
-        (:func:`~leavitt.intlinalg.map_invariants`).  Equal signatures mean
-        no Z-level rank or invariant factor tells two rows apart.  With one
-        coefficient group the K1bar classes add nothing: a kernel rank is
-        the rank of a free node, and a twisted cokernel is read off the K0
-        class of the same block."""
-        reduced = self.reduced
-        groups = (reduced[0].domain,) + tuple(f.codomain for f in reduced)
-        maps = tuple(
-            map_invariants(f.matrix, f.domain.relations, f.codomain.relations) for f in reduced
-        )
-        return tuple(FgAbGroup.from_parts(0, _moduli(n)) for n in groups), maps
+        """Invariant pair of the row in Smith coordinates (see
+        :func:`_skeleton_signature`)."""
+        return _skeleton_signature(self.reduced)
+
+
+@lru_cache(maxsize=65536)
+def _skeleton_signature(reduced) -> tuple:
+    """Invariant pair of a row skeleton in Smith coordinates: the six group
+    classes and the kernel/image/cokernel classes of the five maps
+    (:func:`~leavitt.intlinalg.map_invariants`).  Equal signatures mean no
+    Z-level rank or invariant factor tells two rows apart.  With one
+    coefficient group the K1bar classes add nothing: a kernel rank is the
+    rank of a free node, and a twisted cokernel is read off the K0 class of
+    the same block.  Kept per process, keyed by the skeleton."""
+    groups = (reduced[0].domain,) + tuple(f.codomain for f in reduced)
+    maps = tuple(
+        map_invariants(f.matrix, f.domain.relations, f.codomain.relations) for f in reduced
+    )
+    return tuple(FgAbGroup.from_parts(0, _moduli(n)) for n in groups), maps
 
 
 def _kernel_coordinates(target_basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
@@ -547,6 +567,7 @@ class NodeReport:
         return self.z_image_in_kernel and self.z_kernel_in_image and coeff_ok
 
 
+@lru_cache(maxsize=65536)
 def _skeleton_nodes(maps, coeff: CoeffGroup) -> tuple[NodeReport, ...]:
     """Verdicts at the four interior nodes of a row skeleton.
 
@@ -555,6 +576,8 @@ def _skeleton_nodes(maps, coeff: CoeffGroup) -> tuple[NodeReport, ...]:
     the twisted cokernels coker(K) ⊗ Z/m = coker([K | mI]) of the three K0
     presentations: exactness at the middle one under u12 and u23, and
     onto-ness of u23.  A store passes the skeleton in Smith coordinates.
+    The verdicts are kept per process, keyed by the maps and the
+    coefficient group (see the module docstring).
     """
     z_nodes = check_exact(maps)
     coeff2 = coeff3 = None

@@ -21,6 +21,7 @@ from leavitt import cli, filtered, intlinalg, ktheory
 from leavitt.cli import main
 from leavitt.graphs import Graph, graph_from_matrix, graph_to_text, parse_graph
 from leavitt.intlinalg import IntMatrix, SmithData
+from walls import poset_loops
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +237,27 @@ class TestStreamedReports:
             dict(cli._row_json(row), lattice_triple=list(trip))
             for trip, row in zip(table.row_triples, table.rows)
         ]
+
+    def test_fk_encodes_each_skeleton_once(self, capsys, tmp_path, monkeypatch):
+        # under the table's one coefficient group a body's payload is a
+        # function of its skeleton in Smith coordinates, so bodies of two
+        # shapes with one skeleton share one text
+        text = poset_loops(8, 0.3, 1)
+        path = tmp_path / "poset.graph"
+        path.write_text(text, encoding="utf-8")
+        table = filtered.fkbar(parse_graph(text), cli._coeff("symbolic", reduced=True))
+        distinct = {body.reduced for body in table.bodies}
+        encoded = []
+        body_json = cli._body_json
+
+        def counting(body):
+            encoded.append(body)
+            return body_json(body)
+
+        monkeypatch.setattr(cli, "_body_json", counting)
+        code, out, _ = run(capsys, ["--json", "fk", str(path)])
+        assert code == 0 and len(json.loads(out)["rows"]) == len(table.row_triples)
+        assert len(encoded) == len(distinct) < len(set(table.bodies))
 
     def test_failed_check_on_the_last_row_writes_nothing(self, capsys, files, monkeypatch):
         built = []

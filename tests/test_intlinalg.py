@@ -27,7 +27,7 @@ from leavitt.intlinalg import (
     subgroup_equal,
 )
 from leavitt.intlinalg import _smith, _spans_into
-from leavitt.ktheory import k0, k_matrix
+from leavitt.ktheory import SubquotientStore, k0, k_matrix, six_term_row
 
 
 def random_matrix(rng, nr, nc, lo=-9, hi=9):
@@ -811,6 +811,35 @@ class TestMapsAndExactness:
         f = GroupMap(zf, z2, IntMatrix([[1]]))
         with pytest.raises(ValueError):
             check_exact([f, f])
+
+    def test_each_map_stacked_once(self, fan, monkeypatch):
+        # a node's [f | R] is the [g | R_cod] whose kernel the node before
+        # it read for its preimage, so n maps ask for n stacked records and
+        # each of the n - 1 nodes for two more, its kernel and its union
+        zf, zmod2 = _zfree(), PresentedGroup(IntMatrix([[2]]))
+        short = [
+            GroupMap(zf, zf, IntMatrix([[4]]), name="quad"),
+            GroupMap(zf, zmod2, IntMatrix([[1]]), name="proj"),
+            GroupMap(zmod2, PresentedGroup(IntMatrix.zeros(0, 0)), IntMatrix.zeros(0, 1)),
+        ]
+        coeff = CoeffGroup.reduced_units_of_field(5)
+        row = six_term_row(fan, set(), {"w1"}, set(fan.vertices), coeff)
+        skeleton = H.row_skeleton(SubquotientStore(fan, coeff), row)
+        asked = []
+        original = intlinalg.snf
+
+        def counting(m):
+            asked.append(m)
+            return original(m)
+
+        monkeypatch.setattr(intlinalg, "snf", counting)
+        middle, quotient = check_exact(short)
+        assert len(asked) == 7
+        assert middle.image_in_kernel and not middle.kernel_in_image and quotient.exact
+        asked.clear()
+        assert all(n.exact for n in check_exact(skeleton)) and len(asked) == 13
+        stacked = [f.matrix.hstack(f.codomain.relations) for f in skeleton]
+        assert asked[: len(stacked)] == stacked
 
 
 # ---------------------------------------------------------------------------
