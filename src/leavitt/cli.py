@@ -123,26 +123,23 @@ def _row_texts(table, nl):
     A row's text is its body's, around holes for its lattice triple and
     its vertex names; each lattice element's index and name list is
     encoded once, and a row joins those strings.  A body's text is encoded
-    once per distinct skeleton in Smith coordinates (``body.reduced``)
-    within the report: the payload reads the K1bar and K0 classes, the
-    exactness and the node verdicts, and under the table's one coefficient
-    group each is a function of that skeleton, so bodies of two shapes
-    with one skeleton share one text.  A row looks its text up by its body
-    first, which hashes no skeleton, and a body's first row by skeleton."""
+    once per skeleton record of the table's store (``body.skeleton``, one
+    per distinct skeleton in Smith coordinates): the payload reads the
+    K1bar and K0 classes, the exactness and the node verdicts, and under
+    the table's one coefficient group each is a function of that skeleton,
+    so bodies of two shapes with one skeleton share one text.  A record
+    hashes by identity, so a row's lookup hashes no matrix."""
     inner, deeper = nl + "  ", nl + "    "
     members = map(table.lattice.members, range(len(table.lattice)))
     names = [deeper + _json_text(list(m), deeper) for m in members]
     indices = [deeper + str(k) for k in range(len(names))]
     hole = _Text("\0")  # an encoded string escapes every NUL
-    texts, by_skeleton = {}, {}
+    texts = {}
     for (i, j, p), body in zip(table.row_triples, table.bodies):
-        text = texts.get(body)
+        text = texts.get(body.skeleton)
         if text is None:
-            text = by_skeleton.get(body.reduced)
-            if text is None:
-                payload = dict(_body_json(body), lattice_triple=hole, triple=hole)
-                text = by_skeleton[body.reduced] = _json_text(payload, nl).split(hole)
-            texts[body] = text
+            payload = dict(_body_json(body), lattice_triple=hole, triple=hole)
+            text = texts[body.skeleton] = _json_text(payload, nl).split(hole)
         start, middle, end = text
         yield _Text(
             f"{start}[{indices[i]},{indices[j]},{indices[p]}{inner}]"

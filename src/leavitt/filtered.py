@@ -16,9 +16,9 @@ per body, and the element search runs once per pair of bodies, on their
 skeletons in Smith coordinates (``_RowBody.reduced``): one coordinate per
 invariant factor other than 1, so candidate isomorphisms are listed on the
 invariant factors and no map is rewritten per row pair.  Each is decided
-once per process for each distinct skeleton, or pair of skeletons for the
-search (``_skeleton_element_search``, an ``lru_cache`` of 65,536 pairs),
-so bodies of other shapes with equal skeletons share the work.
+once per distinct skeleton of the tables' shared store, or pair of
+skeletons for the search (``ktheory._Skeleton``), so bodies of other
+shapes with equal skeletons share the work.
 """
 
 from __future__ import annotations
@@ -261,24 +261,29 @@ def _row_element_check(body_a: _RowBody, body_b: _RowBody):
     node cap.
 
     A body passes against itself: its rows are the same matrices, so the
-    identity at each node is one.  That rule comes first and reads only
-    the bodies' identity, so it hashes no skeleton, and it decides pairs
-    whose nodes are past the node cap, which the search would skip.  Any
-    other pair goes to :func:`_skeleton_element_search` on the bodies'
-    skeletons in Smith coordinates (``_RowBody.reduced``), whose outcome
-    depends on those two skeletons alone; two distinct bodies with one
-    skeleton go there too, so the rule changes no outcome of the search.
+    identity at each node is one.  That rule comes first because it also
+    decides pairs whose nodes are past the node cap, which the search
+    would skip, so no outcome kept for a pair of skeletons is read for a
+    body paired with itself.  Any other pair, two distinct bodies with one
+    skeleton included, goes to :func:`_skeleton_element_search` on the
+    bodies' skeletons in Smith coordinates (``_RowBody.reduced``), whose
+    outcome depends on those two skeletons alone.  The outcome is kept on
+    the first body's skeleton record (``ktheory._Skeleton.searches``),
+    keyed by the second's, so the bodies of one store search each pair of
+    skeletons once.
     """
     if body_a is body_b:
         return "passed"
-    return _skeleton_element_search(body_a.reduced, body_b.reduced)
+    a, b = body_a.skeleton, body_b.skeleton
+    outcome = a.searches.get(b)
+    if outcome is None:
+        outcome = a.searches[b] = _skeleton_element_search(a.maps, b.maps)
+    return outcome
 
 
-@lru_cache(maxsize=65536)
 def _skeleton_element_search(maps_a, maps_b):
     """The element search of :func:`_row_element_check` on two skeletons
-    in Smith coordinates, kept per process for the last 65,536 pairs, keyed
-    by both skeletons in full.
+    in Smith coordinates.
 
     Each pair of nodes has equal moduli and one nonempty candidate list
     (see :func:`_iso_candidates`).  Listed candidates are all of a node's

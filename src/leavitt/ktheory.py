@@ -27,13 +27,12 @@ not change, and decides exactness and its signature there, once.
 
 Those decisions are pure functions of the skeleton in Smith coordinates
 (``_RowBody.reduced``, a tuple of frozen, hashable maps), and bodies of
-many shapes, in one table or in several, share one such skeleton.  So
-each is kept per process in an ``lru_cache`` of 65,536 entries, as the
-Smith records of :func:`~leavitt.intlinalg.snf` are: the node verdicts
-(``_skeleton_nodes``) keyed by the skeleton and the coefficient group,
-and the signature (``_skeleton_signature``) keyed by the skeleton.  A key
-is the full reduced matrices and relations, never a row shape, so a
-skeleton that differs in any entry has an entry of its own.
+many shapes share one such skeleton.  So a store keeps one
+:class:`_Skeleton` per distinct skeleton, keyed by its maps in full,
+never by a row shape, and every body of the store with that skeleton
+reads its verdicts, its signature and its element searches: each is
+decided once per store, for as long as the store lives, and a skeleton
+that differs in any entry has a record of its own.
 """
 
 from __future__ import annotations
@@ -439,6 +438,9 @@ class SubquotientStore:
     - ``_bodies``: one :class:`_RowBody` per positional shape (see the
       module docstring), built and checked by the first row of that shape
       and shared by every later one, over the records of its three pairs;
+    - ``_skeletons``: one :class:`_Skeleton` per distinct skeleton in
+      Smith coordinates, keyed by its maps, which every body of that
+      skeleton reads, whatever its shape;
     - the Smith coordinates of each K0 presentation, reduced and certified
       once.
 
@@ -456,12 +458,14 @@ class SubquotientStore:
         self._km = k_matrix(g)
         self._pairs = {}
         self._bodies = {}
+        self._skeletons = {}
         self._reductions = {}
 
     def _share(self, other: SubquotientStore) -> None:
-        """Use the row bodies and Smith coordinates of ``other``, a store
-        with the same coefficient group."""
+        """Use the row bodies, skeletons and Smith coordinates of
+        ``other``, a store with the same coefficient group."""
         self._bodies = other._bodies
+        self._skeletons = other._skeletons
         self._reductions = other._reductions
 
     def get(self, bits: int) -> SubquotientK:
@@ -487,13 +491,13 @@ class _RowBody:
     of J minus I, P minus I and P minus J, and ``reduced`` is the skeleton
     tau1, tau2, delta, u12 and u23 between them in their Smith coordinates
     (``_SmithCoordinates``; a free kernel part in kernel-basis coordinates).
-    What is decided there is computed when first read and kept: the verdicts
-    at the four interior nodes (``nodes``), exactness (``exact``) and the
-    signature that a table comparison matches (``signature``).  The first
-    two come from :func:`_skeleton_nodes`, keyed by ``reduced`` and the
-    coefficient group, the signature from :func:`_skeleton_signature`,
-    keyed by ``reduced``: each caches 65,536 entries per process, so a
-    body whose skeleton another body already has decides nothing anew.
+    What is decided there is read from ``skeleton``, the store's
+    :class:`_Skeleton` of ``reduced``, and kept: the verdicts at the four
+    interior nodes (``nodes``), exactness (``exact``) and the signature
+    that a table comparison matches (``signature``).  So a body whose
+    skeleton another body of the store already has decides nothing anew,
+    and holds that record's maps as ``reduced``; a body built without a
+    store's record gets one of its own.
 
     A comparison reads the signature before the nodes.  The signature reads
     the kernels of the matrices whose Smith diagonals the node checks read,
@@ -501,12 +505,13 @@ class _RowBody:
     are equal only when they are the same object.
     """
 
-    def __init__(self, k1bars, k0s, reduced, coeff: CoeffGroup):
-        self.k1bars, self.k0s, self.reduced, self._coeff = k1bars, k0s, reduced, coeff
+    def __init__(self, k1bars, k0s, reduced, coeff: CoeffGroup, skeleton: _Skeleton | None = None):
+        self.skeleton = _Skeleton(reduced, coeff) if skeleton is None else skeleton
+        self.k1bars, self.k0s, self.reduced = k1bars, k0s, self.skeleton.maps
 
     @cached_property
     def nodes(self) -> tuple[NodeReport, ...]:
-        return _skeleton_nodes(self.reduced, self._coeff)
+        return self.skeleton.node_reports
 
     @cached_property
     def exact(self) -> bool:
@@ -515,24 +520,45 @@ class _RowBody:
     @cached_property
     def signature(self) -> tuple:
         """Invariant pair of the row in Smith coordinates (see
-        :func:`_skeleton_signature`)."""
-        return _skeleton_signature(self.reduced)
+        ``_Skeleton.invariant_pair``)."""
+        return self.skeleton.invariant_pair
 
 
-@lru_cache(maxsize=65536)
-def _skeleton_signature(reduced) -> tuple:
-    """Invariant pair of a row skeleton in Smith coordinates: the six group
-    classes and the kernel/image/cokernel classes of the five maps
-    (:func:`~leavitt.intlinalg.map_invariants`).  Equal signatures mean no
-    Z-level rank or invariant factor tells two rows apart.  With one
-    coefficient group the K1bar classes add nothing: a kernel rank is the
-    rank of a free node, and a twisted cokernel is read off the K0 class of
-    the same block.  Kept per process, keyed by the skeleton."""
-    groups = (reduced[0].domain,) + tuple(f.codomain for f in reduced)
-    maps = tuple(
-        map_invariants(f.matrix, f.domain.relations, f.codomain.relations) for f in reduced
-    )
-    return tuple(FgAbGroup.from_parts(0, _moduli(n)) for n in groups), maps
+class _Skeleton:
+    """A row skeleton in Smith coordinates, ``maps``, under the coefficient
+    group ``coeff``, and what is decided on it, each when first read and
+    kept: the verdicts at the four interior nodes (``node_reports``, from
+    :func:`_skeleton_nodes`), the invariant pair that a comparison matches
+    (``invariant_pair``) and, in ``searches``, the outcome of the element
+    search against each other skeleton (see
+    :func:`~leavitt.filtered._row_element_check`).  A store keeps one per
+    distinct ``maps`` for as long as it lives
+    (``SubquotientStore._skeletons``), so that work is done once per store
+    for all the bodies of one skeleton.
+    """
+
+    def __init__(self, maps, coeff: CoeffGroup):
+        self.maps, self.coeff = maps, coeff
+        self.searches = {}
+
+    @cached_property
+    def node_reports(self) -> tuple[NodeReport, ...]:
+        return _skeleton_nodes(self.maps, self.coeff)
+
+    @cached_property
+    def invariant_pair(self) -> tuple:
+        """The six group classes and the kernel/image/cokernel classes of
+        the five maps (:func:`~leavitt.intlinalg.map_invariants`).  Equal
+        pairs mean no Z-level rank or invariant factor tells two rows
+        apart.  With one coefficient group the K1bar classes add nothing: a
+        kernel rank is the rank of a free node, and a twisted cokernel is
+        read off the K0 class of the same block."""
+        maps = self.maps
+        groups = (maps[0].domain,) + tuple(f.codomain for f in maps)
+        classes = tuple(
+            map_invariants(f.matrix, f.domain.relations, f.codomain.relations) for f in maps
+        )
+        return tuple(FgAbGroup.from_parts(0, _moduli(n)) for n in groups), classes
 
 
 def _kernel_coordinates(target_basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
@@ -567,7 +593,6 @@ class NodeReport:
         return self.z_image_in_kernel and self.z_kernel_in_image and coeff_ok
 
 
-@lru_cache(maxsize=65536)
 def _skeleton_nodes(maps, coeff: CoeffGroup) -> tuple[NodeReport, ...]:
     """Verdicts at the four interior nodes of a row skeleton.
 
@@ -576,8 +601,6 @@ def _skeleton_nodes(maps, coeff: CoeffGroup) -> tuple[NodeReport, ...]:
     the twisted cokernels coker(K) ⊗ Z/m = coker([K | mI]) of the three K0
     presentations: exactness at the middle one under u12 and u23, and
     onto-ness of u23.  A store passes the skeleton in Smith coordinates.
-    The verdicts are kept per process, keyed by the maps and the
-    coefficient group (see the module docstring).
     """
     z_nodes = check_exact(maps)
     coeff2 = coeff3 = None
@@ -660,7 +683,10 @@ def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _
         k1bars, groups, matrices = _row_skeleton(store, inner, middle, outer)
         coords = [store._coordinates_of(grp) for grp in groups]
         reduced = tuple(_in_coordinates(m, coords[k], coords[k + 1]) for k, m in enumerate(matrices))
-        body = store._bodies[shape] = _RowBody(k1bars, groups[3:], reduced, store.coeff)
+        skeleton = store._skeletons.get(reduced)
+        if skeleton is None:
+            skeleton = store._skeletons[reduced] = _Skeleton(reduced, store.coeff)
+        body = store._bodies[shape] = _RowBody(k1bars, groups[3:], reduced, store.coeff, skeleton)
     return body
 
 

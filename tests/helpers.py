@@ -70,9 +70,7 @@ elements as literals the parsers read back, ``mass`` counts the vertex
 copies of a monoid element, ``graded_add`` adds two graded elements and
 ``group_order`` is the order of a finite group; ``row_skeleton`` gives a
 six-term row's Z-level skeleton from the library's own builder, and
-``row_groups`` lists the six groups of a skeleton; ``clear_caches``
-empties the library's process-wide Smith and skeleton caches before a
-test counts work.  ``sparse_graph`` draws
+``row_groups`` lists the six groups of a skeleton.  ``sparse_graph`` draws
 the sparse graphs, up to 200 vertices, that the Smith sweeps run on.
 """
 
@@ -84,7 +82,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 import leavitt.filtered as filtered
-from leavitt.filtered import ComparisonReport, PieceVerdict, _skeleton_element_search
+from leavitt.filtered import ComparisonReport, PieceVerdict
 from leavitt.graphs import (
     Graph,
     is_hereditary,
@@ -111,8 +109,6 @@ from leavitt.ktheory import (
     SixTermRow,
     SubquotientStore,
     _row_skeleton,
-    _skeleton_nodes,
-    _skeleton_signature,
     k_matrix,
     phi,
     psi_regular,
@@ -709,18 +705,6 @@ def row_skeleton(store: SubquotientStore, row: SixTermRow) -> tuple[GroupMap, ..
     inner, middle, outer = (_mask(store.graph, names) for names in row.triple)
     _, groups, matrices = _row_skeleton(store, inner, middle, outer)
     return tuple(GroupMap(groups[k], groups[k + 1], m) for k, m in enumerate(matrices))
-
-
-def clear_caches() -> None:
-    """Empty the process-wide caches of Smith records and of skeleton
-    verdicts (``snf``, ``ktheory._skeleton_nodes``,
-    ``ktheory._skeleton_signature`` and
-    ``filtered._skeleton_element_search``), so that a test which counts
-    work sees all of it, whatever ran before it in the process.  The
-    caches are held here from import time, so a test may call this after
-    it has patched their module names."""
-    for cache in (snf, _skeleton_nodes, _skeleton_signature, _skeleton_element_search):
-        cache.cache_clear()
 
 
 def row_groups(maps) -> tuple[PresentedGroup, ...]:

@@ -301,7 +301,6 @@ class TestCompare:
         g = H.disjoint_loops(3)
         table = fkbar(g, COEFF)
         skeletons = {H.row_skeleton(table.store, row) for row in table.rows}
-        reduced = {body.reduced for body in table.bodies}
         calls = []
         original = ktheory.map_invariants
 
@@ -310,12 +309,10 @@ class TestCompare:
             return original(*args)
 
         monkeypatch.setattr(ktheory, "map_invariants", counting)
-        H.clear_caches()
         assert compare_fkbar(g, g, COEFF, element_search=False).consistent
-        # both tables share one memo, and signatures are cached per skeleton
-        # in Smith coordinates: five maps per distinct one of 64 rows
+        # both tables share one memo: five maps per distinct skeleton of 64 rows
         assert len(skeletons) == 15
-        assert len(calls) == 5 * len(reduced)
+        assert len(calls) == 5 * len(skeletons)
 
     def test_entry_classes_once_per_table(self, monkeypatch):
         g = H.disjoint_loops(3)
@@ -548,8 +545,7 @@ class TestRowFailures:
 
 def count_eliminations(monkeypatch):
     """Matrix -> the list of (u, v) tracked by its Smith eliminations, in
-    run order, from empty Smith and skeleton caches, so no earlier test
-    serves a run."""
+    run order, from an empty Smith cache, so no earlier test serves a run."""
     runs = {}
     smith = intlinalg._smith
 
@@ -558,7 +554,7 @@ def count_eliminations(monkeypatch):
         return smith(m, u, v)
 
     monkeypatch.setattr(intlinalg, "_smith", counting)
-    H.clear_caches()
+    intlinalg.snf.cache_clear()
     return runs
 
 

@@ -727,25 +727,27 @@ class TestSmithCoordinates:
         skeletons = {H.row_skeleton(table.store, row) for row in table.rows}
         distinct = {body.reduced for body in table.bodies}
         calls["nodes"].clear()
-        H.clear_caches()
         assert compare_fkbar(g, g, COEFF_F5, element_search=False).consistent
-        # the nodes of each body, and the classes of each distinct skeleton
-        # in Smith coordinates, which the process caches
-        assert len(calls["nodes"]) == len(skeletons) >= 10
+        # the nodes and classes of each distinct skeleton in Smith
+        # coordinates, which the two tables' shared store decides once
+        assert len(calls["nodes"]) == len(distinct) < len(skeletons)
         assert len(calls["classes"]) == 5 * len(distinct)
         assert any(reduced not in skeletons for reduced in calls["nodes"])
 
 
-class TestSkeletonCaches:
+class TestSharedSkeletons:
     """Row verdicts are a function of the skeleton in Smith coordinates,
-    and the process decides each skeleton once: bodies of other shapes, or
-    of other tables, with one skeleton share its verdicts."""
+    and a store decides each skeleton once: bodies of other shapes with
+    one skeleton, in one table or in the two tables of a compare, share
+    its verdicts."""
 
     @pytest.mark.parametrize(
         "coeff", [CoeffGroup.symbolic("Gbar"), COEFF_F5], ids=["symbolic", "field5"]
     )
     def test_check_exact_once_per_skeleton(self, coeff, monkeypatch):
         graphs = [parse_graph(poset_loops(8, 0.3, 1, order_seed=s)) for s in (None, 5)]
+        bodies = {body for g in graphs for body in fkbar(g, coeff).bodies}
+        keys = {body.reduced for body in bodies}
         calls = []
         original = ktheory.check_exact
 
@@ -754,11 +756,7 @@ class TestSkeletonCaches:
             return original(maps)
 
         monkeypatch.setattr(ktheory, "check_exact", counting)
-        H.clear_caches()
-        tables = [fkbar(g, coeff) for g in graphs]
-        assert all(t.all_rows_exact for t in tables)
-        bodies = {body for t in tables for body in t.bodies}
-        keys = {body.reduced for body in bodies}
+        assert compare_fkbar(*graphs, coeff, element_search=False).consistent
         # the Z-level chain per skeleton, and for Z/m the twisted one too
         per_key = 2 if coeff.kind == "finite-cyclic" else 1
         assert len(calls) == per_key * len(keys) and 2 * len(keys) < len(bodies)
@@ -766,17 +764,16 @@ class TestSkeletonCaches:
     @pytest.mark.parametrize(
         "coeff", [COEFF_F5, CoeffGroup.symbolic("Gbar")], ids=["field5", "symbolic"]
     )
-    def test_equal_skeletons_have_equal_payloads(self, corpus, coeff, monkeypatch):
-        # with the caches bypassed each body decides its own verdicts, and
-        # the payload also reads the K1bar and K0 groups of its records
-        for name in ("_skeleton_nodes", "_skeleton_signature"):
-            monkeypatch.setattr(ktheory, name, getattr(ktheory, name).__wrapped__)
+    def test_equal_skeletons_have_equal_payloads(self, corpus, coeff):
+        # a body built without a store's skeleton decides its own verdicts,
+        # and the payload also reads the K1bar and K0 groups of its records
         graphs = [*corpus[:80], *(parse_graph(poset_loops(8, 0.3, s)) for s in range(3))]
         first = {}  # skeleton -> payload, nodes and signature of its first body
         shared = 0
         for g in graphs:
             for body in dict.fromkeys(fkbar(g, coeff).bodies):
-                got = cli._body_json(body), body.nodes, body.signature
+                own = ktheory._RowBody(body.k1bars, body.k0s, body.reduced, coeff)
+                got = cli._body_json(own), own.nodes, own.signature
                 seen = first.setdefault(body.reduced, got)
                 assert got == seen, g
                 shared += seen is not got
