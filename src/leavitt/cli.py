@@ -87,12 +87,12 @@ def _konebar_json(kb) -> dict:
 
 
 def _body_json(body) -> dict:
-    """The payload of a row body: exactness, each K1bar and K0 group and
-    the node verdicts."""
+    """The payload of a row's skeleton record: exactness, each K1bar and
+    K0 class and the node verdicts."""
     return {
         "exact": body.exact,
-        "k1bar": [_konebar_json(kb) for kb in body.k1bars],
-        "k0": [_group_json(kz.invariants()) for kz in body.k0s],
+        "k1bar": [_konebar_json(kb) for kb in body.k1bar_classes],
+        "k0": [_group_json(kz) for kz in body.k0_classes],
         "nodes": [
             {
                 "name": n.name,
@@ -106,8 +106,8 @@ def _body_json(body) -> dict:
 
 
 def _row_json(row) -> dict:
-    """The payload of a six-term row: its body's, and the vertex names of
-    each set of its triple."""
+    """The payload of a six-term row: its skeleton record's, and the vertex
+    names of each set of its triple."""
     return dict(_body_json(row.body), triple=[list(names) for names in row.triple])
 
 
@@ -120,15 +120,14 @@ def _row_texts(table, nl):
     ``row_triples`` order: ``dict(_row_json(row), lattice_triple=[i, j,
     p])`` as :func:`_put_json` writes it there.
 
-    A row's text is its body's, around holes for its lattice triple and
-    its vertex names; each lattice element's index and name list is
-    encoded once, and a row joins those strings.  A body's text is encoded
-    once per skeleton record of the table's store (``body.skeleton``, one
-    per distinct skeleton in Smith coordinates): the payload reads the
-    K1bar and K0 classes, the exactness and the node verdicts, and under
-    the table's one coefficient group each is a function of that skeleton,
-    so bodies of two shapes with one skeleton share one text.  A record
-    hashes by identity, so a row's lookup hashes no matrix."""
+    A row's text is its skeleton record's (``body``, one per distinct
+    skeleton in Smith coordinates of the table's store), around holes for
+    its lattice triple and its vertex names; each lattice element's index
+    and name list is encoded once, and a row joins those strings.  The
+    record's text is encoded once: its payload reads the K1bar and K0
+    classes, the exactness and the node verdicts off the record, so rows of
+    two shapes with one skeleton share one text.  A record hashes by
+    identity, so a row's lookup hashes no matrix."""
     inner, deeper = nl + "  ", nl + "    "
     members = map(table.lattice.members, range(len(table.lattice)))
     names = [deeper + _json_text(list(m), deeper) for m in members]
@@ -136,10 +135,10 @@ def _row_texts(table, nl):
     hole = _Text("\0")  # an encoded string escapes every NUL
     texts = {}
     for (i, j, p), body in zip(table.row_triples, table.bodies):
-        text = texts.get(body.skeleton)
+        text = texts.get(body)
         if text is None:
             payload = dict(_body_json(body), lattice_triple=hole, triple=hole)
-            text = texts[body.skeleton] = _json_text(payload, nl).split(hole)
+            text = texts[body] = _json_text(payload, nl).split(hole)
         start, middle, end = text
         yield _Text(
             f"{start}[{indices[i]},{indices[j]},{indices[p]}{inner}]"
@@ -483,8 +482,8 @@ def _cmd_sixterm(args):
     payload = _row_json(row)
     body = row.body
     lines = [
-        "Kbar1: " + " -> ".join(kb.symbol() for kb in body.k1bars),
-        "K0:   " + " -> ".join(str(kz.invariants()) for kz in body.k0s),
+        "Kbar1: " + " -> ".join(kb.symbol() for kb in body.k1bar_classes),
+        "K0:   " + " -> ".join(str(kz) for kz in body.k0_classes),
         f"exact: {body.exact}",
     ]
     for n in body.nodes:

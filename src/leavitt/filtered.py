@@ -10,15 +10,12 @@ from the prime posets until one matches every entry class and every row
 signature; a match is a necessary condition for the tables to be
 isomorphic as diagrams, never a proof, and the report says so explicitly.
 
-A comparison reads each row's body (``ktheory._RowBody``), which rows of
-one positional shape share: its signature and exactness are read once
-per body, and the element search runs once per pair of bodies, on their
-skeletons in Smith coordinates (``_RowBody.reduced``): one coordinate per
-invariant factor other than 1, so candidate isomorphisms are listed on the
-invariant factors and no map is rewritten per row pair.  Each is decided
-once per distinct skeleton of the tables' shared store, or pair of
-skeletons for the search (``ktheory._Skeleton``), so bodies of other
-shapes with equal skeletons share the work.
+A comparison reads each row as its skeleton record (``ktheory._Skeleton``),
+the row's maps in Smith coordinates, which every row with those maps
+shares: one coordinate per invariant factor other than 1, so candidate
+isomorphisms are listed on the invariant factors and no map is rewritten
+per row pair.  Signature and exactness are decided once per record of the
+tables' shared store, and the element search once per pair of records.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from .ktheory import (
     KOneBar,
     SixTermRow,
     SubquotientStore,
-    _RowBody,
+    _Skeleton,
     _moduli,
     _residues,
     _row_body,
@@ -107,13 +104,14 @@ class FilteredKTable:
     (#i <= j) * (#p >= j), and raises RowCapError past ``row_cap`` before
     any entry is built; then it builds every entry.  Lattice elements stay
     the vertex masks of ``lattice.elements``: an entry's pair and a row's
-    body come from the table's subquotient ``store`` by mask.  A row's
-    triple comes from the table's own lattice, so it is nested with a
-    hereditary saturated middle set, and ``body`` skips that validation of
-    :func:`~leavitt.ktheory.six_term_row`; every other check runs, once per
-    shape, on the matrices every row of that shape carries.  The
-    constructor builds no row, so a caller may still have the store share
-    another store's memos (``SubquotientStore._share``).
+    ``body``, its skeleton record, come from the table's subquotient
+    ``store`` by mask.  A row's triple comes from the table's own lattice,
+    so it is nested with a hereditary saturated middle set, and ``body``
+    skips that validation of :func:`~leavitt.ktheory.six_term_row`; every
+    other check runs, once per shape, on the matrices every row of that
+    shape carries.  The constructor builds no row, so a caller may still
+    have the store share another store's memos
+    (``SubquotientStore._share``).
     """
 
     def __init__(self, g: Graph, coeff: CoeffGroup, lattice_cap: int = 4096, row_cap: int = 65_536):
@@ -142,20 +140,21 @@ class FilteredKTable:
         above = [[j for j in range(i, n) if lattice.leq(i, j)] for i in range(n)]
         self.row_triples = tuple((i, j, p) for i in range(n) for j in above[i] for p in above[j])
 
-    def body(self, trip) -> _RowBody:
-        """The body of a nested lattice triple, which the caller vouches for:
-        one of ``row_triples``, or its image under a lattice isomorphism."""
+    def body(self, trip) -> _Skeleton:
+        """The skeleton record of a nested lattice triple, which the caller
+        vouches for: one of ``row_triples``, or its image under a lattice
+        isomorphism."""
         return _row_body(self.store, *map(self.lattice.elements.__getitem__, trip))
 
     @cached_property
-    def bodies(self) -> tuple[_RowBody, ...]:
-        """The body of every row, in the order of ``row_triples``, each
-        triple's looked up once."""
+    def bodies(self) -> tuple[_Skeleton, ...]:
+        """The skeleton record of every row, in the order of
+        ``row_triples``, each triple's looked up once."""
         return tuple(map(self.body, self.row_triples))
 
     def row(self, trip) -> SixTermRow | None:
-        """The row of a lattice triple, its names over its body; None when
-        the triple is not nested."""
+        """The row of a lattice triple, its names over its skeleton record;
+        None when the triple is not nested."""
         inner, middle, outer = (self.lattice.elements[k] for k in trip)
         if inner & ~middle or middle & ~outer:
             return None
@@ -184,17 +183,18 @@ def fkbar(
 ) -> FilteredKTable:
     """Compute the filtered table: an entry per piece, a row per ideal triple.
 
-    Each row body's checks run at construction and its node verdicts are
+    Each row shape's checks run at construction and its node verdicts are
     decided when first read; ``all_rows_exact`` reads and summarizes them
     rather than hiding them.  Every pair an entry or a row needs is read
     once per difference mask, as blocks of the graph's matrices with its
-    K-groups, and shared, and so is the body of each positional row shape
-    with its exactness verdict.  Raises RowCapError before any entry is
-    built when the lattice has more than ``row_cap`` nested triples;
-    otherwise builds the body of every row before it returns.
+    K-groups, and shared, and so is the skeleton record of each positional
+    row shape with its exactness verdict.  Raises RowCapError before any
+    entry is built when the lattice has more than ``row_cap`` nested
+    triples; otherwise looks up the record of every row before it
+    returns.
     """
     table = FilteredKTable(g, coeff, lattice_cap, row_cap)
-    table.bodies  # builds the body of every row
+    table.bodies  # builds the skeleton record of every row
     return table
 
 
@@ -254,27 +254,25 @@ def _squares_commute(beta, f_a, f_b, alpha, moduli) -> bool:
     return not any(map(any, _residues(beta @ f_a - f_b @ alpha, moduli)))
 
 
-def _row_element_check(body_a: _RowBody, body_b: _RowBody):
+def _row_element_check(a: _Skeleton, b: _Skeleton):
     """Search for a commuting system of node isomorphisms between the rows
-    of two bodies of equal signatures.  Returns "passed", "refuted" (no
-    system exists), or "skipped" when a node has more candidates than the
-    node cap.
+    of two skeleton records of equal signatures.  Returns "passed",
+    "refuted" (no system exists), or "skipped" when a node has more
+    candidates than the node cap.
 
-    A body passes against itself: its rows are the same matrices, so the
-    identity at each node is one.  That rule comes first because it also
-    decides pairs whose nodes are past the node cap, which the search
-    would skip, so no outcome kept for a pair of skeletons is read for a
-    body paired with itself.  Any other pair, two distinct bodies with one
-    skeleton included, goes to :func:`_skeleton_element_search` on the
-    bodies' skeletons in Smith coordinates (``_RowBody.reduced``), whose
+    A record passes against itself.  Two rows with one skeleton in Smith
+    coordinates are each isomorphic to it, through the Smith-coordinate
+    isomorphisms of their groups, so the identity at each node of the
+    record is a commuting system between them.  That rule comes first
+    because it also decides pairs whose nodes are past the node cap, which
+    the search would skip.  Any other pair goes to
+    :func:`_skeleton_element_search` on the two records' maps, whose
     outcome depends on those two skeletons alone.  The outcome is kept on
-    the first body's skeleton record (``ktheory._Skeleton.searches``),
-    keyed by the second's, so the bodies of one store search each pair of
-    skeletons once.
+    the first record (``ktheory._Skeleton.searches``), keyed by the
+    second, so the rows of one store search each pair of records once.
     """
-    if body_a is body_b:
+    if a is b:
         return "passed"
-    a, b = body_a.skeleton, body_b.skeleton
     outcome = a.searches.get(b)
     if outcome is None:
         outcome = a.searches[b] = _skeleton_element_search(a.maps, b.maps)
@@ -372,12 +370,12 @@ class ComparisonReport:
     and every row signature (and survived the element-level search when it
     ran).  ``certification`` records how much of the isomorphism space was
     covered: "structural" for signature matching only, "bounded" when the
-    element-level search skipped some pair of row bodies (a node past the
-    candidate cap), "exhaustive" when the search of every pair of bodies
-    the rows pair covered every system of node isomorphisms.  The search
-    runs once per pair of bodies, and each ``map_matches`` verdict is that
-    of its row's pair.  ``note`` flags that consistency is a necessary
-    condition, not a proof.
+    element-level search skipped some pair of row skeletons (a node past
+    the candidate cap), "exhaustive" when the search of every pair of
+    skeletons the rows pair covered every system of node isomorphisms.
+    The search runs once per pair of skeleton records, and each
+    ``map_matches`` verdict is that of its row's pair.  ``note`` flags
+    that consistency is a necessary condition, not a proof.
     """
 
     consistent: bool
@@ -433,22 +431,19 @@ def _entry_names(e: TableEntry) -> tuple[str, str, str]:
 
 def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool):
     """Row verdicts under a lattice isomorphism, the first failure, and the
-    element search outcomes, one per pair of bodies searched.
+    element search outcomes, one per pair of skeleton records searched.
 
-    Everything is read on the rows' bodies, and a row's verdict depends on
-    nothing else, so it is decided once per distinct pair of bodies and
-    stamped on every triple of that pair.  Every pair's signatures are
-    compared before any body's exactness is read or any element search
-    runs: the signatures take the kernels of matrices whose diagonals those
-    read (see ``ktheory._RowBody``), so each such matrix is eliminated
-    once.
+    Everything is read on the rows' records, and a row's verdict depends
+    on nothing else, so it is decided once per distinct pair of records and
+    stamped on every triple of that pair.  A record matches itself without
+    reading its signature (see :func:`_row_element_check`).
     """
     # an order isomorphism maps a nested triple to a nested triple
     pairs = [
         (body, t2.body((iso[i], iso[j], iso[p])))
         for (i, j, p), body in zip(t1.row_triples, t1.bodies)
     ]
-    same = {pair: pair[0].signature == pair[1].signature for pair in pairs}
+    same = {(a, b): a is b or a.signature == b.signature for a, b in pairs}
     decided = {}
     element_outcomes = []
     for (body, other), matched in same.items():
@@ -480,11 +475,11 @@ def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool)
 
 def _element_check(element_outcomes) -> tuple[str, str]:
     """The report's element check and certification from the outcomes of
-    the pairs of bodies searched: "structural" when none was searched,
-    "exhaustive" when every search passed, else "bounded".  A search that
-    is not skipped covers every isomorphism, so on a consistent report
-    "bounded" means some pair was skipped, and the element check reads
-    "inconclusive"."""
+    the pairs of skeleton records searched: "structural" when none was
+    searched, "exhaustive" when every search passed, else "bounded".  A
+    search that is not skipped covers every isomorphism, so on a consistent
+    report "bounded" means some pair was skipped, and the element check
+    reads "inconclusive"."""
     if not element_outcomes:
         return "skipped", "structural"
     if all(e == "passed" for e in element_outcomes):
@@ -512,17 +507,18 @@ def compare_fkbar(
     checked against ``lattice_cap`` and ``row_cap``, with their entries
     before any candidate is tried.  An entry's class is computed once, when
     a candidate pairs it with an entry of another transfer matrix or the
-    report's verdicts need it; a row body is built only when a candidate
-    matches every entry.  Each body is built at most once, whatever the
+    report's verdicts need it; a row shape is built only when a candidate
+    matches every entry.  Each shape is built at most once, whatever the
     number of candidates, and every row verdict is read on the rows'
-    bodies.  The two tables share one body per positional row shape and
-    one set of Smith coordinates, so each row shape is built, checked,
-    decided and classed once, each K0 presentation reduced once, and each
-    pair of bodies that a candidate pairs is searched for isomorphism
-    systems once; a row whose image row has its shape has its body, and
-    passes by the identity.  So a comparison that fails at its entries runs
-    no elimination that tracks a transform, and one whose candidate pairs
-    equal transfer matrices eliminates no matrix twice.
+    skeleton records.  The two tables share one record per skeleton in
+    Smith coordinates and one set of Smith coordinates, so each row shape
+    is built and checked once, each record decided and classed once, each
+    K0 presentation reduced once, and each pair of records that a
+    candidate pairs is searched for isomorphism systems once; a row whose
+    image row has its skeleton has its record, and passes by the identity
+    without reading its signature.  So a comparison that fails at its
+    entries runs no elimination that tracks a transform, and one whose
+    candidate pairs equal transfer matrices eliminates no matrix twice.
 
     Every candidate pairs every piece and every row.  A candidate is an
     order isomorphism of finite distributive lattices:

@@ -602,6 +602,12 @@ def _extent(sd: SmithData):
     return len(nonzero), math.prod(nonzero)
 
 
+def _kernel_extent(sd: SmithData):
+    """``_extent`` of the record ``sd``, read after its kernel."""
+    sd.kernel
+    return _extent(sd)
+
+
 def _spans_into(gens: IntMatrix, lattice: IntMatrix) -> bool:
     """Is every column of ``gens`` in the column span of ``lattice``?
 
@@ -767,9 +773,12 @@ def check_exact(maps) -> tuple[NodeVerdict, ...]:
     Each map m is stacked as [m | R_cod] once, and its one Smith record
     serves both nodes that read it: the node before m reads its kernel,
     whose top block generates the preimage of R_cod under m (see
-    :func:`preimage_lattice`), and m's own node reads its diagonal, the
-    extent of im(m) + R_cod, which that kernel run has yielded.  So a chain
-    of n maps asks :func:`snf` for n + 2(n - 1) records.
+    :func:`preimage_lattice`), and m's own node reads its extent, that of
+    im(m) + R_cod.  So a chain of n maps asks :func:`snf` for n + 2(n - 1)
+    records.  Every lattice is eliminated tracking v, its kernel read
+    before its extent: a lattice of one chain may be the stacked map of
+    another, or a lattice whose kernel :func:`map_invariants` reads, and
+    then the one run serves both readers.
     """
     maps = list(maps)
     records = [snf(f.matrix.hstack(f.codomain.relations)) for f in maps]
@@ -780,12 +789,12 @@ def check_exact(maps) -> tuple[NodeVerdict, ...]:
             raise ValueError(f"maps {idx} and {idx + 1} are not composable")
         preimage = records[idx + 1].kernel.take_rows(range(g.matrix.cols))
         kernel_rel = preimage.hstack(f.codomain.relations)
-        union = _extent(snf(kernel_rel.hstack(f.matrix)))
+        union = _kernel_extent(snf(kernel_rel.hstack(f.matrix)))
         verdicts.append(
             NodeVerdict(
                 idx,
-                _extent(snf(kernel_rel)) == union,
-                _extent(records[idx]) == union,
+                _kernel_extent(snf(kernel_rel)) == union,
+                _kernel_extent(records[idx]) == union,
             )
         )
     return tuple(verdicts)

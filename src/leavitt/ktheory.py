@@ -16,23 +16,18 @@ declared vertex), and a :class:`SubquotientStore` keys each pair by its
 difference mask.  The row of a triple I <= J <= P is three pairs, J
 minus I, P minus I and P minus J, and depends on the triple only through
 its positional shape: the adjacency block of P minus I and the positions
-in it of J minus I.  ``_row_body`` builds one row body (``_RowBody``)
-per shape, and a :class:`SixTermRow` is a triple of vertex names over
-it.  ``_row_skeleton`` builds and checks the row's skeleton of six
-groups and five maps; the body keeps it only on the invariant factors
-other than 1 of each K0 presentation (``_SmithCoordinates``, with
-certified transforms), an isomorphism of each group under which the maps
-stay well defined, so verdicts about images, kernels and cokernels do
-not change, and decides exactness and its signature there, once.
-
-Those decisions are pure functions of the skeleton in Smith coordinates
-(``_RowBody.reduced``, a tuple of frozen, hashable maps), and bodies of
-many shapes share one such skeleton.  So a store keeps one
-:class:`_Skeleton` per distinct skeleton, keyed by its maps in full,
-never by a row shape, and every body of the store with that skeleton
-reads its verdicts, its signature and its element searches: each is
-decided once per store, for as long as the store lives, and a skeleton
-that differs in any entry has a record of its own.
+in it of J minus I.  ``_row_skeleton`` builds and checks the row's
+skeleton of six groups and five maps, and ``_row_body`` keeps it only on
+the invariant factors other than 1 of each K0 presentation
+(``_SmithCoordinates``, with certified transforms), an isomorphism of
+each group under which the maps stay well defined, so verdicts about
+images, kernels and cokernels do not change.  Rows of many shapes share
+one skeleton in Smith coordinates, so a store keeps one
+:class:`_Skeleton` record per distinct skeleton, keyed by its maps in
+full, and maps each shape to it.  A row is that record: a
+:class:`SixTermRow` is a triple of vertex names over it, and its
+verdicts, signature, element searches and printed classes are read off
+the record, each decided once per store.
 """
 
 from __future__ import annotations
@@ -111,8 +106,34 @@ def k0(g: Graph) -> PresentedGroup:
     return PresentedGroup(k_matrix(g))
 
 
+class _OneBarText:
+    """How a K1bar group is written, read off its ``kernel_rank`` and its
+    twisted cokernel ``coker_part``: by :class:`KOneBar` and by the K1bar
+    classes of a row skeleton (``_OneBarClass``)."""
+
+    __slots__ = ()
+
+    def isomorphism_class(self) -> FgAbGroup | None:
+        spec = self.coker_part.specialize()
+        if spec is None:
+            return None
+        return FgAbGroup(self.kernel_rank, ()).direct_sum(spec)
+
+    def symbol(self) -> str:
+        """The group as text.  A transfer matrix has no more columns than
+        rows, so a positive kernel rank leaves the cokernel a free part
+        too, and then the twisted cokernel's symbol is never "0"."""
+        iso = self.isomorphism_class()
+        if iso is not None:
+            return str(iso)
+        coker = self.coker_part.symbol()
+        if self.kernel_rank == 0:
+            return coker
+        return f"{FgAbGroup(self.kernel_rank, ())} ⊕ {coker}"
+
+
 @dataclass(frozen=True)
-class KOneBar:
+class KOneBar(_OneBarText):
     """K1 (or its reduced variant) split as twisted cokernel plus free kernel.
 
     ``coker_part`` is the cokernel of the transfer matrix with coefficients
@@ -147,23 +168,14 @@ class KOneBar:
         of the twisted cokernel."""
         return self.kernel_rank, self.coker_part.class_key()
 
-    def isomorphism_class(self) -> FgAbGroup | None:
-        spec = self.coker_part.specialize()
-        if spec is None:
-            return None
-        return FgAbGroup(self.kernel_rank, ()).direct_sum(spec)
 
-    def symbol(self) -> str:
-        """The group as text.  A transfer matrix has no more columns than
-        rows, so a positive kernel rank leaves the cokernel a free part
-        too, and then the twisted cokernel's symbol is never "0"."""
-        iso = self.isomorphism_class()
-        if iso is not None:
-            return str(iso)
-        coker = self.coker_part.symbol()
-        if self.kernel_rank == 0:
-            return coker
-        return f"{FgAbGroup(self.kernel_rank, ())} ⊕ {coker}"
+@dataclass(frozen=True, slots=True)
+class _OneBarClass(_OneBarText):
+    """A K1bar group up to isomorphism: its kernel rank and its twisted
+    cokernel."""
+
+    kernel_rank: int
+    coker_part: CoeffCokernel
 
 
 def k1(g: Graph, coeff: CoeffGroup) -> KOneBar:
@@ -435,20 +447,19 @@ class SubquotientStore:
     row work that depends only on matrices and so repeats across the rows
     of a table:
 
-    - ``_bodies``: one :class:`_RowBody` per positional shape (see the
-      module docstring), built and checked by the first row of that shape
-      and shared by every later one, over the records of its three pairs;
-    - ``_skeletons``: one :class:`_Skeleton` per distinct skeleton in
-      Smith coordinates, keyed by its maps, which every body of that
-      skeleton reads, whatever its shape;
+    - ``_skeletons``: one :class:`_Skeleton` record per distinct skeleton
+      in Smith coordinates, keyed by its maps;
+    - ``_bodies``: each positional shape (see the module docstring) mapped
+      to its record, which the first row of that shape builds and checks
+      over the records of its three pairs;
     - the Smith coordinates of each K0 presentation, reduced and certified
       once.
 
     Exactness, kernels, images and cokernels are statements about
     subgroups, so an isomorphism of each group carries them over; the
     verdicts and classes decided in Smith coordinates are those of the
-    skeleton itself, whose maps are well defined (the squares each body
-    checks, and free domains).  A body is matrices only, so two stores
+    skeleton itself, whose maps are well defined (the squares each shape
+    checks, and free domains).  A record is matrices only, so two stores
     with one coefficient group may share these memos (``_share``).
     """
 
@@ -462,7 +473,7 @@ class SubquotientStore:
         self._reductions = {}
 
     def _share(self, other: SubquotientStore) -> None:
-        """Use the row bodies, skeletons and Smith coordinates of
+        """Use the shapes, skeleton records and Smith coordinates of
         ``other``, a store with the same coefficient group."""
         self._bodies = other._bodies
         self._skeletons = other._skeletons
@@ -482,59 +493,17 @@ class SubquotientStore:
         return coords
 
 
-class _RowBody:
-    """The body that every six-term row of one positional shape shares.
-
-    Groups run K1bar(ideal part) -> K1bar(middle) -> K1bar(quotient part)
-    -> K0(ideal part) -> K0(middle) -> K0(quotient part).  ``k1bars`` and
-    ``k0s`` are those groups, the ``k1`` and ``k0`` of the store's records
-    of J minus I, P minus I and P minus J, and ``reduced`` is the skeleton
-    tau1, tau2, delta, u12 and u23 between them in their Smith coordinates
-    (``_SmithCoordinates``; a free kernel part in kernel-basis coordinates).
-    What is decided there is read from ``skeleton``, the store's
-    :class:`_Skeleton` of ``reduced``, and kept: the verdicts at the four
-    interior nodes (``nodes``), exactness (``exact``) and the signature
-    that a table comparison matches (``signature``).  So a body whose
-    skeleton another body of the store already has decides nothing anew,
-    and holds that record's maps as ``reduced``; a body built without a
-    store's record gets one of its own.
-
-    A comparison reads the signature before the nodes.  The signature reads
-    the kernels of the matrices whose Smith diagonals the node checks read,
-    so in that order each of those matrices is eliminated once.  Bodies
-    are equal only when they are the same object.
-    """
-
-    def __init__(self, k1bars, k0s, reduced, coeff: CoeffGroup, skeleton: _Skeleton | None = None):
-        self.skeleton = _Skeleton(reduced, coeff) if skeleton is None else skeleton
-        self.k1bars, self.k0s, self.reduced = k1bars, k0s, self.skeleton.maps
-
-    @cached_property
-    def nodes(self) -> tuple[NodeReport, ...]:
-        return self.skeleton.node_reports
-
-    @cached_property
-    def exact(self) -> bool:
-        return all(n.exact for n in self.nodes)
-
-    @cached_property
-    def signature(self) -> tuple:
-        """Invariant pair of the row in Smith coordinates (see
-        ``_Skeleton.invariant_pair``)."""
-        return self.skeleton.invariant_pair
-
-
 class _Skeleton:
     """A row skeleton in Smith coordinates, ``maps``, under the coefficient
-    group ``coeff``, and what is decided on it, each when first read and
-    kept: the verdicts at the four interior nodes (``node_reports``, from
-    :func:`_skeleton_nodes`), the invariant pair that a comparison matches
-    (``invariant_pair``) and, in ``searches``, the outcome of the element
-    search against each other skeleton (see
-    :func:`~leavitt.filtered._row_element_check`).  A store keeps one per
-    distinct ``maps`` for as long as it lives
-    (``SubquotientStore._skeletons``), so that work is done once per store
-    for all the bodies of one skeleton.
+    group ``coeff``: tau1 and tau2 between the free kernel parts of the
+    three K1bar groups, delta into K0 of the ideal part, and u12 and u23
+    between the K0 groups.  Every row of a store with these maps is this
+    record, whatever its shape, and what is decided on it is kept when
+    first read: the verdicts at the four interior nodes (``nodes``),
+    ``exact``, the ``signature`` that a comparison matches and, in
+    ``searches``, the element search against each other record (see
+    :func:`~leavitt.filtered._row_element_check`).  The classes a row
+    prints are read off its groups.  Records compare by identity.
     """
 
     def __init__(self, maps, coeff: CoeffGroup):
@@ -542,23 +511,41 @@ class _Skeleton:
         self.searches = {}
 
     @cached_property
-    def node_reports(self) -> tuple[NodeReport, ...]:
+    def nodes(self) -> tuple[NodeReport, ...]:
         return _skeleton_nodes(self.maps, self.coeff)
 
     @cached_property
-    def invariant_pair(self) -> tuple:
+    def exact(self) -> bool:
+        return all(n.exact for n in self.nodes)
+
+    @cached_property
+    def signature(self) -> tuple:
         """The six group classes and the kernel/image/cokernel classes of
         the five maps (:func:`~leavitt.intlinalg.map_invariants`).  Equal
-        pairs mean no Z-level rank or invariant factor tells two rows
-        apart.  With one coefficient group the K1bar classes add nothing: a
-        kernel rank is the rank of a free node, and a twisted cokernel is
-        read off the K0 class of the same block."""
+        signatures mean no Z-level rank or invariant factor tells two rows
+        apart.  With one coefficient group the K1bar classes add nothing:
+        a kernel rank is the rank of a free node, and a twisted cokernel
+        is read off the K0 class of the same block."""
         maps = self.maps
         groups = (maps[0].domain,) + tuple(f.codomain for f in maps)
         classes = tuple(
             map_invariants(f.matrix, f.domain.relations, f.codomain.relations) for f in maps
         )
         return tuple(FgAbGroup.from_parts(0, _moduli(n)) for n in groups), classes
+
+    @property
+    def k0_classes(self) -> tuple[FgAbGroup, ...]:
+        """K0 of the ideal part, the middle and the quotient part."""
+        return tuple(FgAbGroup.from_parts(0, _moduli(f.codomain)) for f in self.maps[2:])
+
+    @property
+    def k1bar_classes(self) -> tuple[_OneBarClass, ...]:
+        """K1bar of the same parts: a free node's rank, and the twisted
+        cokernel of the K0 class of the same block."""
+        return tuple(
+            _OneBarClass(f.domain.generators, CoeffCokernel(self.coeff, k.torsion, k.free_rank))
+            for f, k in zip(self.maps, self.k0_classes)
+        )
 
 
 def _kernel_coordinates(target_basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
@@ -631,12 +618,13 @@ def _skeleton_nodes(maps, coeff: CoeffGroup) -> tuple[NodeReport, ...]:
 @dataclass(frozen=True, slots=True)
 class SixTermRow:
     """One row of the filtered K-theory ladder for a nested ideal triple:
-    the triple's vertex names over the :class:`_RowBody` of its positional
-    shape, which holds the groups, the maps and the verdicts at the four
-    interior nodes, and which every row of that shape shares."""
+    the triple's vertex names over ``body``, the store's :class:`_Skeleton`
+    record of the row, which holds the maps in Smith coordinates, the
+    groups' classes and the verdicts at the four interior nodes, and which
+    every row with that skeleton shares."""
 
     triple: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
-    body: _RowBody
+    body: _Skeleton
 
 
 def six_term_row(g: Graph, inner, middle, outer, coeff: CoeffGroup) -> SixTermRow:
@@ -644,9 +632,10 @@ def six_term_row(g: Graph, inner, middle, outer, coeff: CoeffGroup) -> SixTermRo
 
     A triple that is not nested, or a middle, inner or outer set that is
     not hereditary saturated, raises ValueError before any pair is built,
-    in that order.  The sets then become vertex masks, and the body comes
-    from ``_row_body`` on a store of its own; a filtered table calls that
-    directly, on its own store, for the triples of its lattice.
+    in that order.  The sets then become vertex masks, and the skeleton
+    record comes from ``_row_body`` on a store of its own; a filtered
+    table calls that directly, on its own store, for the triples of its
+    lattice.
     """
     inner = frozenset(inner)
     middle = frozenset(middle)
@@ -663,38 +652,38 @@ def six_term_row(g: Graph, inner, middle, outer, coeff: CoeffGroup) -> SixTermRo
     return SixTermRow(tuple(_vertices(g, m) for m in masks), body)
 
 
-def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _RowBody:
-    """The body of the row of a nested triple of hereditary saturated sets
-    of the store's graph, given as vertex masks, which the caller vouches
-    for.
+def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _Skeleton:
+    """The skeleton record of the row of a nested triple of hereditary
+    saturated sets of the store's graph, given as vertex masks, which the
+    caller vouches for.
 
-    The body depends only on the row's positional shape: the adjacency
+    The skeleton depends only on the row's positional shape: the adjacency
     block of the middle pair (inner, outer) and the positions ``hprime``
     in it of the middle ideal H'.  The first row of a shape builds its
     skeleton (:func:`_row_skeleton`) and keeps it only in the Smith
     coordinates of its groups, whose products also check the shape of each
-    map; every later row gets the body from the store.
+    map; every later row of the shape gets the same record.
     """
     pair = store.get(outer & ~inner)
     hprime = tuple(k for k, i in enumerate(pair.rows) if middle >> i & 1)
     shape = (pair.adjacency, hprime)
-    body = store._bodies.get(shape)
-    if body is None:
-        k1bars, groups, matrices = _row_skeleton(store, inner, middle, outer)
+    skeleton = store._bodies.get(shape)
+    if skeleton is None:
+        groups, matrices = _row_skeleton(store, inner, middle, outer)
         coords = [store._coordinates_of(grp) for grp in groups]
         reduced = tuple(_in_coordinates(m, coords[k], coords[k + 1]) for k, m in enumerate(matrices))
         skeleton = store._skeletons.get(reduced)
         if skeleton is None:
             skeleton = store._skeletons[reduced] = _Skeleton(reduced, store.coeff)
-        body = store._bodies[shape] = _RowBody(k1bars, groups[3:], reduced, store.coeff, skeleton)
-    return body
+        store._bodies[shape] = skeleton
+    return skeleton
 
 
 def _row_skeleton(store: SubquotientStore, inner: int, middle: int, outer: int):
     """The Z-level skeleton of the row of a nested triple I <= J <= P of
-    vertex masks: its three K1bar groups, its six groups (the free kernel
-    parts, then the K0 presentations) and the five matrices of tau1, tau2,
-    delta, u12 and u23 between them.
+    vertex masks: its six groups (the free kernel parts of the three K1bar
+    groups, then the K0 presentations) and the five matrices of tau1,
+    tau2, delta, u12 and u23 between them.
 
     Every matrix is a block of the transfer matrix ``km`` of the pair P
     minus I, in which H' = J minus I is hereditary saturated: the ideal part
@@ -704,8 +693,8 @@ def _row_skeleton(store: SubquotientStore, inner: int, middle: int, outer: int):
     basis.  The parts are the pairs J minus I, which is (P minus I) meet J,
     and P minus J, which is (P minus I) minus J: their records list ``rows``
     and ``regs`` rising, as ``hprime`` and ``reg1`` do, so their ``km`` are
-    the blocks, and the row takes their ``k1`` and ``k0``.  Both intertwining
-    squares say one thing: ``km`` is zero at the quotient's rows and the
+    the blocks, and the row takes their ``k1`` kernels and ``k0``.  Both
+    intertwining squares say one thing: ``km`` is zero at the quotient's rows and the
     regular columns of H', so no edge leaves H' from one of its regular
     vertices.  That is checked as a bug guard, and so is each kernel
     coordinate of tau1 and tau2 (:func:`_kernel_coordinates`).
@@ -734,4 +723,4 @@ def _row_skeleton(store: SubquotientStore, inner: int, middle: int, outer: int):
         eye.take_columns(hprime),
         eye.take_rows(vert3),
     )
-    return k1bars, free + k0s, matrices
+    return free + k0s, matrices

@@ -698,12 +698,13 @@ def check_well_defined(gmap: GroupMap) -> bool:
 
 def row_skeleton(store: SubquotientStore, row: SixTermRow) -> tuple[GroupMap, ...]:
     """The Z-level skeleton of a row of the store's graph: tau1, tau2,
-    delta, u12 and u23 between its six groups, unnamed like the maps of
-    ``_RowBody.reduced``, from the library's builder
-    (``ktheory._row_skeleton``), whose matrices ``_row_body`` reduces to
-    Smith coordinates.  Any store of the graph gives the same skeleton."""
+    delta, u12 and u23 between its six groups, unnamed like the maps of a
+    skeleton record (``ktheory._Skeleton.maps``), from the library's
+    builder (``ktheory._row_skeleton``), whose matrices ``_row_body``
+    reduces to Smith coordinates.  Any store of the graph gives the same
+    skeleton."""
     inner, middle, outer = (_mask(store.graph, names) for names in row.triple)
-    _, groups, matrices = _row_skeleton(store, inner, middle, outer)
+    groups, matrices = _row_skeleton(store, inner, middle, outer)
     return tuple(GroupMap(groups[k], groups[k + 1], m) for k, m in enumerate(matrices))
 
 

@@ -194,7 +194,7 @@ class TestExitCodes:
 
 class TestStreamedReports:
     """``fk`` writes its rows while it encodes them, each joined from the
-    text of its body and of its lattice elements, after every row is built
+    text of its skeleton record and of its lattice elements, after every row is built
     and checked."""
 
     def test_fk_on_six_loops_stays_small(self, tmp_path):
@@ -239,14 +239,13 @@ class TestStreamedReports:
         ]
 
     def test_fk_encodes_each_skeleton_once(self, capsys, tmp_path, monkeypatch):
-        # under the table's one coefficient group a body's payload is a
-        # function of its skeleton in Smith coordinates, so bodies of two
+        # a row's payload is read off its skeleton record, so rows of two
         # shapes with one skeleton share one text
         text = poset_loops(8, 0.3, 1)
         path = tmp_path / "poset.graph"
         path.write_text(text, encoding="utf-8")
         table = filtered.fkbar(parse_graph(text), cli._coeff("symbolic", reduced=True))
-        distinct = {body.reduced for body in table.bodies}
+        distinct = set(table.bodies)
         encoded = []
         body_json = cli._body_json
 
@@ -257,7 +256,7 @@ class TestStreamedReports:
         monkeypatch.setattr(cli, "_body_json", counting)
         code, out, _ = run(capsys, ["--json", "fk", str(path)])
         assert code == 0 and len(json.loads(out)["rows"]) == len(table.row_triples)
-        assert len(encoded) == len(distinct) < len(set(table.bodies))
+        assert len(encoded) == len(distinct) < len(table.store._bodies)
 
     def test_failed_check_on_the_last_row_writes_nothing(self, capsys, files, monkeypatch):
         built = []

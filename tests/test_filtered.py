@@ -12,11 +12,19 @@ import leavitt.intlinalg as intlinalg
 import leavitt.ktheory as ktheory
 from leavitt import cli
 from leavitt.filtered import RowCapError, compare_fkbar, fkbar, transport_from_certificate
-from leavitt.graphs import Graph, graph_from_matrix, graph_to_text, relabel, subquotient
+from leavitt.graphs import (
+    Graph,
+    graph_from_matrix,
+    graph_to_text,
+    parse_graph,
+    relabel,
+    subquotient,
+)
 from leavitt.intlinalg import CoeffGroup, FgAbGroup, IntMatrix, PresentedGroup
 from leavitt.ktheory import k0, k1, k_matrix, six_term_row
 from leavitt.lattice import IdealLattice, LatticeCapError, enumerate_hsat, hsat_closure
 from leavitt.shifts import shift_equivalent_bounded
+from walls import poset_loops
 
 
 COEFF = CoeffGroup.reduced_units_of_field(5)
@@ -125,9 +133,9 @@ class TestTable:
                 slots = [((i, j), 0), ((i, p), 1), ((j, p), 2)]
                 for pair, slot in slots:
                     inv = (
-                        row.body.k0s[slot].invariants(),
-                        row.body.k1bars[slot].isomorphism_class(),
-                        row.body.k1bars[slot].symbol(),
+                        row.body.k0_classes[slot],
+                        row.body.k1bar_classes[slot].isomorphism_class(),
+                        row.body.k1bar_classes[slot].symbol(),
                     )
                     if pair in seen:
                         assert seen[pair] == inv, (g, pair)
@@ -157,7 +165,7 @@ class TestTable:
             assert inv1 == inv2
 
 
-BODY_FIELDS = ("k0s", "k1bars", "reduced", "nodes")
+BODY_FIELDS = ("maps", "nodes", "k0_classes", "k1bar_classes")
 
 
 class TestSharedSubquotients:
@@ -179,8 +187,6 @@ class TestSharedSubquotients:
                 body, fresh = row.body, fresh.body
                 for name in BODY_FIELDS:
                     assert getattr(body, name) == getattr(fresh, name), (g, row.triple, name)
-                assert [k.invariants() for k in body.k0s] == [k.invariants() for k in fresh.k0s]
-                assert [k.symbol() for k in body.k1bars] == [k.symbol() for k in fresh.k1bars]
                 rows += 1
             for e in t.entries:
                 sub = subquotient(g, e.inner_members, e.outer_members)
@@ -220,7 +226,7 @@ class TestCompare:
         g = H.disjoint_loops(3)
         calls = {"signature": [], "exact": [], "element": []}
         for name in ("signature", "exact"):
-            prop = vars(ktheory._RowBody)[name]
+            prop = vars(ktheory._Skeleton)[name]
 
             def counting(body, compute=prop.func, name=name):
                 calls[name].append(body)
@@ -237,13 +243,14 @@ class TestCompare:
         rep = compare_fkbar(g, g, COEFF)
         assert rep.consistent and len(rep.map_matches) == 64
         assert all(v.matched for v in rep.map_matches)
-        # the 64 rows of each table have 15 bodies between them: one
-        # signature and one exactness verdict per body, and one element
-        # search per pair of bodies, not one per row or per candidate
-        bodies = set(calls["signature"])
-        assert len(bodies) == len(calls["signature"]) == 15
-        assert set(calls["exact"]) == bodies and len(calls["exact"]) == 15
+        # the 64 rows of each table have 15 skeleton records between them,
+        # each paired with itself: one exactness verdict per record and one
+        # element search per pair of records, not one per row or per
+        # candidate, and no signature, since a record matches itself
+        records = set(calls["exact"])
+        assert len(records) == len(calls["exact"]) == 15 and calls["signature"] == []
         assert len(calls["element"]) == len(set(calls["element"])) == 15
+        assert all(a is b for a, b in calls["element"])
 
     def test_row_passes_call_no_leq(self, monkeypatch):
         # only the ``above`` lists of ``row_triples`` compare lattice
@@ -274,10 +281,11 @@ class TestCompare:
         assert row.triple == ((), ("x0",), ("x0", "x1")) and len(t.store._bodies) == 1
         again = t.row(trip)
         assert again == row and again.body is row.body and len(t.store._bodies) == 1
-        # another table's row has its own body, equal in its groups and maps
+        # another table's row has its own skeleton record, equal in its maps
+        # and classes
         other = fkbar(g, COEFF).row(trip)
         assert row.triple == other.triple and row.body is not other.body
-        for name in ("k1bars", "k0s", "reduced"):
+        for name in ("maps", "k0_classes", "k1bar_classes"):
             assert getattr(row.body, name) == getattr(other.body, name), name
         # indices rise along the order, so the reversed triple is not nested
         assert t.row(trip[::-1]) is None and len(t.store._bodies) == 1
@@ -301,18 +309,53 @@ class TestCompare:
         g = H.disjoint_loops(3)
         table = fkbar(g, COEFF)
         skeletons = {H.row_skeleton(table.store, row) for row in table.rows}
-        calls = []
+        calls, read = [], []
         original = ktheory.map_invariants
+        signature = vars(ktheory._Skeleton)["signature"]
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
+        def reading(record, compute=signature.func):
+            read.append(record)
+            return compute(record)
+
         monkeypatch.setattr(ktheory, "map_invariants", counting)
+        monkeypatch.setattr(signature, "func", reading)
         assert compare_fkbar(g, g, COEFF, element_search=False).consistent
-        # both tables share one memo: five maps per distinct skeleton of 64 rows
-        assert len(skeletons) == 15
-        assert len(calls) == 5 * len(skeletons)
+        # each of the 15 distinct skeletons of 64 rows is paired with its own
+        # record, which matches without a signature
+        assert len(skeletons) == 15 and calls == [] and read == []
+        # against a shuffled declaration order records differ: both tables
+        # share one memo, five maps per record whose signature is read
+        graphs = [parse_graph(poset_loops(8, 0.3, 1, order_seed=s)) for s in (None, 5)]
+        assert compare_fkbar(*graphs, COEFF, element_search=False).consistent
+        assert len(read) == len(set(read)) == 194
+        assert len(calls) == 5 * len(read)
+
+    @pytest.mark.parametrize(
+        "coeff", [COEFF, CoeffGroup.symbolic("Gbar")], ids=["field5", "symbolic"]
+    )
+    def test_rows_on_one_skeleton_pass_by_identity(self, coeff):
+        # two rows of other shapes with one skeleton in Smith coordinates
+        # are each isomorphic to it, so the identity of the shared store's
+        # record is a commuting system between them, even where the node
+        # cap would skip the search
+        graphs = [parse_graph(poset_loops(3, 0.3, 1, order_seed=s)) for s in (None, 1)]
+        rep = compare_fkbar(*graphs, coeff)
+        assert rep.consistent and rep.element_check == "inconclusive"
+        t1, t2 = (fkbar(g, coeff) for g in graphs)
+        shared, alone = 0, set()
+        for verdict in rep.map_matches:
+            trip = verdict.triple
+            a, b = t1.body(trip), t2.body(tuple(rep.lattice_iso[k] for k in trip))
+            if a.maps != b.maps:
+                continue
+            assert verdict.detail == "row matches (element search: passed)", trip
+            shared += 1
+            alone.add(filtered._skeleton_element_search(a.maps, b.maps))
+        assert shared == 34 and alone == {"passed", "skipped"}
 
     def test_entry_classes_once_per_table(self, monkeypatch):
         g = H.disjoint_loops(3)
@@ -422,8 +465,9 @@ class TestCompare:
 
     def test_shared_bodies_pass_by_the_identity(self, monkeypatch):
         # K0 = Z^2 at the whole graph, past the node cap; but a relabelled
-        # copy keeps the declaration order, so every row pairs a body with
-        # itself, and the identity is a commuting system at every node
+        # copy keeps the declaration order, so every row pairs a skeleton
+        # record with itself, and the identity is a commuting system at every
+        # node
         g = H.disjoint_loops(2)
         pairs = []
         search = filtered._row_element_check
@@ -443,8 +487,8 @@ class TestCompare:
     def test_free_k0_comparison_is_bounded(self, monkeypatch):
         # K0 = Z^2 at the whole graph: its node has at least 5^4 candidates,
         # past the node cap.  Declared in the other order, the copy's blocks
-        # are other matrices, so such a row and its image have two bodies,
-        # and their search is skipped; the report stays consistent, bounded
+        # are other matrices, so such a row and its image have two skeleton
+        # records, and their search is skipped; the report stays consistent, bounded
         # and inconclusive
         edges = [("l0", "0", "0"), ("l1", "1", "1"), ("l2", "2", "2"), ("e", "0", "1")]
         g = Graph(["x0", "x1", "x2"], [(e, "x" + s, "x" + d) for e, s, d in edges])
@@ -511,8 +555,8 @@ class TestRowFailures:
     def test_inexact_row_fails_the_candidate(self, rose2, monkeypatch, broken, problem):
         # a row whose exactness check fails, as a broken skeleton check would
         # leave it, is a failure of the candidate and not a match; the two
-        # tables share their bodies, so only the rows of one table get an
-        # inexact copy of theirs
+        # tables share their skeleton records, so only the rows of one table
+        # get an inexact copy of theirs
         row_body = filtered._row_body
 
         def breaking(store, inner, middle, outer):
@@ -520,7 +564,7 @@ class TestRowFailures:
             g = store.graph
             if not g.has_vertex(broken) or not outer >> g.index(broken) & 1:
                 return body
-            inexact = ktheory._RowBody(body.k1bars, body.k0s, body.reduced, COEFF)
+            inexact = ktheory._Skeleton(body.maps, COEFF)
             inexact.exact = False
             return inexact
 
@@ -607,7 +651,7 @@ class TestEliminations:
 
 
 def count_rows(monkeypatch):
-    """The (inner, middle, outer) masks of every row body a table asks for."""
+    """The (inner, middle, outer) masks of every row record a table asks for."""
     built = []
     original = filtered._row_body
 
@@ -652,7 +696,7 @@ class TestRowsOnDemand:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_each_triple_asks_for_its_body_once(self, k, tmp_path, capsys, monkeypatch):
         # fk asks once per row of its table, a self-compare once per row of
-        # each table: the first table's bodies and the second's image triples
+        # each table: the first table's rows and the second's image triples
         path = tmp_path / "loops.graph"
         path.write_text(graph_to_text(H.disjoint_loops(k)), encoding="utf-8")
         built = count_rows(monkeypatch)
@@ -665,17 +709,17 @@ class TestRowsOnDemand:
 
 
 def zeroed_map(body, k):
-    """A new body like ``body`` with its k-th skeleton map replaced by the
+    """A new skeleton record like ``body`` with its k-th map replaced by the
     zero map."""
-    maps = list(body.reduced)
+    maps = list(body.maps)
     maps[k] = dataclasses.replace(maps[k], matrix=IntMatrix.zeros(*maps[k].matrix.shape))
-    return ktheory._RowBody(body.k1bars, body.k0s, tuple(maps), COEFF)
+    return ktheory._Skeleton(tuple(maps), COEFF)
 
 
 def element_outcome(matrix, trip, k):
     """A real row, the six groups of its Z-level skeleton, and the
-    element-search outcome of its body against the same body with map k
-    zeroed."""
+    element-search outcome of its skeleton record against the same record
+    with map k zeroed."""
     table = fkbar(graph_from_matrix(IntMatrix(matrix)), COEFF)
     row = table.row(trip)
     groups = H.row_groups(H.row_skeleton(table.store, row))

@@ -360,12 +360,12 @@ class TestSixTermRow:
             "k0-ideal",
             "k0-middle",
         ]
-        assert [k.invariants() for k in row.body.k0s] == [
+        assert list(row.body.k0_classes) == [
             FgAbGroup.from_parts(1, ()),
             FgAbGroup.from_parts(2, ()),
             FgAbGroup.from_parts(1, ()),
         ]
-        assert [k.isomorphism_class() for k in row.body.k1bars] == [
+        assert [k.isomorphism_class() for k in row.body.k1bar_classes] == [
             FgAbGroup.from_parts(0, (2,)),
             FgAbGroup.from_parts(0, (2, 2)),
             FgAbGroup.from_parts(0, (2,)),
@@ -426,17 +426,16 @@ class TestRowSkeleton:
             for row in nested_rows(g, coeff):
                 maps = H.row_skeleton(store, row)
                 groups = H.row_groups(maps)
-                assert len(groups) == 6 and groups[3:] == row.body.k0s
+                assert len(groups) == 6
                 for k, f in enumerate(maps):
                     assert f.domain == groups[k] and f.codomain == groups[k + 1]
                     assert f.matrix.shape == (f.codomain.generators, f.domain.generators)
                     assert check_well_defined(f)
-                for grp, kb in zip(groups[:3], row.body.k1bars):
-                    assert grp.generators == kb.kernel_rank
-                    assert grp.relations.shape == (kb.kernel_rank, 0)
                 graphs = H.row_graphs(g, row)
-                for grp, kz, sub in zip(groups[3:], row.body.k0s, graphs):
-                    assert grp.relations == kz.relations == k_matrix(sub)
+                for grp, sub in zip(groups[:3], graphs):
+                    assert grp.relations.shape == (k1(sub, coeff).kernel_rank, 0)
+                for grp, sub in zip(groups[3:], graphs):
+                    assert grp.relations == k_matrix(sub)
                 # delta in the skeleton is the standalone connecting map of
                 # the middle ideal in the outer subquotient
                 inner, middle, _ = row.triple
@@ -450,7 +449,7 @@ class TestRowSkeleton:
         leaving = k_matrix(Graph(["a", "b"], [("x", "a", "a"), ("y", "b", "b"), ("z", "a", "b")]))
         coeff = CoeffGroup.reduced_units_of_field(5)
         # corrupted before the first row: a later row of the same shape
-        # shares the checked body and would not look at the pair again
+        # shares the checked record and would not look at the pair again
         store = SubquotientStore(g, coeff)
         store.get(TWO_LOOP_TRIPLE[2] & ~TWO_LOOP_TRIPLE[0]).km = leaving
         with pytest.raises(AssertionError, match="^an edge leaves the middle ideal; the squares"):
@@ -511,15 +510,15 @@ def store_verdicts(nodes):
     return z, tuple(n.coeff_exact for n in nodes)
 
 
-def mutant_body(store, body, maps):
-    """A new body with the groups of ``body`` and the skeleton ``maps``,
-    reduced on the store's Smith coordinates as a store reduces a body."""
+def mutant_body(store, maps):
+    """A new skeleton record of the Z-level skeleton ``maps``, reduced on
+    the store's Smith coordinates as the store reduces a row's skeleton."""
     groups = (maps[0].domain,) + tuple(f.codomain for f in maps)
     coords = [store._coordinates_of(grp) for grp in groups]
     reduced = tuple(
         ktheory._in_coordinates(f.matrix, dom, cod) for f, dom, cod in zip(maps, coords, coords[1:])
     )
-    return ktheory._RowBody(body.k1bars, body.k0s, reduced, store.coeff)
+    return ktheory._Skeleton(reduced, store.coeff)
 
 
 def with_zero_u12(maps):
@@ -552,7 +551,7 @@ class TestSkeletonMemo:
                 # skeletons that differ from a real one in a single map must
                 # not be served its verdicts
                 for maps in (with_doubled_delta(skeleton), with_zero_u12(skeleton)):
-                    got = store_verdicts(mutant_body(store, row.body, maps).nodes)
+                    got = store_verdicts(mutant_body(store, maps).nodes)
                     expected = fresh_verdicts(maps, coeff)
                     assert got == expected, (g, row.triple, maps[2].name, maps[3].matrix)
                     broken += got != store_verdicts(row.body.nodes)
@@ -565,21 +564,21 @@ class TestSkeletonMemo:
         assert len(rows) == 64
         for row in rows:
             fresh = six_term_row(g, *row.triple, CoeffGroup.symbolic())
-            assert row.body.reduced == fresh.body.reduced and row.body.nodes == fresh.body.nodes
+            assert row.body.maps == fresh.body.maps and row.body.nodes == fresh.body.nodes
         # 4^k rows on k disjoint loops fall into 2^(k+1) - 1 positional shapes
         for k in range(1, 5):
             table = fkbar(H.disjoint_loops(k), COEFF_F5)
             assert len(table.rows) == 4**k
             assert len(table.store._bodies) == 2 ** (k + 1) - 1
-        # the two tables of a compare share one body per shape
+        # the two tables of a compare share one skeleton record per shape
         built = []
-        body_class = ktheory._RowBody
+        record_class = ktheory._Skeleton
 
         def counting(*args):
             built.append(args)
-            return body_class(*args)
+            return record_class(*args)
 
-        monkeypatch.setattr(ktheory, "_RowBody", counting)
+        monkeypatch.setattr(ktheory, "_Skeleton", counting)
         assert compare_fkbar(g, g, COEFF_F5).consistent
         assert len(built) == 15
 
@@ -670,12 +669,12 @@ class TestSmithCoordinates:
                 got = store_verdicts(row.body.nodes), row.body.signature
                 assert got == original(skeleton), row.triple
                 rows += 1
-                reduced += row.body.reduced != skeleton
+                reduced += row.body.maps != skeleton
                 if not any(map(any, skeleton[2].matrix.data)):
                     continue
                 # a non-exact skeleton: its one-sided verdicts and its classes
                 mutant = with_doubled_delta(skeleton)
-                body = mutant_body(t.store, row.body, mutant)
+                body = mutant_body(t.store, mutant)
                 got = store_verdicts(body.nodes)
                 groups, maps = body.signature
                 assert (got, (groups, maps)) == original(mutant), row.triple
@@ -725,29 +724,31 @@ class TestSmithCoordinates:
         monkeypatch.setattr(ktheory, "map_invariants", counting_classes)
         table = fkbar(g, COEFF_F5)
         skeletons = {H.row_skeleton(table.store, row) for row in table.rows}
-        distinct = {body.reduced for body in table.bodies}
+        distinct = set(table.bodies)
         calls["nodes"].clear()
         assert compare_fkbar(g, g, COEFF_F5, element_search=False).consistent
-        # the nodes and classes of each distinct skeleton in Smith
-        # coordinates, which the two tables' shared store decides once
+        # the nodes of each distinct skeleton in Smith coordinates, which
+        # the two tables' shared store decides once; each record is paired
+        # with itself, so no class is read
         assert len(calls["nodes"]) == len(distinct) < len(skeletons)
-        assert len(calls["classes"]) == 5 * len(distinct)
+        assert calls["classes"] == []
         assert any(reduced not in skeletons for reduced in calls["nodes"])
 
 
 class TestSharedSkeletons:
     """Row verdicts are a function of the skeleton in Smith coordinates,
-    and a store decides each skeleton once: bodies of other shapes with
-    one skeleton, in one table or in the two tables of a compare, share
-    its verdicts."""
+    and a store decides each skeleton once: rows of other shapes with one
+    skeleton, in one table or in the two tables of a compare, share its
+    record."""
 
     @pytest.mark.parametrize(
         "coeff", [CoeffGroup.symbolic("Gbar"), COEFF_F5], ids=["symbolic", "field5"]
     )
     def test_check_exact_once_per_skeleton(self, coeff, monkeypatch):
         graphs = [parse_graph(poset_loops(8, 0.3, 1, order_seed=s)) for s in (None, 5)]
-        bodies = {body for g in graphs for body in fkbar(g, coeff).bodies}
-        keys = {body.reduced for body in bodies}
+        stores = [fkbar(g, coeff).store for g in graphs]
+        keys = {maps for store in stores for maps in store._skeletons}
+        shapes = sum(len(store._bodies) for store in stores)
         calls = []
         original = ktheory.check_exact
 
@@ -759,25 +760,25 @@ class TestSharedSkeletons:
         assert compare_fkbar(*graphs, coeff, element_search=False).consistent
         # the Z-level chain per skeleton, and for Z/m the twisted one too
         per_key = 2 if coeff.kind == "finite-cyclic" else 1
-        assert len(calls) == per_key * len(keys) and 2 * len(keys) < len(bodies)
+        assert len(calls) == per_key * len(keys) and 2 * len(keys) < shapes
 
     @pytest.mark.parametrize(
         "coeff", [COEFF_F5, CoeffGroup.symbolic("Gbar")], ids=["field5", "symbolic"]
     )
     def test_equal_skeletons_have_equal_payloads(self, corpus, coeff):
-        # a body built without a store's skeleton decides its own verdicts,
-        # and the payload also reads the K1bar and K0 groups of its records
+        # a record built outside a store decides its own verdicts, and
+        # records of other tables with equal maps must print and match alike
         graphs = [*corpus[:80], *(parse_graph(poset_loops(8, 0.3, s)) for s in range(3))]
-        first = {}  # skeleton -> payload, nodes and signature of its first body
+        first = {}  # skeleton -> payload, nodes and signature of its first record
         shared = 0
         for g in graphs:
-            for body in dict.fromkeys(fkbar(g, coeff).bodies):
-                own = ktheory._RowBody(body.k1bars, body.k0s, body.reduced, coeff)
+            for maps in fkbar(g, coeff).store._skeletons:
+                own = ktheory._Skeleton(maps, coeff)
                 got = cli._body_json(own), own.nodes, own.signature
-                seen = first.setdefault(body.reduced, got)
+                seen = first.setdefault(maps, got)
                 assert got == seen, g
                 shared += seen is not got
-        assert len(first) >= 1500 and shared >= 2000
+        assert len(first) >= 1500 and shared >= 600
 
 
 def count_konebars(monkeypatch):
@@ -793,29 +794,30 @@ def count_konebars(monkeypatch):
     return built
 
 
-def assert_groups_are_records(bodies, stores):
-    """Every K1bar and K0 group of each body is the ``k1`` or ``k0`` of a
-    pair record of one of the stores, the same object."""
-    records = [pair for store in stores for pair in store._pairs.values()]
-    k1s, k0s = {id(p.k1) for p in records}, {id(p.k0) for p in records}
-    for body in bodies:
-        assert all(id(kb) in k1s for kb in body.k1bars)
-        assert all(id(kz) in k0s for kz in body.k0s)
+PRINTED_COEFFS = {
+    "field5": CoeffGroup.reduced_units_of_field(5),
+    "field9": CoeffGroup.reduced_units_of_field(9),
+    "field17": CoeffGroup.reduced_units_of_field(17),
+    "divisible": CoeffGroup.divisible(),
+    "symbolic": CoeffGroup.symbolic("Gbar"),
+}
 
 
 class TestPairRecordGroups:
-    """A row is three pair records: a body takes its K1bar and K0 groups
-    from the store, so a table builds one K1bar per pair record and none
-    per body."""
+    """A row is three pair records.  Its skeleton record prints their K1bar
+    and K0 classes, read off its own groups in Smith coordinates, so a
+    table builds one K1bar per pair record and none per row, and what a
+    row prints must be the classes of those records' transfer blocks."""
 
     def test_one_konebar_per_pair_record(self, corpus, monkeypatch):
         built = count_konebars(monkeypatch)
         for g in [*corpus[:80], parse_graph(poset_loops(8, 0.3, 1))]:
             built.clear()
             table = fkbar(g, COEFF_F5)
+            for record in set(table.bodies):
+                record.k1bar_classes
             assert len(built) == len(table.store._pairs), g
-            assert_groups_are_records(table.store._bodies.values(), [table.store])
-        # the poset's 396 bodies over its 84 pair records
+        # the poset's 396 row shapes over its 84 pair records
         assert len(table.store._bodies) >= 4 * len(table.store._pairs)
 
     def test_compare_builds_konebars_per_pair_record(self, monkeypatch):
@@ -833,5 +835,22 @@ class TestPairRecordGroups:
         assert compare_fkbar(g, shuffled, COEFF_F5).consistent
         first, second = stores
         assert len(built) <= len(first._pairs) + len(second._pairs)
-        assert_groups_are_records(first._bodies.values(), stores)
         assert len(first._bodies) >= 300
+
+    @pytest.mark.parametrize("coeff", list(PRINTED_COEFFS.values()), ids=list(PRINTED_COEFFS))
+    def test_printed_classes_equal_pair_records(self, corpus, coeff):
+        # every row's printed K0 and K1bar fields, read off its skeleton
+        # record, against the K0 invariants and the KOneBar of the store's
+        # pair records of J - I, P - I and P - J, on their transfer blocks
+        records = set()
+        for g in corpus:
+            table = fkbar(g, coeff)
+            bits = table.lattice.elements
+            for (i, j, p), body in zip(table.row_triples, table.bodies):
+                parts = [table.store.get(bits[b] & ~bits[a]) for a, b in ((i, j), (i, p), (j, p))]
+                k0s = [cli._group_json(pair.k0.invariants()) for pair in parts]
+                k1bars = [cli._konebar_json(pair.k1) for pair in parts]
+                assert [cli._group_json(k) for k in body.k0_classes] == k0s, (g, i, j, p)
+                assert [cli._konebar_json(k) for k in body.k1bar_classes] == k1bars, (g, i, j, p)
+                records.add(body)
+        assert len(records) >= 800

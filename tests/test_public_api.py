@@ -136,9 +136,9 @@ def test_every_public_name_is_used_in_src():
 # checked to stay uncalled; a shared one cannot be told apart by name.
 UNCALLED_METHODS_OK: dict[str, str] = {
     "FilteredKTable.row": "one row of a table with its vertex names, for API callers; "
-    "the table reads its rows' bodies by vertex mask",
+    "the table reads its rows' skeleton records by vertex mask",
     "FilteredKTable.rows": "every row of a table with its vertex names, for API callers, "
-    "tests and the benchmark tracer, which counts them; the fk writer reads bodies",
+    "tests and the benchmark tracer, which counts them; the fk writer reads skeleton records",
 }
 
 
@@ -190,16 +190,18 @@ SHARED_NAME_CALLS = {
     "Graph.index": "ktheory.connecting_delta",
     "IntMatrix.diagonal": "filtered._iso_candidates",
     "NodeVerdict.exact": "ktheory._skeleton_nodes",
-    "CoeffCokernel.symbol": "ktheory.KOneBar.symbol",
+    "CoeffCokernel.symbol": "ktheory._OneBarText.symbol",
     "CoeffCokernel.class_key": "ktheory.KOneBar.class_key",
     "KOneBar.class_key": "filtered.TableEntry.class_key",
     "TableEntry.class_key": "filtered.TableEntry.same_class",
     "KOneBar.kernel": "ktheory._row_skeleton",
-    "KOneBar.symbol": "cli._cmd_k1",
+    "KOneBar.coker_part": "filtered._entry_names",
+    "KOneBar.kernel_rank": "ktheory.vdb_sequence",
+    "_OneBarText.symbol": "cli._cmd_k1",
     "VdbReport.consistent": "cli._cmd_vdb",
     "SubquotientStore.get": "ktheory._row_body",
-    "NodeReport.exact": "ktheory._RowBody.exact",
-    "_RowBody.exact": "filtered._match_rows",
+    "NodeReport.exact": "ktheory._Skeleton.exact",
+    "_Skeleton.exact": "filtered._match_rows",
     "MonoidElement.of": "monoid.parse_monoid_element",
     "MonoidElement.get": "monoid.ungraded_equal",
     "GradedElement.of": "monoid.parse_graded_element",
