@@ -768,25 +768,35 @@ def check_exact(maps) -> tuple[NodeVerdict, ...]:
     as its own verdict: im(f) lies in ker(g) + R exactly when ker(g) + R
     has the extent (see ``_extent``) of the union ker(g) + R + im(f), and
     the other way round for im(f) + R.  So a node eliminates three lattices,
-    the union once for both inclusions.
+    the union once for both inclusions.  A node at a group with no
+    generators is exact and eliminates nothing.
 
     Each map m is stacked as [m | R_cod] once, and its one Smith record
     serves both nodes that read it: the node before m reads its kernel,
     whose top block generates the preimage of R_cod under m (see
     :func:`preimage_lattice`), and m's own node reads its extent, that of
     im(m) + R_cod.  So a chain of n maps asks :func:`snf` for n + 2(n - 1)
-    records.  Every lattice is eliminated tracking v, its kernel read
-    before its extent: a lattice of one chain may be the stacked map of
-    another, or a lattice whose kernel :func:`map_invariants` reads, and
-    then the one run serves both readers.
+    records, less those only nodes without generators would read.  Every
+    lattice is eliminated tracking v, its kernel read before its extent: a
+    lattice of one chain, a union too, may be the stacked map or kernel
+    lattice of another, or a lattice whose kernel :func:`map_invariants`
+    reads, and then the one run serves both readers.
     """
     maps = list(maps)
-    records = [snf(f.matrix.hstack(f.codomain.relations)) for f in maps]
+    live = [f.codomain.generators > 0 for f in maps[:-1]]
+    # a map's record serves the nodes on either side of it
+    records = [
+        snf(f.matrix.hstack(f.codomain.relations)) if any(live[max(k - 1, 0) : k + 1]) else None
+        for k, f in enumerate(maps)
+    ]
     verdicts = []
     for idx in range(len(maps) - 1):
         f, g = maps[idx], maps[idx + 1]
         if f.codomain != g.domain:
             raise ValueError(f"maps {idx} and {idx + 1} are not composable")
+        if not live[idx]:
+            verdicts.append(NodeVerdict(idx, True, True))
+            continue
         preimage = records[idx + 1].kernel.take_rows(range(g.matrix.cols))
         kernel_rel = preimage.hstack(f.codomain.relations)
         union = _kernel_extent(snf(kernel_rel.hstack(f.matrix)))

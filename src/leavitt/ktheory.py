@@ -16,14 +16,16 @@ declared vertex), and a :class:`SubquotientStore` keys each pair by its
 difference mask.  The row of a triple I <= J <= P is three pairs, J
 minus I, P minus I and P minus J, and depends on the triple only through
 its positional shape: the adjacency block of P minus I and the positions
-in it of J minus I.  ``_row_skeleton`` builds and checks the row's
-skeleton of six groups and five maps, and ``_row_body`` keeps it only on
-the invariant factors other than 1 of each K0 presentation
-(``_SmithCoordinates``, with certified transforms), an isomorphism of
-each group under which the maps stay well defined, so verdicts about
-images, kernels and cokernels do not change.  Rows of many shapes share
-one skeleton in Smith coordinates, so a store keeps one
-:class:`_Skeleton` record per distinct skeleton, keyed by its maps in
+in it of J minus I.  Each pair record keeps, once, the Smith coordinates
+of its K0 presentation on the invariant factors other than 1
+(``_SmithCoordinates``, with certified transforms), and the free group
+and left inverse of its kernel basis; ``_row_body`` cuts the row's
+skeleton of six groups and five maps from the records of its three
+pairs, in those coordinates, and checks it.  The coordinates are an
+isomorphism of each group under which the maps stay well defined, so
+verdicts about images, kernels and cokernels do not change.  Rows of
+many shapes share one skeleton in Smith coordinates, so a store keeps
+one :class:`_Skeleton` record per distinct skeleton, keyed by its maps in
 full, and maps each shape to it.  A row is that record: a
 :class:`SixTermRow` is a triple of vertex names over it, and its
 verdicts, signature, element searches and printed classes are read off
@@ -344,21 +346,21 @@ class _SmithCoordinates:
     matching columns of u^-1, so project @ lift = I and lift @ project is
     the identity modulo the relations.  ``group`` presents the same group
     on the kept coordinates: one relation d_i e_i per factor d_i > 1 (they
-    come first), and a free coordinate per missing pivot (see
-    ``_moduli``).  Both transforms are certified
-    once, by re-multiplying u @ relations @ v to the diagonal and u @ u^-1
-    to the identity.  A group whose relations are all zero is in these
-    coordinates already; it keeps its presentation, and ``project`` and
-    ``lift`` are None.
+    come first), and a free coordinate per missing pivot; ``moduli`` lists
+    each kept coordinate's modulus (see ``_moduli``).  Both transforms are
+    certified once, by re-multiplying u @ relations @ v to the diagonal and
+    u @ u^-1 to the identity.  A group whose relations are all zero is in
+    these coordinates already; it keeps its presentation, and ``project``
+    and ``lift`` are None, each standing for an identity.
     """
 
-    __slots__ = ("group", "project", "lift")
+    __slots__ = ("group", "project", "lift", "moduli")
 
     def __init__(self, pres: PresentedGroup):
         rel = pres.relations
         n = rel.rows
         if not any(map(any, rel.data)):
-            self.group, self.project, self.lift = pres, None, None
+            self.group, self.project, self.lift, self.moduli = pres, None, None, (0,) * n
             return
         sd = snf(rel)
         # the transforms first: their two-sided run also gives the diagonal
@@ -375,6 +377,19 @@ class _SmithCoordinates:
         self.group = PresentedGroup(IntMatrix.diagonal(torsion, rows=len(keep), cols=len(torsion)))
         self.project = sd.u.take_rows(keep)
         self.lift = u_inv.take_columns(keep)
+        self.moduli = _moduli(self.group)
+
+    def reduce(self, m: IntMatrix) -> IntMatrix:
+        """``m``, a matrix into these coordinates, with each row reduced
+        modulo its modulus."""
+        if self.project is None:  # every modulus is 0
+            return m
+        return IntMatrix._trusted(_residues(m, self.moduli), m.cols)
+
+
+def _times(a: IntMatrix | None, b: IntMatrix | None) -> IntMatrix | None:
+    """a @ b, None standing for an identity."""
+    return b if a is None else a if b is None else a @ b
 
 
 def _moduli(group: PresentedGroup) -> tuple:
@@ -386,18 +401,6 @@ def _moduli(group: PresentedGroup) -> tuple:
 def _residues(m: IntMatrix, moduli) -> tuple:
     """The rows of ``m``, each reduced modulo its modulus (zero: left as is)."""
     return tuple(tuple(x % q for x in r) if q else r for r, q in zip(m.data, moduli))
-
-
-def _in_coordinates(m: IntMatrix, dom: _SmithCoordinates, cod: _SmithCoordinates) -> GroupMap:
-    """The map of ``m`` between the Smith coordinates of its groups:
-    project @ m @ lift, each row reduced modulo its modulus, conjugate to
-    the map of ``m`` by the two isomorphisms when that is well defined."""
-    if dom.lift is not None:
-        m = m @ dom.lift
-    if cod.project is not None:
-        m = cod.project @ m
-        m = IntMatrix._trusted(_residues(m, _moduli(cod.group)), m.cols)
-    return GroupMap(dom.group, cod.group, m)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +423,14 @@ class SubquotientK:
     pair stays in outer; inner is saturated, so a regular vertex outside it
     keeps an edge that leaves inner, and a sink stays a sink.  ``k0`` and
     ``k1`` present K0, and K1 with coefficients ``coeff``, on ``km``.
+
+    Computed when first read and kept in slots, rows read ``coords``, the
+    certified Smith coordinates of K0, ``free``, the free group on the
+    kernel basis ``k1.kernel``, and ``kernel_inverse``, that basis's left
+    inverse v @ u[:k] (u K v = [I; 0] in its Smith record).
     """
 
-    __slots__ = ("rows", "regs", "adjacency", "km", "k0", "k1")
+    __slots__ = ("rows", "regs", "adjacency", "km", "k0", "k1", "_coords", "_free", "_inverse")
 
     def __init__(self, g: Graph, km: IntMatrix, bits: int, coeff: CoeffGroup):
         regular = [g.index(v) for v in g.regulars]
@@ -433,6 +441,36 @@ class SubquotientK:
         self.km = km.take_rows(self.rows).take_columns(cols)
         self.k0 = PresentedGroup(self.km)
         self.k1 = KOneBar(coeff, self.km)
+        self._coords = self._free = self._inverse = None
+
+    @property
+    def coords(self) -> _SmithCoordinates:
+        if self._coords is None:
+            self._coords = _SmithCoordinates(self.k0)
+        return self._coords
+
+    @property
+    def free(self) -> PresentedGroup:
+        if self._free is None:
+            self._free = PresentedGroup(IntMatrix.zeros(self.k1.kernel.cols, 0))
+        return self._free
+
+    @property
+    def kernel_inverse(self) -> IntMatrix:
+        if self._inverse is None:
+            sd = snf(self.k1.kernel)
+            self._inverse = sd.v @ sd.u.take_rows(range(self.k1.kernel.cols))
+        return self._inverse
+
+    def in_kernel(self, vectors: IntMatrix) -> IntMatrix:
+        """Coordinates of vector columns in the kernel basis, re-multiplied
+        to them as a guard; with no vector, the basis is not eliminated."""
+        if not vectors.cols:
+            return IntMatrix.zeros(self.k1.kernel.cols, 0)
+        coordinates = self.kernel_inverse @ vectors
+        if self.k1.kernel @ coordinates != vectors:
+            raise AssertionError("kernel vector left the kernel under an induced map")
+        return coordinates
 
 
 class SubquotientStore:
@@ -445,15 +483,13 @@ class SubquotientStore:
     table keeps one store for all its entries and rows, a lone six-term row
     a store of its own.  The store also keeps, for as long as it lives, the
     row work that depends only on matrices and so repeats across the rows
-    of a table:
+    of a table, besides the Smith data each pair record keeps:
 
     - ``_skeletons``: one :class:`_Skeleton` record per distinct skeleton
       in Smith coordinates, keyed by its maps;
-    - ``_bodies``: each positional shape (see the module docstring) mapped
-      to its record, which the first row of that shape builds and checks
-      over the records of its three pairs;
-    - the Smith coordinates of each K0 presentation, reduced and certified
-      once.
+    - ``_shapes``: each positional shape (see the module docstring) mapped
+      to its record, which the first row of that shape cuts and checks
+      from the records of its three pairs.
 
     Exactness, kernels, images and cokernels are statements about
     subgroups, so an isomorphism of each group carries them over; the
@@ -468,16 +504,14 @@ class SubquotientStore:
         self.coeff = coeff
         self._km = k_matrix(g)
         self._pairs = {}
-        self._bodies = {}
+        self._shapes = {}
         self._skeletons = {}
-        self._reductions = {}
 
     def _share(self, other: SubquotientStore) -> None:
-        """Use the shapes, skeleton records and Smith coordinates of
-        ``other``, a store with the same coefficient group."""
-        self._bodies = other._bodies
+        """Use the shapes and skeleton records of ``other``, a store with
+        the same coefficient group."""
+        self._shapes = other._shapes
         self._skeletons = other._skeletons
-        self._reductions = other._reductions
 
     def get(self, bits: int) -> SubquotientK:
         """The pair whose difference is the vertex mask ``bits``."""
@@ -485,12 +519,6 @@ class SubquotientStore:
         if pair is None:
             pair = self._pairs[bits] = SubquotientK(self.graph, self._km, bits, self.coeff)
         return pair
-
-    def _coordinates_of(self, group: PresentedGroup) -> _SmithCoordinates:
-        coords = self._reductions.get(group)
-        if coords is None:
-            coords = self._reductions[group] = _SmithCoordinates(group)
-        return coords
 
 
 class _Skeleton:
@@ -546,23 +574,6 @@ class _Skeleton:
             _OneBarClass(f.domain.generators, CoeffCokernel(self.coeff, k.torsion, k.free_rank))
             for f, k in zip(self.maps, self.k0_classes)
         )
-
-
-def _kernel_coordinates(target_basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
-    """Coordinates of each vector column in a primitive kernel basis K.
-
-    K's own Smith record gives u K v = [I; 0], so v @ u[:k] is a left
-    inverse of K, k being its column count.  The coordinates are
-    re-multiplied to the vectors, which catches a vector outside the span
-    of K.  With no vector, K is not eliminated.
-    """
-    if not vectors.cols:
-        return IntMatrix.zeros(target_basis.cols, 0)
-    sd = snf(target_basis)
-    coordinates = sd.v @ (sd.u.take_rows(range(target_basis.cols)) @ vectors)
-    if target_basis @ coordinates != vectors:
-        raise AssertionError("kernel vector left the kernel under an induced map")
-    return coordinates
 
 
 @dataclass(frozen=True, slots=True)
@@ -653,74 +664,51 @@ def six_term_row(g: Graph, inner, middle, outer, coeff: CoeffGroup) -> SixTermRo
 
 
 def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _Skeleton:
-    """The skeleton record of the row of a nested triple of hereditary
-    saturated sets of the store's graph, given as vertex masks, which the
-    caller vouches for.
+    """The skeleton record of the row of a nested triple I <= J <= P of
+    hereditary saturated sets of the store's graph, given as vertex masks,
+    which the caller vouches for.
 
     The skeleton depends only on the row's positional shape: the adjacency
-    block of the middle pair (inner, outer) and the positions ``hprime``
-    in it of the middle ideal H'.  The first row of a shape builds its
-    skeleton (:func:`_row_skeleton`) and keeps it only in the Smith
-    coordinates of its groups, whose products also check the shape of each
-    map; every later row of the shape gets the same record.
+    block of P minus I and the positions ``hprime`` in it of H' = J minus
+    I.  The first row of a shape cuts the five maps in Smith coordinates
+    from the records of J minus I, P minus I and P minus J, whose transfer
+    matrices are the blocks of the middle one at H' and at the rest
+    (``vert3``): u12 = project2[:, hprime] @ lift1, u23 = project3 @
+    lift2[vert3, :] (None an identity), delta = project1 @ the block at H'
+    and the quotient's regular columns @ the quotient's kernel basis, tau1
+    and tau2 through :meth:`SubquotientK.in_kernel`.  Later rows of the
+    shape get the same record.  Both intertwining squares say one thing,
+    checked as a bug guard: ``km`` is zero at the quotient's rows and the
+    regular columns of H', so no edge leaves H' from one of its regular
+    vertices.
     """
     pair = store.get(outer & ~inner)
     hprime = tuple(k for k, i in enumerate(pair.rows) if middle >> i & 1)
     shape = (pair.adjacency, hprime)
-    skeleton = store._bodies.get(shape)
+    skeleton = store._shapes.get(shape)
     if skeleton is None:
-        groups, matrices = _row_skeleton(store, inner, middle, outer)
-        coords = [store._coordinates_of(grp) for grp in groups]
-        reduced = tuple(_in_coordinates(m, coords[k], coords[k + 1]) for k, m in enumerate(matrices))
-        skeleton = store._skeletons.get(reduced)
+        ideal, quo = store.get(middle & ~inner), store.get(outer & ~middle)
+        vert3 = [k for k, i in enumerate(pair.rows) if not middle >> i & 1]
+        reg1 = [c for c, i in enumerate(pair.regs) if middle >> i & 1]
+        reg3 = [c for c, i in enumerate(pair.regs) if not middle >> i & 1]
+        if any(map(any, pair.km.take_rows(vert3).take_columns(reg1).data)):
+            raise AssertionError("an edge leaves the middle ideal; the squares do not commute")
+        # Smith coordinates before kernels: the two-sided run of each K0
+        # presentation then serves the kernel of the same matrix
+        c1, c2, c3 = ideal.coords, pair.coords, quo.coords
+        kb1, kb2, kb3 = ideal.k1.kernel, pair.k1.kernel, quo.k1.kernel
+        n = len(pair.rows)
+        project2, lift2 = c2.project or IntMatrix.identity(n), c2.lift or IntMatrix.identity(n)
+        top = pair.km.take_rows(hprime).take_columns(reg3)
+        maps = (
+            GroupMap(ideal.free, pair.free, pair.in_kernel(kb1.scatter_rows(reg1, len(pair.regs)))),
+            GroupMap(pair.free, quo.free, quo.in_kernel(kb2.take_rows(reg3))),
+            GroupMap(quo.free, c1.group, c1.reduce(_times(c1.project, top @ kb3))),
+            GroupMap(c1.group, c2.group, c2.reduce(_times(project2.take_columns(hprime), c1.lift))),
+            GroupMap(c2.group, c3.group, c3.reduce(_times(c3.project, lift2.take_rows(vert3)))),
+        )
+        skeleton = store._skeletons.get(maps)
         if skeleton is None:
-            skeleton = store._skeletons[reduced] = _Skeleton(reduced, store.coeff)
-        store._bodies[shape] = skeleton
+            skeleton = store._skeletons[maps] = _Skeleton(maps, store.coeff)
+        store._shapes[shape] = skeleton
     return skeleton
-
-
-def _row_skeleton(store: SubquotientStore, inner: int, middle: int, outer: int):
-    """The Z-level skeleton of the row of a nested triple I <= J <= P of
-    vertex masks: its six groups (the free kernel parts of the three K1bar
-    groups, then the K0 presentations) and the five matrices of tau1,
-    tau2, delta, u12 and u23 between them.
-
-    Every matrix is a block of the transfer matrix ``km`` of the pair P
-    minus I, in which H' = J minus I is hereditary saturated: the ideal part
-    at the rows ``hprime`` and regular columns ``reg1`` of H', the quotient
-    part at the other rows and regular columns, and delta at the rows of H'
-    and the quotient's regular columns, applied to the quotient's kernel
-    basis.  The parts are the pairs J minus I, which is (P minus I) meet J,
-    and P minus J, which is (P minus I) minus J: their records list ``rows``
-    and ``regs`` rising, as ``hprime`` and ``reg1`` do, so their ``km`` are
-    the blocks, and the row takes their ``k1`` kernels and ``k0``.  Both
-    intertwining squares say one thing: ``km`` is zero at the quotient's rows and the
-    regular columns of H', so no edge leaves H' from one of its regular
-    vertices.  That is checked as a bug guard, and so is each kernel
-    coordinate of tau1 and tau2 (:func:`_kernel_coordinates`).
-    """
-    pair = store.get(outer & ~inner)
-    parts = (store.get(middle & ~inner), pair, store.get(outer & ~middle))
-    hprime = [k for k, i in enumerate(pair.rows) if middle >> i & 1]
-    vert3 = [k for k, i in enumerate(pair.rows) if not middle >> i & 1]
-    reg1 = [c for c, i in enumerate(pair.regs) if middle >> i & 1]
-    reg3 = [c for c, i in enumerate(pair.regs) if not middle >> i & 1]
-    top, bottom = pair.km.take_rows(hprime), pair.km.take_rows(vert3)
-    if any(map(any, bottom.take_columns(reg1).data)):
-        raise AssertionError("an edge leaves the middle ideal; the squares do not commute")
-    k1bars, k0s = zip(*((part.k1, part.k0) for part in parts))
-    # Smith coordinates before kernels: the two-sided run of each K0
-    # presentation then serves the kernel of the same matrix
-    for grp in k0s:
-        store._coordinates_of(grp)
-    kb1, kb2, kb3 = (kb.kernel for kb in k1bars)
-    free = tuple(PresentedGroup(IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3))
-    eye = IntMatrix.identity(len(pair.rows))
-    matrices = (
-        _kernel_coordinates(kb2, kb1.scatter_rows(reg1, len(pair.regs))),
-        _kernel_coordinates(kb3, kb2.take_rows(reg3)),
-        top.take_columns(reg3) @ kb3,
-        eye.take_columns(hprime),
-        eye.take_rows(vert3),
-    )
-    return free + k0s, matrices

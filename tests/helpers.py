@@ -68,10 +68,12 @@ the colimit shift, and ``covering_window`` and ``is_irreducible`` build and
 test graphs for them.  ``monoid_to_str`` and ``graded_to_str`` print
 elements as literals the parsers read back, ``mass`` counts the vertex
 copies of a monoid element, ``graded_add`` adds two graded elements and
-``group_order`` is the order of a finite group; ``row_skeleton`` gives a
-six-term row's Z-level skeleton from the library's own builder, and
-``row_groups`` lists the six groups of a skeleton.  ``sparse_graph`` draws
-the sparse graphs, up to 200 vertices, that the Smith sweeps run on.
+``group_order`` is the order of a finite group; ``row_skeleton`` builds a
+six-term row's Z-level skeleton, the oracle for the library's cut in
+Smith coordinates, ``skeleton_record`` reduces a Z-level skeleton to a
+record as a store would, and ``row_groups`` lists the six groups of a
+skeleton.  ``sparse_graph`` draws the sparse graphs, up to 200 vertices,
+that the Smith sweeps run on.
 """
 
 from __future__ import annotations
@@ -102,13 +104,16 @@ from leavitt.intlinalg import (
     kernel_basis,
     preimage_lattice,
     snf,
+    solve_lattice,
     subgroup_equal,
 )
 from leavitt.ktheory import (
     ConnectingMap,
     SixTermRow,
     SubquotientStore,
-    _row_skeleton,
+    _residues,
+    _Skeleton,
+    _SmithCoordinates,
     k_matrix,
     phi,
     psi_regular,
@@ -698,14 +703,66 @@ def check_well_defined(gmap: GroupMap) -> bool:
 
 def row_skeleton(store: SubquotientStore, row: SixTermRow) -> tuple[GroupMap, ...]:
     """The Z-level skeleton of a row of the store's graph: tau1, tau2,
-    delta, u12 and u23 between its six groups, unnamed like the maps of a
-    skeleton record (``ktheory._Skeleton.maps``), from the library's
-    builder (``ktheory._row_skeleton``), whose matrices ``_row_body``
-    reduces to Smith coordinates.  Any store of the graph gives the same
-    skeleton."""
+    delta, u12 and u23 between its six groups (the free kernel parts of the
+    three K1bar groups, then the K0 presentations), unnamed like the maps
+    of a skeleton record (``ktheory._Skeleton.maps``).  Any store of the
+    graph gives the same skeleton.
+
+    It is built apart from the library's cut in Smith coordinates, from
+    the Z-level data of the store's pair records of J minus I, P minus I
+    and P minus J: every matrix is a block of the transfer matrix of P
+    minus I or a 0/1 selection of H' = J minus I, and tau1 and tau2 solve
+    for each kernel vector in the next kernel basis.
+    """
     inner, middle, outer = (_mask(store.graph, names) for names in row.triple)
-    groups, matrices = _row_skeleton(store, inner, middle, outer)
+    pair = store.get(outer & ~inner)
+    parts = (store.get(middle & ~inner), pair, store.get(outer & ~middle))
+    hprime = [k for k, i in enumerate(pair.rows) if middle >> i & 1]
+    vert3 = [k for k, i in enumerate(pair.rows) if not middle >> i & 1]
+    reg1 = [c for c, i in enumerate(pair.regs) if middle >> i & 1]
+    reg3 = [c for c, i in enumerate(pair.regs) if not middle >> i & 1]
+    kb1, kb2, kb3 = (part.k1.kernel for part in parts)
+    eye = IntMatrix.identity(len(pair.rows))
+    matrices = (
+        kernel_coordinates(kb2, kb1.scatter_rows(reg1, len(pair.regs))),
+        kernel_coordinates(kb3, kb2.take_rows(reg3)),
+        pair.km.take_rows(hprime).take_columns(reg3) @ kb3,
+        eye.take_columns(hprime),
+        eye.take_rows(vert3),
+    )
+    free = tuple(PresentedGroup(IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3))
+    groups = free + tuple(part.k0 for part in parts)
     return tuple(GroupMap(groups[k], groups[k + 1], m) for k, m in enumerate(matrices))
+
+
+def kernel_coordinates(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
+    """The coordinates of each vector column in the columns of ``basis``,
+    one lattice solve each; a vector outside their span raises."""
+    columns = []
+    for j in range(vectors.cols):
+        x = solve_lattice(basis, vectors.column(j))
+        if x is None:
+            raise AssertionError("kernel vector left the kernel under an induced map")
+        columns.append(x)
+    if not columns:
+        return IntMatrix.zeros(basis.cols, 0)
+    return IntMatrix._trusted(tuple(zip(*columns)), len(columns))
+
+
+def skeleton_record(maps, coeff: CoeffGroup) -> _Skeleton:
+    """A new skeleton record of the Z-level skeleton ``maps``: each map
+    conjugated into the Smith coordinates of its groups, project @ m @
+    lift with each row reduced modulo its modulus, as a store's cut gives
+    for a real row."""
+    coords = [_SmithCoordinates(grp) for grp in row_groups(maps)]
+    reduced = []
+    for f, dom, cod in zip(maps, coords, coords[1:]):
+        m = f.matrix if dom.lift is None else f.matrix @ dom.lift
+        if cod.project is not None:
+            m = cod.project @ m
+            m = IntMatrix._trusted(_residues(m, cod.moduli), m.cols)
+        reduced.append(GroupMap(dom.group, cod.group, m))
+    return _Skeleton(tuple(reduced), coeff)
 
 
 def row_groups(maps) -> tuple[PresentedGroup, ...]:

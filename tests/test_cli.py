@@ -256,7 +256,7 @@ class TestStreamedReports:
         monkeypatch.setattr(cli, "_body_json", counting)
         code, out, _ = run(capsys, ["--json", "fk", str(path)])
         assert code == 0 and len(json.loads(out)["rows"]) == len(table.row_triples)
-        assert len(encoded) == len(distinct) < len(table.store._bodies)
+        assert len(encoded) == len(distinct) < len(table.store._shapes)
 
     def test_failed_check_on_the_last_row_writes_nothing(self, capsys, files, monkeypatch):
         built = []

@@ -266,7 +266,7 @@ class TestCompare:
 
         monkeypatch.setattr(IdealLattice, "leq", counting)
         table = fkbar(g, COEFF)
-        assert len(table.store._bodies) == 2**6 - 1 and len(calls) == 32 * 33 // 2
+        assert len(table.store._shapes) == 2**6 - 1 and len(calls) == 32 * 33 // 2
         calls.clear()
         rep = compare_fkbar(g, g, COEFF)
         assert rep.consistent and len(rep.map_matches) == 4**5
@@ -276,11 +276,11 @@ class TestCompare:
         g = H.disjoint_loops(2)
         t = filtered.FilteredKTable(g, COEFF)
         trip = (0, 1, 3)  # empty set, one loop, both loops
-        assert trip in t.row_triples and not t.store._bodies
+        assert trip in t.row_triples and not t.store._shapes
         row = t.row(trip)
-        assert row.triple == ((), ("x0",), ("x0", "x1")) and len(t.store._bodies) == 1
+        assert row.triple == ((), ("x0",), ("x0", "x1")) and len(t.store._shapes) == 1
         again = t.row(trip)
-        assert again == row and again.body is row.body and len(t.store._bodies) == 1
+        assert again == row and again.body is row.body and len(t.store._shapes) == 1
         # another table's row has its own skeleton record, equal in its maps
         # and classes
         other = fkbar(g, COEFF).row(trip)
@@ -288,7 +288,7 @@ class TestCompare:
         for name in ("maps", "k0_classes", "k1bar_classes"):
             assert getattr(row.body, name) == getattr(other.body, name), name
         # indices rise along the order, so the reversed triple is not nested
-        assert t.row(trip[::-1]) is None and len(t.store._bodies) == 1
+        assert t.row(trip[::-1]) is None and len(t.store._shapes) == 1
 
     def test_skeletons_decided_once_across_both_tables(self, monkeypatch):
         g = H.disjoint_loops(3)

@@ -815,7 +815,8 @@ class TestMapsAndExactness:
     def test_each_map_stacked_once(self, fan, monkeypatch):
         # a node's [f | R] is the [g | R_cod] whose kernel the node before
         # it read for its preimage, so n maps ask for n stacked records and
-        # each of the n - 1 nodes for two more, its kernel and its union
+        # each of the n - 1 nodes for two more, its kernel and its union,
+        # unless a node's group has no generators
         zf, zmod2 = _zfree(), PresentedGroup(IntMatrix([[2]]))
         short = [
             GroupMap(zf, zf, IntMatrix([[4]]), name="quad"),
@@ -836,10 +837,22 @@ class TestMapsAndExactness:
         middle, quotient = check_exact(short)
         assert len(asked) == 7
         assert middle.image_in_kernel and not middle.kernel_in_image and quotient.exact
+        # the fan row's three K1bar groups are 0, so its two nodes there are
+        # exact with no elimination, and only the maps next to the two K0
+        # nodes, delta, u12 and u23, are stacked
         asked.clear()
-        assert all(n.exact for n in check_exact(skeleton)) and len(asked) == 13
-        stacked = [f.matrix.hstack(f.codomain.relations) for f in skeleton]
+        assert [grp.generators for grp in H.row_groups(skeleton)][:3] == [0, 0, 0]
+        assert all(n.exact for n in check_exact(skeleton)) and len(asked) == 7
+        stacked = [f.matrix.hstack(f.codomain.relations) for f in skeleton[2:]]
         assert asked[: len(stacked)] == stacked
+        # a chain through the trivial group asks for no record at all
+        asked.clear()
+        trivial = PresentedGroup(IntMatrix.zeros(0, 0))
+        through = [
+            GroupMap(zf, trivial, IntMatrix.zeros(0, 1)),
+            GroupMap(trivial, zf, IntMatrix.zeros(1, 0)),
+        ]
+        assert check_exact(through)[0].exact and asked == []
 
 
 # ---------------------------------------------------------------------------

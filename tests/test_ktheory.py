@@ -510,17 +510,6 @@ def store_verdicts(nodes):
     return z, tuple(n.coeff_exact for n in nodes)
 
 
-def mutant_body(store, maps):
-    """A new skeleton record of the Z-level skeleton ``maps``, reduced on
-    the store's Smith coordinates as the store reduces a row's skeleton."""
-    groups = (maps[0].domain,) + tuple(f.codomain for f in maps)
-    coords = [store._coordinates_of(grp) for grp in groups]
-    reduced = tuple(
-        ktheory._in_coordinates(f.matrix, dom, cod) for f, dom, cod in zip(maps, coords, coords[1:])
-    )
-    return ktheory._Skeleton(reduced, store.coeff)
-
-
 def with_zero_u12(maps):
     f = maps[3]
     zero = GroupMap(f.domain, f.codomain, f.matrix.scale(0), name="u12")
@@ -551,7 +540,7 @@ class TestSkeletonMemo:
                 # skeletons that differ from a real one in a single map must
                 # not be served its verdicts
                 for maps in (with_doubled_delta(skeleton), with_zero_u12(skeleton)):
-                    got = store_verdicts(mutant_body(store, maps).nodes)
+                    got = store_verdicts(H.skeleton_record(maps, coeff).nodes)
                     expected = fresh_verdicts(maps, coeff)
                     assert got == expected, (g, row.triple, maps[2].name, maps[3].matrix)
                     broken += got != store_verdicts(row.body.nodes)
@@ -569,7 +558,7 @@ class TestSkeletonMemo:
         for k in range(1, 5):
             table = fkbar(H.disjoint_loops(k), COEFF_F5)
             assert len(table.rows) == 4**k
-            assert len(table.store._bodies) == 2 ** (k + 1) - 1
+            assert len(table.store._shapes) == 2 ** (k + 1) - 1
         # the two tables of a compare share one skeleton record per shape
         built = []
         record_class = ktheory._Skeleton
@@ -674,35 +663,59 @@ class TestSmithCoordinates:
                     continue
                 # a non-exact skeleton: its one-sided verdicts and its classes
                 mutant = with_doubled_delta(skeleton)
-                body = mutant_body(t.store, mutant)
+                body = H.skeleton_record(mutant, coeff)
                 got = store_verdicts(body.nodes)
                 groups, maps = body.signature
                 assert (got, (groups, maps)) == original(mutant), row.triple
                 broken += got != store_verdicts(row.body.nodes)
         assert rows >= 1491 + 16 and reduced >= 1000 and broken >= 50
 
-    def test_each_presentation_reduced_once_per_table(self, corpus, monkeypatch):
+    def test_each_presentation_reduced_once_per_pair_record(self, corpus, monkeypatch):
         reduced = []
         coordinates = ktheory._SmithCoordinates
 
         def counting(group):
-            reduced.append(group.relations)
+            reduced.append(group)
             return coordinates(group)
 
         monkeypatch.setattr(ktheory, "_SmithCoordinates", counting)
+        stores = record_shared_stores(monkeypatch)
         total = 0
         for g in corpus[:80]:
             reduced.clear()
-            fkbar(g, COEFF_F5)
-            assert len(reduced) == len(set(reduced)), g
+            table = fkbar(g, COEFF_F5)
+            # only pair records reduce, each its own K0 presentation once
+            own = {id(pair.k0) for pair in table.store._pairs.values()}
+            assert len(reduced) == len(set(map(id, reduced))) and set(map(id, reduced)) <= own, g
             total += len(reduced)
-            # a relabelled copy shares the first table's memos, so the two
-            # tables of a compare reduce each presentation once between them
+            # a relabelled copy's rows hit the first table's shapes, so a
+            # compare reduces none of the second table's pairs
             reduced.clear()
+            stores.clear()
             copy = relabel(g, {v: v + "c" for v in g.vertices})
             assert compare_fkbar(g, copy, COEFF_F5).consistent
-            assert len(reduced) == len(set(reduced)), g
+            first, second = ({id(pair.k0) for pair in s._pairs.values()} for s in stores)
+            assert len(reduced) == len(set(map(id, reduced))), g
+            assert set(map(id, reduced)) <= first and not set(map(id, reduced)) & second, g
         assert total >= 200
+
+    def test_products_per_built_shape(self, monkeypatch):
+        # a shape's five maps are cut from its three pair records: one
+        # product each for u12 and u23, two for delta, and one for tau1 and
+        # tau2 with one more each to re-multiply; a record's own Smith data
+        # and kernel inverse are made once, however many shapes read them
+        products = []
+        matmul = IntMatrix.__matmul__
+
+        def counting(a, b):
+            if isinstance(b, IntMatrix):
+                products.append(None)
+            return matmul(a, b)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+        table = fkbar(parse_graph(poset_loops(8, 0.3, 1)), COEFF_F5)
+        shapes = len(table.store._shapes)
+        assert shapes == 396 and len(products) <= 8 * shapes
 
     def test_skeleton_work_once_per_skeleton(self, monkeypatch):
         # a chain of loops into a sink, and a two-petal rose feeding it
@@ -748,7 +761,7 @@ class TestSharedSkeletons:
         graphs = [parse_graph(poset_loops(8, 0.3, 1, order_seed=s)) for s in (None, 5)]
         stores = [fkbar(g, coeff).store for g in graphs]
         keys = {maps for store in stores for maps in store._skeletons}
-        shapes = sum(len(store._bodies) for store in stores)
+        shapes = sum(len(store._shapes) for store in stores)
         calls = []
         original = ktheory.check_exact
 
@@ -779,6 +792,21 @@ class TestSharedSkeletons:
                 assert got == seen, g
                 shared += seen is not got
         assert len(first) >= 1500 and shared >= 600
+
+
+def record_shared_stores(monkeypatch):
+    """A list that gains the two stores of each compare from now on, the
+    first table's and then the second's, when the second shares the
+    first's memos."""
+    stores = []
+    share = ktheory.SubquotientStore._share
+
+    def recording(store, other):
+        stores.extend((other, store))
+        share(store, other)
+
+    monkeypatch.setattr(ktheory.SubquotientStore, "_share", recording)
+    return stores
 
 
 def count_konebars(monkeypatch):
@@ -818,24 +846,17 @@ class TestPairRecordGroups:
                 record.k1bar_classes
             assert len(built) == len(table.store._pairs), g
         # the poset's 396 row shapes over its 84 pair records
-        assert len(table.store._bodies) >= 4 * len(table.store._pairs)
+        assert len(table.store._shapes) >= 4 * len(table.store._pairs)
 
     def test_compare_builds_konebars_per_pair_record(self, monkeypatch):
-        stores = []
-        share = ktheory.SubquotientStore._share
-
-        def recording(store, other):
-            stores.extend((other, store))
-            share(store, other)
-
-        monkeypatch.setattr(ktheory.SubquotientStore, "_share", recording)
+        stores = record_shared_stores(monkeypatch)
         g = parse_graph(poset_loops(8, 0.3, 1))
         shuffled = parse_graph(poset_loops(8, 0.3, 1, order_seed=5))
         built = count_konebars(monkeypatch)
         assert compare_fkbar(g, shuffled, COEFF_F5).consistent
         first, second = stores
         assert len(built) <= len(first._pairs) + len(second._pairs)
-        assert len(first._bodies) >= 300
+        assert len(first._shapes) >= 300
 
     @pytest.mark.parametrize("coeff", list(PRINTED_COEFFS.values()), ids=list(PRINTED_COEFFS))
     def test_printed_classes_equal_pair_records(self, corpus, coeff):

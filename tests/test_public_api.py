@@ -194,7 +194,7 @@ SHARED_NAME_CALLS = {
     "CoeffCokernel.class_key": "ktheory.KOneBar.class_key",
     "KOneBar.class_key": "filtered.TableEntry.class_key",
     "TableEntry.class_key": "filtered.TableEntry.same_class",
-    "KOneBar.kernel": "ktheory._row_skeleton",
+    "KOneBar.kernel": "ktheory._row_body",
     "KOneBar.coker_part": "filtered._entry_names",
     "KOneBar.kernel_rank": "ktheory.vdb_sequence",
     "_OneBarText.symbol": "cli._cmd_k1",
