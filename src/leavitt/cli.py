@@ -17,11 +17,11 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from types import GeneratorType
 
-from .filtered import RowCapError, compare_fkbar, fkbar
+from .filtered import _ROW_CAP, RowCapError, compare_fkbar, fkbar
 from .graphs import Graph, GraphFormatError, parse_graph, parse_matrix
 from .intlinalg import CoeffGroup, FgAbGroup
 from .ktheory import k0, k1, six_term_row, vdb_sequence
-from .lattice import LatticeCapError, enumerate_hsat, locally_closed_all, spectrum
+from .lattice import _LATTICE_CAP, LatticeCapError, enumerate_hsat, locally_closed_all, spectrum
 from .monoid import graded_equal, parse_graded_element, parse_monoid_element, ungraded_equal
 from .shifts import bowen_franks, det_invariant, shift_equivalent_bounded, verify_certificate
 
@@ -87,12 +87,12 @@ def _konebar_json(kb) -> dict:
 
 
 def _body_json(body) -> dict:
-    """The payload of a row's skeleton record: exactness, each K1bar and
-    K0 class and the node verdicts."""
+    """The payload of a row's skeleton record: exactness, the K1bar and K0
+    groups of its pair records and the node verdicts."""
     return {
         "exact": body.exact,
-        "k1bar": [_konebar_json(kb) for kb in body.k1bar_classes],
-        "k0": [_group_json(kz) for kz in body.k0_classes],
+        "k1bar": [_konebar_json(pair.k1) for pair in body.pairs],
+        "k0": [_group_json(pair.k0.invariants()) for pair in body.pairs],
         "nodes": [
             {
                 "name": n.name,
@@ -124,10 +124,10 @@ def _row_texts(table, nl):
     skeleton in Smith coordinates of the table's store), around holes for
     its lattice triple and its vertex names; each lattice element's index
     and name list is encoded once, and a row joins those strings.  The
-    record's text is encoded once: its payload reads the K1bar and K0
-    classes, the exactness and the node verdicts off the record, so rows of
-    two shapes with one skeleton share one text.  A record hashes by
-    identity, so a row's lookup hashes no matrix."""
+    record's text is encoded once: its payload reads the exactness and the
+    node verdicts off the record, and the K1bar and K0 groups off its pair
+    records, so rows of two shapes with one skeleton share one text.  A
+    record hashes by identity, so a row's lookup hashes no matrix."""
     inner, deeper = nl + "  ", nl + "    "
     members = map(table.lattice.members, range(len(table.lattice)))
     names = [deeper + _json_text(list(m), deeper) for m in members]
@@ -293,15 +293,13 @@ def _cmd_k0(args):
 def _cmd_k1(args):
     g = _load_graph(args.graph)
     kb = k1(g, _coeff(args.field, reduced=False))
-    payload = _konebar_json(kb)
-    return payload, [f"K1 = {kb.symbol()}"], EXIT_OK
+    return _konebar_json(kb), [f"K1 = {kb.symbol()}"], EXIT_OK
 
 
 def _cmd_k1bar(args):
     g = _load_graph(args.graph)
     kb = k1(g, _coeff(args.field, reduced=True))
-    payload = _konebar_json(kb)
-    return payload, [f"Kbar1 = {kb.symbol()}"], EXIT_OK
+    return _konebar_json(kb), [f"Kbar1 = {kb.symbol()}"], EXIT_OK
 
 
 def _cmd_monoid_eq(args):
@@ -482,8 +480,8 @@ def _cmd_sixterm(args):
     payload = _row_json(row)
     body = row.body
     lines = [
-        "Kbar1: " + " -> ".join(kb.symbol() for kb in body.k1bar_classes),
-        "K0:   " + " -> ".join(str(kz) for kz in body.k0_classes),
+        "Kbar1: " + " -> ".join(pair.k1.symbol() for pair in body.pairs),
+        "K0:   " + " -> ".join(str(pair.k0.invariants()) for pair in body.pairs),
         f"exact: {body.exact}",
     ]
     for n in body.nodes:
@@ -509,14 +507,14 @@ def _add_field(p):
 
 
 def _add_lattice_cap(p):
-    p.add_argument("--lattice-cap", type=int, default=4096, help="max lattice elements")
+    p.add_argument("--lattice-cap", type=int, default=_LATTICE_CAP, help="max lattice elements")
 
 
 def _add_row_cap(p):
     p.add_argument(
         "--row-cap",
         type=int,
-        default=65_536,
+        default=_ROW_CAP,
         help="max nested ideal triples, one six-term row each",
     )
 

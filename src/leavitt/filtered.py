@@ -38,6 +38,7 @@ from .ktheory import (
     _row_body,
 )
 from .lattice import (
+    _LATTICE_CAP,
     IdealLattice,
     LatticeCapError,
     LocallyClosed,
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 _CANDIDATE_CAP = 10_000  # lattice isomorphisms tried without a match
+_ROW_CAP = 65_536  # default nested ideal triples, one six-term row each
 
 NECESSARY_ONLY_NOTE = (
     "a consistent report is a necessary condition for isomorphic filtered "
@@ -114,7 +116,9 @@ class FilteredKTable:
     (``SubquotientStore._share``).
     """
 
-    def __init__(self, g: Graph, coeff: CoeffGroup, lattice_cap: int = 4096, row_cap: int = 65_536):
+    def __init__(
+        self, g: Graph, coeff: CoeffGroup, lattice_cap: int = _LATTICE_CAP, row_cap: int = _ROW_CAP
+    ):
         topology = spectrum(enumerate_hsat(g, cap=lattice_cap))
         lattice = topology.lattice
         count = sum(down * up for down, up in _signatures(topology))
@@ -178,8 +182,8 @@ class FilteredKTable:
 def fkbar(
     g: Graph,
     coeff: CoeffGroup,
-    lattice_cap: int = 4096,
-    row_cap: int = 65_536,
+    lattice_cap: int = _LATTICE_CAP,
+    row_cap: int = _ROW_CAP,
 ) -> FilteredKTable:
     """Compute the filtered table: an entry per piece, a row per ideal triple.
 
@@ -492,9 +496,9 @@ def compare_fkbar(
     g2: Graph,
     coeff: CoeffGroup,
     se_intertwiner: IntMatrix | None = None,
-    lattice_cap: int = 4096,
+    lattice_cap: int = _LATTICE_CAP,
     element_search: bool = True,
-    row_cap: int = 65_536,
+    row_cap: int = _ROW_CAP,
 ) -> ComparisonReport:
     """Search the lattice isomorphisms for one matching the two tables.
 

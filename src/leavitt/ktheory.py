@@ -27,9 +27,9 @@ verdicts about images, kernels and cokernels do not change.  Rows of
 many shapes share one skeleton in Smith coordinates, so a store keeps
 one :class:`_Skeleton` record per distinct skeleton, keyed by its maps in
 full, and maps each shape to it.  A row is that record: a
-:class:`SixTermRow` is a triple of vertex names over it, and its
-verdicts, signature, element searches and printed classes are read off
-the record, each decided once per store.
+:class:`SixTermRow` is a triple of vertex names over it, its verdicts,
+signature and element searches are decided once per store on the record,
+and it prints the groups of the three pair records that first gave it.
 """
 
 from __future__ import annotations
@@ -108,34 +108,8 @@ def k0(g: Graph) -> PresentedGroup:
     return PresentedGroup(k_matrix(g))
 
 
-class _OneBarText:
-    """How a K1bar group is written, read off its ``kernel_rank`` and its
-    twisted cokernel ``coker_part``: by :class:`KOneBar` and by the K1bar
-    classes of a row skeleton (``_OneBarClass``)."""
-
-    __slots__ = ()
-
-    def isomorphism_class(self) -> FgAbGroup | None:
-        spec = self.coker_part.specialize()
-        if spec is None:
-            return None
-        return FgAbGroup(self.kernel_rank, ()).direct_sum(spec)
-
-    def symbol(self) -> str:
-        """The group as text.  A transfer matrix has no more columns than
-        rows, so a positive kernel rank leaves the cokernel a free part
-        too, and then the twisted cokernel's symbol is never "0"."""
-        iso = self.isomorphism_class()
-        if iso is not None:
-            return str(iso)
-        coker = self.coker_part.symbol()
-        if self.kernel_rank == 0:
-            return coker
-        return f"{FgAbGroup(self.kernel_rank, ())} ⊕ {coker}"
-
-
 @dataclass(frozen=True)
-class KOneBar(_OneBarText):
+class KOneBar:
     """K1 (or its reduced variant) split as twisted cokernel plus free kernel.
 
     ``coker_part`` is the cokernel of the transfer matrix with coefficients
@@ -146,7 +120,7 @@ class KOneBar(_OneBarText):
     the rank from its diagonal, the basis from its kernel.  The record keeps
     what every run yields, so a caller that reads the kernel first, or the
     Smith coordinates of the same matrix before that, runs one elimination
-    in all.
+    in all.  It is the one K1bar type: table entries and rows print it.
     """
 
     coeff: CoeffGroup
@@ -170,14 +144,23 @@ class KOneBar(_OneBarText):
         of the twisted cokernel."""
         return self.kernel_rank, self.coker_part.class_key()
 
+    def isomorphism_class(self) -> FgAbGroup | None:
+        spec = self.coker_part.specialize()
+        if spec is None:
+            return None
+        return FgAbGroup(self.kernel_rank, ()).direct_sum(spec)
 
-@dataclass(frozen=True, slots=True)
-class _OneBarClass(_OneBarText):
-    """A K1bar group up to isomorphism: its kernel rank and its twisted
-    cokernel."""
-
-    kernel_rank: int
-    coker_part: CoeffCokernel
+    def symbol(self) -> str:
+        """The group as text.  A transfer matrix has no more columns than
+        rows, so a positive kernel rank leaves the cokernel a free part
+        too, and then the twisted cokernel's symbol is never "0"."""
+        iso = self.isomorphism_class()
+        if iso is not None:
+            return str(iso)
+        coker = self.coker_part.symbol()
+        if self.kernel_rank == 0:
+            return coker
+        return f"{FgAbGroup(self.kernel_rank, ())} ⊕ {coker}"
 
 
 def k1(g: Graph, coeff: CoeffGroup) -> KOneBar:
@@ -277,7 +260,7 @@ def vdb_sequence(g: Graph, coeff: CoeffGroup) -> VdbReport:
         k1=kone,
         k0=kzero,
         ker_phi=FgAbGroup(kone.kernel_rank, ()),
-        coker_phi=FgAbGroup.cokernel_of(km.rows, snf(km)),
+        coker_phi=kzero.invariants(),
         lift_witnesses=witnesses,
         kernel_maps_into_ker_phi=into_ker,
         phi_composes_to_zero=composes_zero,
@@ -522,25 +505,30 @@ class SubquotientStore:
 
 
 class _Skeleton:
-    """A row skeleton in Smith coordinates, ``maps``, under the coefficient
-    group ``coeff``: tau1 and tau2 between the free kernel parts of the
-    three K1bar groups, delta into K0 of the ideal part, and u12 and u23
-    between the K0 groups.  Every row of a store with these maps is this
-    record, whatever its shape, and what is decided on it is kept when
-    first read: the verdicts at the four interior nodes (``nodes``),
-    ``exact``, the ``signature`` that a comparison matches and, in
-    ``searches``, the element search against each other record (see
-    :func:`~leavitt.filtered._row_element_check`).  The classes a row
-    prints are read off its groups.  Records compare by identity.
+    """A row skeleton in Smith coordinates, ``maps``: tau1 and tau2
+    between the free kernel parts of the three K1bar groups, delta into K0
+    of the ideal part, and u12 and u23 between the K0 groups.  Every row of
+    a store with these maps is this record, whatever its shape, and prints
+    the ``k0`` and ``k1`` of ``pairs``, the records of J minus I, P minus I
+    and P minus J that first gave them: equal maps have groups of equal
+    moduli and free ranks.  What is decided on it is kept when first read:
+    the verdicts at the four interior nodes (``nodes``), ``exact``, the
+    ``signature`` that a comparison matches and, in ``searches``, which
+    only a comparison makes, the element search against each other record
+    (see :func:`~leavitt.filtered._row_element_check`).  Records compare by
+    identity.
     """
 
-    def __init__(self, maps, coeff: CoeffGroup):
-        self.maps, self.coeff = maps, coeff
-        self.searches = {}
+    def __init__(self, maps, pairs: tuple[SubquotientK, SubquotientK, SubquotientK]):
+        self.maps, self.pairs = maps, pairs
+
+    @cached_property
+    def searches(self) -> dict:
+        return {}
 
     @cached_property
     def nodes(self) -> tuple[NodeReport, ...]:
-        return _skeleton_nodes(self.maps, self.coeff)
+        return _skeleton_nodes(self.maps, self.pairs[0].k1.coeff)
 
     @cached_property
     def exact(self) -> bool:
@@ -560,20 +548,6 @@ class _Skeleton:
             map_invariants(f.matrix, f.domain.relations, f.codomain.relations) for f in maps
         )
         return tuple(FgAbGroup.from_parts(0, _moduli(n)) for n in groups), classes
-
-    @property
-    def k0_classes(self) -> tuple[FgAbGroup, ...]:
-        """K0 of the ideal part, the middle and the quotient part."""
-        return tuple(FgAbGroup.from_parts(0, _moduli(f.codomain)) for f in self.maps[2:])
-
-    @property
-    def k1bar_classes(self) -> tuple[_OneBarClass, ...]:
-        """K1bar of the same parts: a free node's rank, and the twisted
-        cokernel of the K0 class of the same block."""
-        return tuple(
-            _OneBarClass(f.domain.generators, CoeffCokernel(self.coeff, k.torsion, k.free_rank))
-            for f, k in zip(self.maps, self.k0_classes)
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -630,9 +604,9 @@ def _skeleton_nodes(maps, coeff: CoeffGroup) -> tuple[NodeReport, ...]:
 class SixTermRow:
     """One row of the filtered K-theory ladder for a nested ideal triple:
     the triple's vertex names over ``body``, the store's :class:`_Skeleton`
-    record of the row, which holds the maps in Smith coordinates, the
-    groups' classes and the verdicts at the four interior nodes, and which
-    every row with that skeleton shares."""
+    record of the row, which holds the maps in Smith coordinates, the pair
+    records whose groups the row prints and the verdicts at the four
+    interior nodes, and which every row with that skeleton shares."""
 
     triple: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
     body: _Skeleton
@@ -676,11 +650,11 @@ def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _
     (``vert3``): u12 = project2[:, hprime] @ lift1, u23 = project3 @
     lift2[vert3, :] (None an identity), delta = project1 @ the block at H'
     and the quotient's regular columns @ the quotient's kernel basis, tau1
-    and tau2 through :meth:`SubquotientK.in_kernel`.  Later rows of the
-    shape get the same record.  Both intertwining squares say one thing,
-    checked as a bug guard: ``km`` is zero at the quotient's rows and the
-    regular columns of H', so no edge leaves H' from one of its regular
-    vertices.
+    and tau2 through :meth:`SubquotientK.in_kernel`; a new record keeps
+    the three pair records.  Later rows of the shape get the same record.
+    Both intertwining squares say one thing, checked as a bug guard:
+    ``km`` is zero at the quotient's rows and the regular columns of H',
+    so no edge leaves H' from one of its regular vertices.
     """
     pair = store.get(outer & ~inner)
     hprime = tuple(k for k, i in enumerate(pair.rows) if middle >> i & 1)
@@ -709,6 +683,6 @@ def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _
         )
         skeleton = store._skeletons.get(maps)
         if skeleton is None:
-            skeleton = store._skeletons[maps] = _Skeleton(maps, store.coeff)
+            skeleton = store._skeletons[maps] = _Skeleton(maps, (ideal, pair, quo))
         store._shapes[shape] = skeleton
     return skeleton

@@ -36,6 +36,9 @@ class LatticeCapError(RuntimeError):
     """Raised when lattice enumeration exceeds the configured cap."""
 
 
+_LATTICE_CAP = 4096  # default lattice elements, here and for every table
+
+
 # A vertex set is stored here as an int mask over declaration order: bit k
 # is set when the k-th declared vertex belongs to it.  The filtered table
 # and its rows (``filtered``, ``ktheory``) read these masks as they are;
@@ -121,7 +124,7 @@ class IdealLattice:
         return not self.elements[i] & ~self.elements[j]
 
 
-def enumerate_hsat(g: Graph, cap: int = 4096) -> IdealLattice:
+def enumerate_hsat(g: Graph, cap: int = _LATTICE_CAP) -> IdealLattice:
     """Enumerate every hereditary saturated set.
 
     Every such set is the join of the closures of its vertices, so joining

@@ -749,11 +749,12 @@ def kernel_coordinates(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
     return IntMatrix._trusted(tuple(zip(*columns)), len(columns))
 
 
-def skeleton_record(maps, coeff: CoeffGroup) -> _Skeleton:
-    """A new skeleton record of the Z-level skeleton ``maps``: each map
-    conjugated into the Smith coordinates of its groups, project @ m @
-    lift with each row reduced modulo its modulus, as a store's cut gives
-    for a real row."""
+def skeleton_record(maps, pairs) -> _Skeleton:
+    """A new skeleton record of the Z-level skeleton ``maps`` over
+    ``pairs``, the pair records of the row whose skeleton it is or
+    mutates: each map conjugated into the Smith coordinates of its
+    groups, project @ m @ lift with each row reduced modulo its modulus,
+    as a store's cut gives for a real row."""
     coords = [_SmithCoordinates(grp) for grp in row_groups(maps)]
     reduced = []
     for f, dom, cod in zip(maps, coords, coords[1:]):
@@ -762,7 +763,7 @@ def skeleton_record(maps, coeff: CoeffGroup) -> _Skeleton:
             m = cod.project @ m
             m = IntMatrix._trusted(_residues(m, cod.moduli), m.cols)
         reduced.append(GroupMap(dom.group, cod.group, m))
-    return _Skeleton(tuple(reduced), coeff)
+    return _Skeleton(tuple(reduced), pairs)
 
 
 def row_groups(maps) -> tuple[PresentedGroup, ...]:

@@ -132,11 +132,8 @@ class TestTable:
                 i, j, p = idx_triple
                 slots = [((i, j), 0), ((i, p), 1), ((j, p), 2)]
                 for pair, slot in slots:
-                    inv = (
-                        row.body.k0_classes[slot],
-                        row.body.k1bar_classes[slot].isomorphism_class(),
-                        row.body.k1bar_classes[slot].symbol(),
-                    )
+                    part = row.body.pairs[slot]
+                    inv = (part.k0.invariants(), part.k1.isomorphism_class(), part.k1.symbol())
                     if pair in seen:
                         assert seen[pair] == inv, (g, pair)
                     else:
@@ -165,7 +162,14 @@ class TestTable:
             assert inv1 == inv2
 
 
-BODY_FIELDS = ("maps", "nodes", "k0_classes", "k1bar_classes")
+BODY_FIELDS = ("maps", "nodes")
+
+
+def pair_classes(body):
+    """The K0 and K1bar classes of a skeleton record's pair records, which
+    its rows print: the K0 invariants, the kernel rank and the twisted
+    cokernel of each."""
+    return tuple((p.k0.invariants(), p.k1.kernel_rank, p.k1.coker_part) for p in body.pairs)
 
 
 class TestSharedSubquotients:
@@ -187,6 +191,7 @@ class TestSharedSubquotients:
                 body, fresh = row.body, fresh.body
                 for name in BODY_FIELDS:
                     assert getattr(body, name) == getattr(fresh, name), (g, row.triple, name)
+                assert pair_classes(body) == pair_classes(fresh), (g, row.triple)
                 rows += 1
             for e in t.entries:
                 sub = subquotient(g, e.inner_members, e.outer_members)
@@ -252,6 +257,33 @@ class TestCompare:
         assert len(calls["element"]) == len(set(calls["element"])) == 15
         assert all(a is b for a, b in calls["element"])
 
+    def test_searches_kept_only_by_a_comparison(self, monkeypatch):
+        # an fk table searches no pair of records, so none of its records
+        # holds a ``searches`` dict; a comparison keeps each outcome on the
+        # first record, and a repeated pair reads it back without a search
+        graphs = [parse_graph(poset_loops(3, 0.3, 1, order_seed=s)) for s in (None, 1)]
+        for g in graphs:
+            assert not any("searches" in vars(r) for r in set(fkbar(g, COEFF).bodies))
+        iso = compare_fkbar(*graphs, COEFF).lattice_iso
+        t1, t2 = (filtered.FilteredKTable(g, COEFF) for g in graphs)
+        t2.store._share(t1.store)
+        calls = []
+        search = filtered._skeleton_element_search
+
+        def counting(maps_a, maps_b):
+            calls.append((maps_a, maps_b))
+            return search(maps_a, maps_b)
+
+        monkeypatch.setattr(filtered, "_skeleton_element_search", counting)
+        first = filtered._match_rows(t1, t2, iso, run_elements=True)
+        images = (t2.body(tuple(iso[k] for k in trip)) for trip in t1.row_triples)
+        pairs = set(zip(t1.bodies, images))
+        searched = {(a, b) for a, b in pairs if a is not b and a.signature == b.signature}
+        assert len(calls) == len(searched) > 0
+        assert all(b in vars(a)["searches"] for a, b in searched)
+        calls.clear()
+        assert filtered._match_rows(t1, t2, iso, run_elements=True) == first and calls == []
+
     def test_row_passes_call_no_leq(self, monkeypatch):
         # only the ``above`` lists of ``row_triples`` compare lattice
         # elements, one call per i <= j of each 32-element table; fkbar's
@@ -285,8 +317,8 @@ class TestCompare:
         # and classes
         other = fkbar(g, COEFF).row(trip)
         assert row.triple == other.triple and row.body is not other.body
-        for name in ("maps", "k0_classes", "k1bar_classes"):
-            assert getattr(row.body, name) == getattr(other.body, name), name
+        assert row.body.maps == other.body.maps
+        assert pair_classes(row.body) == pair_classes(other.body)
         # indices rise along the order, so the reversed triple is not nested
         assert t.row(trip[::-1]) is None and len(t.store._shapes) == 1
 
@@ -564,7 +596,7 @@ class TestRowFailures:
             g = store.graph
             if not g.has_vertex(broken) or not outer >> g.index(broken) & 1:
                 return body
-            inexact = ktheory._Skeleton(body.maps, COEFF)
+            inexact = ktheory._Skeleton(body.maps, body.pairs)
             inexact.exact = False
             return inexact
 
@@ -713,7 +745,7 @@ def zeroed_map(body, k):
     zero map."""
     maps = list(body.maps)
     maps[k] = dataclasses.replace(maps[k], matrix=IntMatrix.zeros(*maps[k].matrix.shape))
-    return ktheory._Skeleton(tuple(maps), COEFF)
+    return ktheory._Skeleton(tuple(maps), body.pairs)
 
 
 def element_outcome(matrix, trip, k):

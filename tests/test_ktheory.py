@@ -1,5 +1,6 @@
 """K-theory of graph algebras: K0, reduced K1, diagrams, six-term rows."""
 
+import operator
 import random
 
 import pytest
@@ -360,12 +361,12 @@ class TestSixTermRow:
             "k0-ideal",
             "k0-middle",
         ]
-        assert list(row.body.k0_classes) == [
+        assert [pair.k0.invariants() for pair in row.body.pairs] == [
             FgAbGroup.from_parts(1, ()),
             FgAbGroup.from_parts(2, ()),
             FgAbGroup.from_parts(1, ()),
         ]
-        assert [k.isomorphism_class() for k in row.body.k1bar_classes] == [
+        assert [pair.k1.isomorphism_class() for pair in row.body.pairs] == [
             FgAbGroup.from_parts(0, (2,)),
             FgAbGroup.from_parts(0, (2, 2)),
             FgAbGroup.from_parts(0, (2,)),
@@ -540,7 +541,7 @@ class TestSkeletonMemo:
                 # skeletons that differ from a real one in a single map must
                 # not be served its verdicts
                 for maps in (with_doubled_delta(skeleton), with_zero_u12(skeleton)):
-                    got = store_verdicts(H.skeleton_record(maps, coeff).nodes)
+                    got = store_verdicts(H.skeleton_record(maps, row.body.pairs).nodes)
                     expected = fresh_verdicts(maps, coeff)
                     assert got == expected, (g, row.triple, maps[2].name, maps[3].matrix)
                     broken += got != store_verdicts(row.body.nodes)
@@ -663,7 +664,7 @@ class TestSmithCoordinates:
                     continue
                 # a non-exact skeleton: its one-sided verdicts and its classes
                 mutant = with_doubled_delta(skeleton)
-                body = H.skeleton_record(mutant, coeff)
+                body = H.skeleton_record(mutant, row.body.pairs)
                 got = store_verdicts(body.nodes)
                 groups, maps = body.signature
                 assert (got, (groups, maps)) == original(mutant), row.triple
@@ -785,8 +786,8 @@ class TestSharedSkeletons:
         first = {}  # skeleton -> payload, nodes and signature of its first record
         shared = 0
         for g in graphs:
-            for maps in fkbar(g, coeff).store._skeletons:
-                own = ktheory._Skeleton(maps, coeff)
+            for maps, record in fkbar(g, coeff).store._skeletons.items():
+                own = ktheory._Skeleton(maps, record.pairs)
                 got = cli._body_json(own), own.nodes, own.signature
                 seen = first.setdefault(maps, got)
                 assert got == seen, g
@@ -832,10 +833,27 @@ PRINTED_COEFFS = {
 
 
 class TestPairRecordGroups:
-    """A row is three pair records.  Its skeleton record prints their K1bar
-    and K0 classes, read off its own groups in Smith coordinates, so a
-    table builds one K1bar per pair record and none per row, and what a
-    row prints must be the classes of those records' transfer blocks."""
+    """A row is three pair records.  Its skeleton record keeps those of the
+    first row cut to it and prints their K1bar and K0 groups, so a table
+    builds one K1bar per pair record and none per row, and what every row
+    of the record prints must be the classes of its own pair records."""
+
+    def test_pairs_are_the_first_rows_pair_records(self, corpus):
+        # by identity: the store's records of J - I, P - I and P - J of the
+        # first row in ``row_triples`` order with that skeleton record
+        records, others = set(), 0
+        for g in [*corpus[:80], parse_graph(poset_loops(8, 0.3, 1))]:
+            table = fkbar(g, COEFF_F5)
+            bits = table.lattice.elements
+            for (i, j, p), body in zip(table.row_triples, table.bodies):
+                parts = [table.store.get(bits[b] & ~bits[a]) for a, b in ((i, j), (i, p), (j, p))]
+                same = len(body.pairs) == 3 and all(map(operator.is_, body.pairs, parts))
+                if body in records:
+                    others += not same  # a later row on other pair records
+                    continue
+                records.add(body)
+                assert same, (g, i, j, p)
+        assert len(records) >= 450 and others >= 500
 
     def test_one_konebar_per_pair_record(self, corpus, monkeypatch):
         built = count_konebars(monkeypatch)
@@ -843,7 +861,7 @@ class TestPairRecordGroups:
             built.clear()
             table = fkbar(g, COEFF_F5)
             for record in set(table.bodies):
-                record.k1bar_classes
+                cli._body_json(record)
             assert len(built) == len(table.store._pairs), g
         # the poset's 396 row shapes over its 84 pair records
         assert len(table.store._shapes) >= 4 * len(table.store._pairs)
@@ -861,8 +879,9 @@ class TestPairRecordGroups:
     @pytest.mark.parametrize("coeff", list(PRINTED_COEFFS.values()), ids=list(PRINTED_COEFFS))
     def test_printed_classes_equal_pair_records(self, corpus, coeff):
         # every row's printed K0 and K1bar fields, read off its skeleton
-        # record, against the K0 invariants and the KOneBar of the store's
-        # pair records of J - I, P - I and P - J, on their transfer blocks
+        # record's pair records, which the first row cut to it gave, against
+        # the K0 invariants and the KOneBar of the store's pair records of
+        # this row's J - I, P - I and P - J, on their transfer blocks
         records = set()
         for g in corpus:
             table = fkbar(g, coeff)
@@ -871,7 +890,8 @@ class TestPairRecordGroups:
                 parts = [table.store.get(bits[b] & ~bits[a]) for a, b in ((i, j), (i, p), (j, p))]
                 k0s = [cli._group_json(pair.k0.invariants()) for pair in parts]
                 k1bars = [cli._konebar_json(pair.k1) for pair in parts]
-                assert [cli._group_json(k) for k in body.k0_classes] == k0s, (g, i, j, p)
-                assert [cli._konebar_json(k) for k in body.k1bar_classes] == k1bars, (g, i, j, p)
+                payload = cli._body_json(body)
+                assert payload["k0"] == k0s, (g, i, j, p)
+                assert payload["k1bar"] == k1bars, (g, i, j, p)
                 records.add(body)
         assert len(records) >= 800

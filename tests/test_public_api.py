@@ -190,14 +190,12 @@ SHARED_NAME_CALLS = {
     "Graph.index": "ktheory.connecting_delta",
     "IntMatrix.diagonal": "filtered._iso_candidates",
     "NodeVerdict.exact": "ktheory._skeleton_nodes",
-    "CoeffCokernel.symbol": "ktheory._OneBarText.symbol",
+    "CoeffCokernel.symbol": "ktheory.KOneBar.symbol",
     "CoeffCokernel.class_key": "ktheory.KOneBar.class_key",
     "KOneBar.class_key": "filtered.TableEntry.class_key",
     "TableEntry.class_key": "filtered.TableEntry.same_class",
     "KOneBar.kernel": "ktheory._row_body",
-    "KOneBar.coker_part": "filtered._entry_names",
-    "KOneBar.kernel_rank": "ktheory.vdb_sequence",
-    "_OneBarText.symbol": "cli._cmd_k1",
+    "KOneBar.symbol": "cli._cmd_k1",
     "VdbReport.consistent": "cli._cmd_vdb",
     "SubquotientStore.get": "ktheory._row_body",
     "NodeReport.exact": "ktheory._Skeleton.exact",
