@@ -92,7 +92,7 @@ def _body_json(body) -> dict:
     return {
         "exact": body.exact,
         "k1bar": [_konebar_json(pair.k1) for pair in body.pairs],
-        "k0": [_group_json(pair.k0.invariants()) for pair in body.pairs],
+        "k0": [_group_json(pair.k0_group) for pair in body.pairs],
         "nodes": [
             {
                 "name": n.name,
@@ -341,8 +341,8 @@ def _cmd_fk(args):
                 "difference": sorted(e.piece.difference),
                 "outer": list(e.outer_members),
                 "inner": list(e.inner_members),
-                "k0": _group_json(e.kzero.invariants()),
-                "k1bar": _konebar_json(e.konebar),
+                "k0": _group_json(e.pair.k0_group),
+                "k1bar": _konebar_json(e.pair.k1),
             }
             for e in table.entries
         ],
@@ -358,7 +358,7 @@ def _cmd_fk(args):
     for e in table.entries:
         lines.append(
             f"  piece primes={sorted(e.piece.difference)}: "
-            f"K0 = {e.kzero.invariants()}, Kbar1 = {e.konebar.symbol()}"
+            f"K0 = {e.pair.k0_group}, Kbar1 = {e.pair.k1.symbol()}"
         )
     code = EXIT_OK if exact else EXIT_OBSTRUCTION
     return payload, lines, code
@@ -481,7 +481,7 @@ def _cmd_sixterm(args):
     body = row.body
     lines = [
         "Kbar1: " + " -> ".join(pair.k1.symbol() for pair in body.pairs),
-        "K0:   " + " -> ".join(str(pair.k0.invariants()) for pair in body.pairs),
+        "K0:   " + " -> ".join(str(pair.k0_group) for pair in body.pairs),
         f"exact: {body.exact}",
     ]
     for n in body.nodes:

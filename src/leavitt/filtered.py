@@ -29,8 +29,8 @@ from operator import or_
 from .graphs import Graph
 from .intlinalg import CoeffGroup, IntMatrix, PresentedGroup
 from .ktheory import (
-    KOneBar,
     SixTermRow,
+    SubquotientK,
     SubquotientStore,
     _Skeleton,
     _moduli,
@@ -73,25 +73,25 @@ NECESSARY_ONLY_NOTE = (
 
 @dataclass(frozen=True)
 class TableEntry:
-    """Invariants of the subquotient attached to one locally closed piece."""
+    """A locally closed piece with ``pair``, the record of its subquotient's
+    block, which holds K0 (``k0``, its class ``k0_group``) and K1bar (``k1``)."""
 
     piece: LocallyClosed
     outer_members: tuple[str, ...]
     inner_members: tuple[str, ...]
-    kzero: PresentedGroup
-    konebar: KOneBar
+    pair: SubquotientK
 
     @cached_property
     def class_key(self) -> tuple:
         """The entry's class, per facet of ``_ENTRY_FACETS``: the K0
         invariants, the K1bar kernel rank and the twisted class key, all
         read off the Smith diagonal of the transfer matrix."""
-        return (self.kzero.invariants(), *self.konebar.class_key)
+        return (self.pair.k0_group, *self.pair.k1.class_key)
 
     def same_class(self, other: TableEntry) -> bool:
         """Are the two entries of one class?  Read off their transfer
         matrices when those are equal, with no elimination."""
-        return self.kzero.relations == other.kzero.relations or self.class_key == other.class_key
+        return self.pair.km == other.pair.km or self.class_key == other.class_key
 
 
 class RowCapError(RuntimeError):
@@ -103,17 +103,17 @@ class FilteredKTable:
     the prime spectrum and a six-term row per nested ideal triple.
 
     The constructor counts the nested triples i <= j <= p, at each j as
-    (#i <= j) * (#p >= j), and raises RowCapError past ``row_cap`` before
-    any entry is built; then it builds every entry.  Lattice elements stay
-    the vertex masks of ``lattice.elements``: an entry's pair and a row's
-    ``body``, its skeleton record, come from the table's subquotient
-    ``store`` by mask.  A row's triple comes from the table's own lattice,
-    so it is nested with a hereditary saturated middle set, and ``body``
-    skips that validation of :func:`~leavitt.ktheory.six_term_row`; every
-    other check runs, once per shape, on the matrices every row of that
-    shape carries.  The constructor builds no row, so a caller may still
-    have the store share another store's memos
-    (``SubquotientStore._share``).
+    (#i <= j) * (#p >= j), and raises RowCapError past ``row_cap``.
+    Lattice elements stay the vertex masks of ``lattice.elements``: an
+    entry's pair record and a row's ``body``, its skeleton record, come
+    from the table's subquotient ``store`` by mask.  A row's triple comes
+    from the table's own lattice, so it is nested with a hereditary
+    saturated middle set, and ``body`` skips that validation of
+    :func:`~leavitt.ktheory.six_term_row`; every other check runs, once per
+    shape, on the matrices every row of that shape carries.  The
+    constructor builds no pair record: ``entries`` are built when first
+    read, rows when looked up, so a caller may still have the store share
+    another store's records (``SubquotientStore._share``).
     """
 
     def __init__(
@@ -129,20 +129,25 @@ class FilteredKTable:
             )
         self.graph, self.coeff, self.lattice, self.topology = g, coeff, lattice, topology
         self.store = SubquotientStore(g, coeff)
-        bits = lattice.elements
         self.pieces = locally_closed_all(topology)
-        entries = []
-        for piece in self.pieces:
-            outer, inner = piece.outer_index, piece.inner_index
-            pair = self.store.get(bits[outer] & ~bits[inner])
-            members = lattice.members(outer), lattice.members(inner)
-            entries.append(TableEntry(piece, *members, pair.k0, pair.k1))
-        self.entries = tuple(entries)
-        self._by_difference = {e.piece.difference: e for e in entries}
         # indices extend inclusion, so the elements above i come after it
         n = len(lattice)
         above = [[j for j in range(i, n) if lattice.leq(i, j)] for i in range(n)]
         self.row_triples = tuple((i, j, p) for i in range(n) for j in above[i] for p in above[j])
+
+    @cached_property
+    def entries(self) -> tuple[TableEntry, ...]:
+        """The entry of every piece, in the order of ``pieces``."""
+        names, bits, entries = self.lattice.members, self.lattice.elements, []
+        for piece in self.pieces:
+            outer, inner = piece.outer_index, piece.inner_index
+            _, pair = self.store.get(bits[outer] & ~bits[inner])
+            entries.append(TableEntry(piece, names(outer), names(inner), pair))
+        return tuple(entries)
+
+    @cached_property
+    def _by_difference(self) -> dict:
+        return {e.piece.difference: e for e in self.entries}
 
     def body(self, trip) -> _Skeleton:
         """The skeleton record of a nested lattice triple, which the caller
@@ -190,10 +195,10 @@ def fkbar(
     Each row shape's checks run at construction and its node verdicts are
     decided when first read; ``all_rows_exact`` reads and summarizes them
     rather than hiding them.  Every pair an entry or a row needs is read
-    once per difference mask, as blocks of the graph's matrices with its
+    once per distinct adjacency block, as that block's record with its
     K-groups, and shared, and so is the skeleton record of each positional
     row shape with its exactness verdict.  Raises RowCapError before any
-    entry is built when the lattice has more than ``row_cap`` nested
+    pair is built when the lattice has more than ``row_cap`` nested
     triples; otherwise looks up the record of every row before it
     returns.
     """
@@ -430,7 +435,7 @@ def _entry_verdicts(pairs) -> list[PieceVerdict]:
 def _entry_names(e: TableEntry) -> tuple[str, str, str]:
     """How a mismatch message writes each facet of an entry's class."""
     k0, kernel_rank, _ = e.class_key
-    return str(k0), str(kernel_rank), e.konebar.coker_part.symbol()
+    return str(k0), str(kernel_rank), e.pair.k1.coker_part.symbol()
 
 
 def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool):
@@ -508,21 +513,21 @@ def compare_fkbar(
     run in order: per-piece group classes, per-row map invariants plus
     exactness, then (for small groups) an element-level search for
     commuting isomorphism systems.  Both tables are built, each lattice
-    checked against ``lattice_cap`` and ``row_cap``, with their entries
-    before any candidate is tried.  An entry's class is computed once, when
-    a candidate pairs it with an entry of another transfer matrix or the
-    report's verdicts need it; a row shape is built only when a candidate
-    matches every entry.  Each shape is built at most once, whatever the
-    number of candidates, and every row verdict is read on the rows'
-    skeleton records.  The two tables share one record per skeleton in
-    Smith coordinates and one set of Smith coordinates, so each row shape
-    is built and checked once, each record decided and classed once, each
-    K0 presentation reduced once, and each pair of records that a
-    candidate pairs is searched for isomorphism systems once; a row whose
-    image row has its skeleton has its record, and passes by the identity
-    without reading its signature.  So a comparison that fails at its
-    entries runs no elimination that tracks a transform, and one whose
-    candidate pairs equal transfer matrices eliminates no matrix twice.
+    checked against ``lattice_cap`` and ``row_cap``, before any candidate
+    is tried, and the second table's store shares the first's records
+    before either builds one, so every adjacency block of the two graphs
+    has one pair record, with its row shapes and reduced K0 presentation,
+    and every skeleton in Smith coordinates one skeleton record.  An entry
+    is built when a candidate first pairs it, and its class computed once,
+    when a candidate pairs it with an entry of another transfer matrix or
+    the report needs it.  A row shape is built and checked once, only when
+    a candidate matches every entry, each skeleton record decided and
+    classed once, and each pair of skeleton records that a candidate pairs
+    searched once; a row whose image row has its skeleton has its record,
+    and passes by the identity without reading its signature.  So a
+    comparison that fails at its entries runs no elimination that tracks a
+    transform, and one whose candidate pairs equal transfer matrices
+    eliminates no matrix twice.
 
     Every candidate pairs every piece and every row.  A candidate is an
     order isomorphism of finite distributive lattices:

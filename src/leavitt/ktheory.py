@@ -7,29 +7,28 @@ and coefficient groups of units twist the cokernel.  Connecting maps
 between the invariants of an ideal, the whole graph and the quotient are
 computed exactly and their six-term rows are verified, not assumed.
 
-The subquotient of a pair I <= P of hereditary saturated sets is a block
-of the graph's transfer matrix (:class:`SubquotientK`; the block-matrix
-reading of Restorff and of Eilers-Restorff-Ruiz-Sorensen), so no graph
-is built for it, and it depends on the difference P minus I alone.  Sets
-are vertex masks here, as in :mod:`leavitt.lattice` (bit k: the k-th
-declared vertex), and a :class:`SubquotientStore` keys each pair by its
-difference mask.  The row of a triple I <= J <= P is three pairs, J
-minus I, P minus I and P minus J, and depends on the triple only through
-its positional shape: the adjacency block of P minus I and the positions
-in it of J minus I.  Each pair record keeps, once, the Smith coordinates
-of its K0 presentation on the invariant factors other than 1
-(``_SmithCoordinates``, with certified transforms), and the free group
-and left inverse of its kernel basis; ``_row_body`` cuts the row's
-skeleton of six groups and five maps from the records of its three
-pairs, in those coordinates, and checks it.  The coordinates are an
-isomorphism of each group under which the maps stay well defined, so
-verdicts about images, kernels and cokernels do not change.  Rows of
-many shapes share one skeleton in Smith coordinates, so a store keeps
-one :class:`_Skeleton` record per distinct skeleton, keyed by its maps in
-full, and maps each shape to it.  A row is that record: a
-:class:`SixTermRow` is a triple of vertex names over it, its verdicts,
-signature and element searches are decided once per store on the record,
-and it prints the groups of the three pair records that first gave it.
+The subquotient of a pair I <= P of hereditary saturated sets is read off
+the adjacency block of P minus I (the block-matrix reading of Restorff and
+of Eilers-Restorff-Ruiz-Sorensen), so no graph is built for it.  Sets are
+vertex masks here, as in :mod:`leavitt.lattice` (bit k: the k-th declared
+vertex).  A :class:`SubquotientStore` keeps one :class:`SubquotientK`
+record per distinct block and maps each difference mask to it.  The row of
+a triple I <= J <= P is three pairs, J minus I, P minus I and P minus J,
+and depends on the triple only through its positional shape: the block of
+P minus I and the positions in it of J minus I.  Each pair record keeps,
+once, the Smith coordinates of its K0 presentation on the invariant factors
+other than 1 (``_SmithCoordinates``, with certified transforms), the free
+group and left inverse of its kernel basis, and its row shapes;
+``_row_body`` cuts a new shape's skeleton of six groups and five maps from
+the records of its three pairs, in those coordinates, and checks it.  The
+coordinates are an isomorphism of each group under which the maps stay
+well defined, so verdicts about images, kernels and cokernels do not
+change.  Rows of many shapes share one skeleton in Smith coordinates, so a
+store keeps one :class:`_Skeleton` record per distinct skeleton, keyed by
+its maps in full.  A row is that record: a :class:`SixTermRow` is a triple
+of vertex names over it, its verdicts, signature and element searches are
+decided once per store on the record, and it prints the groups of the
+three pair records that first gave it.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from functools import cached_property, lru_cache
 from .graphs import (
     Graph,
     _require_hsat,
+    _require_subset,
     is_hereditary,
     is_saturated,
     quotient,
@@ -87,11 +87,9 @@ def k_matrix(g: Graph) -> IntMatrix:
 
     Entry at (v, w) counts edges from w to v, minus one when v = w.  Its
     cokernel presents K0 on the vertex generators; its integer kernel is the
-    free part of K1.  Back-to-back calls on one graph (K0 and K1 of a
-    :class:`SubquotientK` or of ``vdb_sequence``) get the same matrix
-    object instead of building it and its hash again; one entry keeps no
-    more than the last graph alive.  It is built in one walk over the edge
-    list, not from the n-by-n adjacency matrix.
+    free part of K1.  Back-to-back calls on one graph (``k0`` and ``k1`` in
+    ``vdb_sequence``) get one matrix object, built in one walk over the
+    edge list; one entry keeps no more than the last graph alive.
     """
     row = {v: i for i, v in enumerate(g.vertices)}
     col = {w: j for j, w in enumerate(g.regulars)}
@@ -145,6 +143,10 @@ class KOneBar:
         return self.kernel_rank, self.coker_part.class_key()
 
     def isomorphism_class(self) -> FgAbGroup | None:
+        return self._class
+
+    @cached_property
+    def _class(self) -> FgAbGroup | None:  # kept: ``symbol`` reads it too
         spec = self.coker_part.specialize()
         if spec is None:
             return None
@@ -392,58 +394,53 @@ def _residues(m: IntMatrix, moduli) -> tuple:
 
 
 class SubquotientK:
-    """One pair inner <= outer of hereditary saturated sets of a graph,
-    read as blocks of the graph's matrices, with its K-groups.
+    """The K-groups of one adjacency block: the record of every pair inner
+    <= outer of hereditary saturated sets whose difference has that block.
 
-    The pair is given by its difference ``bits``, the vertex mask of outer
-    minus inner (bit k: the k-th declared vertex).  ``rows`` are the
-    declaration indices of those vertices and ``regs`` those of the regular
-    ones among them, both rising.  ``adjacency`` is the block of
-    ``g.adjacency()`` at ``rows``, and ``km`` the block of the graph's
-    transfer matrix ``km`` (its :func:`k_matrix`) at those rows and the
-    columns of ``regs``.  They are the matrices of ``subquotient(g, inner,
-    outer)``: outer is hereditary, so every edge leaving a vertex of the
-    pair stays in outer; inner is saturated, so a regular vertex outside it
-    keeps an edge that leaves inner, and a sink stays a sink.  ``k0`` and
-    ``k1`` present K0, and K1 with coefficients ``coeff``, on ``km``.
+    ``block`` is a graph's adjacency block at the vertices of outer minus
+    inner, in declaration order.  ``regs`` are the positions of its regular
+    vertices, its nonzero rows, and ``km`` its transfer matrix, block[w][v]
+    minus one when v = w at (v, w) for w in ``regs``.  That is the block of
+    the graph's :func:`k_matrix`, and the transfer matrix of
+    ``subquotient(g, inner, outer)``: outer is hereditary, so every edge
+    leaving a vertex of the pair stays in outer; inner is saturated, so a
+    regular vertex outside it keeps an edge that leaves it, and a sink
+    stays a sink.  ``k0`` and ``k1`` present K0, and K1 with coefficients
+    ``coeff``, on ``km``; ``shapes`` maps the positions of J minus I in the
+    block to the row's :class:`_Skeleton` (see :func:`_row_body`).
 
-    Computed when first read and kept in slots, rows read ``coords``, the
-    certified Smith coordinates of K0, ``free``, the free group on the
-    kernel basis ``k1.kernel``, and ``kernel_inverse``, that basis's left
-    inverse v @ u[:k] (u K v = [I; 0] in its Smith record).
+    Computed when first read and kept: ``k0_group``, the class of K0; and
+    for rows ``coords``, the certified Smith coordinates of K0, ``free``,
+    the free group on the kernel basis ``k1.kernel``, and
+    ``kernel_inverse``, that basis's left inverse v @ u[:k] (u K v = [I; 0]
+    in its Smith record).
     """
 
-    __slots__ = ("rows", "regs", "adjacency", "km", "k0", "k1", "_coords", "_free", "_inverse")
-
-    def __init__(self, g: Graph, km: IntMatrix, bits: int, coeff: CoeffGroup):
-        regular = [g.index(v) for v in g.regulars]
-        cols = [j for j, i in enumerate(regular) if bits >> i & 1]
-        self.rows = tuple(i for i in range(g.num_vertices) if bits >> i & 1)
-        self.regs = tuple(regular[j] for j in cols)
-        self.adjacency = g.adjacency().take_rows(self.rows).take_columns(self.rows)
-        self.km = km.take_rows(self.rows).take_columns(cols)
+    def __init__(self, block: IntMatrix, coeff: CoeffGroup):
+        data = block.data
+        self.regs = tuple(k for k, r in enumerate(data) if any(r))
+        rows = tuple(tuple(data[w][v] - (v == w) for w in self.regs) for v in range(block.rows))
+        self.km = IntMatrix._trusted(rows, len(self.regs))
         self.k0 = PresentedGroup(self.km)
         self.k1 = KOneBar(coeff, self.km)
-        self._coords = self._free = self._inverse = None
+        self.shapes = {}
 
-    @property
+    @cached_property
+    def k0_group(self) -> FgAbGroup:
+        return self.k0.invariants()
+
+    @cached_property
     def coords(self) -> _SmithCoordinates:
-        if self._coords is None:
-            self._coords = _SmithCoordinates(self.k0)
-        return self._coords
+        return _SmithCoordinates(self.k0)
 
-    @property
+    @cached_property
     def free(self) -> PresentedGroup:
-        if self._free is None:
-            self._free = PresentedGroup(IntMatrix.zeros(self.k1.kernel.cols, 0))
-        return self._free
+        return PresentedGroup(IntMatrix.zeros(self.k1.kernel.cols, 0))
 
-    @property
+    @cached_property
     def kernel_inverse(self) -> IntMatrix:
-        if self._inverse is None:
-            sd = snf(self.k1.kernel)
-            self._inverse = sd.v @ sd.u.take_rows(range(self.k1.kernel.cols))
-        return self._inverse
+        sd = snf(self.k1.kernel)
+        return sd.v @ sd.u.take_rows(range(self.k1.kernel.cols))
 
     def in_kernel(self, vectors: IntMatrix) -> IntMatrix:
         """Coordinates of vector columns in the kernel basis, re-multiplied
@@ -457,50 +454,50 @@ class SubquotientK:
 
 
 class SubquotientStore:
-    """The pairs of one graph with one coefficient group, each built once.
+    """The pairs of one graph with one coefficient group.
 
-    A pair inner <= outer depends only on its difference, so the store
-    keys each :class:`SubquotientK` by the vertex mask of outer minus
-    inner; a pair is blocks of the graph's matrices, so no graph is built,
-    and the store computes the graph's transfer matrix once.  A filtered
-    table keeps one store for all its entries and rows, a lone six-term row
-    a store of its own.  The store also keeps, for as long as it lives, the
-    row work that depends only on matrices and so repeats across the rows
-    of a table, besides the Smith data each pair record keeps:
-
-    - ``_skeletons``: one :class:`_Skeleton` record per distinct skeleton
-      in Smith coordinates, keyed by its maps;
-    - ``_shapes``: each positional shape (see the module docstring) mapped
-      to its record, which the first row of that shape cuts and checks
-      from the records of its three pairs.
+    A pair inner <= outer depends only on the adjacency block of its
+    difference, so the store keeps one :class:`SubquotientK` per distinct
+    block (``_records``) and maps each difference mask to the declaration
+    indices of its vertices and that record (``get``).  A row looks its
+    shape up by an int and a small tuple, hashing no matrix (see
+    :func:`_row_body`).  A filtered table keeps one store for all its
+    entries and rows, a lone six-term row a store of its own.  The store
+    also keeps one :class:`_Skeleton` record per distinct skeleton in Smith
+    coordinates (``_skeletons``, keyed by its maps).
 
     Exactness, kernels, images and cokernels are statements about
     subgroups, so an isomorphism of each group carries them over; the
     verdicts and classes decided in Smith coordinates are those of the
     skeleton itself, whose maps are well defined (the squares each shape
-    checks, and free domains).  A record is matrices only, so two stores
-    with one coefficient group may share these memos (``_share``).
+    checks, and free domains).  Records are matrices only, so two stores
+    with one coefficient group may share them (``_share``).
     """
 
     def __init__(self, g: Graph, coeff: CoeffGroup):
         self.graph = g
         self.coeff = coeff
-        self._km = k_matrix(g)
         self._pairs = {}
-        self._shapes = {}
+        self._records = {}
         self._skeletons = {}
 
     def _share(self, other: SubquotientStore) -> None:
-        """Use the shapes and skeleton records of ``other``, a store with
-        the same coefficient group."""
-        self._shapes = other._shapes
+        """Use the records of ``other``, a store with the same coefficient
+        group, before building any: each block then has one record."""
+        self._records = other._records
         self._skeletons = other._skeletons
 
-    def get(self, bits: int) -> SubquotientK:
-        """The pair whose difference is the vertex mask ``bits``."""
+    def get(self, bits: int) -> tuple[tuple[int, ...], SubquotientK]:
+        """The declaration indices, rising, of the vertices of the mask
+        ``bits``, the difference of a pair, and the record of their block."""
         pair = self._pairs.get(bits)
         if pair is None:
-            pair = self._pairs[bits] = SubquotientK(self.graph, self._km, bits, self.coeff)
+            rows = tuple(i for i in range(self.graph.num_vertices) if bits >> i & 1)
+            block = self.graph.adjacency().take_rows(rows).take_columns(rows)
+            record = self._records.get(block)
+            if record is None:
+                record = self._records[block] = SubquotientK(block, self.coeff)
+            pair = self._pairs[bits] = rows, record
         return pair
 
 
@@ -615,16 +612,15 @@ class SixTermRow:
 def six_term_row(g: Graph, inner, middle, outer, coeff: CoeffGroup) -> SixTermRow:
     """Build and verify the six-term row of a nested hereditary triple.
 
-    A triple that is not nested, or a middle, inner or outer set that is
-    not hereditary saturated, raises ValueError before any pair is built,
-    in that order.  The sets then become vertex masks, and the skeleton
-    record comes from ``_row_body`` on a store of its own; a filtered
-    table calls that directly, on its own store, for the triples of its
-    lattice.
+    A set that names a vertex the graph does not have, a triple that is
+    not nested, or a middle, inner or outer set that is not hereditary
+    saturated, raises ValueError before any pair is built, in that order.
+    The sets then become vertex masks, and the skeleton record comes from
+    ``_row_body`` on a store of its own; a filtered table calls that
+    directly, on its own store, for the triples of its lattice.
     """
-    inner = frozenset(inner)
-    middle = frozenset(middle)
-    outer = frozenset(outer)
+    sets = ((inner, "inner"), (middle, "middle"), (outer, "outer"))
+    inner, middle, outer = (_require_subset(g, s, f"{name} set") for s, name in sets)
     if not inner <= middle or not middle <= outer:
         raise ValueError("ideal triple must be nested")
     if not (is_hereditary(g, middle) and is_saturated(g, middle)):
@@ -644,34 +640,34 @@ def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _
 
     The skeleton depends only on the row's positional shape: the adjacency
     block of P minus I and the positions ``hprime`` in it of H' = J minus
-    I.  The first row of a shape cuts the five maps in Smith coordinates
-    from the records of J minus I, P minus I and P minus J, whose transfer
-    matrices are the blocks of the middle one at H' and at the rest
-    (``vert3``): u12 = project2[:, hprime] @ lift1, u23 = project3 @
-    lift2[vert3, :] (None an identity), delta = project1 @ the block at H'
-    and the quotient's regular columns @ the quotient's kernel basis, tau1
-    and tau2 through :meth:`SubquotientK.in_kernel`; a new record keeps
-    the three pair records.  Later rows of the shape get the same record.
-    Both intertwining squares say one thing, checked as a bug guard:
-    ``km`` is zero at the quotient's rows and the regular columns of H',
-    so no edge leaves H' from one of its regular vertices.
+    I, so the row is ``shapes[hprime]`` of the record of P minus I.  The
+    first row of a shape cuts the five maps in Smith coordinates from the
+    records of J minus I, P minus I and P minus J, whose transfer matrices
+    are the blocks of the middle one at H' and at the rest (``vert3``):
+    u12 = project2[:, hprime] @ lift1, u23 = project3 @ lift2[vert3, :]
+    (None an identity), delta = project1 @ the block at H' and the
+    quotient's regular columns @ the quotient's kernel basis, tau1 and tau2
+    through :meth:`SubquotientK.in_kernel`; a new skeleton record keeps the
+    three pair records.  Later rows of the shape get the same record.  Both
+    intertwining squares say one thing, checked as a bug guard: ``km`` is
+    zero at the quotient's rows and the regular columns of H', so no edge
+    leaves H' from one of its regular vertices.
     """
-    pair = store.get(outer & ~inner)
-    hprime = tuple(k for k, i in enumerate(pair.rows) if middle >> i & 1)
-    shape = (pair.adjacency, hprime)
-    skeleton = store._shapes.get(shape)
+    rows, pair = store.get(outer & ~inner)
+    hprime = tuple(k for k, i in enumerate(rows) if middle >> i & 1)
+    skeleton = pair.shapes.get(hprime)
     if skeleton is None:
-        ideal, quo = store.get(middle & ~inner), store.get(outer & ~middle)
-        vert3 = [k for k, i in enumerate(pair.rows) if not middle >> i & 1]
-        reg1 = [c for c, i in enumerate(pair.regs) if middle >> i & 1]
-        reg3 = [c for c, i in enumerate(pair.regs) if not middle >> i & 1]
+        ideal, quo = store.get(middle & ~inner)[1], store.get(outer & ~middle)[1]
+        vert3 = [k for k in range(len(rows)) if k not in hprime]
+        reg1 = [c for c, k in enumerate(pair.regs) if k in hprime]
+        reg3 = [c for c, k in enumerate(pair.regs) if k not in hprime]
         if any(map(any, pair.km.take_rows(vert3).take_columns(reg1).data)):
             raise AssertionError("an edge leaves the middle ideal; the squares do not commute")
         # Smith coordinates before kernels: the two-sided run of each K0
         # presentation then serves the kernel of the same matrix
         c1, c2, c3 = ideal.coords, pair.coords, quo.coords
         kb1, kb2, kb3 = ideal.k1.kernel, pair.k1.kernel, quo.k1.kernel
-        n = len(pair.rows)
+        n = len(rows)
         project2, lift2 = c2.project or IntMatrix.identity(n), c2.lift or IntMatrix.identity(n)
         top = pair.km.take_rows(hprime).take_columns(reg3)
         maps = (
@@ -684,5 +680,5 @@ def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _
         skeleton = store._skeletons.get(maps)
         if skeleton is None:
             skeleton = store._skeletons[maps] = _Skeleton(maps, (ideal, pair, quo))
-        store._shapes[shape] = skeleton
+        pair.shapes[hprime] = skeleton
     return skeleton

@@ -71,9 +71,10 @@ copies of a monoid element, ``graded_add`` adds two graded elements and
 ``group_order`` is the order of a finite group; ``row_skeleton`` builds a
 six-term row's Z-level skeleton, the oracle for the library's cut in
 Smith coordinates, ``skeleton_record`` reduces a Z-level skeleton to a
-record as a store would, and ``row_groups`` lists the six groups of a
-skeleton.  ``sparse_graph`` draws the sparse graphs, up to 200 vertices,
-that the Smith sweeps run on.
+record as a store would, ``row_groups`` lists the six groups of a
+skeleton, and ``shape_count`` counts the row shapes of a store.
+``sparse_graph`` draws the sparse graphs, up to 200 vertices, that the
+Smith sweeps run on.
 """
 
 from __future__ import annotations
@@ -708,30 +709,41 @@ def row_skeleton(store: SubquotientStore, row: SixTermRow) -> tuple[GroupMap, ..
     of a skeleton record (``ktheory._Skeleton.maps``).  Any store of the
     graph gives the same skeleton.
 
-    It is built apart from the library's cut in Smith coordinates, from
-    the Z-level data of the store's pair records of J minus I, P minus I
-    and P minus J: every matrix is a block of the transfer matrix of P
-    minus I or a 0/1 selection of H' = J minus I, and tau1 and tau2 solve
-    for each kernel vector in the next kernel basis.
+    It is built apart from the library's cut in Smith coordinates and from
+    its pair records: the rows and regular columns of J minus I, P minus I
+    and P minus J are read off the graph, every matrix is a block of the
+    graph's transfer matrix (:func:`k_matrix`) or of a kernel basis of one,
+    or a 0/1 selection of H' = J minus I, and tau1 and tau2 solve for each
+    kernel vector in the next kernel basis.
     """
-    inner, middle, outer = (_mask(store.graph, names) for names in row.triple)
-    pair = store.get(outer & ~inner)
-    parts = (store.get(middle & ~inner), pair, store.get(outer & ~middle))
-    hprime = [k for k, i in enumerate(pair.rows) if middle >> i & 1]
-    vert3 = [k for k, i in enumerate(pair.rows) if not middle >> i & 1]
-    reg1 = [c for c, i in enumerate(pair.regs) if middle >> i & 1]
-    reg3 = [c for c, i in enumerate(pair.regs) if not middle >> i & 1]
-    kb1, kb2, kb3 = (part.k1.kernel for part in parts)
-    eye = IntMatrix.identity(len(pair.rows))
+    g = store.graph
+    inner, middle, outer = (_mask(g, names) for names in row.triple)
+    km, regular = k_matrix(g), [g.index(v) for v in g.regulars]
+
+    def rows_and_regs(bits):
+        rows = [i for i in range(g.num_vertices) if bits >> i & 1]
+        return rows, [j for j, i in enumerate(regular) if bits >> i & 1]
+
+    blocks = [
+        km.take_rows(rows).take_columns(regs)
+        for rows, regs in map(rows_and_regs, (middle & ~inner, outer & ~inner, outer & ~middle))
+    ]
+    rows, regs = rows_and_regs(outer & ~inner)
+    hprime = [k for k, i in enumerate(rows) if middle >> i & 1]
+    vert3 = [k for k, i in enumerate(rows) if not middle >> i & 1]
+    reg1 = [c for c, j in enumerate(regs) if middle >> regular[j] & 1]
+    reg3 = [c for c, j in enumerate(regs) if not middle >> regular[j] & 1]
+    kb1, kb2, kb3 = map(kernel_basis, blocks)
+    eye = IntMatrix.identity(len(rows))
     matrices = (
-        kernel_coordinates(kb2, kb1.scatter_rows(reg1, len(pair.regs))),
+        kernel_coordinates(kb2, kb1.scatter_rows(reg1, len(regs))),
         kernel_coordinates(kb3, kb2.take_rows(reg3)),
-        pair.km.take_rows(hprime).take_columns(reg3) @ kb3,
+        blocks[1].take_rows(hprime).take_columns(reg3) @ kb3,
         eye.take_columns(hprime),
         eye.take_rows(vert3),
     )
     free = tuple(PresentedGroup(IntMatrix.zeros(kb.cols, 0)) for kb in (kb1, kb2, kb3))
-    groups = free + tuple(part.k0 for part in parts)
+    groups = free + tuple(map(PresentedGroup, blocks))
     return tuple(GroupMap(groups[k], groups[k + 1], m) for k, m in enumerate(matrices))
 
 
@@ -747,6 +759,13 @@ def kernel_coordinates(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
     if not columns:
         return IntMatrix.zeros(basis.cols, 0)
     return IntMatrix._trusted(tuple(zip(*columns)), len(columns))
+
+
+def shape_count(store: SubquotientStore) -> int:
+    """The row shapes that the store's pair records hold, each record one
+    per set of positions of J minus I cut from its block; with a store
+    that shares another's records, the shapes of both."""
+    return sum(len(record.shapes) for record in store._records.values())
 
 
 def skeleton_record(maps, pairs) -> _Skeleton:
@@ -1375,7 +1394,7 @@ def _old_entry_classes(t):
     a mismatch message writes each."""
     out = []
     for e in t.entries:
-        k0, kb = e.kzero.invariants(), e.konebar
+        k0, kb = e.pair.k0_group, e.pair.k1
         cls = (k0, kb.kernel_rank, kb.coker_part.class_key())
         out.append((e, cls, (str(k0), str(kb.kernel_rank), kb.coker_part.symbol())))
     return out

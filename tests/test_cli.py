@@ -108,6 +108,23 @@ class TestExitCodes:
         assert (code, out, built) == (2, "", [])
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            (["--inner", "z", "--middle", "a"], "inner set contains unknown vertex 'z'"),
+            (["--middle", "z"], "middle set contains unknown vertex 'z'"),
+            (["--middle", "a", "--outer", "a,z"], "outer set contains unknown vertex 'z'"),
+        ],
+    )
+    def test_unknown_vertex_in_a_set_is_two(self, capsys, files, monkeypatch, sets, message):
+        # the names are checked before nesting: each of these triples is
+        # also not nested once the unknown vertex counts
+        built = []
+        monkeypatch.setattr(ktheory, "SubquotientK", lambda *args: built.append(args))
+        code, out, err = run(capsys, ["sixterm", files["split"], *sets, "--field", "7"])
+        assert (code, out, built) == (2, "", [])
+        assert err == f"error: {message}\n"
+
     def test_lattice_cap_is_three(self, capsys, files):
         code, out, err = run(capsys, ["hsat", files["fan"], "--lattice-cap", "1"])
         assert (code, out) == (3, "")
@@ -256,7 +273,32 @@ class TestStreamedReports:
         monkeypatch.setattr(cli, "_body_json", counting)
         code, out, _ = run(capsys, ["--json", "fk", str(path)])
         assert code == 0 and len(json.loads(out)["rows"]) == len(table.row_triples)
-        assert len(encoded) == len(distinct) < len(table.store._shapes)
+        assert len(encoded) == len(distinct) < H.shape_count(table.store)
+
+    def test_each_konebar_class_built_once(self, capsys, tmp_path, monkeypatch):
+        # a printed K1bar group's JSON reads its class directly and through
+        # its symbol; the class is one direct sum, built once per KOneBar,
+        # so at most once per pair record however many rows print it
+        built = []
+        direct_sum = intlinalg.FgAbGroup.direct_sum
+
+        def counting(self, other):
+            built.append(self)
+            return direct_sum(self, other)
+
+        monkeypatch.setattr(intlinalg.FgAbGroup, "direct_sum", counting)
+        coeff = cli._coeff("5", reduced=True)
+        kb = ktheory.k1(Graph(["a"], [("x", "a", "a")]), coeff)
+        assert cli._konebar_json(kb)["symbol"] == str(kb.isomorphism_class())
+        assert len(built) == 1
+        text = poset_loops(8, 0.3, 1)
+        path = tmp_path / "poset.graph"
+        path.write_text(text, encoding="utf-8")
+        table = filtered.fkbar(parse_graph(text), coeff)
+        printed = len(table.entries) + 3 * len(set(table.bodies))
+        built.clear()
+        code, _, _ = run(capsys, ["--json", "fk", str(path), "--field", "5"])
+        assert code == 0 and 0 < len(built) <= len(table.store._records) < printed // 10
 
     def test_failed_check_on_the_last_row_writes_nothing(self, capsys, files, monkeypatch):
         built = []

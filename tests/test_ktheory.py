@@ -452,7 +452,7 @@ class TestRowSkeleton:
         # corrupted before the first row: a later row of the same shape
         # shares the checked record and would not look at the pair again
         store = SubquotientStore(g, coeff)
-        store.get(TWO_LOOP_TRIPLE[2] & ~TWO_LOOP_TRIPLE[0]).km = leaving
+        store.get(TWO_LOOP_TRIPLE[2] & ~TWO_LOOP_TRIPLE[0])[1].km = leaving
         with pytest.raises(AssertionError, match="^an edge leaves the middle ideal; the squares"):
             ktheory._row_body(store, *TWO_LOOP_TRIPLE)
 
@@ -559,7 +559,7 @@ class TestSkeletonMemo:
         for k in range(1, 5):
             table = fkbar(H.disjoint_loops(k), COEFF_F5)
             assert len(table.rows) == 4**k
-            assert len(table.store._shapes) == 2 ** (k + 1) - 1
+            assert H.shape_count(table.store) == 2 ** (k + 1) - 1
         # the two tables of a compare share one skeleton record per shape
         built = []
         record_class = ktheory._Skeleton
@@ -686,18 +686,20 @@ class TestSmithCoordinates:
             reduced.clear()
             table = fkbar(g, COEFF_F5)
             # only pair records reduce, each its own K0 presentation once
-            own = {id(pair.k0) for pair in table.store._pairs.values()}
+            own = {id(pair.k0) for pair in table.store._records.values()}
             assert len(reduced) == len(set(map(id, reduced))) and set(map(id, reduced)) <= own, g
             total += len(reduced)
-            # a relabelled copy's rows hit the first table's shapes, so a
-            # compare reduces none of the second table's pairs
+            # a relabelled copy's blocks are the first table's, so the second
+            # store reaches only records the first table's masks reach, and
+            # a compare reduces each of them once
             reduced.clear()
             stores.clear()
             copy = relabel(g, {v: v + "c" for v in g.vertices})
             assert compare_fkbar(g, copy, COEFF_F5).consistent
-            first, second = ({id(pair.k0) for pair in s._pairs.values()} for s in stores)
+            first, second = ({id(pair) for _, pair in s._pairs.values()} for s in stores)
+            assert second <= first, g
             assert len(reduced) == len(set(map(id, reduced))), g
-            assert set(map(id, reduced)) <= first and not set(map(id, reduced)) & second, g
+            assert set(map(id, reduced)) <= {id(p.k0) for p in stores[0]._records.values()}, g
         assert total >= 200
 
     def test_products_per_built_shape(self, monkeypatch):
@@ -715,7 +717,7 @@ class TestSmithCoordinates:
 
         monkeypatch.setattr(IntMatrix, "__matmul__", counting)
         table = fkbar(parse_graph(poset_loops(8, 0.3, 1)), COEFF_F5)
-        shapes = len(table.store._shapes)
+        shapes = H.shape_count(table.store)
         assert shapes == 396 and len(products) <= 8 * shapes
 
     def test_skeleton_work_once_per_skeleton(self, monkeypatch):
@@ -762,7 +764,7 @@ class TestSharedSkeletons:
         graphs = [parse_graph(poset_loops(8, 0.3, 1, order_seed=s)) for s in (None, 5)]
         stores = [fkbar(g, coeff).store for g in graphs]
         keys = {maps for store in stores for maps in store._skeletons}
-        shapes = sum(len(store._shapes) for store in stores)
+        shapes = sum(map(H.shape_count, stores))
         calls = []
         original = ktheory.check_exact
 
@@ -842,11 +844,14 @@ class TestPairRecordGroups:
         # by identity: the store's records of J - I, P - I and P - J of the
         # first row in ``row_triples`` order with that skeleton record
         records, others = set(), 0
-        for g in [*corpus[:80], parse_graph(poset_loops(8, 0.3, 1))]:
+        # the whole corpus: rows of one block share its record, so fewer
+        # later rows than on 80 graphs come from other pair records
+        for g in [*corpus, parse_graph(poset_loops(8, 0.3, 1))]:
             table = fkbar(g, COEFF_F5)
             bits = table.lattice.elements
             for (i, j, p), body in zip(table.row_triples, table.bodies):
-                parts = [table.store.get(bits[b] & ~bits[a]) for a, b in ((i, j), (i, p), (j, p))]
+                masks = ((i, j), (i, p), (j, p))
+                parts = [table.store.get(bits[b] & ~bits[a])[1] for a, b in masks]
                 same = len(body.pairs) == 3 and all(map(operator.is_, body.pairs, parts))
                 if body in records:
                     others += not same  # a later row on other pair records
@@ -862,9 +867,9 @@ class TestPairRecordGroups:
             table = fkbar(g, COEFF_F5)
             for record in set(table.bodies):
                 cli._body_json(record)
-            assert len(built) == len(table.store._pairs), g
-        # the poset's 396 row shapes over its 84 pair records
-        assert len(table.store._shapes) >= 4 * len(table.store._pairs)
+            assert len(built) == len(table.store._records), g
+        # the poset's 396 row shapes over its pair records
+        assert H.shape_count(table.store) >= 4 * len(table.store._pairs)
 
     def test_compare_builds_konebars_per_pair_record(self, monkeypatch):
         stores = record_shared_stores(monkeypatch)
@@ -873,8 +878,9 @@ class TestPairRecordGroups:
         built = count_konebars(monkeypatch)
         assert compare_fkbar(g, shuffled, COEFF_F5).consistent
         first, second = stores
-        assert len(built) <= len(first._pairs) + len(second._pairs)
-        assert len(first._shapes) >= 300
+        # the two stores share one record, and so one K1bar, per block
+        assert first._records is second._records and len(built) == len(first._records)
+        assert H.shape_count(first) >= 300
 
     @pytest.mark.parametrize("coeff", list(PRINTED_COEFFS.values()), ids=list(PRINTED_COEFFS))
     def test_printed_classes_equal_pair_records(self, corpus, coeff):
@@ -887,7 +893,8 @@ class TestPairRecordGroups:
             table = fkbar(g, coeff)
             bits = table.lattice.elements
             for (i, j, p), body in zip(table.row_triples, table.bodies):
-                parts = [table.store.get(bits[b] & ~bits[a]) for a, b in ((i, j), (i, p), (j, p))]
+                masks = ((i, j), (i, p), (j, p))
+                parts = [table.store.get(bits[b] & ~bits[a])[1] for a, b in masks]
                 k0s = [cli._group_json(pair.k0.invariants()) for pair in parts]
                 k1bars = [cli._konebar_json(pair.k1) for pair in parts]
                 payload = cli._body_json(body)
@@ -895,3 +902,67 @@ class TestPairRecordGroups:
                 assert payload["k1bar"] == k1bars, (g, i, j, p)
                 records.add(body)
         assert len(records) >= 800
+
+
+class TestBlockRecords:
+    """A store keeps one pair record per distinct adjacency block, read off
+    the block alone, and maps each difference mask to the rows of its
+    vertices and the record of their block."""
+
+    def test_km_is_the_transfer_block(self, corpus):
+        # each mask's record against the graph's k_matrix at the mask's
+        # vertices and its regular vertices, on the corpus and on a poset
+        # whose declaration order is shuffled
+        masks = 0
+        for g in [*corpus, parse_graph(poset_loops(8, 0.3, 1, order_seed=5))]:
+            store = fkbar(g, COEFF_F5).store
+            km, regular = k_matrix(g), [g.index(v) for v in g.regulars]
+            for bits, (rows, pair) in store._pairs.items():
+                cols = [j for j, i in enumerate(regular) if bits >> i & 1]
+                assert rows == tuple(i for i in range(g.num_vertices) if bits >> i & 1)
+                assert pair.km == km.take_rows(rows).take_columns(cols), (g, bits)
+                assert pair.regs == tuple(rows.index(regular[j]) for j in cols), (g, bits)
+                masks += 1
+        assert masks >= 680
+
+    def test_equal_blocks_share_one_record(self, corpus):
+        # k disjoint loops: 2^k masks whose blocks are the k + 1 identities
+        store = fkbar(H.disjoint_loops(8), COEFF_F5).store
+        assert len(store._pairs) == 256 and len(store._records) == 9
+        assert len({id(pair) for _, pair in store._pairs.values()}) == 9
+        # two masks share one record exactly when their blocks are equal
+        shared = 0
+        for g in [*corpus, parse_graph(poset_loops(8, 0.3, 1))]:
+            store = fkbar(g, COEFF_F5).store
+            by_block = {}
+            for rows, pair in store._pairs.values():
+                block = g.adjacency().take_rows(rows).take_columns(rows)
+                assert by_block.setdefault(block, pair) is pair, g
+            assert len({id(pair) for pair in by_block.values()}) == len(by_block), g
+            assert list(store._records) == list(by_block), g
+            shared += len(store._pairs) - len(by_block)
+        assert shared >= 60
+
+    def test_relabelled_compare_builds_no_record_in_its_second_store(self, corpus, monkeypatch):
+        # a relabelled copy keeps the declaration order, so each block of
+        # it is one of the first graph's: the compare builds as many pair
+        # records as the first table alone, and the second store reaches
+        # only records that the first reaches
+        built = []
+        record = ktheory.SubquotientK
+
+        def counting(block, coeff):
+            built.append(block)
+            return record(block, coeff)
+
+        stores = record_shared_stores(monkeypatch)
+        for g in [*corpus[:80], parse_graph(poset_loops(8, 0.3, 1))]:
+            alone = len(fkbar(g, COEFF_F5).store._records)
+            monkeypatch.setattr(ktheory, "SubquotientK", counting)
+            built.clear()
+            stores.clear()
+            copy = relabel(g, {v: v + "c" for v in g.vertices})
+            assert compare_fkbar(g, copy, COEFF_F5).consistent
+            monkeypatch.setattr(ktheory, "SubquotientK", record)
+            first, second = ({id(pair) for _, pair in s._pairs.values()} for s in stores)
+            assert len(built) == alone and second <= first, g

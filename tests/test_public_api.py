@@ -186,7 +186,6 @@ def test_every_public_method_is_used_in_src():
 # checked to load the name.
 SHARED_NAME_CALLS = {
     "FilteredKTable.body": "filtered._match_rows",
-    "Graph.adjacency": "ktheory.SubquotientK.__init__",
     "Graph.index": "ktheory.connecting_delta",
     "IntMatrix.diagonal": "filtered._iso_candidates",
     "NodeVerdict.exact": "ktheory._skeleton_nodes",
