@@ -282,12 +282,13 @@ def _cmd_spec(args):
 def _cmd_k0(args):
     g = _load_graph(args.graph)
     kz = k0(g)
+    group = kz.invariants()
     payload = {
-        "group": _group_json(kz.invariants()),
+        "group": _group_json(group),
         "generators": list(g.vertices),
         "relations": kz.relations.to_lists(),
     }
-    return payload, [f"K0 = {kz.invariants()}"], EXIT_OK
+    return payload, [f"K0 = {group}"], EXIT_OK
 
 
 def _cmd_k1(args):

@@ -276,16 +276,11 @@ def _row_element_check(a: _Skeleton, b: _Skeleton):
     because it also decides pairs whose nodes are past the node cap, which
     the search would skip.  Any other pair goes to
     :func:`_skeleton_element_search` on the two records' maps, whose
-    outcome depends on those two skeletons alone.  The outcome is kept on
-    the first record (``ktheory._Skeleton.searches``), keyed by the
-    second, so the rows of one store search each pair of records once.
+    outcome depends on those two skeletons alone.
     """
     if a is b:
         return "passed"
-    outcome = a.searches.get(b)
-    if outcome is None:
-        outcome = a.searches[b] = _skeleton_element_search(a.maps, b.maps)
-    return outcome
+    return _skeleton_element_search(a.maps, b.maps)
 
 
 def _skeleton_element_search(maps_a, maps_b):
@@ -445,8 +440,12 @@ def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool)
     Everything is read on the rows' records, and a row's verdict depends
     on nothing else, so it is decided once per distinct pair of records and
     stamped on every triple of that pair.  A record matches itself without
-    reading its signature (see :func:`_row_element_check`).
+    reading its signature (see :func:`_row_element_check`).  Element search
+    outcomes of distinct records are kept in the tables' shared store,
+    keyed by the pair, so the candidates of one comparison search each
+    pair once.
     """
+    searches = t1.store._searches
     # an order isomorphism maps a nested triple to a nested triple
     pairs = [
         (body, t2.body((iso[i], iso[j], iso[p])))
@@ -465,7 +464,11 @@ def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool)
             problems.append("second table row failed exactness")
         detail = "row matches"
         if not problems and run_elements:
-            element = _row_element_check(body, other)
+            element = searches.get((body, other))
+            if element is None:
+                element = _row_element_check(body, other)
+                if body is not other:  # a record passes against itself at once
+                    searches[body, other] = element
             element_outcomes.append(element)
             if element == "refuted":
                 problems.append("no commuting system of isomorphisms exists")
@@ -528,6 +531,12 @@ def compare_fkbar(
     comparison that fails at its entries runs no elimination that tracks a
     transform, and one whose candidate pairs equal transfer matrices
     eliminates no matrix twice.
+
+    When colour refinement matches the second graph onto the first
+    (``Graph._alignment``), the second store reads each block in the first
+    graph's vertex order: a copy declared in another order then builds no
+    pair record, shape or skeleton record of its own, and a row paired with
+    its image under the vertex bijection has its record.
 
     Every candidate pairs every piece and every row.  A candidate is an
     order isomorphism of finite distributive lattices:

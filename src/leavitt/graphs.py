@@ -45,6 +45,38 @@ def _check_identifier(kind, ident):
         raise ValueError(f"bad {kind} identifier {ident!r}")
 
 
+# ---------------------------------------------------------------------------
+# colour refinement
+# ---------------------------------------------------------------------------
+
+
+def _refine(colours, *relations) -> list[int]:
+    """Stable colours of nodes 0, 1, ... by colour refinement (1-dimensional
+    Weisfeiler-Leman).
+
+    ``colours`` gives each node a start colour, values that sort together;
+    each of ``relations`` lists per node its (neighbour, multiplicity)
+    pairs.  A round recolours a node by its colour and, per relation, the
+    sorted multiset of its neighbours' colours with their multiplicities,
+    and numbers the new colours in sorted order.  So the colours depend on
+    no node's index: a bijection that preserves the start colours and every
+    relation preserves them.  Rounds end when no class splits, after at
+    most as many rounds as nodes.
+    """
+    colours = list(colours)
+    count = len(set(colours))
+    while True:
+        keys = [
+            (c, *(tuple(sorted((colours[u], m) for u, m in rel[v])) for rel in relations))
+            for v, c in enumerate(colours)
+        ]
+        rank = {key: k for k, key in enumerate(sorted(set(keys)))}
+        colours = [rank[key] for key in keys]
+        if len(rank) == count:
+            return colours
+        count = len(rank)
+
+
 class Graph:
     """A finite directed graph; vertices and edges keep declaration order.
 
@@ -145,6 +177,46 @@ class Graph:
                 reach[start] = frozenset(seen)
             object.__setattr__(self, "_reach", reach)
         return self._reach[self.vertices[self.index(v)]]
+
+    # -- isomorphism -------------------------------------------------------
+
+    def _alignment(self, other: Graph) -> tuple[int, ...] | None:
+        """A vertex bijection from this graph onto ``other`` that carries
+        one adjacency matrix onto the other, or None when this cheap match
+        finds none: at position k, the index of the vertex matched with the
+        k-th vertex of ``other``.
+
+        A vertex starts with the colour (loops, out-degree, in-degree);
+        graphs whose sorted start colours differ have no such bijection.
+        Otherwise the two graphs are refined as one disjoint union
+        (:func:`_refine` on out- and in-edges), so that their colours are
+        numbered alike, and the vertices of each colour are matched in
+        declaration order.  The match is kept only if every entry of the
+        adjacency matrices agrees under it.  So a returned bijection is a
+        graph isomorphism, and None says nothing: colour ties that
+        declaration order breaks the wrong way miss an isomorphism that
+        exists.
+        """
+        a, b = self.adjacency().data, other.adjacency().data
+        n = len(a)
+        first, second = (
+            [(m[i][i], sum(m[i]), sum(c)) for i, c in enumerate(zip(*m))] for m in (a, b)
+        )
+        if sorted(first) != sorted(second):
+            return None
+        halves = ((a, 0), (b, n))
+        out = [[(k + j, x) for j, x in enumerate(r) if x] for m, k in halves for r in m]
+        into = [[(k + i, x) for i, x in enumerate(c) if x] for m, k in halves for c in zip(*m)]
+        colours = _refine(first + second, out, into)
+        # sorting is stable, so each colour class keeps declaration order
+        mine = sorted(range(n), key=colours.__getitem__)
+        theirs = sorted(range(n), key=lambda j: colours[n + j])
+        if any(colours[i] != colours[n + j] for i, j in zip(mine, theirs)):
+            return None
+        order = [i for _, i in sorted(zip(theirs, mine))]
+        if any(b[j][k] != a[order[j]][order[k]] for j in range(n) for k in range(n)):
+            return None
+        return tuple(order)
 
     # -- identity ----------------------------------------------------------
 

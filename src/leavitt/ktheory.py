@@ -18,7 +18,7 @@ and depends on the triple only through its positional shape: the block of
 P minus I and the positions in it of J minus I.  Each pair record keeps,
 once, the Smith coordinates of its K0 presentation on the invariant factors
 other than 1 (``_SmithCoordinates``, with certified transforms), the free
-group and left inverse of its kernel basis, and its row shapes;
+group and left inverse of its kernel basis; the store keeps row shapes;
 ``_row_body`` cuts a new shape's skeleton of six groups and five maps from
 the records of its three pairs, in those coordinates, and checks it.  The
 coordinates are an isomorphism of each group under which the maps stay
@@ -406,8 +406,10 @@ class SubquotientK:
     leaving a vertex of the pair stays in outer; inner is saturated, so a
     regular vertex outside it keeps an edge that leaves it, and a sink
     stays a sink.  ``k0`` and ``k1`` present K0, and K1 with coefficients
-    ``coeff``, on ``km``; ``shapes`` maps the positions of J minus I in the
-    block to the row's :class:`_Skeleton` (see :func:`_row_body`).
+    ``coeff``, on ``km``.  A record refers to no row: the store maps a
+    record and the positions of J minus I in its block to the row's
+    :class:`_Skeleton` (see :func:`_row_body`), whose ``pairs`` refer to
+    records, so no reference cycle keeps a store's records alive.
 
     Computed when first read and kept: ``k0_group``, the class of K0; and
     for rows ``coords``, the certified Smith coordinates of K0, ``free``,
@@ -423,7 +425,6 @@ class SubquotientK:
         self.km = IntMatrix._trusted(rows, len(self.regs))
         self.k0 = PresentedGroup(self.km)
         self.k1 = KOneBar(coeff, self.km)
-        self.shapes = {}
 
     @cached_property
     def k0_group(self) -> FgAbGroup:
@@ -458,13 +459,16 @@ class SubquotientStore:
 
     A pair inner <= outer depends only on the adjacency block of its
     difference, so the store keeps one :class:`SubquotientK` per distinct
-    block (``_records``) and maps each difference mask to the declaration
-    indices of its vertices and that record (``get``).  A row looks its
-    shape up by an int and a small tuple, hashing no matrix (see
-    :func:`_row_body`).  A filtered table keeps one store for all its
-    entries and rows, a lone six-term row a store of its own.  The store
-    also keeps one :class:`_Skeleton` record per distinct skeleton in Smith
-    coordinates (``_skeletons``, keyed by its maps).
+    block (``_records``) and maps each difference mask to the indices of
+    its vertices and that record (``get``).  It maps each record to the
+    row shapes cut from its block, tuples of positions, and each shape to
+    the row's :class:`_Skeleton` (``_shapes``), so a row is looked up by an
+    int, a record and a small tuple, hashing no matrix (see
+    :func:`_row_body`).  It keeps one skeleton record per distinct skeleton
+    in Smith coordinates (``_skeletons``, keyed by its maps) and, once a
+    comparison searches them, the element search outcome of each pair of
+    skeleton records (``_searches``).  A filtered table keeps one store for
+    all its entries and rows, a lone six-term row a store of its own.
 
     Exactness, kernels, images and cokernels are statements about
     subgroups, so an isomorphism of each group carries them over; the
@@ -477,26 +481,50 @@ class SubquotientStore:
     def __init__(self, g: Graph, coeff: CoeffGroup):
         self.graph = g
         self.coeff = coeff
+        self._order = range(g.num_vertices)
         self._pairs = {}
         self._records = {}
+        self._shapes = {}
         self._skeletons = {}
+        self._searches = {}
 
     def _share(self, other: SubquotientStore) -> None:
         """Use the records of ``other``, a store with the same coefficient
-        group, before building any: each block then has one record."""
+        group, before building any: each block then has one record, each
+        row shape one skeleton record.
+
+        When ``Graph._alignment`` finds an isomorphism from this store's
+        graph onto the other's, ``_order`` lists the vertices in the order
+        of their images.  Then the block of every mask, read in that order,
+        is the other graph's block of the image mask, so a copy of the
+        other graph declared in another order reaches the other store's
+        pair records, shapes and skeleton records and builds none of its
+        own.  Otherwise the order stays the declaration order.  Any order
+        is sound: a record depends on its block's value alone.
+        """
         self._records = other._records
+        self._shapes = other._shapes
         self._skeletons = other._skeletons
+        self._searches = other._searches
+        order = self.graph._alignment(other.graph)
+        if order is not None:
+            self._order = order
 
     def get(self, bits: int) -> tuple[tuple[int, ...], SubquotientK]:
-        """The declaration indices, rising, of the vertices of the mask
-        ``bits``, the difference of a pair, and the record of their block."""
+        """The indices of the vertices of the mask ``bits``, the difference
+        of a pair, in the store's order (``_order``: declaration order,
+        unless the store shares an aligned store's records), and the record
+        of their block in that order.  The order of every mask is the
+        restriction of one order of the graph, so a pair's sub-pairs list
+        their vertices as the pair does."""
         pair = self._pairs.get(bits)
         if pair is None:
-            rows = tuple(i for i in range(self.graph.num_vertices) if bits >> i & 1)
+            rows = tuple(i for i in self._order if bits >> i & 1)
             block = self.graph.adjacency().take_rows(rows).take_columns(rows)
             record = self._records.get(block)
             if record is None:
                 record = self._records[block] = SubquotientK(block, self.coeff)
+                self._shapes[record] = {}
             pair = self._pairs[bits] = rows, record
         return pair
 
@@ -509,19 +537,14 @@ class _Skeleton:
     the ``k0`` and ``k1`` of ``pairs``, the records of J minus I, P minus I
     and P minus J that first gave them: equal maps have groups of equal
     moduli and free ranks.  What is decided on it is kept when first read:
-    the verdicts at the four interior nodes (``nodes``), ``exact``, the
-    ``signature`` that a comparison matches and, in ``searches``, which
-    only a comparison makes, the element search against each other record
-    (see :func:`~leavitt.filtered._row_element_check`).  Records compare by
-    identity.
+    the verdicts at the four interior nodes (``nodes``), ``exact`` and the
+    ``signature`` that a comparison matches.  Records compare by identity,
+    and refer to no other skeleton record: a comparison keeps its element
+    searches in the store (``_searches``).
     """
 
     def __init__(self, maps, pairs: tuple[SubquotientK, SubquotientK, SubquotientK]):
         self.maps, self.pairs = maps, pairs
-
-    @cached_property
-    def searches(self) -> dict:
-        return {}
 
     @cached_property
     def nodes(self) -> tuple[NodeReport, ...]:
@@ -640,7 +663,7 @@ def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _
 
     The skeleton depends only on the row's positional shape: the adjacency
     block of P minus I and the positions ``hprime`` in it of H' = J minus
-    I, so the row is ``shapes[hprime]`` of the record of P minus I.  The
+    I, so the row is ``_shapes[pair][hprime]`` in the store.  The
     first row of a shape cuts the five maps in Smith coordinates from the
     records of J minus I, P minus I and P minus J, whose transfer matrices
     are the blocks of the middle one at H' and at the rest (``vert3``):
@@ -655,7 +678,8 @@ def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _
     """
     rows, pair = store.get(outer & ~inner)
     hprime = tuple(k for k, i in enumerate(rows) if middle >> i & 1)
-    skeleton = pair.shapes.get(hprime)
+    shapes = store._shapes[pair]
+    skeleton = shapes.get(hprime)
     if skeleton is None:
         ideal, quo = store.get(middle & ~inner)[1], store.get(outer & ~middle)[1]
         vert3 = [k for k in range(len(rows)) if k not in hprime]
@@ -680,5 +704,5 @@ def _row_body(store: SubquotientStore, inner: int, middle: int, outer: int) -> _
         skeleton = store._skeletons.get(maps)
         if skeleton is None:
             skeleton = store._skeletons[maps] = _Skeleton(maps, (ideal, pair, quo))
-        pair.shapes[hprime] = skeleton
+        shapes[hprime] = skeleton
     return skeleton

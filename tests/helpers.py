@@ -73,8 +73,10 @@ six-term row's Z-level skeleton, the oracle for the library's cut in
 Smith coordinates, ``skeleton_record`` reduces a Z-level skeleton to a
 record as a store would, ``row_groups`` lists the six groups of a
 skeleton, and ``shape_count`` counts the row shapes of a store.
-``sparse_graph`` draws the sparse graphs, up to 200 vertices, that the
-Smith sweeps run on.
+``declared_shuffled`` declares a graph's vertices in another order, and
+``unaligned_pair`` adds to two graphs a cycle declared in orders that a
+compare cannot align.  ``sparse_graph`` draws the sparse graphs, up to
+200 vertices, that the Smith sweeps run on.
 """
 
 from __future__ import annotations
@@ -623,6 +625,35 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(vertices, edges)
 
 
+def cycle(k: int, order=None) -> Graph:
+    """A directed k-cycle, edge ``a<i>`` from ``t<i>`` to ``t<i + 1 mod k>``,
+    its vertices declared in ``order``, by default t0, t1, ..."""
+    order = range(k) if order is None else order
+    edges = [(f"a{i}", f"t{i}", f"t{(i + 1) % k}") for i in range(k)]
+    return Graph([f"t{i}" for i in order], edges)
+
+
+def declared_shuffled(g: Graph, seed: int) -> Graph:
+    """``g`` with its vertices declared in the order that
+    ``random.Random(seed).shuffle`` gives them; names and edges stay."""
+    names = list(g.vertices)
+    random.Random(seed).shuffle(names)
+    return Graph(names, g.edges)
+
+
+def unaligned_pair(g: Graph, h: Graph) -> tuple[Graph, Graph]:
+    """``g`` and ``h``, each beside a directed 3-cycle (``disjoint_union``),
+    declared t0, t1, t2 beside ``g`` and t0, t2, t1 beside ``h``.
+
+    Colour refinement gives the cycle's vertices one colour, and matching
+    them in declaration order sends t1 to t2 and the edge t0 -> t1 onto
+    t0 -> t2, which ``h``'s cycle lacks.  So ``Graph._alignment`` finds no
+    bijection, and a compare of the pair reads both graphs in declaration
+    order, as it does any two graphs that it cannot align.  The cycle has
+    no exit, so each lattice is the graph's lattice times a 2-chain."""
+    return disjoint_union(g, cycle(3)), disjoint_union(h, cycle(3, (0, 2, 1)))
+
+
 # ---------------------------------------------------------------------------
 # lattice membership and well-defined maps
 # ---------------------------------------------------------------------------
@@ -762,10 +793,10 @@ def kernel_coordinates(basis: IntMatrix, vectors: IntMatrix) -> IntMatrix:
 
 
 def shape_count(store: SubquotientStore) -> int:
-    """The row shapes that the store's pair records hold, each record one
-    per set of positions of J minus I cut from its block; with a store
-    that shares another's records, the shapes of both."""
-    return sum(len(record.shapes) for record in store._records.values())
+    """The row shapes that the store maps to skeleton records, per pair
+    record the sets of positions of J minus I cut from its block; with a
+    store that shares another's records, the shapes of both."""
+    return sum(map(len, store._shapes.values()))
 
 
 def skeleton_record(maps, pairs) -> _Skeleton:

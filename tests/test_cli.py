@@ -1,6 +1,7 @@
 """Command-line interface: verbs, exit codes, JSON determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -207,6 +208,51 @@ class TestExitCodes:
         code, out, err = run(capsys, ["monoid-eq", files["rose2"], a, b])
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+
+class TestOpLifetime:
+    """What an op builds goes when it returns, by reference counts alone:
+    no pair record refers to a skeleton record and no skeleton record to
+    another, since the store keeps the row shapes and the element searches,
+    so a store's records form no reference cycle that would wait for the
+    cyclic collector."""
+
+    KINDS = (
+        ktheory.SubquotientK,
+        ktheory.SubquotientStore,
+        ktheory._Skeleton,
+        filtered.FilteredKTable,
+        filtered.TableEntry,
+    )
+
+    def alive(self):
+        return sum(isinstance(o, self.KINDS) for o in gc.get_objects())
+
+    def test_nothing_of_an_fk_or_a_compare_outlives_it(self, files, tmp_path, capsys):
+        poset, shuffled = tmp_path / "poset.graph", tmp_path / "shuffled.graph"
+        poset.write_text(poset_loops(6, 0.3, 1), encoding="utf-8")
+        shuffled.write_text(poset_loops(6, 0.3, 1, order_seed=5), encoding="utf-8")
+        unaligned = [tmp_path / f"{name}.graph" for name in ("first", "second")]
+        pair = H.unaligned_pair(*(parse_graph(p.read_text()) for p in (poset, shuffled)))
+        for path, g in zip(unaligned, pair):
+            path.write_text(graph_to_text(g), encoding="utf-8")
+        ops = [
+            ["fk", files["loops5"]],
+            ["fk", str(poset)],
+            ["compare", files["loops5"], files["loops5"]],
+            ["compare", str(poset), str(shuffled)],
+            ["compare", *map(str, unaligned)],
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            before = self.alive()
+            for argv in ops:
+                code, out, _ = run(capsys, ["--json", *argv])
+                assert code == 0 and out, argv
+                assert self.alive() == before, argv
+        finally:
+            gc.enable()
 
 
 class TestStreamedReports:

@@ -1,7 +1,10 @@
 """Filtered K-theory tables and graph-to-graph comparison."""
 
+import contextlib
 import dataclasses
+import io
 import itertools
+import json
 import random
 
 import pytest
@@ -14,6 +17,7 @@ from leavitt import cli
 from leavitt.filtered import RowCapError, compare_fkbar, fkbar, transport_from_certificate
 from leavitt.graphs import (
     Graph,
+    _refine,
     graph_from_matrix,
     graph_to_text,
     parse_graph,
@@ -32,6 +36,12 @@ COEFF = CoeffGroup.reduced_units_of_field(5)
 
 def ones_graph():
     return graph_from_matrix(IntMatrix([[1, 1], [1, 1]]))
+
+
+def shuffled_posets(n, order_seed):
+    """``poset_loops(n, 0.3, 1)`` and the copy declared in the order that
+    ``order_seed`` shuffles."""
+    return [parse_graph(poset_loops(n, 0.3, 1, order_seed=s)) for s in (None, order_seed)]
 
 
 class TestTable:
@@ -259,12 +269,14 @@ class TestCompare:
         assert all(a is b for a, b in calls["element"])
 
     def test_searches_kept_only_by_a_comparison(self, monkeypatch):
-        # an fk table searches no pair of records, so none of its records
-        # holds a ``searches`` dict; a comparison keeps each outcome on the
-        # first record, and a repeated pair reads it back without a search
-        graphs = [parse_graph(poset_loops(3, 0.3, 1, order_seed=s)) for s in (None, 1)]
+        # an fk table searches no pair of records, so its store keeps no
+        # outcome; a comparison keeps each outcome in the shared store,
+        # keyed by the pair of records, and a repeated pair reads it back
+        # without a search.  The pair is one the compare cannot align, so
+        # its rows pair distinct records
+        graphs = H.unaligned_pair(*shuffled_posets(3, 1))
         for g in graphs:
-            assert not any("searches" in vars(r) for r in set(fkbar(g, COEFF).bodies))
+            assert fkbar(g, COEFF).store._searches == {}
         iso = compare_fkbar(*graphs, COEFF).lattice_iso
         t1, t2 = (filtered.FilteredKTable(g, COEFF) for g in graphs)
         t2.store._share(t1.store)
@@ -281,7 +293,7 @@ class TestCompare:
         pairs = set(zip(t1.bodies, images))
         searched = {(a, b) for a, b in pairs if a is not b and a.signature == b.signature}
         assert len(calls) == len(searched) > 0
-        assert all(b in vars(a)["searches"] for a, b in searched)
+        assert all((a, b) in t1.store._searches for a, b in searched)
         calls.clear()
         assert filtered._match_rows(t1, t2, iso, run_elements=True) == first and calls == []
 
@@ -360,11 +372,12 @@ class TestCompare:
         # each of the 15 distinct skeletons of 64 rows is paired with its own
         # record, which matches without a signature
         assert len(skeletons) == 15 and calls == [] and read == []
-        # against a shuffled declaration order records differ: both tables
-        # share one memo, five maps per record whose signature is read
-        graphs = [parse_graph(poset_loops(8, 0.3, 1, order_seed=s)) for s in (None, 5)]
+        # against a shuffled declaration order that the compare cannot align
+        # records differ: both tables share one memo, five maps per record
+        # whose signature is read
+        graphs = H.unaligned_pair(*shuffled_posets(8, 5))
         assert compare_fkbar(*graphs, COEFF, element_search=False).consistent
-        assert len(read) == len(set(read)) == 194
+        assert len(read) == len(set(read)) == 472
         assert len(calls) == 5 * len(read)
 
     @pytest.mark.parametrize(
@@ -374,8 +387,9 @@ class TestCompare:
         # two rows of other shapes with one skeleton in Smith coordinates
         # are each isomorphic to it, so the identity of the shared store's
         # record is a commuting system between them, even where the node
-        # cap would skip the search
-        graphs = [parse_graph(poset_loops(3, 0.3, 1, order_seed=s)) for s in (None, 1)]
+        # cap would skip the search; the pair is one the compare cannot
+        # align, so rows keep their own shapes
+        graphs = H.unaligned_pair(*shuffled_posets(3, 1))
         rep = compare_fkbar(*graphs, coeff)
         assert rep.consistent and rep.element_check == "inconclusive"
         t1, t2 = (fkbar(g, coeff) for g in graphs)
@@ -388,7 +402,14 @@ class TestCompare:
             assert verdict.detail == "row matches (element search: passed)", trip
             shared += 1
             alone.add(filtered._skeleton_element_search(a.maps, b.maps))
-        assert shared == 34 and alone == {"passed", "skipped"}
+        assert shared == 136 and alone == {"passed", "skipped"}
+        # aligned, the copy's every row is its image's record, and the
+        # identity passes records whose own search the node cap skips
+        graphs = shuffled_posets(3, 1)
+        rep = compare_fkbar(*graphs, coeff)
+        assert rep.certification == "exhaustive" and rep.element_check == "passed"
+        records = set(fkbar(graphs[0], coeff).bodies)
+        assert {filtered._skeleton_element_search(r.maps, r.maps) for r in records} == alone
 
     def test_entry_classes_once_per_table(self, monkeypatch):
         g = H.disjoint_loops(3)
@@ -525,12 +546,17 @@ class TestCompare:
     def test_free_k0_comparison_is_bounded(self, monkeypatch):
         # K0 = Z^2 at the whole graph: its node has at least 5^4 candidates,
         # past the node cap.  Declared in the other order, the copy's blocks
-        # are other matrices, so such a row and its image have two skeleton
-        # records, and their search is skipped; the report stays consistent, bounded
-        # and inconclusive
+        # are other matrices; the compare aligns the copy to the graph's
+        # order, so every row pairs one record and the report is exhaustive
         edges = [("l0", "0", "0"), ("l1", "1", "1"), ("l2", "2", "2"), ("e", "0", "1")]
         g = Graph(["x0", "x1", "x2"], [(e, "x" + s, "x" + d) for e, s, d in edges])
         copy = Graph(["y2", "y1", "y0"], [(e, "y" + s, "y" + d) for e, s, d in edges])
+        rep = compare_fkbar(g, copy, COEFF)
+        assert (rep.certification, rep.element_check) == ("exhaustive", "passed")
+        # a pair it cannot align reads the declaration order: such a row
+        # and its image have two skeleton records, and their search is
+        # skipped; the report stays consistent, bounded and inconclusive
+        g, copy = H.unaligned_pair(g, copy)
         outcomes = []
         search = filtered._row_element_check
 
@@ -561,6 +587,67 @@ class TestCompare:
         assert compare_fkbar(rose2, rose3, COEFF) == compare_fkbar(rose2, rose3, COEFF)
         g2 = ones_graph()
         assert compare_fkbar(rose2, g2, COEFF) == compare_fkbar(rose2, g2, COEFF)
+
+
+class TestAlignment:
+    """A compare reads its second graph in the first graph's vertex order
+    when ``Graph._alignment`` finds an isomorphism between them, and in
+    declaration order otherwise; its verdict is the same either way."""
+
+    def test_six_cycle_against_two_triangles_keeps_declaration_order(self, monkeypatch):
+        six, two = H.cycle(6), H.disjoint_union(H.cycle(3), H.cycle(3))
+        # equal degrees and one colour throughout, but not isomorphic
+        assert six._alignment(two) is None and two._alignment(six) is None
+        assert set(_refine([0] * 6, [[(j, 1)] for j in (1, 2, 3, 4, 5, 0)])) == {0}
+        # equal degrees that refinement tells apart: a path of four vertices
+        # against an edge beside a 2-cycle
+        path = Graph("abcd", [("e", "a", "b"), ("f", "b", "c"), ("g", "c", "d")])
+        split = Graph("abcd", [("e", "a", "b"), ("f", "c", "d"), ("g", "d", "c")])
+        assert path._alignment(split) is None and split._alignment(path) is None
+        pairs = [(six, two), H.unaligned_pair(*shuffled_posets(3, 1))]
+        with monkeypatch.context() as m:
+            m.setattr(Graph, "_alignment", lambda self, other: None)
+            unaligned = [compare_fkbar(*pair, COEFF) for pair in pairs]
+        stores = []
+        share = ktheory.SubquotientStore._share
+
+        def recording(store, other):
+            share(store, other)
+            stores.append(store)
+
+        monkeypatch.setattr(ktheory.SubquotientStore, "_share", recording)
+        reports = [compare_fkbar(*pair, COEFF) for pair in pairs]
+        assert [s._order for s in stores] == [range(6), range(len(pairs[1][1].vertices))]
+        assert reports == unaligned
+        assert reports[0].obstruction == "ideal lattices admit no order isomorphism"
+        assert reports[1].consistent and reports[1].element_check == "inconclusive"
+
+    def test_shuffled_copies_keep_the_unaligned_verdicts(self, corpus, tmp_path, monkeypatch):
+        # each corpus graph against a copy of itself and one of the next
+        # graph, both declared in another order: the exit code and
+        # ``consistent`` of the compare, aligned and on the declaration-order
+        # path, which a compare takes for any pair it cannot align
+        def run(*paths):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["--json", "compare", *paths])
+            return code, json.loads(out.getvalue())["consistent"]
+
+        paths = []
+        for k, g in enumerate(corpus):
+            for name, x in (("g", g), ("s", H.declared_shuffled(g, k))):
+                path = tmp_path / f"{name}{k}.graph"
+                path.write_text(graph_to_text(x), encoding="utf-8")
+                paths.append(str(path))
+        codes = set()
+        for k in range(len(corpus)):
+            for j in (2 * k + 1, (2 * k + 3) % len(paths)):
+                got = run(paths[2 * k], paths[j])
+                with monkeypatch.context() as m:
+                    m.setattr(Graph, "_alignment", lambda self, other: None)
+                    assert run(paths[2 * k], paths[j]) == got, (k, j)
+                codes.add(got[0])
+        assert codes == {0, 1}
 
 
 def linked_blocks(links):

@@ -761,7 +761,11 @@ class TestSharedSkeletons:
         "coeff", [CoeffGroup.symbolic("Gbar"), COEFF_F5], ids=["symbolic", "field5"]
     )
     def test_check_exact_once_per_skeleton(self, coeff, monkeypatch):
-        graphs = [parse_graph(poset_loops(8, 0.3, 1, order_seed=s)) for s in (None, 5)]
+        # a pair the compare cannot align, so each table's rows are those
+        # of its own fk
+        graphs = H.unaligned_pair(
+            *(parse_graph(poset_loops(8, 0.3, 1, order_seed=s)) for s in (None, 5))
+        )
         stores = [fkbar(g, coeff).store for g in graphs]
         keys = {maps for store in stores for maps in store._skeletons}
         shapes = sum(map(H.shape_count, stores))
@@ -966,3 +970,26 @@ class TestBlockRecords:
             monkeypatch.setattr(ktheory, "SubquotientK", record)
             first, second = ({id(pair) for _, pair in s._pairs.values()} for s in stores)
             assert len(built) == alone and second <= first, g
+
+    def test_shuffled_compare_builds_nothing_in_its_second_store(self, corpus):
+        # a copy declared in another order that the compare aligns reads each
+        # block in the first graph's order: the compare's shared store holds
+        # the pair records, row shapes and skeleton records of the first
+        # table alone, and the second store reaches only the first's records
+        reordered = 0
+        graphs = [*corpus[:80], parse_graph(poset_loops(8, 0.3, 1))]
+        for k, g in enumerate(graphs):
+            copy = H.declared_shuffled(g, k)
+            assert copy._alignment(g) is not None, g
+            alone = fkbar(g, COEFF_F5).store
+            t1, t2 = (filtered.FilteredKTable(x, COEFF_F5) for x in (g, copy))
+            t2.store._share(t1.store)
+            iso = filtered.compare_fkbar(g, copy, COEFF_F5).lattice_iso
+            assert filtered._match_rows(t1, t2, iso, run_elements=True)[1] == "", g
+            sizes = [len(s) for s in (alone._records, alone._shapes, alone._skeletons)]
+            shared = t1.store
+            assert [len(s) for s in (shared._records, shared._shapes, shared._skeletons)] == sizes
+            first, second = ({id(p) for _, p in s._pairs.values()} for s in (t1.store, t2.store))
+            assert second <= first, g
+            reordered += copy.vertices != g.vertices
+        assert reordered >= 45
