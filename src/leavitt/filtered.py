@@ -36,6 +36,7 @@ from .ktheory import (
     _moduli,
     _residues,
     _row_body,
+    _smith_group,
 )
 from .lattice import (
     _LATTICE_CAP,
@@ -249,7 +250,7 @@ def _iso_candidates(moduli: tuple):
     if math.prod(map(len, per_entry)) > _NODE_CANDIDATE_CAP:
         return None
     k = len(moduli)
-    relations = IntMatrix.diagonal(moduli, rows=k, cols=k)
+    relations = _smith_group(moduli).relations
     out = []
     for flat in itertools.product(*per_entry):
         mat = IntMatrix._trusted(tuple(flat[i * k : (i + 1) * k] for i in range(k)), k)

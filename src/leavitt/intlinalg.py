@@ -186,10 +186,6 @@ class IntMatrix:
     def __neg__(self):
         return IntMatrix._trusted(tuple(tuple(-a for a in r) for r in self.data), self.cols)
 
-    def scale(self, k):
-        k = int(k)
-        return IntMatrix._trusted(tuple(tuple(k * a for a in r) for r in self.data), self.cols)
-
     def transpose(self):
         return IntMatrix._trusted(
             tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)),

@@ -33,6 +33,7 @@ three pair records that first gave it.
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -329,14 +330,12 @@ class _SmithCoordinates:
     onto Z^n modulo the diagonal d, whose coordinates with d_i = 1 vanish.
     ``project`` is the rows of u at the other coordinates and ``lift`` the
     matching columns of u^-1, so project @ lift = I and lift @ project is
-    the identity modulo the relations.  ``group`` presents the same group
-    on the kept coordinates: one relation d_i e_i per factor d_i > 1 (they
-    come first), and a free coordinate per missing pivot; ``moduli`` lists
-    each kept coordinate's modulus (see ``_moduli``).  Both transforms are
-    certified once, by re-multiplying u @ relations @ v to the diagonal and
-    u @ u^-1 to the identity.  A group whose relations are all zero is in
-    these coordinates already; it keeps its presentation, and ``project``
-    and ``lift`` are None, each standing for an identity.
+    the identity modulo the relations.  ``group`` is the ``_smith_group``
+    of the kept coordinates' ``moduli``, the factors d_i > 1 and then a 0
+    per missing pivot.  Both transforms are certified once, by
+    re-multiplying u @ relations @ v to the diagonal and u @ u^-1 to the
+    identity.  Relations that are all zero leave every modulus 0, and
+    ``project`` and ``lift`` None, each standing for an identity.
     """
 
     __slots__ = ("group", "project", "lift", "moduli")
@@ -344,25 +343,24 @@ class _SmithCoordinates:
     def __init__(self, pres: PresentedGroup):
         rel = pres.relations
         n = rel.rows
-        if not any(map(any, rel.data)):
-            self.group, self.project, self.lift, self.moduli = pres, None, None, (0,) * n
-            return
-        sd = snf(rel)
-        # the transforms first: their two-sided run also gives the diagonal
-        product = sd.u @ rel @ sd.v
-        diag = sd.diagonal
-        u_inv = None
-        if product == IntMatrix.diagonal(diag, rows=n, cols=rel.cols):
-            with suppress(ValueError):  # u is not unimodular
-                u_inv = inverse_unimodular(sd.u)
-        if u_inv is None or sd.u @ u_inv != IntMatrix.identity(n):
-            raise AssertionError("Smith transforms of a K0 presentation do not re-multiply")
-        keep = [i for i in range(n) if i >= len(diag) or diag[i] != 1]
-        torsion = [x for x in diag if x > 1]
-        self.group = PresentedGroup(IntMatrix.diagonal(torsion, rows=len(keep), cols=len(torsion)))
-        self.project = sd.u.take_rows(keep)
-        self.lift = u_inv.take_columns(keep)
-        self.moduli = _moduli(self.group)
+        self.project = self.lift = None
+        self.moduli = (0,) * n
+        if any(map(any, rel.data)):
+            sd = snf(rel)
+            # the transforms first: their two-sided run also gives the diagonal
+            product = sd.u @ rel @ sd.v
+            diag = sd.diagonal
+            u_inv = None
+            if product == IntMatrix.diagonal(diag, rows=n, cols=rel.cols):
+                with suppress(ValueError):  # u is not unimodular
+                    u_inv = inverse_unimodular(sd.u)
+            if u_inv is None or sd.u @ u_inv != IntMatrix.identity(n):
+                raise AssertionError("Smith transforms of a K0 presentation do not re-multiply")
+            keep = [i for i in range(n) if i >= len(diag) or diag[i] != 1]
+            self.project = sd.u.take_rows(keep)
+            self.lift = u_inv.take_columns(keep)
+            self.moduli = tuple(diag[i] if i < len(diag) else 0 for i in keep)
+        self.group = _smith_group(self.moduli)
 
     def reduce(self, m: IntMatrix) -> IntMatrix:
         """``m``, a matrix into these coordinates, with each row reduced
@@ -377,10 +375,16 @@ def _times(a: IntMatrix | None, b: IntMatrix | None) -> IntMatrix | None:
     return b if a is None else a if b is None else a @ b
 
 
+def _smith_group(moduli) -> PresentedGroup:
+    """The one form of a group in Smith coordinates: a relation q e_i per modulus q != 0."""
+    cols = [i for i, q in enumerate(moduli) if q]
+    rows = tuple(tuple(q if i == j else 0 for j in cols) for i, q in enumerate(moduli))
+    return PresentedGroup(IntMatrix._trusted(rows, len(cols)))
+
+
 def _moduli(group: PresentedGroup) -> tuple:
-    """Per generator of a group in Smith coordinates, its modulus (0: free)."""
-    rel = group.relations
-    return tuple(r[i] if i < rel.cols else 0 for i, r in enumerate(rel.data))
+    """Per generator of a ``_smith_group``, its modulus (0: free)."""
+    return tuple(max(r, default=0) for r in group.relations.data)
 
 
 def _residues(m: IntMatrix, moduli) -> tuple:
@@ -436,7 +440,7 @@ class SubquotientK:
 
     @cached_property
     def free(self) -> PresentedGroup:
-        return PresentedGroup(IntMatrix.zeros(self.k1.kernel.cols, 0))
+        return _smith_group((0,) * self.k1.kernel.cols)
 
     @cached_property
     def kernel_inverse(self) -> IntMatrix:
@@ -465,10 +469,11 @@ class SubquotientStore:
     the row's :class:`_Skeleton` (``_shapes``), so a row is looked up by an
     int, a record and a small tuple, hashing no matrix (see
     :func:`_row_body`).  It keeps one skeleton record per distinct skeleton
-    in Smith coordinates (``_skeletons``, keyed by its maps) and, once a
-    comparison searches them, the element search outcome of each pair of
-    skeleton records (``_searches``).  A filtered table keeps one store for
-    all its entries and rows, a lone six-term row a store of its own.
+    in Smith coordinates (``_skeletons``, keyed by its maps, whose groups
+    have the one form of ``_smith_group``) and, once a comparison searches
+    them, the element search outcome of each pair of skeleton records
+    (``_searches``).  A filtered table keeps one store for all its entries
+    and rows, a lone six-term row a store of its own.
 
     Exactness, kernels, images and cokernels are statements about
     subgroups, so an isomorphism of each group carries them over; the
@@ -590,24 +595,23 @@ def _skeleton_nodes(maps, coeff: CoeffGroup) -> tuple[NodeReport, ...]:
 
     The Z-level fields come from :func:`check_exact` on the five maps.  For
     finite cyclic coefficients Z/m, the two K1bar nodes are also decided on
-    the twisted cokernels coker(K) ⊗ Z/m = coker([K | mI]) of the three K0
-    presentations: exactness at the middle one under u12 and u23, and
-    onto-ness of u23.  A store passes the skeleton in Smith coordinates.
+    the twisted groups coker(K) ⊗ Z/m, in Smith coordinates the
+    ``_smith_group`` of moduli gcd(q, m): exactness at the middle one under
+    u12 and u23, and onto-ness of u23.  A store passes Smith coordinates.
     """
     z_nodes = check_exact(maps)
     coeff2 = coeff3 = None
     if coeff.kind == "finite-cyclic":
         u12, u23 = maps[3], maps[4]
         c1, c2, c3 = (
-            PresentedGroup(km.hstack(IntMatrix.identity(km.rows).scale(coeff.order)))
-            for km in (u12.domain.relations, u12.codomain.relations, u23.codomain.relations)
+            _smith_group(tuple(math.gcd(q, coeff.order) for q in _moduli(grp)))
+            for grp in (u12.domain, u12.codomain, u23.codomain)
         )
-        trivial = PresentedGroup(IntMatrix.zeros(0, 0))
         middle_node, quotient_node = check_exact(
             (
                 GroupMap(c1, c2, u12.matrix, name="u12"),
                 GroupMap(c2, c3, u23.matrix, name="u23"),
-                GroupMap(c3, trivial, IntMatrix.zeros(0, c3.generators)),
+                GroupMap(c3, _smith_group(()), IntMatrix.zeros(0, c3.generators)),
             )
         )
         coeff2 = middle_node.exact

@@ -67,12 +67,13 @@ quotient-monoid isomorphism, ``psi_diagram_check`` the square relating K and
 the colimit shift, and ``covering_window`` and ``is_irreducible`` build and
 test graphs for them.  ``monoid_to_str`` and ``graded_to_str`` print
 elements as literals the parsers read back, ``mass`` counts the vertex
-copies of a monoid element, ``graded_add`` adds two graded elements and
-``group_order`` is the order of a finite group; ``row_skeleton`` builds a
-six-term row's Z-level skeleton, the oracle for the library's cut in
-Smith coordinates, ``skeleton_record`` reduces a Z-level skeleton to a
-record as a store would, ``row_groups`` lists the six groups of a
-skeleton, and ``shape_count`` counts the row shapes of a store.
+copies of a monoid element, ``graded_add`` adds two graded elements,
+``group_order`` is the order of a finite group and ``scale`` multiplies a
+matrix by an integer; ``row_skeleton`` builds a six-term row's Z-level
+skeleton, the oracle for the library's cut in Smith coordinates,
+``skeleton_record`` reduces a Z-level skeleton to a record as a store
+would, ``row_groups`` lists the six groups of a skeleton, and
+``shape_count`` counts the row shapes of a store.
 ``declared_shuffled`` declares a graph's vertices in another order, and
 ``unaligned_pair`` adds to two graphs a cycle declared in orders that a
 compare cannot align.  ``sparse_graph`` draws the sparse graphs, up to
@@ -412,7 +413,7 @@ class _FiniteCoker:
 
     def __init__(self, km: IntMatrix, order: int):
         n = km.rows
-        sd = snf(km.hstack(IntMatrix.identity(n).scale(order)))
+        sd = snf(km.hstack(scale(IntMatrix.identity(n), order)))
         self.diag = sd.diagonal[:n]
         assert all(self.diag), "cokernel with finite coefficients must be finite"
         self.u = sd.u
@@ -439,7 +440,7 @@ def twisted_nodes_oracle(graphs, order: int, u12_scale: int = 1):
     """
     g1, g2, g3 = graphs
     c1, c2, c3 = (_FiniteCoker(_transfer(g), order) for g in graphs)
-    ext_vert = _select(g1.vertices, g2.vertices).scale(u12_scale)
+    ext_vert = scale(_select(g1.vertices, g2.vertices), u12_scale)
     proj_vert = _select(g3.vertices, g2.vertices).transpose()
     image = {c2.canon(ext_vert @ rep) for rep in c1.representatives()}
     kernel = {
@@ -657,6 +658,11 @@ def unaligned_pair(g: Graph, h: Graph) -> tuple[Graph, Graph]:
 # ---------------------------------------------------------------------------
 # lattice membership and well-defined maps
 # ---------------------------------------------------------------------------
+
+
+def scale(m: IntMatrix, k: int) -> IntMatrix:
+    """``m`` with every entry multiplied by ``k``."""
+    return IntMatrix._trusted(tuple(tuple(k * a for a in r) for r in m.data), m.cols)
 
 
 def from_columns(columns, rows=None) -> IntMatrix:

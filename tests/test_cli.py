@@ -337,7 +337,7 @@ class TestStreamedReports:
         kb = ktheory.k1(Graph(["a"], [("x", "a", "a")]), coeff)
         assert cli._konebar_json(kb)["symbol"] == str(kb.isomorphism_class())
         assert len(built) == 1
-        text = poset_loops(8, 0.3, 1)
+        text = poset_loops(9, 0.3, 2)
         path = tmp_path / "poset.graph"
         path.write_text(text, encoding="utf-8")
         table = filtered.fkbar(parse_graph(text), coeff)

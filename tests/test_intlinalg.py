@@ -174,7 +174,7 @@ class TestIntMatrix:
                 (a + b, (nr, nc)),
                 (a - b, (nr, nc)),
                 (-a, (nr, nc)),
-                (a.scale(rng.randint(-3, 3)), (nr, nc)),
+                (H.scale(a, rng.randint(-3, 3)), (nr, nc)),
                 (a.transpose(), (nc, nr)),
                 (a.hstack(b), (nr, 2 * nc)),
                 (a.take_rows(rows), (len(rows), nc)),
@@ -411,7 +411,7 @@ class TestTransformChoices:
 
     def test_negative_unit_pivots_flip_the_sign(self):
         rng = random.Random(83)
-        cases = [IntMatrix([[-1]]), IntMatrix.identity(4).scale(-1), IntMatrix([[-1, 3], [2, 5]])]
+        cases = [IntMatrix([[-1]]), H.scale(IntMatrix.identity(4), -1), IntMatrix([[-1, 3], [2, 5]])]
         for _ in range(30):
             n = rng.randint(2, 7)
             rows = random_matrix(rng, n, n, -3, 3).to_lists()
@@ -424,7 +424,7 @@ class TestTransformChoices:
         # a -1 pivot leaves 1 on the diagonal; only the sign records it
         minus_one = SmithData(IntMatrix([[-1]]))
         assert (minus_one.diagonal, minus_one.sign) == ((1,), -1)
-        assert SmithData(IntMatrix.identity(4).scale(-1)).sign == 1
+        assert SmithData(H.scale(IntMatrix.identity(4), -1)).sign == 1
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +571,7 @@ class TestKernelsAndLattices:
             lat = random_matrix(rng, nr, rank, -3, 3) @ random_matrix(
                 rng, rank, rng.randint(0, 4), -2, 2
             )
-            lat = lat.scale(rng.choice((1, 1, 2, 3)))
+            lat = H.scale(lat, rng.choice((1, 1, 2, 3)))
             k = rng.randint(0, 3)
             if rng.random() < 0.5:
                 gens = lat @ random_matrix(rng, lat.cols, k, -2, 2)

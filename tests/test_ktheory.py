@@ -1,5 +1,6 @@
 """K-theory of graph algebras: K0, reduced K1, diagrams, six-term rows."""
 
+import math
 import operator
 import random
 
@@ -346,7 +347,7 @@ def z_verdicts(nodes):
 
 def with_doubled_delta(maps):
     f = maps[2]
-    doubled = GroupMap(f.domain, f.codomain, f.matrix.scale(2), name="2delta")
+    doubled = GroupMap(f.domain, f.codomain, H.scale(f.matrix, 2), name="2delta")
     return maps[:2] + (doubled,) + maps[3:]
 
 
@@ -485,10 +486,10 @@ def twisted_chain(maps, order, u12_scale=1, u23_scale=1):
     skeleton, then the zero map to the trivial group: the chain six_term_row
     checks."""
     c1, c2, c3 = (
-        PresentedGroup(km.hstack(IntMatrix.identity(km.rows).scale(order)))
+        PresentedGroup(km.hstack(H.scale(IntMatrix.identity(km.rows), order)))
         for km in (maps[3].domain.relations, maps[4].domain.relations, maps[4].codomain.relations)
     )
-    u12, u23 = maps[3].matrix.scale(u12_scale), maps[4].matrix.scale(u23_scale)
+    u12, u23 = H.scale(maps[3].matrix, u12_scale), H.scale(maps[4].matrix, u23_scale)
     return (
         GroupMap(c1, c2, u12),
         GroupMap(c2, c3, u23),
@@ -513,7 +514,7 @@ def store_verdicts(nodes):
 
 def with_zero_u12(maps):
     f = maps[3]
-    zero = GroupMap(f.domain, f.codomain, f.matrix.scale(0), name="u12")
+    zero = GroupMap(f.domain, f.codomain, H.scale(f.matrix, 0), name="u12")
     return maps[:3] + (zero,) + maps[4:]
 
 
@@ -702,6 +703,18 @@ class TestSmithCoordinates:
             assert set(map(id, reduced)) <= {id(p.k0) for p in stores[0]._records.values()}, g
         assert total >= 200
 
+    def test_zero_relations_have_one_coordinate_group(self):
+        # a group with no nonzero relation is in Smith coordinates already,
+        # whatever its zero relation columns: 3 generators give the free
+        # group of rank 3 that a record on 3 loops builds on its kernel
+        groups = {
+            ktheory._SmithCoordinates(PresentedGroup(IntMatrix.zeros(3, cols))).group
+            for cols in (0, 1, 2)
+        }
+        record = ktheory.SubquotientK(IntMatrix.identity(3), COEFF_F5)
+        assert record.k1.kernel_rank == 3
+        assert groups == {record.free} == {record.coords.group}
+
     def test_products_per_built_shape(self, monkeypatch):
         # a shape's five maps are cut from its three pair records: one
         # product each for u12 and u23, two for delta, and one for tau1 and
@@ -782,13 +795,29 @@ class TestSharedSkeletons:
         per_key = 2 if coeff.kind == "finite-cyclic" else 1
         assert len(calls) == per_key * len(keys) and 2 * len(keys) < shapes
 
+    def test_one_record_per_skeleton_in_smith_coordinates(self):
+        # a skeleton in Smith coordinates is its maps and the moduli of its
+        # six groups, each read here as the gcd of a generator's relation
+        # row; shapes whose skeletons agree that way share one record
+        store = fkbar(parse_graph(poset_loops(10, 0.3, 1)), COEFF_F5).store
+
+        def key(maps):
+            groups = (maps[0].domain,) + tuple(f.codomain for f in maps)
+            moduli = tuple(tuple(math.gcd(*r) for r in n.relations.data) for n in groups)
+            return moduli, tuple(f.matrix for f in maps)
+
+        records = {id(record) for shapes in store._shapes.values() for record in shapes.values()}
+        keys = {key(maps) for maps in store._skeletons}
+        assert len(records) == len(store._skeletons) == len(keys) == 60
+        assert H.shape_count(store) > 2 * len(keys)
+
     @pytest.mark.parametrize(
         "coeff", [COEFF_F5, CoeffGroup.symbolic("Gbar")], ids=["field5", "symbolic"]
     )
     def test_equal_skeletons_have_equal_payloads(self, corpus, coeff):
         # a record built outside a store decides its own verdicts, and
         # records of other tables with equal maps must print and match alike
-        graphs = [*corpus[:80], *(parse_graph(poset_loops(8, 0.3, s)) for s in range(3))]
+        graphs = [*corpus[:80], *(parse_graph(poset_loops(8, 0.3, s)) for s in range(8))]
         first = {}  # skeleton -> payload, nodes and signature of its first record
         shared = 0
         for g in graphs:
@@ -893,7 +922,7 @@ class TestPairRecordGroups:
         # the K0 invariants and the KOneBar of the store's pair records of
         # this row's J - I, P - I and P - J, on their transfer blocks
         records = set()
-        for g in corpus:
+        for g in [*corpus, parse_graph(poset_loops(8, 0.3, 1))]:
             table = fkbar(g, coeff)
             bits = table.lattice.elements
             for (i, j, p), body in zip(table.row_triples, table.bodies):

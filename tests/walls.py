@@ -19,6 +19,9 @@ these walls, each as one child process:
 - ``spec``: ``leavitt --json spec`` on 12 loops;
 - ``fk-poset``: ``leavitt --json fk`` on the poset of loops, whose rows
   share far fewer skeletons than those of disjoint loops;
+- ``fk-poset-field``: ``leavitt --json fk --field 5`` on it, whose rows
+  also decide their K̄₁ nodes on the twisted groups, with coefficients
+  Z/2 (the reduced units of the field with 5 elements);
 - ``compare-poset-self``: ``leavitt --json compare`` of it with itself;
 - ``compare-poset-shuffled``: ``leavitt --json compare`` of it against
   the shuffled copy, which the compare reads in the poset's vertex order,
@@ -116,6 +119,7 @@ WALLS = {
     "compare-doubled": ["compare", "loops7", "doubled7"],
     "spec": ["spec", "loops12"],
     "fk-poset": ["fk", "poset"],
+    "fk-poset-field": ["fk", "--field", "5", "poset"],
     "compare-poset-self": ["compare", "poset", "poset"],
     "compare-poset-shuffled": ["compare", "poset", "shuffled"],
 }
@@ -129,6 +133,7 @@ PINNED = {
     "compare-doubled": "9f58012e23b3ee1b6533e19f442cddf7ed83b8a4b08178b9c0ddaaaafad9413b",
     "spec": "a70f3126bdc426f59df0b3ee53f5cb78da0c6f7ed39e3e526687a74e26adc725",
     "fk-poset": "bef67ab93c37a45db1c41e4af48de2a090f3301ed9051f678e700c47b7f86869",
+    "fk-poset-field": "d53328d92f44b331dcfe0c1eda8f344c6d69e21dd71fe415e36de3d8c5db3deb",
     "compare-poset-self": "d5ca838292effc8826f8b22faeaf8416ec9fa7ed92e6a48b57e10e5d57e5b2f9",
     # the shuffled copy is read in the poset's vertex order, so each of the
     # 65,012 rows pairs a skeleton record with itself and passes the element
@@ -162,11 +167,11 @@ def main(argv=None) -> int:
             paths[name] = os.path.join(tmp, f"{name}.graph")
             Path(paths[name]).write_text(text, encoding="utf-8")
         for name in walls:
-            verb, *inputs = WALLS[name]
+            verb, *words = WALLS[name]
             for round_ in range(args.repeat):
                 for src in trees if round_ % 2 == 0 else trees[::-1]:
                     code, wall, rss, size, sha = run(
-                        ["--json", verb, *map(paths.get, inputs)], Path(src).resolve()
+                        ["--json", verb, *(paths.get(w, w) for w in words)], Path(src).resolve()
                     )
                     runs[name, src].append((wall, rss, sha == PINNED[name]))
                     pin = "pinned" if sha == PINNED[name] else "NOT the pinned hash"
