@@ -19,7 +19,7 @@ from types import GeneratorType
 
 from .filtered import _ROW_CAP, RowCapError, compare_fkbar, fkbar
 from .graphs import Graph, GraphFormatError, parse_graph, parse_matrix
-from .intlinalg import CoeffGroup, FgAbGroup
+from .intlinalg import CoeffGroup, FgAbGroup, op_scope
 from .ktheory import k0, k1, six_term_row, vdb_sequence
 from .lattice import _LATTICE_CAP, LatticeCapError, enumerate_hsat, locally_closed_all, spectrum
 from .monoid import graded_equal, parse_graded_element, parse_monoid_element, ungraded_equal
@@ -184,7 +184,7 @@ def _put_json(x, nl, put):
     elif t is list or t is tuple or t is GeneratorType:
         inner = nl + "  "
         if t is not GeneratorType and {*map(type, x)} == {int}:
-            put("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
+            put("[" + inner + ("," + inner).join(map(repr, x)) + nl + "]")
             return
         sep = "[" + inner
         for v in x:
@@ -631,25 +631,29 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    try:
-        payload, lines, code = args.func(args)
-    except (GraphFormatError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (LatticeCapError, RowCapError) as exc:
-        print(f"cap exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except AssertionError as exc:
-        print(f"internal error: {exc or 'assertion failed'}", file=sys.stderr)
-        return EXIT_INTERNAL
-    if args.json:
-        _put_json(payload, "\n", sys.stdout.write)
-        sys.stdout.write("\n")
-    else:
-        for line in lines:
-            print(line)
-    return code
+    """Run one op.  Its Smith records live in one :func:`op_scope`, which
+    ends with the op, whatever its exit: a CLI process runs one op, and
+    between the ops of one process there is nothing to share."""
+    with op_scope():
+        args = _parser().parse_args(argv)
+        try:
+            payload, lines, code = args.func(args)
+        except (GraphFormatError, ValueError, OSError, KeyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except (LatticeCapError, RowCapError) as exc:
+            print(f"cap exhausted: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except AssertionError as exc:
+            print(f"internal error: {exc or 'assertion failed'}", file=sys.stderr)
+            return EXIT_INTERNAL
+        if args.json:
+            _put_json(payload, "\n", sys.stdout.write)
+            sys.stdout.write("\n")
+        else:
+            for line in lines:
+                print(line)
+        return code
 
 
 if __name__ == "__main__":

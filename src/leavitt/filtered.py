@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from .graphs import Graph
@@ -216,7 +216,6 @@ _NODE_CANDIDATE_CAP = 64
 _FREE_ENTRY_BOUND = 2
 
 
-@lru_cache(maxsize=2048)
 def _iso_candidates(moduli: tuple):
     """All isomorphism matrices between two groups in Smith coordinates
     with these moduli (see ``ktheory._moduli``), or None when the
@@ -264,7 +263,7 @@ def _squares_commute(beta, f_a, f_b, alpha, moduli) -> bool:
     return not any(map(any, _residues(beta @ f_a - f_b @ alpha, moduli)))
 
 
-def _row_element_check(a: _Skeleton, b: _Skeleton):
+def _row_element_check(a: _Skeleton, b: _Skeleton, candidates: dict):
     """Search for a commuting system of node isomorphisms between the rows
     of two skeleton records of equal signatures.  Returns "passed",
     "refuted" (no system exists), or "skipped" when a node has more
@@ -281,23 +280,26 @@ def _row_element_check(a: _Skeleton, b: _Skeleton):
     """
     if a is b:
         return "passed"
-    return _skeleton_element_search(a.maps, b.maps)
+    return _skeleton_element_search(a.maps, b.maps, candidates)
 
 
-def _skeleton_element_search(maps_a, maps_b):
+def _skeleton_element_search(maps_a, maps_b, candidates: dict):
     """The element search of :func:`_row_element_check` on two skeletons
     in Smith coordinates.
 
     Each pair of nodes has equal moduli and one nonempty candidate list
-    (see :func:`_iso_candidates`).  Listed candidates are all of a node's
-    isomorphisms, and the diagram is a chain, so a forward arc-consistency
-    pass decides existence exactly: a search that is not skipped is
-    exhaustive.
+    (see :func:`_iso_candidates`), kept in ``candidates`` by moduli tuple:
+    a comparison passes its store's, so each list is built once per op.
+    Listed candidates are all of a node's isomorphisms, and
+    the diagram is a chain, so a forward arc-consistency pass decides
+    existence exactly: a search that is not skipped is exhaustive.
     """
     moduli = [_moduli(maps_a[0].domain)] + [_moduli(f.codomain) for f in maps_a]
     candidate_sets = []
     for node in moduli:
-        cands = _iso_candidates(node)
+        if node not in candidates:
+            candidates[node] = _iso_candidates(node)
+        cands = candidates[node]
         if cands is None:
             return "skipped"
         candidate_sets.append(cands)
@@ -446,7 +448,7 @@ def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool)
     keyed by the pair, so the candidates of one comparison search each
     pair once.
     """
-    searches = t1.store._searches
+    searches, candidates = t1.store._searches, t1.store._candidates
     # an order isomorphism maps a nested triple to a nested triple
     pairs = [
         (body, t2.body((iso[i], iso[j], iso[p])))
@@ -467,7 +469,7 @@ def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool)
         if not problems and run_elements:
             element = searches.get((body, other))
             if element is None:
-                element = _row_element_check(body, other)
+                element = _row_element_check(body, other, candidates)
                 if body is not other:  # a record passes against itself at once
                     searches[body, other] = element
             element_outcomes.append(element)

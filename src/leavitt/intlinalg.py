@@ -5,20 +5,23 @@ One Smith elimination is the engine here, with one record per matrix.
 along only the unimodular transforms its caller reads, with one pivot
 sequence whatever it tracks.  A :class:`SmithData` record computes each
 part of it when first read, and :func:`snf`, the only cache, keeps one
-record per matrix.  The diagonal needs no transform: it gives group
-invariants, twisted cokernels (:func:`coker_with_coefficients`), the shift
-invariants and the inclusion tests of :func:`subgroup_equal` and of
-:func:`check_exact`, the one exactness checker.  The kernel needs v: it
-gives :func:`kernel_basis` and :func:`preimage_lattice`.  Lattice solving,
-unimodular inverses and the Smith coordinates of K0 presentations read u
-and v, from one two-sided run; they read them first, so that run serves
-the diagonal too.  Everything runs on Python ints, so there is no overflow
-and no floating point anywhere.
+record per matrix for the length of one op (:func:`op_scope`).  The
+diagonal needs no transform: it gives group invariants, twisted cokernels
+(:func:`coker_with_coefficients`), the shift invariants and the inclusion
+tests of :func:`subgroup_equal` and of :func:`check_exact`, the one
+exactness checker.  The kernel needs v: it gives :func:`kernel_basis` and
+:func:`preimage_lattice`.  Lattice solving reads u and v, from one
+two-sided run; the Smith coordinates of K0 presentations and the left
+inverses of kernel bases read u^-1 and v^-1, which that run tracks too when
+asked.  Each reads its transforms first, so that the run serves the
+diagonal too.  Everything runs on Python ints, so there is no overflow and
+no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -37,10 +40,10 @@ __all__ = [
     "coker_with_coefficients",
     "check_exact",
     "solve_lattice",
-    "inverse_unimodular",
     "preimage_lattice",
     "subgroup_equal",
     "map_invariants",
+    "op_scope",
 ]
 
 
@@ -103,19 +106,6 @@ class IntMatrix:
     @classmethod
     def zeros(cls, rows, cols):
         return cls._trusted(((0,) * cols,) * rows, cols)
-
-    @classmethod
-    def diagonal(cls, entries, rows=None, cols=None):
-        entries = tuple(int(e) for e in entries)
-        rows = len(entries) if rows is None else rows
-        cols = len(entries) if cols is None else cols
-        return cls(
-            tuple(
-                tuple(entries[i] if i == j and i < len(entries) else 0 for j in range(cols))
-                for i in range(rows)
-            ),
-            cols=cols,
-        )
 
     # -- access --------------------------------------------------------
 
@@ -313,8 +303,8 @@ def _identity_rows(n: int) -> list[list[int]]:
     return rows
 
 
-def _smith(m: IntMatrix, u: bool, v: bool):
-    """The one Smith elimination: ``(u, diagonal, v, sign)``.
+def _smith(m: IntMatrix, u: bool, v: bool, inverses: bool = False):
+    """The one Smith elimination: ``(u, diagonal, v, sign, u^-1, v^-1)``.
 
     Each step pivots on the least entry of the trailing block (see
     ``_select_pivot``), clears its column by row operations and its row by
@@ -327,11 +317,20 @@ def _smith(m: IntMatrix, u: bool, v: bool):
     returned as its list of columns, so a column operation on it is one
     list operation.  ``sign`` is the product of the signs of the swaps and
     negations.  The pivot sequence does not depend on what is tracked.
+
+    With ``inverses`` each tracked transform's inverse follows too, u^-1 as
+    its list of columns and v^-1 as its list of rows: a row operation E on
+    u is the column operation E^-1 on u^-1 (row_i -= q row_t becomes
+    col_t += q col_i, the fold row_t += row_b becomes col_b -= col_t), and a
+    column operation F on v the row operation F^-1 on v^-1; swaps and
+    negations are their own inverses.
     """
     rows, cols = m.rows, m.cols
     d = [list(r) for r in m.data]
     left = _identity_rows(rows) if u else None
     right = _identity_rows(cols) if v else None
+    left_inv = _identity_rows(rows) if u and inverses else None
+    right_inv = _identity_rows(cols) if v and inverses else None
     diagonal = []
     sign = 1
     t = 0
@@ -344,12 +343,16 @@ def _smith(m: IntMatrix, u: bool, v: bool):
             d[0], d[i] = d[i], d[0]
             if u:
                 left[t], left[t + i] = left[t + i], left[t]
+                if inverses:
+                    left_inv[t], left_inv[t + i] = left_inv[t + i], left_inv[t]
             sign = -sign
         if j:
             for r in d:
                 r[0], r[j] = r[j], r[0]
             if v:
                 right[t], right[t + j] = right[t + j], right[t]
+                if inverses:
+                    right_inv[t], right_inv[t + j] = right_inv[t + j], right_inv[t]
             sign = -sign
         while True:
             restart = False
@@ -369,11 +372,16 @@ def _smith(m: IntMatrix, u: bool, v: bool):
                     _subtract(d, i, q, head, head_nz)
                 if u:
                     _subtract(left, t + i, q, left[t], left_nz)
+                    if inverses:
+                        column = left_inv[t + i]
+                        _subtract(left_inv, t, -q, column, _nonzero(column))
                 if x % p:
                     # the remainder is smaller than the pivot: promote it
                     d[0], d[i] = d[i], d[0]
                     if u:
                         left[t], left[t + i] = left[t + i], left[t]
+                        if inverses:
+                            left_inv[t], left_inv[t + i] = left_inv[t + i], left_inv[t]
                     sign = -sign
                     restart = True
                     break
@@ -394,11 +402,16 @@ def _smith(m: IntMatrix, u: bool, v: bool):
                 head[j] = x % p
                 if v:
                     _subtract(right, t + j, x // p, right[t], right_nz)
+                    if inverses:
+                        row = right_inv[t + j]
+                        _subtract(right_inv, t, -(x // p), row, _nonzero(row))
                 if head[j]:
                     for r in d:
                         r[0], r[j] = r[j], r[0]
                     if v:
                         right[t], right[t + j] = right[t + j], right[t]
+                        if inverses:
+                            right_inv[t], right_inv[t + j] = right_inv[t + j], right_inv[t]
                     sign = -sign
                     restart = True
                     break
@@ -412,19 +425,23 @@ def _smith(m: IntMatrix, u: bool, v: bool):
             d[0] = [a + b for a, b in zip(head, d[bad])]
             if u:
                 left[t] = [a + b for a, b in zip(left[t], left[t + bad])]
+                if inverses:
+                    left_inv[t + bad] = [a - b for a, b in zip(left_inv[t + bad], left_inv[t])]
         # the last pass changed no entry of column 0, nor of row 0 when it
         # ran, so p = d[0][0]
         if p < 0:
             sign = -sign
             if u:
                 left[t] = [-a for a in left[t]]
+                if inverses:
+                    left_inv[t] = [-a for a in left_inv[t]]
         diagonal.append(abs(p))
         del d[0]
         for r in d:
             del r[0]
         t += 1
     diagonal += [0] * (min(rows, cols) - len(diagonal))
-    return left, tuple(diagonal), right, sign
+    return left, tuple(diagonal), right, sign, left_inv, right_inv
 
 
 class SmithData:
@@ -434,24 +451,29 @@ class SmithData:
     nonnegative entries, zeros last.  ``sign`` is the product of the signs
     of the swaps and negations, so a square matrix has determinant
     ``sign * prod(diagonal)`` (``det``).  ``kernel`` is the columns of v past
-    the rank, a primitive basis of the integer kernel.  A part is computed
-    when first read, by one ``_smith`` run that tracks only what it needs:
-    nothing for the diagonal, sign, rank and determinant, v for the kernel,
-    both for u and v.  A run keeps every part it yields, so a kernel run
-    serves the diagonal too, and a two-sided run serves every part.  The
-    pivot rule (least absolute value, then lowest row and column) makes u
-    and v reproducible, so golden tests freeze them.
+    the rank, a primitive basis of the integer kernel.  ``u_inverse`` and
+    ``v_inverse`` are the inverses of u and v, tracked by the run that
+    tracks u and v.  A part is computed when first read, by one ``_smith``
+    run that tracks only what it needs: nothing for the diagonal, sign, rank
+    and determinant, v for the kernel, both for u and v, both and their
+    inverses for an inverse.  A run keeps every part it yields, so a kernel
+    run serves the diagonal too, and a run with inverses serves every part.
+    The pivot rule (least absolute value, then lowest row and column) makes
+    u and v reproducible, so golden tests freeze them, and every run of one
+    matrix yields the same parts.
     """
 
-    __slots__ = ("_m", "diagonal", "sign", "kernel", "u", "v")
+    __slots__ = ("_m", "diagonal", "sign", "kernel", "u", "v", "u_inverse", "v_inverse")
 
-    # the (u, v) a run tracks to yield each part
+    # the (u, v, inverses) a run tracks to yield each part
     _TRACKS = {
-        "diagonal": (False, False),
-        "sign": (False, False),
-        "kernel": (False, True),
-        "u": (True, True),
-        "v": (True, True),
+        "diagonal": (False, False, False),
+        "sign": (False, False, False),
+        "kernel": (False, True, False),
+        "u": (True, True, False),
+        "v": (True, True, False),
+        "u_inverse": (True, True, True),
+        "v_inverse": (True, True, True),
     }
 
     def __init__(self, m: IntMatrix):
@@ -464,9 +486,9 @@ class SmithData:
         self._run(*SmithData._TRACKS[name])
         return getattr(self, name)
 
-    def _run(self, u: bool, v: bool) -> None:
+    def _run(self, u: bool, v: bool, inverses: bool) -> None:
         m = self._m
-        left, self.diagonal, right, self.sign = _smith(m, u, v)
+        left, self.diagonal, right, self.sign, left_inv, right_inv = _smith(m, u, v, inverses)
         if v:
             columns = right[self.rank:]
             self.kernel = IntMatrix._trusted(
@@ -475,6 +497,9 @@ class SmithData:
         if u:
             self.u = IntMatrix._trusted(tuple(map(tuple, left)), m.rows)
             self.v = IntMatrix._trusted(tuple(zip(*right)), m.cols)
+        if inverses:
+            self.u_inverse = IntMatrix._trusted(tuple(zip(*left_inv)), m.rows)
+            self.v_inverse = IntMatrix._trusted(tuple(map(tuple, right_inv)), m.cols)
 
     @property
     def rank(self) -> int:
@@ -494,9 +519,36 @@ def snf(m: IntMatrix) -> SmithData:
 
     This is the only Smith cache.  Matrices are immutable, so sharing is
     safe, and a record is filled in as its readers read it (see
-    :class:`SmithData`).
+    :class:`SmithData`).  Its records belong to the op that made them:
+    when the outermost :func:`op_scope` exits, they go.
     """
     return SmithData(m)
+
+
+# bound here, so that a wrapper that rebinds the name ``snf`` still leaves
+# the scope the cache to empty
+_clear_records = snf.cache_clear
+_open_scopes = 0
+
+
+@contextmanager
+def op_scope():
+    """The lifetime of one op's Smith records.
+
+    While a scope is open, :func:`snf` keeps one record per matrix, and
+    every reader in it shares them; when the outermost scope exits, error
+    exits included, the records go, so no Smith record outlives its op.  A
+    nested scope shares the outermost one.  ``cli.main`` enters one around
+    each op; a library caller may enter one around the calls of one op.
+    """
+    global _open_scopes
+    _open_scopes += 1
+    try:
+        yield
+    finally:
+        _open_scopes -= 1
+        if not _open_scopes:
+            _clear_records()
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -535,17 +587,6 @@ def _solve(sd: SmithData, vec):
         if y[i] != 0:
             return None
     return sd.v @ tuple(z)
-
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +1 or -1."""
-    sd = snf(m)
-    # u m v = 1 forces m^-1 = v u; the transforms are read before the
-    # diagonal, so one run serves both
-    inverse = sd.v @ sd.u if m.rows == m.cols else None
-    if inverse is None or any(x != 1 for x in sd.diagonal):
-        raise ValueError("matrix is not unimodular")
-    return inverse
 
 
 def preimage_lattice(m: IntMatrix, lat: IntMatrix) -> IntMatrix:

@@ -34,9 +34,9 @@ three pair records that first gave it.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 
 from .graphs import (
     Graph,
@@ -56,7 +56,6 @@ from .intlinalg import (
     PresentedGroup,
     check_exact,
     coker_with_coefficients,
-    inverse_unimodular,
     kernel_basis,
     map_invariants,
     snf,
@@ -329,13 +328,15 @@ class _SmithCoordinates:
     With u @ relations @ v = d in Smith form, x -> u @ x is an isomorphism
     onto Z^n modulo the diagonal d, whose coordinates with d_i = 1 vanish.
     ``project`` is the rows of u at the other coordinates and ``lift`` the
-    matching columns of u^-1, so project @ lift = I and lift @ project is
-    the identity modulo the relations.  ``group`` is the ``_smith_group``
-    of the kept coordinates' ``moduli``, the factors d_i > 1 and then a 0
-    per missing pivot.  Both transforms are certified once, by
-    re-multiplying u @ relations @ v to the diagonal and u @ u^-1 to the
-    identity.  Relations that are all zero leave every modulus 0, and
-    ``project`` and ``lift`` None, each standing for an identity.
+    matching columns of u^-1, which the elimination of u tracks, so
+    project @ lift = I and lift @ project is the identity modulo the
+    relations.  ``group`` is the ``_smith_group`` of the kept coordinates'
+    ``moduli``, the factors d_i > 1 and then a 0 per missing pivot.  Both
+    transforms are certified once, by two products: u @ u^-1 = I, so u is
+    unimodular with that inverse, and relations @ v = u^-1 d, the columns
+    of u^-1 scaled by the diagonal, which then says u @ relations @ v = d.
+    Relations that are all zero leave every modulus 0, and ``project`` and
+    ``lift`` None, each standing for an identity.
     """
 
     __slots__ = ("group", "project", "lift", "moduli")
@@ -347,14 +348,12 @@ class _SmithCoordinates:
         self.moduli = (0,) * n
         if any(map(any, rel.data)):
             sd = snf(rel)
-            # the transforms first: their two-sided run also gives the diagonal
-            product = sd.u @ rel @ sd.v
+            # u^-1 first: its run tracks u and v too and gives the diagonal
+            u_inv = sd.u_inverse
             diag = sd.diagonal
-            u_inv = None
-            if product == IntMatrix.diagonal(diag, rows=n, cols=rel.cols):
-                with suppress(ValueError):  # u is not unimodular
-                    u_inv = inverse_unimodular(sd.u)
-            if u_inv is None or sd.u @ u_inv != IntMatrix.identity(n):
+            pad = (0,) * (rel.cols - len(diag))
+            scaled = tuple(tuple(map(mul, r, diag)) + pad for r in u_inv.data)
+            if sd.u @ u_inv != IntMatrix.identity(n) or (rel @ sd.v).data != scaled:
                 raise AssertionError("Smith transforms of a K0 presentation do not re-multiply")
             keep = [i for i in range(n) if i >= len(diag) or diag[i] != 1]
             self.project = sd.u.take_rows(keep)
@@ -418,8 +417,10 @@ class SubquotientK:
     Computed when first read and kept: ``k0_group``, the class of K0; and
     for rows ``coords``, the certified Smith coordinates of K0, ``free``,
     the free group on the kernel basis ``k1.kernel``, and
-    ``kernel_inverse``, that basis's left inverse v @ u[:k] (u K v = [I; 0]
-    in its Smith record).
+    ``kernel_inverse``, that basis's left inverse: the basis is the columns
+    of v past the rank in the Smith record of ``km``, so the rows of v^-1
+    past the rank, from the run that gives ``coords``, invert it; a zero
+    ``km``, which ``coords`` does not eliminate, has identities for both.
     """
 
     def __init__(self, block: IntMatrix, coeff: CoeffGroup):
@@ -444,16 +445,21 @@ class SubquotientK:
 
     @cached_property
     def kernel_inverse(self) -> IntMatrix:
-        sd = snf(self.k1.kernel)
-        return sd.v @ sd.u.take_rows(range(self.k1.kernel.cols))
+        km = self.km
+        if not any(map(any, km.data)):  # no pivot: v and v^-1 are identities
+            return IntMatrix.identity(km.cols)
+        sd = snf(km)
+        return sd.v_inverse.take_rows(range(sd.rank, km.cols))
 
     def in_kernel(self, vectors: IntMatrix) -> IntMatrix:
         """Coordinates of vector columns in the kernel basis, re-multiplied
-        to them as a guard; with no vector, the basis is not eliminated."""
+        to them as a guard; with no vector, ``km`` is not eliminated.  A
+        basis of another length than the inverse's fails the guard too."""
+        kernel = self.k1.kernel
         if not vectors.cols:
-            return IntMatrix.zeros(self.k1.kernel.cols, 0)
+            return IntMatrix.zeros(kernel.cols, 0)
         coordinates = self.kernel_inverse @ vectors
-        if self.k1.kernel @ coordinates != vectors:
+        if kernel.cols != coordinates.rows or kernel @ coordinates != vectors:
             raise AssertionError("kernel vector left the kernel under an induced map")
         return coordinates
 
@@ -472,8 +478,9 @@ class SubquotientStore:
     in Smith coordinates (``_skeletons``, keyed by its maps, whose groups
     have the one form of ``_smith_group``) and, once a comparison searches
     them, the element search outcome of each pair of skeleton records
-    (``_searches``).  A filtered table keeps one store for all its entries
-    and rows, a lone six-term row a store of its own.
+    (``_searches``) and the candidate isomorphisms of each moduli tuple
+    the searches met (``_candidates``).  A filtered table keeps one store
+    for all its entries and rows, a lone six-term row a store of its own.
 
     Exactness, kernels, images and cokernels are statements about
     subgroups, so an isomorphism of each group carries them over; the
@@ -492,11 +499,12 @@ class SubquotientStore:
         self._shapes = {}
         self._skeletons = {}
         self._searches = {}
+        self._candidates = {}
 
     def _share(self, other: SubquotientStore) -> None:
         """Use the records of ``other``, a store with the same coefficient
         group, before building any: each block then has one record, each
-        row shape one skeleton record.
+        row shape one skeleton record, each moduli tuple one candidate list.
 
         When ``Graph._alignment`` finds an isomorphism from this store's
         graph onto the other's, ``_order`` lists the vertices in the order
@@ -511,6 +519,7 @@ class SubquotientStore:
         self._shapes = other._shapes
         self._skeletons = other._skeletons
         self._searches = other._searches
+        self._candidates = other._candidates
         order = self.graph._alignment(other.graph)
         if order is not None:
             self._order = order

@@ -104,7 +104,6 @@ from leavitt.intlinalg import (
     IntMatrix,
     PresentedGroup,
     SmithData,
-    inverse_unimodular,
     kernel_basis,
     preimage_lattice,
     snf,
@@ -665,6 +664,31 @@ def scale(m: IntMatrix, k: int) -> IntMatrix:
     return IntMatrix._trusted(tuple(tuple(k * a for a in r) for r in m.data), m.cols)
 
 
+def diagonal(entries, rows=None, cols=None) -> IntMatrix:
+    """The ``rows`` by ``cols`` matrix with ``entries`` down its diagonal
+    (square of their length by default) and zeros elsewhere."""
+    entries = tuple(int(e) for e in entries)
+    rows = len(entries) if rows is None else rows
+    cols = len(entries) if cols is None else cols
+    return IntMatrix(
+        tuple(
+            tuple(entries[i] if i == j and i < len(entries) else 0 for j in range(cols))
+            for i in range(rows)
+        ),
+        cols=cols,
+    )
+
+
+def inverse_unimodular(m: IntMatrix) -> IntMatrix:
+    """Exact inverse of a matrix with determinant +1 or -1, as v @ u from
+    its Smith record (u m v = 1 forces m^-1 = v u)."""
+    sd = snf(m)
+    inverse = sd.v @ sd.u if m.rows == m.cols else None
+    if inverse is None or any(x != 1 for x in sd.diagonal):
+        raise ValueError("matrix is not unimodular")
+    return inverse
+
+
 def from_columns(columns, rows=None) -> IntMatrix:
     """The matrix whose columns are ``columns``; ``rows`` pins the row
     count of an empty list."""
@@ -714,7 +738,7 @@ def smith_verifies(sd: SmithData, m: IntMatrix) -> bool:
     """Recheck a Smith factorization: u @ m @ v is the diagonal matrix, u and
     v are unimodular, and the diagonal is a nonnegative divisibility chain
     with its zeros last."""
-    d = IntMatrix.diagonal(sd.diagonal, rows=sd.u.rows, cols=sd.v.cols)
+    d = diagonal(sd.diagonal, rows=sd.u.rows, cols=sd.v.cols)
     if sd.u @ m @ sd.v != d:
         return False
     if abs(bareiss_det(sd.u)) != 1 or abs(bareiss_det(sd.v)) != 1:

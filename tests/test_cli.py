@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import helpers as H
 import leavitt
-from leavitt import cli, filtered, intlinalg, ktheory
+from leavitt import cli, filtered, intlinalg, ktheory, lattice, shifts
 from leavitt.cli import main
 from leavitt.graphs import Graph, graph_from_matrix, graph_to_text, parse_graph
 from leavitt.intlinalg import IntMatrix, SmithData
@@ -182,15 +182,12 @@ class TestExitCodes:
             rows[0][0] += 1
             return IntMatrix(rows, cols=m.cols)
 
-        if transform == "u":
-            fan_k0 = IntMatrix([[-1], [1], [1]])
-            record = SmithData(fan_k0)
-            record.u = bump(record.u)  # a record of its own, so the cached one stays
-            snf = ktheory.snf
-            monkeypatch.setattr(ktheory, "snf", lambda m: record if m == fan_k0 else snf(m))
-        else:
-            inverse = ktheory.inverse_unimodular
-            monkeypatch.setattr(ktheory, "inverse_unimodular", lambda m: bump(inverse(m)))
+        fan_k0 = IntMatrix([[-1], [1], [1]])
+        record = SmithData(fan_k0)  # a record of its own, so the cached one stays
+        record.u_inverse  # the one run the coordinates read, so no later run mends a part
+        setattr(record, transform, bump(getattr(record, transform)))
+        snf = ktheory.snf
+        monkeypatch.setattr(ktheory, "snf", lambda m: record if m == fan_k0 else snf(m))
         code, out, err = run(capsys, ["fk", files["fan"], "--field", "5"])
         assert (code, out) == (4, "")
         assert err == "internal error: Smith transforms of a K0 presentation do not re-multiply\n"
@@ -228,6 +225,10 @@ class TestOpLifetime:
     def alive(self):
         return sum(isinstance(o, self.KINDS) for o in gc.get_objects())
 
+    @staticmethod
+    def smith_records():
+        return sum(type(o) is SmithData for o in gc.get_objects())
+
     def test_nothing_of_an_fk_or_a_compare_outlives_it(self, files, tmp_path, capsys):
         poset, shuffled = tmp_path / "poset.graph", tmp_path / "shuffled.graph"
         poset.write_text(poset_loops(6, 0.3, 1), encoding="utf-8")
@@ -251,6 +252,50 @@ class TestOpLifetime:
                 code, out, _ = run(capsys, ["--json", *argv])
                 assert code == 0 and out, argv
                 assert self.alive() == before, argv
+        finally:
+            gc.enable()
+
+    def test_no_smith_record_outlives_an_op(self, files, capsys, monkeypatch):
+        # every verb that eliminates a matrix, and every exit code: the op
+        # scope empties the Smith cache whatever way the op ends, and the
+        # one-graph caches hold no more than their bound
+        smith = intlinalg._smith
+
+        def bumped(m, u, v, inverses=False):
+            out = smith(m, u, v, inverses)
+            if out[4]:
+                out[4][0][0] += 1  # one wrong entry in u^-1
+            return out
+
+        ops = [
+            (0, ["fk", files["loops5"]]),
+            (0, ["compare", files["loops5"], files["loops5"]]),
+            (0, ["bf", files["ones2"]]),
+            (0, ["k0", files["rose3"]]),
+            (0, ["shifteq", files["two"], files["ones2"]]),
+            (0, ["monoid-eq", files["rose2"], "v", "2*v"]),
+            (0, ["vdb", files["fan"], "--field", "5"]),
+            (1, ["compare", files["rose2"], files["rose3"]]),
+            (2, ["monoid-eq", files["rose2"], "v", "2*v + u"]),
+            (3, ["fk", files["loops5"], "--row-cap", "1"]),
+            (4, ["fk", files["fan"], "--field", "5"]),
+        ]
+        gc.collect()
+        with intlinalg.op_scope():  # leaves no record of earlier tests behind
+            pass
+        gc.disable()
+        try:
+            before = self.alive(), self.smith_records()
+            for code, argv in ops:
+                with monkeypatch.context() as patch:
+                    if code == 4:  # the re-multiplication guard of the Smith coordinates
+                        patch.setattr(intlinalg, "_smith", bumped)
+                    assert run(capsys, ["--json", *argv])[0] == code, argv
+                assert (self.alive(), self.smith_records()) == before, argv
+                assert intlinalg.snf.cache_info().currsize == 0, argv
+                assert ktheory.k_matrix.cache_info().currsize <= 1, argv
+                assert lattice._mask_closure.cache_info().currsize <= 1, argv
+                assert shifts._identity_minus.cache_info().currsize <= 2, argv
         finally:
             gc.enable()
 
@@ -399,9 +444,9 @@ class TestTrackedTransforms:
         calls = []
         smith = intlinalg._smith
 
-        def counting(m, u, v):
+        def counting(m, u, v, inverses=False):
             calls.append((u, v))
-            return smith(m, u, v)
+            return smith(m, u, v, inverses)
 
         monkeypatch.setattr(intlinalg, "_smith", counting)
         return calls
@@ -432,9 +477,9 @@ class TestTrackedTransforms:
         eliminated = []
         smith = intlinalg._smith
 
-        def counting(m, u, v):
+        def counting(m, u, v, inverses=False):
             eliminated.append((m, u, v))
-            return smith(m, u, v)
+            return smith(m, u, v, inverses)
 
         monkeypatch.setattr(intlinalg, "_smith", counting)
         code, out, _ = run(capsys, ["--json", "vdb", path, "--field", "5"])

@@ -251,9 +251,9 @@ class TestCompare:
             monkeypatch.setattr(prop, "func", counting)
         search = filtered._row_element_check
 
-        def counting_search(a, b):
+        def counting_search(a, b, candidates):
             calls["element"].append((a, b))
-            return search(a, b)
+            return search(a, b, candidates)
 
         monkeypatch.setattr(filtered, "_row_element_check", counting_search)
         rep = compare_fkbar(g, g, COEFF)
@@ -283,9 +283,9 @@ class TestCompare:
         calls = []
         search = filtered._skeleton_element_search
 
-        def counting(maps_a, maps_b):
+        def counting(maps_a, maps_b, candidates):
             calls.append((maps_a, maps_b))
-            return search(maps_a, maps_b)
+            return search(maps_a, maps_b, candidates)
 
         monkeypatch.setattr(filtered, "_skeleton_element_search", counting)
         first = filtered._match_rows(t1, t2, iso, run_elements=True)
@@ -401,7 +401,7 @@ class TestCompare:
                 continue
             assert verdict.detail == "row matches (element search: passed)", trip
             shared += 1
-            alone.add(filtered._skeleton_element_search(a.maps, b.maps))
+            alone.add(filtered._skeleton_element_search(a.maps, b.maps, {}))
         assert shared == 136 and alone == {"passed", "skipped"}
         # aligned, the copy's every row is its image's record, and the
         # identity passes records whose own search the node cap skips
@@ -409,7 +409,7 @@ class TestCompare:
         rep = compare_fkbar(*graphs, coeff)
         assert rep.certification == "exhaustive" and rep.element_check == "passed"
         records = set(fkbar(graphs[0], coeff).bodies)
-        assert {filtered._skeleton_element_search(r.maps, r.maps) for r in records} == alone
+        assert {filtered._skeleton_element_search(r.maps, r.maps, {}) for r in records} == alone
 
     def test_entry_classes_once_per_table(self, monkeypatch):
         g = H.disjoint_loops(3)
@@ -531,9 +531,9 @@ class TestCompare:
         pairs = []
         search = filtered._row_element_check
 
-        def recording(a, b):
+        def recording(a, b, candidates):
             pairs.append((a, b))
-            return search(a, b)
+            return search(a, b, candidates)
 
         monkeypatch.setattr(filtered, "_row_element_check", recording)
         rep = compare_fkbar(g, relabel(g, {"x0": "y0", "x1": "y1"}), COEFF)
@@ -560,8 +560,8 @@ class TestCompare:
         outcomes = []
         search = filtered._row_element_check
 
-        def recording(a, b):
-            outcomes.append((a is b, search(a, b)))
+        def recording(a, b, candidates):
+            outcomes.append((a is b, search(a, b, candidates)))
             return outcomes[-1][1]
 
         monkeypatch.setattr(filtered, "_row_element_check", recording)
@@ -705,7 +705,7 @@ class TestRowFailures:
         # no real pair refutes under today's node cap: the rows would be short
         # exact sequences of small finite groups, where rows of equal
         # signatures are always isomorphic
-        monkeypatch.setattr(filtered, "_row_element_check", lambda body, other: "refuted")
+        monkeypatch.setattr(filtered, "_row_element_check", lambda body, other, candidates: "refuted")
         rep = compare_fkbar(rose2, ones_graph(), COEFF)
         assert not rep.consistent and rep.element_check == "refuted"
         assert rep.obstruction == "triple (0, 0, 0): no commuting system of isomorphisms exists"
@@ -714,13 +714,14 @@ class TestRowFailures:
 
 def count_eliminations(monkeypatch):
     """Matrix -> the list of (u, v) tracked by its Smith eliminations, in
-    run order, from an empty Smith cache, so no earlier test serves a run."""
+    run order, from an empty Smith cache, so no earlier test serves a run.
+    A two-sided run that also tracks the inverses counts as (True, True)."""
     runs = {}
     smith = intlinalg._smith
 
-    def counting(m, u, v):
+    def counting(m, u, v, inverses=False):
         runs.setdefault(m, []).append((u, v))
-        return smith(m, u, v)
+        return smith(m, u, v, inverses)
 
     monkeypatch.setattr(intlinalg, "_smith", counting)
     intlinalg.snf.cache_clear()
@@ -733,7 +734,7 @@ class TestEliminations:
 
     @pytest.mark.parametrize("coeff", [CoeffGroup.symbolic("Gbar"), COEFF], ids=["symbolic", "field5"])
     def test_no_matrix_is_eliminated_both_ways(self, coeff, monkeypatch):
-        g = H.sparse_graph(random.Random(77), 10, 0.3)
+        g = H.sparse_graph(random.Random(77), 11, 0.3)
         n = g.num_vertices
         twin = relabel(g, {v: f"w{n - 1 - k}" for k, v in enumerate(g.vertices)})
         runs = count_eliminations(monkeypatch)
@@ -848,7 +849,7 @@ def element_outcome(matrix, trip, k):
     table = fkbar(graph_from_matrix(IntMatrix(matrix)), COEFF)
     row = table.row(trip)
     groups = H.row_groups(H.row_skeleton(table.store, row))
-    return row, groups, filtered._row_element_check(row.body, zeroed_map(row.body, k))
+    return row, groups, filtered._row_element_check(row.body, zeroed_map(row.body, k), {})
 
 
 class TestElementSearchOutcomes:
@@ -859,7 +860,7 @@ class TestElementSearchOutcomes:
         row, groups, outcome = element_outcome([[4, 1], [0, 4]], (0, 1, 1), 3)
         assert [str(grp.invariants()) for grp in groups[3:]] == ["Z/3", "Z/3", "0"]
         assert outcome == "refuted"
-        assert filtered._row_element_check(row.body, row.body) == "passed"
+        assert filtered._row_element_check(row.body, row.body, {}) == "passed"
 
     def test_zeroed_map_between_free_groups_is_refuted(self):
         # every node is Z, whose isomorphisms are +1 and -1, all listed; the
@@ -867,7 +868,7 @@ class TestElementSearchOutcomes:
         row, groups, outcome = element_outcome([[1, 1], [0, 1]], (0, 1, 2), 0)
         assert all(str(grp.invariants()) == "Z" for grp in groups)
         assert outcome == "refuted"
-        assert filtered._row_element_check(row.body, row.body) == "passed"
+        assert filtered._row_element_check(row.body, row.body, {}) == "passed"
 
     def test_large_torsion_is_skipped(self):
         # Z/101 + Z/101 has order 10,201: its candidates outnumber the node

@@ -18,7 +18,6 @@ from leavitt.intlinalg import (
     SmithData,
     check_exact,
     coker_with_coefficients,
-    inverse_unimodular,
     kernel_basis,
     map_invariants,
     preimage_lattice,
@@ -284,7 +283,7 @@ class TestSmith:
             assert H.smith_verifies(sd, m)
             assert abs(H.bareiss_det(sd.u)) == 1
             assert abs(H.bareiss_det(sd.v)) == 1
-            assert (sd.u @ m @ sd.v) == IntMatrix.diagonal(sd.diagonal, rows=m.rows, cols=m.cols)
+            assert (sd.u @ m @ sd.v) == H.diagonal(sd.diagonal, rows=m.rows, cols=m.cols)
             nonzero = [d for d in sd.diagonal if d]
             # nonzero entries form a positive divisibility chain, zeros trail
             assert list(sd.diagonal) == nonzero + [0] * (len(sd.diagonal) - len(nonzero))
@@ -348,9 +347,9 @@ class TestTransformChoices:
     CHOICES = ((False, False), (True, False), (False, True), (True, True))
 
     def assert_choices_agree(self, m):
-        full_u, diagonal, full_v, sign = _smith(m, True, True)
+        full_u, diagonal, full_v, sign, _, _ = _smith(m, True, True)
         for u, v in self.CHOICES:
-            left, diag, right, s = _smith(m, u, v)
+            left, diag, right, s, _, _ = _smith(m, u, v)
             assert (diag, s) == (diagonal, sign), (m, u, v)
             assert left == (full_u if u else None), (m, u, v)
             assert right == (full_v if v else None), (m, u, v)
@@ -360,10 +359,24 @@ class TestTransformChoices:
         assert sd.v.transpose().to_lists() == full_v
         inv = SmithData(m)
         assert (inv.diagonal, inv.sign) == (diagonal, sign)
+        self.assert_inverses(m, full_u, diagonal, full_v, sign)
         rank = sd.rank
         assert kernel_basis(m) == sd.v.take_columns(range(rank, m.cols))
         assert SmithData(m).kernel == kernel_basis(m)  # from a run tracking v alone
         return sd
+
+    @staticmethod
+    def assert_inverses(m, full_u, diagonal, full_v, sign):
+        # a run that tracks the inverses keeps the pivot sequence, and its
+        # u^-1 (columns) and v^-1 (rows) invert u and v
+        u, diag, v, s, u_inv, v_inv = _smith(m, True, True, True)
+        assert (u, diag, v, s) == (full_u, diagonal, full_v, sign), m
+        u, v = IntMatrix(u, cols=m.rows), H.from_columns(v, rows=m.cols)
+        u_inv, v_inv = H.from_columns(u_inv, rows=m.rows), IntMatrix(v_inv, cols=m.cols)
+        assert u @ u_inv == IntMatrix.identity(m.rows), m
+        assert v_inv @ v == IntMatrix.identity(m.cols), m
+        sd = SmithData(m)
+        assert (sd.u_inverse, sd.v_inverse) == (u_inv, v_inv)
 
     def test_sparse_transfer_matrices(self):
         rng = random.Random(61)
@@ -436,21 +449,25 @@ class TestSmithRecord:
     """A record runs the elimination its first read of a part needs, and
     serves every later read from what its runs yielded."""
 
-    # parts read in order -> the (u, v) choices of the runs they cause
+    # parts read in order -> the (u, v, inverses) choices of the runs they cause
     ORDERS = [
         (("diagonal", "sign", "kernel", "rank", "u", "v", "diagonal"),
-         [(False, False), (False, True), (True, True)]),
-        (("kernel", "diagonal", "sign", "rank", "kernel"), [(False, True)]),
-        (("u", "diagonal", "sign", "rank", "kernel", "v"), [(True, True)]),
+         [(False, False, False), (False, True, False), (True, True, False)]),
+        (("kernel", "diagonal", "sign", "rank", "kernel"), [(False, True, False)]),
+        (("u", "diagonal", "sign", "rank", "kernel", "v"), [(True, True, False)]),
+        (("v_inverse", "u", "v", "u_inverse", "kernel", "diagonal", "sign", "rank"),
+         [(True, True, True)]),
+        (("kernel", "u", "u_inverse", "v_inverse", "v"),
+         [(False, True, False), (True, True, False), (True, True, True)]),
     ]
 
     def test_each_read_order_runs_what_it_needs(self, monkeypatch):
         runs = []
         smith = intlinalg._smith
 
-        def counting(m, u, v):
-            runs.append((u, v))
-            return smith(m, u, v)
+        def counting(m, u, v, inverses=False):
+            runs.append((u, v, inverses))
+            return smith(m, u, v, inverses)
 
         monkeypatch.setattr(intlinalg, "_smith", counting)
         rng = random.Random(37)
@@ -468,11 +485,13 @@ class TestSmithRecord:
                 assert runs == kinds, (m, order)
             assert H.smith_verifies(sd, m)
             assert parts["kernel"] == parts["v"].take_columns(range(parts["rank"], m.cols))
+            assert parts["u"] @ parts["u_inverse"] == IntMatrix.identity(m.rows)
+            assert parts["v_inverse"] @ parts["v"] == IntMatrix.identity(m.cols)
 
     def test_a_name_that_is_no_part_runs_nothing(self, monkeypatch):
         # hasattr and copy probe names such as __deepcopy__; they must get
         # AttributeError, not an elimination
-        monkeypatch.setattr(intlinalg, "_smith", lambda m, u, v: pytest.fail("ran _smith"))
+        monkeypatch.setattr(intlinalg, "_smith", lambda *_: pytest.fail("ran _smith"))
         sd = SmithData(IntMatrix([[2]]))
         assert not hasattr(sd, "__deepcopy__")
         with pytest.raises(AttributeError, match="^transforms$"):
@@ -555,9 +574,9 @@ class TestKernelsAndLattices:
             (IntMatrix([[2]]), IntMatrix([[1]]), True),
             (IntMatrix([[6]]), IntMatrix([[2]]), True),
             # equal invariant factors (1, 6), different lattices
-            (IntMatrix.diagonal([1, 6]), IntMatrix.diagonal([2, 3]), False),
-            (IntMatrix.diagonal([2, 3]), IntMatrix.diagonal([1, 6]), False),
-            (IntMatrix([[6], [6]]), IntMatrix.diagonal([2, 3]), True),
+            (H.diagonal([1, 6]), H.diagonal([2, 3]), False),
+            (H.diagonal([2, 3]), H.diagonal([1, 6]), False),
+            (IntMatrix([[6], [6]]), H.diagonal([2, 3]), True),
             (IntMatrix([[1], [0]]), IntMatrix([[2], [0]]), False),
             (IntMatrix([[0], [1]]), IntMatrix([[2], [0]]), False),
             (IntMatrix.zeros(0, 2), IntMatrix.zeros(0, 1), True),
@@ -622,18 +641,18 @@ class TestKernelsAndLattices:
                     e[i][i] = e[j][j] = 0
                     e[i][j] = e[j][i] = 1
                 m = m @ IntMatrix(e)
-            inv = inverse_unimodular(m)
+            inv = H.inverse_unimodular(m)
             assert (inv @ m).to_lists() == IntMatrix.identity(n).to_lists()
             assert (m @ inv).to_lists() == IntMatrix.identity(n).to_lists()
 
     def test_inverse_unimodular_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
-            inverse_unimodular(IntMatrix([[2]]))
+            H.inverse_unimodular(IntMatrix([[2]]))
         with pytest.raises(ValueError):
-            inverse_unimodular(IntMatrix([[1, 0], [0, 0]]))
+            H.inverse_unimodular(IntMatrix([[1, 0], [0, 0]]))
         # a non-square matrix with unit invariant factors
         with pytest.raises(ValueError, match="^matrix is not unimodular$"):
-            inverse_unimodular(IntMatrix([[1, 0]]))
+            H.inverse_unimodular(IntMatrix([[1, 0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +674,7 @@ class TestGroups:
             free = free_rank + sum(1 for t in torsion if t == 0)
             if not tors:
                 return FgAbGroup(free, ())
-            diag = snf(IntMatrix.diagonal(tors)).diagonal
+            diag = snf(H.diagonal(tors)).diagonal
             return FgAbGroup(free, tuple(x for x in diag if x > 1))
 
         rng = random.Random(31)

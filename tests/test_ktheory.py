@@ -703,6 +703,19 @@ class TestSmithCoordinates:
             assert set(map(id, reduced)) <= {id(p.k0) for p in stores[0]._records.values()}, g
         assert total >= 200
 
+    def test_kernel_inverse_inverts_every_kernel_basis(self, corpus):
+        # rows r.. of v^-1 from the transfer matrix's one two-sided run are a
+        # left inverse of its kernel basis, the columns r.. of v; a zero
+        # transfer matrix has identities for both
+        records = zeros = 0
+        for g in corpus:
+            for record in fkbar(g, COEFF_F5).store._records.values():
+                kernel = record.k1.kernel
+                assert record.kernel_inverse @ kernel == IntMatrix.identity(kernel.cols), g
+                records += 1
+                zeros += not any(map(any, record.km.data))
+        assert records >= 550 and 0 < zeros < records
+
     def test_zero_relations_have_one_coordinate_group(self):
         # a group with no nonzero relation is in Smith coordinates already,
         # whatever its zero relation columns: 3 generators give the free

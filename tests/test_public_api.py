@@ -187,7 +187,6 @@ def test_every_public_method_is_used_in_src():
 SHARED_NAME_CALLS = {
     "FilteredKTable.body": "filtered._match_rows",
     "Graph.index": "ktheory.connecting_delta",
-    "IntMatrix.diagonal": "ktheory._SmithCoordinates.__init__",
     "NodeVerdict.exact": "ktheory._skeleton_nodes",
     "CoeffCokernel.symbol": "ktheory.KOneBar.symbol",
     "CoeffCokernel.class_key": "ktheory.KOneBar.class_key",
