@@ -1,6 +1,6 @@
 """Exact invariants of finite directed graphs and their Leavitt path algebras.
 
-Subpackages cover graph surgery (restriction, quotient, subquotient),
+Its modules cover graph surgery (restriction, quotient, subquotient),
 the hereditary saturated ideal lattice and its prime spectrum, graph monoids
 with graded rewriting, K-theoretic invariants with their connecting maps,
 filtered K-theory tables, and bounded shift equivalence for nonnegative
@@ -25,7 +25,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     graph_from_matrix,
-    is_downward_directed,
     parse_graph,
     parse_matrix,
     quotient,

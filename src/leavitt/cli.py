@@ -257,7 +257,7 @@ def _cmd_spec(args):
         "elements": [list(lattice.members(i)) for i in range(len(lattice))],
         "primes": list(topo.primes),
         "prime_members": [list(lattice.members(p)) for p in topo.primes],
-        "opens": [sorted(o) for o in topo.opens],
+        "opens": [[p for p in range(len(topo.primes)) if o >> p & 1] for o in topo.opens],
         "pieces": [
             {
                 "outer": list(lattice.members(pc.outer_index)),

@@ -339,7 +339,7 @@ def transport_from_certificate(
     if r_matrix.shape != (g1.num_vertices, g2.num_vertices):
         return None
     hits = [sum(1 << j for j, x in enumerate(row) if x) for row in r_matrix.data]
-    close = _mask_closure(g2)
+    _, _, close = _mask_closure(g2)
     images = []
     for h in lattice1.elements:
         seed = reduce(or_, (hit for i, hit in enumerate(hits) if h >> i & 1), 0)

@@ -24,7 +24,6 @@ __all__ = [
     "subquotient",
     "relabel",
     "graph_from_matrix",
-    "is_downward_directed",
 ]
 
 
@@ -81,8 +80,8 @@ class Graph:
     """A finite directed graph; vertices and edges keep declaration order.
 
     Parallel edges and loops are allowed.  Instances are immutable and
-    hashable; all derived data (adjacency, sinks, reachability) is computed
-    once at construction.
+    hashable.  Out-edges, sinks and regular vertices are computed at
+    construction; the adjacency matrix when first asked for.
     """
 
     __slots__ = (
@@ -93,7 +92,6 @@ class Graph:
         "sinks",
         "regulars",
         "_adjacency",
-        "_reach",
     )
 
     def __init__(self, vertices, edges):
@@ -125,7 +123,6 @@ class Graph:
         object.__setattr__(self, "sinks", tuple(v for v in vertices if not out[v]))
         object.__setattr__(self, "regulars", tuple(v for v in vertices if out[v]))
         object.__setattr__(self, "_adjacency", None)
-        object.__setattr__(self, "_reach", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Graph is immutable")
@@ -160,23 +157,6 @@ class Graph:
                 counts[self._index[e.src]][self._index[e.dst]] += 1
             object.__setattr__(self, "_adjacency", IntMatrix._trusted(tuple(map(tuple, counts)), n))
         return self._adjacency
-
-    def reachable_from(self, v):
-        """Set of vertices reachable from v by a path of length >= 0."""
-        if self._reach is None:
-            reach = {}
-            for start in self.vertices:
-                seen = {start}
-                stack = [start]
-                while stack:
-                    cur = stack.pop()
-                    for e in self._out[cur]:
-                        if e.dst not in seen:
-                            seen.add(e.dst)
-                            stack.append(e.dst)
-                reach[start] = frozenset(seen)
-            object.__setattr__(self, "_reach", reach)
-        return self._reach[self.vertices[self.index(v)]]
 
     # -- isomorphism -------------------------------------------------------
 
@@ -409,27 +389,3 @@ def graph_from_matrix(m: IntMatrix, prefix="v") -> Graph:
             for k in range(m[i, j]):
                 edges.append((f"e{i}_{j}_{k}", vertices[i], vertices[j]))
     return Graph(vertices, edges)
-
-
-# ---------------------------------------------------------------------------
-# connectivity predicates
-# ---------------------------------------------------------------------------
-
-
-def is_downward_directed(g: Graph, subset=None) -> bool:
-    """Can every two vertices of the subset reach a common vertex in it?
-
-    Defaults to the full vertex set.  Paths may have length zero; for the
-    complement of a hereditary set, paths between members automatically stay
-    inside the subset.
-    """
-    member_set = frozenset(g.vertices) if subset is None else _require_subset(g, subset)
-    members = tuple(v for v in g.vertices if v in member_set)
-    if len(members) <= 1:
-        return True
-    for i, u in enumerate(members):
-        ru = g.reachable_from(u) & member_set
-        for v in members[i + 1:]:
-            if not (ru & g.reachable_from(v)):
-                return False
-    return True

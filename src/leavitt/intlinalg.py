@@ -456,14 +456,16 @@ class SmithData:
     tracks u and v.  A part is computed when first read, by one ``_smith``
     run that tracks only what it needs: nothing for the diagonal, sign, rank
     and determinant, v for the kernel, both for u and v, both and their
-    inverses for an inverse.  A run keeps every part it yields, so a kernel
-    run serves the diagonal too, and a run with inverses serves every part.
+    inverses for an inverse.  A run sets every part it yields that no
+    earlier run set, so a kernel run serves the diagonal too, a run with
+    inverses serves every part, and no run replaces a part the record holds
+    from an earlier one, even one set again by hand.
     The pivot rule (least absolute value, then lowest row and column) makes
     u and v reproducible, so golden tests freeze them, and every run of one
     matrix yields the same parts.
     """
 
-    __slots__ = ("_m", "diagonal", "sign", "kernel", "u", "v", "u_inverse", "v_inverse")
+    __slots__ = ("_m", "_tracked", "diagonal", "sign", "kernel", "u", "v", "u_inverse", "v_inverse")
 
     # the (u, v, inverses) a run tracks to yield each part
     _TRACKS = {
@@ -478,6 +480,7 @@ class SmithData:
 
     def __init__(self, m: IntMatrix):
         self._m = m
+        self._tracked = ()  # the (u, v, inverses) of the last run
 
     def __getattr__(self, name):
         # only a part that no run has yielded yet gets here
@@ -487,14 +490,18 @@ class SmithData:
         return getattr(self, name)
 
     def _run(self, u: bool, v: bool, inverses: bool) -> None:
-        m = self._m
-        left, self.diagonal, right, self.sign, left_inv, right_inv = _smith(m, u, v, inverses)
-        if v:
+        # a run tracks more than every earlier one; it sets only what that adds
+        m, held = self._m, self._tracked
+        self._tracked = (u, v, inverses)
+        left, diagonal, right, sign, left_inv, right_inv = _smith(m, u, v, inverses)
+        if not held:
+            self.diagonal, self.sign = diagonal, sign
+        if v and held < (False, True, False):
             columns = right[self.rank:]
             self.kernel = IntMatrix._trusted(
                 tuple(zip(*columns)) if columns else ((),) * m.cols, len(columns)
             )
-        if u:
+        if u and held < (True, True, False):
             self.u = IntMatrix._trusted(tuple(map(tuple, left)), m.rows)
             self.v = IntMatrix._trusted(tuple(zip(*right)), m.cols)
         if inverses:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 
-from .graphs import Graph, is_downward_directed
+from .graphs import Graph
 
 __all__ = [
     "IdealLattice",
@@ -58,35 +59,50 @@ def _vertices(g: Graph, mask: int) -> tuple:
 
 @lru_cache(maxsize=1)
 def _mask_closure(g: Graph):
-    """The closure of ``g`` on masks: seed mask to hereditary saturated mask.
+    """The mask table of ``g``: ``(reach, targets, close)``.
 
-    Hereditary closure ORs the reach masks of the seed's vertices.  Then
-    saturation adds every regular vertex whose target mask lies inside until
-    nothing changes; an added vertex has all its targets inside already, so
-    the set stays hereditary.  Back-to-back closures on one graph (the two
-    seeds of an ungraded equality, the lattice images of a certificate
-    transport) share the mask table; one entry keeps no more than the last
-    graph alive.
+    ``targets[k]`` masks the targets of the k-th vertex's edges, and
+    ``reach[k]`` the vertices it reaches by paths of length >= 0, found by
+    breadth-first search on target masks.  ``close`` takes a seed mask to
+    its hereditary saturated closure: it ORs the reach masks of the seed's
+    vertices, then adds every regular vertex whose target mask lies inside
+    until nothing changes; an added vertex has all its targets inside
+    already, so the set stays hereditary.  Back-to-back closures on one
+    graph (the two seeds of an ungraded equality, the lattice images of a
+    certificate transport) share the table; one entry keeps no more than
+    the last graph alive.
     """
-    reach = [_mask(g, g.reachable_from(v)) for v in g.vertices]
-    targets = [(_mask(g, (v,)), _mask(g, (e.dst for e in g.out_edges(v)))) for v in g.regulars]
+    targets = [_mask(g, (e.dst for e in g.out_edges(v))) for v in g.vertices]
+
+    def union(table, mask):  # the OR of the table's masks at the bits of mask
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= table[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    reach = []
+    for k in range(g.num_vertices):
+        seen = frontier = 1 << k
+        while frontier:
+            frontier = union(targets, frontier) & ~seen
+            seen |= frontier
+        reach.append(seen)
+    regular = [(1 << k, out) for k, out in enumerate(targets) if out]
 
     def close(seed: int) -> int:
-        mask = 0
-        while seed:
-            low = seed & -seed
-            mask |= reach[low.bit_length() - 1]
-            seed ^= low
+        mask = union(reach, seed)
         added = True
         while added:
             added = False
-            for v, out in targets:
+            for v, out in regular:
                 if not mask & v and not out & ~mask:
                     mask |= v
                     added = True
         return mask
 
-    return close
+    return tuple(reach), tuple(targets), close
 
 
 def hsat_closure(g: Graph, seed) -> tuple[str, ...]:
@@ -95,7 +111,8 @@ def hsat_closure(g: Graph, seed) -> tuple[str, ...]:
     Returns its vertices in declaration order.  Idempotent, extensive and
     monotone in the seed.
     """
-    return _vertices(g, _mask_closure(g)(_mask(g, seed)))
+    _, _, close = _mask_closure(g)
+    return _vertices(g, close(_mask(g, seed)))
 
 
 @dataclass(frozen=True)
@@ -132,7 +149,7 @@ def enumerate_hsat(g: Graph, cap: int = _LATTICE_CAP) -> IdealLattice:
     empty set, reaches all of them without touching the 2^V search space.
     Raises LatticeCapError beyond ``cap`` elements.
     """
-    close = _mask_closure(g)
+    _, _, close = _mask_closure(g)
     singles = sorted({close(1 << k) for k in range(g.num_vertices)})
     found = {0}  # no regular vertex has all its targets in the empty set
     frontier = [0]
@@ -160,13 +177,18 @@ def enumerate_hsat(g: Graph, cap: int = _LATTICE_CAP) -> IdealLattice:
 
 
 def graded_primes(lattice: IdealLattice) -> tuple[int, ...]:
-    """Indices of the prime elements: proper, with downward directed complement."""
-    g = lattice.graph
-    full = (1 << g.num_vertices) - 1
+    """Indices of the prime elements: proper, with downward directed complement.
+
+    Reachability is transitive, so every two vertices of a finite set reach
+    a common vertex in it exactly when all of them reach one: when the
+    reach masks of the complement's vertices share a bit of the complement.
+    """
+    reach, _, _ = _mask_closure(lattice.graph)
+    full = (1 << len(reach)) - 1
     return tuple(
         i
         for i, h in enumerate(lattice.elements)
-        if h != full and is_downward_directed(g, _vertices(g, full & ~h))
+        if reduce(and_, (r for k, r in enumerate(reach) if not h >> k & 1), full & ~h)
     )
 
 
@@ -175,22 +197,23 @@ class SpectrumTopology:
     """The prime elements with their open set lattice.
 
     ``primes`` are lattice indices; ``opens[i]`` is the open set attached to
-    lattice element i, stored as a frozenset of positions into ``primes``.
-    Distinct elements have distinct opens, since each element is the meet
-    of the primes above it.
+    lattice element i, the primes not above it, as an int mask over
+    positions into ``primes``: bit p is set when the p-th prime is in it.
+    Positions follow lattice indices, which extend inclusion, so an open's
+    top bit is a maximal prime of it.  Distinct elements have distinct
+    opens, since each element is the meet of the primes above it.
     """
 
     lattice: IdealLattice
     primes: tuple[int, ...]
-    opens: tuple[frozenset, ...]
+    opens: tuple[int, ...]
 
 
 def spectrum(lattice: IdealLattice) -> SpectrumTopology:
     primes = graded_primes(lattice)
     prime_masks = [lattice.elements[p] for p in primes]
     opens = tuple(
-        frozenset(pos for pos, p in enumerate(prime_masks) if h & ~p)
-        for h in lattice.elements
+        sum(1 << pos for pos, p in enumerate(prime_masks) if h & ~p) for h in lattice.elements
     )
     return SpectrumTopology(lattice=lattice, primes=primes, opens=opens)
 
@@ -206,12 +229,6 @@ class LocallyClosed:
     difference: frozenset
 
 
-def _open_masks(topology: SpectrumTopology) -> list[int]:
-    """Each element's open as a mask over prime positions.  Positions follow
-    lattice indices, which extend inclusion, so an open's top bit is maximal."""
-    return [sum(1 << pos for pos in o) for o in topology.opens]
-
-
 def locally_closed_all(topology: SpectrumTopology) -> tuple[LocallyClosed, ...]:
     """One canonical locally closed pair per distinct difference of opens.
 
@@ -219,7 +236,7 @@ def locally_closed_all(topology: SpectrumTopology) -> tuple[LocallyClosed, ...]:
     cutting D out is its down-closure U, with inner open U minus D.  These
     pairs are each open U with each open inside U minus its maximal primes.
     """
-    opens = _open_masks(topology)
+    opens = topology.opens
     index = {o: i for i, o in enumerate(opens)}
     inside = {0: [0]}  # open -> the opens inside it
 
@@ -248,7 +265,7 @@ def locally_closed_all(topology: SpectrumTopology) -> tuple[LocallyClosed, ...]:
 def _signatures(topology: SpectrumTopology) -> list[tuple[int, int]]:
     """(elements below, elements above) each element, inclusive: zeta
     transforms over the prime positions, upward for below, downward for above."""
-    opens = _open_masks(topology)
+    opens = topology.opens
     m = len(topology.primes)
     down, up = dict.fromkeys(opens, 1), dict.fromkeys(opens, 1)
     for p in range(m):
@@ -271,7 +288,7 @@ def _iter_isomorphisms(topo1: SpectrumTopology, topo2: SpectrumTopology):
     bijection sending every open to an open.  So the isomorphisms come in
     lexicographic order of their images along that element order.
     """
-    opens1, opens2 = _open_masks(topo1), _open_masks(topo2)
+    opens1, opens2 = topo1.opens, topo2.opens
     sig1, sig2 = _signatures(topo1), _signatures(topo2)
     n, m = len(opens1), len(topo1.primes)
     if n != len(opens2) or m != len(topo2.primes) or sorted(sig1) != sorted(sig2):

@@ -23,13 +23,16 @@ independent cross-checks:
   vector) pairs, the oracle for the library's graded colimit engine;
   ``triple_of_graded`` translates a graded element without calling it.
 * ``is_lattice_prime`` — order-theoretic primality, against the library's
-  downward directed characterization.
+  downward directed characterization; ``is_downward_directed`` — that
+  characterization by vertex name, on the name sets of ``reachable_from``,
+  against the library's reach masks.
 * ``locally_closed_oracle`` and ``lattice_isomorphisms_oracle`` — the
   whole-lattice algorithms the library replaced by prime-poset ones: every
   pair of opens for the pieces, and a backtracking search over all elements
   with n×n order tables for the isomorphisms, in the same output order.
 * ``kernel_of`` — the intersection of named primes, which recovers each
-  lattice element from the primes containing it.
+  lattice element from the primes containing it; ``open_sets`` reads the
+  library's open masks as sets of prime positions.
 * ``lattice_member`` — membership in a column lattice read off the Smith
   transforms, the reference for ``solve_lattice`` and ``_spans_into``;
   ``check_well_defined`` applies it to every domain relation of a map.
@@ -91,6 +94,7 @@ import leavitt.filtered as filtered
 from leavitt.filtered import ComparisonReport, PieceVerdict
 from leavitt.graphs import (
     Graph,
+    _require_subset,
     is_hereditary,
     is_saturated,
     quotient,
@@ -539,6 +543,12 @@ def triple_of_graded(g: Graph, elem: GradedElement):
 # ---------------------------------------------------------------------------
 
 
+def open_sets(topology: SpectrumTopology) -> tuple[frozenset, ...]:
+    """Each element's open as the frozenset of its prime positions."""
+    m = len(topology.primes)
+    return tuple(frozenset(p for p in range(m) if o >> p & 1) for o in topology.opens)
+
+
 def kernel_of(topology: SpectrumTopology, prime_positions) -> frozenset:
     """Intersection of the named primes; the full vertex set when none are named."""
     lattice = topology.lattice
@@ -554,7 +564,7 @@ def locally_closed_oracle(topology: SpectrumTopology) -> tuple[LocallyClosed, ..
     For each difference the outer element is the one with the smallest open
     (then the smallest index) from which the difference can be cut.
     """
-    opens = topology.opens
+    opens = open_sets(topology)
     n = len(opens)
     element = {o: i for i, o in enumerate(opens)}
     differences = {opens[i] - opens[j] for i in range(n) for j in range(n) if opens[j] <= opens[i]}
@@ -1059,6 +1069,38 @@ def is_lattice_prime(lattice: IdealLattice, i: int) -> bool:
             if lattice.leq(lattice_meet(lattice, a, b), i) and not (
                 lattice.leq(a, i) or lattice.leq(b, i)
             ):
+                return False
+    return True
+
+
+def reachable_from(g: Graph, v):
+    """Set of vertices reachable from v by a path of length >= 0."""
+    seen = {v}
+    stack = [v]
+    while stack:
+        cur = stack.pop()
+        for e in g.out_edges(cur):
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    return frozenset(seen)
+
+
+def is_downward_directed(g: Graph, subset=None) -> bool:
+    """Can every two vertices of the subset reach a common vertex in it?
+
+    Defaults to the full vertex set.  Paths may have length zero; for the
+    complement of a hereditary set, paths between members automatically stay
+    inside the subset.
+    """
+    member_set = frozenset(g.vertices) if subset is None else _require_subset(g, subset)
+    members = tuple(v for v in g.vertices if v in member_set)
+    if len(members) <= 1:
+        return True
+    for i, u in enumerate(members):
+        ru = reachable_from(g, u) & member_set
+        for v in members[i + 1:]:
+            if not (ru & reachable_from(g, v)):
                 return False
     return True
 

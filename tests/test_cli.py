@@ -173,8 +173,16 @@ class TestExitCodes:
         assert err == "internal error: kernel basis vector is not in the kernel\n"
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("transform", ["u", "u_inverse"])
-    def test_corrupted_smith_coordinates_are_four(self, capsys, files, monkeypatch, transform):
+    @pytest.mark.parametrize(
+        "read, transform",
+        [
+            pytest.param("u_inverse", "u", id="u"),
+            pytest.param("u_inverse", "u_inverse", id="u_inverse"),
+            # the coordinates' later run with inverses must not mend the bumped u
+            pytest.param("u", "u", id="u-before-inverses"),
+        ],
+    )
+    def test_corrupted_smith_coordinates_are_four(self, capsys, files, monkeypatch, read, transform):
         # the fan's K0 presentation [-1, 1, 1]^T is reduced to Smith
         # coordinates; one wrong entry in u or in its inverse must not pass
         def bump(m):
@@ -184,7 +192,7 @@ class TestExitCodes:
 
         fan_k0 = IntMatrix([[-1], [1], [1]])
         record = SmithData(fan_k0)  # a record of its own, so the cached one stays
-        record.u_inverse  # the one run the coordinates read, so no later run mends a part
+        getattr(record, read)  # the run that yields the part bumped below
         setattr(record, transform, bump(getattr(record, transform)))
         snf = ktheory.snf
         monkeypatch.setattr(ktheory, "snf", lambda m: record if m == fan_k0 else snf(m))

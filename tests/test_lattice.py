@@ -6,7 +6,7 @@ import pytest
 
 import helpers as H
 from leavitt import lattice
-from leavitt.graphs import Graph, is_downward_directed, relabel
+from leavitt.graphs import Graph, relabel
 from leavitt.lattice import (
     LatticeCapError,
     enumerate_hsat,
@@ -47,21 +47,28 @@ class TestClosure:
         assert frozenset(hsat_closure(fan, {"v"})) == {"v", "w1", "w2"}
         assert frozenset(hsat_closure(fan, {"w1", "w2"})) == {"v", "w1", "w2"}
 
-    def test_closures_on_one_graph_share_one_mask_table(self, fan, monkeypatch):
+    def test_closures_on_one_graph_share_one_mask_table(self, fan):
         g = Graph(["a", "b"], [("e", "a", "a"), ("f", "a", "b"), ("l", "b", "b")])
         hsat_closure(fan, {"v"})  # the last graph closed is another one
-        calls = []
-        reachable_from = Graph.reachable_from
-
-        def counting(self, v):
-            calls.append(v)
-            return reachable_from(self, v)
-
-        monkeypatch.setattr(Graph, "reachable_from", counting)
+        before = lattice._mask_closure.cache_info()
         assert hsat_closure(g, {"b"}) == ("b",)
         assert hsat_closure(g, {"a"}) == ("a", "b")
-        # one reach mask per vertex, built for the first closure only
-        assert sorted(calls) == ["a", "b"]
+        after = lattice._mask_closure.cache_info()
+        # one table, built for the first closure only
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+    def test_mask_table_matches_the_name_oracle(self, corpus):
+        for g in corpus:
+            reach, targets, _ = lattice._mask_closure(g)
+            assert len(reach) == len(targets) == g.num_vertices
+
+            def names(mask):
+                assert 0 <= mask < 1 << g.num_vertices
+                return {w for j, w in enumerate(g.vertices) if mask >> j & 1}
+
+            for k, v in enumerate(g.vertices):
+                assert names(reach[k]) == H.reachable_from(g, v)
+                assert names(targets[k]) == {e.dst for e in g.out_edges(v)}
 
 
 class TestEnumeration:
@@ -196,7 +203,7 @@ class TestPrimes:
                 i
                 for i in range(len(lat))
                 if frozenset(lat.members(i)) != full
-                and is_downward_directed(g, full - frozenset(lat.members(i)))
+                and H.is_downward_directed(g, full - frozenset(lat.members(i)))
             )
             assert graded_primes(lat) == expected
 
@@ -214,24 +221,26 @@ class TestSpectrum:
         for g in corpus[:60]:
             lat = enumerate_hsat(g)
             topo = spectrum(lat)
-            assert topo.opens[H.index_of(lat, ())] == frozenset()
-            assert topo.opens[len(lat) - 1] == frozenset(range(len(topo.primes)))
+            opens = H.open_sets(topo)
+            assert opens[H.index_of(lat, ())] == frozenset()
+            assert opens[len(lat) - 1] == frozenset(range(len(topo.primes)))
 
     def test_open_map_respects_meet_and_join(self, corpus):
         for g in corpus[:40]:
             lat = enumerate_hsat(g)
             topo = spectrum(lat)
+            opens = H.open_sets(topo)
             n = len(lat.elements)
             for i in range(n):
                 for j in range(n):
-                    assert topo.opens[H.lattice_join(lat, i, j)] == topo.opens[i] | topo.opens[j]
-                    assert topo.opens[H.lattice_meet(lat, i, j)] == topo.opens[i] & topo.opens[j]
+                    assert opens[H.lattice_join(lat, i, j)] == opens[i] | opens[j]
+                    assert opens[H.lattice_meet(lat, i, j)] == opens[i] & opens[j]
 
     def test_open_map_is_injective(self, corpus):
         for g in corpus:
             lat = enumerate_hsat(g)
             topo = spectrum(lat)
-            assert len(set(topo.opens)) == len(lat.elements)
+            assert len(set(H.open_sets(topo))) == len(lat.elements)
 
     def test_kernel_of_recovers_every_element(self, corpus):
         # intersecting the primes that contain H gives back H
@@ -239,8 +248,9 @@ class TestSpectrum:
             lat = enumerate_hsat(g)
             topo = spectrum(lat)
             all_primes = frozenset(range(len(topo.primes)))
+            opens = H.open_sets(topo)
             for i in range(len(lat)):
-                containing = all_primes - topo.opens[i]
+                containing = all_primes - opens[i]
                 assert H.kernel_of(topo, containing) == frozenset(lat.members(i))
 
     def test_kernel_of_no_primes_is_everything(self, fan):
@@ -257,16 +267,18 @@ class TestLocallyClosed:
             pieces = locally_closed_all(topo)
             diffs = [p.difference for p in pieces]
             assert len(set(diffs)) == len(diffs)
-            expected = {u - v for u in topo.opens for v in topo.opens}
+            opens = H.open_sets(topo)
+            expected = {u - v for u in opens for v in opens}
             assert set(diffs) == expected
 
     def test_piece_indices_realize_difference(self, corpus):
         for g in corpus[:80]:
             lat = enumerate_hsat(g)
             topo = spectrum(lat)
+            opens = H.open_sets(topo)
             for p in locally_closed_all(topo):
-                outer_open = topo.opens[p.outer_index]
-                inner_open = topo.opens[p.inner_index]
+                outer_open = opens[p.outer_index]
+                inner_open = opens[p.inner_index]
                 assert inner_open <= outer_open
                 assert outer_open - inner_open == p.difference
 
@@ -276,12 +288,12 @@ class TestLocallyClosed:
         for g in corpus[:40]:
             lat = enumerate_hsat(g)
             topo = spectrum(lat)
+            opens = H.open_sets(topo)
             for p in locally_closed_all(topo):
                 candidates = [
                     i
                     for i in range(len(lat.elements))
-                    if p.difference <= topo.opens[i]
-                    and (topo.opens[i] - p.difference) in topo.opens
+                    if p.difference <= opens[i] and (opens[i] - p.difference) in opens
                 ]
                 best = min(candidates, key=lambda i: (len(lat.members(i)), i))
                 assert p.outer_index == best
@@ -372,13 +384,13 @@ class TestBirkhoffDual:
                     if members[q] <= members[p]
                 )
             }
-            assert set(topo.opens) == down_sets
+            assert set(H.open_sets(topo)) == down_sets
             assert len(topo.opens) == len(down_sets)
 
     def test_signatures_count_opens_inside_and_containing(self, corpus):
         for g in _symmetric_family(corpus)[::3]:
             topo = spectrum(enumerate_hsat(g))
-            opens = lattice._open_masks(topo)
+            opens = topo.opens
             expected = [
                 (sum(not v & ~u for v in opens), sum(not u & ~v for v in opens)) for u in opens
             ]
@@ -405,7 +417,8 @@ class TestBirkhoffDual:
     def test_empty_graph(self):
         lat = enumerate_hsat(Graph([], []))
         topo = spectrum(lat)
-        assert topo.primes == () and topo.opens == (frozenset(),)
+        assert topo.primes == () and topo.opens == (0,)
+        assert H.open_sets(topo) == (frozenset(),)
         assert locally_closed_all(topo) == H.locally_closed_oracle(topo)
         assert [p.difference for p in locally_closed_all(topo)] == [frozenset()]
         assert lattice_isomorphisms(lat, lat) == [(0,)]

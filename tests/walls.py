@@ -16,7 +16,10 @@ these walls, each as one child process:
 - ``compare-self``: ``leavitt --json compare`` of 8 loops with itself;
 - ``compare-doubled``: ``leavitt --json compare`` of 7 loops against 7
   with one doubled, which exits 1;
-- ``spec``: ``leavitt --json spec`` on 12 loops;
+- ``spec``: ``leavitt --json spec`` on 12 loops, whose opens are the
+  subsets of its 12 primes;
+- ``spec-poset``: ``leavitt --json spec`` on the poset of loops, whose
+  opens are the down-sets of a prime poset that is not an antichain;
 - ``fk-poset``: ``leavitt --json fk`` on the poset of loops, whose rows
   share far fewer skeletons than those of disjoint loops;
 - ``fk-poset-field``: ``leavitt --json fk --field 5`` on it, whose rows
@@ -118,6 +121,7 @@ WALLS = {
     "compare-self": ["compare", "loops8", "loops8"],
     "compare-doubled": ["compare", "loops7", "doubled7"],
     "spec": ["spec", "loops12"],
+    "spec-poset": ["spec", "poset"],
     "fk-poset": ["fk", "poset"],
     "fk-poset-field": ["fk", "--field", "5", "poset"],
     "compare-poset-self": ["compare", "poset", "poset"],
@@ -132,6 +136,7 @@ PINNED = {
     "compare-self": "ff43f57d49b9d633393e0a8204ecd7db896a33772b5c633db0255a6c99ed3470",
     "compare-doubled": "9f58012e23b3ee1b6533e19f442cddf7ed83b8a4b08178b9c0ddaaaafad9413b",
     "spec": "a70f3126bdc426f59df0b3ee53f5cb78da0c6f7ed39e3e526687a74e26adc725",
+    "spec-poset": "c83af23c54234cd55394ab90cd480738f80c0539837bf1efe9dc9ea323917c43",
     "fk-poset": "bef67ab93c37a45db1c41e4af48de2a090f3301ed9051f678e700c47b7f86869",
     "fk-poset-field": "d53328d92f44b331dcfe0c1eda8f344c6d69e21dd71fe415e36de3d8c5db3deb",
     "compare-poset-self": "d5ca838292effc8826f8b22faeaf8416ec9fa7ed92e6a48b57e10e5d57e5b2f9",
