@@ -21,7 +21,14 @@ from .filtered import _ROW_CAP, RowCapError, compare_fkbar, fkbar
 from .graphs import Graph, GraphFormatError, parse_graph, parse_matrix
 from .intlinalg import CoeffGroup, FgAbGroup, op_scope
 from .ktheory import k0, k1, six_term_row, vdb_sequence
-from .lattice import _LATTICE_CAP, LatticeCapError, enumerate_hsat, locally_closed_all, spectrum
+from .lattice import (
+    _LATTICE_CAP,
+    LatticeCapError,
+    _bits,
+    enumerate_hsat,
+    locally_closed_all,
+    spectrum,
+)
 from .monoid import graded_equal, parse_graded_element, parse_monoid_element, ungraded_equal
 from .shifts import bowen_franks, det_invariant, shift_equivalent_bounded, verify_certificate
 
@@ -257,12 +264,12 @@ def _cmd_spec(args):
         "elements": [list(lattice.members(i)) for i in range(len(lattice))],
         "primes": list(topo.primes),
         "prime_members": [list(lattice.members(p)) for p in topo.primes],
-        "opens": [[p for p in range(len(topo.primes)) if o >> p & 1] for o in topo.opens],
+        "opens": [_bits(o) for o in topo.opens],
         "pieces": [
             {
                 "outer": list(lattice.members(pc.outer_index)),
                 "inner": list(lattice.members(pc.inner_index)),
-                "difference": sorted(pc.difference),
+                "difference": _bits(pc.difference),
             }
             for pc in pieces
         ],
@@ -274,7 +281,7 @@ def _cmd_spec(args):
         outer = ",".join(lattice.members(pc.outer_index))
         inner = ",".join(lattice.members(pc.inner_index))
         lines.append(
-            f"  piece primes={sorted(pc.difference)} outer={{{outer}}} inner={{{inner}}}"
+            f"  piece primes={_bits(pc.difference)} outer={{{outer}}} inner={{{inner}}}"
         )
     return payload, lines, EXIT_OK
 
@@ -334,14 +341,15 @@ def _cmd_fk(args):
         row_cap=args.row_cap,
     )
     exact = table.all_rows_exact
+    names = table.lattice.members
     payload = {
-        "lattice": [list(table.lattice.members(i)) for i in range(len(table.lattice))],
+        "lattice": [list(names(i)) for i in range(len(table.lattice))],
         "primes": list(table.topology.primes),
         "pieces": [
             {
-                "difference": sorted(e.piece.difference),
-                "outer": list(e.outer_members),
-                "inner": list(e.inner_members),
+                "difference": _bits(e.piece.difference),
+                "outer": list(names(e.piece.outer_index)),
+                "inner": list(names(e.piece.inner_index)),
                 "k0": _group_json(e.pair.k0_group),
                 "k1bar": _konebar_json(e.pair.k1),
             }
@@ -358,7 +366,7 @@ def _cmd_fk(args):
     ]
     for e in table.entries:
         lines.append(
-            f"  piece primes={sorted(e.piece.difference)}: "
+            f"  piece primes={_bits(e.piece.difference)}: "
             f"K0 = {e.pair.k0_group}, Kbar1 = {e.pair.k1.symbol()}"
         )
     code = EXIT_OK if exact else EXIT_OBSTRUCTION

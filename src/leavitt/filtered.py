@@ -43,9 +43,9 @@ from .lattice import (
     IdealLattice,
     LatticeCapError,
     LocallyClosed,
+    _bits,
     _iter_isomorphisms,
     _mask_closure,
-    _signatures,
     enumerate_hsat,
     locally_closed_all,
     spectrum,
@@ -78,8 +78,6 @@ class TableEntry:
     block, which holds K0 (``k0``, its class ``k0_group``) and K1bar (``k1``)."""
 
     piece: LocallyClosed
-    outer_members: tuple[str, ...]
-    inner_members: tuple[str, ...]
     pair: SubquotientK
 
     @cached_property
@@ -122,7 +120,7 @@ class FilteredKTable:
     ):
         topology = spectrum(enumerate_hsat(g, cap=lattice_cap))
         lattice = topology.lattice
-        count = sum(down * up for down, up in _signatures(topology))
+        count = sum(down * up for down, up in topology.signatures)
         if count > row_cap:
             raise RowCapError(
                 f"nested triples exceed row cap {row_cap} "
@@ -139,16 +137,15 @@ class FilteredKTable:
     @cached_property
     def entries(self) -> tuple[TableEntry, ...]:
         """The entry of every piece, in the order of ``pieces``."""
-        names, bits, entries = self.lattice.members, self.lattice.elements, []
+        bits, entries = self.lattice.elements, []
         for piece in self.pieces:
-            outer, inner = piece.outer_index, piece.inner_index
-            _, pair = self.store.get(bits[outer] & ~bits[inner])
-            entries.append(TableEntry(piece, names(outer), names(inner), pair))
+            _, pair = self.store.get(bits[piece.outer_index] & ~bits[piece.inner_index])
+            entries.append(TableEntry(piece, pair))
         return tuple(entries)
 
     @cached_property
-    def _by_difference(self) -> dict:
-        return {e.piece.difference: e for e in self.entries}
+    def _by_pair(self) -> dict:  # each entry by its piece's (outer, inner) pair
+        return {(e.piece.outer_index, e.piece.inner_index): e for e in self.entries}
 
     def body(self, trip) -> _Skeleton:
         """The skeleton record of a nested lattice triple, which the caller
@@ -161,14 +158,6 @@ class FilteredKTable:
         """The skeleton record of every row, in the order of
         ``row_triples``, each triple's looked up once."""
         return tuple(map(self.body, self.row_triples))
-
-    def row(self, trip) -> SixTermRow | None:
-        """The row of a lattice triple, its names over its skeleton record;
-        None when the triple is not nested."""
-        inner, middle, outer = (self.lattice.elements[k] for k in trip)
-        if inner & ~middle or middle & ~outer:
-            return None
-        return SixTermRow(tuple(map(self.lattice.members, trip)), self.body(trip))
 
     @property
     def rows(self) -> tuple[SixTermRow, ...]:
@@ -340,10 +329,11 @@ def transport_from_certificate(
         return None
     hits = [sum(1 << j for j, x in enumerate(row) if x) for row in r_matrix.data]
     _, _, close = _mask_closure(g2)
+    index2 = {m: j for j, m in enumerate(lattice2.elements)}
     images = []
     for h in lattice1.elements:
         seed = reduce(or_, (hit for i, hit in enumerate(hits) if h >> i & 1), 0)
-        images.append(lattice2._index.get(close(seed)))
+        images.append(index2.get(close(seed)))
     if None in images or sorted(images) != list(range(len(lattice2))):
         return None
     mapping = tuple(images)
@@ -400,15 +390,14 @@ _ENTRY_FACETS = ("K0", "K1bar free rank", "K1bar twisted part")
 
 def _paired_entries(t1: FilteredKTable, t2: FilteredKTable, iso):
     """Each entry of the first table with the entry of the second whose
-    piece is its image under the prime bijection of a lattice isomorphism.
+    piece is its image under a lattice isomorphism: the piece (outer,
+    inner) goes to the piece (iso[outer], iso[inner]).
 
-    ``iso`` maps primes onto primes and every difference of nested opens
-    onto one, so every entry has an image and both tables have as many
-    entries (see :func:`compare_fkbar`)."""
-    position = {p: idx for idx, p in enumerate(t2.topology.primes)}
-    image = [position[iso[p]] for p in t1.topology.primes].__getitem__
-    by_difference = t2._by_difference
-    return [(e, by_difference[frozenset(map(image, d))]) for d, e in t1._by_difference.items()]
+    ``iso`` maps each canonical pair of nested opens onto a canonical pair,
+    so every entry has an image and both tables have as many entries (see
+    :func:`compare_fkbar`)."""
+    image = t2._by_pair
+    return [(e, image[iso[e.piece.outer_index], iso[e.piece.inner_index]]) for e in t1.entries]
 
 
 def _entry_verdicts(pairs) -> list[PieceVerdict]:
@@ -426,7 +415,7 @@ def _entry_verdicts(pairs) -> list[PieceVerdict]:
                 if x1 != x2
             ]
         detail = "; ".join(problems) if problems else "entry classes agree"
-        verdicts.append(PieceVerdict(tuple(sorted(e1.piece.difference)), not problems, detail))
+        verdicts.append(PieceVerdict(tuple(_bits(e1.piece.difference)), not problems, detail))
     return verdicts
 
 
@@ -548,13 +537,14 @@ def compare_fkbar(
     bijections it has checked to preserve order both ways.  An order
     isomorphism maps the meet-irreducible elements, which are the primes,
     onto the primes; the bijection s it induces on them maps each open, the
-    set of primes not above an element, onto the open of the image.  So s
-    maps each difference U minus V of nested opens onto the difference of
-    their images, which are nested opens too: every piece of the first
-    table has an image piece, and the tables have as many pieces.  It maps
-    a nested triple onto a nested triple, whose indices rise because
-    lattice indices extend inclusion, so every row of the first table has
-    an image row.
+    set of primes not above an element, onto the open of the image, and the
+    down-closure of each set of primes onto that of its image.  So it maps
+    the canonical pair (outer, inner) of each piece onto a canonical pair,
+    (iso[outer], iso[inner]), which :func:`_paired_entries` looks up: every
+    piece of the first table has an image piece, and the tables have as
+    many pieces.  It maps a nested triple onto a nested triple, whose
+    indices rise because lattice indices extend inclusion, so every row of
+    the first table has an image row.
     """
     t1 = FilteredKTable(g1, coeff, lattice_cap, row_cap)
     t2 = FilteredKTable(g2, coeff, lattice_cap, row_cap)
@@ -571,8 +561,8 @@ def compare_fkbar(
             )
 
     # (mismatch count, candidate, entry pairs, row results) of the closest
-    # failure, the first candidate winning ties; its verdicts are built once
-    # the search has failed
+    # failure, the first candidate winning ties; a match is the closest
+    # failure with count 0, and its verdicts too are built after the search
     best = None
     for tried, iso in enumerate(candidates, 1):
         pairs = _paired_entries(t1, t2, iso)
@@ -580,43 +570,32 @@ def compare_fkbar(
         score = sum(not e1.same_class(e2) for e1, e2 in pairs)
         if not score:
             rows = _match_rows(t1, t2, iso, run_elements=element_search)
-            row_verdicts, row_failure, element_outcomes = rows
-            if not row_failure:
-                element, certification = _element_check(element_outcomes)
-                return ComparisonReport(
-                    consistent=True,
-                    obstruction="",
-                    lattice_iso=iso,
-                    group_matches=tuple(_entry_verdicts(pairs)),
-                    map_matches=tuple(row_verdicts),
-                    certification=certification,
-                    element_check=element,
-                )
-            score = sum(1 for v in row_verdicts if not v.matched)
+            score = sum(not v.matched for v in rows[0])
         if best is None or score < best[0]:
             best = (score, iso, pairs, rows)
+        if not score:
+            break
         if tried > _CANDIDATE_CAP:
             raise LatticeCapError(
                 f"more than {_CANDIDATE_CAP} lattice isomorphisms tried without a match"
             )
 
-    pieces, rows, element = (), (), "skipped"
+    pieces, rows, element, certification = (), (), "skipped", "structural"
     if best is None:
         failure = "ideal lattices admit no order isomorphism"
     else:
         _, iso, pairs, found = best
         pieces = _entry_verdicts(pairs)
+        failure = next((v.detail for v in pieces if not v.matched), "")
         if found is not None:
             rows, failure, element_outcomes = found
-            element = _element_check(element_outcomes)[0]
-        else:
-            failure = next(v.detail for v in pieces if not v.matched)
+            element, certification = _element_check(element_outcomes)
     return ComparisonReport(
-        consistent=False,
+        consistent=not failure,
         obstruction=failure,
-        lattice_iso=None,
+        lattice_iso=None if failure else iso,
         group_matches=tuple(pieces),
         map_matches=tuple(rows),
-        certification="structural",
+        certification="structural" if failure else certification,
         element_check=element,
     )

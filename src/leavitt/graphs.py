@@ -39,8 +39,9 @@ class GraphFormatError(ValueError):
 
 def _check_identifier(kind, ident):
     # str.split() cuts at exactly the characters str.isspace() accepts, so an
-    # identifier is good when it is one nonempty whitespace-free piece
-    if ident.split() != [ident]:
+    # identifier is good when it is one nonempty whitespace-free piece with
+    # no "#", which starts a comment in the graph format
+    if ident.split() != [ident] or "#" in ident:
         raise ValueError(f"bad {kind} identifier {ident!r}")
 
 

@@ -859,21 +859,25 @@ def check_exact(maps) -> tuple[NodeVerdict, ...]:
 # ---------------------------------------------------------------------------
 
 
+_ROOT_DIVISOR_BOUND = 1 << 20  # largest trial divisor of a prime power check
+
+
 def _prime_power_root(q):
-    """Return (p, e) with q = p^e, p prime, or raise ValueError."""
+    """Return (p, e) with q = p^e, p prime, or raise ValueError.
+
+    Trial division stops at ``_ROOT_DIVISOR_BOUND``: a q past its square
+    with no prime factor up to it is refused, since deciding it would take
+    time growing as the square root of q."""
     q = int(q)
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = None
-    n = q
-    for cand in range(2, n + 1):
-        if cand * cand > n:
-            p = n if p is None else p
-            break
-        if n % cand == 0:
-            p = cand
-            break
-    e = 0
+    root = math.isqrt(q)
+    p = next((c for c in range(2, min(root, _ROOT_DIVISOR_BOUND) + 1) if q % c == 0), q)
+    if p == q and root > _ROOT_DIVISOR_BOUND:
+        raise ValueError(
+            f"{q} has no prime factor up to {_ROOT_DIVISOR_BOUND}, the prime power check's bound"
+        )
+    n, e = q, 0
     while n % p == 0:
         n //= p
         e += 1

@@ -13,8 +13,8 @@ pieces and lattice isomorphisms are computed on that prime poset.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
 from operator import and_
 
 from .graphs import Graph
@@ -55,6 +55,11 @@ def _mask(g: Graph, vertices) -> int:
 
 def _vertices(g: Graph, mask: int) -> tuple:
     return tuple(v for k, v in enumerate(g.vertices) if mask >> k & 1)
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, in rising order."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 @lru_cache(maxsize=1)
@@ -126,10 +131,6 @@ class IdealLattice:
 
     graph: Graph
     elements: tuple[int, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.elements)})
 
     def __len__(self):
         return len(self.elements)
@@ -169,10 +170,7 @@ def enumerate_hsat(g: Graph, cap: int = _LATTICE_CAP) -> IdealLattice:
                             f"(graph has {g.num_vertices} vertices)"
                         )
         frontier = nxt
-    elements = sorted(
-        found,
-        key=lambda m: (m.bit_count(), [k for k in range(g.num_vertices) if m >> k & 1]),
-    )
+    elements = sorted(found, key=lambda m: (m.bit_count(), _bits(m)))
     return IdealLattice(graph=g, elements=tuple(elements))
 
 
@@ -208,6 +206,22 @@ class SpectrumTopology:
     primes: tuple[int, ...]
     opens: tuple[int, ...]
 
+    @cached_property
+    def signatures(self) -> list[tuple[int, int]]:
+        """(elements below, elements above) each element, inclusive, kept once
+        read: zeta transforms over the prime positions, up for below, down for above."""
+        opens = self.opens
+        m = len(self.primes)
+        down, up = dict.fromkeys(opens, 1), dict.fromkeys(opens, 1)
+        for p in range(m):
+            q = m - 1 - p
+            for o in opens:
+                if o >> p & 1 and o ^ (1 << p) in down:
+                    down[o] += down[o ^ (1 << p)]
+                if not o >> q & 1 and o | (1 << q) in up:
+                    up[o] += up[o | (1 << q)]
+        return [(down[o], up[o]) for o in opens]
+
 
 def spectrum(lattice: IdealLattice) -> SpectrumTopology:
     primes = graded_primes(lattice)
@@ -221,12 +235,12 @@ def spectrum(lattice: IdealLattice) -> SpectrumTopology:
 @dataclass(frozen=True)
 class LocallyClosed:
     """Canonical open pair (inner <= outer, lattice indices) cutting out the
-    prime set ``difference``: the outer open is the smallest open from which
-    the difference can be cut, and the inner open is then forced."""
+    prime mask ``difference``, over prime positions as an open is: the outer
+    open is the smallest cutting it out, and the inner open is then forced."""
 
     outer_index: int
     inner_index: int
-    difference: frozenset
+    difference: int
 
 
 def locally_closed_all(topology: SpectrumTopology) -> tuple[LocallyClosed, ...]:
@@ -244,38 +258,19 @@ def locally_closed_all(topology: SpectrumTopology) -> tuple[LocallyClosed, ...]:
         known = s
         while known not in inside:  # drop top primes down to a known open
             known ^= 1 << (known.bit_length() - 1)
-        for p in range(known.bit_length(), s.bit_length()):  # and add them back
-            if s >> p & 1:
-                rest, known = inside[known], known | 1 << p
-                inside[known] = rest + [v | 1 << p for v in rest if v | 1 << p in index]
+        for p in _bits(s ^ known):  # and add them back
+            rest, known = inside[known], known | 1 << p
+            inside[known] = rest + [v | 1 << p for v in rest if v | 1 << p in index]
         return inside[s]
 
-    m = len(topology.primes)
     out = []
     for i, u in enumerate(opens):
         # p is maximal in u exactly when u without p is still an open
-        maximal = sum(1 << p for p in range(m) if u >> p & 1 and u ^ (1 << p) in index)
+        maximal = sum(1 << p for p in _bits(u) if u ^ (1 << p) in index)
         for v in opens_inside(u ^ maximal):
-            diff = frozenset(p for p in range(m) if (u ^ v) >> p & 1)
-            out.append(LocallyClosed(outer_index=i, inner_index=index[v], difference=diff))
-    out.sort(key=lambda lc: (len(lc.difference), tuple(sorted(lc.difference))))
+            out.append(LocallyClosed(outer_index=i, inner_index=index[v], difference=u ^ v))
+    out.sort(key=lambda lc: (lc.difference.bit_count(), _bits(lc.difference)))
     return tuple(out)
-
-
-def _signatures(topology: SpectrumTopology) -> list[tuple[int, int]]:
-    """(elements below, elements above) each element, inclusive: zeta
-    transforms over the prime positions, upward for below, downward for above."""
-    opens = topology.opens
-    m = len(topology.primes)
-    down, up = dict.fromkeys(opens, 1), dict.fromkeys(opens, 1)
-    for p in range(m):
-        q = m - 1 - p
-        for o in opens:
-            if o >> p & 1 and o ^ (1 << p) in down:
-                down[o] += down[o ^ (1 << p)]
-            if not o >> q & 1 and o | (1 << q) in up:
-                up[o] += up[o | (1 << q)]
-    return [(down[o], up[o]) for o in opens]
 
 
 def _iter_isomorphisms(topo1: SpectrumTopology, topo2: SpectrumTopology):
@@ -289,7 +284,7 @@ def _iter_isomorphisms(topo1: SpectrumTopology, topo2: SpectrumTopology):
     lexicographic order of their images along that element order.
     """
     opens1, opens2 = topo1.opens, topo2.opens
-    sig1, sig2 = _signatures(topo1), _signatures(topo2)
+    sig1, sig2 = topo1.signatures, topo2.signatures
     n, m = len(opens1), len(topo1.primes)
     if n != len(opens2) or m != len(topo2.primes) or sorted(sig1) != sorted(sig2):
         return

@@ -148,6 +148,8 @@ def _split_terms(text):
             token += ch
     if token.strip():
         out.append((sign, token.strip()))
+    elif text:  # the stripped text ends in a sign at depth 0
+        raise ValueError(f"a sign with no term after it in {text!r}")
     return out
 
 

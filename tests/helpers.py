@@ -32,7 +32,11 @@ independent cross-checks:
   with n×n order tables for the isomorphisms, in the same output order.
 * ``kernel_of`` — the intersection of named primes, which recovers each
   lattice element from the primes containing it; ``open_sets`` reads the
-  library's open masks as sets of prime positions.
+  library's open masks, and ``difference_set`` a piece's difference mask,
+  as sets of prime positions.
+* ``prime_image_pairs`` — a compare's entry pairing as it was before it
+  paired by lattice index: each difference mapped through the prime
+  positions of a candidate, against ``filtered._paired_entries``.
 * ``lattice_member`` — membership in a column lattice read off the Smith
   transforms, the reference for ``solve_lattice`` and ``_spans_into``;
   ``check_well_defined`` applies it to every domain relation of a map.
@@ -76,7 +80,8 @@ matrix by an integer; ``row_skeleton`` builds a six-term row's Z-level
 skeleton, the oracle for the library's cut in Smith coordinates,
 ``skeleton_record`` reduces a Z-level skeleton to a record as a store
 would, ``row_groups`` lists the six groups of a skeleton, and
-``shape_count`` counts the row shapes of a store.
+``shape_count`` counts the row shapes of a store; ``row_of`` builds a
+table's row of one lattice triple with its vertex names.
 ``declared_shuffled`` declares a graph's vertices in another order, and
 ``unaligned_pair`` adds to two graphs a cycle declared in orders that a
 compare cannot align.  ``sparse_graph`` draws the sparse graphs, up to
@@ -549,6 +554,11 @@ def open_sets(topology: SpectrumTopology) -> tuple[frozenset, ...]:
     return tuple(frozenset(p for p in range(m) if o >> p & 1) for o in topology.opens)
 
 
+def difference_set(piece: LocallyClosed) -> frozenset:
+    """A piece's difference mask as the frozenset of its prime positions."""
+    return frozenset(p for p in range(piece.difference.bit_length()) if piece.difference >> p & 1)
+
+
 def kernel_of(topology: SpectrumTopology, prime_positions) -> frozenset:
     """Intersection of the named primes; the full vertex set when none are named."""
     lattice = topology.lattice
@@ -576,8 +586,9 @@ def locally_closed_oracle(topology: SpectrumTopology) -> tuple[LocallyClosed, ..
             if diff <= u and (u - diff) in opens
         ]
         _, outer, inner = min(candidates)
-        out.append(LocallyClosed(outer_index=outer, inner_index=inner, difference=diff))
-    out.sort(key=lambda lc: (len(lc.difference), tuple(sorted(lc.difference))))
+        mask = sum(1 << p for p in diff)
+        out.append(LocallyClosed(outer_index=outer, inner_index=inner, difference=mask))
+    out.sort(key=lambda lc: (len(difference_set(lc)), sorted(difference_set(lc))))
     return tuple(out)
 
 
@@ -859,6 +870,15 @@ def skeleton_record(maps, pairs) -> _Skeleton:
 def row_groups(maps) -> tuple[PresentedGroup, ...]:
     """The six groups of a row skeleton, in row order."""
     return (maps[0].domain,) + tuple(f.codomain for f in maps)
+
+
+def row_of(table, trip) -> SixTermRow | None:
+    """The row of a lattice triple of a filtered table, its vertex names
+    over its skeleton record; None when the triple is not nested."""
+    inner, middle, outer = (table.lattice.elements[k] for k in trip)
+    if inner & ~middle or middle & ~outer:
+        return None
+    return SixTermRow(tuple(map(table.lattice.members, trip)), table.body(trip))
 
 
 def row_graphs(g: Graph, row: SixTermRow) -> tuple[Graph, Graph, Graph]:
@@ -1514,7 +1534,7 @@ def _old_match_entries(t1, t2, iso, classes1, classes2):
     verdicts = []
     paired = 0
     for e1, c1, names1 in classes1:
-        difference = e1.piece.difference
+        difference = difference_set(e1.piece)
         e2, c2, names2 = classes2.get(frozenset(prime_bij[x] for x in difference), (None,) * 3)
         if e2 is None:
             verdicts.append(
@@ -1544,6 +1564,20 @@ def _old_match_entries(t1, t2, iso, classes1, classes2):
     return verdicts, bad.detail if bad else ""
 
 
+def prime_image_pairs(t1, t2, iso):
+    """Each entry of the first table with the entry of the second whose
+    difference is its difference's image under the prime bijection of
+    ``iso``, found by prime positions as ``compare_fkbar`` once paired
+    them; None for an entry with no image."""
+    position = {p: idx for idx, p in enumerate(t2.topology.primes)}
+    image = [position[iso[p]] for p in t1.topology.primes]
+    by_difference = {difference_set(e.piece): e for e in t2.entries}
+    return [
+        (e, by_difference.get(frozenset(image[p] for p in difference_set(e.piece))))
+        for e in t1.entries
+    ]
+
+
 def compare_verdicts_per_candidate(g1: Graph, g2: Graph, coeff: CoeffGroup, element_search=True):
     """``compare_fkbar`` as it was before it counted mismatches first: every
     candidate gets its piece verdicts built, and the closest failure (fewest
@@ -1553,7 +1587,7 @@ def compare_verdicts_per_candidate(g1: Graph, g2: Graph, coeff: CoeffGroup, elem
     t2 = filtered.FilteredKTable(g2, coeff)
     t2.store._share(t1.store)
     classes1 = _old_entry_classes(t1)
-    classes2 = {item[0].piece.difference: item for item in _old_entry_classes(t2)}
+    classes2 = {difference_set(item[0].piece): item for item in _old_entry_classes(t2)}
     best = (math.inf, (None, (), (), "ideal lattices admit no order isomorphism", "skipped"))
     for tried, iso in enumerate(filtered._iter_isomorphisms(t1.topology, t2.topology), 1):
         piece_verdicts, piece_failure = _old_match_entries(t1, t2, iso, classes1, classes2)

@@ -39,13 +39,16 @@ def executable_lines(path: Path, text: str) -> set[int]:
     return lines
 
 
-def main(argv: list[str]) -> int:
-    import pytest
+def read_sources() -> dict[Path, str]:
+    """Each module of the package with its text, read before a run, so that
+    an edit made meanwhile cannot shift the lines."""
+    return {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
 
+
+def line_tracer(reached: dict[str, set[int]]):
+    """A :func:`sys.settrace` function that adds to ``reached[filename]``
+    each line run in a frame whose code lives under the package."""
     prefix = str(PACKAGE) + os.sep
-    # read before the run, so an edit made meanwhile cannot shift the lines
-    sources = {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
-    reached: dict[str, set[int]] = {}
 
     def local(frame, event, arg):
         if event == "line":
@@ -59,6 +62,29 @@ def main(argv: list[str]) -> int:
         reached.setdefault(filename, set()).add(frame.f_lineno)
         return local
 
+    return tracer
+
+
+def print_unreached(sources: dict[Path, str], reached: dict[str, set[int]]) -> dict:
+    """Print each executable line that no traced frame ran, module by
+    module, as ``module:line: source``; return per module the counts of
+    those lines and of its executable lines."""
+    counts = {}
+    for path, text in sources.items():
+        source, executable = text.splitlines(), executable_lines(path, text)
+        missed = sorted(executable - reached.get(str(path), set()))
+        for line in missed:
+            print(f"{path.name}:{line}: {source[line - 1].strip()}")
+        counts[path] = len(missed), len(executable)
+    return counts
+
+
+def main(argv: list[str]) -> int:
+    import pytest
+
+    sources = read_sources()
+    reached: dict[str, set[int]] = {}
+    tracer = line_tracer(reached)
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
     threading.settrace(tracer)
@@ -69,13 +95,7 @@ def main(argv: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
-    total = 0
-    for path, text in sources.items():
-        source = text.splitlines()
-        missed = sorted(executable_lines(path, text) - reached.get(str(path), set()))
-        total += len(missed)
-        for line in missed:
-            print(f"{path.name}:{line}: {source[line - 1].strip()}")
+    total = sum(missed for missed, _ in print_unreached(sources, reached).values())
     print(f"{total} unreached executable lines under {PACKAGE.relative_to(ROOT)}")
     return int(status)
 

@@ -82,6 +82,28 @@ class TestExitCodes:
         assert code == 2
         assert "--field" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["monoid-eq", "v -", "v"], ["monoid-eq", "-", "v"], ["graded-eq", "v(0) -", "v(0)"]],
+    )
+    def test_sign_with_no_term_is_two(self, capsys, files, argv):
+        code, out, err = run(capsys, [argv[0], files["rose2"], *argv[1:]])
+        assert (code, out) == (2, "")
+        assert "no term after it" in err
+
+    def test_field_check_past_its_bound_is_two(self, files):
+        # the first prime above 10^24: trial division to its square root
+        # would take hours, so the check stops at its bound
+        proc = subprocess.run(
+            [sys.executable, "-m", "leavitt.cli", "k1", files["loop"], "--field", str(10**24 + 7)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=5,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"no prime factor up to {intlinalg._ROOT_DIVISOR_BOUND}" in proc.stderr
+
     def test_middle_set_not_hereditary_saturated_is_two(self, capsys, files, monkeypatch):
         # {v0} is not hereditary in the graph of [[1, 1], [1, 1]]; no pair is built
         built = []

@@ -26,7 +26,13 @@ from leavitt.graphs import (
 )
 from leavitt.intlinalg import CoeffGroup, FgAbGroup, IntMatrix, PresentedGroup
 from leavitt.ktheory import k0, k1, k_matrix, six_term_row
-from leavitt.lattice import IdealLattice, LatticeCapError, enumerate_hsat, hsat_closure
+from leavitt.lattice import (
+    IdealLattice,
+    LatticeCapError,
+    SpectrumTopology,
+    enumerate_hsat,
+    hsat_closure,
+)
 from leavitt.shifts import shift_equivalent_bounded
 from walls import poset_loops
 
@@ -67,7 +73,7 @@ class TestTable:
         for g in corpus[:40]:
             t = fkbar(g, COEFF)
             full = frozenset(range(len(t.topology.primes)))
-            [entry] = [e for e in t.entries if e.piece.difference == full]
+            [entry] = [e for e in t.entries if H.difference_set(e.piece) == full]
             assert entry.pair.k0.invariants() == k0(g).invariants()
             expected = k1(g, COEFF).isomorphism_class()
             assert entry.pair.k1.isomorphism_class() == expected
@@ -77,7 +83,8 @@ class TestTable:
             t = fkbar(g, COEFF)
             [entry] = [e for e in t.entries if not e.piece.difference]
             assert entry.pair.k0.invariants() == FgAbGroup.from_parts(0, ())
-            sub = subquotient(g, entry.inner_members, entry.outer_members)
+            piece, names = entry.piece, t.lattice.members
+            sub = subquotient(g, names(piece.inner_index), names(piece.outer_index))
             assert sub.num_vertices == 0
             assert entry.pair.k0.relations == k_matrix(sub) == IntMatrix.zeros(0, 0)
 
@@ -162,11 +169,11 @@ class TestTable:
             t1 = fkbar(g, COEFF)
             t2 = fkbar(g2, COEFF)
             inv1 = sorted(
-                (len(e.piece.difference), str(e.pair.k0.invariants()), e.pair.k1.symbol())
+                (e.piece.difference.bit_count(), str(e.pair.k0.invariants()), e.pair.k1.symbol())
                 for e in t1.entries
             )
             inv2 = sorted(
-                (len(e.piece.difference), str(e.pair.k0.invariants()), e.pair.k1.symbol())
+                (e.piece.difference.bit_count(), str(e.pair.k0.invariants()), e.pair.k1.symbol())
                 for e in t2.entries
             )
             assert inv1 == inv2
@@ -204,7 +211,8 @@ class TestSharedSubquotients:
                 assert pair_classes(body) == pair_classes(fresh), (g, row.triple)
                 rows += 1
             for e in t.entries:
-                sub = subquotient(g, e.inner_members, e.outer_members)
+                names = t.lattice.members
+                sub = subquotient(g, names(e.piece.inner_index), names(e.piece.outer_index))
                 assert e.pair.k0.relations == k_matrix(sub), (g, e.piece)
                 assert e.pair.k0 == k0(sub), (g, e.piece)
                 assert e.pair.k1 == k1(sub, coeff), (g, e.piece)
@@ -322,18 +330,18 @@ class TestCompare:
         t = filtered.FilteredKTable(g, COEFF)
         trip = (0, 1, 3)  # empty set, one loop, both loops
         assert trip in t.row_triples and not H.shape_count(t.store)
-        row = t.row(trip)
+        row = H.row_of(t, trip)
         assert row.triple == ((), ("x0",), ("x0", "x1")) and H.shape_count(t.store) == 1
-        again = t.row(trip)
+        again = H.row_of(t, trip)
         assert again == row and again.body is row.body and H.shape_count(t.store) == 1
         # another table's row has its own skeleton record, equal in its maps
         # and classes
-        other = fkbar(g, COEFF).row(trip)
+        other = H.row_of(fkbar(g, COEFF), trip)
         assert row.triple == other.triple and row.body is not other.body
         assert row.body.maps == other.body.maps
         assert pair_classes(row.body) == pair_classes(other.body)
         # indices rise along the order, so the reversed triple is not nested
-        assert t.row(trip[::-1]) is None and H.shape_count(t.store) == 1
+        assert H.row_of(t, trip[::-1]) is None and H.shape_count(t.store) == 1
 
     def test_skeletons_decided_once_across_both_tables(self, monkeypatch):
         g = H.disjoint_loops(3)
@@ -414,11 +422,13 @@ class TestCompare:
     def test_entry_classes_once_per_table(self, monkeypatch):
         g = H.disjoint_loops(3)
         doubled = Graph(g.vertices, g.edges + (("extra", "x0", "x0"),))
-        blocks = {
-            subquotient(x, e.inner_members, e.outer_members).adjacency()
-            for x in (g, doubled)
-            for e in fkbar(x, COEFF).entries
-        }
+        blocks = set()
+        for x in (g, doubled):
+            t = fkbar(x, COEFF)
+            names = t.lattice.members
+            for e in t.entries:
+                inner, outer = names(e.piece.inner_index), names(e.piece.outer_index)
+                blocks.add(subquotient(x, inner, outer).adjacency())
         calls = []
         invariants = PresentedGroup.invariants
 
@@ -588,6 +598,43 @@ class TestCompare:
         g2 = ones_graph()
         assert compare_fkbar(rose2, g2, COEFF) == compare_fkbar(rose2, g2, COEFF)
 
+    def test_signatures_once_per_table(self, monkeypatch):
+        # the row count and the isomorphism search read one table per
+        # topology: a self-compare builds two, one per graph
+        prop = vars(SpectrumTopology)["signatures"]
+        built = []
+
+        def counting(topology, compute=prop.func):
+            built.append(topology)
+            return compute(topology)
+
+        monkeypatch.setattr(prop, "func", counting)
+        g = H.disjoint_loops(8)
+        assert compare_fkbar(g, g, COEFF).consistent
+        assert len(built) == 2 and built[0] is not built[1]
+
+    def test_index_pairing_matches_the_prime_image_remap(self, corpus):
+        # a candidate sends the piece (outer, inner) to (iso[outer],
+        # iso[inner]); the remap of its difference through prime positions
+        # finds the same entry
+        graphs = [
+            *corpus[:60],
+            *(H.disjoint_union(g, g) for g in corpus[:40]),
+            *(H.disjoint_union(g, g, g) for g in corpus[:10]),
+        ]
+        moved = 0
+        for k, g in enumerate(graphs):
+            t1 = fkbar(g, COEFF)
+            t2 = fkbar(H.declared_shuffled(g, k), COEFF)
+            candidates = filtered._iter_isomorphisms(t1.topology, t2.topology)
+            for iso in itertools.islice(candidates, 50):
+                pairs = filtered._paired_entries(t1, t2, iso)
+                expected = H.prime_image_pairs(t1, t2, iso)
+                assert len(pairs) == len(expected)
+                assert all(a is x and b is y for (a, b), (x, y) in zip(pairs, expected))
+                moved += iso != tuple(range(len(iso)))
+        assert moved >= 150
+
 
 class TestAlignment:
     """A compare reads its second graph in the first graph's vertex order
@@ -672,7 +719,7 @@ class TestRowFailures:
         assert all(v.matched for v in rep.group_matches) and len(rep.group_matches) == 4
         assert rep.obstruction == "triple (0, 1, 2): map invariants differ"
         assert [v.triple for v in rep.map_matches if not v.matched] == [(0, 1, 2)]
-        delta = [fkbar(g, COEFF).row((0, 1, 2)).body.signature[1][2] for g in (a, b)]
+        delta = [H.row_of(fkbar(g, COEFF), (0, 1, 2)).body.signature[1][2] for g in (a, b)]
         assert [str(cokernel) for _, _, cokernel in delta] == ["Z/4", "Z/2 ⊕ Z/2"]
         assert rep == H.compare_verdicts_per_candidate(a, b, COEFF)
 
@@ -847,7 +894,7 @@ def element_outcome(matrix, trip, k):
     element-search outcome of its skeleton record against the same record
     with map k zeroed."""
     table = fkbar(graph_from_matrix(IntMatrix(matrix)), COEFF)
-    row = table.row(trip)
+    row = H.row_of(table, trip)
     groups = H.row_groups(H.row_skeleton(table.store, row))
     return row, groups, filtered._row_element_check(row.body, zeroed_map(row.body, k), {})
 

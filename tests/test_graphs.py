@@ -37,7 +37,7 @@ class TestGraphBasics:
         assert g.has_vertex("v") and not g.has_vertex("x")
         assert repr(g) == "Graph(vertices=('v', 'w1', 'w2'), edges=2)"
 
-    @pytest.mark.parametrize("ident", ["", "a b", "a\u2003b", "\u00a0", "a\tb", "a\n"])
+    @pytest.mark.parametrize("ident", ["", "a b", "a\u2003b", "\u00a0", "a\tb", "a\n", "a#b", "#"])
     def test_blank_or_spaced_identifiers_rejected(self, ident):
         with pytest.raises(ValueError, match="identifier"):
             Graph([ident], [])

@@ -1,5 +1,6 @@
 """Integer linear algebra: Smith forms, kernels, cokernels, group machinery."""
 
+import math
 import random
 
 import pytest
@@ -888,6 +889,30 @@ class TestCoefficients:
             CoeffGroup.units_of_field(6)
         with pytest.raises(ValueError):
             CoeffGroup.units_of_field(1)
+
+    def test_prime_power_check_stops_at_its_bound(self):
+        bound = intlinalg._ROOT_DIVISOR_BOUND
+
+        def by_trial_division(q):  # every divisor up to the square root
+            p = next((c for c in range(2, math.isqrt(q) + 1) if q % c == 0), q)
+            e = 0
+            while q % p == 0:
+                q, e = q // p, e + 1
+            return (p, e) if q == 1 else None
+
+        def root(q):
+            try:
+                return intlinalg._prime_power_root(q)
+            except ValueError:
+                return None
+
+        # decided within the bound: a factor below it, or q below its square
+        inside = [*range(2, 2000), 1_000_000_000_039, 3**60, 2**80, 1048573**2, bound**2 + 1]
+        for q in inside:
+            assert root(q) == by_trial_division(q), q
+        for q in (1048583**2, 1048583 * 1048589, 10**24 + 7):
+            with pytest.raises(ValueError, match=f"no prime factor up to {bound}"):
+                intlinalg._prime_power_root(q)
 
     def test_reduced_units_of_field(self):
         # (q-1)/gcd(2, q-1)

@@ -265,7 +265,7 @@ class TestLocallyClosed:
             lat = enumerate_hsat(g)
             topo = spectrum(lat)
             pieces = locally_closed_all(topo)
-            diffs = [p.difference for p in pieces]
+            diffs = [H.difference_set(p) for p in pieces]
             assert len(set(diffs)) == len(diffs)
             opens = H.open_sets(topo)
             expected = {u - v for u in opens for v in opens}
@@ -280,7 +280,7 @@ class TestLocallyClosed:
                 outer_open = opens[p.outer_index]
                 inner_open = opens[p.inner_index]
                 assert inner_open <= outer_open
-                assert outer_open - inner_open == p.difference
+                assert outer_open - inner_open == H.difference_set(p)
 
     def test_outer_choice_is_canonical(self, corpus):
         # the outer is the smallest element (by size, then position) whose
@@ -290,10 +290,11 @@ class TestLocallyClosed:
             topo = spectrum(lat)
             opens = H.open_sets(topo)
             for p in locally_closed_all(topo):
+                diff = H.difference_set(p)
                 candidates = [
                     i
                     for i in range(len(lat.elements))
-                    if p.difference <= opens[i] and (opens[i] - p.difference) in opens
+                    if diff <= opens[i] and (opens[i] - diff) in opens
                 ]
                 best = min(candidates, key=lambda i: (len(lat.members(i)), i))
                 assert p.outer_index == best
@@ -301,7 +302,7 @@ class TestLocallyClosed:
     def test_empty_difference_piece_present(self, corpus):
         for g in corpus[:40]:
             topo = spectrum(enumerate_hsat(g))
-            assert frozenset() in {p.difference for p in locally_closed_all(topo)}
+            assert frozenset() in {H.difference_set(p) for p in locally_closed_all(topo)}
 
 
 class TestLatticeIsomorphisms:
@@ -394,7 +395,7 @@ class TestBirkhoffDual:
             expected = [
                 (sum(not v & ~u for v in opens), sum(not u & ~v for v in opens)) for u in opens
             ]
-            assert lattice._signatures(topo) == expected
+            assert topo.signatures == expected
 
     def test_pieces_match_the_pairwise_oracle(self, corpus):
         for g in _symmetric_family(corpus):
@@ -420,7 +421,7 @@ class TestBirkhoffDual:
         assert topo.primes == () and topo.opens == (0,)
         assert H.open_sets(topo) == (frozenset(),)
         assert locally_closed_all(topo) == H.locally_closed_oracle(topo)
-        assert [p.difference for p in locally_closed_all(topo)] == [frozenset()]
+        assert [H.difference_set(p) for p in locally_closed_all(topo)] == [frozenset()]
         assert lattice_isomorphisms(lat, lat) == [(0,)]
 
     @pytest.mark.parametrize("edges", [[], [("e", "v", "v")]])
@@ -430,7 +431,7 @@ class TestBirkhoffDual:
         assert len(lat) == 2 and len(topo.primes) == 1
         pieces = locally_closed_all(topo)
         assert pieces == H.locally_closed_oracle(topo)
-        assert [p.difference for p in pieces] == [frozenset(), frozenset({0})]
+        assert [H.difference_set(p) for p in pieces] == [frozenset(), frozenset({0})]
         assert lattice_isomorphisms(lat, lat) == [(0, 1)]
 
     def test_isomorphism_limit_still_raises(self):

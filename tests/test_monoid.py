@@ -52,6 +52,14 @@ class TestParsing:
                 parse_monoid_element(text)
         with pytest.raises(ValueError):
             parse_graded_element("v(x)")
+        # a sign needs a term after it; "0" alone is the zero literal
+        for text in ("v -", "-", "v +", "+", "v + -"):
+            with pytest.raises(ValueError, match="no term after it"):
+                parse_monoid_element(text)
+        for text in ("v(0) -", "-", "v(0) +", "2*v(1) - w(-1) -"):
+            with pytest.raises(ValueError, match="no term after it"):
+                parse_graded_element(text)
+        assert parse_monoid_element("0").coeffs == parse_graded_element(" 0 ").coeffs == ()
         # a bare vertex in a graded element defaults to level 0
         assert parse_graded_element("v").coeffs == (("v", 0, 1),)
 
