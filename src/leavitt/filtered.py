@@ -14,8 +14,8 @@ A comparison reads each row as its skeleton record (``ktheory._Skeleton``),
 the row's maps in Smith coordinates, which every row with those maps
 shares: one coordinate per invariant factor other than 1, so candidate
 isomorphisms are listed on the invariant factors and no map is rewritten
-per row pair.  Signature and exactness are decided once per record of the
-tables' shared store, and the element search once per pair of records.
+per row pair.  Signature and exactness (a guard) are decided once per
+record of the tables' shared store, and the element search once per pair.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class FilteredKTable:
                 f"nested triples exceed row cap {row_cap} "
                 f"(the {len(lattice)}-element lattice has {count})"
             )
-        self.graph, self.coeff, self.lattice, self.topology = g, coeff, lattice, topology
+        self.lattice, self.topology = lattice, topology
         self.store = SubquotientStore(g, coeff)
         self.pieces = locally_closed_all(topology)
         # indices extend inclusion, so the elements above i come after it
@@ -183,14 +183,14 @@ def fkbar(
     """Compute the filtered table: an entry per piece, a row per ideal triple.
 
     Each row shape's checks run at construction and its node verdicts are
-    decided when first read; ``all_rows_exact`` reads and summarizes them
-    rather than hiding them.  Every pair an entry or a row needs is read
-    once per distinct adjacency block, as that block's record with its
-    K-groups, and shared, and so is the skeleton record of each positional
-    row shape with its exactness verdict.  Raises RowCapError before any
-    pair is built when the lattice has more than ``row_cap`` nested
-    triples; otherwise looks up the record of every row before it
-    returns.
+    decided when first read; ``all_rows_exact`` reads them and raises
+    AssertionError at a row that is not exact.  Every pair an entry or a
+    row needs is read once per distinct adjacency block, as that block's
+    record with its K-groups, and shared, and so is the skeleton record of
+    each positional row shape with its exactness verdict.  Raises
+    RowCapError before any pair is built when the lattice has more than
+    ``row_cap`` nested triples; otherwise looks up the record of every row
+    before it returns.
     """
     table = FilteredKTable(g, coeff, lattice_cap, row_cap)
     table.bodies  # builds the skeleton record of every row
@@ -278,7 +278,7 @@ def _skeleton_element_search(maps_a, maps_b, candidates: dict):
 
     Each pair of nodes has equal moduli and one nonempty candidate list
     (see :func:`_iso_candidates`), kept in ``candidates`` by moduli tuple:
-    a comparison passes its store's, so each list is built once per op.
+    a comparison passes its own, so each list is built once per op.
     Listed candidates are all of a node's isomorphisms, and
     the diagram is a chain, so a forward arc-consistency pass decides
     existence exactly: a search that is not skipped is exhaustive.
@@ -425,37 +425,35 @@ def _entry_names(e: TableEntry) -> tuple[str, str, str]:
     return str(k0), str(kernel_rank), e.pair.k1.coker_part.symbol()
 
 
-def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, run_elements: bool):
+def _match_rows(t1: FilteredKTable, t2: FilteredKTable, iso, searches, candidates):
     """Row verdicts under a lattice isomorphism, the first failure, and the
     element search outcomes, one per pair of skeleton records searched.
 
     Everything is read on the rows' records, and a row's verdict depends
     on nothing else, so it is decided once per distinct pair of records and
-    stamped on every triple of that pair.  A record matches itself without
-    reading its signature (see :func:`_row_element_check`).  Element search
-    outcomes of distinct records are kept in the tables' shared store,
-    keyed by the pair, so the candidates of one comparison search each
-    pair once.
+    stamped on every triple of that pair, after both records' exactness
+    guards.  A record matches itself without reading its signature (see
+    :func:`_row_element_check`).  A comparison's ``searches`` keep the
+    outcome of each pair of distinct records, and ``candidates`` the node
+    candidates by moduli tuple, so it searches each pair once; both are
+    None when the search is off.
     """
-    searches, candidates = t1.store._searches, t1.store._candidates
     # an order isomorphism maps a nested triple to a nested triple
     pairs = [
         (body, t2.body((iso[i], iso[j], iso[p])))
         for (i, j, p), body in zip(t1.row_triples, t1.bodies)
     ]
-    same = {(a, b): a is b or a.signature == b.signature for a, b in pairs}
     decided = {}
     element_outcomes = []
-    for (body, other), matched in same.items():
+    for body, other in pairs:
+        if (body, other) in decided:
+            continue
+        body.exact, other.exact  # guards: a row that is not exact raises
         problems = []
-        if not matched:
+        if body is not other and body.signature != other.signature:
             problems.append("map invariants differ")
-        if not body.exact:
-            problems.append("first table row failed exactness")
-        if not other.exact:
-            problems.append("second table row failed exactness")
         detail = "row matches"
-        if not problems and run_elements:
+        if not problems and searches is not None:
             element = searches.get((body, other))
             if element is None:
                 element = _row_element_check(body, other, candidates)
@@ -505,8 +503,8 @@ def compare_fkbar(
     A shift-equivalence intertwiner, when supplied, proposes the first
     candidate; the rest are drawn lazily, and LatticeCapError is raised
     after ``_CANDIDATE_CAP`` failed candidates.  For each candidate the checks
-    run in order: per-piece group classes, per-row map invariants plus
-    exactness, then (for small groups) an element-level search for
+    run in order: per-piece group classes, per-row exactness guards and map
+    invariants, then (for small groups) an element-level search for
     commuting isomorphism systems.  Both tables are built, each lattice
     checked against ``lattice_cap`` and ``row_cap``, before any candidate
     is tried, and the second table's store shares the first's records
@@ -550,6 +548,7 @@ def compare_fkbar(
     t2 = FilteredKTable(g2, coeff, lattice_cap, row_cap)
     t2.store._share(t1.store)
 
+    searches, node_candidates = ({}, {}) if element_search else (None, None)
     candidates = _iter_isomorphisms(t1.topology, t2.topology)
     if se_intertwiner is not None:
         transported = transport_from_certificate(
@@ -569,7 +568,7 @@ def compare_fkbar(
         rows = None
         score = sum(not e1.same_class(e2) for e1, e2 in pairs)
         if not score:
-            rows = _match_rows(t1, t2, iso, run_elements=element_search)
+            rows = _match_rows(t1, t2, iso, searches, node_candidates)
             score = sum(not v.matched for v in rows[0])
         if best is None or score < best[0]:
             best = (score, iso, pairs, rows)

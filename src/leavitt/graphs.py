@@ -361,19 +361,15 @@ def subquotient(g: Graph, inner, outer) -> Graph:
     return Graph(vertices, edges)
 
 
-def relabel(g: Graph, vertex_map, edge_map=None) -> Graph:
-    """Rename vertices (and optionally edges) through a bijection."""
+def relabel(g: Graph, vertex_map) -> Graph:
+    """Rename vertices through a bijection; edges keep their names."""
     if set(vertex_map) != set(g.vertices):
         raise ValueError("vertex map must cover exactly the vertices")
     if len(set(vertex_map.values())) != len(vertex_map):
         raise ValueError("vertex map is not injective")
-    edge_map = edge_map or {}
     return Graph(
         [vertex_map[v] for v in g.vertices],
-        [
-            (edge_map.get(e.name, e.name), vertex_map[e.src], vertex_map[e.dst])
-            for e in g.edges
-        ],
+        [(e.name, vertex_map[e.src], vertex_map[e.dst]) for e in g.edges],
     )
 
 

@@ -783,7 +783,6 @@ class GroupMap:
     domain: PresentedGroup
     codomain: PresentedGroup
     matrix: IntMatrix
-    name: str = ""
 
     def __post_init__(self):
         if self.matrix.shape != (self.codomain.generators, self.domain.generators):
@@ -795,7 +794,6 @@ class GroupMap:
 
 @dataclass(frozen=True, slots=True)
 class NodeVerdict:
-    index: int
     image_in_kernel: bool
     kernel_in_image: bool
 
@@ -839,14 +837,13 @@ def check_exact(maps) -> tuple[NodeVerdict, ...]:
         if f.codomain != g.domain:
             raise ValueError(f"maps {idx} and {idx + 1} are not composable")
         if not live[idx]:
-            verdicts.append(NodeVerdict(idx, True, True))
+            verdicts.append(NodeVerdict(True, True))
             continue
         preimage = records[idx + 1].kernel.take_rows(range(g.matrix.cols))
         kernel_rel = preimage.hstack(f.codomain.relations)
         union = _kernel_extent(snf(kernel_rel.hstack(f.matrix)))
         verdicts.append(
             NodeVerdict(
-                idx,
                 _kernel_extent(snf(kernel_rel)) == union,
                 _kernel_extent(records[idx]) == union,
             )
@@ -859,31 +856,49 @@ def check_exact(maps) -> tuple[NodeVerdict, ...]:
 # ---------------------------------------------------------------------------
 
 
-_ROOT_DIVISOR_BOUND = 1 << 20  # largest trial divisor of a prime power check
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981  # exact below (Sorenson-Webster 2015)
+
+
+def _passes_prime_test(n: int) -> bool:
+    """Is n a strong probable prime to every base of ``_PRIME_BASES``
+    (Miller-Rabin)?  Below ``_PRIME_TEST_BOUND`` exactly the primes are; a
+    False is exact at any size."""
+    if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    return all(
+        (x := pow(a, d, n)) == 1 or n - 1 in (pow(x, 1 << i, n) for i in range(s))
+        for a in _PRIME_BASES
+    )
+
+
+def _integer_root(q: int, k: int) -> int:
+    """The largest r with r**k <= q, for q >= 1: Newton's method from above."""
+    r = 1 << -(-q.bit_length() // k)
+    while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+        r = s
+    return r
 
 
 def _prime_power_root(q):
-    """Return (p, e) with q = p^e, p prime, or raise ValueError.
-
-    Trial division stops at ``_ROOT_DIVISOR_BOUND``: a q past its square
-    with no prime factor up to it is refused, since deciding it would take
-    time growing as the square root of q."""
+    """Return (p, e) with q = p^e, p prime, or raise ValueError.  Such a p
+    is the integer e-th root of q; a root at or past ``_PRIME_TEST_BOUND``
+    that passes every base of the prime test is not decided: q is refused."""
     q = int(q)
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    root = math.isqrt(q)
-    p = next((c for c in range(2, min(root, _ROOT_DIVISOR_BOUND) + 1) if q % c == 0), q)
-    if p == q and root > _ROOT_DIVISOR_BOUND:
-        raise ValueError(
-            f"{q} has no prime factor up to {_ROOT_DIVISOR_BOUND}, the prime power check's bound"
-        )
-    n, e = q, 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, e
+    for e in range(1, q.bit_length()):
+        r = _integer_root(q, e)
+        if r**e == q and _passes_prime_test(r):
+            if r >= _PRIME_TEST_BOUND:
+                raise ValueError(
+                    f"{q} has a root {r} at or past {_PRIME_TEST_BOUND}, "
+                    "the bound of the prime power check's exact prime test"
+                )
+            return r, e
+    raise ValueError(f"{q} is not a prime power")
 
 
 @dataclass(frozen=True)

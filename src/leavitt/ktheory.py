@@ -59,7 +59,6 @@ from .intlinalg import (
     kernel_basis,
     map_invariants,
     snf,
-    solve_lattice,
 )
 from .lattice import _mask, _vertices
 from .monoid import GradedElement, graded_equal
@@ -187,64 +186,54 @@ def phi(a: GradedElement) -> GradedElement:
     return a.shift(1).sub(a)
 
 
-def psi_regular(g: Graph, vec, level: int = 0) -> GradedElement:
-    return GradedElement.from_vertex_vector(g.regulars, tuple(vec), level=level)
+def psi_regular(g: Graph, vec) -> GradedElement:
+    return GradedElement.from_vertex_vector(g.regulars, tuple(vec))
 
 
 @dataclass(frozen=True)
 class VdbReport:
     """The four-term sequence K1 -> graded K0 -> graded K0 -> K0 -> 0.
 
-    Two facts are verified: every kernel basis vector of the transfer matrix
-    (the free part of K1) maps under psi to an element that phi sends to
-    zero in graded K0, decided by exact graded equality; and forgetting
-    levels is a well-defined map from graded K0 to K0, so that phi followed
-    by it is zero.  On generators v(i) the composite is zero by definition;
-    what needs checking is that each graded relation v(0) - sum r(e)(-1),
-    over the edges e leaving a regular vertex v, forgets to a zero class of
-    the K0 presentation.  For the j-th regular vertex the forgotten relation
-    is minus column j of the transfer matrix, so the witness -e_j proves it
-    zero once the K0 relations re-multiply it to that vector; a presentation
-    where no witness holds gets a lattice solve instead.  The rest
-    is identification, not computation: ``ker_phi`` is the free group on
-    that kernel basis and ``coker_phi`` is K0, read from the Smith diagonal
-    of the one elimination that gave that basis, as the exactness of the
+    The sequence is exact, so a failed check of its two facts is a bug and
+    raises AssertionError.  Every kernel basis vector of the transfer
+    matrix (the free part of K1) maps under psi to an element that phi
+    sends to zero in graded K0, decided by exact graded equality; and
+    forgetting levels is a well-defined map from graded K0 to K0, so that
+    phi followed by it is zero.  On generators v(i) the composite is zero by definition; what
+    needs checking is that each graded relation v(0) - sum r(e)(-1), over
+    the edges e leaving a regular vertex v, forgets to a zero class of the
+    K0 presentation.  For the j-th regular vertex the forgotten relation is
+    minus column j of the transfer matrix, so the witness -e_j proves it
+    zero once the K0 relations re-multiply it to that vector.  The rest is
+    identification, not computation: ``ker_phi`` is the free group on that
+    kernel basis and ``coker_phi`` is K0, read from the Smith diagonal of
+    the one elimination that gave that basis, as the exactness of the
     sequence says they are, and ``lift_witnesses`` name the level-0 lift of
     each vertex generator.
     """
 
     k1: KOneBar
-    k0: PresentedGroup
     ker_phi: FgAbGroup
     coker_phi: FgAbGroup
     lift_witnesses: tuple
-    kernel_maps_into_ker_phi: bool
-    phi_composes_to_zero: bool
-
-    @property
-    def consistent(self):
-        return self.kernel_maps_into_ker_phi and self.phi_composes_to_zero
 
 
 def vdb_sequence(g: Graph, coeff: CoeffGroup) -> VdbReport:
-    """Assemble the unit-coefficient four-term sequence; verify its two maps."""
+    """Assemble the unit-coefficient four-term sequence; check its two maps."""
     km = k_matrix(g)
     kone = k1(g, coeff)
     kzero = k0(g)
     # kernel part of K1 embeds via psi; its image must die under phi
-    into_ker = True
     for j in range(kone.kernel.cols):
         x = kone.kernel.column(j)
         if any(km @ x):
             raise AssertionError("kernel basis vector is not in the kernel of the transfer matrix")
-        image = phi(psi_regular(g, x))
-        if not graded_equal(g, image, GradedElement.zero()).is_equal:
-            into_ker = False
+        if not graded_equal(g, phi(psi_regular(g, x)), GradedElement.zero()).is_equal:
+            raise AssertionError("phi does not kill the image of a kernel basis vector")
     # forgetting levels respects every graded relation, one level down as in
-    # the level form's rewriting step
-    composes_zero = True
-    # column j is relations @ e_j, so the witness -e_j holds for the j-th
-    # regular vertex when it equals minus the forgotten relation
+    # the level form's rewriting step: column j is relations @ e_j, so the
+    # witness -e_j holds for the j-th regular vertex when it equals minus
+    # the forgotten relation
     columns = tuple(zip(*kzero.relations.data))
     position = {w: i for i, w in enumerate(g.vertices)}
     for j, v in enumerate(g.regulars):
@@ -252,20 +241,13 @@ def vdb_sequence(g: Graph, coeff: CoeffGroup) -> VdbReport:
         minus = [0] * len(position)
         for w, n in relation.forget_levels().items():
             minus[position[w]] = -n
-        minus = tuple(minus)
-        if j < len(columns) and minus == columns[j]:
-            continue
-        if solve_lattice(kzero.relations, tuple(-x for x in minus)) is None:
-            composes_zero = False
-    witnesses = tuple((v, f"{v}(0)") for v in g.vertices)
+        if j >= len(columns) or tuple(minus) != columns[j]:
+            raise AssertionError(f"the forgotten relation of {v} is not minus its K0 column")
     return VdbReport(
         k1=kone,
-        k0=kzero,
         ker_phi=FgAbGroup(kone.kernel_rank, ()),
         coker_phi=kzero.invariants(),
-        lift_witnesses=witnesses,
-        kernel_maps_into_ker_phi=into_ker,
-        phi_composes_to_zero=composes_zero,
+        lift_witnesses=tuple((v, f"{v}(0)") for v in g.vertices),
     )
 
 
@@ -313,7 +295,7 @@ def connecting_delta(g: Graph, members) -> ConnectingMap:
         .transpose()
     )
     domain = PresentedGroup(IntMatrix.zeros(kb.cols, 0))
-    gmap = GroupMap(domain=domain, codomain=codomain, matrix=x_block @ kb, name="delta")
+    gmap = GroupMap(domain=domain, codomain=codomain, matrix=x_block @ kb)
     return ConnectingMap(quo=quo, kernel=kb, x_block=x_block, map=gmap)
 
 
@@ -476,11 +458,8 @@ class SubquotientStore:
     int, a record and a small tuple, hashing no matrix (see
     :func:`_row_body`).  It keeps one skeleton record per distinct skeleton
     in Smith coordinates (``_skeletons``, keyed by its maps, whose groups
-    have the one form of ``_smith_group``) and, once a comparison searches
-    them, the element search outcome of each pair of skeleton records
-    (``_searches``) and the candidate isomorphisms of each moduli tuple
-    the searches met (``_candidates``).  A filtered table keeps one store
-    for all its entries and rows, a lone six-term row a store of its own.
+    have the one form of ``_smith_group``).  A table keeps one store for
+    all its entries and rows, a lone six-term row a store of its own.
 
     Exactness, kernels, images and cokernels are statements about
     subgroups, so an isomorphism of each group carries them over; the
@@ -498,13 +477,11 @@ class SubquotientStore:
         self._records = {}
         self._shapes = {}
         self._skeletons = {}
-        self._searches = {}
-        self._candidates = {}
 
     def _share(self, other: SubquotientStore) -> None:
         """Use the records of ``other``, a store with the same coefficient
         group, before building any: each block then has one record, each
-        row shape one skeleton record, each moduli tuple one candidate list.
+        row shape one skeleton record.
 
         When ``Graph._alignment`` finds an isomorphism from this store's
         graph onto the other's, ``_order`` lists the vertices in the order
@@ -518,8 +495,6 @@ class SubquotientStore:
         self._records = other._records
         self._shapes = other._shapes
         self._skeletons = other._skeletons
-        self._searches = other._searches
-        self._candidates = other._candidates
         order = self.graph._alignment(other.graph)
         if order is not None:
             self._order = order
@@ -554,7 +529,7 @@ class _Skeleton:
     the verdicts at the four interior nodes (``nodes``), ``exact`` and the
     ``signature`` that a comparison matches.  Records compare by identity,
     and refer to no other skeleton record: a comparison keeps its element
-    searches in the store (``_searches``).
+    searches itself.
     """
 
     def __init__(self, maps, pairs: tuple[SubquotientK, SubquotientK, SubquotientK]):
@@ -566,7 +541,13 @@ class _Skeleton:
 
     @cached_property
     def exact(self) -> bool:
-        return all(n.exact for n in self.nodes)
+        """True, or AssertionError naming the nodes that are not exact.
+        Every row is a six-term exact sequence (Meyer-Nest), so a failed
+        check is a bug here, never a property of the graph."""
+        failed = [n.name for n in self.nodes if not n.exact]
+        if failed:
+            raise AssertionError(f"six-term row not exact at {', '.join(failed)}")
+        return True
 
     @cached_property
     def signature(self) -> tuple:
@@ -618,8 +599,8 @@ def _skeleton_nodes(maps, coeff: CoeffGroup) -> tuple[NodeReport, ...]:
         )
         middle_node, quotient_node = check_exact(
             (
-                GroupMap(c1, c2, u12.matrix, name="u12"),
-                GroupMap(c2, c3, u23.matrix, name="u23"),
+                GroupMap(c1, c2, u12.matrix),
+                GroupMap(c2, c3, u23.matrix),
                 GroupMap(c3, _smith_group(()), IntMatrix.zeros(0, c3.generators)),
             )
         )

@@ -779,7 +779,7 @@ def check_well_defined(gmap: GroupMap) -> bool:
         image = gmap.matrix @ gmap.domain.relations.column(j)
         if not lattice_member(gmap.codomain.relations, image):
             raise ValueError(
-                f"map {gmap.name or '<anonymous>'} does not kill domain relation {j}"
+                f"map does not kill domain relation {j}"
             )
     return True
 
@@ -787,8 +787,8 @@ def check_well_defined(gmap: GroupMap) -> bool:
 def row_skeleton(store: SubquotientStore, row: SixTermRow) -> tuple[GroupMap, ...]:
     """The Z-level skeleton of a row of the store's graph: tau1, tau2,
     delta, u12 and u23 between its six groups (the free kernel parts of the
-    three K1bar groups, then the K0 presentations), unnamed like the maps
-    of a skeleton record (``ktheory._Skeleton.maps``).  Any store of the
+    three K1bar groups, then the K0 presentations), like the maps of a
+    skeleton record (``ktheory._Skeleton.maps``).  Any store of the
     graph gives the same skeleton.
 
     It is built apart from the library's cut in Smith coordinates and from
@@ -1586,6 +1586,7 @@ def compare_verdicts_per_candidate(g1: Graph, g2: Graph, coeff: CoeffGroup, elem
     t1 = filtered.FilteredKTable(g1, coeff)
     t2 = filtered.FilteredKTable(g2, coeff)
     t2.store._share(t1.store)
+    searches = ({}, {}) if element_search else (None, None)
     classes1 = _old_entry_classes(t1)
     classes2 = {difference_set(item[0].piece): item for item in _old_entry_classes(t2)}
     best = (math.inf, (None, (), (), "ideal lattices admit no order isomorphism", "skipped"))
@@ -1599,7 +1600,7 @@ def compare_verdicts_per_candidate(g1: Graph, g2: Graph, coeff: CoeffGroup, elem
             score = sum(1 for v in piece_verdicts if not v.matched)
         else:
             row_verdicts, row_failure, element_outcomes = filtered._match_rows(
-                t1, t2, iso, run_elements=element_search
+                t1, t2, iso, *searches
             )
             outcomes = element_outcomes
             if outcomes and all(e == "passed" for e in outcomes):

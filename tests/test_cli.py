@@ -1,6 +1,7 @@
 """Command-line interface: verbs, exit codes, JSON determinism."""
 
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -92,17 +93,47 @@ class TestExitCodes:
         assert "no term after it" in err
 
     def test_field_check_past_its_bound_is_two(self, files):
-        # the first prime above 10^24: trial division to its square root
-        # would take hours, so the check stops at its bound
+        # the first prime above 4 * 10^24 is past the bound below which the
+        # prime test is exact, so it is refused, at once and naming the bound
+        argv = ["k1", files["loop"], "--field", str(4 * 10**24 + 27)]
         proc = subprocess.run(
-            [sys.executable, "-m", "leavitt.cli", "k1", files["loop"], "--field", str(10**24 + 7)],
+            [sys.executable, "-m", "leavitt.cli", *argv],
             capture_output=True,
             text=True,
             env=child_env(),
             timeout=5,
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert f"no prime factor up to {intlinalg._ROOT_DIVISOR_BOUND}" in proc.stderr
+        assert f"at or past {intlinalg._PRIME_TEST_BOUND}, the bound" in proc.stderr
+
+    @pytest.mark.parametrize("q", [1048583**2, 10**24 + 7])
+    def test_large_prime_power_field_is_zero(self, capsys, files, q):
+        # a prime past 2^20 squared, and a prime just above 10^24
+        code, out, err = run(capsys, ["k1", files["loop"], "--field", str(q)])
+        assert (code, err) == (0, "")
+        assert out == f"K1 = Z ⊕ Z/{q - 1}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fk", "fan", "--lattice-cap", "-1"],
+            ["hsat", "fan", "--lattice-cap", "0"],
+            ["fk", "fan", "--row-cap", "-5"],
+            ["compare", "fan", "fan", "--row-cap", "0"],
+            ["shifteq", "two", "two", "--max-lag", "-2"],
+            ["shifteq", "two", "two", "--max-lag", "0"],
+            ["shifteq", "two", "two", "--max-entry", "-1"],
+        ],
+    )
+    def test_budget_no_input_can_meet_is_two(self, capsys, files, argv):
+        # every lattice has the empty set, every table a row, every shift
+        # equivalence a lag of 1 or more; --max-entry 0 is a budget
+        # (test_shifteq_budget_is_three)
+        with pytest.raises(SystemExit) as exc:
+            main([files.get(a, a) for a in argv])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert f"argument {argv[-2]}: must be at least" in err
 
     def test_middle_set_not_hereditary_saturated_is_two(self, capsys, files, monkeypatch):
         # {v0} is not hereditary in the graph of [[1, 1], [1, 1]]; no pair is built
@@ -221,6 +252,38 @@ class TestExitCodes:
         code, out, err = run(capsys, ["fk", files["fan"], "--field", "5"])
         assert (code, out) == (4, "")
         assert err == "internal error: Smith transforms of a K0 presentation do not re-multiply\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fk", "fan", "--field", "5"],
+            ["--json", "fk", "fan"],
+            ["sixterm", "fan", "--middle", "w1", "--field", "5"],
+            ["compare", "rose2", "ones"],
+        ],
+    )
+    def test_inexact_row_is_four(self, capsys, files, monkeypatch, argv):
+        # every row is exact, so a failed check is a bug: flip one inclusion
+        # of the first node the checker decides, and no verb writes a byte
+        check_exact = ktheory.check_exact
+
+        def flipped(maps):
+            first, *rest = check_exact(maps)
+            return (dataclasses.replace(first, kernel_in_image=False), *rest)
+
+        monkeypatch.setattr(ktheory, "check_exact", flipped)
+        code, out, err = run(capsys, [files.get(a, a) for a in argv])
+        assert (code, out) == (4, "")
+        assert err == "internal error: six-term row not exact at k1bar-middle\n"
+
+    def test_vdb_fact_that_fails_is_four(self, capsys, files, monkeypatch):
+        # as if graded equality found phi(psi(x)) nonzero for the loop's
+        # kernel vector
+        failed = leavitt.monoid.EqVerdict("not-equal", "forced")
+        monkeypatch.setattr(ktheory, "graded_equal", lambda g, a, b: failed)
+        code, out, err = run(capsys, ["--json", "vdb", files["loop"], "--field", "5"])
+        assert (code, out) == (4, "")
+        assert err == "internal error: phi does not kill the image of a kernel basis vector\n"
 
     def test_monoid_certificate_mismatch_is_four(self, capsys, files, monkeypatch):
         # v = 2v on the 2-petal rose with x = (-1,); a wrong x must not pass

@@ -277,15 +277,32 @@ class TestCompare:
         assert all(a is b for a, b in calls["element"])
 
     def test_searches_kept_only_by_a_comparison(self, monkeypatch):
-        # an fk table searches no pair of records, so its store keeps no
-        # outcome; a comparison keeps each outcome in the shared store,
-        # keyed by the pair of records, and a repeated pair reads it back
-        # without a search.  The pair is one the compare cannot align, so
-        # its rows pair distinct records
+        # no store keeps element search state: each comparison makes its
+        # own outcome and candidate dicts, passes the same two to
+        # ``_match_rows`` for every candidate, or None with the search off,
+        # and keeps each outcome keyed by the pair of records, so a repeated
+        # pair reads it back without a search.  The pair is one the compare
+        # cannot align, so its rows pair distinct records
         graphs = H.unaligned_pair(*shuffled_posets(3, 1))
         for g in graphs:
-            assert fkbar(g, COEFF).store._searches == {}
+            store = fkbar(g, COEFF).store
+            assert not hasattr(store, "_searches") and not hasattr(store, "_candidates")
+        match_rows = filtered._match_rows
+        passed = []
+
+        def recording(t1, t2, iso, searches, candidates):
+            passed.append((searches, candidates))
+            return match_rows(t1, t2, iso, searches, candidates)
+
+        monkeypatch.setattr(filtered, "_match_rows", recording)
         iso = compare_fkbar(*graphs, COEFF).lattice_iso
+        (own_searches, own_candidates), *rest = passed
+        assert all(s is own_searches and c is own_candidates for s, c in rest)
+        compare_fkbar(*graphs, COEFF)
+        assert passed[-1][0] is not own_searches
+        compare_fkbar(*graphs, COEFF, element_search=False)
+        assert passed[-1] == (None, None)
+
         t1, t2 = (filtered.FilteredKTable(g, COEFF) for g in graphs)
         t2.store._share(t1.store)
         calls = []
@@ -296,14 +313,15 @@ class TestCompare:
             return search(maps_a, maps_b, candidates)
 
         monkeypatch.setattr(filtered, "_skeleton_element_search", counting)
-        first = filtered._match_rows(t1, t2, iso, run_elements=True)
+        searches, candidates = {}, {}
+        first = match_rows(t1, t2, iso, searches, candidates)
         images = (t2.body(tuple(iso[k] for k in trip)) for trip in t1.row_triples)
         pairs = set(zip(t1.bodies, images))
         searched = {(a, b) for a, b in pairs if a is not b and a.signature == b.signature}
         assert len(calls) == len(searched) > 0
-        assert all((a, b) in t1.store._searches for a, b in searched)
+        assert set(searches) == searched and candidates
         calls.clear()
-        assert filtered._match_rows(t1, t2, iso, run_elements=True) == first and calls == []
+        assert match_rows(t1, t2, iso, searches, candidates) == first and calls == []
 
     def test_row_passes_call_no_leq(self, monkeypatch):
         # only the ``above`` lists of ``row_triples`` compare lattice
@@ -725,10 +743,11 @@ class TestRowFailures:
 
     @pytest.mark.parametrize("broken, problem", [("v", "first"), ("w", "second")])
     def test_inexact_row_fails_the_candidate(self, rose2, monkeypatch, broken, problem):
-        # a row whose exactness check fails, as a broken skeleton check would
-        # leave it, is a failure of the candidate and not a match; the two
-        # tables share their skeleton records, so only the rows of one table
-        # get an inexact copy of theirs
+        # a row whose nodes a broken skeleton check left inexact is a bug,
+        # not a mismatch: the compare raises at the first row pair that
+        # reads it.  The two tables share their skeleton records, so only
+        # the rows of one table get a copy whose k0-middle node fails; the
+        # copy's exactness is decided by the guard, not set by hand
         row_body = filtered._row_body
 
         def breaking(store, inner, middle, outer):
@@ -737,16 +756,23 @@ class TestRowFailures:
             if not g.has_vertex(broken) or not outer >> g.index(broken) & 1:
                 return body
             inexact = ktheory._Skeleton(body.maps, body.pairs)
-            inexact.exact = False
+            *kept, last = body.nodes
+            inexact.nodes = (*kept, dataclasses.replace(last, z_kernel_in_image=False))
+            built.append(g)
             return inexact
 
+        built = []
         monkeypatch.setattr(filtered, "_row_body", breaking)
-        rep = compare_fkbar(rose2, relabel(rose2, {"v": "w"}), COEFF)
-        assert not rep.consistent and rep.element_check == "passed"
-        detail = f"{problem} table row failed exactness"
-        assert rep.obstruction == f"triple (0, 0, 1): {detail}"
+        copy = relabel(rose2, {"v": "w"})
+        with pytest.raises(AssertionError, match="^six-term row not exact at k0-middle$"):
+            compare_fkbar(rose2, copy, COEFF)
+        assert built and {id(g) for g in built} == {id((rose2, copy)[problem == "second"])}
+        # the same patch on a vertex neither graph has breaks nothing
+        broken, built = "u", []
+        rep = compare_fkbar(rose2, copy, COEFF)
+        assert rep.consistent and rep.element_check == "passed" and built == []
         details = [v.detail for v in rep.map_matches]
-        assert details == ["row matches (element search: passed)"] + [detail] * 3
+        assert details == ["row matches (element search: passed)"] * 4
 
     def test_refuted_element_search_fails_the_candidate(self, rose2, monkeypatch):
         # no real pair refutes under today's node cap: the rows would be short
@@ -1049,8 +1075,8 @@ class TestClosestFailure:
         # that depends on the candidate, so a later one is the closest
         match_rows = filtered._match_rows
 
-        def failing(t1, t2, iso, run_elements):
-            verdicts, _, outcomes = match_rows(t1, t2, iso, run_elements)
+        def failing(t1, t2, iso, searches, candidates):
+            verdicts, _, outcomes = match_rows(t1, t2, iso, searches, candidates)
             bad = 7 - sum(i * p for i, p in enumerate(iso)) % 7
             verdicts = [
                 dataclasses.replace(v, matched=False, detail="forced") if k < bad else v

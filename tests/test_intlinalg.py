@@ -1,7 +1,9 @@
 """Integer linear algebra: Smith forms, kernels, cokernels, group machinery."""
 
+import collections
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -777,15 +779,15 @@ def _ztrivial():
 class TestMapsAndExactness:
     def test_well_defined_and_composition(self):
         zf = _zfree()
-        double = GroupMap(zf, zf, IntMatrix([[2]]), name="double")
+        double = GroupMap(zf, zf, IntMatrix([[2]]))
         assert check_well_defined(double)
-        proj = GroupMap(zf, PresentedGroup(IntMatrix([[2]])), IntMatrix([[1]]), name="proj")
-        comp = GroupMap(zf, proj.codomain, proj.matrix @ double.matrix, name="proj∘double")
+        proj = GroupMap(zf, PresentedGroup(IntMatrix([[2]])), IntMatrix([[1]]))
+        comp = GroupMap(zf, proj.codomain, proj.matrix @ double.matrix)
         assert check_well_defined(comp)
         assert comp.matrix.to_lists() == [[2]]
 
     def test_ill_defined_map_raises(self):
-        bad = GroupMap(PresentedGroup(IntMatrix([[2]])), _zfree(), IntMatrix([[1]]), name="bad")
+        bad = GroupMap(PresentedGroup(IntMatrix([[2]])), _zfree(), IntMatrix([[1]]))
         with pytest.raises(ValueError):
             check_well_defined(bad)
 
@@ -793,10 +795,10 @@ class TestMapsAndExactness:
         zf, zt = _zfree(), _ztrivial()
         zmod2 = PresentedGroup(IntMatrix([[2]]))
         maps = [
-            GroupMap(zt, zf, IntMatrix([[0]]), name="in"),
-            GroupMap(zf, zf, IntMatrix([[2]]), name="double"),
-            GroupMap(zf, zmod2, IntMatrix([[1]]), name="proj"),
-            GroupMap(zmod2, zt, IntMatrix([[0]]), name="out"),
+            GroupMap(zt, zf, IntMatrix([[0]])),
+            GroupMap(zf, zf, IntMatrix([[2]])),
+            GroupMap(zf, zmod2, IntMatrix([[1]])),
+            GroupMap(zmod2, zt, IntMatrix([[0]])),
         ]
         nodes = check_exact(maps)
         assert [n.exact for n in nodes] == [True, True, True]
@@ -805,10 +807,10 @@ class TestMapsAndExactness:
         zf, zt = _zfree(), _ztrivial()
         zmod2 = PresentedGroup(IntMatrix([[2]]))
         maps = [
-            GroupMap(zt, zf, IntMatrix([[0]]), name="in"),
-            GroupMap(zf, zf, IntMatrix([[4]]), name="quad"),
-            GroupMap(zf, zmod2, IntMatrix([[1]]), name="proj"),
-            GroupMap(zmod2, zt, IntMatrix([[0]]), name="out"),
+            GroupMap(zt, zf, IntMatrix([[0]])),
+            GroupMap(zf, zf, IntMatrix([[4]])),
+            GroupMap(zf, zmod2, IntMatrix([[1]])),
+            GroupMap(zmod2, zt, IntMatrix([[0]])),
         ]
         nodes = check_exact(maps)
         assert not all(n.exact for n in nodes)
@@ -819,8 +821,8 @@ class TestMapsAndExactness:
         # inside every image
         zf = _zfree()
         maps = [
-            GroupMap(zf, zf, IntMatrix([[2]]), name="double"),
-            GroupMap(zf, zf, IntMatrix([[1]]), name="id"),
+            GroupMap(zf, zf, IntMatrix([[2]])),
+            GroupMap(zf, zf, IntMatrix([[1]])),
         ]
         [node] = check_exact(maps)
         assert not node.image_in_kernel and node.kernel_in_image
@@ -839,8 +841,8 @@ class TestMapsAndExactness:
         # unless a node's group has no generators
         zf, zmod2 = _zfree(), PresentedGroup(IntMatrix([[2]]))
         short = [
-            GroupMap(zf, zf, IntMatrix([[4]]), name="quad"),
-            GroupMap(zf, zmod2, IntMatrix([[1]]), name="proj"),
+            GroupMap(zf, zf, IntMatrix([[4]])),
+            GroupMap(zf, zmod2, IntMatrix([[1]])),
             GroupMap(zmod2, PresentedGroup(IntMatrix.zeros(0, 0)), IntMatrix.zeros(0, 1)),
         ]
         coeff = CoeffGroup.reduced_units_of_field(5)
@@ -891,7 +893,7 @@ class TestCoefficients:
             CoeffGroup.units_of_field(1)
 
     def test_prime_power_check_stops_at_its_bound(self):
-        bound = intlinalg._ROOT_DIVISOR_BOUND
+        bound = intlinalg._PRIME_TEST_BOUND
 
         def by_trial_division(q):  # every divisor up to the square root
             p = next((c for c in range(2, math.isqrt(q) + 1) if q % c == 0), q)
@@ -906,13 +908,56 @@ class TestCoefficients:
             except ValueError:
                 return None
 
-        # decided within the bound: a factor below it, or q below its square
-        inside = [*range(2, 2000), 1_000_000_000_039, 3**60, 2**80, 1048573**2, bound**2 + 1]
+        inside = [*range(2, 2000), 1_000_000_000_039, 3**60, 2**80, 1048573**2, 2**40 + 1]
         for q in inside:
             assert root(q) == by_trial_division(q), q
-        for q in (1048583**2, 1048583 * 1048589, 10**24 + 7):
-            with pytest.raises(ValueError, match=f"no prime factor up to {bound}"):
+        # strong pseudoprimes to the bases up to 23 and up to 37 fail at 41
+        for q in (1048583 * 1048589, 3825123056546413051, 318665857834031151167461):
+            with pytest.raises(ValueError, match="is not a prime power"):
                 intlinalg._prime_power_root(q)
+        # a prime past 2^20 and its square, a prime just above 10^24, and
+        # a prime past the bound of the exact prime test and its square
+        assert root(1048583**2) == (1048583, 2)
+        assert root(10**24 + 7) == (10**24 + 7, 1)
+        past = 4 * 10**24 + 27  # sympy.nextprime(4 * 10**24)
+        started = time.perf_counter()
+        for q in (past, past**2, bound):  # the bound passes every base
+            with pytest.raises(ValueError, match=f"at or past {bound}, the bound"):
+                intlinalg._prime_power_root(q)
+        assert time.perf_counter() - started < 1
+
+    def test_prime_power_check_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")  # a test-time oracle only
+        rng = random.Random(51)
+
+        def oracle(q):
+            base, e = sympy.perfect_power(q) or (q, 1)
+            return (int(base), int(e)) if sympy.isprime(base) else None
+
+        seen = collections.Counter()
+        for _ in range(1500):
+            kind, digits = rng.randrange(3), rng.randrange(2, 16)
+            a, b = rng.randrange(3, 10**digits), rng.randrange(10**digits)
+            if kind == 0:  # any q below 10^30
+                q = rng.randrange(2, 10 ** rng.randrange(2, 31))
+            elif kind == 1:  # a prime power below 10^30
+                q = sympy.prevprime(a) ** rng.randrange(1, 1 + 30 // digits)
+            else:  # a product of two primes
+                q = sympy.nextprime(a) * sympy.nextprime(b)
+            want = oracle(q)
+            if want is not None and want[0] >= intlinalg._PRIME_TEST_BOUND:
+                with pytest.raises(ValueError, match="the bound"):
+                    intlinalg._prime_power_root(q)
+                seen["refused"] += 1
+                continue
+            try:
+                got = intlinalg._prime_power_root(q)
+            except ValueError as exc:
+                assert "is not a prime power" in str(exc), q
+                got = None
+            assert got == want, q
+            seen["none" if got is None else "prime" if got[1] == 1 else "power"] += 1
+        assert min(seen[k] for k in ("none", "prime", "power")) >= 100, seen
 
     def test_reduced_units_of_field(self):
         # (q-1)/gcd(2, q-1)

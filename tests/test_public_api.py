@@ -194,7 +194,6 @@ SHARED_NAME_CALLS = {
     "TableEntry.class_key": "filtered.TableEntry.same_class",
     "KOneBar.kernel": "ktheory._row_body",
     "KOneBar.symbol": "cli._cmd_k1",
-    "VdbReport.consistent": "cli._cmd_vdb",
     "SubquotientStore.get": "ktheory._row_body",
     "NodeReport.exact": "ktheory._Skeleton.exact",
     "_Skeleton.exact": "filtered._match_rows",
